@@ -1,0 +1,150 @@
+"""Golden pins: exact sampled states and raw kernel counters.
+
+A refactor of the sampler, the labeling kernel or a reduction must leave
+every value here unchanged.  The pins were recorded from the implementation
+and are compared exactly: a change to the random stream, the element order,
+the replica sharing or any counter shows up as a mismatch.  Regenerate them
+only for a declared change of the stream or of the replica sharing.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from percolab import estimators as E
+from percolab import lowerbound as L
+from percolab.lattice import TRIANGULAR, Z2_BOND, LatticeKind, LatticeSpec, box_with_boundary
+from percolab.sampler import sample_config
+
+Z3_BOND = LatticeSpec(LatticeKind.Z_BOND, 3)
+LATTICES = {"TRIANGULAR": TRIANGULAR, "Z2_BOND": Z2_BOND, "Z3_BOND": Z3_BOND}
+CARRIER_RADIUS = {"TRIANGULAR": 4, "Z2_BOND": 4, "Z3_BOND": 2}
+
+# sha256 of packed_states() on box_with_boundary(lattice, radius)
+STATE_SHA256 = {
+    ("TRIANGULAR", 0.37, 11): "85522f0cd590345da1220a5299b0e347132a12addaa29a7dccff00be3086587d",
+    ("TRIANGULAR", 0.37, 12345): "30f03f91ceb737702c68220ff2dc06392c2b3fd59822eafc4973d32028f36540",
+    ("TRIANGULAR", 0.5, 11): "4efaf580476b96e4fbf2851dc6275f2ee8b00e125a6009d3f6619c54950647a2",
+    ("TRIANGULAR", 0.5, 12345): "1c4a404f4f3e01ea8376739bbd8d6e2efd52832ac860988905bf7bedb7ea54af",
+    ("Z2_BOND", 0.37, 11): "c7ed21313adcbcc41defeb0f6b2e7f66122cb7c0bbb23ca7e27179b029565257",
+    ("Z2_BOND", 0.37, 12345): "eb2846fb268ef388b1ac5814329bae721b873297d5474fa315ca7962b4ee8568",
+    ("Z2_BOND", 0.5, 11): "be6fae5ac3ece42da466d62912980d0cddcc8dc7dca89d3a701701f7ac486905",
+    ("Z2_BOND", 0.5, 12345): "5fb4461fa180d3374a03a14041bb8810343ac50e4028ce9ed44d8e3932ae2f70",
+    ("Z3_BOND", 0.37, 11): "7e235e4c2a3fb9db9621e4c70a489eff88fcdabb4da94993b7dc4b500a94a326",
+    ("Z3_BOND", 0.37, 12345): "b18211b70eeb636c9e9f4782a359b1a77782c66cd29a6bc1ec70b1a161e5fd23",
+    ("Z3_BOND", 0.5, 11): "7229015a947f732204b009d2768fce17e366759e561044819fb14e062884e752",
+    ("Z3_BOND", 0.5, 12345): "d31f2a63d0e63510cddbe4bac35f178045ca7c88469c24c3d2a9d4266284526c",
+}
+
+
+@pytest.mark.parametrize("key", sorted(STATE_SHA256))
+def test_packed_states_pinned(key):
+    name, p, seed = key
+    lattice = LATTICES[name]
+    cfg = sample_config(lattice, box_with_boundary(lattice, CARRIER_RADIUS[name]), p, seed)
+    assert hashlib.sha256(cfg.packed_states().tobytes()).hexdigest() == STATE_SHA256[key]
+
+
+EVENTS = (
+    L.EventSpec("h_crossing", corner=(-3, -2), widths=(5, 4)),
+    L.EventSpec("v_crossing", corner=(-1, -3), widths=(3, 5)),
+    L.EventSpec("arm", m=1, n=4),
+    L.EventSpec("vn_ge", n=2, threshold=6.0),
+    L.EventSpec("c1_ge", n=3, threshold=12.0),
+)
+FKG_PAIRS = ((0, 1), (2, 3), (4, 0), (1, 2))
+
+# per lattice: p, c1 thresholds, vn thresholds, (p, n, attempts) of the D(n, 2) counts
+SETUP = {
+    "TRIANGULAR": {"p": 0.5, "c1": (10.0, 20.0), "vn": (15.0, 25.0), "dn": (0.6, 6, 400)},
+    "Z2_BOND": {"p": 0.42, "c1": (12.0, 20.0), "vn": (8.0, 20.0), "dn": (0.5, 6, 3000)},
+}
+
+COUNTERS = {
+    "TRIANGULAR": {
+        "arm": {"arm:1": 38, "arm:2": 40, "arm:4": 40},
+        "vn": {
+            "samples": 40,
+            "vsum": 902,
+            "vsq": 21964,
+            "c1sum": 730,
+            "c1sq": 15650,
+            "c1ge:0": 33,
+            "c1ge:1": 22,
+            "vnge:0": 34,
+            "vnge:1": 21,
+            "msum:1": 902,
+            "msq:1": 21964,
+            "msum:2": 10531,
+            "msq:2": 3397207,
+            "msum:3": 82598,
+            "msq:3": 237877294,
+            "hist": {
+                5: 1, 6: 2, 7: 1, 8: 2, 9: 1, 10: 2, 11: 2, 12: 1, 13: 1, 14: 1, 15: 1, 17: 2,
+                18: 1, 20: 4, 21: 3, 22: 3, 24: 3, 25: 2, 26: 1, 27: 2, 29: 1, 30: 2, 33: 1,
+            },
+        },
+        "crossing": [{"hits": 21}, {"hits": 35}],
+        "dn": {"attempts": 400, "d": 24, "viol_i": 0, "viol_ii": 0, "viol": 0, "holds": 24},
+        "fkg": [
+            {"a": 26, "b": 18, "ab": 14},
+            {"a": 49, "b": 44, "ab": 44},
+            {"a": 40, "b": 26, "ab": 26},
+            {"a": 14, "b": 49, "ab": 14},
+        ],
+    },
+    "Z2_BOND": {
+        "arm": {"arm:1": 30, "arm:2": 38, "arm:4": 40},
+        "vn": {
+            "samples": 40,
+            "vsum": 797,
+            "vsq": 20329,
+            "c1sum": 584,
+            "c1sq": 10804,
+            "c1ge:0": 24,
+            "c1ge:1": 8,
+            "vnge:0": 33,
+            "vnge:1": 23,
+            "msum:1": 797,
+            "msq:1": 20329,
+            "msum:2": 9766,
+            "msq:2": 4468978,
+            "msum:3": 88791,
+            "msq:3": 590461323,
+            "hist": {
+                5: 1, 7: 3, 8: 5, 9: 3, 10: 2, 11: 2, 12: 5, 13: 1, 14: 5, 15: 1, 16: 2, 18: 1,
+                19: 1, 21: 1, 24: 1, 25: 1, 27: 2, 28: 1, 34: 1, 36: 1,
+            },
+        },
+        "crossing": [{"hits": 16}, {"hits": 23}],
+        "dn": {"attempts": 3000, "d": 3, "viol_i": 1, "viol_ii": 1, "viol": 1, "holds": 2},
+        "fkg": [
+            {"a": 12, "b": 10, "ab": 4},
+            {"a": 50, "b": 45, "ab": 45},
+            {"a": 44, "b": 12, "ab": 12},
+            {"a": 11, "b": 50, "ab": 11},
+        ],
+    },
+}
+
+
+def _counters(name: str) -> dict:
+    lattice, s = LATTICES[name], SETUP[name]
+    p = s["p"]
+    dn_p, dn_n, attempts = s["dn"]
+    return {
+        "arm": E._arm_counts((lattice, p, 8, (1, 2, 4), 101), 0, 40),
+        "vn": E._vn_counts((lattice, p, 3, s["c1"], s["vn"], (1, 2, 3), True, 102), 0, 40),
+        "crossing": [E._crossing_counts((lattice, p, (5, 4), axis, 103), 0, 60) for axis in (0, 1)],
+        "dn": L._dn_counts((lattice, dn_p, dn_n, 2, 104), 0, attempts),
+        "fkg": [
+            L._fkg_counts((lattice, p, EVENTS[a], EVENTS[b], 105), 0, 50) for a, b in FKG_PAIRS
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(COUNTERS))
+def test_kernel_counters_pinned(name):
+    assert _counters(name) == COUNTERS[name]
