@@ -27,6 +27,12 @@ from .lattice import LatticeKind, LatticeSpec
 from .verify import FULL, QUICK, run_verify
 
 
+def _require_int(name: str, value) -> None:
+    # bool is an int subclass; a spec's true/false is never a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ExperimentSpec:
     """Validated, round-trippable experiment description."""
@@ -50,6 +56,14 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         LatticeKind(self.lattice)
+        for name in ("master_seed", "samples", "workers", "d"):
+            _require_int(name, getattr(self, name))
+        for name in ("sizes", "k_grid"):
+            values = getattr(self, name)
+            if not isinstance(values, list):
+                raise ValueError(f"{name} must be a list of integers, got {values!r}")
+            for v in values:
+                _require_int(f"{name} entry", v)
         if self.p is not None and not 0 <= self.p <= 1:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if self.samples < 1:

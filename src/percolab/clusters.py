@@ -8,6 +8,9 @@ participates, so singletons count as clusters of size 1.
 Arm and crossing events confine paths to the stated region closure; any path
 reaching the outer boundary must cross it, so the confinement loses no
 generality.
+
+Each query labels its configuration as a batch of one with the batched
+kernel of the ``grid`` module, so both lattice kinds share every code path.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import grid
 from .lattice import LatticeSpec, Region, Site, box_with_boundary
@@ -44,27 +46,16 @@ def _require_subregion(config: Config, region: Region) -> None:
         raise ValueError("region escapes the configuration carrier")
 
 
-def _bond_labels(config: Config, mask: np.ndarray) -> np.ndarray:
-    edges = []
-    for a in range(config.lattice.d):
-        ok = grid.edge_exists(mask, a) & config.edge_open[a]
-        edges.append(ok[None])
-    return grid.label_bonds_batch(edges, mask)[0]
-
-
 def _labels_on_mask(config: Config, mask: np.ndarray) -> np.ndarray:
-    """Label grid for paths confined to ``mask``."""
-    if config.site_mode:
-        lab, _ = ndimage.label(config.site_open & mask, structure=grid.site_structure(config.lattice))
-        return lab
-    return _bond_labels(config, mask)
+    """Vertex labels, as a batch of one, for paths confined to ``mask``."""
+    cells = config.cells & grid.cell_mask(config.lattice, mask)
+    return grid.label_sites_batch(cells[None], config.lattice)
 
 
 def label_clusters(config: Config, region: Region) -> ClusterLabels:
     """Connected clusters with paths confined to ``region``."""
     _require_subregion(config, region)
-    mask = config.raster.mask_of_region(region)
-    lab = _labels_on_mask(config, mask)
+    lab = _labels_on_mask(config, config.raster.mask_of_region(region))[0]
     sizes = grid.cluster_sizes_single(lab)
     return ClusterLabels(config.lattice, config.raster.origin, lab, sizes)
 
@@ -90,16 +81,9 @@ def long_arm_set(config: Config, n: int) -> Region:
         raise ValueError("carrier too small: need box(2n) plus boundary")
     raster = config.raster
     center = (0,) * lattice.d
-    mask = raster.mask_of_region(needed)
-    lab = _labels_on_mask(config, mask)
-    ring = raster.boundary_mask(center, 2 * n)
-    inner = raster.box_mask(center, n)
-    seed = lab[ring]
-    flags = np.zeros(int(lab.max(initial=0)) + 1, dtype=bool)
-    flags[seed[seed > 0]] = True
-    flags[0] = False
-    hit = flags[lab] & inner
-    coords = np.argwhere(hit)
+    lab = _labels_on_mask(config, raster.mask_of_region(needed))
+    flags = grid.seed_flags(lab, raster.boundary_mask(center, 2 * n))
+    coords = np.argwhere(flags[lab[0]] & raster.box_mask(center, n))
     sites = frozenset(tuple(int(c + o) for c, o in zip(row, raster.origin)) for row in coords)
     return Region(sites, dim=lattice.d)
 
@@ -120,11 +104,10 @@ def arm_event(config: Config, m: int, n: int) -> bool:
         raise ValueError("carrier too small: need box(n) plus boundary")
     raster = config.raster
     center = (0,) * lattice.d
-    mask = raster.mask_of_region(needed)
-    lab = _labels_on_mask(config, mask)
+    lab = _labels_on_mask(config, raster.mask_of_region(needed))
     a = raster.boundary_mask(center, m)
     b = raster.boundary_mask(center, n)
-    return bool(grid.connect_through(lab[None], a, b)[0])
+    return bool(grid.connect_through(lab, a, b)[0])
 
 
 def _crossing(config: Config, rect: Region, axis: int) -> bool:
@@ -133,28 +116,9 @@ def _crossing(config: Config, rect: Region, axis: int) -> bool:
     if config.lattice.d != 2:
         raise ValueError("crossing events are two-dimensional")
     _require_subregion(config, rect)
-    raster = config.raster
-    sl = raster.rect_slices(rect.origin, rect.extent)
-    if config.site_mode:
-        crop = config.site_open[sl]
-        lab, _ = ndimage.label(crop, structure=grid.site_structure(config.lattice))
-    else:
-        shape = tuple(s.stop - s.start for s in sl)
-        edges = []
-        for a in range(2):
-            e = config.edge_open[a][sl].copy()
-            end = [slice(None), slice(None)]
-            end[a] = slice(shape[a] - 1, shape[a])
-            e[tuple(end)] = False
-            edges.append(e[None])
-        lab = grid.label_bonds_batch(edges, np.ones(shape, dtype=bool))[0]
-    take = [slice(None), slice(None)]
-    take[axis] = 0
-    lo = lab[tuple(take)]
-    take[axis] = -1
-    hi = lab[tuple(take)]
-    pool = lo[lo > 0]
-    return bool(pool.size and (np.isin(hi, pool) & (hi > 0)).any())
+    sl = grid.cell_slices(config.lattice, config.raster.rect_slices(rect.origin, rect.extent))
+    lab = grid.label_sites_batch(config.cells[sl][None], config.lattice)
+    return bool(grid.crossing(lab, axis)[0])
 
 
 def horizontal_crossing(config: Config, rect: Region) -> bool:
@@ -174,4 +138,4 @@ def connected_in(config: Config, s: Region, a: Region, b: Region) -> bool:
     lab = _labels_on_mask(config, mask)
     am = config.raster.mask_of_region(a) & mask
     bm = config.raster.mask_of_region(b) & mask
-    return bool(grid.connect_through(lab[None], am, bm)[0])
+    return bool(grid.connect_through(lab, am, bm)[0])

@@ -32,7 +32,7 @@ import numpy as np
 from . import grid
 from .lattice import LatticeKind, LatticeSpec
 from .parallel import run_counters
-from .sampler import derive_stream, edge_open_batch, site_open_batch
+from .sampler import derive_stream, open_cells_batch
 
 TAG_PI = 0x501
 TAG_VN = 0x502
@@ -182,18 +182,6 @@ def _batch_size(cells: int) -> int:
     return max(4, min(256, 4_000_000 // max(cells, 1)))
 
 
-def _open_batch(lattice: LatticeSpec, mask: np.ndarray, p: float, seeds: list[int]):
-    if lattice.site_mode:
-        return site_open_batch(mask, p, seeds)
-    return edge_open_batch(mask, lattice.d, p, seeds)
-
-
-def _labels_for(lattice: LatticeSpec, mask: np.ndarray, batch) -> np.ndarray:
-    if lattice.site_mode:
-        return grid.label_sites_batch(batch, lattice)
-    return grid.label_bonds_batch([e for e in batch], mask)
-
-
 def _arm_counts(task, start: int, stop: int) -> dict:
     lattice, p, n, ms, fam = task
     raster, carrier = grid.carrier_raster(lattice, n)
@@ -204,28 +192,16 @@ def _arm_counts(task, start: int, stop: int) -> dict:
     bsize = _batch_size(carrier.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        batch = _open_batch(lattice, carrier, p, seeds)
-        labels = _labels_for(lattice, carrier, batch)
+        labels = grid.label_sites_batch(open_cells_batch(lattice, carrier, p, seeds), lattice)
         for m in ms:
             hits = grid.connect_through(labels, inner[m], outer)
             out[f"arm:{m}"] += int(hits.sum())
     return out
 
 
-def _crop_labels(lattice: LatticeSpec, batch, sl: tuple[slice, ...]) -> np.ndarray:
-    """Labels confined to a box crop (paths inside the crop only)."""
-    full = (slice(None),) + sl
-    if lattice.site_mode:
-        return grid.label_sites_batch(batch[full], lattice)
-    edges = []
-    for a in range(lattice.d):
-        e = batch[a][full].copy()
-        end = [slice(None)] * (lattice.d + 1)
-        end[a + 1] = slice(e.shape[a + 1] - 1, e.shape[a + 1])
-        e[tuple(end)] = False
-        edges.append(e)
-    shape = edges[0].shape[1:]
-    return grid.label_bonds_batch(edges, np.ones(shape, dtype=bool))
+def _crop_labels(lattice: LatticeSpec, batch: np.ndarray, sl: tuple[slice, ...]) -> np.ndarray:
+    """Labels confined to a site-space crop (paths inside the crop only)."""
+    return grid.label_sites_batch(batch[(slice(None),) + grid.cell_slices(lattice, sl)], lattice)
 
 
 def _vn_counts(task, start: int, stop: int) -> dict:
@@ -253,9 +229,8 @@ def _vn_counts(task, start: int, stop: int) -> dict:
     bsize = _batch_size(carrier.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        batch = _open_batch(lattice, carrier, p, seeds)
-        labels = _labels_for(lattice, carrier, batch)
-        vn = grid.count_connected_to(labels, ring, inner)
+        batch = open_cells_batch(lattice, carrier, p, seeds)
+        vn = grid.count_connected_to(grid.label_sites_batch(batch, lattice), ring, inner)
         c1 = grid.largest_count(_crop_labels(lattice, batch, box_sl))
         out["samples"] += hi - lo
         out["vsum"] += int(vn.sum())
@@ -314,23 +289,14 @@ def vn_statistics(
 def _crossing_counts(task, start: int, stop: int) -> dict:
     lattice, p, widths, axis, fam = task
     shape = tuple(w + 1 for w in widths)
-    raster = grid.BoxRaster(lattice, (0,) * lattice.d, shape)
     mask = np.ones(shape, dtype=bool)
+    crop = tuple(slice(0, s) for s in shape)
     hits = 0
     bsize = _batch_size(mask.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        batch = _open_batch(lattice, mask, p, seeds)
-        labels = _crop_labels(lattice, batch, tuple(slice(0, s) for s in shape))
-        take_lo = [slice(None)] * (lattice.d + 1)
-        take_lo[axis + 1] = 0
-        take_hi = [slice(None)] * (lattice.d + 1)
-        take_hi[axis + 1] = -1
-        a = labels[tuple(take_lo)]
-        b = labels[tuple(take_hi)]
-        pool = a[a > 0]
-        if pool.size:
-            hits += int(((b > 0) & np.isin(b, pool)).any(axis=1).sum())
+        labels = _crop_labels(lattice, open_cells_batch(lattice, mask, p, seeds), crop)
+        hits += int(grid.crossing(labels, axis).sum())
     return {"hits": hits}
 
 

@@ -1,9 +1,23 @@
-"""Rasterized lattice geometry and batched connectivity kernels.
+"""Rasterized lattice geometry and the batched labeling kernel.
 
 Everything Monte-Carlo-hot runs through this module.  Configurations live on a
-rectangular bounding box (the "raster"); regions become boolean masks; cluster
-labeling is vectorized with ``scipy.ndimage.label`` (site mode) or
-``scipy.sparse.csgraph`` (bond mode).
+rectangular bounding box (the "raster"); regions become boolean masks over its
+sites.  A configuration is stored as a grid of open *cells*, and one kernel,
+``scipy.ndimage.label``, labels the cells of both lattice kinds:
+
+* site mode: the cells are the sites, labeled under the lattice adjacency;
+* bond mode: the cells form the decorated grid.  A raster of side L becomes
+  side 2L - 1 in every axis.  Vertex cells sit at all-even coordinates and
+  hold the carrier mask; the edge cell between u and u + e_a sits at
+  2u + e_a and is open when that edge is open.  Nearest-neighbour labeling
+  of the cells joins exactly the vertices that open edges join.
+
+Vertex labels are read back as the stride-``s`` view of the cell labels, with
+``s = 1`` (site) or ``s = 2`` (bond), so every reduction works in site
+coordinates.  Site-space masks and slices map to cell space through the same
+stride: the site slice ``[start, stop)`` becomes the cell slice
+``[s*start, s*(stop-1) + 1)``, which ends on vertex cells, so edges leaving a
+crop drop out of it.
 
 The batching trick: a whole batch of configurations is stacked along a leading
 axis and labeled with ONE call, using a structuring element that has no
@@ -16,8 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import ndimage
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .lattice import LatticeSpec, Region, Site
 
@@ -105,82 +117,134 @@ def carrier_raster(lattice: LatticeSpec, radius: int) -> tuple[BoxRaster, np.nda
     return raster, dil
 
 
-def edge_exists(carrier_mask: np.ndarray, axis: int) -> np.ndarray:
-    """Bond-mode edge slots: both endpoints (idx, idx + e_axis) in the carrier."""
-    ex = np.zeros_like(carrier_mask)
-    lo = tuple(slice(0, -1) if a == axis else slice(None) for a in range(carrier_mask.ndim))
-    hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(carrier_mask.ndim))
-    ex[lo] = carrier_mask[lo] & carrier_mask[hi]
-    return ex
+# ---------------------------------------------------------------------------
+# Cell geometry: with the sampler, the only code that tells the lattice kinds apart
+
+
+def stride(lattice: LatticeSpec) -> int:
+    """Cell distance between neighbouring vertices: 1 (site) or 2 (bond)."""
+    return 1 if lattice.site_mode else 2
+
+
+def vertex_cells(lattice: LatticeSpec) -> tuple[slice, ...]:
+    """Index of the vertex cells of a cell grid (one slice per lattice axis)."""
+    return (slice(None, None, stride(lattice)),) * lattice.d
+
+
+def edge_ends(d: int, axis: int, end: int) -> tuple[slice, ...]:
+    """Site index of the tails u (end 0) or heads u + e_axis (end 1) of axis edges."""
+    return tuple(slice(end, end - 1 or None) if a == axis else slice(None) for a in range(d))
+
+
+def edge_cells(d: int, axis: int) -> tuple[slice, ...]:
+    """Index of the edge cells along ``axis`` of a decorated grid."""
+    return tuple(slice(1, None, 2) if a == axis else slice(None, None, 2) for a in range(d))
+
+
+def cell_shape(lattice: LatticeSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
+    s = stride(lattice)
+    return tuple(s * (n - 1) + 1 for n in shape)
+
+
+def cell_slices(lattice: LatticeSpec, sl: tuple[slice, ...]) -> tuple[slice, ...]:
+    """Site-space slices (step 1) to the cell slices that end on vertex cells."""
+    s = stride(lattice)
+    return tuple(slice(s * x.start, s * (x.stop - 1) + 1) for x in sl)
+
+
+def cell_mask(lattice: LatticeSpec, mask: np.ndarray) -> np.ndarray:
+    """Site-space mask to cell space: an edge cell is in when both ends are."""
+    if lattice.site_mode:
+        return mask
+    d = mask.ndim
+    out = np.zeros(cell_shape(lattice, mask.shape), dtype=bool)
+    out[vertex_cells(lattice)] = mask
+    for a in range(d):
+        out[edge_cells(d, a)] = mask[edge_ends(d, a, 0)] & mask[edge_ends(d, a, 1)]
+    return out
+
+
+def edge_arrays(cells: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
+    """Per-axis site-space view of a decorated grid: ``[a][u]`` is cell 2u + e_a.
+
+    Edges that would leave the raster read False.
+    """
+    out = []
+    for a in range(d):
+        e = np.zeros(tuple((n + 1) // 2 for n in cells.shape), dtype=bool)
+        e[edge_ends(d, a, 0)] = cells[edge_cells(d, a)]
+        out.append(e)
+    return tuple(out)
+
+
+def element_cells(lattice: LatticeSpec, carrier_mask: np.ndarray) -> np.ndarray:
+    """Flat cell indices of the sampled elements, in the sampler's element order.
+
+    Sites come in C order; bonds ``(u, axis)`` site-major, axis ascending, as
+    the edge cell ``2u + e_axis``.
+    """
+    if lattice.site_mode:
+        return np.flatnonzero(carrier_mask)
+    d = lattice.d
+    rows = np.argwhere(np.stack(edge_arrays(cell_mask(lattice, carrier_mask), d), axis=-1))
+    coords = 2 * rows[:, :d]
+    coords[np.arange(len(rows)), rows[:, d]] += 1
+    return np.ravel_multi_index(tuple(coords.T), cell_shape(lattice, carrier_mask.shape))
 
 
 # ---------------------------------------------------------------------------
 # Batched labeling
 
 
-def label_sites_batch(open_batch: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """Label open-site clusters of a (B, ...) stack; 0 = closed/background."""
-    labels, _ = ndimage.label(open_batch, structure=batch_structure(lattice))
-    return labels
+def label_sites_batch(cells: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """Vertex labels of a (B, ...) stack of open-cell grids; 0 = not open.
 
-
-def label_bonds_batch(
-    edge_open: list[np.ndarray], participating: np.ndarray
-) -> np.ndarray:
-    """Label bond-mode clusters of a (B, ...) stack of edge arrays.
-
-    ``edge_open[a]`` is a (B, ...) bool array: edge from idx to idx + e_a open.
-    Every participating site gets a positive label; others get 0.  Labels are
-    unique per sample (samples are disjoint node blocks).
+    The result is a view in site coordinates (stride 2 on a decorated grid).
     """
-    B = edge_open[0].shape[0]
-    shape = edge_open[0].shape[1:]
-    V = int(np.prod(shape))
-    strides = [int(np.prod(shape[a + 1:], dtype=np.int64)) for a in range(len(shape))]
-    rows, cols = [], []
-    for a, ea in enumerate(edge_open):
-        idx = np.flatnonzero(ea)
-        rows.append(idx)
-        cols.append(idx + strides[a])
-    r = np.concatenate(rows) if rows else np.empty(0, np.int64)
-    c = np.concatenate(cols) if cols else np.empty(0, np.int64)
-    g = coo_matrix((np.ones(len(r), np.int8), (r, c)), shape=(B * V, B * V))
-    _, comp = connected_components(g, directed=False)
-    labels = comp.reshape((B,) + shape).astype(np.int64) + 1
-    labels[:, ~participating] = 0
-    return labels
+    labels, _ = ndimage.label(cells, structure=batch_structure(lattice))
+    return labels[(slice(None),) + vertex_cells(lattice)]
 
 
 # ---------------------------------------------------------------------------
 # Per-sample reductions on batch labels
 
 
-def connect_through(labels: np.ndarray, mask_a: np.ndarray, mask_b: np.ndarray) -> np.ndarray:
-    """Per-sample: does some cluster touch both masks? (B,) bool."""
-    la = labels[:, mask_a]
-    lb = labels[:, mask_b]
+def _joined(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """Per-sample: does a positive label of ``la`` recur in ``lb``? (B,) bool."""
     pool = la[la > 0]
     if pool.size == 0:
-        return np.zeros(labels.shape[0], dtype=bool)
-    return ((lb > 0) & np.isin(lb, pool)).any(axis=1)
+        return np.zeros(la.shape[0], dtype=bool)
+    return ((lb > 0) & np.isin(lb, pool)).reshape(lb.shape[0], -1).any(axis=1)
+
+
+def connect_through(labels: np.ndarray, mask_a: np.ndarray, mask_b: np.ndarray) -> np.ndarray:
+    """Per-sample: does some cluster touch both masks? (B,) bool."""
+    return _joined(labels[:, mask_a], labels[:, mask_b])
+
+
+def crossing(labels: np.ndarray, axis: int) -> np.ndarray:
+    """Per-sample: do the first and last slabs along ``axis`` share a cluster?"""
+    first = (slice(None),) * (axis + 1)
+    return _joined(labels[first + (0,)], labels[first + (-1,)])
+
+
+def seed_flags(labels: np.ndarray, seed_mask: np.ndarray) -> np.ndarray:
+    """Lookup over label values: True where the cluster meets ``seed_mask``."""
+    flags = np.zeros(int(labels.max(initial=0)) + 1, dtype=bool)
+    flags[labels[:, seed_mask]] = True
+    flags[0] = False
+    return flags
 
 
 def count_connected_to(labels: np.ndarray, seed_mask: np.ndarray, count_mask: np.ndarray) -> np.ndarray:
     """Per-sample count of sites in ``count_mask`` sharing a cluster with ``seed_mask``."""
-    seed = labels[:, seed_mask]
-    nmax = int(labels.max(initial=0))
-    flags = np.zeros(nmax + 1, dtype=bool)
-    sv = seed[seed > 0]
-    flags[sv] = True
-    flags[0] = False
-    body = labels[:, count_mask]
-    return flags[body].sum(axis=1).astype(np.int64)
+    return seed_flags(labels, seed_mask)[labels[:, count_mask]].sum(axis=1).astype(np.int64)
 
 
-def largest_count(labels: np.ndarray, within: np.ndarray | None = None) -> np.ndarray:
-    """Per-sample size of the largest cluster (optionally restricted to a mask)."""
+def largest_count(labels: np.ndarray) -> np.ndarray:
+    """Per-sample size of the largest cluster."""
     B = labels.shape[0]
-    flat = labels[:, within] if within is not None else labels.reshape(B, -1)
+    flat = labels.reshape(B, -1)
     nmax = int(flat.max(initial=0))
     if nmax == 0:
         return np.zeros(B, dtype=np.int64)

@@ -25,10 +25,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .bounds import _pi_callable
 from .lattice import Region, Site, linf_distance
 
 
@@ -301,12 +302,6 @@ def ordering_count(radii: Counter | Iterable[int]) -> int:
     for mult in c.values():
         out //= math.factorial(mult)
     return out
-
-
-def _pi_callable(pi) -> Callable[[int], float]:
-    if callable(pi):
-        return pi
-    return lambda s: pi.pi(s)
 
 
 def prob_upper_bound(radii: Counter | Iterable[int], n: int, pi, c3: float) -> float:

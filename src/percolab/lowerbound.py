@@ -41,8 +41,6 @@ from .estimators import (
     _batch_ranges,
     _batch_size,
     _crop_labels,
-    _labels_for,
-    _open_batch,
     estimate_crossing,
     event_estimate,
     family_seed,
@@ -50,7 +48,7 @@ from .estimators import (
 )
 from .lattice import LatticeSpec, Site, rect_region
 from .parallel import run_counters
-from .sampler import Config, derive_stream
+from .sampler import Config, derive_stream, open_cells_batch
 
 
 # ---------------------------------------------------------------------------
@@ -129,44 +127,20 @@ class EventSpec:
 def _event_indicators(lattice: LatticeSpec, raster, batch, spec: EventSpec) -> np.ndarray:
     center = (0,) * lattice.d
     if spec.kind in ("h_crossing", "v_crossing"):
-        axis = 0 if spec.kind == "h_crossing" else 1
-        sl = raster.rect_slices(spec.corner, spec.widths)
-        labels = _crop_labels(lattice, batch, sl)
-        take_lo = [slice(None)] * (lattice.d + 1)
-        take_lo[axis + 1] = 0
-        take_hi = [slice(None)] * (lattice.d + 1)
-        take_hi[axis + 1] = -1
-        a = labels[tuple(take_lo)]
-        b = labels[tuple(take_hi)]
-        pool = a[a > 0]
-        if not pool.size:
-            return np.zeros(labels.shape[0], dtype=bool)
-        return ((b > 0) & np.isin(b, pool)).any(axis=1)
+        labels = _crop_labels(lattice, batch, raster.rect_slices(spec.corner, spec.widths))
+        return grid.crossing(labels, 0 if spec.kind == "h_crossing" else 1)
+    if spec.kind == "c1_ge":
+        labels = _crop_labels(lattice, batch, raster.box_slices(center, spec.n))
+        return grid.largest_count(labels) >= spec.threshold
+    # arm and vn_ge: paths confined to a box plus its outer boundary
+    radius = spec.n if spec.kind == "arm" else 2 * spec.n
+    outer = raster.boundary_mask(center, radius)
+    mask = grid.cell_mask(lattice, raster.box_mask(center, radius) | outer)
+    labels = grid.label_sites_batch(batch & mask, lattice)
     if spec.kind == "arm":
-        mask = raster.box_mask(center, spec.n) | raster.boundary_mask(center, spec.n)
-        if lattice.site_mode:
-            labels = grid.label_sites_batch(batch & mask, lattice)
-        else:
-            edges = [e & grid.edge_exists(mask, a)[None] for a, e in enumerate(batch)]
-            labels = grid.label_bonds_batch(edges, mask)
-        return grid.connect_through(
-            labels, raster.boundary_mask(center, spec.m), raster.boundary_mask(center, spec.n)
-        )
-    if spec.kind == "vn_ge":
-        mask = raster.box_mask(center, 2 * spec.n) | raster.boundary_mask(center, 2 * spec.n)
-        if lattice.site_mode:
-            labels = grid.label_sites_batch(batch & mask, lattice)
-        else:
-            edges = [e & grid.edge_exists(mask, a)[None] for a, e in enumerate(batch)]
-            labels = grid.label_bonds_batch(edges, mask)
-        vn = grid.count_connected_to(
-            labels, raster.boundary_mask(center, 2 * spec.n), raster.box_mask(center, spec.n)
-        )
-        return vn >= spec.threshold
-    # c1_ge
-    sl = raster.box_slices(center, spec.n)
-    labels = _crop_labels(lattice, batch, sl)
-    return grid.largest_count(labels) >= spec.threshold
+        return grid.connect_through(labels, raster.boundary_mask(center, spec.m), outer)
+    vn = grid.count_connected_to(labels, outer, raster.box_mask(center, spec.n))
+    return vn >= spec.threshold
 
 
 def _fkg_counts(task, start: int, stop: int) -> dict:
@@ -177,7 +151,7 @@ def _fkg_counts(task, start: int, stop: int) -> dict:
     bsize = _batch_size(carrier.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        batch = _open_batch(lattice, carrier, p, seeds)
+        batch = open_cells_batch(lattice, carrier, p, seeds)
         ia = _event_indicators(lattice, raster, batch, ev_a)
         ib = _event_indicators(lattice, raster, batch, ev_b)
         out["a"] += int(ia.sum())
@@ -347,12 +321,12 @@ def _cluster_extremes(labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]
 
 
 def _gluing_violations(
-    lattice: LatticeSpec, raster, carrier: np.ndarray, single_batch, n: int, u: int
+    lattice: LatticeSpec, raster, single_batch: np.ndarray, n: int, u: int
 ) -> tuple[bool, bool]:
     """(one-cluster check violated, sum inequality violated) for one config."""
     np_ = n // u
     center = (0,) * lattice.d
-    labels = _labels_for(lattice, carrier, single_batch)[0]
+    labels = grid.label_sites_batch(single_batch, lattice)[0]
 
     # (i) qualifying long-arm sites of box(n - n') share one carrier cluster
     extremes = _cluster_extremes(labels)
@@ -370,18 +344,12 @@ def _gluing_violations(
     viol_i = arm_labels.size > 1
 
     # (ii) sum of local long-arm counts vs largest carrier cluster
-    nmax = int(labels.max(initial=0))
     total = 0
     for vx in range(-(u - 1), u):
         for vy in range(-(u - 1), u):
             c = (np_ * vx, np_ * vy)
-            ring = raster.boundary_mask(c, 2 * np_)
-            seed = labels[ring]
-            flags = np.zeros(nmax + 1, dtype=bool)
-            flags[seed[seed > 0]] = True
-            flags[0] = False
-            box = labels[raster.box_slices(c, np_)]
-            total += int(flags[box].sum())
+            flags = grid.seed_flags(labels[None], raster.boundary_mask(c, 2 * np_))
+            total += int(flags[labels[raster.box_slices(c, np_)]].sum())
     c1 = int(grid.largest_count(labels[None])[0])
     viol_ii = total > c1
     return viol_i, viol_ii
@@ -391,14 +359,7 @@ def gluing_check(config: Config, n: int, u: int) -> GluingOutcome:
     """Deterministic implication check on one configuration (see module doc)."""
     if not dn_event(config, n, u):
         return GluingOutcome.NOT_APPLICABLE
-    lattice = config.lattice
-    if lattice.site_mode:
-        batch = config.site_open[None]
-    else:
-        batch = [e[None] for e in config.edge_open]
-    viol_i, viol_ii = _gluing_violations(
-        lattice, config.raster, config.carrier_mask, batch, n, u
-    )
+    viol_i, viol_ii = _gluing_violations(config.lattice, config.raster, config.cells[None], n, u)
     return GluingOutcome.VIOLATED if (viol_i or viol_ii) else GluingOutcome.HOLDS
 
 
@@ -410,34 +371,16 @@ def _dn_counts(task, start: int, stop: int) -> dict:
     bsize = _batch_size(carrier.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        batch = _open_batch(lattice, carrier, p, seeds)
+        batch = open_cells_batch(lattice, carrier, p, seeds)
         out["attempts"] += hi - lo
         for corner, widths, axis in rects:
-            if (batch.shape[0] if lattice.site_mode else batch[0].shape[0]) == 0:
+            if batch.shape[0] == 0:
                 break
-            sl = raster.rect_slices(corner, widths)
-            labels = _crop_labels(lattice, batch, sl)
-            take_lo = [slice(None)] * (lattice.d + 1)
-            take_lo[axis + 1] = 0
-            take_hi = [slice(None)] * (lattice.d + 1)
-            take_hi[axis + 1] = -1
-            a = labels[tuple(take_lo)]
-            b = labels[tuple(take_hi)]
-            pool = a[a > 0]
-            ok = (
-                ((b > 0) & np.isin(b, pool)).any(axis=1)
-                if pool.size
-                else np.zeros(labels.shape[0], dtype=bool)
-            )
-            if lattice.site_mode:
-                batch = batch[ok]
-            else:
-                batch = [e[ok] for e in batch]
-        survivors = batch.shape[0] if lattice.site_mode else batch[0].shape[0]
-        out["d"] += int(survivors)
-        for j in range(survivors):
-            single = batch[j : j + 1] if lattice.site_mode else [e[j : j + 1] for e in batch]
-            vi, vii = _gluing_violations(lattice, raster, carrier, single, n, u)
+            labels = _crop_labels(lattice, batch, raster.rect_slices(corner, widths))
+            batch = batch[grid.crossing(labels, axis)]
+        out["d"] += batch.shape[0]
+        for j in range(batch.shape[0]):
+            vi, vii = _gluing_violations(lattice, raster, batch[j : j + 1], n, u)
             out["viol_i"] += int(vi)
             out["viol_ii"] += int(vii)
             if vi or vii:

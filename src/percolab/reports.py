@@ -71,15 +71,6 @@ def pi_table_rows(table: PiTable) -> list[tuple]:
     ]
 
 
-def write_pi_csv(path: Path, table: PiTable, spec_digest: str) -> Path:
-    return write_csv(path, PI_HEADER, pi_table_rows(table), file_meta(spec_digest))
-
-
-def write_pi_json(path: Path, table: PiTable, spec_digest: str) -> Path:
-    rows = [dict(zip(PI_HEADER, row)) for row in pi_table_rows(table)]
-    return write_json(path, {"pi_table": rows}, file_meta(spec_digest))
-
-
 DIST_HEADER = ("value", "count")
 
 

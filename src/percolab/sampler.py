@@ -9,6 +9,15 @@ Bond mode: pairs ``(u, axis)`` where ``u`` is the lexicographically smaller
 endpoint and the edge runs to ``u + e_axis``; pairs ordered site-major, axis
 ascending.  Only edges with both endpoints in the carrier are elements.
 
+Storage
+-------
+A configuration, and every batch of them, is a grid of open cells (see the
+``grid`` module).  Site configurations are their open-site rasters.  Bond
+configurations are decorated grids: carrier vertices are open cells, and the
+bit of element ``(u, axis)`` lands on the edge cell ``2u + e_axis``.  The
+storage changes nothing upstream of it: element order and bits are the same
+as for per-axis edge arrays, and ``Config.edge_open`` still reads them so.
+
 Randomness
 ----------
 Replica seeds come from ``derive_stream`` (the SplitMix64 sequence of the
@@ -27,8 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import BoxRaster, edge_exists
-from .lattice import LatticeSpec, Region, Site
+from . import grid
+from .grid import BoxRaster
+from .lattice import TRIANGULAR, LatticeKind, LatticeSpec, Region, Site
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -62,7 +72,10 @@ def element_bits(p: float, count: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Config:
-    """One sampled (or hand-built) configuration over a finite carrier."""
+    """One sampled (or hand-built) configuration over a finite carrier.
+
+    ``cells`` is the open-cell grid of the configuration (see the module doc).
+    """
 
     lattice: LatticeSpec
     region: Region
@@ -70,27 +83,31 @@ class Config:
     seed: int | None
     raster: BoxRaster = field(repr=False)
     carrier_mask: np.ndarray = field(repr=False)
-    site_open: np.ndarray | None = field(repr=False, default=None)
-    edge_open: tuple[np.ndarray, ...] | None = field(repr=False, default=None)
+    cells: np.ndarray = field(repr=False)
 
     @property
     def site_mode(self) -> bool:
         return self.lattice.site_mode
 
+    @property
+    def site_open(self) -> np.ndarray | None:
+        """Open sites over the raster (site mode only)."""
+        return self.cells if self.site_mode else None
+
+    @property
+    def edge_open(self) -> tuple[np.ndarray, ...] | None:
+        """Per-axis open edges (bond mode only): ``[a][u]`` is the edge u -- u + e_a."""
+        return None if self.site_mode else grid.edge_arrays(self.cells, self.lattice.d)
+
+    def _element_cells(self) -> np.ndarray:
+        return grid.element_cells(self.lattice, self.carrier_mask)
+
     def n_elements(self) -> int:
-        if self.site_mode:
-            return int(self.carrier_mask.sum())
-        return sum(int(edge_exists(self.carrier_mask, a).sum()) for a in range(self.lattice.d))
+        return int(self._element_cells().size)
 
     def element_states(self) -> np.ndarray:
         """Flat open/closed states in documented element order."""
-        if self.site_mode:
-            return self.site_open[self.carrier_mask]
-        exists = np.stack(
-            [edge_exists(self.carrier_mask, a) for a in range(self.lattice.d)], axis=-1
-        )
-        states = np.stack(self.edge_open, axis=-1)
-        return states[exists]
+        return self.cells.ravel()[self._element_cells()]
 
     def packed_states(self) -> np.ndarray:
         return np.packbits(self.element_states())
@@ -118,18 +135,8 @@ def sample_config(lattice: LatticeSpec, region: Region, p: float, seed: int) -> 
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     raster, mask = _raster_for_region(lattice, region)
-    if lattice.site_mode:
-        bits = element_bits(p, int(mask.sum()), seed)
-        open_ = np.zeros(raster.shape, dtype=bool)
-        open_[mask] = bits
-        return Config(lattice, region, p, seed, raster, mask, site_open=open_)
-    exists = [edge_exists(mask, a) for a in range(lattice.d)]
-    stacked = np.stack(exists, axis=-1)
-    bits = element_bits(p, int(stacked.sum()), seed)
-    states = np.zeros(stacked.shape, dtype=bool)
-    states[stacked] = bits
-    edges = tuple(states[..., a] for a in range(lattice.d))
-    return Config(lattice, region, p, seed, raster, mask, edge_open=edges)
+    cells = open_cells_batch(lattice, mask, p, [seed])[0]
+    return Config(lattice, region, p, seed, raster, mask, cells)
 
 
 def config_from_sites(lattice: LatticeSpec, region: Region, open_sites: Sequence[Site]) -> Config:
@@ -142,7 +149,7 @@ def config_from_sites(lattice: LatticeSpec, region: Region, open_sites: Sequence
         if s not in region:
             raise ValueError(f"open site {s} outside region")
         open_[raster.index(s)] = True
-    return Config(lattice, region, float("nan"), None, raster, mask, site_open=open_)
+    return Config(lattice, region, float("nan"), None, raster, mask, open_)
 
 
 def config_from_edges(
@@ -152,48 +159,56 @@ def config_from_edges(
     if lattice.site_mode:
         raise ValueError("config_from_edges requires a bond-percolation lattice")
     raster, mask = _raster_for_region(lattice, region)
-    edges = tuple(np.zeros(raster.shape, dtype=bool) for _ in range(lattice.d))
+    cells = np.zeros(grid.cell_shape(lattice, raster.shape), dtype=bool)
+    cells[grid.vertex_cells(lattice)] = mask
     for u, v in open_edges:
-        diff = tuple(b - a for a, b in zip(u, v))
-        if sum(abs(x) for x in diff) != 1:
+        if sum(abs(b - a) for a, b in zip(u, v)) != 1:
             raise ValueError(f"not a lattice edge: {u}-{v}")
-        if any(x < 0 for x in diff):
-            u, v = v, u
-            diff = tuple(-x for x in diff)
-        axis = diff.index(1)
         if u not in region or v not in region:
             raise ValueError(f"edge {u}-{v} outside region")
-        edges[axis][raster.index(u)] = True
-    return Config(lattice, region, float("nan"), None, raster, mask, edge_open=edges)
+        cells[tuple(a + b for a, b in zip(raster.index(u), raster.index(v)))] = True
+    return Config(lattice, region, float("nan"), None, raster, mask, cells)
 
 
 # ---------------------------------------------------------------------------
 # Fast batch generation (estimator kernels; bypasses Config objects)
 
 
+def _cells_batch(
+    lattice: LatticeSpec, carrier_mask: np.ndarray, p: float, seeds: Sequence[int]
+) -> np.ndarray:
+    elements = grid.element_cells(lattice, carrier_mask)
+    bits = np.empty((len(seeds), elements.size), dtype=bool)
+    for i, s in enumerate(seeds):
+        bits[i] = element_bits(p, elements.size, s)
+    out = np.zeros((len(seeds),) + grid.cell_shape(lattice, carrier_mask.shape), dtype=bool)
+    if not lattice.site_mode:
+        out[(slice(None),) + grid.vertex_cells(lattice)] = carrier_mask
+    out.reshape(len(seeds), -1)[:, elements] = bits
+    return out
+
+
 def site_open_batch(
     carrier_mask: np.ndarray, p: float, seeds: Sequence[int]
 ) -> np.ndarray:
     """Stack of site-mode open grids, one per seed; identical to sample_config."""
-    idx = np.flatnonzero(carrier_mask)
-    bits = np.empty((len(seeds), idx.size), dtype=bool)
-    for i, s in enumerate(seeds):
-        bits[i] = element_bits(p, idx.size, s)
-    out = np.zeros((len(seeds), carrier_mask.size), dtype=bool)
-    out[:, idx] = bits
-    return out.reshape((len(seeds),) + carrier_mask.shape)
+    return _cells_batch(TRIANGULAR, carrier_mask, p, seeds)  # the one site lattice
 
 
 def edge_open_batch(
     carrier_mask: np.ndarray, d: int, p: float, seeds: Sequence[int]
-) -> list[np.ndarray]:
-    """Stack of bond-mode edge grids per axis; identical to sample_config."""
-    exists = np.stack([edge_exists(carrier_mask, a) for a in range(d)], axis=-1)
-    idx = np.flatnonzero(exists)
-    bits = np.empty((len(seeds), idx.size), dtype=bool)
-    for i, s in enumerate(seeds):
-        bits[i] = element_bits(p, idx.size, s)
-    out = np.zeros((len(seeds), exists.size), dtype=bool)
-    out[:, idx] = bits
-    out = out.reshape((len(seeds),) + exists.shape)
-    return [out[..., a] for a in range(d)]
+) -> np.ndarray:
+    """Stack of bond-mode decorated grids, one per seed; identical to sample_config."""
+    return _cells_batch(LatticeSpec(LatticeKind.Z_BOND, d), carrier_mask, p, seeds)
+
+
+def open_cells_batch(
+    lattice: LatticeSpec, carrier_mask: np.ndarray, p: float, seeds: Sequence[int]
+) -> np.ndarray:
+    """Stack of open-cell grids of either lattice kind, one per seed.
+
+    Goes through the per-kind entry points, the sample layer's public names.
+    """
+    if lattice.site_mode:
+        return site_open_batch(carrier_mask, p, seeds)
+    return edge_open_batch(carrier_mask, lattice.d, p, seeds)

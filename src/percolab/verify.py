@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from . import bounds, clusters, estimators, growth, lowerbound, reports
 from .bounds import BoundParams, int_root_ceil
@@ -228,16 +226,22 @@ def _c4_quasi_mult(ctx: VerifyContext) -> CriterionResult:
 
 
 def _mst_radii_oracle(points: tuple[tuple, ...]) -> list[int]:
-    """Chebyshev MST edge lengths via an independent sparse-graph routine."""
-    k = len(points)
-    if k == 1:
-        return []
+    """Chebyshev MST edge lengths by Prim's algorithm on the distance matrix.
+
+    Independent of ``growth``, which merges clusters by increasing radius.
+    """
     arr = np.array(points, dtype=np.int64)
     dist = np.abs(arr[:, None, :] - arr[None, :, :]).max(axis=2)
-    iu = np.triu_indices(k, 1)
-    g = coo_matrix((dist[iu].astype(float), iu), shape=(k, k))
-    tree = minimum_spanning_tree(g)
-    return sorted(int(round(w)) for w in tree.data)
+    best = dist[0].copy()
+    in_tree = np.zeros(len(points), dtype=bool)
+    in_tree[0] = True
+    lengths = []
+    for _ in range(len(points) - 1):
+        j = int(np.argmin(np.where(in_tree, np.iinfo(np.int64).max, best)))
+        lengths.append(int(best[j]))
+        in_tree[j] = True
+        best = np.minimum(best, dist[j])
+    return sorted(lengths)
 
 
 def _c5_growth_oracle(ctx: VerifyContext) -> CriterionResult:

@@ -72,7 +72,7 @@ def test_criterion_08_upper_tail_shape(ctx):
         "about one conditioned sample in five violates at least one of the "
         "two checks, reproducibly across seeds.  The direct lower-tail "
         "estimate does dominate the construction-implied bound (the second "
-        "half of the criterion).  See notes/decisions.md for the analysis."
+        "half of the criterion)."
     ),
 )
 def test_criterion_09_lower_tail_construction(ctx):

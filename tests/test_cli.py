@@ -79,6 +79,27 @@ def test_invalid_p_exits_nonzero(tmp_path, capsys):
     assert json.loads(err.strip())["error"]
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"samples": 1.5},
+        {"samples": True},
+        {"workers": 2.0},
+        {"master_seed": 4.5},
+        {"d": False},
+        {"sizes": [3, 4.0]},
+        {"sizes": 4},
+        {"k_grid": [1, True]},
+    ],
+)
+def test_spec_type_errors_exit_2(tmp_path, capsys, override):
+    spec = write_spec(tmp_path, **override)
+    code = main(["pi", "--spec", str(spec), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "must be" in json.loads(err.strip())["error"]
+
+
 def test_crossing_subcommand(tmp_path):
     spec = write_spec(tmp_path, sizes=[4])
     out = tmp_path / "cross"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import bond_components, connected_sets, site_components
-from percolab import clusters
+from percolab import clusters, estimators
 from percolab.lattice import (
     LatticeSpec,
     LatticeKind,
@@ -24,6 +24,7 @@ from percolab.sampler import (
 )
 
 TRI_OFF = TRIANGULAR.neighbor_offsets()
+Z3_BOND = LatticeSpec(LatticeKind.Z_BOND, 3)
 
 
 def tri_config(n, p, seed, radius=None):
@@ -91,6 +92,33 @@ def test_bond_labels_match_bfs_oracle():
         labels = clusters.label_clusters(cfg, region)
         mine = _partition_from_labels(labels, region.sites)
         oracle = set(bond_components(region.sites, open_edges_of(cfg, region)))
+        assert mine == oracle
+        assert int(labels.sizes.sum()) == len(region)
+
+
+def open_edges_nd(cfg, region):
+    """Open edges with both ends in ``region``, read from the per-axis arrays."""
+    out = []
+    for axis, edges in enumerate(cfg.edge_open):
+        for row in np.argwhere(edges):
+            u = tuple(int(c + o) for c, o in zip(row, cfg.raster.origin))
+            v = tuple(c + (a == axis) for a, c in enumerate(u))
+            if u in region and v in region:
+                out.append((u, v))
+    return out
+
+
+@pytest.mark.parametrize("lattice, radius, count", [(Z2_BOND, 5, 25), (Z3_BOND, 2, 15)])
+def test_bond_labels_on_subregion_match_bfs_oracle(lattice, radius, count):
+    # the carrier is one layer larger than the labeled region, so open edges
+    # leave the region and must join nothing
+    carrier = box_with_boundary(lattice, radius)
+    region = box_sites((0,) * lattice.d, radius)
+    for i in range(count):
+        cfg = sample_config(lattice, carrier, 0.5, derive_stream(41, i))
+        labels = clusters.label_clusters(cfg, region)
+        mine = _partition_from_labels(labels, region.sites)
+        oracle = set(bond_components(region.sites, open_edges_nd(cfg, region)))
         assert mine == oracle
         assert int(labels.sizes.sum()) == len(region)
 
@@ -215,6 +243,39 @@ def test_bond_crossing_trivial():
     assert not clusters.vertical_crossing(path, rect)
 
 
+def test_bond_crop_ignores_edges_leaving_it():
+    # (0, 0) and (3, 0) are joined only by a detour below the rectangle
+    carrier = box_sites((0, 0), 5)
+    rect = rect_region((0, 0), (3, 2))
+    detour = [((0, 0), (0, -1)), ((3, -1), (3, 0))] + [((x, -1), (x + 1, -1)) for x in range(3)]
+    cfg = config_from_edges(Z2_BOND, carrier, detour)
+    whole = clusters.label_clusters(cfg, carrier)
+    assert whole.label_of((0, 0)) == whole.label_of((3, 0))
+    inside = clusters.label_clusters(cfg, rect)
+    assert inside.label_of((0, 0)) != inside.label_of((3, 0))
+    assert not clusters.horizontal_crossing(cfg, rect)
+    crop = estimators._crop_labels(Z2_BOND, cfg.cells[None], cfg.raster.rect_slices((0, 0), (3, 2)))
+    assert crop.shape == (1, 4, 3)
+    assert crop[0, 0, 0] != crop[0, 3, 0] and np.unique(crop).size == 12
+    # the same path inside the rectangle does cross it
+    inner = [((x, 0), (x + 1, 0)) for x in range(3)]
+    assert clusters.horizontal_crossing(config_from_edges(Z2_BOND, carrier, inner), rect)
+
+
+def test_bond_crop_3d_ignores_edges_leaving_it():
+    # (0, 0, 0) and (1, 0, 0) are joined only through the layer z = -1
+    carrier = box_sites((0, 0, 0), 3)
+    detour = [((0, 0, 0), (0, 0, -1)), ((0, 0, -1), (1, 0, -1)), ((1, 0, -1), (1, 0, 0))]
+    cfg = config_from_edges(Z3_BOND, carrier, detour)
+    whole = clusters.label_clusters(cfg, carrier)
+    assert whole.label_of((0, 0, 0)) == whole.label_of((1, 0, 0))
+    above = box_sites((0, 0, 1), 1)
+    inside = clusters.label_clusters(cfg, above)
+    assert inside.label_of((0, 0, 0)) != inside.label_of((1, 0, 0))
+    crop = estimators._crop_labels(Z3_BOND, cfg.cells[None], cfg.raster.box_slices((0, 0, 1), 1))
+    assert crop.shape == (1, 3, 3, 3) and np.unique(crop).size == len(above)
+
+
 def test_connected_in():
     region = box_sites((0, 0), 4)
     cfg = config_from_sites(TRIANGULAR, region, [(0, 0), (1, 0), (2, 0)])
@@ -252,7 +313,7 @@ def test_monotonicity_under_opening():
         more = cfg.site_open.copy()
         more[tuple(pick.T)] = True
         cfg2 = Config(
-            cfg.lattice, cfg.region, cfg.p, None, cfg.raster, cfg.carrier_mask, site_open=more
+            cfg.lattice, cfg.region, cfg.p, None, cfg.raster, cfg.carrier_mask, cells=more
         )
         assert len(clusters.long_arm_set(cfg2, n)) >= len(clusters.long_arm_set(cfg, n))
         l1 = clusters.label_clusters(cfg, box_sites((0, 0), n))

@@ -103,7 +103,7 @@ def test_dn_event_monotone_under_opening():
             rng.random(cfg.site_open.shape) < 0.05
         ) & cfg.carrier_mask
         cfg2 = Config(
-            cfg.lattice, cfg.region, cfg.p, None, cfg.raster, cfg.carrier_mask, site_open=more
+            cfg.lattice, cfg.region, cfg.p, None, cfg.raster, cfg.carrier_mask, cells=more
         )
         after = L.dn_event(cfg2, 8, 2)
         if before:

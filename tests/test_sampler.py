@@ -126,10 +126,12 @@ def test_batch_matches_single_config():
     ebatch = edge_open_batch(
         sample_config(Z2_BOND, BOND_CARRIER, 0.5, seeds[0]).carrier_mask, 2, 0.5, seeds
     )
+    assert ebatch.shape == (len(seeds), 17, 17)  # decorated grid of the 9 x 9 raster
     for i, s in enumerate(seeds):
         single = sample_config(Z2_BOND, BOND_CARRIER, 0.5, s)
-        for a in range(2):
-            assert np.array_equal(ebatch[a][i], single.edge_open[a])
+        assert np.array_equal(ebatch[i], single.cells)
+        # the decorated grid holds the raw stream, element k on element k's cell
+        assert np.array_equal(single.element_states(), element_bits(0.5, single.n_elements(), s))
 
 
 def test_hand_built_configs():
