@@ -2,12 +2,13 @@
 
 Everything here is deliberately written against the library's grain: plain
 Python data structures, breadth-first search, Prim's algorithm, exhaustive
-enumeration and a frontier dynamic program, so agreement with the package is
-meaningful.
+enumeration, per-site distance scans and a frontier dynamic program, so
+agreement with the package is meaningful.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 
@@ -173,3 +174,77 @@ def brute_connect_probability(sites, offsets, p, source, target):
             k = len(open_sites)
             total += p**k * (1 - p) ** (len(sites) - k)
     return total
+
+
+def _neighbourhood(d):
+    """The 3^d - 1 box (Chebyshev) offsets."""
+    return [o for o in itertools.product((-1, 0, 1), repeat=d) if any(o)]
+
+
+def ball_union(points, r2):
+    """Sites w with 2 * min_x chebyshev(w, x) <= r2, by enumeration."""
+    r = r2 // 2
+    if r < 0:
+        return set()
+    d = len(points[0])
+    ranges = [
+        range(min(x[a] for x in points) - r, max(x[a] for x in points) + r + 1)
+        for a in range(d)
+    ]
+    return {
+        w for w in itertools.product(*ranges)
+        if 2 * min(chebyshev(w, x) for x in points) <= r2
+    }
+
+
+def box_boundary(inside):
+    """Sites outside ``inside`` with a box neighbour inside it."""
+    d = len(next(iter(inside)))
+    offs = _neighbourhood(d)
+    return {
+        w
+        for v in inside
+        for off in offs
+        if (w := tuple(a + b for a, b in zip(v, off))) not in inside
+    }
+
+
+def doubled_box(n, d):
+    """Sites of the box of radius 2n, the root blob's outer face."""
+    return set(itertools.product(range(-2 * n, 2 * n + 1), repeat=d))
+
+
+def shell_sites(members, b2, d2, others, n):
+    """A blob's shell from per-site minimum Chebyshev distances.
+
+    A non-root blob (``d2`` given) owns the sites w with b2 < 2 dist(w) <= d2,
+    except the even-d2 interface: sites at 2 dist(w) == d2 that another
+    point's death ball also reaches.  The root (``d2 is None``) owns the
+    doubled box of radius 2n minus its birth-ball union.
+    """
+    members = sorted(members)
+    others = sorted(others or ())
+    d = len(members[0])
+    window = doubled_box(n, d) if d2 is None else ball_union(members, d2)
+    out = set()
+    for w in window:
+        dist2 = 2 * min(chebyshev(w, x) for x in members)
+        if dist2 <= b2:
+            continue
+        if d2 is not None and dist2 == d2 and others:
+            if 2 * min(chebyshev(w, x) for x in others) <= d2:
+                continue
+        out.add(w)
+    return out
+
+
+def shell_boundaries(members, b2, d2, n):
+    """(inner, outer) box-adjacency boundaries of a blob's shell faces.
+
+    Inner: boundary of the birth-ball union.  Outer: boundary of the
+    death-ball union, or of the doubled box for the root.
+    """
+    members = sorted(members)
+    inner = box_boundary(ball_union(members, b2))
+    face = doubled_box(n, len(members[0])) if d2 is None else ball_union(members, d2)
+    return inner, box_boundary(face)

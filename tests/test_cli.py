@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -174,3 +175,21 @@ def test_verify_subcommand_quick_subset(tmp_path):
     code = main(["verify", "--spec", str(spec), "--out", str(out)])
     assert code == 0
     assert any(f.name.startswith("verify_") for f in out.iterdir())
+
+
+# sha256 and size of the blob command's output files for one point set
+BLOB_POINTS = "[[0,0],[4,0],[4,3],[-5,2],[1,-6],[-2,-2]]"
+BLOB_FILES = {
+    "blob_9739f618ef8c.csv": ("52b48b4d7f8e61a262dd6a2da5995593e7cbb2ebefaca9b41ee01d22611a95f2", 186),
+    "blob_9739f618ef8c.json": ("9ae9b89db72fff47a70b3d21e9af7af292d931f2cc359266d4a6ab3404c79716", 3543),
+}
+
+
+def test_blob_output_bytes_pinned(tmp_path):
+    out = tmp_path / "blob"
+    assert main(["blob", "--points", BLOB_POINTS, "--out", str(out)]) == 0
+    got = {
+        f.name: (hashlib.sha256(f.read_bytes()).hexdigest(), f.stat().st_size)
+        for f in out.iterdir()
+    }
+    assert got == BLOB_FILES

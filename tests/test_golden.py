@@ -1,7 +1,7 @@
-"""Golden pins: exact sampled states and raw kernel counters.
+"""Golden pins: exact sampled states, raw kernel counters, sweeps and reports.
 
-A refactor of the sampler, the labeling kernel or a reduction must leave
-every value here unchanged.  The pins were recorded from the implementation
+A refactor of the sampler, the labeling kernel, a reduction or the bound
+sweeps must leave every value here unchanged.  The pins were recorded from the implementation
 and are compared exactly: a change to the random stream, the element order,
 the replica sharing or any counter shows up as a mismatch.  Regenerate them
 only for a declared change of the stream or of the replica sharing.
@@ -12,9 +12,12 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+import yaml
 
+from percolab import bounds as B
 from percolab import estimators as E
 from percolab import lowerbound as L
+from percolab.cli import main
 from percolab.lattice import TRIANGULAR, Z2_BOND, LatticeKind, LatticeSpec, box_with_boundary
 from percolab.sampler import sample_config
 
@@ -148,3 +151,55 @@ def _counters(name: str) -> dict:
 @pytest.mark.parametrize("name", sorted(COUNTERS))
 def test_kernel_counters_pinned(name):
     assert _counters(name) == COUNTERS[name]
+
+
+# (sup, argmax) of the constant sweeps, compared with ==: the same integers
+# and the same float expressions must give the same bits
+SWEEP_KMAX = (2, 3, 4, 5, 16, 17, 64, 65, 400, 10000)
+SWEEPS = {
+    "multinomial_sweep": {
+        2: ((1.0, 2), (1.0, 2), (1.0, 2), (1.414213562373095, 5), (1.661809162655884, 8),
+            (1.7433444809670096, 17), (2.32891097897108, 27), (2.32891097897108, 27),
+            (2.9873098932374718, 384), (3.102114518222758, 6044)),
+        3: ((1.0, 2), (1.0, 2), (1.0, 2), (1.0, 2), (1.7943337946408902, 16),
+            (1.7943337946408902, 16), (1.7943337946408902, 16), (1.7943337946408902, 16),
+            (2.3214706069743367, 111), (2.5296786672084512, 6773)),
+        4: ((1.0, 2), (1.0, 2), (1.0, 2), (1.0, 2), (1.0, 2), (1.189207115002721, 17),
+            (1.8772359524855575, 33), (1.8772359524855575, 33), (2.1886982438937728, 400),
+            (2.2770090310944058, 7302)),
+    },
+    "power_product_sweep": {
+        2: ((4.0, 2), (7.55952629936924, 3), (7.55952629936924, 3), (7.55952629936924, 3),
+            (15.0, 15), (15.0, 15), (17.199134363794418, 63), (17.199134363794418, 63),
+            (17.768083613315188, 255), (17.947411800019367, 4095)),
+        3: ((5.656854249492379, 2), (12.0, 3), (19.027313840043536, 4), (26.39015821545787, 5),
+            (41.60784009583456, 7), (41.60784009583456, 7), (62.99999999999999, 63),
+            (62.99999999999999, 63), (62.99999999999999, 63), (66.36703832432565, 4095)),
+        4: ((7.999999999999998, 2), (19.048812623618392, 3), (31.999999999999986, 4),
+            (45.94793419988138, 5), (199.497095074269, 15), (199.497095074269, 15),
+            (199.497095074269, 15), (199.497095074269, 15), (254.99999999999991, 255),
+            (258.7251609222799, 4095)),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_sweeps_pinned(name, d):
+    sweep = getattr(B, name)
+    assert tuple(sweep(kmax, d) for kmax in SWEEP_KMAX) == SWEEPS[name][d]
+
+
+# sha256 of the verify JSON for `verify --quick --seed 7` on criteria 5, 6, 7
+# and 14: growth oracle, radius bound, shell disjointness and the sweeps
+VERIFY_QUICK_SHA256 = "5025eae4e329e0ff53ca77f0021621885e49322abfc42bedf5e336df635c05d5"
+
+
+def test_verify_quick_growth_criteria_pinned(tmp_path, capsys):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump({"verify": {"criteria": [5, 6, 7, 14]}}))
+    out = tmp_path / "out"
+    args = ["verify", "--quick", "--seed", "7", "--spec", str(spec), "--out", str(out)]
+    assert main(args) == 0
+    (path,) = out.glob("verify_*.json")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_QUICK_SHA256
