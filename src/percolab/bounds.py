@@ -34,13 +34,7 @@ class BoundParams:
     c2: float | None = None
     c3: float | None = None
     c4: float | None = None
-    C1: float | None = None
     C2: float | None = None
-    C3: float | None = None
-    C4: float | None = None
-    C5: float | None = None
-    C6: float | None = None
-    C7: float | None = None
     C8: float | None = None
     C9: float | None = None
     C10: float | None = None
@@ -281,19 +275,17 @@ def multinomial_constant(k: int, d: int) -> tuple[int, float]:
 
 
 def multinomial_sweep(kmax: int, d: int) -> tuple[float, int]:
-    """Sup of the fitted constant over 2 <= k <= kmax (exact incremental)."""
+    """Sup of the fitted constant over 2 <= k <= kmax (exact incremental).
+
+    Step k adds one merge to the open block, which then holds k - level
+    (``level`` = 2^(d j) of k - 1): the value gains (k - 1) / (k - level).
+    """
     best, best_k = 0.0, 2
-    value = None
+    value, level = 1, 1  # k = 1: no merges, dyadic level 2^0
     for k in range(2, kmax + 1):
-        parts, m, j = _partition(k, d)
-        if value is None or m == 0:
-            value = math.factorial(k - 1)
-            for p in parts:
-                value //= math.factorial(p)
-            value //= math.factorial(m)
-        else:
-            # same dyadic level: only the remainder grew by one
-            value = value * (k - 1) // m
+        value = value * (k - 1) // (k - level)
+        if k == level << d:
+            level = k
         fit = math.exp(math.log(value) / (k - 1)) if value > 1 else 1.0
         if fit > best:
             best, best_k = fit, k
@@ -323,10 +315,18 @@ def power_product_constant(k: int, d: int) -> tuple[Fraction, float]:
 
 
 def power_product_sweep(kmax: int, d: int) -> tuple[float, int]:
-    """Sup of (value * k^k)^(1/k) over 2 <= k <= kmax (log-exact)."""
+    """Sup of (value * k^k)^(1/k) over 2 <= k <= kmax (log-exact).
+
+    Carries j, ``level`` = 2^(d j) and ``base``, the exponent of the closed
+    blocks i < j; ``_power_product_exponent`` is (k - level)(j - 1) d + base.
+    """
     best, best_k = 0.0, 2
+    j, level, base = 0, 1, 0
     for k in range(2, kmax + 1):
-        e, _, _ = _power_product_exponent(k, d)
+        if k == level << d:
+            base += d * j * (k - level)  # block j: (2^d - 1) 2^(d j) = k - level points
+            j, level = j + 1, k
+        e = (k - level) * (j - 1) * d + base
         fit = math.exp(math.log(k) - e * math.log(2) / k)
         if fit > best:
             best, best_k = fit, k

@@ -33,6 +33,18 @@ def _require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+# the keys each section's subcommand reads; any other key is a typo
+SECTION_KEYS = {
+    "pi": {"scales"},
+    "tail": {"statistic", "sizes", "distribution"},
+    "blob": {"points", "n", "alpha", "C3", "C4"},
+    "bounds": {"alpha", "C2", "c1", "c2", "c3", "c4", "sweep_kmax"},
+    "lower": {"n", "u", "conditioned", "c12_grid", "stop_after_violations", "max_attempts"},
+    "crossing": {"rects"},
+    "verify": {"profile", "criteria"},
+}
+
+
 @dataclass
 class ExperimentSpec:
     """Validated, round-trippable experiment description."""
@@ -64,6 +76,13 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be a list of integers, got {values!r}")
             for v in values:
                 _require_int(f"{name} entry", v)
+        for name, keys in SECTION_KEYS.items():
+            section = getattr(self, name)
+            if not isinstance(section, dict):
+                raise ValueError(f"{name} must be a mapping, got {section!r}")
+            unknown = set(section) - keys
+            if unknown:
+                raise ValueError(f"unknown {name} keys: {sorted(unknown, key=str)}")
         if self.p is not None and not 0 <= self.p <= 1:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if self.samples < 1:
@@ -212,6 +231,7 @@ def _cmd_blob(args) -> int:
     n = int(spec.blob.get("n", max(abs(c) for p in points for c in p)))
     record = growth.grow_tree(points)
     blob_list = growth.blobs(record, n)
+    radius_bound = growth.check_radius_bound(record, n)
     radii = growth.merge_radii(points)
     d = len(points[0])
     c3 = spec.blob.get("C3")
@@ -240,13 +260,13 @@ def _cmd_blob(args) -> int:
                 "b2": b.b2,
                 "d2": b.d2,
                 "is_root": b.is_root,
-                "region_size": len(growth.blob_region(b, n)),
+                "region_size": int(growth.blob_region_mask(b, n)[0].sum()),
             }
             for b in blob_list
         ],
         "radius_bound": {
-            "violations": list(growth.check_radius_bound(record, n).violations),
-            "equalities": list(growth.check_radius_bound(record, n).equalities),
+            "violations": list(radius_bound.violations),
+            "equalities": list(radius_bound.equalities),
         },
     }
     header = ("u", "v", "r2")

@@ -63,9 +63,6 @@ class BoxRaster:
     def index(self, site: Site) -> tuple[int, ...]:
         return tuple(c - o for c, o in zip(site, self.origin))
 
-    def contains(self, site: Site) -> bool:
-        return all(0 <= c - o < s for c, o, s in zip(site, self.origin, self.shape))
-
     def box_slices(self, center: Site, radius: int) -> tuple[slice, ...]:
         sl = tuple(
             slice(c - radius - o, c + radius + 1 - o)

@@ -17,6 +17,10 @@ doubled birth and death radii and a rasterized shell region (death-ball union
 minus birth-ball union).  Shells of distinct blobs are pairwise disjoint.
 Boundary extraction uses L-infinity (box) adjacency, matching the ball
 geometry; the root blob's outer face is the boundary of the doubled box.
+
+L-infinity balls are axis-aligned cubes, so shells and face boundaries are
+painted with one slice assignment per ball; the box-adjacency boundary of a
+radius-r union is the radius-(r + 1) union minus the radius-r one.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -153,38 +156,45 @@ def blobs(record: GrowthRecord, n: int) -> list[Blob]:
     return out
 
 
-def _cheb_field(members: Sequence[Site], origin: Site, shape: tuple[int, ...]) -> np.ndarray:
-    """min over members of the Chebyshev distance, rasterized on a grid."""
-    d = len(origin)
-    grids = np.indices(shape)
-    out = np.full(shape, np.iinfo(np.int64).max, dtype=np.int64)
+def _paint_balls(
+    members: Iterable[Site], r: int, origin: Site, shape: tuple[int, ...]
+) -> np.ndarray:
+    """OR the radius-r L-infinity balls around ``members`` into a raster.
+
+    Starts and stops below the grid clamp to 0; numpy clips those past its end.
+    """
+    out = np.zeros(shape, dtype=bool)
+    if r < 0:
+        return out
     for x in members:
-        cheb = np.zeros(shape, dtype=np.int64)
-        for a in range(d):
-            np.maximum(cheb, np.abs(grids[a] + origin[a] - x[a]), out=cheb)
-        np.minimum(out, cheb, out=out)
+        ball = tuple(slice(max(c - o - r, 0), max(c - o + r + 1, 0)) for c, o in zip(x, origin))
+        out[ball] = True
     return out
 
 
 def _ball_union_mask(
-    members: Sequence[Site], r2: int, origin: Site, shape: tuple[int, ...]
+    members: Iterable[Site], r2: int, origin: Site, shape: tuple[int, ...]
 ) -> np.ndarray:
     """Sites w with 2 * min_x ||w - x||_inf <= r2, rasterized on a grid."""
-    if r2 < 0:
-        return np.zeros(shape, dtype=bool)
-    return _cheb_field(members, origin, shape) <= r2 // 2
+    return _paint_balls(members, r2 // 2, origin, shape)
 
 
 def _blob_bbox(blob: Blob, n: int) -> tuple[Site, tuple[int, ...]]:
     d = len(next(iter(blob.members)))
     if blob.is_root:
-        origin = (-(2 * n + 1),) * d
-        shape = (2 * (2 * n + 1) + 1,) * d
-        return origin, shape
+        return (-(2 * n + 1),) * d, (2 * (2 * n + 1) + 1,) * d
     pad = blob.d2 // 2 + 1
     lo = tuple(min(x[a] for x in blob.members) - pad for a in range(d))
     hi = tuple(max(x[a] for x in blob.members) + pad for a in range(d))
     return lo, tuple(h - l + 1 for l, h in zip(lo, hi))
+
+
+def _outer_face(blob: Blob, n: int) -> tuple[Iterable[Site], int]:
+    """(centers, radius) of the balls inside the shell's outer face: the death
+    balls, or for the root the doubled box, one ball around the origin."""
+    if blob.is_root:
+        return [(0,) * len(next(iter(blob.members)))], 2 * n
+    return blob.members, blob.d2 // 2
 
 
 def _region_from_mask(mask: np.ndarray, origin: Site, d: int) -> Region:
@@ -196,67 +206,39 @@ def _region_from_mask(mask: np.ndarray, origin: Site, d: int) -> Region:
 def blob_region(blob: Blob, n: int) -> Region:
     """The shell between the blob's birth-ball union and death-ball union."""
     mask, origin = blob_region_mask(blob, n)
-    return _region_from_mask(mask, origin, len(next(iter(blob.members))))
+    return _region_from_mask(mask, origin, len(origin))
 
 
 def blob_region_mask(blob: Blob, n: int) -> tuple[np.ndarray, Site]:
     """Raster form of ``blob_region``; (mask, grid origin)."""
-    members = sorted(blob.members)
     origin, shape = _blob_bbox(blob, n)
-    if blob.is_root:
-        d = len(origin)
-        box = np.zeros(shape, dtype=bool)
-        sl = tuple(slice(-2 * n - origin[a], 2 * n + 1 - origin[a]) for a in range(d))
-        box[sl] = True
-        death = _ball_union_mask(members, blob.b2, origin, shape)
-        return box & ~death, origin
-    cheb = _cheb_field(members, origin, shape)
-    death = cheb * 2 <= blob.d2
+    shell = _paint_balls(*_outer_face(blob, n), origin, shape)
+    shell &= ~_ball_union_mask(blob.members, blob.b2, origin, shape)
     if blob.others and blob.d2 % 2 == 0:
-        # touching interfaces with other components belong to no shell
-        other_cheb = _cheb_field(sorted(blob.others), origin, shape)
-        death &= ~((cheb * 2 == blob.d2) & (other_cheb * 2 <= blob.d2))
-    birth = cheb * 2 <= blob.b2
-    return death & ~birth, origin
+        # touching interfaces with other components belong to no shell: keep
+        # only sites strictly inside the death balls or out of the others' reach
+        inside = _ball_union_mask(blob.members, blob.d2 - 2, origin, shape)
+        shell &= inside | ~_ball_union_mask(blob.others, blob.d2, origin, shape)
+    return shell, origin
 
 
-def _box_adjacent_boundary(mask: np.ndarray) -> np.ndarray:
-    """Outer boundary under Chebyshev (box) adjacency."""
-    from scipy import ndimage
-
-    full = np.ones((3,) * mask.ndim, dtype=bool)
-    return ndimage.binary_dilation(mask, structure=full) & ~mask
+def _ring(members: Iterable[Site], r: int, origin: Site, shape: tuple[int, ...]) -> np.ndarray:
+    """Outer boundary of the radius-r ball union under box adjacency."""
+    return _paint_balls(members, r + 1, origin, shape) & ~_paint_balls(members, r, origin, shape)
 
 
 def blob_boundaries(blob: Blob, n: int) -> tuple[Region, Region]:
     """(inner, outer) face boundaries of the blob's shell.
 
     Inner: boundary of the birth-ball union.  Outer: boundary of the
-    death-ball union, or the boundary of the doubled box for the root.
+    death-ball union, or the boundary of the doubled box for the root.  The
+    raster's one-site padding holds both rings.
     """
-    members = sorted(blob.members)
-    d = len(members[0])
     origin, shape = _blob_bbox(blob, n)
-    if blob.is_root:
-        pad_origin = tuple(o - 1 for o in origin)
-        pad_shape = tuple(s + 2 for s in shape)
-        box = np.zeros(pad_shape, dtype=bool)
-        sl = tuple(slice(-2 * n - pad_origin[a], 2 * n + 1 - pad_origin[a]) for a in range(d))
-        box[sl] = True
-        ob = _region_from_mask(_box_adjacent_boundary(box), pad_origin, d)
-        ib = _region_from_mask(
-            _box_adjacent_boundary(_ball_union_mask(members, blob.b2, pad_origin, pad_shape)),
-            pad_origin,
-            d,
-        )
-        return ib, ob
-    pad_origin = tuple(o - 1 for o in origin)
-    pad_shape = tuple(s + 2 for s in shape)
-    birth = _ball_union_mask(members, blob.b2, pad_origin, pad_shape)
-    death = _ball_union_mask(members, blob.d2, pad_origin, pad_shape)
-    ib = _region_from_mask(_box_adjacent_boundary(birth), pad_origin, d)
-    ob = _region_from_mask(_box_adjacent_boundary(death), pad_origin, d)
-    return ib, ob
+    inner = _ring(blob.members, blob.b2 // 2, origin, shape)
+    outer = _ring(*_outer_face(blob, n), origin, shape)
+    d = len(origin)
+    return _region_from_mask(inner, origin, d), _region_from_mask(outer, origin, d)
 
 
 @dataclass(frozen=True)
@@ -323,6 +305,5 @@ def count_upper_bound(radii: Counter | Iterable[int], n: int, c4: float, d: int)
     c = radii if isinstance(radii, Counter) else Counter(radii)
     out = c4 * float(ordering_count(c)) * float(n) ** d
     for r2, mult in c.items():
-        r = Fraction(r2, 2)
-        out *= (d * c4 * float(r) ** (d - 1)) ** mult
+        out *= (d * c4 * (r2 / 2) ** (d - 1)) ** mult
     return out

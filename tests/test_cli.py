@@ -6,7 +6,7 @@ import json
 import pytest
 import yaml
 
-from percolab.cli import ExperimentSpec, main
+from percolab.cli import SECTION_KEYS, ExperimentSpec, main
 from percolab.lattice import TRIANGULAR
 from percolab.reports import read_pi_csv, spec_hash
 
@@ -99,6 +99,33 @@ def test_spec_type_errors_exit_2(tmp_path, capsys, override):
     assert code == 2
     err = capsys.readouterr().err
     assert "must be" in json.loads(err.strip())["error"]
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        ("pi", {"scale": [[1, 4]]}),
+        ("lower", {"nn": 3}),
+        ("tail", {"statistics": "long_arm"}),
+        ("blob", {"c3": 1.0}),
+        ("bounds", {"kmax": 64}),
+        ("crossing", {"rect": []}),
+        ("verify", {"criterion": [1]}),
+        ("pi", [[1, 4]]),
+        ("lower", None),
+    ],
+)
+def test_spec_section_keys_exit_2(tmp_path, capsys, section, value):
+    spec = write_spec(tmp_path, **{section: value})
+    out = tmp_path / "x"
+    assert main(["pi", "--spec", str(spec), "--out", str(out)]) == 2
+    assert section in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not out.exists()
+
+
+def test_spec_section_keys_accepted():
+    sections = {name: dict.fromkeys(keys) for name, keys in SECTION_KEYS.items()}
+    assert ExperimentSpec(**sections).to_dict()["lower"] == sections["lower"]
 
 
 def test_crossing_subcommand(tmp_path):
