@@ -248,3 +248,45 @@ def shell_boundaries(members, b2, d2, n):
     inner = box_boundary(ball_union(members, b2))
     face = doubled_box(n, len(members[0])) if d2 is None else ball_union(members, d2)
     return inner, box_boundary(face)
+
+
+def reference_cells(lattice, mask, p, seeds):
+    """Open-cell grids of the sampler, one per seed, the slow way.
+
+    Each seed keys a fresh ``Generator(Philox(key=seed))``: at p = 1/2 it
+    draws uint8 bytes and unpacks them MSB-first, otherwise it compares
+    uniform doubles against p.  Bit k lands on element k's cell, one element
+    at a time; elements are listed by walking the raster in lexicographic
+    order (sites; or bonds (u, axis), axis ascending, as edge cell 2u + e_a).
+    """
+    import numpy as np
+
+    mask = np.asarray(mask, dtype=bool)
+    d = mask.ndim
+    step = 1 if lattice.site_mode else 2
+    cells = []
+    for u in itertools.product(*(range(n) for n in mask.shape)):
+        if not mask[u]:
+            continue
+        if lattice.site_mode:
+            cells.append(u)
+            continue
+        for a in range(d):
+            v = tuple(x + (i == a) for i, x in enumerate(u))
+            if v[a] < mask.shape[a] and mask[v]:
+                cells.append(tuple(2 * x + (i == a) for i, x in enumerate(u)))
+    shape = tuple(step * (n - 1) + 1 for n in mask.shape)
+    out = np.zeros((len(seeds),) + shape, dtype=bool)
+    for b, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        if p == 0.5:
+            raw = rng.integers(0, 256, size=(len(cells) + 7) // 8, dtype=np.uint8)
+            bits = np.unpackbits(raw)[: len(cells)].astype(bool)
+        else:
+            bits = rng.random(len(cells)) < p
+        if not lattice.site_mode:
+            for u in zip(*np.nonzero(mask)):
+                out[(b,) + tuple(2 * int(x) for x in u)] = True
+        for cell, bit in zip(cells, bits):
+            out[(b,) + cell] = bit
+    return out

@@ -5,13 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from percolab.lattice import LatticeKind, TRIANGULAR, Z2_BOND, box_sites, box_with_boundary
+from oracles import reference_cells
+from percolab import grid
+from percolab.lattice import (
+    LatticeKind,
+    LatticeSpec,
+    TRIANGULAR,
+    Z2_BOND,
+    box_sites,
+    box_with_boundary,
+)
 from percolab.sampler import (
     config_from_edges,
     config_from_sites,
     derive_stream,
     edge_open_batch,
     element_bits,
+    open_cells_batch,
     sample_config,
     site_open_batch,
 )
@@ -153,3 +163,121 @@ def test_config_json_dump():
     doc = cfg.to_json()
     assert doc["lattice"]["kind"] == LatticeKind.TRIANGULAR_SITE.value
     assert bytes.fromhex(doc["states_hex"]) == cfg.packed_states().tobytes()
+
+
+Z3_BOND = LatticeSpec(LatticeKind.Z_BOND, 3)
+REFERENCE_PS = (0.5, 0.37, 0.2488126, 0.0, 1.0)
+BIG_SEEDS = [2**64 - 1, 2**63, 2**63 + 12345]
+
+
+def _reference_masks(lattice):
+    """Carrier rasters, full rectangles and irregular masks with many runs."""
+    rng = np.random.default_rng(2024 + lattice.d + lattice.site_mode)
+    small = (7, 9) if lattice.d == 2 else (4, 5, 3)
+    masks = [
+        grid.carrier_raster(lattice, 1)[1],
+        grid.carrier_raster(lattice, 3 if lattice.d == 2 else 2)[1],
+        np.ones(small, dtype=bool),
+        np.ones((1,) * lattice.d, dtype=bool),
+    ]
+    for density in (0.3, 0.6, 0.9):
+        masks.append(rng.random(small) < density)
+    return masks
+
+
+def _masks_with_elements(lattice, count):
+    """A one-row strip and a scattered mask, each with exactly ``count`` elements."""
+    if lattice.site_mode:
+        scattered = np.zeros((9, 9), dtype=bool)
+        scattered.ravel()[np.random.default_rng(count).permutation(81)[:count]] = True
+        return [np.ones((1, count), dtype=bool), scattered]
+    strip = np.ones((1,) * (lattice.d - 1) + (count + 1,), dtype=bool)
+    if count == 0:
+        return [strip, np.zeros((3,) * lattice.d, dtype=bool)]
+    # a comb: a full first row plus every other column; a row of w sites has
+    # w - 1 edges and each tooth of height h adds h edges
+    side = count + 1
+    comb = np.zeros((side,) * 2, dtype=bool)
+    comb[0] = True
+    left, col = count - (side - 1), 0
+    while left > 0:
+        h = min(left, side - 1)
+        comb[1 : 1 + h, col] = True
+        left -= h
+        col += 2
+    return [strip, comb.reshape((1,) * (lattice.d - 2) + comb.shape)]
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND, Z3_BOND], ids=str)
+@pytest.mark.parametrize("p", REFERENCE_PS)
+def test_batch_matches_reference_sampler(lattice, p):
+    seeds = [derive_stream(31, i) for i in range(3)] + BIG_SEEDS
+    for mask in _reference_masks(lattice):
+        got = open_cells_batch(lattice, mask, p, seeds)
+        assert got.dtype == bool
+        assert np.array_equal(got, reference_cells(lattice, mask, p, seeds))
+
+
+def _n_elements(lattice, mask):
+    if lattice.site_mode:
+        return int(mask.sum())
+    return sum(
+        int((mask.take(range(n - 1), a) & mask.take(range(1, n), a)).sum())
+        for a, n in enumerate(mask.shape)
+    )
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND, Z3_BOND], ids=str)
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65])
+def test_batch_matches_reference_at_word_edges(lattice, count):
+    seeds = [derive_stream(8, 0), 2**64 - 1]
+    for mask in _masks_with_elements(lattice, count):
+        assert _n_elements(lattice, mask) == count
+        for p in REFERENCE_PS:
+            got = open_cells_batch(lattice, mask, p, seeds)
+            assert np.array_equal(got, reference_cells(lattice, mask, p, seeds))
+
+
+def test_element_bits_is_the_generator_stream():
+    for seed in [0, 1, derive_stream(3, 4)] + BIG_SEEDS:
+        for p in REFERENCE_PS + (1e-300,):
+            for count in (0, 1, 7, 8, 9, 63, 64, 65, 200):
+                rng = np.random.Generator(np.random.Philox(key=seed))
+                if p == 0.5:
+                    raw = rng.integers(0, 256, size=(count + 7) // 8, dtype=np.uint8)
+                    want = np.unpackbits(raw)[:count].astype(bool)
+                else:
+                    want = rng.random(count) < p
+                got = element_bits(p, count, seed)
+                assert got.dtype == bool and np.array_equal(got, want)
+
+
+def _joined_isin(la, lb):
+    pool = la[la > 0]
+    if pool.size == 0:
+        return np.zeros(la.shape[0], dtype=bool)
+    return ((lb > 0) & np.isin(lb, pool)).reshape(lb.shape[0], -1).any(axis=1)
+
+
+def test_joined_matches_isin():
+    rng = np.random.default_rng(5)
+    cases = [
+        (np.zeros((3, 4), dtype=np.int32), rng.integers(0, 9, (3, 5)).astype(np.int32)),
+        (np.zeros((2, 0), dtype=np.int32), rng.integers(0, 9, (2, 6)).astype(np.int32)),
+        (rng.integers(0, 9, (4, 6)).astype(np.int32), np.zeros((4, 0), dtype=np.int32)),
+        (np.array([[0, 3, 0]], dtype=np.int32), np.array([[5, 3]], dtype=np.int32)),
+        (np.array([[0, 3, 0]], dtype=np.int32), np.array([[5, 4]], dtype=np.int32)),
+    ]
+    for B in (1, 2, 7):
+        for top in (3, 50, 2_000_000):
+            la = rng.integers(0, top, (B, 5, 4)).astype(np.int32)
+            la[rng.random(la.shape) < 0.5] = 0
+            # labels of lb run past the largest label of la
+            lb = rng.integers(0, 2 * top, (B, 6)).astype(np.int32)
+            lb[:, 0] = la[:, 0, 0]
+            cases.append((la, lb))
+            cases.append((la, rng.integers(top, 2 * top + 1, (B, 3)).astype(np.int32)))
+    for la, lb in cases:
+        want = _joined_isin(la, lb)
+        got = grid._joined(la, lb)
+        assert got.shape == want.shape and np.array_equal(got, want)
