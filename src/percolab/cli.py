@@ -33,16 +33,79 @@ def _require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-# the keys each section's subcommand reads; any other key is a typo
+def _require_number(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _require_bool(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def _one_of(*choices):
+    def check(name: str, value) -> None:
+        if value not in choices:
+            raise ValueError(f"{name} must be one of {list(choices)}, got {value!r}")
+
+    return check
+
+
+def _list_of(check, length: int | None = None):
+    def check_list(name: str, values) -> None:
+        if not isinstance(values, list) or (length is not None and len(values) != length):
+            size = "a list" if length is None else f"a list of {length}"
+            raise ValueError(f"{name} must be {size}, got {values!r}")
+        for i, v in enumerate(values):
+            check(f"{name}[{i}]", v)
+
+    return check_list
+
+
+def _require_rect(name: str, value) -> None:
+    if not isinstance(value, dict) or "widths" not in value or set(value) - {"widths", "axis"}:
+        raise ValueError(f"{name} must be a mapping of widths and optional axis, got {value!r}")
+    _list_of(_require_int, 2)(f"{name}.widths", value["widths"])
+    axis = value.get("axis", 0)
+    _require_int(f"{name}.axis", axis)
+    _one_of(0, 1)(f"{name}.axis", axis)
+
+
+# the keys each section's subcommand reads, with the check of each value;
+# any other key is a typo, and a null value means the default
 SECTION_KEYS = {
-    "pi": {"scales"},
-    "tail": {"statistic", "sizes", "distribution"},
-    "blob": {"points", "n", "alpha", "C3", "C4"},
-    "bounds": {"alpha", "C2", "c1", "c2", "c3", "c4", "sweep_kmax"},
-    "lower": {"n", "u", "conditioned", "c12_grid", "stop_after_violations", "max_attempts"},
-    "crossing": {"rects"},
-    "verify": {"profile", "criteria"},
+    "pi": {"scales": _list_of(_list_of(_require_int, 2))},
+    "tail": {
+        "statistic": _one_of("largest_cluster", "long_arm"),
+        "sizes": _list_of(_require_int),
+        "distribution": _require_bool,
+    },
+    "blob": {
+        "points": _list_of(_list_of(_require_int)),
+        "n": _require_int,
+        "alpha": _require_number,
+        "C3": _require_number,
+        "C4": _require_number,
+    },
+    "bounds": {
+        **dict.fromkeys(("alpha", "C2", "c1", "c2", "c3", "c4"), _require_number),
+        "sweep_kmax": _require_int,
+    },
+    "lower": {
+        **dict.fromkeys(
+            ("n", "u", "conditioned", "stop_after_violations", "max_attempts"), _require_int
+        ),
+        "c12_grid": _list_of(_require_number),
+    },
+    "crossing": {"rects": _list_of(_require_rect)},
+    "verify": {"profile": _one_of("full", "quick"), "criteria": _list_of(_require_int)},
 }
+
+
+def _opt(section: dict, key: str, default=None):
+    """A section value; an absent key and a null value both give the default."""
+    value = section.get(key)
+    return default if value is None else value
 
 
 @dataclass
@@ -71,18 +134,20 @@ class ExperimentSpec:
         for name in ("master_seed", "samples", "workers", "d"):
             _require_int(name, getattr(self, name))
         for name in ("sizes", "k_grid"):
-            values = getattr(self, name)
-            if not isinstance(values, list):
-                raise ValueError(f"{name} must be a list of integers, got {values!r}")
-            for v in values:
-                _require_int(f"{name} entry", v)
-        for name, keys in SECTION_KEYS.items():
+            _list_of(_require_int)(name, getattr(self, name))
+        _list_of(_require_number)("u_grid", self.u_grid)
+        if self.p is not None:
+            _require_number("p", self.p)
+        for name, checks in SECTION_KEYS.items():
             section = getattr(self, name)
             if not isinstance(section, dict):
                 raise ValueError(f"{name} must be a mapping, got {section!r}")
-            unknown = set(section) - keys
+            unknown = set(section) - checks.keys()
             if unknown:
                 raise ValueError(f"unknown {name} keys: {sorted(unknown, key=str)}")
+            for key, value in section.items():
+                if value is not None:
+                    checks[key](f"{name}.{key}", value)
         if self.p is not None and not 0 <= self.p <= 1:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if self.samples < 1:
@@ -147,7 +212,7 @@ def _emit(args, spec_digest: str, stem: str, header, rows, payload: dict) -> lis
 def _cmd_pi(args) -> int:
     spec, digest = _load_spec(args)
     lattice, p = spec.lattice_spec(), spec.effective_p()
-    scales = [tuple(s) for s in spec.pi.get("scales", [[1, n] for n in spec.sizes])]
+    scales = [tuple(s) for s in _opt(spec.pi, "scales", [[1, n] for n in spec.sizes])]
     table = build_pi_table(lattice, p, scales, spec.samples, spec.master_seed, spec.workers)
     rows = reports.pi_table_rows(table)
     payload = {"pi_table": [dict(zip(reports.PI_HEADER, r)) for r in rows]}
@@ -158,7 +223,7 @@ def _cmd_pi(args) -> int:
 def _cmd_crossing(args) -> int:
     spec, digest = _load_spec(args)
     lattice, p = spec.lattice_spec(), spec.effective_p()
-    rects = spec.crossing.get("rects")
+    rects = _opt(spec.crossing, "rects")
     if rects is None:
         if lattice.kind == LatticeKind.Z_BOND:
             rects = [{"widths": [n, n - 1], "axis": 0} for n in spec.sizes]
@@ -168,7 +233,7 @@ def _cmd_crossing(args) -> int:
     rows = []
     for r in rects:
         w0, w1 = r["widths"]
-        axis = int(r.get("axis", 0))
+        axis = r.get("axis", 0)
         est = estimators.estimate_crossing(
             lattice, p, (w0, w1), axis, spec.samples, spec.master_seed, spec.workers
         )
@@ -181,10 +246,8 @@ def _cmd_crossing(args) -> int:
 def _cmd_tail(args) -> int:
     spec, digest = _load_spec(args)
     lattice, p = spec.lattice_spec(), spec.effective_p()
-    statistic = spec.tail.get("statistic", "largest_cluster")
-    if statistic not in ("largest_cluster", "long_arm"):
-        raise ValueError("tail.statistic must be largest_cluster or long_arm")
-    sizes = spec.tail.get("sizes", spec.sizes)
+    statistic = _opt(spec.tail, "statistic", "largest_cluster")
+    sizes = _opt(spec.tail, "sizes", spec.sizes)
     pi_scales = sorted({(1, max(1, int(n / u))) for n in sizes for u in spec.u_grid})
     table = build_pi_table(lattice, p, pi_scales, spec.samples, spec.master_seed, spec.workers)
     header = ("statistic", "n", "u", "threshold", "samples", "successes", "estimate", "stderr")
@@ -200,7 +263,7 @@ def _cmd_tail(args) -> int:
             est = event_estimate(stats[f"{key}:{i}"], spec.samples)
             rows.append((statistic, n, u, thresholds[i], est.samples, est.successes, est.point, est.stderr))
     payload = {"tail": [dict(zip(header, r)) for r in rows]}
-    if spec.tail.get("distribution"):
+    if _opt(spec.tail, "distribution"):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         payload["distributions"] = {}
@@ -224,19 +287,20 @@ def _cmd_tail(args) -> int:
 
 def _cmd_blob(args) -> int:
     spec, digest = _load_spec(args)
-    pts = json.loads(args.points) if args.points else spec.blob.get("points")
+    pts = json.loads(args.points) if args.points else _opt(spec.blob, "points")
     if not pts:
         raise ValueError("blob needs points (--points JSON or blob.points in the spec)")
-    points = [tuple(int(c) for c in p) for p in pts]
-    n = int(spec.blob.get("n", max(abs(c) for p in points for c in p)))
+    _list_of(_list_of(_require_int))("points", pts)
+    points = [tuple(p) for p in pts]
+    n = _opt(spec.blob, "n", max(abs(c) for p in points for c in p))
     record = growth.grow_tree(points)
     blob_list = growth.blobs(record, n)
     radius_bound = growth.check_radius_bound(record, n)
     radii = growth.merge_radii(points)
     d = len(points[0])
-    c3 = spec.blob.get("C3")
-    alpha = spec.blob.get("alpha")
-    c4 = float(spec.blob.get("C4", 1.0))
+    c3 = _opt(spec.blob, "C3")
+    alpha = _opt(spec.blob, "alpha")
+    c4 = float(_opt(spec.blob, "C4", 1.0))
     bound_values = {
         "count_upper_bound": growth.count_upper_bound(radii, n, c4, d),
         "C4": c4,
@@ -280,14 +344,14 @@ def _cmd_bounds(args) -> int:
     cfg = spec.bounds
     params = BoundParams(
         d=spec.d,
-        alpha=cfg.get("alpha", float(bounds.ONE_ARM_EXPONENT) if spec.d == 2 else None),
-        C2=cfg.get("C2", 1.0),
+        alpha=_opt(cfg, "alpha", float(bounds.ONE_ARM_EXPONENT) if spec.d == 2 else None),
+        C2=_opt(cfg, "C2", 1.0),
         c1=cfg.get("c1"),
         c2=cfg.get("c2"),
         c3=cfg.get("c3"),
         c4=cfg.get("c4"),
     )
-    kmax = int(cfg.get("sweep_kmax", 10_000))
+    kmax = _opt(cfg, "sweep_kmax", 10_000)
     sup_mult, arg_mult = bounds.multinomial_sweep(kmax, spec.d)
     sup_pow, arg_pow = bounds.power_product_sweep(kmax, spec.d)
     grid = [1.0 + 0.25 * i for i in range(13)]
@@ -318,11 +382,11 @@ def _cmd_lower(args) -> int:
     spec, digest = _load_spec(args)
     lattice, p = spec.lattice_spec(), spec.effective_p()
     cfg = spec.lower
-    n = int(cfg.get("n", 32))
-    u = int(cfg.get("u", 2))
+    n = _opt(cfg, "n", 32)
+    u = _opt(cfg, "u", 2)
     npr = n // u
-    conditioned = int(cfg.get("conditioned", 200))
-    c12_grid = tuple(cfg.get("c12_grid", [0.1, 0.2, 0.5]))
+    conditioned = _opt(cfg, "conditioned", 200)
+    c12_grid = tuple(_opt(cfg, "c12_grid", [0.1, 0.2, 0.5]))
     scales = sorted({(1, npr), (1, 3 * npr), (1, n), (1, max(1, n // u))})
     table = build_pi_table(lattice, p, scales, spec.samples, spec.master_seed, spec.workers)
     rsw = lowerbound.estimate_rsw_constant(lattice, p, npr, spec.samples, spec.master_seed, spec.workers)
@@ -337,8 +401,8 @@ def _cmd_lower(args) -> int:
         conditioned,
         spec.master_seed,
         spec.workers,
-        stop_after_violations=int(cfg.get("stop_after_violations", 25)),
-        max_attempts=int(cfg.get("max_attempts", 2_000_000)),
+        stop_after_violations=_opt(cfg, "stop_after_violations", 25),
+        max_attempts=_opt(cfg, "max_attempts", 2_000_000),
     )
     pick = min(1, len(c12_grid) - 1)
     params = BoundParams(d=2, C11=rsw.c11, C12=c12_grid[pick], C13=low.c13_fits[pick])

@@ -199,9 +199,11 @@ def _arm_counts(task, start: int, stop: int) -> dict:
     return out
 
 
-def _crop_labels(lattice: LatticeSpec, batch: np.ndarray, sl: tuple[slice, ...]) -> np.ndarray:
-    """Labels confined to a site-space crop (paths inside the crop only)."""
-    return grid.label_sites_batch(batch[(slice(None),) + grid.cell_slices(lattice, sl)], lattice)
+def _crop_labels(
+    lattice: LatticeSpec, batch: np.ndarray, sl: tuple[slice, ...], rows=slice(None)
+) -> np.ndarray:
+    """Labels confined to a site-space crop (paths inside the crop only) of ``batch[rows]``."""
+    return grid.label_sites_batch(batch[(rows,) + grid.cell_slices(lattice, sl)], lattice)
 
 
 def _vn_counts(task, start: int, stop: int) -> dict:

@@ -22,7 +22,7 @@ crop drop out of it.
 The batching trick: a whole batch of configurations is stacked along a leading
 axis and labeled with ONE call, using a structuring element that has no
 connectivity across the batch axis.  Label values are then unique per sample,
-so set-membership tests (``np.isin``) can pool labels across the batch without
+so flag lookups over label ids can pool labels across the batch without
 cross-talk.
 """
 
@@ -174,19 +174,17 @@ def edge_arrays(cells: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def element_cells(lattice: LatticeSpec, carrier_mask: np.ndarray) -> np.ndarray:
-    """Flat cell indices of the sampled elements, in the sampler's element order.
+def element_grid(lattice: LatticeSpec, cells: np.ndarray) -> np.ndarray:
+    """A cell grid in element layout: its C order is the sampler's element order.
 
-    Sites come in C order; bonds ``(u, axis)`` site-major, axis ascending, as
-    the edge cell ``2u + e_axis``.
+    Sites: the grid itself.  Bonds: raster x axis, ``[u, a]`` is the edge cell
+    ``2u + e_a`` (site-major, axis ascending); edges leaving the raster read
+    False.  ``element_grid(lattice, cell_mask(lattice, carrier))`` is the mask
+    of the sampled elements.
     """
     if lattice.site_mode:
-        return np.flatnonzero(carrier_mask)
-    d = lattice.d
-    rows = np.argwhere(np.stack(edge_arrays(cell_mask(lattice, carrier_mask), d), axis=-1))
-    coords = 2 * rows[:, :d]
-    coords[np.arange(len(rows)), rows[:, d]] += 1
-    return np.ravel_multi_index(tuple(coords.T), cell_shape(lattice, carrier_mask.shape))
+        return cells
+    return np.stack(edge_arrays(cells, lattice.d), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +206,12 @@ def label_sites_batch(cells: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
 
 def _joined(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     """Per-sample: does a positive label of ``la`` recur in ``lb``? (B,) bool."""
-    pool = la[la > 0]
-    if pool.size == 0:
-        return np.zeros(la.shape[0], dtype=bool)
-    return ((lb > 0) & np.isin(lb, pool)).reshape(lb.shape[0], -1).any(axis=1)
+    top = int(la.max(initial=0))
+    flags = np.zeros(top + 2, dtype=bool)  # the last flag stands for every id above top
+    flags[la] = True
+    flags[0] = False
+    hit = flags[np.minimum(lb, top + 1)]
+    return hit.any(axis=tuple(range(1, hit.ndim)))
 
 
 def connect_through(labels: np.ndarray, mask_a: np.ndarray, mask_b: np.ndarray) -> np.ndarray:

@@ -373,13 +373,14 @@ def _dn_counts(task, start: int, stop: int) -> dict:
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
         batch = open_cells_batch(lattice, carrier, p, seeds)
         out["attempts"] += hi - lo
+        alive = np.arange(hi - lo)  # survivors so far; only their crops are copied
         for corner, widths, axis in rects:
-            if batch.shape[0] == 0:
+            if alive.size == 0:
                 break
-            labels = _crop_labels(lattice, batch, raster.rect_slices(corner, widths))
-            batch = batch[grid.crossing(labels, axis)]
-        out["d"] += batch.shape[0]
-        for j in range(batch.shape[0]):
+            labels = _crop_labels(lattice, batch, raster.rect_slices(corner, widths), alive)
+            alive = alive[grid.crossing(labels, axis)]
+        out["d"] += alive.size
+        for j in alive.tolist():
             vi, vii = _gluing_violations(lattice, raster, batch[j : j + 1], n, u)
             out["viol_i"] += int(vi)
             out["viol_ii"] += int(vii)

@@ -18,19 +18,37 @@ bit of element ``(u, axis)`` lands on the edge cell ``2u + e_axis``.  The
 storage changes nothing upstream of it: element order and bits are the same
 as for per-axis edge arrays, and ``Config.edge_open`` still reads them so.
 
+Bits reach the cells through the element grid (``grid.element_grid``): the
+raster for sites, raster x axis for bonds, whose C order is the element
+order.  Each run of consecutive elements in it is one slice copy of the batch
+of bit streams; a bond batch then fills its decorated grid with one strided
+copy per axis.
+
 Randomness
 ----------
 Replica seeds come from ``derive_stream`` (the SplitMix64 sequence of the
 master seed, a platform-independent bijective 64-bit mix).  Each configuration
-draws from ``numpy.random.Philox`` keyed by its seed: one block of uniform
-doubles compared against ``p``, or, when ``p == 0.5`` exactly, one block of
-raw bytes expanded to bits (bit ``k`` of the stream is element ``k``,
-MSB-first within each byte).  Both paths are deterministic in
+reads the stream of ``numpy.random.Generator(numpy.random.Philox(key=seed))``:
+one block of uniform doubles compared against ``p``, or, when ``p == 0.5``
+exactly, one block of uint8 draws expanded to bits (bit ``k`` of the stream is
+element ``k``, MSB-first within each byte).  numpy's ``Philox`` is the
+generator; the sample layer reads its raw 64-bit words (``random_raw``) and
+maps them as the ``Generator`` does:
+
+* the uint8 draws are the little-endian bytes of the words, so one
+  ``np.unpackbits`` expands a whole batch;
+* the double of word ``w`` is ``(w >> 11) * 2**-53``, which is below ``p``
+  exactly when ``w >> 11 < ceil(p * 2**53)``, an integer comparison.
+
+One ``Philox`` serves a whole batch: for each seed its ``state`` is set to
+key ``(seed, 0)``, a zero counter and an empty buffer, the state a fresh
+``Philox(key=seed)`` starts in.  The bits are deterministic in
 ``(lattice, region, p, seed)``, bit for bit, across platforms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -63,11 +81,7 @@ def rng_for(seed: int) -> np.random.Generator:
 
 def element_bits(p: float, count: int, seed: int) -> np.ndarray:
     """The open/closed bit stream for ``count`` elements."""
-    rng = rng_for(seed)
-    if p == 0.5:
-        raw = rng.integers(0, 256, size=(count + 7) // 8, dtype=np.uint8)
-        return np.unpackbits(raw)[:count].astype(bool)
-    return rng.random(count) < p
+    return _bits_batch(p, count, [seed])[0]
 
 
 @dataclass(frozen=True)
@@ -99,15 +113,15 @@ class Config:
         """Per-axis open edges (bond mode only): ``[a][u]`` is the edge u -- u + e_a."""
         return None if self.site_mode else grid.edge_arrays(self.cells, self.lattice.d)
 
-    def _element_cells(self) -> np.ndarray:
-        return grid.element_cells(self.lattice, self.carrier_mask)
+    def _element_mask(self) -> np.ndarray:
+        return grid.element_grid(self.lattice, grid.cell_mask(self.lattice, self.carrier_mask))
 
     def n_elements(self) -> int:
-        return int(self._element_cells().size)
+        return int(self._element_mask().sum())
 
     def element_states(self) -> np.ndarray:
         """Flat open/closed states in documented element order."""
-        return self.cells.ravel()[self._element_cells()]
+        return grid.element_grid(self.lattice, self.cells)[self._element_mask()]
 
     def packed_states(self) -> np.ndarray:
         return np.packbits(self.element_states())
@@ -132,8 +146,6 @@ def _raster_for_region(lattice: LatticeSpec, region: Region) -> tuple[BoxRaster,
 
 def sample_config(lattice: LatticeSpec, region: Region, p: float, seed: int) -> Config:
     """Product-measure sample: each element open independently with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
     raster, mask = _raster_for_region(lattice, region)
     cells = open_cells_batch(lattice, mask, p, [seed])[0]
     return Config(lattice, region, p, seed, raster, mask, cells)
@@ -174,17 +186,61 @@ def config_from_edges(
 # Fast batch generation (estimator kernels; bypasses Config objects)
 
 
+def _bits_batch(p: float, count: int, seeds: Sequence[int]) -> np.ndarray:
+    """(B, count) bool: row i is the bit stream of ``seeds[i]`` (see the module doc)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state  # zero counter, empty buffer; only the key changes
+    key = state["state"]["key"]
+
+    def raw_words(n: int):
+        for seed in seeds:
+            key[0] = seed & _MASK64
+            bitgen.state = state
+            yield bitgen.random_raw(n)
+
+    if p == 0.5:
+        raw = np.empty((len(seeds), (count + 63) // 64), dtype="<u8")
+        for i, words in enumerate(raw_words(raw.shape[1])):
+            raw[i] = words
+        return np.unpackbits(raw.view(np.uint8), axis=1, count=count).view(bool)
+    out = np.empty((len(seeds), count), dtype=bool)
+    threshold = np.uint64(math.ceil(p * 2.0**53))
+    for i, words in enumerate(raw_words(count)):
+        words >>= 11
+        np.less(words, threshold, out=out[i])
+    return out
+
+
+def _element_layout(elements: np.ndarray, p: float, seeds: Sequence[int]) -> np.ndarray:
+    """(B,) + elements.shape bool: each seed's bits on the True entries, in C order."""
+    edges = np.flatnonzero(np.diff(elements.ravel(), prepend=False, append=False))
+    starts, stops = edges[0::2].tolist(), edges[1::2].tolist()
+    bits = _bits_batch(p, sum(stops) - sum(starts), seeds)
+    layout = np.zeros((len(seeds),) + elements.shape, dtype=bool)
+    flat = layout.reshape(len(seeds), -1)
+    k = 0
+    for a, b in zip(starts, stops):  # one slice copy per run of elements
+        flat[:, a:b] = bits[:, k : k + b - a]
+        k += b - a
+    return layout
+
+
 def _cells_batch(
     lattice: LatticeSpec, carrier_mask: np.ndarray, p: float, seeds: Sequence[int]
 ) -> np.ndarray:
-    elements = grid.element_cells(lattice, carrier_mask)
-    bits = np.empty((len(seeds), elements.size), dtype=bool)
-    for i, s in enumerate(seeds):
-        bits[i] = element_bits(p, elements.size, s)
+    elements = grid.element_grid(lattice, grid.cell_mask(lattice, carrier_mask))
+    layout = _element_layout(elements, p, seeds)
+    if lattice.site_mode:
+        return layout
+    d = lattice.d
     out = np.zeros((len(seeds),) + grid.cell_shape(lattice, carrier_mask.shape), dtype=bool)
-    if not lattice.site_mode:
-        out[(slice(None),) + grid.vertex_cells(lattice)] = carrier_mask
-    out.reshape(len(seeds), -1)[:, elements] = bits
+    out[(slice(None),) + grid.vertex_cells(lattice)] = carrier_mask
+    for a in range(d):
+        out[(slice(None),) + grid.edge_cells(d, a)] = layout[
+            (slice(None),) + grid.edge_ends(d, a, 0) + (a,)
+        ]
     return out
 
 

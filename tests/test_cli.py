@@ -91,6 +91,21 @@ def test_invalid_p_exits_nonzero(tmp_path, capsys):
         {"sizes": [3, 4.0]},
         {"sizes": 4},
         {"k_grid": [1, True]},
+        {"u_grid": ["2"]},
+        {"p": "0.5"},
+        {"tail": {"sizes": 5}},
+        {"tail": {"sizes": [4, 5.5]}},
+        {"tail": {"distribution": "yes"}},
+        {"tail": {"statistic": "mean"}},
+        {"bounds": {"sweep_kmax": 64.9}},
+        {"bounds": {"C2": True}},
+        {"lower": {"n": 8.0}},
+        {"lower": {"c12_grid": 0.2}},
+        {"pi": {"scales": [[1, 4, 8]]}},
+        {"blob": {"points": [[0, 0.5]]}},
+        {"verify": {"criteria": 3}},
+        {"verify": {"profile": "fast"}},
+        {"crossing": {"rects": [{"widths": [4, 3.5]}]}},
     ],
 )
 def test_spec_type_errors_exit_2(tmp_path, capsys, override):
@@ -134,6 +149,25 @@ def test_crossing_subcommand(tmp_path):
     assert main(["crossing", "--spec", str(spec), "--out", str(out)]) == 0
     csv = [f for f in out.iterdir() if f.suffix == ".csv"][0]
     assert "estimate" in csv.read_text().splitlines()[1]
+
+
+@pytest.mark.parametrize(
+    "rect",
+    [
+        {"width": [4, 3]},
+        {"widths": [4, 3], "axes": 0},
+        {"widths": [4]},
+        {"widths": [4, 3], "axis": 2},
+        {"widths": [4, 3], "axis": True},
+        [4, 3],
+    ],
+)
+def test_crossing_rect_entries_exit_2(tmp_path, capsys, rect):
+    spec = write_spec(tmp_path, crossing={"rects": [rect]})
+    out = tmp_path / "cross"
+    assert main(["crossing", "--spec", str(spec), "--out", str(out)]) == 2
+    assert "crossing.rects[0]" in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not out.exists()
 
 
 def test_blob_subcommand_points_flag(tmp_path):
