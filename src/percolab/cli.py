@@ -24,7 +24,7 @@ from . import __version__, bounds, estimators, growth, lowerbound, reports
 from .bounds import BoundParams
 from .estimators import build_pi_table, vn_statistics, event_estimate
 from .lattice import LatticeKind, LatticeSpec
-from .verify import FULL, QUICK, run_verify
+from .verify import FULL, QUICK, check_criteria, run_verify
 
 
 def _require_int(name: str, value) -> None:
@@ -60,6 +60,11 @@ def _list_of(check, length: int | None = None):
             check(f"{name}[{i}]", v)
 
     return check_list
+
+
+def _require_criteria(name: str, values) -> None:
+    _list_of(_require_int)(name, values)
+    check_criteria(name, values)
 
 
 def _require_rect(name: str, value) -> None:
@@ -98,7 +103,7 @@ SECTION_KEYS = {
         "c12_grid": _list_of(_require_number),
     },
     "crossing": {"rects": _list_of(_require_rect)},
-    "verify": {"profile": _one_of("full", "quick"), "criteria": _list_of(_require_int)},
+    "verify": {"profile": _one_of("full", "quick"), "criteria": _require_criteria},
 }
 
 
@@ -384,6 +389,8 @@ def _cmd_lower(args) -> int:
     cfg = spec.lower
     n = _opt(cfg, "n", 32)
     u = _opt(cfg, "u", 2)
+    if not 2 <= u <= n:
+        raise ValueError(f"lower.u must lie in [2, lower.n], got u={u} n={n}")
     npr = n // u
     conditioned = _opt(cfg, "conditioned", 200)
     c12_grid = tuple(_opt(cfg, "c12_grid", [0.1, 0.2, 0.5]))

@@ -8,14 +8,22 @@ Every estimator family draws replica seeds from a family seed
 scale therefore share replicas: the largest-cluster, long-arm tail and
 binomial-moment statistics at one ``n`` are measured on identical
 configurations (variance reduction; also makes algebraic identities between
-them exact).  Arm-probability rows share replicas across the inner scales
-``m`` at fixed ``n``.  Everything is deterministic in the master seed and
-invariant under worker count: counters are integers merged by addition.
+them exact).  An arm-probability table samples one family, at its largest
+outer scale N, and reads every row (m, n) off the same replicas, so the
+nesting of the arm events holds exactly in its counts: hits fall as n grows,
+rise as m grows, and hits(k, m) <= min(hits(k, l), hits(l, m)).  A row
+(m, N) is the single-row estimate ``estimate_pi(m, N)``.  Everything is
+deterministic in the master seed and invariant under worker count: counters
+are integers merged by addition.
 
 Carriers
 --------
-Arm estimation at scale n samples exactly the path-confinement region, the
-box of radius n plus its boundary.  Long-arm/cluster statistics at scale n
+Arm estimation samples and labels the box of radius N plus its boundary once
+per replica.  Row (m, n) reads the event "some cluster touches the boundary
+of box(m) and the boundary of box(n)".  It is the confined event of
+``clusters.arm_event``: a path from the boundary of box(m) meets the boundary
+of box(n) before it can leave box(n), so its first stretch already lies in
+box(n) plus its boundary.  Long-arm/cluster statistics at scale n
 sample the box of radius 2n plus its boundary, where both the largest-cluster
 and long-arm observables are defined.
 """
@@ -183,19 +191,25 @@ def _batch_size(cells: int) -> int:
 
 
 def _arm_counts(task, start: int, stop: int) -> dict:
-    lattice, p, n, ms, fam = task
-    raster, carrier = grid.carrier_raster(lattice, n)
+    """Counters ``arm:m,n``: rows (m, n) read off one labeling of box(N) plus boundary."""
+    lattice, p, N, pairs, fam = task
+    raster, carrier = grid.carrier_raster(lattice, N)
     center = (0,) * lattice.d
-    outer = raster.boundary_mask(center, n)
-    inner = {m: raster.boundary_mask(center, m) for m in ms}
-    out = {f"arm:{m}": 0 for m in ms}
+    radii = {r for pair in pairs for r in pair}
+    rings = {r: raster.boundary_mask(center, r) for r in radii}
+    on_rings = np.logical_or.reduce(list(rings.values()))
+    # ring r as a mask over the gathered ring sites
+    ring = {r: mask[on_rings] for r, mask in rings.items()}
+    out = {f"arm:{m},{n}": 0 for m, n in pairs}
     bsize = _batch_size(carrier.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        labels = grid.label_sites_batch(open_cells_batch(lattice, carrier, p, seeds), lattice)
-        for m in ms:
-            hits = grid.connect_through(labels, inner[m], outer)
-            out[f"arm:{m}"] += int(hits.sum())
+        # gather every ring once, so the raster labels are freed before the next batch
+        labels = grid.label_sites_batch(
+            open_cells_batch(lattice, carrier, p, seeds), lattice
+        )[:, on_rings]
+        for m, n in pairs:
+            out[f"arm:{m},{n}"] += int(grid.connect_through(labels, ring[m], ring[n]).sum())
     return out
 
 
@@ -342,9 +356,9 @@ def estimate_pi(
     if m == n:
         return Estimate(samples, 1.0, 0.0, samples)
     fam = family_seed(master_seed, TAG_PI, n)
-    task = (lattice, p, n, (m,), fam)
+    task = (lattice, p, n, ((m, n),), fam)
     counts = run_counters(partial(_arm_counts, task), samples, workers)
-    return event_estimate(counts[f"arm:{m}"], samples)
+    return event_estimate(counts[f"arm:{m},{n}"], samples)
 
 
 def build_pi_table(
@@ -355,7 +369,7 @@ def build_pi_table(
     master_seed: int,
     workers: int = 1,
 ) -> PiTable:
-    """One arm-probability row per (m, n) pair; rows at equal n share replicas."""
+    """One arm-probability row per (m, n) pair, all read off one replica family."""
     table = PiTable(lattice, p)
     seen = set()
     for m, n in scales:
@@ -364,21 +378,19 @@ def build_pi_table(
         if (m, n) in seen:
             raise ValueError(f"duplicate scale pair ({m}, {n})")
         seen.add((m, n))
-    by_n: dict[int, list[int]] = {}
     for m, n in scales:
         if m == n:
             table.add(PiRow(m, n, samples, samples, 1.0, 0.0))
-        else:
-            by_n.setdefault(n, []).append(m)
-    for n in sorted(by_n):
-        ms = tuple(sorted(by_n[n]))
-        fam = family_seed(master_seed, TAG_PI, n)
-        task = (lattice, p, n, ms, fam)
-        counts = run_counters(partial(_arm_counts, task), samples, workers)
-        for m in ms:
-            hits = counts[f"arm:{m}"]
-            est = event_estimate(hits, samples)
-            table.add(PiRow(m, n, samples, hits, est.point, est.stderr))
+    pairs = tuple(sorted(((m, n) for m, n in seen if m < n), key=lambda k: (k[1], k[0])))
+    if not pairs:
+        return table
+    N = pairs[-1][1]
+    task = (lattice, p, N, pairs, family_seed(master_seed, TAG_PI, N))
+    counts = run_counters(partial(_arm_counts, task), samples, workers)
+    for m, n in pairs:
+        hits = counts[f"arm:{m},{n}"]
+        est = event_estimate(hits, samples)
+        table.add(PiRow(m, n, samples, hits, est.point, est.stderr))
     return table
 
 
@@ -483,7 +495,6 @@ class QuasiMultRow:
     l: int
     m: int
     ratio: float | None
-    stderr: float | None
     note: str = ""
 
 
@@ -498,7 +509,11 @@ class QuasiMultReport:
 
 
 def check_quasi_mult(pi: PiTable, triples: Sequence[tuple[int, int, int]]) -> QuasiMultReport:
-    """Ratios pi(k,l) pi(l,m) / pi(k,m) with propagated standard errors."""
+    """Ratios pi(k,l) pi(l,m) / pi(k,m).
+
+    The rows of one table share replicas, so the three rows of a triple are
+    strongly dependent and no error is propagated as if they were independent.
+    """
     rows = []
     worst = 0.0
     for k, l, m in triples:
@@ -506,14 +521,10 @@ def check_quasi_mult(pi: PiTable, triples: Sequence[tuple[int, int, int]]) -> Qu
             raise ValueError(f"need k <= l <= m, got {(k, l, m)}")
         a, b, c = pi.pi(k, l), pi.pi(l, m), pi.pi(k, m)
         if c == 0:
-            rows.append(QuasiMultRow(k, l, m, None, None, "zero denominator"))
+            rows.append(QuasiMultRow(k, l, m, None, "zero denominator"))
             continue
         ratio = a * b / c
-        rel = 0.0
-        for val, err in ((a, pi.stderr(k, l)), (b, pi.stderr(l, m)), (c, pi.stderr(k, m))):
-            if val > 0:
-                rel += (err / val) ** 2
-        rows.append(QuasiMultRow(k, l, m, ratio, ratio * math.sqrt(rel)))
+        rows.append(QuasiMultRow(k, l, m, ratio))
         worst = max(worst, ratio)
     return QuasiMultReport(tuple(rows), worst)
 

@@ -715,6 +715,14 @@ _CRITERIA = {
 }
 
 
+def check_criteria(name: str, indices) -> None:
+    """Reject an empty list of criteria or an index that names none."""
+    if not indices or any(i not in _CRITERIA for i in indices):
+        raise ValueError(
+            f"{name} must be a nonempty list of criteria in 1..{len(_CRITERIA)}, got {indices!r}"
+        )
+
+
 def run_criterion(index: int, ctx: VerifyContext) -> CriterionResult:
     if index not in _CRITERIA:
         raise ValueError(f"no criterion {index}")
@@ -753,9 +761,12 @@ def run_verify(
     spec_digest: str = "",
     echo=print,
 ) -> tuple[list[CriterionResult], int]:
+    if indices is None:
+        indices = sorted(_CRITERIA)
+    check_criteria("criteria", indices)
     ctx = VerifyContext(master_seed, workers, profile)
     results = []
-    for i in indices or sorted(_CRITERIA):
+    for i in indices:
         res = run_criterion(i, ctx)
         echo(res.line())
         results.append(res)

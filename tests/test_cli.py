@@ -117,6 +117,28 @@ def test_spec_type_errors_exit_2(tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize(
+    "command, override",
+    [
+        ("lower", {"lower": {"u": 0}}),
+        ("lower", {"lower": {"u": 1}}),
+        ("lower", {"lower": {"n": 8, "u": 9}}),
+        ("lower", {"lower": {"n": 1}}),
+        ("verify", {"verify": {"profile": "quick", "criteria": []}}),
+        ("verify", {"verify": {"profile": "quick", "criteria": [14, 99]}}),
+        ("verify", {"verify": {"profile": "quick", "criteria": [0]}}),
+    ],
+)
+def test_spec_range_errors_exit_2_before_any_work(tmp_path, capsys, command, override):
+    spec = write_spec(tmp_path, **override)
+    out = tmp_path / "x"
+    assert main([command, "--spec", str(spec), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "must" in json.loads(captured.err.strip())["error"]
+    assert captured.out == ""  # no criterion ran, no file was written
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "section, value",
     [
         ("pi", {"scale": [[1, 4]]}),

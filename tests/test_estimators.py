@@ -6,6 +6,7 @@ import pytest
 
 from oracles import exact_connect_probability, site_components
 from percolab import estimators as E
+from percolab import grid
 from percolab.estimators import (
     Estimate,
     PiRow,
@@ -22,6 +23,7 @@ from percolab.estimators import (
     vn_tail,
 )
 from percolab.lattice import TRIANGULAR, Z2_BOND, box_sites, box_with_boundary, outer_boundary
+from percolab.sampler import derive_stream, open_cells_batch
 
 TRI_OFF = TRIANGULAR.neighbor_offsets()
 
@@ -81,6 +83,73 @@ def test_build_pi_table():
     assert not empty.rows
     with pytest.raises(ValueError):
         build_pi_table(TRIANGULAR, 0.5, [(1, 4), (1, 4)], 100, 7)
+
+
+# every arm row up to N = 12: the one-labeling table reads all of them off
+# a single family labeled once on box(N) plus its boundary
+ARM_N = 12
+ARM_PAIRS = tuple((m, n) for n in range(2, ARM_N + 1) for m in range(1, n))
+
+
+def confined_arm_events(lattice, p, fam, samples) -> dict:
+    """Oracle: per replica, label box(n) plus its boundary alone for each row (m, n)."""
+    raster, carrier = grid.carrier_raster(lattice, ARM_N)
+    seeds = [derive_stream(fam, i) for i in range(samples)]
+    batch = open_cells_batch(lattice, carrier, p, seeds)
+    center = (0,) * lattice.d
+    out = {}
+    for n in range(2, ARM_N + 1):
+        confined = raster.box_mask(center, n) | raster.boundary_mask(center, n)
+        labels = grid.label_sites_batch(batch & grid.cell_mask(lattice, confined), lattice)
+        outer = raster.boundary_mask(center, n)
+        for m in range(1, n):
+            out[(m, n)] = grid.connect_through(labels, raster.boundary_mask(center, m), outer)
+    return out
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
+@pytest.mark.parametrize("p", [0.45, 0.5, 0.55])
+def test_one_labeling_rows_match_confined_oracle(lattice, p):
+    samples, seed = 40, 2718
+    fam = E.family_seed(seed, E.TAG_PI, ARM_N)
+    want = confined_arm_events(lattice, p, fam, samples)
+    task = (lattice, p, ARM_N, ARM_PAIRS, fam)
+    for i in range(samples):
+        got = E._arm_counts(task, i, i + 1)
+        assert got == {f"arm:{m},{n}": int(want[(m, n)][i]) for m, n in ARM_PAIRS}, i
+    table = build_pi_table(lattice, p, ARM_PAIRS, samples, seed)
+    assert {k: r.successes for k, r in table.rows.items()} == {
+        k: int(v.sum()) for k, v in want.items()
+    }
+
+
+def test_pi_table_outer_rows_match_estimate_pi():
+    pairs = [(1, 4), (2, 4), (1, 8), (4, 8), (1, 16), (2, 16), (4, 16), (8, 16), (16, 16)]
+    table = build_pi_table(TRIANGULAR, 0.5, pairs, 300, 77)
+    # insertion order: the m = n rows as given, then the others by (n, m)
+    assert list(table.rows) == [(16, 16)] + sorted(pairs[:-1], key=lambda k: (k[1], k[0]))
+    for m in (1, 2, 4, 8):
+        assert table.rows[(m, 16)].successes == estimate_pi(TRIANGULAR, 0.5, m, 16, 300, 77).successes
+    assert build_pi_table(TRIANGULAR, 0.5, pairs, 300, 77, workers=2).rows == table.rows
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
+def test_pi_table_nesting_is_exact(lattice):
+    table = build_pi_table(lattice, 0.5, ARM_PAIRS, 200, 31)
+
+    def hits(m, n):
+        return table.rows[(m, n)].successes
+
+    for m, n in ARM_PAIRS:
+        if n < ARM_N:
+            assert hits(m, n + 1) <= hits(m, n)  # falls as n grows
+        if m + 1 < n:
+            assert hits(m, n) <= hits(m + 1, n)  # rises as m grows
+    for k in range(1, ARM_N + 1):
+        for l in range(k + 1, ARM_N + 1):
+            for m in range(l + 1, ARM_N + 1):
+                assert hits(k, m) <= min(hits(k, l), hits(l, m))
+    assert hits(1, ARM_N) < hits(ARM_N - 1, ARM_N)  # the invariants are not all ties
 
 
 def test_pi_table_conventions():

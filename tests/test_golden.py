@@ -67,7 +67,7 @@ SETUP = {
 
 COUNTERS = {
     "TRIANGULAR": {
-        "arm": {"arm:1": 38, "arm:2": 40, "arm:4": 40},
+        "arm": {"arm:1,8": 38, "arm:2,8": 40, "arm:4,8": 40},
         "vn": {
             "samples": 40,
             "vsum": 902,
@@ -99,7 +99,7 @@ COUNTERS = {
         ],
     },
     "Z2_BOND": {
-        "arm": {"arm:1": 30, "arm:2": 38, "arm:4": 40},
+        "arm": {"arm:1,8": 30, "arm:2,8": 38, "arm:4,8": 40},
         "vn": {
             "samples": 40,
             "vsum": 797,
@@ -138,7 +138,7 @@ def _counters(name: str) -> dict:
     p = s["p"]
     dn_p, dn_n, attempts = s["dn"]
     return {
-        "arm": E._arm_counts((lattice, p, 8, (1, 2, 4), 101), 0, 40),
+        "arm": E._arm_counts((lattice, p, 8, ((1, 8), (2, 8), (4, 8)), 101), 0, 40),
         "vn": E._vn_counts((lattice, p, 3, s["c1"], s["vn"], (1, 2, 3), True, 102), 0, 40),
         "crossing": [E._crossing_counts((lattice, p, (5, 4), axis, 103), 0, 60) for axis in (0, 1)],
         "dn": L._dn_counts((lattice, dn_p, dn_n, 2, 104), 0, attempts),
