@@ -203,3 +203,21 @@ def test_verify_quick_growth_criteria_pinned(tmp_path, capsys):
     assert main(args) == 0
     (path,) = out.glob("verify_*.json")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_QUICK_SHA256
+
+
+# sha256 of the verify JSON for `verify --quick --seed 7` on the Monte Carlo
+# criteria 1, 3, 4, 8, 9, 10, 11 and 12: the arm table, the V_n/C_1 kernel,
+# crossing, D(n, u) and FKG.  Several of them read the same V_n families:
+# c12's n = 8 and n = 12 runs are prefixes of c10's and c8's, and c10's n = 4
+# run is the glue-constant run of c9.  Criteria 3 and 9 fail at quick sizes.
+VERIFY_QUICK_MC_SHA256 = "5e728a548bd2e1e3d3cc86f2914a11874324ff8fd6c8fa910d9f1d9e8583adc6"
+
+
+def test_verify_quick_monte_carlo_criteria_pinned(tmp_path, capsys):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump({"verify": {"criteria": [1, 3, 4, 8, 9, 10, 11, 12]}}))
+    out = tmp_path / "out"
+    args = ["verify", "--quick", "--seed", "7", "--spec", str(spec), "--out", str(out)]
+    assert main(args) == 1
+    (path,) = out.glob("verify_*.json")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_QUICK_MC_SHA256
