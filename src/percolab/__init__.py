@@ -50,6 +50,7 @@ from .estimators import (  # noqa: F401
     largest_cluster_distribution,
     moment_estimate,
     tail_probability,
+    vn_sample,
     vn_tail,
 )
 from .bounds import (  # noqa: F401

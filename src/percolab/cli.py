@@ -22,7 +22,7 @@ import yaml
 
 from . import __version__, bounds, estimators, growth, lowerbound, reports
 from .bounds import BoundParams
-from .estimators import build_pi_table, vn_statistics, event_estimate
+from .estimators import build_pi_table, count_at_least, event_estimate, vn_sample
 from .lattice import LatticeKind, LatticeSpec
 from .verify import FULL, QUICK, check_criteria, run_verify
 
@@ -259,14 +259,11 @@ def _cmd_tail(args) -> int:
     rows = []
     for n in sizes:
         thresholds = [n**lattice.d * table.pi(max(1, int(n / u))) for u in spec.u_grid]
-        kw = {"c1_thresholds" if statistic == "largest_cluster" else "vn_thresholds": thresholds}
-        stats = vn_statistics(
-            lattice, p, n, spec.samples, spec.master_seed, spec.workers, **kw
-        )
-        key = "c1ge" if statistic == "largest_cluster" else "vnge"
-        for i, u in enumerate(spec.u_grid):
-            est = event_estimate(stats[f"{key}:{i}"], spec.samples)
-            rows.append((statistic, n, u, thresholds[i], est.samples, est.successes, est.point, est.stderr))
+        sample = vn_sample(lattice, p, n, spec.samples, spec.master_seed, spec.workers)
+        values = sample.c1 if statistic == "largest_cluster" else sample.vn
+        for u, t in zip(spec.u_grid, thresholds):
+            est = event_estimate(count_at_least(values, t), spec.samples)
+            rows.append((statistic, n, u, t, est.samples, est.successes, est.point, est.stderr))
     payload = {"tail": [dict(zip(header, r)) for r in rows]}
     if _opt(spec.tail, "distribution"):
         out = Path(args.out)
@@ -398,7 +395,7 @@ def _cmd_lower(args) -> int:
     table = build_pi_table(lattice, p, scales, spec.samples, spec.master_seed, spec.workers)
     rsw = lowerbound.estimate_rsw_constant(lattice, p, npr, spec.samples, spec.master_seed, spec.workers)
     low = lowerbound.vn_lower_constants(
-        lattice, p, npr, spec.samples, table, spec.master_seed, spec.workers, c12_grid
+        vn_sample(lattice, p, npr, spec.samples, spec.master_seed, spec.workers), table, c12_grid
     )
     campaign = lowerbound.gluing_campaign(
         lattice,
@@ -414,7 +411,7 @@ def _cmd_lower(args) -> int:
     pick = min(1, len(c12_grid) - 1)
     params = BoundParams(d=2, C11=rsw.c11, C12=c12_grid[pick], C13=low.c13_fits[pick])
     tail = lowerbound.lower_tail_estimate(
-        lattice, p, n, u, spec.samples, table, spec.master_seed, params, spec.workers
+        vn_sample(lattice, p, n, spec.samples, spec.master_seed, spec.workers), u, table, params
     )
     chain = lowerbound.dn_fkg_bound(lattice, p, n, u, spec.samples, spec.master_seed, spec.workers)
     payload = {

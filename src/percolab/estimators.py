@@ -13,8 +13,11 @@ outer scale N, and reads every row (m, n) off the same replicas, so the
 nesting of the arm events holds exactly in its counts: hits fall as n grows,
 rise as m grows, and hits(k, m) <= min(hits(k, l), hits(l, m)).  A row
 (m, N) is the single-row estimate ``estimate_pi(m, N)``.  Everything is
-deterministic in the master seed and invariant under worker count: counters
-are integers merged by addition.
+deterministic in the master seed and invariant under worker count: kernels
+return per-replica arrays in replica order, and each observable is reduced
+once, in the parent, by one function here (threshold counts, exact binomial
+sums, the histogram).  Replica ``i`` of a family is the same configuration in
+every call, so a sample of the first k replicas is a prefix of any larger one.
 
 Carriers
 --------
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import grid
 from .lattice import LatticeKind, LatticeSpec
-from .parallel import run_counters
+from .parallel import run_counters, shifted
 from .sampler import derive_stream, open_cells_batch
 
 TAG_PI = 0x501
@@ -190,8 +193,8 @@ def _batch_size(cells: int) -> int:
     return max(4, min(256, 4_000_000 // max(cells, 1)))
 
 
-def _arm_counts(task, start: int, stop: int) -> dict:
-    """Counters ``arm:m,n``: rows (m, n) read off one labeling of box(N) plus boundary."""
+def _arm_counts(task, start: int, stop: int) -> np.ndarray:
+    """(replicas, rows) hits of the rows (m, n), read off one labeling of box(N) plus boundary."""
     lattice, p, N, pairs, fam = task
     raster, carrier = grid.carrier_raster(lattice, N)
     center = (0,) * lattice.d
@@ -200,7 +203,7 @@ def _arm_counts(task, start: int, stop: int) -> dict:
     on_rings = np.logical_or.reduce(list(rings.values()))
     # ring r as a mask over the gathered ring sites
     ring = {r: mask[on_rings] for r, mask in rings.items()}
-    out = {f"arm:{m},{n}": 0 for m, n in pairs}
+    out = np.zeros((stop - start, len(pairs)), dtype=bool)
     bsize = _batch_size(carrier.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
@@ -208,8 +211,8 @@ def _arm_counts(task, start: int, stop: int) -> dict:
         labels = grid.label_sites_batch(
             open_cells_batch(lattice, carrier, p, seeds), lattice
         )[:, on_rings]
-        for m, n in pairs:
-            out[f"arm:{m},{n}"] += int(grid.connect_through(labels, ring[m], ring[n]).sum())
+        for j, (m, n) in enumerate(pairs):
+            out[lo - start : hi - start, j] = grid.connect_through(labels, ring[m], ring[n])
     return out
 
 
@@ -220,57 +223,128 @@ def _crop_labels(
     return grid.label_sites_batch(batch[(rows,) + grid.cell_slices(lattice, sl)], lattice)
 
 
-def _vn_counts(task, start: int, stop: int) -> dict:
-    lattice, p, n, c1_thresholds, vn_thresholds, moment_ks, want_hist, fam = task
+def _vn_counts(task, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per replica: the long-arm count V_n and the largest cluster C_1 of box(n)."""
+    lattice, p, n, fam = task
     raster, carrier = grid.carrier_raster(lattice, 2 * n)
     center = (0,) * lattice.d
     ring = raster.boundary_mask(center, 2 * n)
     inner = raster.box_mask(center, n)
     box_sl = raster.box_slices(center, n)
-    out: dict = {
-        "samples": 0,
-        "vsum": 0,
-        "vsq": 0,
-        "c1sum": 0,
-        "c1sq": 0,
-    }
-    for idx in range(len(c1_thresholds)):
-        out[f"c1ge:{idx}"] = 0
-    for idx in range(len(vn_thresholds)):
-        out[f"vnge:{idx}"] = 0
-    for k in moment_ks:
-        out[f"msum:{k}"] = 0
-        out[f"msq:{k}"] = 0
-    hist: dict = {}
+    vn = np.empty(stop - start, dtype=np.int64)
+    c1 = np.empty(stop - start, dtype=np.int64)
     bsize = _batch_size(carrier.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
         batch = open_cells_batch(lattice, carrier, p, seeds)
-        vn = grid.count_connected_to(grid.label_sites_batch(batch, lattice), ring, inner)
-        c1 = grid.largest_count(_crop_labels(lattice, batch, box_sl))
-        out["samples"] += hi - lo
-        out["vsum"] += int(vn.sum())
-        out["vsq"] += int((vn.astype(object) ** 2).sum())
-        out["c1sum"] += int(c1.sum())
-        out["c1sq"] += int((c1.astype(object) ** 2).sum())
-        for idx, t in enumerate(c1_thresholds):
-            out[f"c1ge:{idx}"] += int((c1 >= t).sum())
-        for idx, t in enumerate(vn_thresholds):
-            out[f"vnge:{idx}"] += int((vn >= t).sum())
+        rows = slice(lo - start, hi - start)
+        vn[rows] = grid.count_connected_to(grid.label_sites_batch(batch, lattice), ring, inner)
+        c1[rows] = grid.largest_count(_crop_labels(lattice, batch, box_sl))
+    return vn, c1
+
+
+def _crossing_counts(task, start: int, stop: int) -> np.ndarray:
+    """Per replica: the rectangle [0,w0]x[0,w1] is crossed along ``axis``."""
+    lattice, p, widths, axis, fam = task
+    shape = tuple(w + 1 for w in widths)
+    mask = np.ones(shape, dtype=bool)
+    crop = tuple(slice(0, s) for s in shape)
+    hits = np.zeros(stop - start, dtype=bool)
+    bsize = _batch_size(mask.size)
+    for lo, hi in _batch_ranges(start, stop, bsize):
+        seeds = [derive_stream(fam, i) for i in range(lo, hi)]
+        labels = _crop_labels(lattice, open_cells_batch(lattice, mask, p, seeds), crop)
+        hits[lo - start : hi - start] = grid.crossing(labels, axis)
+    return hits
+
+
+# ---------------------------------------------------------------------------
+# Reductions over per-replica arrays
+
+
+def count_at_least(values: np.ndarray, threshold: float) -> int:
+    """Replicas whose value reaches ``threshold``."""
+    return int((values >= threshold).sum())
+
+
+def binomial_sums(values: np.ndarray, k: int) -> tuple[int, int]:
+    """Exact sums of binom(v, k) and of its square; k = 1 gives the sum and sum of squares.
+
+    Python integers: binom(V_n, 5) at n = 64 overflows int64.
+    """
+    total = total_sq = 0
+    for v in values.tolist():
+        b = math.comb(v, k)
+        total += b
+        total_sq += b * b
+    return total, total_sq
+
+
+def histogram(values: np.ndarray) -> dict[int, int]:
+    """Replica count of each value that occurs."""
+    vals, counts = np.unique(values, return_counts=True)
+    return dict(zip(vals.tolist(), counts.tolist()))
+
+
+@dataclass(frozen=True)
+class VnSample:
+    """Per-replica long-arm counts ``vn`` and largest clusters ``c1`` of the V_n family at n."""
+
+    lattice: LatticeSpec
+    n: int
+    vn: np.ndarray
+    c1: np.ndarray
+
+    @property
+    def samples(self) -> int:
+        return len(self.vn)
+
+    def head(self, samples: int) -> VnSample:
+        """The first ``samples`` replicas."""
+        return VnSample(self.lattice, self.n, self.vn[:samples], self.c1[:samples])
+
+    def extended(self, more: VnSample) -> VnSample:
+        """This sample followed by ``more``, the replicas that come after it."""
+        vn = np.concatenate((self.vn, more.vn))
+        return VnSample(self.lattice, self.n, vn, np.concatenate((self.c1, more.c1)))
+
+    def statistics(
+        self,
+        c1_thresholds: Sequence[float] = (),
+        vn_thresholds: Sequence[float] = (),
+        moment_ks: Sequence[int] = (),
+        want_hist: bool = False,
+    ) -> dict:
+        """Sums, squares, threshold counts ``c1ge:i``/``vnge:i``, moments ``msum:k``/``msq:k``."""
+        vsum, vsq = binomial_sums(self.vn, 1)
+        c1sum, c1sq = binomial_sums(self.c1, 1)
+        out: dict = {"samples": self.samples, "vsum": vsum, "vsq": vsq, "c1sum": c1sum, "c1sq": c1sq}
+        for i, t in enumerate(c1_thresholds):
+            out[f"c1ge:{i}"] = count_at_least(self.c1, float(t))
+        for i, t in enumerate(vn_thresholds):
+            out[f"vnge:{i}"] = count_at_least(self.vn, float(t))
         for k in moment_ks:
-            s = ssq = 0
-            for v in vn.tolist():
-                b = math.comb(v, k)
-                s += b
-                ssq += b * b
-            out[f"msum:{k}"] += s
-            out[f"msq:{k}"] += ssq
+            out[f"msum:{k}"], out[f"msq:{k}"] = binomial_sums(self.vn, int(k))
         if want_hist:
-            for v in c1.tolist():
-                hist[v] = hist.get(v, 0) + 1
-    if want_hist:
-        out["hist"] = hist
-    return out
+            out["hist"] = histogram(self.c1)
+        return out
+
+
+def vn_sample(
+    lattice: LatticeSpec,
+    p: float,
+    n: int,
+    samples: int,
+    master_seed: int,
+    workers: int = 1,
+    start: int = 0,
+) -> VnSample:
+    """Replicas [start, start + samples) of the V_n family at scale n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    task = (lattice, p, n, family_seed(master_seed, TAG_VN, n))
+    vn, c1 = run_counters(shifted(partial(_vn_counts, task), start), samples, workers)
+    return VnSample(lattice, n, vn, c1)
 
 
 def vn_statistics(
@@ -286,34 +360,8 @@ def vn_statistics(
     want_hist: bool = False,
 ) -> dict:
     """Shared-replica statistics of (largest cluster, long-arm count) at scale n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    fam = family_seed(master_seed, TAG_VN, n)
-    task = (
-        lattice,
-        p,
-        n,
-        tuple(float(t) for t in c1_thresholds),
-        tuple(float(t) for t in vn_thresholds),
-        tuple(int(k) for k in moment_ks),
-        bool(want_hist),
-        fam,
-    )
-    return run_counters(partial(_vn_counts, task), samples, workers)
-
-
-def _crossing_counts(task, start: int, stop: int) -> dict:
-    lattice, p, widths, axis, fam = task
-    shape = tuple(w + 1 for w in widths)
-    mask = np.ones(shape, dtype=bool)
-    crop = tuple(slice(0, s) for s in shape)
-    hits = 0
-    bsize = _batch_size(mask.size)
-    for lo, hi in _batch_ranges(start, stop, bsize):
-        seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        labels = _crop_labels(lattice, open_cells_batch(lattice, mask, p, seeds), crop)
-        hits += int(grid.crossing(labels, axis).sum())
-    return {"hits": hits}
+    sample = vn_sample(lattice, p, n, samples, master_seed, workers)
+    return sample.statistics(c1_thresholds, vn_thresholds, moment_ks, want_hist)
 
 
 def estimate_crossing(
@@ -331,8 +379,8 @@ def estimate_crossing(
         raise ValueError("crossing estimation is two-dimensional")
     fam = family_seed(master_seed, seed_tag, widths[0], widths[1], axis)
     task = (lattice, p, tuple(widths), axis, fam)
-    counts = run_counters(partial(_crossing_counts, task), samples, workers)
-    return event_estimate(counts.get("hits", 0), samples)
+    hits = run_counters(partial(_crossing_counts, task), samples, workers)
+    return event_estimate(int(hits.sum()), samples)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +405,8 @@ def estimate_pi(
         return Estimate(samples, 1.0, 0.0, samples)
     fam = family_seed(master_seed, TAG_PI, n)
     task = (lattice, p, n, ((m, n),), fam)
-    counts = run_counters(partial(_arm_counts, task), samples, workers)
-    return event_estimate(counts[f"arm:{m},{n}"], samples)
+    hits = run_counters(partial(_arm_counts, task), samples, workers)
+    return event_estimate(int(hits.sum()), samples)
 
 
 def build_pi_table(
@@ -386,9 +434,8 @@ def build_pi_table(
         return table
     N = pairs[-1][1]
     task = (lattice, p, N, pairs, family_seed(master_seed, TAG_PI, N))
-    counts = run_counters(partial(_arm_counts, task), samples, workers)
-    for m, n in pairs:
-        hits = counts[f"arm:{m},{n}"]
+    successes = run_counters(partial(_arm_counts, task), samples, workers).sum(axis=0)
+    for (m, n), hits in zip(pairs, successes.tolist()):
         est = event_estimate(hits, samples)
         table.add(PiRow(m, n, samples, hits, est.point, est.stderr))
     return table
@@ -424,10 +471,9 @@ def largest_cluster_distribution(
     workers: int = 1,
 ) -> SizeDistribution:
     """Histogram, mean and quantiles of the largest-cluster size in box(n)."""
-    stats = vn_statistics(lattice, p, n, samples, master_seed, workers, want_hist=True)
-    est = mean_estimate(stats["c1sum"], stats["c1sq"], samples)
-    counts = {int(k): v for k, v in stats.get("hist", {}).items()}
-    return SizeDistribution(counts, samples, est.point, est.stderr)
+    c1 = vn_sample(lattice, p, n, samples, master_seed, workers).c1
+    est = mean_estimate(*binomial_sums(c1, 1), samples)
+    return SizeDistribution(histogram(c1), samples, est.point, est.stderr)
 
 
 def _tail_threshold(lattice: LatticeSpec, n: int, u: float, pi: PiTable) -> float:
@@ -449,8 +495,8 @@ def tail_probability(
 ) -> Estimate:
     """P(largest cluster in box(n) has at least n^d * pi(n/u) sites)."""
     t = _tail_threshold(lattice, n, u, pi)
-    stats = vn_statistics(lattice, p, n, samples, master_seed, workers, c1_thresholds=(t,))
-    return event_estimate(stats["c1ge:0"], samples)
+    c1 = vn_sample(lattice, p, n, samples, master_seed, workers).c1
+    return event_estimate(count_at_least(c1, t), samples)
 
 
 def vn_tail(
@@ -465,8 +511,8 @@ def vn_tail(
 ) -> Estimate:
     """P(long-arm count at scale n is at least n^d * pi(n/u))."""
     t = _tail_threshold(lattice, n, u, pi)
-    stats = vn_statistics(lattice, p, n, samples, master_seed, workers, vn_thresholds=(t,))
-    return event_estimate(stats["vnge:0"], samples)
+    vn = vn_sample(lattice, p, n, samples, master_seed, workers).vn
+    return event_estimate(count_at_least(vn, t), samples)
 
 
 def moment_estimate(
@@ -481,8 +527,8 @@ def moment_estimate(
     """Sample mean of binom(|long-arm set|, k); exact integer accumulation."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    stats = vn_statistics(lattice, p, n, samples, master_seed, workers, moment_ks=(k,))
-    return mean_estimate(stats[f"msum:{k}"], stats[f"msq:{k}"], samples)
+    vn = vn_sample(lattice, p, n, samples, master_seed, workers).vn
+    return mean_estimate(*binomial_sums(vn, k), samples)
 
 
 # ---------------------------------------------------------------------------

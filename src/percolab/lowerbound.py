@@ -38,16 +38,19 @@ from .estimators import (
     TAG_RSW,
     Estimate,
     PiTable,
+    VnSample,
     _batch_ranges,
     _batch_size,
     _crop_labels,
+    binomial_sums,
+    count_at_least,
     estimate_crossing,
     event_estimate,
     family_seed,
-    vn_statistics,
+    mean_estimate,
 )
 from .lattice import LatticeSpec, Site, rect_region
-from .parallel import run_counters
+from .parallel import run_counters, shifted
 from .sampler import Config, derive_stream, open_cells_batch
 
 
@@ -143,21 +146,20 @@ def _event_indicators(lattice: LatticeSpec, raster, batch, spec: EventSpec) -> n
     return vn >= spec.threshold
 
 
-def _fkg_counts(task, start: int, stop: int) -> dict:
+def _fkg_counts(task, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per replica: the indicators of the two events."""
     lattice, p, ev_a, ev_b, fam = task
     radius = max(ev_a.required_radius(), ev_b.required_radius())
     raster, carrier = grid.carrier_raster(lattice, radius)
-    out = {"a": 0, "b": 0, "ab": 0}
+    ia = np.zeros(stop - start, dtype=bool)
+    ib = np.zeros(stop - start, dtype=bool)
     bsize = _batch_size(carrier.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
         batch = open_cells_batch(lattice, carrier, p, seeds)
-        ia = _event_indicators(lattice, raster, batch, ev_a)
-        ib = _event_indicators(lattice, raster, batch, ev_b)
-        out["a"] += int(ia.sum())
-        out["b"] += int(ib.sum())
-        out["ab"] += int((ia & ib).sum())
-    return out
+        ia[lo - start : hi - start] = _event_indicators(lattice, raster, batch, ev_a)
+        ib[lo - start : hi - start] = _event_indicators(lattice, raster, batch, ev_b)
+    return ia, ib
 
 
 @dataclass(frozen=True)
@@ -188,8 +190,8 @@ def fkg_check(
     """
     fam = family_seed(master_seed, TAG_FKG)
     task = (lattice, p, event_a, event_b, fam)
-    counts = run_counters(partial(_fkg_counts, task), samples, workers)
-    na, nb, nab = counts["a"], counts["b"], counts["ab"]
+    ia, ib = run_counters(partial(_fkg_counts, task), samples, workers)
+    na, nb, nab = int(ia.sum()), int(ib.sum()), int((ia & ib).sum())
     pa, pb, pab = na / samples, nb / samples, nab / samples
     diff = pab - pa * pb
     var = (
@@ -231,34 +233,23 @@ class VnLowerReport:
 
 
 def vn_lower_constants(
-    lattice: LatticeSpec,
-    p: float,
-    n: int,
-    samples: int,
-    pi: PiTable,
-    master_seed: int,
-    workers: int = 1,
-    c12_grid: Sequence[float] = (0.1, 0.2, 0.5),
+    sample: VnSample, pi: PiTable, c12_grid: Sequence[float] = (0.1, 0.2, 0.5)
 ) -> VnLowerReport:
-    """Mean long-arm count against n^2 pi(3n), plus tail fits on a C12 grid."""
-    if lattice.d != 2:
+    """Mean long-arm count of ``sample`` against n^2 pi(3n), plus tail fits on a C12 grid."""
+    if sample.lattice.d != 2:
         raise ValueError("lower-bound constants are two-dimensional")
+    n, samples = sample.n, sample.samples
     pin = pi.pi(n)
     pi3n = pi.pi(3 * n)
-    thresholds = tuple(c * n * n * pin for c in c12_grid)
-    stats = vn_statistics(
-        lattice, p, n, samples, master_seed, workers, vn_thresholds=thresholds
-    )
-    mean = stats["vsum"] / samples
-    var = max(0.0, stats["vsq"] / samples - mean * mean)
-    mean_se = math.sqrt(var / samples)
+    est = mean_estimate(*binomial_sums(sample.vn, 1), samples)
+    mean, mean_se = est.point, est.stderr
     floor = n * n * pi3n
     floor_se = n * n * pi.stderr(3 * n)
     ok = mean - floor >= -3.0 * math.hypot(mean_se, floor_se)
     tails = []
     fits = []
-    for idx in range(len(c12_grid)):
-        est = event_estimate(stats[f"vnge:{idx}"], samples)
+    for c in c12_grid:
+        est = event_estimate(count_at_least(sample.vn, c * n * n * pin), samples)
         tails.append(est)
         fits.append(abs(-math.log(est.point)) if est.point > 0 else math.inf)
     return VnLowerReport(
@@ -363,32 +354,29 @@ def gluing_check(config: Config, n: int, u: int) -> GluingOutcome:
     return GluingOutcome.VIOLATED if (viol_i or viol_ii) else GluingOutcome.HOLDS
 
 
-def _dn_counts(task, start: int, stop: int) -> dict:
+def _dn_counts(task, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per attempt: D(n, u) holds, and (only where it holds) each of the two violations."""
     lattice, p, n, u, fam = task
     raster, carrier = grid.carrier_raster(lattice, 2 * n)
     rects = _dn_rects(n, u, lattice.d)
-    out = {"attempts": 0, "d": 0, "viol_i": 0, "viol_ii": 0, "viol": 0, "holds": 0}
+    d = np.zeros(stop - start, dtype=bool)
+    viol_i = np.zeros(stop - start, dtype=bool)
+    viol_ii = np.zeros(stop - start, dtype=bool)
     bsize = _batch_size(carrier.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
         batch = open_cells_batch(lattice, carrier, p, seeds)
-        out["attempts"] += hi - lo
         alive = np.arange(hi - lo)  # survivors so far; only their crops are copied
         for corner, widths, axis in rects:
             if alive.size == 0:
                 break
             labels = _crop_labels(lattice, batch, raster.rect_slices(corner, widths), alive)
             alive = alive[grid.crossing(labels, axis)]
-        out["d"] += alive.size
         for j in alive.tolist():
-            vi, vii = _gluing_violations(lattice, raster, batch[j : j + 1], n, u)
-            out["viol_i"] += int(vi)
-            out["viol_ii"] += int(vii)
-            if vi or vii:
-                out["viol"] += 1
-            else:
-                out["holds"] += 1
-    return out
+            i = lo - start + j
+            d[i] = True
+            viol_i[i], viol_ii[i] = _gluing_violations(lattice, raster, batch[j : j + 1], n, u)
+    return d, viol_i, viol_ii
 
 
 @dataclass(frozen=True)
@@ -427,31 +415,21 @@ def gluing_campaign(
     attempt cap is hit (the acceptance rate is reported either way).
     """
     fam = family_seed(master_seed, TAG_DN, n, u)
-    task = (lattice, p, n, u, fam)
-    acc = {"attempts": 0, "d": 0, "viol_i": 0, "viol_ii": 0, "viol": 0, "holds": 0}
-    start = 0
-    while acc["d"] < target_conditioned and acc["attempts"] < max_attempts:
-        if stop_after_violations is not None and acc["viol"] >= stop_after_violations:
+    kernel = partial(_dn_counts, (lattice, p, n, u, fam))
+    attempts = conditioned = violated = viol_i = viol_ii = 0
+    while conditioned < target_conditioned and attempts < max_attempts:
+        if stop_after_violations is not None and violated >= stop_after_violations:
             break
-        stage = min(stage_size, max_attempts - acc["attempts"])
-        part = run_counters(partial(_dn_counts_offset, task, start), stage, workers)
-        for k, v in part.items():
-            acc[k] += v
-        start += stage
+        stage = min(stage_size, max_attempts - attempts)
+        d, vi, vii = run_counters(shifted(kernel, attempts), stage, workers)
+        attempts += stage
+        conditioned += int(d.sum())
+        violated += int((vi | vii).sum())
+        viol_i += int(vi.sum())
+        viol_ii += int(vii.sum())
     return GluingCampaignReport(
-        n,
-        u,
-        acc["attempts"],
-        acc["d"],
-        acc["holds"],
-        acc["viol"],
-        acc["viol_i"],
-        acc["viol_ii"],
+        n, u, attempts, conditioned, conditioned - violated, violated, viol_i, viol_ii
     )
-
-
-def _dn_counts_offset(task, offset: int, start: int, stop: int) -> dict:
-    return _dn_counts(task, offset + start, offset + stop)
 
 
 def dn_probability(
@@ -460,8 +438,8 @@ def dn_probability(
     """Plain Monte Carlo estimate of P(D(n, u))."""
     fam = family_seed(master_seed, TAG_DN, n, u)
     task = (lattice, p, n, u, fam)
-    counts = run_counters(partial(_dn_counts, task), samples, workers)
-    return event_estimate(counts["d"], samples)
+    d, _, _ = run_counters(partial(_dn_counts, task), samples, workers)
+    return event_estimate(int(d.sum()), samples)
 
 
 @dataclass(frozen=True)
@@ -506,26 +484,16 @@ class LowerTailResult:
 
 
 def lower_tail_estimate(
-    lattice: LatticeSpec,
-    p: float,
-    n: int,
-    u: int,
-    samples: int,
-    pi: PiTable,
-    master_seed: int,
-    params: BoundParams,
-    workers: int = 1,
+    sample: VnSample, u: int, pi: PiTable, params: BoundParams
 ) -> LowerTailResult:
-    """P(largest cluster >= (C12/2) n^2 pi(n/u)) vs exp(-(2 C11 + C13) u^2)."""
-    if lattice.d != 2:
+    """P(largest cluster >= (C12/2) n^2 pi(n/u)) in ``sample`` vs exp(-(2 C11 + C13) u^2)."""
+    n = sample.n
+    if sample.lattice.d != 2:
         raise ValueError("the lower tail construction is two-dimensional")
     if not 2 <= u <= n:
         raise ValueError("u must be an integer in [2, n]")
     c11, c12, c13 = params.require("C11", "C12", "C13")
     threshold = 0.5 * c12 * n * n * pi.pi(max(1, n // u))
-    stats = vn_statistics(
-        lattice, p, n, samples, master_seed, workers, c1_thresholds=(threshold,)
-    )
-    direct = event_estimate(stats["c1ge:0"], samples)
+    direct = event_estimate(count_at_least(sample.c1, threshold), sample.samples)
     implied = math.exp(-(2 * c11 + c13) * u * u)
     return LowerTailResult(direct, implied, threshold)

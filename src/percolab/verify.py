@@ -108,6 +108,7 @@ class VerifyContext:
     lattice: LatticeSpec = TRIANGULAR
     p: float = 0.5
     _pi: PiTable | None = field(default=None, repr=False)
+    _vn: dict[int, estimators.VnSample] = field(default_factory=dict, repr=False)
 
     def pi_table(self) -> PiTable:
         """Shared arm-probability table covering every scale the suite needs."""
@@ -135,6 +136,23 @@ class VerifyContext:
             self.lattice, self.p, sorted(scales), prof.pi_samples, self.master_seed, self.workers
         )
         return self._pi
+
+    def vn_sample(self, n: int, samples: int) -> estimators.VnSample:
+        """Replicas [0, samples) of the V_n family at scale n, each sampled once per run.
+
+        A shorter request reads a prefix of the cached sample; a longer one
+        samples only the missing replicas.  Replica i is the same
+        configuration in every call, so no result depends on criterion order.
+        """
+        have = self._vn.get(n)
+        start = 0 if have is None else have.samples
+        if start < samples:
+            more = estimators.vn_sample(
+                self.lattice, self.p, n, samples - start, self.master_seed, self.workers, start
+            )
+            have = more if have is None else have.extended(more)
+            self._vn[n] = have
+        return have.head(samples)
 
     def growth_instances(self) -> list[tuple[tuple, ...]]:
         """Shared random point sets for the growth-process criteria."""
@@ -309,16 +327,8 @@ def _c8_upper_tail_shape(ctx: VerifyContext) -> CriterionResult:
     n = prof.tail_n
     us = prof.tail_us
     thresholds = [n * n * pi.pi(max(1, int(n / u))) for u in us]
-    stats = estimators.vn_statistics(
-        ctx.lattice,
-        ctx.p,
-        n,
-        prof.tail_samples,
-        ctx.master_seed,
-        ctx.workers,
-        c1_thresholds=thresholds,
-    )
-    ests = [event_estimate(stats[f"c1ge:{i}"], prof.tail_samples) for i in range(len(us))]
+    c1 = ctx.vn_sample(n, prof.tail_samples).c1
+    ests = [event_estimate(estimators.count_at_least(c1, t), prof.tail_samples) for t in thresholds]
     points = [e.point for e in ests]
     strictly_down = all(a > b for a, b in zip(points, points[1:]))
     noise_ok = all(
@@ -354,14 +364,7 @@ def _glue_constants(ctx: VerifyContext) -> tuple[BoundParams, dict]:
         ctx.lattice, ctx.p, npr, prof.constant_samples, ctx.master_seed, ctx.workers
     )
     low = lowerbound.vn_lower_constants(
-        ctx.lattice,
-        ctx.p,
-        npr,
-        prof.constant_samples,
-        ctx.pi_table(),
-        ctx.master_seed,
-        ctx.workers,
-        c12_grid=(0.1, 0.2, 0.5),
+        ctx.vn_sample(npr, prof.constant_samples), ctx.pi_table(), c12_grid=(0.1, 0.2, 0.5)
     )
     pick = 1  # C12 = 0.2
     params = BoundParams(
@@ -397,15 +400,7 @@ def _c9_lower_tail_construction(ctx: VerifyContext) -> CriterionResult:
     )
     params, info = _glue_constants(ctx)
     direct = lowerbound.lower_tail_estimate(
-        ctx.lattice,
-        ctx.p,
-        prof.glue_n,
-        prof.glue_u,
-        prof.tail_samples,
-        ctx.pi_table(),
-        ctx.master_seed,
-        params,
-        ctx.workers,
+        ctx.vn_sample(prof.glue_n, prof.tail_samples), prof.glue_u, ctx.pi_table(), params
     )
     bound_ok = direct.direct.point >= direct.implied_bound - 3 * direct.direct.stderr
     glue_ok = report.violated == 0 and report.conditioned >= prof.glue_target
@@ -441,9 +436,7 @@ def _c10_mean_vn_floor(ctx: VerifyContext) -> CriterionResult:
     rows = []
     ok = True
     for n in prof.vn_check_ns:
-        rep = lowerbound.vn_lower_constants(
-            ctx.lattice, ctx.p, n, prof.constant_samples, pi, ctx.master_seed, ctx.workers
-        )
+        rep = lowerbound.vn_lower_constants(ctx.vn_sample(n, prof.constant_samples), pi)
         ok &= rep.mean_ok
         rows.append(
             {
@@ -512,18 +505,10 @@ def _c12_moment_stability(ctx: VerifyContext) -> CriterionResult:
     pi = ctx.pi_table()
     fits = {}
     for n in prof.moment_ns:
-        stats = estimators.vn_statistics(
-            ctx.lattice,
-            ctx.p,
-            n,
-            prof.moment_samples,
-            ctx.master_seed,
-            ctx.workers,
-            moment_ks=prof.moment_ks,
-        )
+        vn = ctx.vn_sample(n, prof.moment_samples).vn
         best = 0.0
         for k in prof.moment_ks:
-            mom = stats[f"msum:{k}"] / prof.moment_samples
+            mom = estimators.binomial_sums(vn, k)[0] / prof.moment_samples
             scale = max(1, n // int_root_ceil(k, 2))
             fit = mom ** (1 / k) * k / (n * n * pi.pi(scale))
             best = max(best, fit)

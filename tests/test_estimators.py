@@ -7,6 +7,7 @@ import pytest
 from oracles import exact_connect_probability, site_components
 from percolab import estimators as E
 from percolab import grid
+from percolab import lowerbound as L
 from percolab.estimators import (
     Estimate,
     PiRow,
@@ -116,7 +117,7 @@ def test_one_labeling_rows_match_confined_oracle(lattice, p):
     task = (lattice, p, ARM_N, ARM_PAIRS, fam)
     for i in range(samples):
         got = E._arm_counts(task, i, i + 1)
-        assert got == {f"arm:{m},{n}": int(want[(m, n)][i]) for m, n in ARM_PAIRS}, i
+        assert got.tolist() == [[bool(want[(m, n)][i]) for m, n in ARM_PAIRS]], i
     table = build_pi_table(lattice, p, ARM_PAIRS, samples, seed)
     assert {k: r.successes for k, r in table.rows.items()} == {
         k: int(v.sum()) for k, v in want.items()
@@ -287,3 +288,24 @@ def test_default_p():
     from percolab.lattice import LatticeKind, LatticeSpec
 
     assert E.default_p(LatticeSpec(LatticeKind.Z_BOND, 3)) == pytest.approx(0.2488126)
+
+
+ZERO_SAMPLE_CALLS = {
+    "build_pi_table": lambda: build_pi_table(TRIANGULAR, 0.5, [(1, 4)], 0, 1),
+    "vn_statistics": lambda: vn_statistics(TRIANGULAR, 0.5, 3, 0, 1),
+    "tail_probability": lambda: tail_probability(
+        TRIANGULAR, 0.5, 4, 2.0, 0, synthetic_table(0.1, [(1, 2)]), 1
+    ),
+    "moment_estimate": lambda: moment_estimate(TRIANGULAR, 0.5, 4, 2, 0, 1),
+    "largest_cluster_distribution": lambda: largest_cluster_distribution(TRIANGULAR, 0.5, 4, 0, 1),
+    "fkg_check": lambda: L.fkg_check(
+        TRIANGULAR, 0.5, L.EventSpec("arm", m=1, n=4), L.EventSpec("arm", m=2, n=4), 0, 1
+    ),
+    "dn_probability": lambda: L.dn_probability(TRIANGULAR, 0.5, 8, 2, 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SAMPLE_CALLS))
+def test_zero_samples_raise_value_error(name):
+    with pytest.raises(ValueError, match="at least one replica"):
+        ZERO_SAMPLE_CALLS[name]()

@@ -133,17 +133,41 @@ COUNTERS = {
 }
 
 
+def _dn_dict(d, vi, vii) -> dict:
+    viol = int((vi | vii).sum())
+    return {
+        "attempts": len(d),
+        "d": int(d.sum()),
+        "viol_i": int(vi.sum()),
+        "viol_ii": int(vii.sum()),
+        "viol": viol,
+        "holds": int(d.sum()) - viol,
+    }
+
+
+def _fkg_dict(ia, ib) -> dict:
+    return {"a": int(ia.sum()), "b": int(ib.sum()), "ab": int((ia & ib).sum())}
+
+
 def _counters(name: str) -> dict:
+    """The per-replica kernel arrays, reduced to the counter dicts they replaced."""
     lattice, s = LATTICES[name], SETUP[name]
     p = s["p"]
     dn_p, dn_n, attempts = s["dn"]
+    pairs = ((1, 8), (2, 8), (4, 8))
+    arm = E._arm_counts((lattice, p, 8, pairs, 101), 0, 40).sum(axis=0).tolist()
+    vn = E.VnSample(lattice, 3, *E._vn_counts((lattice, p, 3, 102), 0, 40))
     return {
-        "arm": E._arm_counts((lattice, p, 8, ((1, 8), (2, 8), (4, 8)), 101), 0, 40),
-        "vn": E._vn_counts((lattice, p, 3, s["c1"], s["vn"], (1, 2, 3), True, 102), 0, 40),
-        "crossing": [E._crossing_counts((lattice, p, (5, 4), axis, 103), 0, 60) for axis in (0, 1)],
-        "dn": L._dn_counts((lattice, dn_p, dn_n, 2, 104), 0, attempts),
+        "arm": {f"arm:{m},{n}": hits for (m, n), hits in zip(pairs, arm)},
+        "vn": vn.statistics(s["c1"], s["vn"], (1, 2, 3), True),
+        "crossing": [
+            {"hits": int(E._crossing_counts((lattice, p, (5, 4), axis, 103), 0, 60).sum())}
+            for axis in (0, 1)
+        ],
+        "dn": _dn_dict(*L._dn_counts((lattice, dn_p, dn_n, 2, 104), 0, attempts)),
         "fkg": [
-            L._fkg_counts((lattice, p, EVENTS[a], EVENTS[b], 105), 0, 50) for a, b in FKG_PAIRS
+            _fkg_dict(*L._fkg_counts((lattice, p, EVENTS[a], EVENTS[b], 105), 0, 50))
+            for a, b in FKG_PAIRS
         ],
     }
 

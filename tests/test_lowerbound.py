@@ -7,7 +7,7 @@ import pytest
 
 from percolab import lowerbound as L
 from percolab.bounds import BoundParams
-from percolab.estimators import PiRow, PiTable
+from percolab.estimators import PiRow, PiTable, vn_sample
 from percolab.lattice import TRIANGULAR, box_with_boundary
 from percolab.sampler import Config, config_from_sites, sample_config
 
@@ -72,11 +72,11 @@ def test_fkg_overlapping_crossings():
 
 def test_vn_lower_constants_degenerate():
     table = pi_for([4, 12], value=1.0)
-    rep1 = L.vn_lower_constants(TRIANGULAR, 1.0, 4, 200, table, 3, c12_grid=(0.1, 0.5))
+    rep1 = L.vn_lower_constants(vn_sample(TRIANGULAR, 1.0, 4, 200, 3), table, c12_grid=(0.1, 0.5))
     assert rep1.mean_ok
     assert all(t.point == 1.0 for t in rep1.tail_probs)
     assert rep1.c13_fits == (0.0, 0.0)
-    rep0 = L.vn_lower_constants(TRIANGULAR, 0.0, 4, 200, table, 3, c12_grid=(0.1,))
+    rep0 = L.vn_lower_constants(vn_sample(TRIANGULAR, 0.0, 4, 200, 3), table, c12_grid=(0.1,))
     assert math.isinf(rep0.c13_fits[0])
 
 
@@ -140,12 +140,11 @@ def test_dn_fkg_chain_bound():
 def test_lower_tail_estimate():
     table = pi_for([4, 8], value=0.9)
     params = BoundParams(d=2, C11=1.0, C12=0.2, C13=0.5)
-    res = L.lower_tail_estimate(TRIANGULAR, 1.0, 8, 2, 100, table, 99, params)
+    sample = vn_sample(TRIANGULAR, 1.0, 8, 100, 99)
+    res = L.lower_tail_estimate(sample, 2, table, params)
     assert res.direct.point == 1.0
     assert res.implied_bound == pytest.approx(math.exp(-(2 * 1.0 + 0.5) * 4))
     with pytest.raises(ValueError):
-        L.lower_tail_estimate(
-            TRIANGULAR, 1.0, 8, 2, 100, table, 99, BoundParams(d=2, C11=1.0)
-        )
+        L.lower_tail_estimate(sample, 2, table, BoundParams(d=2, C11=1.0))
     with pytest.raises(ValueError):
-        L.lower_tail_estimate(TRIANGULAR, 1.0, 8, 1, 100, table, 99, params)
+        L.lower_tail_estimate(sample, 1, table, params)
