@@ -1,4 +1,4 @@
-"""Golden pins: exact sampled states, raw kernel counters, sweeps and reports.
+"""Golden pins: exact sampled states, regions, raw kernel counters, sweeps and reports.
 
 A refactor of the sampler, the labeling kernel, a reduction or the bound
 sweeps must leave every value here unchanged.  The pins were recorded from the implementation
@@ -10,15 +10,25 @@ only for a declared change of the stream or of the replica sharing.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 import yaml
 
 from percolab import bounds as B
+from percolab import clusters as C
 from percolab import estimators as E
+from percolab import growth as G
 from percolab import lowerbound as L
 from percolab.cli import main
-from percolab.lattice import TRIANGULAR, Z2_BOND, LatticeKind, LatticeSpec, box_with_boundary
+from percolab.lattice import (
+    TRIANGULAR,
+    Z2_BOND,
+    LatticeKind,
+    LatticeSpec,
+    box_with_boundary,
+    rect_region,
+)
 from percolab.sampler import sample_config
 
 Z3_BOND = LatticeSpec(LatticeKind.Z_BOND, 3)
@@ -48,6 +58,112 @@ def test_packed_states_pinned(key):
     lattice = LATTICES[name]
     cfg = sample_config(lattice, box_with_boundary(lattice, CARRIER_RADIUS[name]), p, seed)
     assert hashlib.sha256(cfg.packed_states().tobytes()).hexdigest() == STATE_SHA256[key]
+
+
+def _json_sha256(obj) -> str:
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+# sha256 of Config.to_json() (region size and bounds, p, seed, packed states)
+CONFIG_JSON_SHA256 = {
+    "TRIANGULAR": "e7a92113ec9f2064d2e555289c9c5cbe0b0dce999529df0da585331e4fdcb929",
+    "Z2_BOND": "fb146735db9e20acb305326691aa8088b401dc5a8171b700d33db9186b9a68e4",
+    "Z3_BOND": "19ed1d6fd300fdafe0684160b3c8a8f4818d373e7a0746841b6762a1c42ed73e",
+}
+RECT_CONFIG_JSON_SHA256 = {
+    "TRIANGULAR": "ab5af047776f70245f5640466b5a8be3c3e6cd20f83f64487955228cf7f08fa9",
+    "Z2_BOND": "ea209739f36b1a543c4561dfb01547901c86ae1ff00eea43e66a791768711cf8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_JSON_SHA256))
+def test_config_json_pinned(name):
+    lattice = LATTICES[name]
+    cfg = sample_config(lattice, box_with_boundary(lattice, CARRIER_RADIUS[name]), 0.5, 11)
+    assert _json_sha256(cfg.to_json()) == CONFIG_JSON_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECT_CONFIG_JSON_SHA256))
+def test_rect_config_json_pinned(name):
+    cfg = sample_config(LATTICES[name], rect_region((-3, 2), (9, 5)), 0.45, 21)
+    assert _json_sha256(cfg.to_json()) == RECT_CONFIG_JSON_SHA256[name]
+
+
+# (size, sha256 of to_json()) of long_arm_set(cfg, n) on box_with_boundary(2n)
+LONG_ARM_SET = {
+    ("TRIANGULAR", 4): (36, "4386e9df997eacbeac3e4c6e4b06d6a4bee6056ab927e483bb063f5b1d7746f4"),
+    ("TRIANGULAR", 8): (126, "12e60f6fe548d5c17336aace88932fd80cb20e6112cdfbdd73654631025376ac"),
+    ("Z2_BOND", 4): (75, "eac54090b4ddb7c1dc57c5ee976e35c97fb86d57be5cf1a733295009c5dada4d"),
+    ("Z2_BOND", 8): (271, "ebb78a923546f25c538580f99298165b635f6a5d1ed97e932c7fddb51ea02695"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LONG_ARM_SET))
+def test_long_arm_set_pinned(key):
+    name, n = key
+    lattice = LATTICES[name]
+    p = 0.5 if name == "TRIANGULAR" else 0.55
+    cfg = sample_config(lattice, box_with_boundary(lattice, 2 * n), p, 31 + n)
+    arms = C.long_arm_set(cfg, n)
+    assert (len(arms), _json_sha256(arms.to_json())) == LONG_ARM_SET[key]
+
+
+# sha256 of the to_json() lists of every blob's shell and (inner, outer) faces
+BLOB_POINTS = [(0, 0), (4, 0), (4, 3), (-5, 2), (1, -6), (-2, -2)]
+BLOB_REGION_SHA256 = "34a9fe3028638f221efa0549144bea5ab17d9b3ae91aae193fa3d2094a9bbeb5"
+BLOB_BOUNDARIES_SHA256 = "0b5da9d89778b9eca4d19ee99a0ddde14c68347fd46c5d8a87f0f4e95309fd59"
+
+
+def test_blob_regions_pinned():
+    blob_list = G.blobs(G.grow_tree(BLOB_POINTS), 6)
+    shells = [G.blob_region(b, 6).to_json() for b in blob_list]
+    faces = [[r.to_json() for r in G.blob_boundaries(b, 6)] for b in blob_list]
+    assert _json_sha256(shells) == BLOB_REGION_SHA256
+    assert _json_sha256(faces) == BLOB_BOUNDARIES_SHA256
+
+
+# (sha256, size) of every file `tail` writes with `distribution: true`
+TAIL_FILES = {
+    "triangular_site": {
+        "dist_n3_41d74459e617.csv": ("c025982f4bba73512d54129fdf6fd5249cff8780435f662c3585c23582139464", 228),
+        "dist_n4_41d74459e617.csv": ("76619516df9e0cf89f6a795e777057d3c560881cd56b741864483b26d452713a", 281),
+        "tail_41d74459e617.csv": ("1aa1ef5fac5c75e6e2ca978aa364778df6563de616cbcdad1b71d603f9398a5f", 457),
+        "tail_41d74459e617.json": ("595d11679fe8c73a3b3fda8d7112539449accea8680c0df9a8931a20c9e3e101", 1321),
+    },
+    "z_bond": {
+        "dist_n3_55f33c527254.csv": ("33f8dd0ec401ad01d2b3f5b3da8fe2a5df0917928cc293fb79c60f23bdf2331a", 269),
+        "dist_n4_55f33c527254.csv": ("1deb64065af24c8916edc01796313f3218561591e22abcb0dc4a746bcf568d46", 343),
+        "tail_55f33c527254.csv": ("fdbe0b64bc4b866aec83cf512f6189f0a474e2ae4ef3a1f864d9c9fbd0ae3836", 387),
+        "tail_55f33c527254.json": ("1b89361b1b060da6b0dc14b8e4a36110bfdd71a00864416a4109d4e97edb2b1c", 1250),
+    },
+}
+
+
+def tail_distribution_run(tmp_path, lattice: str) -> dict:
+    """Run `tail` with `distribution: true`; {file name: (sha256, size)}."""
+    spec = tmp_path / "spec.yaml"
+    doc = {
+        "master_seed": 17,
+        "lattice": lattice,
+        "samples": 120,
+        "workers": 1,
+        "sizes": [3, 4],
+        "u_grid": [1.0, 2.0],
+        "tail": {"distribution": True},
+    }
+    spec.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "tail"
+    assert main(["tail", "--spec", str(spec), "--out", str(out)]) == 0
+    return {
+        f.name: (hashlib.sha256(f.read_bytes()).hexdigest(), f.stat().st_size)
+        for f in out.iterdir()
+    }
+
+
+@pytest.mark.parametrize("lattice", sorted(TAIL_FILES))
+def test_tail_distribution_bytes_pinned(tmp_path, lattice):
+    assert tail_distribution_run(tmp_path, lattice) == TAIL_FILES[lattice]
 
 
 EVENTS = (
