@@ -257,9 +257,11 @@ def _cmd_tail(args) -> int:
     table = build_pi_table(lattice, p, pi_scales, spec.samples, spec.master_seed, spec.workers)
     header = ("statistic", "n", "u", "threshold", "samples", "successes", "estimate", "stderr")
     rows = []
+    c1 = {}
     for n in sizes:
         thresholds = [n**lattice.d * table.pi(max(1, int(n / u))) for u in spec.u_grid]
         sample = vn_sample(lattice, p, n, spec.samples, spec.master_seed, spec.workers)
+        c1[n] = sample.c1
         values = sample.c1 if statistic == "largest_cluster" else sample.vn
         for u, t in zip(spec.u_grid, thresholds):
             est = event_estimate(count_at_least(values, t), spec.samples)
@@ -270,9 +272,7 @@ def _cmd_tail(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         payload["distributions"] = {}
         for n in sizes:
-            dist = estimators.largest_cluster_distribution(
-                lattice, p, n, spec.samples, spec.master_seed, spec.workers
-            )
+            dist = estimators.SizeDistribution.of(c1[n])
             path = reports.write_distribution_csv(
                 out / f"dist_n{n}_{digest[:12]}.csv", dist.counts, digest
             )

@@ -41,9 +41,11 @@ class ClusterLabels:
         return len(self.sizes)
 
 
-def _require_subregion(config: Config, region: Region) -> None:
-    if not region.sites <= config.region.sites:
-        raise ValueError("region escapes the configuration carrier")
+def _carrier_part(config: Config, region: Region, error="region escapes the carrier") -> np.ndarray:
+    """``region`` as a mask over the configuration's raster; it must lie in the carrier."""
+    if not region <= config.region:
+        raise ValueError(error)
+    return region.mask_in(config.region.origin, config.region.shape)
 
 
 def _labels_on_mask(config: Config, mask: np.ndarray) -> np.ndarray:
@@ -54,10 +56,9 @@ def _labels_on_mask(config: Config, mask: np.ndarray) -> np.ndarray:
 
 def label_clusters(config: Config, region: Region) -> ClusterLabels:
     """Connected clusters with paths confined to ``region``."""
-    _require_subregion(config, region)
-    lab = _labels_on_mask(config, config.raster.mask_of_region(region))[0]
+    lab = _labels_on_mask(config, _carrier_part(config, region))[0]
     sizes = grid.cluster_sizes_single(lab)
-    return ClusterLabels(config.lattice, config.raster.origin, lab, sizes)
+    return ClusterLabels(config.lattice, config.region.origin, lab, sizes)
 
 
 def ith_largest_size(labels: ClusterLabels, i: int) -> int:
@@ -75,17 +76,13 @@ def long_arm_set(config: Config, n: int) -> Region:
     Paths are confined to box(2n) plus its outer boundary; the carrier must
     cover that set.
     """
-    lattice = config.lattice
-    needed = box_with_boundary(lattice, 2 * n)
-    if not needed.sites <= config.region.sites:
-        raise ValueError("carrier too small: need box(2n) plus boundary")
+    needed = box_with_boundary(config.lattice, 2 * n)
+    mask = _carrier_part(config, needed, "carrier too small: need box(2n) plus boundary")
     raster = config.raster
-    center = (0,) * lattice.d
-    lab = _labels_on_mask(config, raster.mask_of_region(needed))
+    center = (0,) * config.lattice.d
+    lab = _labels_on_mask(config, mask)
     flags = grid.seed_flags(lab, raster.boundary_mask(center, 2 * n))
-    coords = np.argwhere(flags[lab[0]] & raster.box_mask(center, n))
-    sites = frozenset(tuple(int(c + o) for c, o in zip(row, raster.origin)) for row in coords)
-    return Region(sites, dim=lattice.d)
+    return Region(raster.origin, flags[lab[0]] & raster.box_mask(center, n))
 
 
 def arm_event(config: Config, m: int, n: int) -> bool:
@@ -98,25 +95,24 @@ def arm_event(config: Config, m: int, n: int) -> bool:
         raise ValueError(f"need 1 <= m <= n, got m={m} n={n}")
     if m == n:
         return True
-    lattice = config.lattice
-    needed = box_with_boundary(lattice, n)
-    if not needed.sites <= config.region.sites:
-        raise ValueError("carrier too small: need box(n) plus boundary")
+    needed = box_with_boundary(config.lattice, n)
+    mask = _carrier_part(config, needed, "carrier too small: need box(n) plus boundary")
     raster = config.raster
-    center = (0,) * lattice.d
-    lab = _labels_on_mask(config, raster.mask_of_region(needed))
+    center = (0,) * config.lattice.d
+    lab = _labels_on_mask(config, mask)
     a = raster.boundary_mask(center, m)
     b = raster.boundary_mask(center, n)
     return bool(grid.connect_through(lab, a, b)[0])
 
 
 def _crossing(config: Config, rect: Region, axis: int) -> bool:
-    if rect.shape != "rect" or rect.origin is None or rect.extent is None:
+    if not (rect.mask.size and rect.mask.all()):
         raise ValueError("crossing events need a rectangle region")
     if config.lattice.d != 2:
         raise ValueError("crossing events are two-dimensional")
-    _require_subregion(config, rect)
-    sl = grid.cell_slices(config.lattice, config.raster.rect_slices(rect.origin, rect.extent))
+    _carrier_part(config, rect)
+    widths = tuple(n - 1 for n in rect.shape)
+    sl = grid.cell_slices(config.lattice, config.raster.rect_slices(rect.origin, widths))
     lab = grid.label_sites_batch(config.cells[sl][None], config.lattice)
     return bool(grid.crossing(lab, axis)[0])
 
@@ -133,9 +129,7 @@ def vertical_crossing(config: Config, rect: Region) -> bool:
 
 def connected_in(config: Config, s: Region, a: Region, b: Region) -> bool:
     """Some a in A joined to some b in B by an open path inside S."""
-    _require_subregion(config, s)
-    mask = config.raster.mask_of_region(s)
+    mask = _carrier_part(config, s)
     lab = _labels_on_mask(config, mask)
-    am = config.raster.mask_of_region(a) & mask
-    bm = config.raster.mask_of_region(b) & mask
-    return bool(grid.connect_through(lab, am, bm)[0])
+    frame = config.region.origin, config.region.shape
+    return bool(grid.connect_through(lab, a.mask_in(*frame) & mask, b.mask_in(*frame) & mask)[0])

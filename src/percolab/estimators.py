@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import grid
-from .lattice import LatticeKind, LatticeSpec
+from .lattice import LatticeKind, LatticeSpec, box_with_boundary
 from .parallel import run_counters, shifted
 from .sampler import derive_stream, open_cells_batch
 
@@ -196,7 +196,8 @@ def _batch_size(cells: int) -> int:
 def _arm_counts(task, start: int, stop: int) -> np.ndarray:
     """(replicas, rows) hits of the rows (m, n), read off one labeling of box(N) plus boundary."""
     lattice, p, N, pairs, fam = task
-    raster, carrier = grid.carrier_raster(lattice, N)
+    carrier = box_with_boundary(lattice, N)
+    raster = grid.BoxRaster(lattice, carrier)
     center = (0,) * lattice.d
     radii = {r for pair in pairs for r in pair}
     rings = {r: raster.boundary_mask(center, r) for r in radii}
@@ -204,12 +205,12 @@ def _arm_counts(task, start: int, stop: int) -> np.ndarray:
     # ring r as a mask over the gathered ring sites
     ring = {r: mask[on_rings] for r, mask in rings.items()}
     out = np.zeros((stop - start, len(pairs)), dtype=bool)
-    bsize = _batch_size(carrier.size)
+    bsize = _batch_size(carrier.mask.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
         # gather every ring once, so the raster labels are freed before the next batch
         labels = grid.label_sites_batch(
-            open_cells_batch(lattice, carrier, p, seeds), lattice
+            open_cells_batch(lattice, carrier.mask, p, seeds), lattice
         )[:, on_rings]
         for j, (m, n) in enumerate(pairs):
             out[lo - start : hi - start, j] = grid.connect_through(labels, ring[m], ring[n])
@@ -226,17 +227,18 @@ def _crop_labels(
 def _vn_counts(task, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Per replica: the long-arm count V_n and the largest cluster C_1 of box(n)."""
     lattice, p, n, fam = task
-    raster, carrier = grid.carrier_raster(lattice, 2 * n)
+    carrier = box_with_boundary(lattice, 2 * n)
+    raster = grid.BoxRaster(lattice, carrier)
     center = (0,) * lattice.d
     ring = raster.boundary_mask(center, 2 * n)
     inner = raster.box_mask(center, n)
     box_sl = raster.box_slices(center, n)
     vn = np.empty(stop - start, dtype=np.int64)
     c1 = np.empty(stop - start, dtype=np.int64)
-    bsize = _batch_size(carrier.size)
+    bsize = _batch_size(carrier.mask.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        batch = open_cells_batch(lattice, carrier, p, seeds)
+        batch = open_cells_batch(lattice, carrier.mask, p, seeds)
         rows = slice(lo - start, hi - start)
         vn[rows] = grid.count_connected_to(grid.label_sites_batch(batch, lattice), ring, inner)
         c1[rows] = grid.largest_count(_crop_labels(lattice, batch, box_sl))
@@ -450,6 +452,12 @@ class SizeDistribution:
     mean: float
     stderr: float
 
+    @classmethod
+    def of(cls, values: np.ndarray) -> SizeDistribution:
+        """The distribution of per-replica values."""
+        est = mean_estimate(*binomial_sums(values, 1), len(values))
+        return cls(histogram(values), len(values), est.point, est.stderr)
+
     def quantile(self, q: float) -> int:
         if not 0 <= q <= 1:
             raise ValueError("q must be in [0, 1]")
@@ -471,9 +479,7 @@ def largest_cluster_distribution(
     workers: int = 1,
 ) -> SizeDistribution:
     """Histogram, mean and quantiles of the largest-cluster size in box(n)."""
-    c1 = vn_sample(lattice, p, n, samples, master_seed, workers).c1
-    est = mean_estimate(*binomial_sums(c1, 1), samples)
-    return SizeDistribution(histogram(c1), samples, est.point, est.stderr)
+    return SizeDistribution.of(vn_sample(lattice, p, n, samples, master_seed, workers).c1)
 
 
 def _tail_threshold(lattice: LatticeSpec, n: int, u: float, pi: PiTable) -> float:

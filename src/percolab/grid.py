@@ -1,8 +1,8 @@
 """Rasterized lattice geometry and the batched labeling kernel.
 
-Everything Monte-Carlo-hot runs through this module.  Configurations live on a
-rectangular bounding box (the "raster"); regions become boolean masks over its
-sites.  A configuration is stored as a grid of open *cells*, and one kernel,
+Everything Monte-Carlo-hot runs through this module.  Configurations live on
+the bounding box (the "raster") of their carrier, a ``lattice.Region`` whose
+mask covers it.  A configuration is stored as a grid of open *cells*, and one kernel,
 ``scipy.ndimage.label``, labels the cells of both lattice kinds:
 
 * site mode: the cells are the sites, labeled under the lattice adjacency;
@@ -31,17 +31,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .lattice import LatticeSpec, Region, Site
-
-
-def site_structure(lattice: LatticeSpec) -> np.ndarray:
-    """ndimage structuring element realizing the lattice adjacency."""
-    s = np.zeros((3,) * lattice.d, dtype=bool)
-    center = (1,) * lattice.d
-    s[center] = True
-    for off in lattice.neighbor_offsets():
-        s[tuple(1 + o for o in off)] = True
-    return s
+from .lattice import LatticeSpec, Region, Site, ring, site_structure
 
 
 def batch_structure(lattice: LatticeSpec) -> np.ndarray:
@@ -52,13 +42,12 @@ def batch_structure(lattice: LatticeSpec) -> np.ndarray:
 
 
 class BoxRaster:
-    """Bounding box ``[origin, origin + shape)`` indexed as coord - origin."""
+    """The bounding box ``[origin, origin + shape)`` of a region, indexed as coord - origin."""
 
-    def __init__(self, lattice: LatticeSpec, origin: Site, shape: tuple[int, ...]):
+    def __init__(self, lattice: LatticeSpec, region: Region):
         self.lattice = lattice
-        self.origin = tuple(origin)
-        self.shape = tuple(shape)
-        self._region_masks: dict[Region, np.ndarray] = {}
+        self.origin = region.origin
+        self.shape = region.shape
 
     def index(self, site: Site) -> tuple[int, ...]:
         return tuple(c - o for c, o in zip(site, self.origin))
@@ -80,38 +69,12 @@ class BoxRaster:
 
     def boundary_mask(self, center: Site, radius: int) -> np.ndarray:
         """Outer vertex boundary of the box, under the lattice adjacency."""
-        box = self.box_mask(center, radius)
-        dil = ndimage.binary_dilation(box, structure=site_structure(self.lattice))
-        return dil & ~box
+        return ring(self.box_mask(center, radius), self.lattice)
 
     def rect_slices(self, corner: Site, widths: tuple[int, ...]) -> tuple[slice, ...]:
         return tuple(
             slice(c - o, c + w + 1 - o) for c, o, w in zip(corner, self.origin, widths)
         )
-
-    def mask_of_region(self, region: Region) -> np.ndarray:
-        cached = self._region_masks.get(region)
-        if cached is not None:
-            return cached
-        coords = np.array(sorted(region.sites), dtype=np.int64)
-        coords -= np.array(self.origin, dtype=np.int64)
-        if (coords < 0).any() or (coords >= np.array(self.shape)).any():
-            raise ValueError("region escapes the raster bounding box")
-        m = np.zeros(self.shape, dtype=bool)
-        m[tuple(coords.T)] = True
-        if len(self._region_masks) < 64:
-            self._region_masks[region] = m
-        return m
-
-
-def carrier_raster(lattice: LatticeSpec, radius: int) -> tuple[BoxRaster, np.ndarray]:
-    """Raster and mask for the carrier: box(radius) plus its outer boundary."""
-    origin = (-(radius + 1),) * lattice.d
-    shape = (2 * radius + 3,) * lattice.d
-    raster = BoxRaster(lattice, origin, shape)
-    box = raster.box_mask((0,) * lattice.d, radius)
-    dil = ndimage.binary_dilation(box, structure=site_structure(lattice))
-    return raster, dil
 
 
 # ---------------------------------------------------------------------------

@@ -197,16 +197,10 @@ def _outer_face(blob: Blob, n: int) -> tuple[Iterable[Site], int]:
     return blob.members, blob.d2 // 2
 
 
-def _region_from_mask(mask: np.ndarray, origin: Site, d: int) -> Region:
-    coords = np.argwhere(mask)
-    sites = frozenset(tuple(int(c + o) for c, o in zip(row, origin)) for row in coords)
-    return Region(sites, dim=d)
-
-
 def blob_region(blob: Blob, n: int) -> Region:
     """The shell between the blob's birth-ball union and death-ball union."""
     mask, origin = blob_region_mask(blob, n)
-    return _region_from_mask(mask, origin, len(origin))
+    return Region(origin, mask)
 
 
 def blob_region_mask(blob: Blob, n: int) -> tuple[np.ndarray, Site]:
@@ -237,8 +231,7 @@ def blob_boundaries(blob: Blob, n: int) -> tuple[Region, Region]:
     origin, shape = _blob_bbox(blob, n)
     inner = _ring(blob.members, blob.b2 // 2, origin, shape)
     outer = _ring(*_outer_face(blob, n), origin, shape)
-    d = len(origin)
-    return _region_from_mask(inner, origin, d), _region_from_mask(outer, origin, d)
+    return Region(origin, inner), Region(origin, outer)
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,24 @@ Two lattice kinds are supported:
 * ``TRIANGULAR_SITE`` -- site percolation on the triangular lattice, realised
   as Z^2 with six neighbours: (+-1, 0), (0, +-1), (1, 1) and (-1, -1).
 
-Sites are plain tuples of ints.  All distances used by the growth process are
-L-infinity (Chebyshev), independent of the lattice kind.
+Sites are plain tuples of ints.  A region, a finite set of sites, is a value
+``Region(origin, mask)``: a read-only boolean mask over the region's bounding
+box, whose cell ``i`` is the site ``origin + i``.  Boxes and rectangles are
+full masks, boundaries are one dilation of a mask by the lattice adjacency,
+and subset tests are mask operations; ``Region.sites`` is a view derived from
+the mask, and ``Region.from_sites`` the one constructor from sites.  All
+distances used by the growth process are L-infinity (Chebyshev), independent
+of the lattice kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from itertools import product
 from typing import Iterable
+
+import numpy as np
+from scipy import ndimage
 
 Site = tuple[int, ...]
 
@@ -62,68 +69,123 @@ TRIANGULAR = LatticeSpec(LatticeKind.TRIANGULAR_SITE, 2)
 Z2_BOND = LatticeSpec(LatticeKind.Z_BOND, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Region:
-    """A finite set of sites, optionally tagged with box/rectangle structure.
+    """A finite set of sites: cell ``i`` of the boolean ``mask`` is the site ``origin + i``.
 
-    ``shape`` is one of ``"box"`` (center + radius), ``"rect"`` (corner +
-    per-axis extents, inclusive) or ``"set"``.  The structural tags let
-    rectangle-aware operations (crossings) recover their geometry.  Regions
-    are nonempty except for results of set-valued queries (the long-arm set
-    of an all-closed configuration, say), which carry ``dim`` explicitly.
+    The mask is trimmed to the bounding box of its sites and stored read-only,
+    so two regions are equal when their sites are.  An empty region has an
+    empty mask at the zero origin and keeps its dimension.
     """
 
-    sites: frozenset[Site]
-    shape: str = "set"
-    origin: Site | None = None
-    extent: tuple[int, ...] | None = None
-    dim: int | None = None
+    origin: Site
+    mask: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not self.sites and self.dim is None:
-            raise ValueError("region must be nonempty (or carry an explicit dim)")
-        dims = {len(s) for s in self.sites}
-        if len(dims) > 1:
-            raise ValueError("all sites must share one dimension")
-        if dims:
-            d = dims.pop()
-            if self.dim is not None and self.dim != d:
-                raise ValueError("dim does not match the sites")
-            object.__setattr__(self, "dim", d)
+        mask = np.asarray(self.mask, dtype=bool)
+        d = mask.ndim
+        if d != len(self.origin):
+            raise ValueError("origin and mask must share one dimension")
+        if mask.any():
+            hits = [np.flatnonzero(mask.any(axis=tuple(b for b in range(d) if b != a))) for a in range(d)]
+            box = tuple(slice(int(h[0]), int(h[-1]) + 1) for h in hits)
+            origin = tuple(int(o) + s.start for o, s in zip(self.origin, box))
+            mask = mask[box].copy()
+        else:
+            origin, mask = (0,) * d, np.zeros((0,) * d, dtype=bool)
+        mask.flags.writeable = False
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def from_sites(cls, sites: Iterable[Site], dim: int | None = None) -> Region:
+        """The region of the given sites; ``dim`` is required when there are none."""
+        pts = {tuple(int(c) for c in s) for s in sites}
+        dims = {len(s) for s in pts} | ({dim} if dim is not None else set())
+        if len(dims) != 1:
+            raise ValueError("sites must share one dimension (an empty region needs dim)")
+        if not pts:
+            return cls((0,) * dim, np.zeros((0,) * dim, dtype=bool))
+        coords = np.array(list(pts), dtype=np.int64)
+        lo = coords.min(axis=0)
+        mask = np.zeros(tuple(coords.max(axis=0) - lo + 1), dtype=bool)
+        mask[tuple((coords - lo).T)] = True
+        return cls(tuple(lo.tolist()), mask)
 
     @property
     def d(self) -> int:
-        return self.dim
+        return len(self.origin)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.mask.shape
+
+    @property
+    def sites(self) -> frozenset[Site]:
+        return frozenset(self)
 
     def __len__(self) -> int:
-        return len(self.sites)
+        return int(np.count_nonzero(self.mask))
 
     def __contains__(self, site: Site) -> bool:
-        return site in self.sites
+        return len(site) == self.d and box_sites(site, 0) <= self
 
     def __iter__(self):
-        return iter(self.sites)
+        return map(tuple, self.to_json())
+
+    def __eq__(self, other: object) -> bool:
+        same_box = isinstance(other, Region) and self.origin == other.origin
+        return same_box and np.array_equal(self.mask, other.mask)
+
+    def __hash__(self) -> int:
+        return hash((self.origin, self.shape, self.mask.tobytes()))
+
+    def __le__(self, other: Region) -> bool:
+        """Subset test."""
+        try:
+            return not (self.mask_in(other.origin, other.shape) & ~other.mask).any()
+        except ValueError:
+            return False
+
+    def mask_in(self, origin: Site, shape: tuple[int, ...]) -> np.ndarray:
+        """The region as a mask over the raster ``[origin, origin + shape)``."""
+        lo = tuple(a - b for a, b in zip(self.origin, origin))
+        if self.mask.size and any(l < 0 or l + s > n for l, s, n in zip(lo, self.shape, shape)):
+            raise ValueError("region escapes the raster bounding box")
+        out = np.zeros(shape, dtype=bool)
+        out[tuple(slice(l, l + s) for l, s in zip(lo, self.shape))] = self.mask
+        return out
 
     def bounds(self) -> tuple[Site, Site]:
         """(min corner, max corner) of the bounding box."""
-        if not self.sites:
+        if not self.mask.size:
             raise ValueError("empty region has no bounds")
-        arr = list(self.sites)
-        lo = tuple(min(s[a] for s in arr) for a in range(self.d))
-        hi = tuple(max(s[a] for s in arr) for a in range(self.d))
-        return lo, hi
+        return self.origin, tuple(o + n - 1 for o, n in zip(self.origin, self.shape))
 
     def to_json(self) -> list[list[int]]:
-        return sorted(list(s) for s in self.sites)
+        """Sorted site list (C order of the mask is lexicographic site order)."""
+        return (np.argwhere(self.mask) + np.array(self.origin, dtype=np.int64)).tolist()
+
+
+def site_structure(lattice: LatticeSpec) -> np.ndarray:
+    """ndimage structuring element realizing the lattice adjacency."""
+    s = np.zeros((3,) * lattice.d, dtype=bool)
+    s[(1,) * lattice.d] = True
+    for off in lattice.neighbor_offsets():
+        s[tuple(1 + o for o in off)] = True
+    return s
+
+
+def ring(mask: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """Cells outside ``mask`` adjacent to one of its cells (within the grid)."""
+    return ndimage.binary_dilation(mask, structure=site_structure(lattice)) & ~mask
 
 
 def box_sites(center: Site, n: int) -> Region:
     """All sites within L-infinity distance ``n`` of ``center``."""
     if n < 0:
         raise ValueError(f"box radius must be >= 0, got {n}")
-    ranges = [range(c - n, c + n + 1) for c in center]
-    sites = frozenset(map(tuple, product(*ranges)))
-    return Region(sites, shape="box", origin=tuple(center), extent=(n,))
+    return Region(tuple(c - n for c in center), np.ones((2 * n + 1,) * len(center), dtype=bool))
 
 
 def rect_region(corner: Site, widths: tuple[int, ...]) -> Region:
@@ -132,30 +194,19 @@ def rect_region(corner: Site, widths: tuple[int, ...]) -> Region:
         raise ValueError("corner and widths must have equal length")
     if any(w < 0 for w in widths):
         raise ValueError("rectangle extents must be >= 0")
-    ranges = [range(c, c + w + 1) for c, w in zip(corner, widths)]
-    sites = frozenset(map(tuple, product(*ranges)))
-    return Region(sites, shape="rect", origin=tuple(corner), extent=tuple(widths))
+    return Region(tuple(corner), np.ones(tuple(w + 1 for w in widths), dtype=bool))
 
 
 def neighbors(v: Site, lattice: LatticeSpec) -> Region:
     """Adjacent sites of ``v`` under the lattice adjacency."""
-    if len(v) != lattice.d:
-        raise ValueError(f"site dimension {len(v)} != lattice dimension {lattice.d}")
-    sites = frozenset(tuple(a + b for a, b in zip(v, off)) for off in lattice.neighbor_offsets())
-    return Region(sites)
+    return outer_boundary(box_sites(v, 0), lattice)
 
 
-def outer_boundary(region: Region | Iterable[Site], lattice: LatticeSpec) -> Region:
+def outer_boundary(region: Region, lattice: LatticeSpec) -> Region:
     """Sites outside the region adjacent to some site of it."""
-    inside = region.sites if isinstance(region, Region) else frozenset(region)
-    offsets = lattice.neighbor_offsets()
-    out = set()
-    for s in inside:
-        for off in offsets:
-            w = tuple(a + b for a, b in zip(s, off))
-            if w not in inside:
-                out.add(w)
-    return Region(frozenset(out))
+    if region.d != lattice.d:
+        raise ValueError(f"region dimension {region.d} != lattice dimension {lattice.d}")
+    return Region(tuple(o - 1 for o in region.origin), ring(np.pad(region.mask, 1), lattice))
 
 
 def linf_distance(u: Site, v: Site) -> int:
@@ -165,14 +216,12 @@ def linf_distance(u: Site, v: Site) -> int:
     return max(abs(a - b) for a, b in zip(u, v))
 
 
-@lru_cache(maxsize=256)
 def box_with_boundary(lattice: LatticeSpec, n: int, center: Site | None = None) -> Region:
     """The box of radius ``n`` together with its outer boundary.
 
     This is the standard carrier for experiments that look at arms from inside
-    the box to its boundary.  Cached: carriers are reused heavily.
+    the box to its boundary.
     """
-    c = center if center is not None else (0,) * lattice.d
-    box = box_sites(c, n)
-    ring = outer_boundary(box, lattice)
-    return Region(box.sites | ring.sites)
+    box = box_sites(center if center is not None else (0,) * lattice.d, n)
+    mask = np.pad(box.mask, 1)
+    return Region(tuple(c - 1 for c in box.origin), mask | ring(mask, lattice))

@@ -49,7 +49,7 @@ from .estimators import (
     family_seed,
     mean_estimate,
 )
-from .lattice import LatticeSpec, Site, rect_region
+from .lattice import LatticeSpec, Site, box_with_boundary, rect_region
 from .parallel import run_counters, shifted
 from .sampler import Config, derive_stream, open_cells_batch
 
@@ -149,14 +149,14 @@ def _event_indicators(lattice: LatticeSpec, raster, batch, spec: EventSpec) -> n
 def _fkg_counts(task, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Per replica: the indicators of the two events."""
     lattice, p, ev_a, ev_b, fam = task
-    radius = max(ev_a.required_radius(), ev_b.required_radius())
-    raster, carrier = grid.carrier_raster(lattice, radius)
+    carrier = box_with_boundary(lattice, max(ev_a.required_radius(), ev_b.required_radius()))
+    raster = grid.BoxRaster(lattice, carrier)
     ia = np.zeros(stop - start, dtype=bool)
     ib = np.zeros(stop - start, dtype=bool)
-    bsize = _batch_size(carrier.size)
+    bsize = _batch_size(carrier.mask.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        batch = open_cells_batch(lattice, carrier, p, seeds)
+        batch = open_cells_batch(lattice, carrier.mask, p, seeds)
         ia[lo - start : hi - start] = _event_indicators(lattice, raster, batch, ev_a)
         ib[lo - start : hi - start] = _event_indicators(lattice, raster, batch, ev_b)
     return ia, ib
@@ -282,7 +282,7 @@ def dn_event(config: Config, n: int, u: int) -> bool:
 
     for corner, widths, axis in _dn_rects(n, u, config.lattice.d):
         rect = rect_region(corner, widths)
-        if not rect.sites <= config.region.sites:
+        if not rect <= config.region:
             raise ValueError("carrier too small for the construction rectangles")
         ok = horizontal_crossing(config, rect) if axis == 0 else vertical_crossing(config, rect)
         if not ok:
@@ -357,15 +357,16 @@ def gluing_check(config: Config, n: int, u: int) -> GluingOutcome:
 def _dn_counts(task, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per attempt: D(n, u) holds, and (only where it holds) each of the two violations."""
     lattice, p, n, u, fam = task
-    raster, carrier = grid.carrier_raster(lattice, 2 * n)
+    carrier = box_with_boundary(lattice, 2 * n)
+    raster = grid.BoxRaster(lattice, carrier)
     rects = _dn_rects(n, u, lattice.d)
     d = np.zeros(stop - start, dtype=bool)
     viol_i = np.zeros(stop - start, dtype=bool)
     viol_ii = np.zeros(stop - start, dtype=bool)
-    bsize = _batch_size(carrier.size)
+    bsize = _batch_size(carrier.mask.size)
     for lo, hi in _batch_ranges(start, stop, bsize):
         seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        batch = open_cells_batch(lattice, carrier, p, seeds)
+        batch = open_cells_batch(lattice, carrier.mask, p, seeds)
         alive = np.arange(hi - lo)  # survivors so far; only their crops are copied
         for corner, widths, axis in rects:
             if alive.size == 0:

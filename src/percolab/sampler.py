@@ -88,16 +88,22 @@ def element_bits(p: float, count: int, seed: int) -> np.ndarray:
 class Config:
     """One sampled (or hand-built) configuration over a finite carrier.
 
-    ``cells`` is the open-cell grid of the configuration (see the module doc).
+    ``cells`` is the open-cell grid over the raster of ``region`` (see the module doc).
     """
 
     lattice: LatticeSpec
     region: Region
     p: float
     seed: int | None
-    raster: BoxRaster = field(repr=False)
-    carrier_mask: np.ndarray = field(repr=False)
     cells: np.ndarray = field(repr=False)
+
+    @property
+    def raster(self) -> BoxRaster:
+        return BoxRaster(self.lattice, self.region)
+
+    @property
+    def carrier_mask(self) -> np.ndarray:
+        return self.region.mask
 
     @property
     def site_mode(self) -> bool:
@@ -114,7 +120,7 @@ class Config:
         return None if self.site_mode else grid.edge_arrays(self.cells, self.lattice.d)
 
     def _element_mask(self) -> np.ndarray:
-        return grid.element_grid(self.lattice, grid.cell_mask(self.lattice, self.carrier_mask))
+        return grid.element_grid(self.lattice, grid.cell_mask(self.lattice, self.region.mask))
 
     def n_elements(self) -> int:
         return int(self._element_mask().sum())
@@ -137,31 +143,20 @@ class Config:
         }
 
 
-def _raster_for_region(lattice: LatticeSpec, region: Region) -> tuple[BoxRaster, np.ndarray]:
-    lo, hi = region.bounds()
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    raster = BoxRaster(lattice, lo, shape)
-    return raster, raster.mask_of_region(region)
-
-
 def sample_config(lattice: LatticeSpec, region: Region, p: float, seed: int) -> Config:
     """Product-measure sample: each element open independently with probability p."""
-    raster, mask = _raster_for_region(lattice, region)
-    cells = open_cells_batch(lattice, mask, p, [seed])[0]
-    return Config(lattice, region, p, seed, raster, mask, cells)
+    cells = open_cells_batch(lattice, region.mask, p, [seed])[0]
+    return Config(lattice, region, p, seed, cells)
 
 
 def config_from_sites(lattice: LatticeSpec, region: Region, open_sites: Sequence[Site]) -> Config:
     """Hand-built site-mode configuration (for tests and fixtures)."""
     if not lattice.site_mode:
         raise ValueError("config_from_sites requires a site-percolation lattice")
-    raster, mask = _raster_for_region(lattice, region)
-    open_ = np.zeros(raster.shape, dtype=bool)
-    for s in open_sites:
-        if s not in region:
-            raise ValueError(f"open site {s} outside region")
-        open_[raster.index(s)] = True
-    return Config(lattice, region, float("nan"), None, raster, mask, open_)
+    opened = Region.from_sites(open_sites, lattice.d)
+    if not opened <= region:
+        raise ValueError("open sites outside region")
+    return Config(lattice, region, float("nan"), None, opened.mask_in(region.origin, region.shape))
 
 
 def config_from_edges(
@@ -170,16 +165,16 @@ def config_from_edges(
     """Hand-built bond-mode configuration (for tests and fixtures)."""
     if lattice.site_mode:
         raise ValueError("config_from_edges requires a bond-percolation lattice")
-    raster, mask = _raster_for_region(lattice, region)
-    cells = np.zeros(grid.cell_shape(lattice, raster.shape), dtype=bool)
-    cells[grid.vertex_cells(lattice)] = mask
+    raster = BoxRaster(lattice, region)
+    cells = np.zeros(grid.cell_shape(lattice, region.shape), dtype=bool)
+    cells[grid.vertex_cells(lattice)] = region.mask
     for u, v in open_edges:
         if sum(abs(b - a) for a, b in zip(u, v)) != 1:
             raise ValueError(f"not a lattice edge: {u}-{v}")
         if u not in region or v not in region:
             raise ValueError(f"edge {u}-{v} outside region")
         cells[tuple(a + b for a, b in zip(raster.index(u), raster.index(v)))] = True
-    return Config(lattice, region, float("nan"), None, raster, mask, cells)
+    return Config(lattice, region, float("nan"), None, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -541,16 +541,13 @@ def _canonical_partition(labels: np.ndarray) -> np.ndarray:
 
 def _bfs_labels(config: Config, region: Region) -> np.ndarray:
     """Independent flood-fill labeling used as the criterion-13 oracle."""
-    lattice = config.lattice
-    raster = config.raster
-    offsets = lattice.neighbor_offsets()
-    shape = raster.shape
+    offsets = config.lattice.neighbor_offsets()
+    site_mode = config.lattice.site_mode
+    edge_open = config.edge_open
+    shape = config.region.shape
     lab = np.zeros(shape, dtype=np.int32)
-    in_region = raster.mask_of_region(region)
-    if lattice.site_mode:
-        participe = config.site_open & in_region
-    else:
-        participe = in_region.copy()
+    in_region = region.mask_in(config.region.origin, shape)
+    participe = config.site_open & in_region if site_mode else in_region
     next_label = 0
     idxs = np.argwhere(participe)
     for x, y in idxs.tolist():
@@ -567,12 +564,12 @@ def _bfs_labels(config: Config, region: Region) -> np.ndarray:
                     continue
                 if not participe[nx, ny] or lab[nx, ny]:
                     continue
-                if not lattice.site_mode:
+                if not site_mode:
                     if ox + oy < 0:
                         ex, ey, axis = nx, ny, (0 if ox else 1)
                     else:
                         ex, ey, axis = cx, cy, (0 if ox else 1)
-                    if not config.edge_open[axis][ex, ey]:
+                    if not edge_open[axis][ex, ey]:
                         continue
                 lab[nx, ny] = next_label
                 stack.append((nx, ny))

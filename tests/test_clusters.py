@@ -216,7 +216,11 @@ def test_crossing_trivial_and_line():
 def test_crossing_requires_rectangle():
     cfg = tri_config(3, 1.0, 1, radius=3)
     with pytest.raises(ValueError):
-        clusters.horizontal_crossing(cfg, box_sites((0, 0), 1))
+        clusters.horizontal_crossing(cfg, Region.from_sites({(0, 0), (1, 1)}))
+    # a box is the full-mask rectangle with the same origin and shape
+    box, rect = box_sites((0, 0), 1), rect_region((-1, -1), (2, 2))
+    assert box == rect
+    assert clusters.horizontal_crossing(cfg, box) == clusters.horizontal_crossing(cfg, rect)
 
 
 def test_crossing_transpose_equivariance():
@@ -279,16 +283,16 @@ def test_bond_crop_3d_ignores_edges_leaving_it():
 def test_connected_in():
     region = box_sites((0, 0), 4)
     cfg = config_from_sites(TRIANGULAR, region, [(0, 0), (1, 0), (2, 0)])
-    a = Region(frozenset({(0, 0)}))
-    b = Region(frozenset({(2, 0)}))
+    a = Region.from_sites({(0, 0)})
+    b = Region.from_sites({(2, 0)})
     s_full = box_sites((0, 0), 3)
     assert clusters.connected_in(cfg, s_full, a, b)
     # restrict S to exclude the connector
-    s_cut = Region(frozenset(s_full.sites - {(1, 0)}))
+    s_cut = Region.from_sites(s_full.sites - {(1, 0)})
     assert not clusters.connected_in(cfg, s_cut, a, b)
     # shared open site counts as a zero-length path
-    shared = Region(frozenset({(0, 0)}))
-    assert clusters.connected_in(cfg, s_full, shared, Region(frozenset({(0, 0), (2, 2)})))
+    shared = Region.from_sites({(0, 0)})
+    assert clusters.connected_in(cfg, s_full, shared, Region.from_sites({(0, 0), (2, 2)}))
 
 
 def test_connected_in_matches_restricted_bfs():
@@ -312,9 +316,7 @@ def test_monotonicity_under_opening():
         pick = closed[rng.integers(0, len(closed), size=min(30, len(closed)))]
         more = cfg.site_open.copy()
         more[tuple(pick.T)] = True
-        cfg2 = Config(
-            cfg.lattice, cfg.region, cfg.p, None, cfg.raster, cfg.carrier_mask, cells=more
-        )
+        cfg2 = Config(cfg.lattice, cfg.region, cfg.p, None, cells=more)
         assert len(clusters.long_arm_set(cfg2, n)) >= len(clusters.long_arm_set(cfg, n))
         l1 = clusters.label_clusters(cfg, box_sites((0, 0), n))
         l2 = clusters.label_clusters(cfg2, box_sites((0, 0), n))
@@ -328,5 +330,5 @@ def test_sizes_partition_participating_sites():
     region = box_sites((0, 0), 6)
     cfg = sample_config(TRIANGULAR, region, 0.5, 123)
     labels = clusters.label_clusters(cfg, region)
-    assert int(labels.sizes.sum()) == int((cfg.site_open & cfg.raster.mask_of_region(region)).sum())
+    assert int(labels.sizes.sum()) == int((cfg.site_open & region.mask_in(cfg.region.origin, cfg.region.shape)).sum())
     assert all(a >= b for a, b in zip(labels.sizes, labels.sizes[1:]))

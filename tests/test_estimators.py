@@ -94,9 +94,10 @@ ARM_PAIRS = tuple((m, n) for n in range(2, ARM_N + 1) for m in range(1, n))
 
 def confined_arm_events(lattice, p, fam, samples) -> dict:
     """Oracle: per replica, label box(n) plus its boundary alone for each row (m, n)."""
-    raster, carrier = grid.carrier_raster(lattice, ARM_N)
+    carrier = box_with_boundary(lattice, ARM_N)
+    raster = grid.BoxRaster(lattice, carrier)
     seeds = [derive_stream(fam, i) for i in range(samples)]
-    batch = open_cells_batch(lattice, carrier, p, seeds)
+    batch = open_cells_batch(lattice, carrier.mask, p, seeds)
     center = (0,) * lattice.d
     out = {}
     for n in range(2, ARM_N + 1):

@@ -140,15 +140,16 @@ TAIL_FILES = {
 }
 
 
-def tail_distribution_run(tmp_path, lattice: str) -> dict:
+def tail_distribution_run(tmp_path, lattice: str, sizes=(3, 4)) -> dict:
     """Run `tail` with `distribution: true`; {file name: (sha256, size)}."""
+    tmp_path.mkdir(exist_ok=True)
     spec = tmp_path / "spec.yaml"
     doc = {
         "master_seed": 17,
         "lattice": lattice,
         "samples": 120,
         "workers": 1,
-        "sizes": [3, 4],
+        "sizes": list(sizes),
         "u_grid": [1.0, 2.0],
         "tail": {"distribution": True},
     }
@@ -164,6 +165,23 @@ def tail_distribution_run(tmp_path, lattice: str) -> dict:
 @pytest.mark.parametrize("lattice", sorted(TAIL_FILES))
 def test_tail_distribution_bytes_pinned(tmp_path, lattice):
     assert tail_distribution_run(tmp_path, lattice) == TAIL_FILES[lattice]
+
+
+def test_tail_distribution_samples_each_family_once(tmp_path, monkeypatch):
+    # one worker: each V_n run_counters call runs the kernel once
+    scales = []
+    kernel = E._vn_counts
+
+    def spy(task, start, stop):
+        scales.append(task[2])
+        return kernel(task, start, stop)
+
+    monkeypatch.setattr(E, "_vn_counts", spy)
+    tail_distribution_run(tmp_path / "a", "triangular_site", sizes=(6,))
+    assert scales == [6]
+    scales.clear()
+    assert tail_distribution_run(tmp_path / "b", "triangular_site") == TAIL_FILES["triangular_site"]
+    assert scales == [3, 4]
 
 
 EVENTS = (

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,7 +59,7 @@ def test_boundary_z2_box1():
 
 
 def test_boundary_triangular_point():
-    ob = outer_boundary(Region(frozenset({(0, 0)})), TRIANGULAR)
+    ob = outer_boundary(Region.from_sites({(0, 0)}), TRIANGULAR)
     assert ob.sites == {(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)}
 
 
@@ -91,6 +92,8 @@ def test_neighbors_triangular():
 def test_neighbors_dimension_mismatch():
     with pytest.raises(ValueError):
         neighbors((2, 5), Z3_BOND)
+    with pytest.raises(ValueError):
+        outer_boundary(box_sites((0, 0, 0), 1), TRIANGULAR)
 
 
 def test_linf_examples():
@@ -141,31 +144,64 @@ def test_lattice_spec_validation():
 
 def test_region_empty_needs_dim():
     with pytest.raises(ValueError):
-        Region(frozenset())
-    r = Region(frozenset(), dim=2)
+        Region.from_sites(frozenset())
+    r = Region.from_sites(frozenset(), dim=2)
     assert len(r) == 0 and r.d == 2
 
 
 def test_region_mixed_dimension_rejected():
     with pytest.raises(ValueError):
-        Region(frozenset({(0, 0), (1, 2, 3)}))
+        Region.from_sites({(0, 0), (1, 2, 3)})
 
 
 def test_rect_region():
     r = rect_region((1, 2), (2, 1))
     assert len(r) == 6
-    assert r.origin == (1, 2) and r.extent == (2, 1)
+    assert r.origin == (1, 2) and r.shape == (3, 2)
     lo, hi = r.bounds()
     assert lo == (1, 2) and hi == (3, 3)
 
 
 def test_region_json_sorted():
-    r = Region(frozenset({(1, 0), (0, 1)}))
+    r = Region.from_sites({(1, 0), (0, 1)})
     assert r.to_json() == [[0, 1], [1, 0]]
 
 
-def test_box_with_boundary_cached_and_complete():
+def test_box_with_boundary_complete():
     r1 = box_with_boundary(TRIANGULAR, 3)
-    r2 = box_with_boundary(TRIANGULAR, 3)
-    assert r1 is r2
     assert box_sites((0, 0), 3).sites <= r1.sites
+
+
+def test_region_is_a_trimmed_read_only_value():
+    mask = np.zeros((4, 5), dtype=bool)
+    mask[1, 2] = mask[2, 3] = True
+    r = Region((10, 20), mask)
+    assert r.origin == (11, 22) and r.shape == (2, 2)
+    same = Region.from_sites({(12, 23), (11, 22)})
+    assert r == same and hash(r) == hash(same) and r != box_sites((11, 22), 0)
+    assert not r.mask.flags.writeable
+    mask[0, 0] = True  # the region holds its own copy
+    assert len(r) == 2 and list(r) == [(11, 22), (12, 23)]
+    assert (12, 23) in r and (11, 23) not in r and (0, 0) not in r and (11, 22, 0) not in r
+    assert r <= box_sites((11, 22), 1) and not box_sites((11, 22), 1) <= r
+    assert r.mask_in((10, 20), (4, 5)).sum() == 2 and r.mask_in((10, 20), (4, 5))[2, 3]
+    with pytest.raises(ValueError):
+        r.mask_in((12, 22), (3, 3))
+    empty = Region((5, 5), np.zeros((2, 2), dtype=bool))
+    assert empty == Region.from_sites((), dim=2) and empty <= r and len(empty) == 0
+
+
+@given(st.frozensets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=30),
+       st.sampled_from([TRIANGULAR, Z2_BOND]))
+@settings(max_examples=60)
+def test_region_matches_site_sets(sites, lattice):
+    # plain Python sets as the reference: sites, JSON order, subsets, boundary
+    r = Region.from_sites(sites, dim=2)
+    assert r.sites == sites and len(r) == len(sites)
+    assert r.to_json() == sorted(list(s) for s in sites)
+    box = box_sites((0, 0), 3)
+    assert (r <= box) == (sites <= box.sites)
+    brute = {
+        (x + dx, y + dy) for x, y in sites for dx, dy in lattice.neighbor_offsets()
+    } - sites
+    assert outer_boundary(r, lattice).sites == brute

@@ -7,9 +7,9 @@ import pytest
 
 from percolab import lowerbound as L
 from percolab.bounds import BoundParams
-from percolab.estimators import PiRow, PiTable, vn_sample
+from percolab.estimators import TAG_DN, PiRow, PiTable, family_seed, vn_sample
 from percolab.lattice import TRIANGULAR, box_with_boundary
-from percolab.sampler import Config, config_from_sites, sample_config
+from percolab.sampler import Config, config_from_sites, derive_stream, sample_config
 
 
 def tri_config(radius, p, seed):
@@ -102,12 +102,28 @@ def test_dn_event_monotone_under_opening():
         more = cfg.site_open | (
             rng.random(cfg.site_open.shape) < 0.05
         ) & cfg.carrier_mask
-        cfg2 = Config(
-            cfg.lattice, cfg.region, cfg.p, None, cfg.raster, cfg.carrier_mask, cells=more
-        )
+        cfg2 = Config(cfg.lattice, cfg.region, cfg.p, None, cells=more)
         after = L.dn_event(cfg2, 8, 2)
         if before:
             assert after
+
+
+def test_dn_kernel_matches_single_config_api():
+    # the batch kernel and dn_event/gluing_check read the same replicas
+    fam = family_seed(5, TAG_DN, 8, 2)
+    d, viol_i, viol_ii = L._dn_counts((TRIANGULAR, 0.6, 8, 2, fam), 0, 40)
+    assert d.sum() > 0
+    carrier = box_with_boundary(TRIANGULAR, 16)
+    for i in range(40):
+        cfg = sample_config(TRIANGULAR, carrier, 0.6, derive_stream(fam, i))
+        assert L.dn_event(cfg, 8, 2) == d[i]
+        if not d[i]:
+            expected = L.GluingOutcome.NOT_APPLICABLE
+        elif viol_i[i] or viol_ii[i]:
+            expected = L.GluingOutcome.VIOLATED
+        else:
+            expected = L.GluingOutcome.HOLDS
+        assert L.gluing_check(cfg, 8, 2) is expected
 
 
 def test_gluing_check_trivial():

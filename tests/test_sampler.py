@@ -175,8 +175,8 @@ def _reference_masks(lattice):
     rng = np.random.default_rng(2024 + lattice.d + lattice.site_mode)
     small = (7, 9) if lattice.d == 2 else (4, 5, 3)
     masks = [
-        grid.carrier_raster(lattice, 1)[1],
-        grid.carrier_raster(lattice, 3 if lattice.d == 2 else 2)[1],
+        box_with_boundary(lattice, 1).mask,
+        box_with_boundary(lattice, 3 if lattice.d == 2 else 2).mask,
         np.ones(small, dtype=bool),
         np.ones((1,) * lattice.d, dtype=bool),
     ]

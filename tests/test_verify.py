@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from percolab import verify
 from percolab.verify import QUICK, VerifyContext, run_criterion
 
 SEED = 7
@@ -30,3 +33,9 @@ def test_family_cache_is_order_free(table):
         8: QUICK.constant_samples,
         12: QUICK.tail_samples,
     }
+
+
+def test_bfs_oracle_is_independent():
+    # criterion 13 compares the labeling kernel with this flood fill
+    source = inspect.getsource(verify._bfs_labels)
+    assert "ndimage" not in source and "grid." not in source
