@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from oracles import exact_connect_probability, site_components
@@ -23,7 +24,15 @@ from percolab.estimators import (
     vn_statistics,
     vn_tail,
 )
-from percolab.lattice import TRIANGULAR, Z2_BOND, box_sites, box_with_boundary, outer_boundary
+from percolab.lattice import (
+    TRIANGULAR,
+    Z2_BOND,
+    LatticeKind,
+    LatticeSpec,
+    box_sites,
+    box_with_boundary,
+    outer_boundary,
+)
 from percolab.sampler import derive_stream, open_cells_batch
 
 TRI_OFF = TRIANGULAR.neighbor_offsets()
@@ -123,6 +132,48 @@ def test_one_labeling_rows_match_confined_oracle(lattice, p):
     assert {k: r.successes for k, r in table.rows.items()} == {
         k: int(v.sum()) for k, v in want.items()
     }
+
+
+# (lattice, p, carrier radius R): every confinement radius r < R is checked
+INVARIANCE = {
+    "tri": (TRIANGULAR, 0.5, 10),
+    "z2bond": (Z2_BOND, 0.5, 10),
+    "z3bond": (LatticeSpec(LatticeKind.Z_BOND, 3), 0.2, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANCE))
+def test_arm_and_vn_need_no_confinement(name):
+    # a path leaving box(r) crosses its boundary first, so the arm rows (m, r) and
+    # V_{r/2} read off the whole carrier equal the ones confined to box(r) plus boundary
+    lattice, p, R = INVARIANCE[name]
+    carrier = box_with_boundary(lattice, R)
+    raster = grid.BoxRaster(lattice, carrier)
+    seeds = [derive_stream(E.family_seed(1618, E.TAG_FKG), i) for i in range(40)]
+    batch = open_cells_batch(lattice, carrier.mask, p, seeds)
+    whole = grid.label_sites_batch(batch, lattice)
+    center = (0,) * lattice.d
+    arms, merged = set(), 0
+    for r in range(2, R):
+        outer = raster.boundary_mask(center, r)
+        confined = grid.label_sites_batch(
+            batch & grid.cell_mask(lattice, raster.box_mask(center, r) | outer), lattice
+        )
+        # ring clusters joined only by paths outside: the cases confinement could change
+        merged += sum(
+            np.unique(w).size < np.unique(c).size
+            for w, c in zip(whole[:, outer], confined[:, outer])
+        )
+        for m in range(1, r):
+            inner = raster.boundary_mask(center, m)
+            want = grid.connect_through(confined, inner, outer)
+            assert grid.connect_through(whole, inner, outer).tolist() == want.tolist(), (m, r)
+            arms.update(want.tolist())
+        if r % 2 == 0:
+            box = raster.box_mask(center, r // 2)
+            want = grid.count_connected_to(confined, outer, box)
+            assert grid.count_connected_to(whole, outer, box).tolist() == want.tolist(), r
+    assert arms == {False, True} and merged > 0
 
 
 def test_pi_table_outer_rows_match_estimate_pi():

@@ -311,6 +311,29 @@ def test_kernel_counters_pinned(name):
     assert _counters(name) == COUNTERS[name]
 
 
+# events on a carrier larger than their own box: the crossing's radius-7 box
+# carries arm(1, 6), and c1_ge(n=6) carries vn_ge(n=2), whose box is radius 4
+WIDE_CARRIER_PAIRS = (
+    (L.EventSpec("arm", m=1, n=6), L.EventSpec("h_crossing", corner=(-7, -7), widths=(14, 14))),
+    (L.EventSpec("vn_ge", n=2, threshold=10.0), L.EventSpec("c1_ge", n=6, threshold=40.0)),
+)
+# per lattice: p, then (joint, marginal a, marginal b) successes of each pair
+WIDE_CARRIER_FKG = {
+    "TRIANGULAR": (0.45, [(46, 184, 48), (62, 122, 73)]),
+    "Z2_BOND": (0.42, [(18, 168, 18), (97, 155, 106)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_CARRIER_FKG))
+def test_fkg_counts_on_wide_carriers_pinned(name):
+    p, want = WIDE_CARRIER_FKG[name]
+    got = []
+    for a, b in WIDE_CARRIER_PAIRS:
+        res = L.fkg_check(LATTICES[name], p, a, b, 200, 29)
+        got.append((res.joint.successes, res.marginal_a.successes, res.marginal_b.successes))
+    assert got == want
+
+
 # (sup, argmax) of the constant sweeps, compared with ==: the same integers
 # and the same float expressions must give the same bits
 SWEEP_KMAX = (2, 3, 4, 5, 16, 17, 64, 65, 400, 10000)
