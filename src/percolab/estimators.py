@@ -19,16 +19,25 @@ once, in the parent, by one function here (threshold counts, exact binomial
 sums, the histogram).  Replica ``i`` of a family is the same configuration in
 every call, so a sample of the first k replicas is a prefix of any larger one.
 
-Carriers
---------
-Arm estimation samples and labels the box of radius N plus its boundary once
-per replica.  Row (m, n) reads the event "some cluster touches the boundary
-of box(m) and the boundary of box(n)".  It is the confined event of
-``clusters.arm_event``: a path from the boundary of box(m) meets the boundary
-of box(n) before it can leave box(n), so its first stretch already lies in
-box(n) plus its boundary.  Long-arm/cluster statistics at scale n
-sample the box of radius 2n plus its boundary, where both the largest-cluster
-and long-arm observables are defined.
+One kernel: carriers and observables
+------------------------------------
+Every estimate but D(n, u) (which shares its batch loop) runs one kernel,
+``_observe``, on the task ``(lattice, p, carrier, observables, fam)``: it samples
+replicas of ``fam`` on the carrier and returns a per-replica array per observable:
+
+* ``("arm", pairs)``: (B, rows) bool; row (m, n) is "some cluster touches
+  the boundaries of box(m) and box(n)", the confined ``clusters.arm_event``;
+* ``("vn", n)``: int64 V_n, the sites of box(n) joined to the boundary of box(2n);
+* ``("c1", n)``: int64 C_1, the largest cluster of box(n), paths inside box(n);
+* ``("crossing", corner, widths, axis)``: bool, the rectangle is crossed inside.
+
+C_1 and crossings label their crops; arm rows and V_n read one labeling of
+the whole carrier and need no confinement.  A path from inside box(r) meets
+the boundary of box(r) before it can leave box(r), so its first stretch lies
+in box(r) plus boundary, and every carrier containing that set gives the same
+values.  An arm table thus labels box(N) plus boundary once for all its rows;
+V_n/C_1 at n sample box(2n) plus boundary, a crossing its rectangle, and the
+two events of an FKG check the box of the larger one plus boundary.
 """
 
 from __future__ import annotations
@@ -36,12 +45,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import grid
-from .lattice import LatticeKind, LatticeSpec, box_with_boundary
+from .lattice import LatticeKind, LatticeSpec, box_with_boundary, rect_region
 from .parallel import run_counters, shifted
 from .sampler import derive_stream, open_cells_batch
 
@@ -80,11 +89,6 @@ def default_p(lattice: LatticeSpec) -> float:
 # Estimates and confidence machinery
 
 
-def wald_stderr(successes: int, samples: int) -> float:
-    p = successes / samples
-    return math.sqrt(p * (1 - p) / samples)
-
-
 def wilson_halfwidth(successes: int, samples: int, z: float = 1.0) -> float:
     """Half-width of the Wilson score interval (z = 1 gives a 1-sigma analogue)."""
     p = successes / samples
@@ -100,7 +104,6 @@ class Estimate:
     point: float
     stderr: float
     successes: int | None = None
-    ci_method: str = "wilson"
 
     def __post_init__(self) -> None:
         if self.successes is not None and not 0 <= self.successes <= self.samples:
@@ -109,23 +112,17 @@ class Estimate:
             raise ValueError("stderr must be >= 0")
 
 
-def event_estimate(successes: int, samples: int, ci_method: str = "wilson") -> Estimate:
+def event_estimate(successes: int, samples: int) -> Estimate:
+    """Success fraction with its Wilson score half-width."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    point = successes / samples
-    if ci_method == "wilson":
-        err = wilson_halfwidth(successes, samples)
-    elif ci_method == "wald":
-        err = wald_stderr(successes, samples)
-    else:
-        raise ValueError(f"unknown ci method {ci_method!r}")
-    return Estimate(samples, point, err, successes, ci_method)
+    return Estimate(samples, successes / samples, wilson_halfwidth(successes, samples), successes)
 
 
 def mean_estimate(total: int | float, total_sq: int | float, samples: int) -> Estimate:
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
-    return Estimate(samples, mean, math.sqrt(var / samples), None, "wald")
+    return Estimate(samples, mean, math.sqrt(var / samples))
 
 
 # ---------------------------------------------------------------------------
@@ -181,40 +178,20 @@ class PiTable:
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels (top level: picklable for worker processes)
+# The Monte Carlo kernel (top level: picklable for worker processes)
 
 
-def _batch_ranges(start: int, stop: int, size: int) -> Iterable[tuple[int, int]]:
-    for s in range(start, stop, size):
-        yield s, min(s + size, stop)
+def _replica_batches(
+    lattice: LatticeSpec, carrier_mask: np.ndarray, p: float, fam: int, start: int, stop: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(offset in [0, stop - start), open cells) of each batch of replicas [start, stop).
 
-
-def _batch_size(cells: int) -> int:
-    return max(4, min(256, 4_000_000 // max(cells, 1)))
-
-
-def _arm_counts(task, start: int, stop: int) -> np.ndarray:
-    """(replicas, rows) hits of the rows (m, n), read off one labeling of box(N) plus boundary."""
-    lattice, p, N, pairs, fam = task
-    carrier = box_with_boundary(lattice, N)
-    raster = grid.BoxRaster(lattice, carrier)
-    center = (0,) * lattice.d
-    radii = {r for pair in pairs for r in pair}
-    rings = {r: raster.boundary_mask(center, r) for r in radii}
-    on_rings = np.logical_or.reduce(list(rings.values()))
-    # ring r as a mask over the gathered ring sites
-    ring = {r: mask[on_rings] for r, mask in rings.items()}
-    out = np.zeros((stop - start, len(pairs)), dtype=bool)
-    bsize = _batch_size(carrier.mask.size)
-    for lo, hi in _batch_ranges(start, stop, bsize):
-        seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        # gather every ring once, so the raster labels are freed before the next batch
-        labels = grid.label_sites_batch(
-            open_cells_batch(lattice, carrier.mask, p, seeds), lattice
-        )[:, on_rings]
-        for j, (m, n) in enumerate(pairs):
-            out[lo - start : hi - start, j] = grid.connect_through(labels, ring[m], ring[n])
-    return out
+    A caller drops each batch before it asks for the next, so only one is alive.
+    """
+    size = max(4, min(256, 4_000_000 // max(carrier_mask.size, 1)))
+    for lo in range(start, stop, size):
+        seeds = [derive_stream(fam, i) for i in range(lo, min(lo + size, stop))]
+        yield lo - start, open_cells_batch(lattice, carrier_mask, p, seeds)
 
 
 def _crop_labels(
@@ -224,40 +201,52 @@ def _crop_labels(
     return grid.label_sites_batch(batch[(rows,) + grid.cell_slices(lattice, sl)], lattice)
 
 
-def _vn_counts(task, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per replica: the long-arm count V_n and the largest cluster C_1 of box(n)."""
-    lattice, p, n, fam = task
-    carrier = box_with_boundary(lattice, 2 * n)
-    raster = grid.BoxRaster(lattice, carrier)
+def _reader(lattice: LatticeSpec, raster: grid.BoxRaster, observable: tuple):
+    """(reads the carrier labels, per-batch reduction) of one observable; masks are built here."""
+    kind, *args = observable
     center = (0,) * lattice.d
-    ring = raster.boundary_mask(center, 2 * n)
-    inner = raster.box_mask(center, n)
-    box_sl = raster.box_slices(center, n)
-    vn = np.empty(stop - start, dtype=np.int64)
-    c1 = np.empty(stop - start, dtype=np.int64)
-    bsize = _batch_size(carrier.mask.size)
-    for lo, hi in _batch_ranges(start, stop, bsize):
-        seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        batch = open_cells_batch(lattice, carrier.mask, p, seeds)
-        rows = slice(lo - start, hi - start)
-        vn[rows] = grid.count_connected_to(grid.label_sites_batch(batch, lattice), ring, inner)
-        c1[rows] = grid.largest_count(_crop_labels(lattice, batch, box_sl))
-    return vn, c1
+    if kind == "arm":
+        (pairs,) = args
+        rings = {r: raster.boundary_mask(center, r) for r in {r for pair in pairs for r in pair}}
+        on_rings = np.logical_or.reduce(list(rings.values()))
+        ring = {r: mask[on_rings] for r, mask in rings.items()}  # over the gathered ring sites
+
+        def arm(labels):
+            gathered = labels[:, on_rings]
+            rows = [grid.connect_through(gathered, ring[m], ring[n]) for m, n in pairs]
+            return np.stack(rows, axis=1)
+
+        return True, arm
+    if kind == "vn":
+        outer, inner = raster.boundary_mask(center, 2 * args[0]), raster.box_mask(center, args[0])
+        return True, lambda labels: grid.count_connected_to(labels, outer, inner)
+    if kind == "c1":
+        box = raster.box_slices(center, args[0])
+        return False, lambda batch: grid.largest_count(_crop_labels(lattice, batch, box))
+    corner, widths, axis = args  # "crossing"
+    rect = raster.rect_slices(corner, widths)
+    return False, lambda batch: grid.crossing(_crop_labels(lattice, batch, rect), axis)
 
 
-def _crossing_counts(task, start: int, stop: int) -> np.ndarray:
-    """Per replica: the rectangle [0,w0]x[0,w1] is crossed along ``axis``."""
-    lattice, p, widths, axis, fam = task
-    shape = tuple(w + 1 for w in widths)
-    mask = np.ones(shape, dtype=bool)
-    crop = tuple(slice(0, s) for s in shape)
-    hits = np.zeros(stop - start, dtype=bool)
-    bsize = _batch_size(mask.size)
-    for lo, hi in _batch_ranges(start, stop, bsize):
-        seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        labels = _crop_labels(lattice, open_cells_batch(lattice, mask, p, seeds), crop)
-        hits[lo - start : hi - start] = grid.crossing(labels, axis)
-    return hits
+def _observe(task, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """One per-replica array per observable, all read off the same replicas of the carrier."""
+    lattice, p, carrier, observables, fam = task
+    raster = grid.BoxRaster(lattice, carrier)
+    readers = [_reader(lattice, raster, obs) for obs in observables]
+    parts = [[] for _ in readers]
+    on_labels = any(whole for whole, _ in readers)
+    for _, batch in _replica_batches(lattice, carrier.mask, p, fam, start, stop):
+        # crops first, so no crop is labeled while the carrier labels are alive
+        for (whole, read), part in zip(readers, parts):
+            if not whole:
+                part.append(read(batch))
+        labels = grid.label_sites_batch(batch, lattice) if on_labels else None
+        del batch
+        for (whole, read), part in zip(readers, parts):
+            if whole:
+                part.append(read(labels))
+        del labels  # freed before the next batch is sampled
+    return tuple(np.concatenate(part) for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +330,12 @@ def vn_sample(
     workers: int = 1,
     start: int = 0,
 ) -> VnSample:
-    """Replicas [start, start + samples) of the V_n family at scale n."""
+    """Replicas [start, start + samples) of the V_n family at scale n, on box(2n) plus boundary."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    task = (lattice, p, n, family_seed(master_seed, TAG_VN, n))
-    vn, c1 = run_counters(shifted(partial(_vn_counts, task), start), samples, workers)
+    carrier = box_with_boundary(lattice, 2 * n)
+    task = (lattice, p, carrier, (("vn", n), ("c1", n)), family_seed(master_seed, TAG_VN, n))
+    vn, c1 = run_counters(shifted(partial(_observe, task), start), samples, workers)
     return VnSample(lattice, n, vn, c1)
 
 
@@ -380,8 +370,9 @@ def estimate_crossing(
     if lattice.d != 2:
         raise ValueError("crossing estimation is two-dimensional")
     fam = family_seed(master_seed, seed_tag, widths[0], widths[1], axis)
-    task = (lattice, p, tuple(widths), axis, fam)
-    hits = run_counters(partial(_crossing_counts, task), samples, workers)
+    corner = (0, 0)
+    task = (lattice, p, rect_region(corner, widths), (("crossing", corner, widths, axis),), fam)
+    (hits,) = run_counters(partial(_observe, task), samples, workers)
     return event_estimate(int(hits.sum()), samples)
 
 
@@ -406,8 +397,8 @@ def estimate_pi(
     if m == n:
         return Estimate(samples, 1.0, 0.0, samples)
     fam = family_seed(master_seed, TAG_PI, n)
-    task = (lattice, p, n, ((m, n),), fam)
-    hits = run_counters(partial(_arm_counts, task), samples, workers)
+    task = (lattice, p, box_with_boundary(lattice, n), (("arm", ((m, n),)),), fam)
+    (hits,) = run_counters(partial(_observe, task), samples, workers)
     return event_estimate(int(hits.sum()), samples)
 
 
@@ -435,11 +426,12 @@ def build_pi_table(
     if not pairs:
         return table
     N = pairs[-1][1]
-    task = (lattice, p, N, pairs, family_seed(master_seed, TAG_PI, N))
-    successes = run_counters(partial(_arm_counts, task), samples, workers).sum(axis=0)
-    for (m, n), hits in zip(pairs, successes.tolist()):
-        est = event_estimate(hits, samples)
-        table.add(PiRow(m, n, samples, hits, est.point, est.stderr))
+    fam = family_seed(master_seed, TAG_PI, N)
+    task = (lattice, p, box_with_boundary(lattice, N), (("arm", pairs),), fam)
+    (hits,) = run_counters(partial(_observe, task), samples, workers)
+    for (m, n), successes in zip(pairs, hits.sum(axis=0).tolist()):
+        est = event_estimate(successes, samples)
+        table.add(PiRow(m, n, samples, successes, est.point, est.stderr))
     return table
 
 

@@ -39,9 +39,9 @@ from .estimators import (
     Estimate,
     PiTable,
     VnSample,
-    _batch_ranges,
-    _batch_size,
     _crop_labels,
+    _observe,
+    _replica_batches,
     binomial_sums,
     count_at_least,
     estimate_crossing,
@@ -51,7 +51,7 @@ from .estimators import (
 )
 from .lattice import LatticeSpec, Site, box_with_boundary, rect_region
 from .parallel import run_counters, shifted
-from .sampler import Config, derive_stream, open_cells_batch
+from .sampler import Config
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,13 @@ _EVENT_KINDS = ("h_crossing", "v_crossing", "arm", "vn_ge", "c1_ge")
 
 @dataclass(frozen=True)
 class EventSpec:
-    """An increasing event from the certified catalog."""
+    """An increasing event from the certified catalog, read off one kernel observable.
+
+    A crossing is the ``crossing`` observable of its rectangle; ``arm`` is the
+    arm row (m, n); ``vn_ge`` and ``c1_ge`` compare the ``vn`` and ``c1``
+    counts at n with ``threshold``.  Events of a pair share one carrier, the
+    box of the larger ``required_radius`` plus its boundary.
+    """
 
     kind: str
     corner: Site | None = None
@@ -126,40 +132,19 @@ class EventSpec:
             return 2 * self.n
         return self.n
 
+    def observable(self) -> tuple:
+        """The kernel observable whose per-replica values decide the event."""
+        if self.kind in ("h_crossing", "v_crossing"):
+            return ("crossing", self.corner, self.widths, 0 if self.kind == "h_crossing" else 1)
+        if self.kind == "arm":
+            return ("arm", ((self.m, self.n),))
+        return ("vn" if self.kind == "vn_ge" else "c1", self.n)
 
-def _event_indicators(lattice: LatticeSpec, raster, batch, spec: EventSpec) -> np.ndarray:
-    center = (0,) * lattice.d
-    if spec.kind in ("h_crossing", "v_crossing"):
-        labels = _crop_labels(lattice, batch, raster.rect_slices(spec.corner, spec.widths))
-        return grid.crossing(labels, 0 if spec.kind == "h_crossing" else 1)
-    if spec.kind == "c1_ge":
-        labels = _crop_labels(lattice, batch, raster.box_slices(center, spec.n))
-        return grid.largest_count(labels) >= spec.threshold
-    # arm and vn_ge: paths confined to a box plus its outer boundary
-    radius = spec.n if spec.kind == "arm" else 2 * spec.n
-    outer = raster.boundary_mask(center, radius)
-    mask = grid.cell_mask(lattice, raster.box_mask(center, radius) | outer)
-    labels = grid.label_sites_batch(batch & mask, lattice)
-    if spec.kind == "arm":
-        return grid.connect_through(labels, raster.boundary_mask(center, spec.m), outer)
-    vn = grid.count_connected_to(labels, outer, raster.box_mask(center, spec.n))
-    return vn >= spec.threshold
-
-
-def _fkg_counts(task, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per replica: the indicators of the two events."""
-    lattice, p, ev_a, ev_b, fam = task
-    carrier = box_with_boundary(lattice, max(ev_a.required_radius(), ev_b.required_radius()))
-    raster = grid.BoxRaster(lattice, carrier)
-    ia = np.zeros(stop - start, dtype=bool)
-    ib = np.zeros(stop - start, dtype=bool)
-    bsize = _batch_size(carrier.mask.size)
-    for lo, hi in _batch_ranges(start, stop, bsize):
-        seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        batch = open_cells_batch(lattice, carrier.mask, p, seeds)
-        ia[lo - start : hi - start] = _event_indicators(lattice, raster, batch, ev_a)
-        ib[lo - start : hi - start] = _event_indicators(lattice, raster, batch, ev_b)
-    return ia, ib
+    def holds(self, values: np.ndarray) -> np.ndarray:
+        """Per replica: the event, from the values of its observable."""
+        if self.kind in ("vn_ge", "c1_ge"):
+            return values >= self.threshold
+        return values[:, 0] if self.kind == "arm" else values
 
 
 @dataclass(frozen=True)
@@ -188,9 +173,11 @@ def fkg_check(
     ``z`` is the delta-method z-score of joint - product; positive association
     (the FKG inequality) predicts z bounded below by sampling noise.
     """
-    fam = family_seed(master_seed, TAG_FKG)
-    task = (lattice, p, event_a, event_b, fam)
-    ia, ib = run_counters(partial(_fkg_counts, task), samples, workers)
+    carrier = box_with_boundary(lattice, max(event_a.required_radius(), event_b.required_radius()))
+    observables = (event_a.observable(), event_b.observable())
+    task = (lattice, p, carrier, observables, family_seed(master_seed, TAG_FKG))
+    va, vb = run_counters(partial(_observe, task), samples, workers)
+    ia, ib = event_a.holds(va), event_b.holds(vb)
     na, nb, nab = int(ia.sum()), int(ib.sum()), int((ia & ib).sum())
     pa, pb, pab = na / samples, nb / samples, nab / samples
     diff = pab - pa * pb
@@ -363,20 +350,18 @@ def _dn_counts(task, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.
     d = np.zeros(stop - start, dtype=bool)
     viol_i = np.zeros(stop - start, dtype=bool)
     viol_ii = np.zeros(stop - start, dtype=bool)
-    bsize = _batch_size(carrier.mask.size)
-    for lo, hi in _batch_ranges(start, stop, bsize):
-        seeds = [derive_stream(fam, i) for i in range(lo, hi)]
-        batch = open_cells_batch(lattice, carrier.mask, p, seeds)
-        alive = np.arange(hi - lo)  # survivors so far; only their crops are copied
+    for offset, batch in _replica_batches(lattice, carrier.mask, p, fam, start, stop):
+        alive = np.arange(len(batch))  # survivors so far; only their crops are copied
         for corner, widths, axis in rects:
             if alive.size == 0:
                 break
             labels = _crop_labels(lattice, batch, raster.rect_slices(corner, widths), alive)
             alive = alive[grid.crossing(labels, axis)]
         for j in alive.tolist():
-            i = lo - start + j
+            i = offset + j
             d[i] = True
             viol_i[i], viol_ii[i] = _gluing_violations(lattice, raster, batch[j : j + 1], n, u)
+        del batch  # before the next batch is sampled
     return d, viol_i, viol_ii
 
 

@@ -84,11 +84,12 @@ def element_bits(p: float, count: int, seed: int) -> np.ndarray:
     return _bits_batch(p, count, [seed])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Config:
     """One sampled (or hand-built) configuration over a finite carrier.
 
     ``cells`` is the open-cell grid over the raster of ``region`` (see the module doc).
+    Configurations compare by value; the NaN ``p`` of hand-built ones equals itself.
     """
 
     lattice: LatticeSpec
@@ -96,6 +97,13 @@ class Config:
     p: float
     seed: int | None
     cells: np.ndarray = field(repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Config):
+            return False
+        same_p = self.p == other.p or (math.isnan(self.p) and math.isnan(other.p))
+        same = (self.lattice, self.region, self.seed) == (other.lattice, other.region, other.seed)
+        return same and same_p and np.array_equal(self.cells, other.cells)
 
     @property
     def raster(self) -> BoxRaster:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -172,32 +173,20 @@ class VerifyContext:
 # Criteria
 
 
-def _c1_bond_crossing(ctx: VerifyContext) -> CriterionResult:
+def _self_dual_crossing(
+    index: int, name: str, lattice: LatticeSpec, shrink: tuple[int, int], ctx: VerifyContext
+) -> CriterionResult:
+    """Criteria 1 and 2: a self-dual rectangle, widths n - shrink, is crossed with probability 1/2."""
     n = ctx.profile.crossing_n
+    widths = (n - shrink[0], n - shrink[1])
     est = estimators.estimate_crossing(
-        Z2_BOND, 0.5, (n, n - 1), 0, ctx.profile.crossing_samples, ctx.master_seed, ctx.workers
+        lattice, 0.5, widths, 0, ctx.profile.crossing_samples, ctx.master_seed, ctx.workers
     )
     dev = abs(est.point - 0.5)
     ok = dev <= 3 * est.stderr
     return CriterionResult(
-        1,
-        "bond-self-dual-crossing",
-        ok,
-        f"p_hat={est.point:.4f} stderr={est.stderr:.4f} |dev|={dev:.4f}",
-        {"estimate": est.point, "stderr": est.stderr, "successes": est.successes, "n": n},
-    )
-
-
-def _c2_tri_crossing(ctx: VerifyContext) -> CriterionResult:
-    n = ctx.profile.crossing_n
-    est = estimators.estimate_crossing(
-        TRIANGULAR, 0.5, (n - 1, n - 1), 0, ctx.profile.crossing_samples, ctx.master_seed, ctx.workers
-    )
-    dev = abs(est.point - 0.5)
-    ok = dev <= 3 * est.stderr
-    return CriterionResult(
-        2,
-        "triangular-self-dual-crossing",
+        index,
+        name,
         ok,
         f"p_hat={est.point:.4f} stderr={est.stderr:.4f} |dev|={dev:.4f}",
         {"estimate": est.point, "stderr": est.stderr, "successes": est.successes, "n": n},
@@ -679,8 +668,8 @@ def _c15_determinism(ctx: VerifyContext) -> CriterionResult:
 
 
 _CRITERIA = {
-    1: _c1_bond_crossing,
-    2: _c2_tri_crossing,
+    1: partial(_self_dual_crossing, 1, "bond-self-dual-crossing", Z2_BOND, (0, 1)),
+    2: partial(_self_dual_crossing, 2, "triangular-self-dual-crossing", TRIANGULAR, (1, 1)),
     3: _c3_arm_exponent,
     4: _c4_quasi_mult,
     5: _c5_growth_oracle,

@@ -170,13 +170,13 @@ def test_tail_distribution_bytes_pinned(tmp_path, lattice):
 def test_tail_distribution_samples_each_family_once(tmp_path, monkeypatch):
     # one worker: each V_n run_counters call runs the kernel once
     scales = []
-    kernel = E._vn_counts
+    kernel = E._observe
 
     def spy(task, start, stop):
-        scales.append(task[2])
+        scales.extend(n for kind, n, *_ in task[3] if kind == "vn")
         return kernel(task, start, stop)
 
-    monkeypatch.setattr(E, "_vn_counts", spy)
+    monkeypatch.setattr(E, "_observe", spy)
     tail_distribution_run(tmp_path / "a", "triangular_site", sizes=(6,))
     assert scales == [6]
     scales.clear()
@@ -283,26 +283,36 @@ def _fkg_dict(ia, ib) -> dict:
     return {"a": int(ia.sum()), "b": int(ib.sum()), "ab": int((ia & ib).sum())}
 
 
+def _fkg(lattice, p, a: L.EventSpec, b: L.EventSpec, fam: int, samples: int) -> dict:
+    """The kernel's two event indicators on the carrier ``fkg_check`` samples."""
+    carrier = box_with_boundary(lattice, max(a.required_radius(), b.required_radius()))
+    va, vb = E._observe((lattice, p, carrier, (a.observable(), b.observable()), fam), 0, samples)
+    return _fkg_dict(a.holds(va), b.holds(vb))
+
+
 def _counters(name: str) -> dict:
     """The per-replica kernel arrays, reduced to the counter dicts they replaced."""
     lattice, s = LATTICES[name], SETUP[name]
     p = s["p"]
     dn_p, dn_n, attempts = s["dn"]
     pairs = ((1, 8), (2, 8), (4, 8))
-    arm = E._arm_counts((lattice, p, 8, pairs, 101), 0, 40).sum(axis=0).tolist()
-    vn = E.VnSample(lattice, 3, *E._vn_counts((lattice, p, 3, 102), 0, 40))
+
+    def kernel(carrier, observables, fam, samples):
+        return E._observe((lattice, p, carrier, observables, fam), 0, samples)
+
+    (arm,) = kernel(box_with_boundary(lattice, 8), (("arm", pairs),), 101, 40)
+    vn_c1 = kernel(box_with_boundary(lattice, 6), (("vn", 3), ("c1", 3)), 102, 40)
+    vn = E.VnSample(lattice, 3, *vn_c1)
+    rect, corner = rect_region((0, 0), (5, 4)), (0, 0)
     return {
-        "arm": {f"arm:{m},{n}": hits for (m, n), hits in zip(pairs, arm)},
+        "arm": {f"arm:{m},{n}": hits for (m, n), hits in zip(pairs, arm.sum(axis=0).tolist())},
         "vn": vn.statistics(s["c1"], s["vn"], (1, 2, 3), True),
         "crossing": [
-            {"hits": int(E._crossing_counts((lattice, p, (5, 4), axis, 103), 0, 60).sum())}
+            {"hits": int(kernel(rect, (("crossing", corner, (5, 4), axis),), 103, 60)[0].sum())}
             for axis in (0, 1)
         ],
         "dn": _dn_dict(*L._dn_counts((lattice, dn_p, dn_n, 2, 104), 0, attempts)),
-        "fkg": [
-            _fkg_dict(*L._fkg_counts((lattice, p, EVENTS[a], EVENTS[b], 105), 0, 50))
-            for a, b in FKG_PAIRS
-        ],
+        "fkg": [_fkg(lattice, p, EVENTS[a], EVENTS[b], 105, 50) for a, b in FKG_PAIRS],
     }
 
 

@@ -16,6 +16,7 @@ from percolab.lattice import (
     box_with_boundary,
 )
 from percolab.sampler import (
+    Config,
     config_from_edges,
     config_from_sites,
     derive_stream,
@@ -156,6 +157,23 @@ def test_hand_built_configs():
     assert bond.edge_open[1][bond.raster.index((0, 0))]
     with pytest.raises(ValueError):
         config_from_edges(Z2_BOND, region, [((0, 0), (1, 1))])
+
+
+@pytest.mark.parametrize("carrier", [CARRIER, BOND_CARRIER], ids=["tri", "z2bond"])
+def test_configs_compare_by_value(carrier):
+    lattice = TRIANGULAR if carrier is CARRIER else Z2_BOND
+    cfg = sample_config(lattice, carrier, 0.5, 3)
+    assert cfg == sample_config(lattice, carrier, 0.5, 3)
+    assert cfg != sample_config(lattice, carrier, 0.5, 4)
+    assert cfg != sample_config(lattice, carrier, 0.4, 3)
+    flipped = cfg.cells.copy()
+    flipped.flat[0] = not flipped.flat[0]
+    assert cfg != Config(lattice, carrier, cfg.p, cfg.seed, flipped)
+    assert cfg != "not a config"
+    region = box_sites((0, 0), 2)
+    hand = config_from_sites(TRIANGULAR, region, [(0, 0), (1, 1)])
+    assert hand == config_from_sites(TRIANGULAR, region, [(0, 0), (1, 1)])
+    assert hand != config_from_sites(TRIANGULAR, region, [(0, 0)])
 
 
 def test_config_json_dump():
