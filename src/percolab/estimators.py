@@ -186,7 +186,7 @@ def _replica_batches(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(offset in [0, stop - start), open cells) of each batch of replicas [start, stop).
 
-    A caller drops each batch before it asks for the next, so only one is alive.
+    A batch the caller still holds stays alive while the next one is sampled.
     """
     size = max(4, min(256, 4_000_000 // max(carrier_mask.size, 1)))
     for lo in range(start, stop, size):
@@ -236,16 +236,15 @@ def _observe(task, start: int, stop: int) -> tuple[np.ndarray, ...]:
     parts = [[] for _ in readers]
     on_labels = any(whole for whole, _ in readers)
     for _, batch in _replica_batches(lattice, carrier.mask, p, fam, start, stop):
-        # crops first, so no crop is labeled while the carrier labels are alive
-        for (whole, read), part in zip(readers, parts):
-            if not whole:
-                part.append(read(batch))
         labels = grid.label_sites_batch(batch, lattice) if on_labels else None
-        del batch
         for (whole, read), part in zip(readers, parts):
             if whole:
                 part.append(read(labels))
-        del labels  # freed before the next batch is sampled
+        del labels  # no crop is labeled while the carrier labels are alive
+        for (whole, read), part in zip(readers, parts):
+            if not whole:
+                part.append(read(batch))
+        del batch  # freed before the next batch is sampled
     return tuple(np.concatenate(part) for part in parts)
 
 

@@ -361,7 +361,6 @@ def _dn_counts(task, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.
             i = offset + j
             d[i] = True
             viol_i[i], viol_ii[i] = _gluing_violations(lattice, raster, batch[j : j + 1], n, u)
-        del batch  # before the next batch is sampled
     return d, viol_i, viol_ii
 
 
