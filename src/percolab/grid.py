@@ -28,16 +28,20 @@ cross-talk.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 from scipy import ndimage
 
 from .lattice import LatticeSpec, Region, Site, ring, site_structure
 
 
+@cache
 def batch_structure(lattice: LatticeSpec) -> np.ndarray:
-    """Structure for labeling a (B, ...) stack without cross-sample links."""
+    """Structure for labeling a (B, ...) stack without cross-sample links; built once, read-only."""
     s = np.zeros((3,) * (lattice.d + 1), dtype=bool)
     s[1] = site_structure(lattice)
+    s.flags.writeable = False
     return s
 
 

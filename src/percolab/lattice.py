@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -167,12 +168,14 @@ class Region:
         return (np.argwhere(self.mask) + np.array(self.origin, dtype=np.int64)).tolist()
 
 
+@cache
 def site_structure(lattice: LatticeSpec) -> np.ndarray:
-    """ndimage structuring element realizing the lattice adjacency."""
+    """ndimage structuring element realizing the lattice adjacency; built once, read-only."""
     s = np.zeros((3,) * lattice.d, dtype=bool)
     s[(1,) * lattice.d] = True
     for off in lattice.neighbor_offsets():
         s[tuple(1 + o for o in off)] = True
+    s.flags.writeable = False
     return s
 
 

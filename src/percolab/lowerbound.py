@@ -17,7 +17,15 @@ gluing check then verifies, per configuration on which D holds, that
      9 (2n'+1)^2 and any box-confined largest cluster would be smaller.
 
 Conditioning uses rejection in deterministic fixed-size stages, so results
-are reproducible and invariant under worker count.
+are reproducible and invariant under worker count.  The kernel tests the
+2 (2u+1)^2 crossings of D in a parity-spread order and drops an attempt at its
+first failing rectangle: corners grouped by (vx mod 2, vy mod 2), groups in
+the order (0,0), (0,1), (1,0), (1,1), corners ascending within a group and
+every tall rectangle of a group before its wide ones.  Overlapping
+rectangles tend to pass or fail together, so spreading them finds a failing
+attempt sooner (at n = 32, u = 2, p = 1/2: 6.05 rectangle labellings per
+attempt against 7.21 for corner-by-corner order).  D is the AND of all its
+crossings, so the order moves no result, only the work spent on rejects.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -114,8 +122,8 @@ class EventSpec:
             if self.corner is None or self.widths is None:
                 raise ValueError("crossing events need corner and widths")
         elif self.kind == "arm":
-            if self.m is None or self.n is None or not 1 <= self.m <= self.n:
-                raise ValueError("arm events need 1 <= m <= n")
+            if self.m is None or self.n is None or not 1 <= self.m < self.n:
+                raise ValueError("arm events need 1 <= m < n")
         elif self.kind in ("vn_ge", "c1_ge"):
             if self.n is None or self.threshold is None:
                 raise ValueError("threshold events need n and threshold")
@@ -249,32 +257,33 @@ def vn_lower_constants(
 
 
 def _dn_rects(n: int, u: int, d: int) -> list[tuple[Site, tuple[int, int], int]]:
+    """The 2 (2u+1)^2 rectangles of D(n, u) as (corner, widths, crossing axis), in test order."""
     if d != 2:
         raise ValueError("the gluing construction is two-dimensional")
     if not 2 <= u <= n:
         raise ValueError("u must be an integer in [2, n]")
     np_ = n // u
-    rects = []
-    for vx in range(-u, u + 1):
-        for vy in range(-u, u + 1):
-            corner = (np_ * vx, np_ * vy)
-            rects.append((corner, (np_, 2 * np_), 0))  # horizontal, tall rectangle
-            rects.append((corner, (2 * np_, np_), 1))  # vertical, wide rectangle
-    return rects
+    widths = ((np_, 2 * np_), (2 * np_, np_))  # axis 0: the tall rectangle; axis 1: the wide one
+    order = sorted(
+        (vx % 2, vy % 2, axis, vx, vy)
+        for vx in range(-u, u + 1)
+        for vy in range(-u, u + 1)
+        for axis in (0, 1)
+    )
+    return [((np_ * vx, np_ * vy), widths[axis], axis) for _, _, axis, vx, vy in order]
 
 
 def dn_event(config: Config, n: int, u: int) -> bool:
     """All 2 (2u+1)^2 crossings of the construction hold."""
     from .clusters import horizontal_crossing, vertical_crossing
 
-    for corner, widths, axis in _dn_rects(n, u, config.lattice.d):
-        rect = rect_region(corner, widths)
-        if not rect <= config.region:
-            raise ValueError("carrier too small for the construction rectangles")
-        ok = horizontal_crossing(config, rect) if axis == 0 else vertical_crossing(config, rect)
-        if not ok:
-            return False
-    return True
+    rects = [(rect_region(c, w), axis) for c, w, axis in _dn_rects(n, u, config.lattice.d)]
+    if not all(rect <= config.region for rect, _ in rects):
+        raise ValueError("carrier too small for the construction rectangles")
+    return all(
+        horizontal_crossing(config, rect) if axis == 0 else vertical_crossing(config, rect)
+        for rect, axis in rects
+    )
 
 
 class GluingOutcome(Enum):
@@ -298,38 +307,55 @@ def _cluster_extremes(labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]
     return out
 
 
+@dataclass(frozen=True)
+class _GluingMasks:
+    """What the gluing check reads of its raster besides the labels; depends on (n, u) only."""
+
+    arm_box: tuple[slice, ...]  # box(n - n')
+    arm_coords: np.ndarray  # raster index of each arm_box cell, one plane per axis
+    arm_reach: int  # 2n' + 1
+    local: tuple[tuple[np.ndarray, tuple[slice, ...]], ...]  # (ring of box(2n'), box(n')) at n'v
+
+
+def _gluing_masks(raster: grid.BoxRaster, n: int, u: int) -> _GluingMasks:
+    np_ = n // u
+    m = n - np_
+    center = (0,) * raster.lattice.d
+    arm_box = raster.box_slices(center, m)
+    axes = (np.arange(s.start, s.stop) for s in arm_box)
+    arm_coords = np.stack(np.meshgrid(*axes, indexing="ij"))
+    local = []
+    for vx in range(-(u - 1), u):
+        for vy in range(-(u - 1), u):
+            c = (np_ * vx, np_ * vy)
+            ring = raster.boundary_mask(c, 2 * np_)
+            ring.flags.writeable = False
+            local.append((ring, raster.box_slices(c, np_)))
+    arm_coords.flags.writeable = False
+    return _GluingMasks(arm_box, arm_coords, 2 * np_ + 1, tuple(local))
+
+
 def _gluing_violations(
-    lattice: LatticeSpec, raster, single_batch: np.ndarray, n: int, u: int
+    lattice: LatticeSpec, masks: _GluingMasks, single_batch: np.ndarray
 ) -> tuple[bool, bool]:
     """(one-cluster check violated, sum inequality violated) for one config."""
-    np_ = n // u
-    center = (0,) * lattice.d
     labels = grid.label_sites_batch(single_batch, lattice)[0]
 
     # (i) qualifying long-arm sites of box(n - n') share one carrier cluster
     extremes = _cluster_extremes(labels)
-    m = n - np_
-    sl = raster.box_slices(center, m)
-    crop = labels[sl]
+    crop = labels[masks.arm_box]
     reach = np.zeros(crop.shape, dtype=np.int64)
-    grids = np.indices(crop.shape)
-    for axis, (lo, hi) in enumerate(extremes):
-        w = grids[axis] + (center[axis] - m - raster.origin[axis])
+    for w, (lo, hi) in zip(masks.arm_coords, extremes):
         np.maximum(reach, hi[crop] - w, out=reach)
         np.maximum(reach, w - lo[crop], out=reach)
-    qual = (crop > 0) & (reach >= 2 * np_ + 1)
-    arm_labels = np.unique(crop[qual])
-    viol_i = arm_labels.size > 1
+    qual = (crop > 0) & (reach >= masks.arm_reach)
+    viol_i = np.unique(crop[qual]).size > 1
 
     # (ii) sum of local long-arm counts vs largest carrier cluster
     total = 0
-    for vx in range(-(u - 1), u):
-        for vy in range(-(u - 1), u):
-            c = (np_ * vx, np_ * vy)
-            flags = grid.seed_flags(labels[None], raster.boundary_mask(c, 2 * np_))
-            total += int(flags[labels[raster.box_slices(c, np_)]].sum())
-    c1 = int(grid.largest_count(labels[None])[0])
-    viol_ii = total > c1
+    for ring, box in masks.local:
+        total += int(grid.seed_flags(labels[None], ring)[labels[box]].sum())
+    viol_ii = total > int(grid.largest_count(labels[None])[0])
     return viol_i, viol_ii
 
 
@@ -337,31 +363,44 @@ def gluing_check(config: Config, n: int, u: int) -> GluingOutcome:
     """Deterministic implication check on one configuration (see module doc)."""
     if not dn_event(config, n, u):
         return GluingOutcome.NOT_APPLICABLE
-    viol_i, viol_ii = _gluing_violations(config.lattice, config.raster, config.cells[None], n, u)
+    masks = _gluing_masks(config.raster, n, u)
+    viol_i, viol_ii = _gluing_violations(config.lattice, masks, config.cells[None])
     return GluingOutcome.VIOLATED if (viol_i or viol_ii) else GluingOutcome.HOLDS
+
+
+@lru_cache(maxsize=8)
+def _dn_geometry(lattice: LatticeSpec, n: int, u: int):
+    """The D(n, u) kernel's carrier, its rectangle slices in test order, and the check's masks."""
+    carrier = box_with_boundary(lattice, 2 * n)
+    raster = grid.BoxRaster(lattice, carrier)
+    rects = tuple((raster.rect_slices(c, w), axis) for c, w, axis in _dn_rects(n, u, lattice.d))
+    return carrier, rects, _gluing_masks(raster, n, u)
 
 
 def _dn_counts(task, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per attempt: D(n, u) holds, and (only where it holds) each of the two violations."""
     lattice, p, n, u, fam = task
-    carrier = box_with_boundary(lattice, 2 * n)
-    raster = grid.BoxRaster(lattice, carrier)
-    rects = _dn_rects(n, u, lattice.d)
+    carrier, rects, masks = _dn_geometry(lattice, n, u)
     d = np.zeros(stop - start, dtype=bool)
     viol_i = np.zeros(stop - start, dtype=bool)
     viol_ii = np.zeros(stop - start, dtype=bool)
     for offset, batch in _replica_batches(lattice, carrier.mask, p, fam, start, stop):
         alive = np.arange(len(batch))  # survivors so far; only their crops are copied
-        for corner, widths, axis in rects:
+        for rect, axis in rects:
             if alive.size == 0:
                 break
-            labels = _crop_labels(lattice, batch, raster.rect_slices(corner, widths), alive)
-            alive = alive[grid.crossing(labels, axis)]
+            alive = alive[grid.crossing(_crop_labels(lattice, batch, rect, alive), axis)]
         for j in alive.tolist():
             i = offset + j
             d[i] = True
-            viol_i[i], viol_ii[i] = _gluing_violations(lattice, raster, batch[j : j + 1], n, u)
+            viol_i[i], viol_ii[i] = _gluing_violations(lattice, masks, batch[j : j + 1])
     return d, viol_i, viol_ii
+
+
+def _dn_kernel(lattice: LatticeSpec, p: float, n: int, u: int, master_seed: int):
+    """The D(n, u) kernel of a seed; its geometry is built here, so forked workers inherit it."""
+    _dn_geometry(lattice, n, u)
+    return partial(_dn_counts, (lattice, p, n, u, family_seed(master_seed, TAG_DN, n, u)))
 
 
 @dataclass(frozen=True)
@@ -399,8 +438,7 @@ def gluing_campaign(
     conditioned target is reached, the violation budget is exhausted, or the
     attempt cap is hit (the acceptance rate is reported either way).
     """
-    fam = family_seed(master_seed, TAG_DN, n, u)
-    kernel = partial(_dn_counts, (lattice, p, n, u, fam))
+    kernel = _dn_kernel(lattice, p, n, u, master_seed)
     attempts = conditioned = violated = viol_i = viol_ii = 0
     while conditioned < target_conditioned and attempts < max_attempts:
         if stop_after_violations is not None and violated >= stop_after_violations:
@@ -421,9 +459,7 @@ def dn_probability(
     lattice: LatticeSpec, p: float, n: int, u: int, samples: int, master_seed: int, workers: int = 1
 ) -> Estimate:
     """Plain Monte Carlo estimate of P(D(n, u))."""
-    fam = family_seed(master_seed, TAG_DN, n, u)
-    task = (lattice, p, n, u, fam)
-    d, _, _ = run_counters(partial(_dn_counts, task), samples, workers)
+    d, _, _ = run_counters(_dn_kernel(lattice, p, n, u, master_seed), samples, workers)
     return event_estimate(int(d.sum()), samples)
 
 

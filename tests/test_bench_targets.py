@@ -44,11 +44,15 @@ def test_span_targets_resolve():
     assert ("parallel", "run_counters") in targets
 
 
-def _span_names(spans, call) -> set[str]:
+def _trace(spans, call) -> list:
     tracer = spans.Tracer("coverage")
     with tracer.installed():
         call()
-    return {sp.name for sp in tracer.spans}
+    return tracer.spans
+
+
+def _span_names(spans, call) -> set[str]:
+    return {sp.name for sp in _trace(spans, call)}
 
 
 POOL, SITES, BONDS = "parallel.run_counters", "sampler.site_open_batch", "sampler.edge_open_batch"
@@ -79,3 +83,13 @@ def test_kernel_paths_emit_their_layer_spans():
     )
     assert reports[0].conditioned > 0
     assert glue == base | {CROP, C1, "lowerbound.gluing_check"}
+
+
+def test_gluing_labels_run_under_crop_or_check_spans():
+    # lowerbound.rect_labels_per_attempt counts the label spans under crop spans; a
+    # rectangle labelled outside _crop_labels would drop out of it without a word
+    traced = _trace(_load_spans(), lambda: gluing_campaign(TRIANGULAR, 0.7, 4, 2, 1, 3, stage_size=16))
+    names = {sp.id: sp.name for sp in traced}
+    parents = [names.get(sp.parent) for sp in traced if sp.name == LABEL]
+    assert CROP in parents and "lowerbound.gluing_check" in parents
+    assert set(parents) <= {CROP, "lowerbound.gluing_check"}

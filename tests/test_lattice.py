@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from percolab import grid
 from percolab.lattice import (
     LatticeKind,
     LatticeSpec,
@@ -17,12 +18,22 @@ from percolab.lattice import (
     neighbors,
     outer_boundary,
     rect_region,
+    site_structure,
 )
 
 Z3_BOND = LatticeSpec(LatticeKind.Z_BOND, 3)
 
 coord = st.integers(-50, 50)
 site2 = st.tuples(coord, coord)
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND, Z3_BOND])
+def test_structures_built_once_and_read_only(lattice):
+    for build in (site_structure, grid.batch_structure):
+        s = build(lattice)
+        assert s is build(lattice) and not s.flags.writeable
+    assert np.array_equal(grid.batch_structure(lattice)[1], site_structure(lattice))
+    assert int(site_structure(lattice).sum()) == len(lattice.neighbor_offsets()) + 1
 
 
 def test_box_degenerate():

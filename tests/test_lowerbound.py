@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from oracles import connected_sets
 
+from percolab import grid
 from percolab import lowerbound as L
 from percolab.bounds import BoundParams
 from percolab.estimators import TAG_DN, PiRow, PiTable, family_seed, vn_sample
@@ -30,6 +33,10 @@ def test_event_spec_catalog():
         L.EventSpec("h_crossing")
     with pytest.raises(ValueError):
         L.EventSpec("arm", m=3, n=2)
+    # m = n would read "a cluster touches the boundary of box(n)", which depends on the lattice
+    with pytest.raises(ValueError):
+        L.EventSpec("arm", m=3, n=3)
+    assert L.EventSpec("arm", m=2, n=3).required_radius() == 3
     ev = L.EventSpec("vn_ge", n=4, threshold=10.0)
     assert ev.required_radius() == 8
 
@@ -92,6 +99,97 @@ def test_dn_event_trivial_and_masked():
     assert L.dn_event(masked, 8, 2) is False
     with pytest.raises(ValueError):
         L.dn_event(cfg1, 8, 1)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_dn_geometry_checked_before_any_crossing(p):
+    # box(8) cannot hold the rectangles of D(8, 2), whichever crossing fails first
+    cfg = tri_config(8, p, 5)
+    with pytest.raises(ValueError, match="carrier too small"):
+        L.dn_event(cfg, 8, 2)
+    with pytest.raises(ValueError, match="carrier too small"):
+        L.gluing_check(cfg, 8, 2)
+
+
+def _row_major_rects(n, u):
+    np_ = n // u
+    rects = []
+    for vx in range(-u, u + 1):
+        for vy in range(-u, u + 1):
+            rects.append(((np_ * vx, np_ * vy), (np_, 2 * np_), 0))
+            rects.append(((np_ * vx, np_ * vy), (2 * np_, np_), 1))
+    return rects
+
+
+@pytest.mark.parametrize("n,u", [(8, 2), (12, 3), (9, 2)])
+def test_dn_rects_parity_spread_order(n, u):
+    rects = L._dn_rects(n, u, 2)
+    assert len(rects) == 2 * (2 * u + 1) ** 2
+    assert sorted(rects) == sorted(_row_major_rects(n, u))
+    np_ = n // u
+    groups = {}
+    for corner, widths, axis in rects:
+        vx, vy = corner[0] // np_, corner[1] // np_
+        groups.setdefault((vx % 2, vy % 2), []).append(((vx, vy), axis))
+    assert list(groups) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    parities = [(c[0] // np_ % 2, c[1] // np_ % 2) for c, _, _ in rects]
+    assert parities == sorted(parities)  # each group is contiguous
+    for members in groups.values():
+        half = len(members) // 2
+        assert [axis for _, axis in members] == [0] * half + [1] * half
+        corners = [v for v, _ in members[:half]]
+        assert corners == sorted(corners) == [v for v, _ in members[half:]]
+
+
+def test_dn_kernel_flags_match_all_fifty_crossings():
+    # the kernel stops at the first failing rectangle; the oracle tests all 50, row-major
+    n, u, attempts, p = 8, 2, 200, 0.65
+    fam = family_seed(7, TAG_DN, n, u)
+    d, _, _ = L._dn_counts((TRIANGULAR, p, n, u, fam), 0, attempts)
+    carrier = box_with_boundary(TRIANGULAR, 2 * n)
+    offsets = TRIANGULAR.neighbor_offsets()
+    for i in range(attempts):
+        cfg = sample_config(TRIANGULAR, carrier, p, derive_stream(fam, i))
+        open_sites = {tuple(s) for s in (np.argwhere(cfg.site_open) + carrier.origin).tolist()}
+        crossings = []
+        for corner, widths, axis in _row_major_rects(n, u):
+            (cx, cy), (wx, wy) = corner, widths
+            box = itertools.product(range(cx, cx + wx + 1), range(cy, cy + wy + 1))
+            inside = {s for s in box if s in open_sites}
+            first = {s for s in inside if s[axis] == corner[axis]}
+            last = {s for s in inside if s[axis] == corner[axis] + widths[axis]}
+            crossings.append(connected_sets(inside, offsets, first, last))
+        assert d[i] == all(crossings), i
+    assert 0 < d.sum() < attempts
+
+
+def _spy_crop_labels(monkeypatch) -> list:
+    calls = []
+    crop = L._crop_labels
+
+    def spy(lattice, batch, sl, alive=slice(None)):
+        labels = crop(lattice, batch, sl, alive)
+        calls.append((sl, labels.shape[0]))
+        return labels
+
+    monkeypatch.setattr(L, "_crop_labels", spy)
+    return calls
+
+
+def test_dn_kernel_labels_every_rectangle_in_order(monkeypatch):
+    calls = _spy_crop_labels(monkeypatch)
+    d, _, _ = L._dn_counts((TRIANGULAR, 1.0, 8, 2, family_seed(5, TAG_DN, 8, 2)), 0, 10)
+    raster = grid.BoxRaster(TRIANGULAR, box_with_boundary(TRIANGULAR, 16))
+    assert calls == [(raster.rect_slices(c, w), 10) for c, w, _ in L._dn_rects(8, 2, 2)]
+    assert d.all()
+
+
+def test_dn_kernel_rectangle_labelling_count(monkeypatch):
+    # the test order decides how many rectangles a failing attempt labels (14,420 row-major)
+    calls = _spy_crop_labels(monkeypatch)
+    d, _, _ = L._dn_counts((TRIANGULAR, 0.5, 32, 2, family_seed(5, TAG_DN, 32, 2)), 0, 2000)
+    assert sum(rows for _, rows in calls) == 12_091
+    assert not d.any()
 
 
 def test_dn_event_monotone_under_opening():
