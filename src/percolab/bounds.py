@@ -2,9 +2,17 @@
 
 Combinatorial quantities (multiset orderings, multinomials, dyadic power
 products) are computed exactly with big integers / rationals; floating point
-enters only through exp/log.  "Existence of a constant" claims are turned
-into fitted suprema over finite sweeps, reported rather than asserted against
-invented targets.
+enters through exp/log of those exact values.  "Existence of a constant"
+claims are turned into fitted suprema over finite sweeps, reported rather
+than asserted against invented targets.
+
+A sweep over 2 <= k <= kmax first screens every k in one numpy pass of
+approximate log-fits (lgamma sums for the multinomial, the exact integer
+exponent for the power product), whose error stays below 1e-11 for
+k < 2^53.  Only the k within ``SCREEN_RTOL`` = 1e-9 of the screened maximum
+are evaluated exactly, in ascending order.  That margin always keeps the k
+that evaluating every k exactly would pick, so the sweep returns the same
+(sup, argmax) bits.
 """
 
 from __future__ import annotations
@@ -13,6 +21,9 @@ import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
+
+import numpy as np
+from scipy.special import gammaln
 
 ONE_ARM_EXPONENT = Fraction(5, 48)
 TAIL_SHAPE_EXPONENT = Fraction(96, 5)  # == 2 / ONE_ARM_EXPONENT
@@ -236,6 +247,17 @@ def markov_threshold_bound(u: float, n: int, K: float, params: BoundParams, pi) 
 # ---------------------------------------------------------------------------
 # Exact combinatorial constants
 
+# Relative width of the sweep screen: a k survives when its screened fit lies
+# within a factor exp(-SCREEN_RTOL) of the screened maximum (see ``_confirm``).
+SCREEN_RTOL = 1e-9
+
+
+def _check_kd(k: int, d: int, name: str = "k") -> None:
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if k < 2:
+        raise ValueError(f"{name} must be >= 2")
+
 
 def _dyadic_level(k: int, d: int) -> int:
     """Largest j with 2^(d j) <= k."""
@@ -258,38 +280,66 @@ def _partition(k: int, d: int) -> tuple[list[int], int, int]:
     return parts, m, j
 
 
+def _dyadic_blocks(kmax: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k = 2..kmax, each k's level j, and the boundaries 2^(d j) <= kmax.
+
+    The boundaries are built as Python ints, so no power can overflow int64.
+    """
+    levels = [1]
+    while levels[-1] << d <= kmax:
+        levels.append(levels[-1] << d)
+    levels = np.array(levels, dtype=np.int64)
+    k = np.arange(2, kmax + 1, dtype=np.int64)
+    return k, np.searchsorted(levels, k, side="right") - 1, levels
+
+
+def _confirm(screen: np.ndarray, fit: Callable[[int], float]) -> tuple[float, int]:
+    """First strict maximum of ``fit`` over the k (from 2) the screen keeps.
+
+    ``screen[k - 2]`` approximates log fit(k).  If both differ from the exact
+    log-fit by at most eps_screen and eps_fit, the first k* maximising fit
+    over every k has screen >= max(screen) - 2 (eps_screen + eps_fit), so it
+    is kept while SCREEN_RTOL exceeds that: for k < 2^53 both eps are below
+    1e-11 (see the sweep docstrings).  Every kept k < k* has a smaller fit,
+    so ascending k with a strict ``>`` returns k* and fit(k*).
+    """
+    best, best_k = 0.0, 2
+    for k in np.flatnonzero(screen >= screen.max() - SCREEN_RTOL).tolist():
+        value = fit(k + 2)
+        if value > best:
+            best, best_k = value, k + 2
+    return best, best_k
+
+
 def multinomial_constant(k: int, d: int) -> tuple[int, float]:
     """Exact dyadic-block multinomial and the implied per-merge constant.
 
-    Returns (value, value^(1/(k-1))): value = (k-1)! / (prod parts! * m!).
+    Returns (value, value^(1/(k-1))): value = (k-1)! / (prod parts! * m!),
+    built exactly as a product of binomials.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    _check_kd(k, d)
     parts, m, _ = _partition(k, d)
-    value = math.factorial(k - 1)
-    for p in parts:
-        value //= math.factorial(p)
-    value //= math.factorial(m)
+    value, n = 1, 0
+    for p in (*parts, m):
+        n += p
+        value *= math.comb(n, p)
     fit = math.exp(math.log(value) / (k - 1)) if value > 1 else 1.0
     return value, fit
 
 
 def multinomial_sweep(kmax: int, d: int) -> tuple[float, int]:
-    """Sup of the fitted constant over 2 <= k <= kmax (exact incremental).
+    """Sup of the fitted constant over 2 <= k <= kmax, and its first argmax.
 
-    Step k adds one merge to the open block, which then holds k - level
-    (``level`` = 2^(d j) of k - 1): the value gains (k - 1) / (k - level).
+    A numpy screen evaluates every log-fit as (lgamma(k) - sum lgamma(part + 1)
+    - lgamma(m + 1)) / (k - 1); its error is a few ulp of log k per term, at
+    most (j + 2) terms, so under 1e-11 for k < 2^53.  ``multinomial_constant``
+    then evaluates the kept k exactly, as ``_confirm`` describes.
     """
-    best, best_k = 0.0, 2
-    value, level = 1, 1  # k = 1: no merges, dyadic level 2^0
-    for k in range(2, kmax + 1):
-        value = value * (k - 1) // (k - level)
-        if k == level << d:
-            level = k
-        fit = math.exp(math.log(value) / (k - 1)) if value > 1 else 1.0
-        if fit > best:
-            best, best_k = fit, k
-    return best, best_k
+    _check_kd(kmax, d, "kmax")
+    k, j, levels = _dyadic_blocks(kmax, d)
+    closed = np.concatenate(([0.0], np.cumsum(gammaln(np.diff(levels) + 1.0))))
+    screen = (gammaln(k) - closed[j] - gammaln(k - levels[j] + 1.0)) / (k - 1)
+    return _confirm(screen, lambda k: multinomial_constant(k, d)[1])
 
 
 def _power_product_exponent(k: int, d: int) -> tuple[int, int, int]:
@@ -306,28 +356,34 @@ def power_product_constant(k: int, d: int) -> tuple[Fraction, float]:
     Value is 2^(-m (j-1) d) * prod_{i<j} 2^(-d i (2^d - 1) 2^(i d)); the
     second component is (value * k^k)^(1/k).
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    _check_kd(k, d)
     e, _, _ = _power_product_exponent(k, d)
     value = Fraction(1, 2**e) if e >= 0 else Fraction(2**-e)
     log_ratio = k * math.log(k) - e * math.log(2)
     return value, math.exp(log_ratio / k)
 
 
-def power_product_sweep(kmax: int, d: int) -> tuple[float, int]:
-    """Sup of (value * k^k)^(1/k) over 2 <= k <= kmax (log-exact).
+def _power_product_fit(k: int, d: int) -> float:
+    """The sweep's form of the fit, exp(log k - e log 2 / k).
 
-    Carries j, ``level`` = 2^(d j) and ``base``, the exponent of the closed
-    blocks i < j; ``_power_product_exponent`` is (k - level)(j - 1) d + base.
+    ``power_product_constant`` rounds exp((k log k - e log 2) / k) instead.
     """
-    best, best_k = 0.0, 2
-    j, level, base = 0, 1, 0
-    for k in range(2, kmax + 1):
-        if k == level << d:
-            base += d * j * (k - level)  # block j: (2^d - 1) 2^(d j) = k - level points
-            j, level = j + 1, k
-        e = (k - level) * (j - 1) * d + base
-        fit = math.exp(math.log(k) - e * math.log(2) / k)
-        if fit > best:
-            best, best_k = fit, k
-    return best, best_k
+    e = _power_product_exponent(k, d)[0]
+    return math.exp(math.log(k) - e * math.log(2) / k)
+
+
+def power_product_sweep(kmax: int, d: int) -> tuple[float, int]:
+    """Sup of (value * k^k)^(1/k) over 2 <= k <= kmax, and its first argmax.
+
+    The exponent e_k = (k - 2^(d j))(j - 1) d + sum_{i<j} d i (2^d - 1) 2^(d i)
+    is exact in int64; the screen log k - e_k log 2 / k is off by a few ulp of
+    log k + d, far under 1e-11.  The kept k are confirmed with
+    exp(log k - e log 2 / k) on the exact exponent, as ``_confirm`` describes.
+    """
+    _check_kd(kmax, d, "kmax")
+    k, j, levels = _dyadic_blocks(kmax, d)
+    blocks = np.diff(levels)  # block i holds (2^d - 1) 2^(d i) points
+    closed = np.concatenate(([0], np.cumsum(d * np.arange(len(blocks)) * blocks)))
+    e = (k - levels[j]) * (j - 1) * d + closed[j]
+    screen = np.log(k) - e * math.log(2) / k
+    return _confirm(screen, lambda k: _power_product_fit(k, d))

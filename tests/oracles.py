@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against the library's grain: plain
 Python data structures, breadth-first search, Prim's algorithm, exhaustive
-enumeration, per-site distance scans and a frontier dynamic program, so
-agreement with the package is meaningful.
+enumeration, per-site distance scans, a frontier dynamic program, and bound
+sweeps that evaluate every k exactly, so agreement with the package is
+meaningful.
 """
 
 from __future__ import annotations
@@ -290,3 +291,40 @@ def reference_cells(lattice, mask, p, seeds):
         for cell, bit in zip(cells, bits):
             out[(b,) + cell] = bit
     return out
+
+
+def multinomial_sweep(kmax, d):
+    """Sup of the fitted constant over 2 <= k <= kmax (exact incremental).
+
+    Step k adds one merge to the open block, which then holds k - level
+    (``level`` = 2^(d j) of k - 1): the value gains (k - 1) / (k - level).
+    """
+    best, best_k = 0.0, 2
+    value, level = 1, 1  # k = 1: no merges, dyadic level 2^0
+    for k in range(2, kmax + 1):
+        value = value * (k - 1) // (k - level)
+        if k == level << d:
+            level = k
+        fit = math.exp(math.log(value) / (k - 1)) if value > 1 else 1.0
+        if fit > best:
+            best, best_k = fit, k
+    return best, best_k
+
+
+def power_product_sweep(kmax, d):
+    """Sup of (value * k^k)^(1/k) over 2 <= k <= kmax (log-exact).
+
+    Carries j, ``level`` = 2^(d j) and ``base``, the exponent of the closed
+    blocks i < j; the exponent of k is (k - level)(j - 1) d + base.
+    """
+    best, best_k = 0.0, 2
+    j, level, base = 0, 1, 0
+    for k in range(2, kmax + 1):
+        if k == level << d:
+            base += d * j * (k - level)  # block j: (2^d - 1) 2^(d j) = k - level points
+            j, level = j + 1, k
+        e = (k - level) * (j - 1) * d + base
+        fit = math.exp(math.log(k) - e * math.log(2) / k)
+        if fit > best:
+            best, best_k = fit, k
+    return best, best_k

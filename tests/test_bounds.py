@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from percolab import bounds
@@ -167,6 +168,12 @@ def test_multinomial_constant():
     assert fit17 == pytest.approx(value17 ** (1 / 16), rel=1e-12)
     with pytest.raises(ValueError):
         multinomial_constant(1, 2)
+    # the product of binomials is the factorial form's integer
+    for d in (2, 3, 4):
+        for k in range(2, 300):
+            parts, m, _ = bounds._partition(k, d)
+            want = math.factorial(k - 1) // math.prod(map(math.factorial, (*parts, m)))
+            assert multinomial_constant(k, d)[0] == want
 
 
 def test_multinomial_sweep_matches_pointwise():
@@ -175,6 +182,40 @@ def test_multinomial_sweep_matches_pointwise():
     assert sup >= multinomial_constant(17, 2)[1] - 1e-12
     # incremental sweep agrees with direct evaluation at its argmax
     assert sup == pytest.approx(multinomial_constant(argmax, 2)[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ("multinomial_sweep", "power_product_sweep"))
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_sweeps_equal_incremental_loops(name, d):
+    sweep, loop = getattr(bounds, name), getattr(oracles, name)
+    for kmax in range(2, 701):
+        assert sweep(kmax, d) == loop(kmax, d), kmax
+
+
+@pytest.mark.parametrize("name", ("multinomial_sweep", "power_product_sweep"))
+@pytest.mark.parametrize("kmax", (4095, 4096, 4097, 6044, 10000, 30000))
+def test_sweeps_equal_incremental_loops_large(name, kmax):
+    assert getattr(bounds, name)(kmax, 2) == getattr(oracles, name)(kmax, 2)
+
+
+@pytest.mark.parametrize(
+    "fn, k, d",
+    [
+        (multinomial_constant, 5, 0),
+        (multinomial_constant, 5, 1),
+        (power_product_constant, 5, 0),
+        (power_product_constant, 5, -1),
+        (multinomial_sweep, 64, 1),
+        (power_product_sweep, 64, 0),
+        (multinomial_sweep, 1, 2),
+        (power_product_sweep, 1, 2),
+        (multinomial_sweep, -5, 2),
+        (power_product_sweep, 0, 3),
+    ],
+)
+def test_constants_and_sweeps_reject_bad_k_or_d(fn, k, d):
+    with pytest.raises(ValueError, match="must be >= 2"):
+        fn(k, d)
 
 
 def test_power_product_constant():

@@ -123,6 +123,8 @@ def test_spec_type_errors_exit_2(tmp_path, capsys, override):
         ("lower", {"lower": {"u": 1}}),
         ("lower", {"lower": {"n": 8, "u": 9}}),
         ("lower", {"lower": {"n": 1}}),
+        ("bounds", {"bounds": {"sweep_kmax": 1}}),
+        ("bounds", {"bounds": {"sweep_kmax": -5}}),
         ("verify", {"verify": {"profile": "quick", "criteria": []}}),
         ("verify", {"verify": {"profile": "quick", "criteria": [14, 99]}}),
         ("verify", {"verify": {"profile": "quick", "criteria": [0]}}),
