@@ -47,11 +47,7 @@ from .estimators import (  # noqa: F401
     check_quasi_mult,
     estimate_pi,
     fit_arm_exponent,
-    largest_cluster_distribution,
-    moment_estimate,
-    tail_probability,
     vn_sample,
-    vn_tail,
 )
 from .bounds import (  # noqa: F401
     BoundParams,

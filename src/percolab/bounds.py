@@ -6,11 +6,12 @@ enters through exp/log of those exact values.  "Existence of a constant"
 claims are turned into fitted suprema over finite sweeps, reported rather
 than asserted against invented targets.
 
-A sweep over 2 <= k <= kmax first screens every k in one numpy pass of
-approximate log-fits (lgamma sums for the multinomial, the exact integer
-exponent for the power product), whose error stays below 1e-11 for
-k < 2^53.  Only the k within ``SCREEN_RTOL`` = 1e-9 of the screened maximum
-are evaluated exactly, in ascending order.  That margin always keeps the k
+A sweep over 2 <= k <= kmax first screens every k with approximate log-fits
+(lgamma sums for the multinomial, the exact integer exponent for the power
+product), whose error stays below 1e-11 for k < 2^53.  It screens numpy
+chunks of ``SCREEN_CHUNK`` k with a running maximum, so its memory does not
+grow with kmax.  Only the k within ``SCREEN_RTOL`` = 1e-9 of the screened
+maximum are evaluated exactly, in ascending order.  That margin always keeps the k
 that evaluating every k exactly would pick, so the sweep returns the same
 (sup, argmax) bits.
 """
@@ -248,8 +249,10 @@ def markov_threshold_bound(u: float, n: int, K: float, params: BoundParams, pi) 
 # Exact combinatorial constants
 
 # Relative width of the sweep screen: a k survives when its screened fit lies
-# within a factor exp(-SCREEN_RTOL) of the screened maximum (see ``_confirm``).
+# within a factor exp(-SCREEN_RTOL) of the screened maximum (see ``_screened_max``).
 SCREEN_RTOL = 1e-9
+# k screened per numpy pass; a sweep with kmax up to this is one pass.
+SCREEN_CHUNK = 1 << 16
 
 
 def _check_kd(k: int, d: int, name: str = "k") -> None:
@@ -280,34 +283,47 @@ def _partition(k: int, d: int) -> tuple[list[int], int, int]:
     return parts, m, j
 
 
-def _dyadic_blocks(kmax: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k = 2..kmax, each k's level j, and the boundaries 2^(d j) <= kmax.
-
-    The boundaries are built as Python ints, so no power can overflow int64.
-    """
+def _dyadic_levels(kmax: int, d: int) -> np.ndarray:
+    """The level boundaries 2^(d j) <= kmax, built as Python ints so no power overflows int64."""
     levels = [1]
     while levels[-1] << d <= kmax:
         levels.append(levels[-1] << d)
-    levels = np.array(levels, dtype=np.int64)
-    k = np.arange(2, kmax + 1, dtype=np.int64)
-    return k, np.searchsorted(levels, k, side="right") - 1, levels
+    return np.array(levels, dtype=np.int64)
 
 
-def _confirm(screen: np.ndarray, fit: Callable[[int], float]) -> tuple[float, int]:
-    """First strict maximum of ``fit`` over the k (from 2) the screen keeps.
+def _screened_max(
+    kmax: int,
+    levels: np.ndarray,
+    screen: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    fit: Callable[[int], float],
+) -> tuple[float, int]:
+    """First strict maximum of ``fit`` over the k in [2, kmax] that the screen keeps.
 
-    ``screen[k - 2]`` approximates log fit(k).  If both differ from the exact
-    log-fit by at most eps_screen and eps_fit, the first k* maximising fit
-    over every k has screen >= max(screen) - 2 (eps_screen + eps_fit), so it
-    is kept while SCREEN_RTOL exceeds that: for k < 2^53 both eps are below
-    1e-11 (see the sweep docstrings).  Every kept k < k* has a smaller fit,
-    so ascending k with a strict ``>`` returns k* and fit(k*).
+    ``screen(k, j)`` approximates log fit(k) for k of level j.  It runs on
+    chunks of ``SCREEN_CHUNK`` k with a running maximum, so memory stays flat
+    in kmax: a k kept from an earlier chunk is dropped once the maximum rises
+    past it, which leaves exactly the k within SCREEN_RTOL of the final one.
+    If both the screen and the exact log-fit are within eps_screen and eps_fit
+    of the true log-fit, the first k* maximising fit over every k has screen
+    >= max(screen) - 2 (eps_screen + eps_fit), so it is kept while SCREEN_RTOL
+    exceeds that: for k < 2^53 both eps are below 1e-11 (see the sweep
+    docstrings).  Every kept k < k* has a smaller fit, so ascending k with a
+    strict ``>`` returns k* and fit(k*).
     """
+    top = -math.inf
+    kept_k, kept_s = np.zeros(0, dtype=np.int64), np.zeros(0)
+    for lo in range(2, kmax + 1, SCREEN_CHUNK):
+        k = np.arange(lo, min(lo + SCREEN_CHUNK, kmax + 1), dtype=np.int64)
+        s = screen(k, np.searchsorted(levels, k, side="right") - 1)
+        top = max(top, float(s.max()))
+        kept_k, kept_s = np.concatenate((kept_k, k)), np.concatenate((kept_s, s))
+        keep = kept_s >= top - SCREEN_RTOL
+        kept_k, kept_s = kept_k[keep], kept_s[keep]
     best, best_k = 0.0, 2
-    for k in np.flatnonzero(screen >= screen.max() - SCREEN_RTOL).tolist():
-        value = fit(k + 2)
+    for k in kept_k.tolist():
+        value = fit(k)
         if value > best:
-            best, best_k = value, k + 2
+            best, best_k = value, k
     return best, best_k
 
 
@@ -333,13 +349,16 @@ def multinomial_sweep(kmax: int, d: int) -> tuple[float, int]:
     A numpy screen evaluates every log-fit as (lgamma(k) - sum lgamma(part + 1)
     - lgamma(m + 1)) / (k - 1); its error is a few ulp of log k per term, at
     most (j + 2) terms, so under 1e-11 for k < 2^53.  ``multinomial_constant``
-    then evaluates the kept k exactly, as ``_confirm`` describes.
+    then evaluates the kept k exactly, as ``_screened_max`` describes.
     """
     _check_kd(kmax, d, "kmax")
-    k, j, levels = _dyadic_blocks(kmax, d)
+    levels = _dyadic_levels(kmax, d)
     closed = np.concatenate(([0.0], np.cumsum(gammaln(np.diff(levels) + 1.0))))
-    screen = (gammaln(k) - closed[j] - gammaln(k - levels[j] + 1.0)) / (k - 1)
-    return _confirm(screen, lambda k: multinomial_constant(k, d)[1])
+
+    def screen(k, j):
+        return (gammaln(k) - closed[j] - gammaln(k - levels[j] + 1.0)) / (k - 1)
+
+    return _screened_max(kmax, levels, screen, lambda k: multinomial_constant(k, d)[1])
 
 
 def _power_product_exponent(k: int, d: int) -> tuple[int, int, int]:
@@ -378,12 +397,15 @@ def power_product_sweep(kmax: int, d: int) -> tuple[float, int]:
     The exponent e_k = (k - 2^(d j))(j - 1) d + sum_{i<j} d i (2^d - 1) 2^(d i)
     is exact in int64; the screen log k - e_k log 2 / k is off by a few ulp of
     log k + d, far under 1e-11.  The kept k are confirmed with
-    exp(log k - e log 2 / k) on the exact exponent, as ``_confirm`` describes.
+    exp(log k - e log 2 / k) on the exact exponent, as ``_screened_max`` describes.
     """
     _check_kd(kmax, d, "kmax")
-    k, j, levels = _dyadic_blocks(kmax, d)
+    levels = _dyadic_levels(kmax, d)
     blocks = np.diff(levels)  # block i holds (2^d - 1) 2^(d i) points
     closed = np.concatenate(([0], np.cumsum(d * np.arange(len(blocks)) * blocks)))
-    e = (k - levels[j]) * (j - 1) * d + closed[j]
-    screen = np.log(k) - e * math.log(2) / k
-    return _confirm(screen, lambda k: _power_product_fit(k, d))
+
+    def screen(k, j):
+        e = (k - levels[j]) * (j - 1) * d + closed[j]
+        return np.log(k) - e * math.log(2) / k
+
+    return _screened_max(kmax, levels, screen, lambda k: _power_product_fit(k, d))

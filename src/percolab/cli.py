@@ -258,16 +258,19 @@ def _cmd_tail(args) -> int:
     header = ("statistic", "n", "u", "threshold", "samples", "successes", "estimate", "stderr")
     rows = []
     c1 = {}
+    kind = "c1" if statistic == "largest_cluster" else "vn"
+    distribution = _opt(spec.tail, "distribution")
+    reads = ("vn", "c1") if distribution and kind == "vn" else (kind,)
     for n in sizes:
         thresholds = [n**lattice.d * table.pi(max(1, int(n / u))) for u in spec.u_grid]
-        sample = vn_sample(lattice, p, n, spec.samples, spec.master_seed, spec.workers)
+        sample = vn_sample(lattice, p, n, spec.samples, spec.master_seed, spec.workers, reads=reads)
         c1[n] = sample.c1
-        values = sample.c1 if statistic == "largest_cluster" else sample.vn
+        values = getattr(sample, kind)
         for u, t in zip(spec.u_grid, thresholds):
             est = event_estimate(count_at_least(values, t), spec.samples)
             rows.append((statistic, n, u, t, est.samples, est.successes, est.point, est.stderr))
     payload = {"tail": [dict(zip(header, r)) for r in rows]}
-    if _opt(spec.tail, "distribution"):
+    if distribution:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         payload["distributions"] = {}
@@ -392,11 +395,13 @@ def _cmd_lower(args) -> int:
     conditioned = _opt(cfg, "conditioned", 200)
     c12_grid = tuple(_opt(cfg, "c12_grid", [0.1, 0.2, 0.5]))
     scales = sorted({(1, npr), (1, 3 * npr), (1, n), (1, max(1, n // u))})
+
+    def sample(m: int, kind: str):  # the V_n family at m, labelled for one observable
+        return vn_sample(lattice, p, m, spec.samples, spec.master_seed, spec.workers, reads=(kind,))
+
     table = build_pi_table(lattice, p, scales, spec.samples, spec.master_seed, spec.workers)
     rsw = lowerbound.estimate_rsw_constant(lattice, p, npr, spec.samples, spec.master_seed, spec.workers)
-    low = lowerbound.vn_lower_constants(
-        vn_sample(lattice, p, npr, spec.samples, spec.master_seed, spec.workers), table, c12_grid
-    )
+    low = lowerbound.vn_lower_constants(sample(npr, "vn"), table, c12_grid)
     campaign = lowerbound.gluing_campaign(
         lattice,
         p,
@@ -410,9 +415,7 @@ def _cmd_lower(args) -> int:
     )
     pick = min(1, len(c12_grid) - 1)
     params = BoundParams(d=2, C11=rsw.c11, C12=c12_grid[pick], C13=low.c13_fits[pick])
-    tail = lowerbound.lower_tail_estimate(
-        vn_sample(lattice, p, n, spec.samples, spec.master_seed, spec.workers), u, table, params
-    )
+    tail = lowerbound.lower_tail_estimate(sample(n, "c1"), u, table, params)
     chain = lowerbound.dn_fkg_bound(lattice, p, n, u, spec.samples, spec.master_seed, spec.workers)
     payload = {
         "n": n,

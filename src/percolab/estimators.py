@@ -38,6 +38,15 @@ in box(r) plus boundary, and every carrier containing that set gives the same
 values.  An arm table thus labels box(N) plus boundary once for all its rows;
 V_n/C_1 at n sample box(2n) plus boundary, a crossing its rectangle, and the
 two events of an FKG check the box of the larger one plus boundary.
+
+The V_n family at n is one family with two observables, and ``vn_sample``
+labels only those its caller reads: V_n alone skips the crops, C_1 alone
+skips the whole-carrier labeling.  Both read replica i off the same
+configuration, so separate calls agree with one call for both.  Replicas
+are sampled in batches of about ``BATCH_CELLS`` labelled cells (decorated
+cells on bond lattices, about four per site), so a batch's memory does not
+depend on the lattice; no reduction reads across replicas, so batching never
+enters a result.
 """
 
 from __future__ import annotations
@@ -180,15 +189,21 @@ class PiTable:
 # ---------------------------------------------------------------------------
 # The Monte Carlo kernel (top level: picklable for worker processes)
 
+#: Cells one replica batch labels (decorated cells on bond lattices).
+BATCH_CELLS = 4_000_000
+
 
 def _replica_batches(
     lattice: LatticeSpec, carrier_mask: np.ndarray, p: float, fam: int, start: int, stop: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(offset in [0, stop - start), open cells) of each batch of replicas [start, stop).
 
-    A batch the caller still holds stays alive while the next one is sampled.
+    A batch holds about ``BATCH_CELLS`` cells (at most 256 replicas), so its
+    labels take about 4 bytes per cell; a batch the caller still holds stays
+    alive while the next one is sampled.
     """
-    size = max(4, min(256, 4_000_000 // max(carrier_mask.size, 1)))
+    cells = math.prod(grid.cell_shape(lattice, carrier_mask.shape))
+    size = max(1, min(256, BATCH_CELLS // cells))
     for lo in range(start, stop, size):
         seeds = [derive_stream(fam, i) for i in range(lo, min(lo + size, stop))]
         yield lo - start, open_cells_batch(lattice, carrier_mask, p, seeds)
@@ -278,25 +293,19 @@ def histogram(values: np.ndarray) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class VnSample:
-    """Per-replica long-arm counts ``vn`` and largest clusters ``c1`` of the V_n family at n."""
+    """Per-replica arrays of the V_n family at n: long-arm counts ``vn``, largest clusters ``c1``.
+
+    An observable the caller did not ask for is None: it was never labelled.
+    """
 
     lattice: LatticeSpec
     n: int
-    vn: np.ndarray
-    c1: np.ndarray
+    vn: np.ndarray | None = None
+    c1: np.ndarray | None = None
 
     @property
     def samples(self) -> int:
-        return len(self.vn)
-
-    def head(self, samples: int) -> VnSample:
-        """The first ``samples`` replicas."""
-        return VnSample(self.lattice, self.n, self.vn[:samples], self.c1[:samples])
-
-    def extended(self, more: VnSample) -> VnSample:
-        """This sample followed by ``more``, the replicas that come after it."""
-        vn = np.concatenate((self.vn, more.vn))
-        return VnSample(self.lattice, self.n, vn, np.concatenate((self.c1, more.c1)))
+        return len(self.vn if self.vn is not None else self.c1)
 
     def statistics(
         self,
@@ -328,14 +337,20 @@ def vn_sample(
     master_seed: int,
     workers: int = 1,
     start: int = 0,
+    reads: Sequence[str] = ("vn", "c1"),
 ) -> VnSample:
-    """Replicas [start, start + samples) of the V_n family at scale n, on box(2n) plus boundary."""
+    """Replicas [start, start + samples) of the V_n family at scale n, on box(2n) plus boundary.
+
+    Only the observables in ``reads`` ("vn", "c1") are labelled and returned.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not reads or not set(reads) <= {"vn", "c1"}:
+        raise ValueError(f"reads must name 'vn' and/or 'c1', got {reads!r}")
     carrier = box_with_boundary(lattice, 2 * n)
-    task = (lattice, p, carrier, (("vn", n), ("c1", n)), family_seed(master_seed, TAG_VN, n))
-    vn, c1 = run_counters(shifted(partial(_observe, task), start), samples, workers)
-    return VnSample(lattice, n, vn, c1)
+    task = (lattice, p, carrier, tuple((kind, n) for kind in reads), family_seed(master_seed, TAG_VN, n))
+    arrays = run_counters(shifted(partial(_observe, task), start), samples, workers)
+    return VnSample(lattice, n, **dict(zip(reads, arrays)))
 
 
 def vn_statistics(
@@ -459,73 +474,6 @@ class SizeDistribution:
             if acc >= need:
                 return v
         return max(self.counts)
-
-
-def largest_cluster_distribution(
-    lattice: LatticeSpec,
-    p: float,
-    n: int,
-    samples: int,
-    master_seed: int,
-    workers: int = 1,
-) -> SizeDistribution:
-    """Histogram, mean and quantiles of the largest-cluster size in box(n)."""
-    return SizeDistribution.of(vn_sample(lattice, p, n, samples, master_seed, workers).c1)
-
-
-def _tail_threshold(lattice: LatticeSpec, n: int, u: float, pi: PiTable) -> float:
-    if u < 1:
-        raise ValueError("u must be >= 1")
-    scale = max(1, int(n / u))
-    return float(n**lattice.d) * pi.pi(scale)
-
-
-def tail_probability(
-    lattice: LatticeSpec,
-    p: float,
-    n: int,
-    u: float,
-    samples: int,
-    pi: PiTable,
-    master_seed: int,
-    workers: int = 1,
-) -> Estimate:
-    """P(largest cluster in box(n) has at least n^d * pi(n/u) sites)."""
-    t = _tail_threshold(lattice, n, u, pi)
-    c1 = vn_sample(lattice, p, n, samples, master_seed, workers).c1
-    return event_estimate(count_at_least(c1, t), samples)
-
-
-def vn_tail(
-    lattice: LatticeSpec,
-    p: float,
-    n: int,
-    u: float,
-    samples: int,
-    pi: PiTable,
-    master_seed: int,
-    workers: int = 1,
-) -> Estimate:
-    """P(long-arm count at scale n is at least n^d * pi(n/u))."""
-    t = _tail_threshold(lattice, n, u, pi)
-    vn = vn_sample(lattice, p, n, samples, master_seed, workers).vn
-    return event_estimate(count_at_least(vn, t), samples)
-
-
-def moment_estimate(
-    lattice: LatticeSpec,
-    p: float,
-    n: int,
-    k: int,
-    samples: int,
-    master_seed: int,
-    workers: int = 1,
-) -> Estimate:
-    """Sample mean of binom(|long-arm set|, k); exact integer accumulation."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    vn = vn_sample(lattice, p, n, samples, master_seed, workers).vn
-    return mean_estimate(*binomial_sums(vn, k), samples)
 
 
 # ---------------------------------------------------------------------------

@@ -206,17 +206,19 @@ def count_connected_to(labels: np.ndarray, seed_mask: np.ndarray, count_mask: np
 
 
 def largest_count(labels: np.ndarray) -> np.ndarray:
-    """Per-sample size of the largest cluster."""
+    """Per-sample size of the largest cluster of labels from one batch labeling.
+
+    ``ndimage.label`` numbers the clusters of each sample after every cluster
+    of the samples before it, so sample b owns the label range (top of the
+    samples < b, its own top]; the sizes reduce over those ranges.
+    """
     B = labels.shape[0]
     flat = labels.reshape(B, -1)
-    nmax = int(flat.max(initial=0))
-    if nmax == 0:
-        return np.zeros(B, dtype=np.int64)
-    counts = np.bincount(flat.ravel(), minlength=nmax + 1)
-    owner = np.zeros(nmax + 1, dtype=np.int64)
-    owner[flat] = np.arange(B, dtype=np.int64)[:, None]
-    out = np.zeros(B, dtype=np.int64)
-    np.maximum.at(out, owner[1:], counts[1:])
+    ends = np.maximum.accumulate(flat.max(axis=1, initial=0))
+    starts = np.concatenate(([1], ends[:-1] + 1))
+    counts = np.bincount(flat.ravel(), minlength=int(ends[-1]) + 2)  # ends with a 0 past every label
+    out = np.maximum.reduceat(counts, starts).astype(np.int64)
+    out[starts > ends] = 0  # no cluster: reduceat returned the element at the start
     return out
 
 

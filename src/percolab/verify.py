@@ -109,7 +109,7 @@ class VerifyContext:
     lattice: LatticeSpec = TRIANGULAR
     p: float = 0.5
     _pi: PiTable | None = field(default=None, repr=False)
-    _vn: dict[int, estimators.VnSample] = field(default_factory=dict, repr=False)
+    _vn: dict[tuple[int, str], np.ndarray] = field(default_factory=dict, repr=False)
 
     def pi_table(self) -> PiTable:
         """Shared arm-probability table covering every scale the suite needs."""
@@ -138,22 +138,30 @@ class VerifyContext:
         )
         return self._pi
 
-    def vn_sample(self, n: int, samples: int) -> estimators.VnSample:
-        """Replicas [0, samples) of the V_n family at scale n, each sampled once per run.
+    def vn_sample(self, n: int, samples: int, reads: tuple[str, ...]) -> estimators.VnSample:
+        """Replicas [0, samples) of the V_n family at scale n, for the observables in ``reads``.
 
-        A shorter request reads a prefix of the cached sample; a longer one
-        samples only the missing replicas.  Replica i is the same
-        configuration in every call, so no result depends on criterion order.
+        Each (n, observable) is labelled once per run: a shorter request reads
+        a prefix of the cached array, and a longer one labels only the missing
+        replicas, the observables missing the same range in one kernel call.
+        Replica i is the same configuration in every call, so no result
+        depends on criterion order or on which observables were read first.
         """
-        have = self._vn.get(n)
-        start = 0 if have is None else have.samples
-        if start < samples:
+        missing: dict[int, list[str]] = {}
+        for kind in reads:
+            have = len(self._vn.get((n, kind), ()))
+            if have < samples:
+                missing.setdefault(have, []).append(kind)
+        for start, kinds in missing.items():
             more = estimators.vn_sample(
-                self.lattice, self.p, n, samples - start, self.master_seed, self.workers, start
+                self.lattice, self.p, n, samples - start, self.master_seed, self.workers, start, kinds
             )
-            have = more if have is None else have.extended(more)
-            self._vn[n] = have
-        return have.head(samples)
+            for kind in kinds:
+                have = self._vn.get((n, kind), np.zeros(0, dtype=np.int64))
+                self._vn[(n, kind)] = np.concatenate((have, getattr(more, kind)))
+        return estimators.VnSample(
+            self.lattice, n, **{kind: self._vn[(n, kind)][:samples] for kind in reads}
+        )
 
     def growth_instances(self) -> list[tuple[tuple, ...]]:
         """Shared random point sets for the growth-process criteria."""
@@ -316,7 +324,7 @@ def _c8_upper_tail_shape(ctx: VerifyContext) -> CriterionResult:
     n = prof.tail_n
     us = prof.tail_us
     thresholds = [n * n * pi.pi(max(1, int(n / u))) for u in us]
-    c1 = ctx.vn_sample(n, prof.tail_samples).c1
+    c1 = ctx.vn_sample(n, prof.tail_samples, ("c1",)).c1
     ests = [event_estimate(estimators.count_at_least(c1, t), prof.tail_samples) for t in thresholds]
     points = [e.point for e in ests]
     strictly_down = all(a > b for a, b in zip(points, points[1:]))
@@ -353,7 +361,7 @@ def _glue_constants(ctx: VerifyContext) -> tuple[BoundParams, dict]:
         ctx.lattice, ctx.p, npr, prof.constant_samples, ctx.master_seed, ctx.workers
     )
     low = lowerbound.vn_lower_constants(
-        ctx.vn_sample(npr, prof.constant_samples), ctx.pi_table(), c12_grid=(0.1, 0.2, 0.5)
+        ctx.vn_sample(npr, prof.constant_samples, ("vn",)), ctx.pi_table(), c12_grid=(0.1, 0.2, 0.5)
     )
     pick = 1  # C12 = 0.2
     params = BoundParams(
@@ -389,7 +397,7 @@ def _c9_lower_tail_construction(ctx: VerifyContext) -> CriterionResult:
     )
     params, info = _glue_constants(ctx)
     direct = lowerbound.lower_tail_estimate(
-        ctx.vn_sample(prof.glue_n, prof.tail_samples), prof.glue_u, ctx.pi_table(), params
+        ctx.vn_sample(prof.glue_n, prof.tail_samples, ("c1",)), prof.glue_u, ctx.pi_table(), params
     )
     bound_ok = direct.direct.point >= direct.implied_bound - 3 * direct.direct.stderr
     glue_ok = report.violated == 0 and report.conditioned >= prof.glue_target
@@ -425,7 +433,7 @@ def _c10_mean_vn_floor(ctx: VerifyContext) -> CriterionResult:
     rows = []
     ok = True
     for n in prof.vn_check_ns:
-        rep = lowerbound.vn_lower_constants(ctx.vn_sample(n, prof.constant_samples), pi)
+        rep = lowerbound.vn_lower_constants(ctx.vn_sample(n, prof.constant_samples, ("vn",)), pi)
         ok &= rep.mean_ok
         rows.append(
             {
@@ -494,7 +502,7 @@ def _c12_moment_stability(ctx: VerifyContext) -> CriterionResult:
     pi = ctx.pi_table()
     fits = {}
     for n in prof.moment_ns:
-        vn = ctx.vn_sample(n, prof.moment_samples).vn
+        vn = ctx.vn_sample(n, prof.moment_samples, ("vn",)).vn
         best = 0.0
         for k in prof.moment_ks:
             mom = estimators.binomial_sums(vn, k)[0] / prof.moment_samples

@@ -293,6 +293,27 @@ def reference_cells(lattice, mask, p, seeds):
     return out
 
 
+def largest_count(labels):
+    """Per-sample largest cluster, scattering an owner index over every label.
+
+    It reads any labels, with no assumption on how label ids are numbered
+    across samples.
+    """
+    import numpy as np
+
+    B = labels.shape[0]
+    flat = labels.reshape(B, -1)
+    nmax = int(flat.max(initial=0))
+    if nmax == 0:
+        return np.zeros(B, dtype=np.int64)
+    counts = np.bincount(flat.ravel(), minlength=nmax + 1)
+    owner = np.zeros(nmax + 1, dtype=np.int64)
+    owner[flat] = np.arange(B, dtype=np.int64)[:, None]
+    out = np.zeros(B, dtype=np.int64)
+    np.maximum.at(out, owner[1:], counts[1:])
+    return out
+
+
 def multinomial_sweep(kmax, d):
     """Sup of the fitted constant over 2 <= k <= kmax (exact incremental).
 

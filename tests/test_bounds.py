@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import oracles
@@ -196,6 +197,36 @@ def test_sweeps_equal_incremental_loops(name, d):
 @pytest.mark.parametrize("kmax", (4095, 4096, 4097, 6044, 10000, 30000))
 def test_sweeps_equal_incremental_loops_large(name, kmax):
     assert getattr(bounds, name)(kmax, 2) == getattr(oracles, name)(kmax, 2)
+
+
+@pytest.mark.parametrize("name", ("multinomial_sweep", "power_product_sweep"))
+@pytest.mark.parametrize("chunk", (1, 2, 7, 64))
+def test_chunked_screen_equals_incremental_loops(name, chunk, monkeypatch):
+    # every kmax from 2 to 300 on small chunks: kmax at, just past and far past
+    # each chunk boundary, and maxima kept from earlier chunks or dropped later
+    monkeypatch.setattr(bounds, "SCREEN_CHUNK", chunk)
+    sweep, loop = getattr(bounds, name), getattr(oracles, name)
+    for d in (2, 3):
+        for kmax in range(2, 301):
+            assert sweep(kmax, d) == loop(kmax, d), (d, kmax)
+
+
+@pytest.mark.parametrize("kmax", (65535, 65536, 65537, 65538, 2 * 65536 + 1, 2 * 65536 + 2))
+def test_power_product_sweep_across_the_real_chunk(kmax):
+    # the d = 2 argmax of [2, 2^17] is 65535, one k below the first chunk boundary
+    assert bounds.SCREEN_CHUNK == 65536
+    assert power_product_sweep(kmax, 2) == oracles.power_product_sweep(kmax, 2)
+
+
+def test_sweep_screen_memory_is_flat_in_kmax():
+    # one pass over all 2 * 10^6 k held about 76 MB; a chunk is 0.5 MB per array
+    tracemalloc.start()
+    try:
+        assert power_product_sweep(2_000_000, 2) == (17.95934596602017, 1048575)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * bounds.SCREEN_CHUNK
 
 
 @pytest.mark.parametrize(

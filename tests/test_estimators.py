@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from oracles import exact_connect_probability, site_components
@@ -18,11 +20,8 @@ from percolab.estimators import (
     estimate_pi,
     event_estimate,
     fit_arm_exponent,
-    largest_cluster_distribution,
-    moment_estimate,
-    tail_probability,
+    vn_sample,
     vn_statistics,
-    vn_tail,
 )
 from percolab.lattice import (
     TRIANGULAR,
@@ -203,6 +202,93 @@ def test_pi_table_nesting_is_exact(lattice):
     assert hits(1, ARM_N) < hits(ARM_N - 1, ARM_N)  # the invariants are not all ties
 
 
+# one carrier, every observable kind: arm rows and V_n read the carrier labels,
+# C_1 and the crossing label their crops
+BATCH_TASK_OBSERVABLES = (
+    ("arm", ((1, 4), (2, 8))),
+    ("vn", 4),
+    ("c1", 4),
+    ("crossing", (-4, -3), (8, 6), 0),
+)
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
+def test_observe_is_batch_invariant(lattice, monkeypatch):
+    # replica i is the same configuration in any batch, and no reduction reads
+    # across replicas: 1-replica batches give the same arrays as the default
+    task = (lattice, 0.5, box_with_boundary(lattice, 8), BATCH_TASK_OBSERVABLES, 4242)
+    default = E._observe(task, 3, 43)
+    monkeypatch.setattr(E, "BATCH_CELLS", 1)
+    assert [len(b) for _, b in E._replica_batches(lattice, task[2].mask, 0.5, 4242, 3, 6)] == [1, 1, 1]
+    single = E._observe(task, 3, 43)
+    for want, got in zip(default, single):
+        assert want.dtype == got.dtype and np.array_equal(want, got)
+    assert 0 < default[3].sum() < 40 and len(set(default[2].tolist())) > 5
+
+
+def test_replica_batches_hold_the_cell_budget():
+    # a bond batch labels the decorated grid, about 4x the carrier's sites;
+    # site batches hold BATCH_CELLS // sites replicas as before
+    def size(lattice, n):
+        mask = box_with_boundary(lattice, n).mask
+        return len(next(E._replica_batches(lattice, mask, 0.5, 1, 0, 10_000))[1])
+
+    assert size(Z2_BOND, 64) == E.BATCH_CELLS // 261**2 == 58
+    assert size(TRIANGULAR, 64) == E.BATCH_CELLS // 131**2 == 233
+    assert size(TRIANGULAR, 4) == 256
+
+
+def test_vn_sample_memory_follows_the_cell_budget():
+    # a batch holds about BATCH_CELLS cells (1 byte) and their labels (4 bytes);
+    # budgeting by sites held 233 replicas of 68,121 cells, about 84 MB
+    tracemalloc.start()
+    try:
+        vn_sample(Z2_BOND, 0.5, 32, 300, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * E.BATCH_CELLS + 8_000_000
+
+
+def test_vn_sample_labels_only_what_it_reads():
+    both = vn_sample(Z2_BOND, 0.5, 3, 60, 21)
+    vn = vn_sample(Z2_BOND, 0.5, 3, 60, 21, reads=("vn",))
+    c1 = vn_sample(Z2_BOND, 0.5, 3, 60, 21, workers=2, reads=("c1",))
+    assert vn.c1 is None and c1.vn is None and vn.samples == c1.samples == 60
+    assert np.array_equal(vn.vn, both.vn) and np.array_equal(c1.c1, both.c1)
+    for bad in ((), ("vn", "arm"), "vn"):
+        with pytest.raises(ValueError, match="reads"):
+            vn_sample(Z2_BOND, 0.5, 3, 10, 21, reads=bad)
+
+
+def _largest_count_cases():
+    """Label batches covering empty replicas, p = 0 and 1, bond views and crops."""
+    for lattice in (TRIANGULAR, Z2_BOND):
+        mask = box_with_boundary(lattice, 5).mask
+        for p in (0.0, 0.05, 0.5, 1.0):
+            batch = open_cells_batch(lattice, mask, p, [derive_stream(77, i) for i in range(30)])
+            yield grid.label_sites_batch(batch, lattice)  # vertex view on bond lattices
+            yield E._crop_labels(lattice, batch, (slice(2, 9), slice(1, 12)))
+            # empty replicas first, inside and last
+            holes = batch.copy()
+            holes[[0, 1, 7, 28, 29]] = False
+            yield grid.label_sites_batch(holes, lattice)
+            # the gluing check labels one configuration at a time
+            for j in (0, 5):
+                yield grid.label_sites_batch(batch[j : j + 1], lattice)[0][None]
+    yield grid.label_sites_batch(np.zeros((3, 4, 4), dtype=bool), TRIANGULAR)
+
+
+def test_largest_count_matches_owner_scatter_reference():
+    cases = 0
+    for labels in _largest_count_cases():
+        got = grid.largest_count(labels)
+        assert got.dtype == np.int64
+        assert got.tolist() == oracles.largest_count(labels).tolist()
+        cases += 1
+    assert cases == 2 * 4 * 5 + 1
+
+
 def test_pi_table_conventions():
     table = PiTable(TRIANGULAR, 0.5)
     assert table.pi(5, 5) == 1.0
@@ -216,9 +302,12 @@ def test_pi_table_conventions():
 
 
 def test_largest_cluster_distribution_point_masses():
-    d0 = largest_cluster_distribution(TRIANGULAR, 0.0, 2, 300, 11)
+    def dist(p):
+        return E.SizeDistribution.of(vn_sample(TRIANGULAR, p, 2, 300, 11, reads=("c1",)).c1)
+
+    d0 = dist(0.0)
     assert d0.counts == {0: 300} and d0.mean == 0.0
-    d1 = largest_cluster_distribution(TRIANGULAR, 1.0, 2, 300, 11)
+    d1 = dist(1.0)
     assert d1.counts == {25: 300} and d1.mean == 25.0 and d1.stderr == 0.0
     assert d1.quantile(0.5) == 25
 
@@ -234,27 +323,26 @@ def test_largest_cluster_mean_vs_exhaustive():
         largest = max((len(c) for c in comps), default=0)
         total += largest
     exact_mean = total / 512
-    dist = largest_cluster_distribution(TRIANGULAR, 0.5, 1, 4000, 99)
+    dist = E.SizeDistribution.of(vn_sample(TRIANGULAR, 0.5, 1, 4000, 99, reads=("c1",)).c1)
     assert abs(dist.mean - exact_mean) <= 3 * dist.stderr
 
 
+# n^d pi(n / u) at n = 4, u = 2 with pi(2) = 1: the whole box(2) area, 16
+TAIL_T = 4**2 * 1.0
+
+
 def test_tail_probability_trivial():
-    table = PiTable(TRIANGULAR, 1.0)
-    table.add(PiRow(1, 2, 10, 10, 1.0, 0.0))
-    est = tail_probability(TRIANGULAR, 1.0, 4, 2.0, 200, table, 5)
-    assert est.point == 1.0
+    c1 = vn_sample(TRIANGULAR, 1.0, 4, 200, 5, reads=("c1",)).c1
+    assert event_estimate(E.count_at_least(c1, TAIL_T), 200).point == 1.0
     # impossible threshold: above the full box size
     stats = vn_statistics(TRIANGULAR, 0.5, 3, 200, 5, c1_thresholds=(7 * 7 + 1,))
     assert stats["c1ge:0"] == 0
 
 
 def test_vn_tail_trivial():
-    table = PiTable(TRIANGULAR, 1.0)
-    table.add(PiRow(1, 2, 10, 10, 1.0, 0.0))
-    assert vn_tail(TRIANGULAR, 1.0, 4, 2.0, 100, table, 5).point == 1.0
-    table0 = PiTable(TRIANGULAR, 0.0)
-    table0.add(PiRow(1, 2, 10, 10, 1.0, 0.0))
-    assert vn_tail(TRIANGULAR, 0.0, 4, 2.0, 100, table0, 5).point == 0.0
+    for p, want in ((1.0, 1.0), (0.0, 0.0)):
+        vn = vn_sample(TRIANGULAR, p, 4, 100, 5, reads=("vn",)).vn
+        assert event_estimate(E.count_at_least(vn, TAIL_T), 100).point == want
 
 
 def test_moment_identities():
@@ -262,13 +350,11 @@ def test_moment_identities():
     stats = vn_statistics(TRIANGULAR, 0.5, n, samples, seed, moment_ks=(1, 2))
     # binom(v, 1) = v: exact equality on identical replicas
     assert stats["msum:1"] == stats["vsum"]
-    est1 = moment_estimate(TRIANGULAR, 0.5, n, 1, samples, seed)
-    assert est1.point == stats["vsum"] / samples
+    vn = vn_sample(TRIANGULAR, 0.5, n, samples, seed, reads=("vn",)).vn
+    assert E.mean_estimate(*E.binomial_sums(vn, 1), samples).point == stats["vsum"] / samples
     # binom(v, 2) = (v^2 - v) / 2: exact integer identity on the same sample
     assert 2 * stats["msum:2"] == stats["vsq"] - stats["vsum"]
-    assert moment_estimate(TRIANGULAR, 0.0, n, 2, 100, seed).point == 0.0
-    with pytest.raises(ValueError):
-        moment_estimate(TRIANGULAR, 0.5, n, 0, 10, seed)
+    assert E.binomial_sums(vn_sample(TRIANGULAR, 0.0, n, 100, seed, reads=("vn",)).vn, 2) == (0, 0)
 
 
 def test_check_quasi_mult_exact_power_law():
@@ -343,11 +429,8 @@ def test_default_p():
 ZERO_SAMPLE_CALLS = {
     "build_pi_table": lambda: build_pi_table(TRIANGULAR, 0.5, [(1, 4)], 0, 1),
     "vn_statistics": lambda: vn_statistics(TRIANGULAR, 0.5, 3, 0, 1),
-    "tail_probability": lambda: tail_probability(
-        TRIANGULAR, 0.5, 4, 2.0, 0, synthetic_table(0.1, [(1, 2)]), 1
-    ),
-    "moment_estimate": lambda: moment_estimate(TRIANGULAR, 0.5, 4, 2, 0, 1),
-    "largest_cluster_distribution": lambda: largest_cluster_distribution(TRIANGULAR, 0.5, 4, 0, 1),
+    "vn_sample_c1": lambda: vn_sample(TRIANGULAR, 0.5, 4, 0, 1, reads=("c1",)),
+    "vn_sample_vn": lambda: vn_sample(TRIANGULAR, 0.5, 4, 0, 1, reads=("vn",)),
     "fkg_check": lambda: L.fkg_check(
         TRIANGULAR, 0.5, L.EventSpec("arm", m=1, n=4), L.EventSpec("arm", m=2, n=4), 0, 1
     ),

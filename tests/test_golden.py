@@ -168,20 +168,21 @@ def test_tail_distribution_bytes_pinned(tmp_path, lattice):
 
 
 def test_tail_distribution_samples_each_family_once(tmp_path, monkeypatch):
-    # one worker: each V_n run_counters call runs the kernel once
+    # one worker: each V_n run_counters call runs the kernel once; the largest-
+    # cluster tail and its distribution read C_1 alone, so V_n is never labelled
     scales = []
     kernel = E._observe
 
     def spy(task, start, stop):
-        scales.extend(n for kind, n, *_ in task[3] if kind == "vn")
+        scales.extend(obs for obs in task[3] if obs[0] in ("vn", "c1"))
         return kernel(task, start, stop)
 
     monkeypatch.setattr(E, "_observe", spy)
     tail_distribution_run(tmp_path / "a", "triangular_site", sizes=(6,))
-    assert scales == [6]
+    assert scales == [("c1", 6)]
     scales.clear()
     assert tail_distribution_run(tmp_path / "b", "triangular_site") == TAIL_FILES["triangular_site"]
-    assert scales == [3, 4]
+    assert scales == [("c1", 3), ("c1", 4)]
 
 
 EVENTS = (

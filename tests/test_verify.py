@@ -22,17 +22,57 @@ def _data(indices, table, workers=1):
 
 
 def test_family_cache_is_order_free(table):
-    # criteria 8, 10 and 12 share V_n families: forward, each family is first
-    # sampled at its largest size and read as a prefix; reversed, it is extended
+    # criteria 8, 10 and 12 share V_n families: forward, each (n, observable)
+    # is first labelled at its largest size and read as a prefix; reversed, it
+    # is extended.  Criterion 8 reads C_1 alone, 10 and 12 read V_n alone.
     forward, ctx = _data(ORDER, table)
     backward, _ = _data(ORDER[::-1], table, workers=2)
     alone = {i: _data((i,), table)[0][i] for i in ORDER}
     assert forward == backward == alone
-    assert {n: s.samples for n, s in ctx._vn.items()} == {
-        4: QUICK.constant_samples,
-        8: QUICK.constant_samples,
-        12: QUICK.tail_samples,
+    assert {key: len(a) for key, a in ctx._vn.items()} == {
+        (4, "vn"): QUICK.constant_samples,
+        (8, "vn"): QUICK.constant_samples,
+        (12, "vn"): QUICK.moment_samples,
+        (12, "c1"): QUICK.tail_samples,
     }
+
+
+def test_family_cache_fills_each_observable_on_demand():
+    # V_n first, then both: the V_n prefix is kept, V_n is labelled only over
+    # [50, 80) and C_1 over [0, 80); the last request is a prefix of both
+    ctx = VerifyContext(SEED, 1, QUICK)
+    calls = []
+    sample = verify.estimators.vn_sample
+
+    def spy(*args):
+        calls.append((args[3], args[6], tuple(args[7])))
+        return sample(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify.estimators, "vn_sample", spy)
+        ctx.vn_sample(3, 50, ("vn",))
+        got = ctx.vn_sample(3, 80, ("vn", "c1"))
+        ctx.vn_sample(3, 60, ("c1", "vn"))
+    assert calls == [(50, 0, ("vn",)), (30, 50, ("vn",)), (80, 0, ("c1",))]
+    want = sample(ctx.lattice, ctx.p, 3, 80, SEED)
+    assert got.vn.tolist() == want.vn.tolist() and got.c1.tolist() == want.c1.tolist()
+
+
+@pytest.mark.parametrize(
+    "index, want",
+    [(8, {("c1", QUICK.tail_n)}), (10, {("vn", n) for n in QUICK.vn_check_ns})],
+)
+def test_criteria_label_only_the_observable_they_read(index, want, table, monkeypatch):
+    asked = []
+    kernel = verify.estimators._observe
+
+    def spy(task, start, stop):
+        asked.extend(obs for obs in task[3] if obs[0] in ("vn", "c1"))
+        return kernel(task, start, stop)
+
+    monkeypatch.setattr(verify.estimators, "_observe", spy)
+    run_criterion(index, VerifyContext(SEED, 1, QUICK, _pi=table))
+    assert set(asked) == want and len(asked) == len(want)
 
 
 def test_bfs_oracle_is_independent():
