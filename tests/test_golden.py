@@ -185,6 +185,46 @@ def test_tail_distribution_samples_each_family_once(tmp_path, monkeypatch):
     assert scales == [("c1", 3), ("c1", 4)]
 
 
+# (sha256, size) of every file `lower` writes at p = 0.6, n = 8, u = 2, on 150
+# samples, keyed by max_attempts: at 6000 the gluing campaign covers the FKG
+# chain's attempts [0, 150), at 100 it stops short of them
+LOWER_FILES = {
+    6000: {
+        "lower_ed122e316fd6.csv": ("b5abc6dbe5798fa2a4ebe88ade86b62ba2650136beb4c6dcd3473ef5182ea7aa", 248),
+        "lower_ed122e316fd6.json": ("6e256020a5cefcd6c3f511882ed0496374e604450505f83dd48b585e1e428006", 891),
+    },
+    100: {
+        "lower_59c07d62efa4.csv": ("93b897756f09d4bbd1f80c7d72199c95131af71a8ea1e607aeaa400f87343304", 231),
+        "lower_59c07d62efa4.json": ("3f390e60b8bce8b91fb450ce6aceb5e65591cc5b297e1c2ecbc527701c6c1467", 871),
+    },
+}
+
+
+def lower_run(tmp_path, max_attempts: int) -> dict:
+    """Run `lower` on a small construction; {file name: (sha256, size)}."""
+    spec = tmp_path / "spec.yaml"
+    doc = {
+        "master_seed": 17,
+        "lattice": "triangular_site",
+        "p": 0.6,
+        "samples": 150,
+        "workers": 1,
+        "lower": {"n": 8, "u": 2, "conditioned": 3, "max_attempts": max_attempts},
+    }
+    spec.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "lower"
+    assert main(["lower", "--spec", str(spec), "--out", str(out)]) == 0
+    return {
+        f.name: (hashlib.sha256(f.read_bytes()).hexdigest(), f.stat().st_size)
+        for f in out.iterdir()
+    }
+
+
+@pytest.mark.parametrize("max_attempts", sorted(LOWER_FILES))
+def test_lower_bytes_pinned(tmp_path, max_attempts):
+    assert lower_run(tmp_path, max_attempts) == LOWER_FILES[max_attempts]
+
+
 EVENTS = (
     L.EventSpec("h_crossing", corner=(-3, -2), widths=(5, 4)),
     L.EventSpec("v_crossing", corner=(-1, -3), widths=(3, 5)),
