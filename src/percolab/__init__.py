@@ -68,6 +68,7 @@ from .lowerbound import (  # noqa: F401
     estimate_rsw_constant,
     fkg_check,
     gluing_check,
+    lower_construction,
     lower_tail_estimate,
     vn_lower_constants,
 )

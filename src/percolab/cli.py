@@ -351,10 +351,7 @@ def _cmd_bounds(args) -> int:
         d=spec.d,
         alpha=_opt(cfg, "alpha", float(bounds.ONE_ARM_EXPONENT) if spec.d == 2 else None),
         C2=_opt(cfg, "C2", 1.0),
-        c1=cfg.get("c1"),
-        c2=cfg.get("c2"),
-        c3=cfg.get("c3"),
-        c4=cfg.get("c4"),
+        **{k: cfg.get(k) for k in ("c1", "c2", "c3", "c4")},
     )
     kmax = _opt(cfg, "sweep_kmax", 10_000)
     sup_mult, arg_mult = bounds.multinomial_sweep(kmax, spec.d)
@@ -373,12 +370,7 @@ def _cmd_bounds(args) -> int:
         "generating_fn_series": series,
     }
     header = ("quantity", "value")
-    rows = [
-        ("multinomial_sup", sup_mult),
-        ("multinomial_argmax", arg_mult),
-        ("power_product_sup", sup_pow),
-        ("power_product_argmax", arg_pow),
-    ]
+    rows = [(k, v) for k, v in payload["sweeps"].items() if k != "kmax"]
     _emit(args, digest, "bounds", header, rows, payload)
     return 0
 
@@ -392,31 +384,21 @@ def _cmd_lower(args) -> int:
     if not 2 <= u <= n:
         raise ValueError(f"lower.u must lie in [2, lower.n], got u={u} n={n}")
     npr = n // u
-    conditioned = _opt(cfg, "conditioned", 200)
-    c12_grid = tuple(_opt(cfg, "c12_grid", [0.1, 0.2, 0.5]))
-    scales = sorted({(1, npr), (1, 3 * npr), (1, n), (1, max(1, n // u))})
 
     def sample(m: int, kind: str):  # the V_n family at m, labelled for one observable
         return vn_sample(lattice, p, m, spec.samples, spec.master_seed, spec.workers, reads=(kind,))
 
+    scales = sorted({(1, npr), (1, 3 * npr), (1, n)})
     table = build_pi_table(lattice, p, scales, spec.samples, spec.master_seed, spec.workers)
-    rsw = lowerbound.estimate_rsw_constant(lattice, p, npr, spec.samples, spec.master_seed, spec.workers)
-    low = lowerbound.vn_lower_constants(sample(npr, "vn"), table, c12_grid)
-    campaign = lowerbound.gluing_campaign(
-        lattice,
-        p,
-        n,
-        u,
-        conditioned,
-        spec.master_seed,
-        spec.workers,
+    report = lowerbound.lower_construction(
+        p, u, table, sample(npr, "vn"), sample(n, "c1"), spec.master_seed, spec.workers,
+        tuple(_opt(cfg, "c12_grid", [0.1, 0.2, 0.5])),
+        conditioned=_opt(cfg, "conditioned", 200),
         stop_after_violations=_opt(cfg, "stop_after_violations", 25),
         max_attempts=_opt(cfg, "max_attempts", 2_000_000),
     )
-    pick = min(1, len(c12_grid) - 1)
-    params = BoundParams(d=2, C11=rsw.c11, C12=c12_grid[pick], C13=low.c13_fits[pick])
-    tail = lowerbound.lower_tail_estimate(sample(n, "c1"), u, table, params)
-    chain = lowerbound.dn_fkg_bound(lattice, p, n, u, spec.samples, spec.master_seed, spec.workers)
+    rsw, low, campaign, tail = report.rsw, report.constants, report.campaign, report.tail
+    chain = lowerbound.dn_fkg_bound(campaign, lattice, p, spec.samples, spec.master_seed, spec.workers)
     payload = {
         "n": n,
         "u": u,

@@ -26,11 +26,16 @@ rectangles tend to pass or fail together, so spreading them finds a failing
 attempt sooner (at n = 32, u = 2, p = 1/2: 6.05 rectangle labellings per
 attempt against 7.21 for corner-by-corner order).  D is the AND of all its
 crossings, so the order moves no result, only the work spent on rejects.
+
+``lower_construction`` runs the campaign with the fitted C11, C12, C13 and the
+direct C_1 tail for both CLI ``lower`` and criterion 9.  The campaign keeps
+the attempts on which D held, and the FKG chain reads P(D) off them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -130,10 +135,7 @@ class EventSpec:
 
     def required_radius(self) -> int:
         if self.kind in ("h_crossing", "v_crossing"):
-            far = max(
-                max(abs(c), abs(c + w)) for c, w in zip(self.corner, self.widths)
-            )
-            return far
+            return max(max(abs(c), abs(c + w)) for c, w in zip(self.corner, self.widths))
         if self.kind == "arm":
             return self.n
         if self.kind == "vn_ge":
@@ -413,6 +415,7 @@ class GluingCampaignReport:
     violated: int
     violated_one_cluster: int
     violated_sum: int
+    d_attempts: tuple[int, ...]  # ascending attempt indices where D(n, u) held
 
     @property
     def acceptance_rate(self) -> float:
@@ -438,29 +441,27 @@ def gluing_campaign(
     conditioned target is reached, the violation budget is exhausted, or the
     attempt cap is hit (the acceptance rate is reported either way).
     """
+    stop = 1 if stop_after_violations is None else stop_after_violations
+    if min(target_conditioned, max_attempts, stop) < 1:
+        raise ValueError("conditioned, max_attempts and stop_after_violations must be >= 1")
     kernel = _dn_kernel(lattice, p, n, u, master_seed)
-    attempts = conditioned = violated = viol_i = viol_ii = 0
-    while conditioned < target_conditioned and attempts < max_attempts:
+    attempts = violated = viol_i = viol_ii = 0
+    d_attempts: list[int] = []
+    while len(d_attempts) < target_conditioned and attempts < max_attempts:
         if stop_after_violations is not None and violated >= stop_after_violations:
             break
         stage = min(stage_size, max_attempts - attempts)
         d, vi, vii = run_counters(shifted(kernel, attempts), stage, workers)
+        d_attempts.extend((attempts + np.flatnonzero(d)).tolist())
         attempts += stage
-        conditioned += int(d.sum())
         violated += int((vi | vii).sum())
         viol_i += int(vi.sum())
         viol_ii += int(vii.sum())
+    conditioned = len(d_attempts)
     return GluingCampaignReport(
-        n, u, attempts, conditioned, conditioned - violated, violated, viol_i, viol_ii
+        n, u, attempts, conditioned, conditioned - violated, violated, viol_i, viol_ii,
+        tuple(d_attempts),
     )
-
-
-def dn_probability(
-    lattice: LatticeSpec, p: float, n: int, u: int, samples: int, master_seed: int, workers: int = 1
-) -> Estimate:
-    """Plain Monte Carlo estimate of P(D(n, u))."""
-    d, _, _ = run_counters(_dn_kernel(lattice, p, n, u, master_seed), samples, workers)
-    return event_estimate(int(d.sum()), samples)
 
 
 @dataclass(frozen=True)
@@ -478,19 +479,27 @@ class DnChainBound:
 
 
 def dn_fkg_bound(
-    lattice: LatticeSpec, p: float, n: int, u: int, samples: int, master_seed: int, workers: int = 1
+    campaign: GluingCampaignReport, lattice: LatticeSpec, p: float, samples: int, master_seed: int,
+    workers: int = 1,
 ) -> DnChainBound:
     """Check P(D(n,u)) >= (p_H p_V)^((2u+1)^2) - 3 sigma at the empirical level.
 
     p_H and p_V are the single-rectangle crossing probabilities of the
-    construction's tall and wide rectangles at scale n' = floor(n/u).
+    construction's tall and wide rectangles at scale n' = floor(n/u).  P(D)
+    is the D(n, u) share of attempts [0, samples) of ``campaign``, which must
+    have run on the same lattice, p and seed: its D flags are read where it
+    ran, and only the attempts past its end are sampled.
     """
+    n, u = campaign.n, campaign.u
     npr = n // u
-    d_est = dn_probability(lattice, p, n, u, samples, master_seed, workers)
     h_est = estimate_crossing(lattice, p, (npr, 2 * npr), 0, samples, master_seed, workers)
     v_est = estimate_crossing(lattice, p, (2 * npr, npr), 1, samples, master_seed, workers)
+    d = bisect_left(campaign.d_attempts, samples)
+    if campaign.attempts < samples:
+        kernel = shifted(_dn_kernel(lattice, p, n, u, master_seed), campaign.attempts)
+        d += int(run_counters(kernel, samples - campaign.attempts, workers)[0].sum())
     chained = (h_est.point * v_est.point) ** ((2 * u + 1) ** 2)
-    return DnChainBound(d_est, h_est, v_est, chained)
+    return DnChainBound(event_estimate(d, samples), h_est, v_est, chained)
 
 
 # ---------------------------------------------------------------------------
@@ -518,3 +527,42 @@ def lower_tail_estimate(
     direct = event_estimate(count_at_least(sample.c1, threshold), sample.samples)
     implied = math.exp(-(2 * c11 + c13) * u * u)
     return LowerTailResult(direct, implied, threshold)
+
+
+@dataclass(frozen=True)
+class LowerConstruction:
+    """The lower-tail construction at (n, u): fitted constants, gluing campaign, direct tail."""
+
+    rsw: RswFit
+    constants: VnLowerReport
+    params: BoundParams
+    campaign: GluingCampaignReport
+    tail: LowerTailResult
+
+
+def lower_construction(
+    p: float, u: int, pi: PiTable, constants: VnSample, tail: VnSample, master_seed: int,
+    workers: int, c12_grid: Sequence[float], *, conditioned: int,
+    stop_after_violations: int | None, max_attempts: int,
+) -> LowerConstruction:
+    """The construction at n = ``tail.n``, on the lattice of ``tail``, which holds C_1 at n.
+
+    ``constants`` holds V_n at n' = floor(n/u), and C11 is fitted at n' on as
+    many replicas.  C12 and C13 are the grid point ``min(1, len(c12_grid) - 1)``
+    and its fit.
+    """
+    lattice, n = tail.lattice, tail.n
+    if not c12_grid or min(c12_grid) <= 0:
+        raise ValueError(f"c12_grid must be a nonempty list of positive numbers, got {c12_grid!r}")
+    campaign = gluing_campaign(
+        lattice, p, n, u, conditioned, master_seed, workers,
+        stop_after_violations=stop_after_violations, max_attempts=max_attempts,
+    )
+    rsw = estimate_rsw_constant(lattice, p, n // u, constants.samples, master_seed, workers)
+    low = vn_lower_constants(constants, pi, c12_grid)
+    pick = min(1, len(c12_grid) - 1)
+    params = BoundParams(
+        d=2, C11=rsw.c11, C12=low.c12_grid[pick], C13=low.c13_fits[pick],
+        provenance={"C11": "fitted", "C12": "grid", "C13": "fitted"},
+    )
+    return LowerConstruction(rsw, low, params, campaign, lower_tail_estimate(tail, u, pi, params))

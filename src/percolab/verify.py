@@ -125,10 +125,8 @@ class VerifyContext:
         for n in prof.moment_ns:
             for k in prof.moment_ks:
                 scales.add((1, max(1, n // int_root_ceil(k, 2))))
-        npr = prof.glue_n // prof.glue_u
-        scales.add((1, npr))
-        scales.add((1, prof.glue_n))
-        scales.add((1, 3 * npr))
+        npr = prof.glue_n // prof.glue_u  # the construction reads pi at n' and 3n'
+        scales.update({(1, npr), (1, 3 * npr)})
         ds = prof.dyadic_scales
         for i, m in enumerate(ds):
             for n in ds[i + 1:]:
@@ -329,10 +327,7 @@ def _c8_upper_tail_shape(ctx: VerifyContext) -> CriterionResult:
     points = [e.point for e in ests]
     strictly_down = all(a > b for a, b in zip(points, points[1:]))
     noise_ok = all(
-        a - b > -3 * math.hypot(ea, eb)
-        for (a, ea), (b, eb) in zip(
-            [(e.point, e.stderr) for e in ests], [(e.point, e.stderr) for e in ests][1:]
-        )
+        a.point - b.point > -3 * math.hypot(a.stderr, b.stderr) for a, b in zip(ests, ests[1:])
     )
     xs = np.array([u * u for u in us])
     ys = np.array([-math.log(p) if p > 0 else math.inf for p in points])
@@ -353,52 +348,19 @@ def _c8_upper_tail_shape(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def _glue_constants(ctx: VerifyContext) -> tuple[BoundParams, dict]:
-    """Fitted C11 (hard 2:1 crossing at the construction scale), C12, C13."""
-    prof = ctx.profile
-    npr = prof.glue_n // prof.glue_u
-    rsw = lowerbound.estimate_rsw_constant(
-        ctx.lattice, ctx.p, npr, prof.constant_samples, ctx.master_seed, ctx.workers
-    )
-    low = lowerbound.vn_lower_constants(
-        ctx.vn_sample(npr, prof.constant_samples, ("vn",)), ctx.pi_table(), c12_grid=(0.1, 0.2, 0.5)
-    )
-    pick = 1  # C12 = 0.2
-    params = BoundParams(
-        d=2,
-        C11=rsw.c11,
-        C12=low.c12_grid[pick],
-        C13=low.c13_fits[pick],
-        provenance={"C11": "fitted", "C12": "grid", "C13": "fitted"},
-    )
-    info = {
-        "rsw_estimate": rsw.estimate.point,
-        "C11": rsw.c11,
-        "C12": params.C12,
-        "C13": params.C13,
-        "c12_grid": list(low.c12_grid),
-        "c13_fits": list(low.c13_fits),
-    }
-    return params, info
-
-
 def _c9_lower_tail_construction(ctx: VerifyContext) -> CriterionResult:
     prof = ctx.profile
-    report = lowerbound.gluing_campaign(
-        ctx.lattice,
-        ctx.p,
-        prof.glue_n,
-        prof.glue_u,
-        prof.glue_target,
-        ctx.master_seed,
-        ctx.workers,
+    npr = prof.glue_n // prof.glue_u
+    construction = lowerbound.lower_construction(
+        ctx.p, prof.glue_u, ctx.pi_table(),
+        ctx.vn_sample(npr, prof.constant_samples, ("vn",)),
+        ctx.vn_sample(prof.glue_n, prof.tail_samples, ("c1",)),
+        ctx.master_seed, ctx.workers, (0.1, 0.2, 0.5),
+        conditioned=prof.glue_target,
         stop_after_violations=prof.glue_stop_violations,
         max_attempts=prof.glue_max_attempts,
     )
-    params, info = _glue_constants(ctx)
-    direct = lowerbound.lower_tail_estimate(
-        ctx.vn_sample(prof.glue_n, prof.tail_samples, ("c1",)), prof.glue_u, ctx.pi_table(), params
-    )
+    report, direct, params = construction.campaign, construction.tail, construction.params
     bound_ok = direct.direct.point >= direct.implied_bound - 3 * direct.direct.stderr
     glue_ok = report.violated == 0 and report.conditioned >= prof.glue_target
     ok = glue_ok and bound_ok
@@ -422,7 +384,12 @@ def _c9_lower_tail_construction(ctx: VerifyContext) -> CriterionResult:
             "direct_stderr": direct.direct.stderr,
             "implied_bound": direct.implied_bound,
             "threshold": direct.threshold,
-            **info,
+            "rsw_estimate": construction.rsw.estimate.point,
+            "C11": params.C11,
+            "C12": params.C12,
+            "C13": params.C13,
+            "c12_grid": list(construction.constants.c12_grid),
+            "c13_fits": list(construction.constants.c13_fits),
         },
     )
 

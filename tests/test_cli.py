@@ -141,6 +141,28 @@ def test_spec_range_errors_exit_2_before_any_work(tmp_path, capsys, command, ove
 
 
 @pytest.mark.parametrize(
+    "lower",
+    [
+        {"c12_grid": []},
+        {"c12_grid": [-1.0, 0.0]},
+        {"c12_grid": [0.2, 0.0]},
+        {"conditioned": 0},
+        {"max_attempts": -3},
+        {"max_attempts": 0},
+        {"stop_after_violations": 0},
+    ],
+)
+def test_lower_construction_errors_exit_2(tmp_path, capsys, lower):
+    spec = write_spec(tmp_path, samples=50, lower={"n": 4, "u": 2, **lower})
+    out = tmp_path / "x"
+    assert main(["lower", "--spec", str(spec), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "must" in json.loads(captured.err.strip())["error"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "section, value",
     [
         ("pi", {"scale": [[1, 4]]}),

@@ -434,7 +434,10 @@ ZERO_SAMPLE_CALLS = {
     "fkg_check": lambda: L.fkg_check(
         TRIANGULAR, 0.5, L.EventSpec("arm", m=1, n=4), L.EventSpec("arm", m=2, n=4), 0, 1
     ),
-    "dn_probability": lambda: L.dn_probability(TRIANGULAR, 0.5, 8, 2, 0, 1),
+    "dn_fkg_bound": lambda: L.dn_fkg_bound(
+        L.gluing_campaign(TRIANGULAR, 0.5, 8, 2, 1, 1, stage_size=16, max_attempts=16),
+        TRIANGULAR, 0.5, 0, 1,
+    ),
 }
 
 

@@ -225,6 +225,24 @@ def test_lower_bytes_pinned(tmp_path, max_attempts):
     assert lower_run(tmp_path, max_attempts) == LOWER_FILES[max_attempts]
 
 
+@pytest.mark.parametrize("max_attempts", sorted(LOWER_FILES))
+def test_lower_labels_each_dn_attempt_once(tmp_path, monkeypatch, max_attempts):
+    # one worker: each D(n, u) run_counters call runs the kernel once, on the
+    # attempt range it is given; the FKG chain reads P(D) off the campaign
+    ranges = []
+    kernel = L._dn_counts
+
+    def spy(task, start, stop):
+        ranges.append((start, stop))
+        return kernel(task, start, stop)
+
+    monkeypatch.setattr(L, "_dn_counts", spy)
+    assert lower_run(tmp_path, max_attempts) == LOWER_FILES[max_attempts]
+    labelled = [i for start, stop in ranges for i in range(start, stop)]
+    assert len(labelled) == len(set(labelled))
+    assert sorted(labelled) == list(range(max(max_attempts, 150)))
+
+
 EVENTS = (
     L.EventSpec("h_crossing", corner=(-3, -2), widths=(5, 4)),
     L.EventSpec("v_crossing", corner=(-1, -3), widths=(3, 5)),

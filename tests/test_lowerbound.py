@@ -12,6 +12,7 @@ from percolab import lowerbound as L
 from percolab.bounds import BoundParams
 from percolab.estimators import TAG_DN, PiRow, PiTable, family_seed, vn_sample
 from percolab.lattice import TRIANGULAR, box_with_boundary
+from percolab.parallel import run_counters
 from percolab.sampler import Config, config_from_sites, derive_stream, sample_config
 
 
@@ -237,18 +238,53 @@ def test_gluing_campaign_deterministic_and_worker_invariant():
     assert a.attempts in (4000, 8000, 12_000)  # whole stages only
 
 
-def test_dn_probability_smoke():
-    est = L.dn_probability(TRIANGULAR, 1.0, 8, 2, 50, 5)
-    assert est.point == 1.0
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"target_conditioned": 0},
+        {"max_attempts": 0},
+        {"max_attempts": -5},
+        {"stop_after_violations": 0},
+    ],
+)
+def test_gluing_campaign_rejects_empty_budgets(kw):
+    args = {"target_conditioned": 5, "max_attempts": 100, "stop_after_violations": None, **kw}
+    with pytest.raises(ValueError, match="must be >= 1"):
+        L.gluing_campaign(TRIANGULAR, 0.5, 8, 2, master_seed=1, **args)
+
+
+def test_gluing_campaign_records_d_attempts():
+    kw = dict(stage_size=300, max_attempts=900, stop_after_violations=None)
+    rep = L.gluing_campaign(TRIANGULAR, 0.6, 8, 2, 50, 11, **kw)
+    d, _, _ = run_counters(L._dn_kernel(TRIANGULAR, 0.6, 8, 2, 11), rep.attempts)
+    assert rep.d_attempts == tuple(np.flatnonzero(d).tolist())
+    assert len(rep.d_attempts) == rep.conditioned
+
+
+def test_dn_fkg_bound_smoke():
+    campaign = L.gluing_campaign(TRIANGULAR, 1.0, 8, 2, 1, 5, stage_size=16, max_attempts=16)
+    chain = L.dn_fkg_bound(campaign, TRIANGULAR, 1.0, 50, 5)
+    assert chain.d_estimate.point == 1.0
 
 
 def test_dn_fkg_chain_bound():
-    chain = L.dn_fkg_bound(TRIANGULAR, 0.5, 8, 2, 1500, 23, workers=2)
+    campaign = L.gluing_campaign(TRIANGULAR, 0.5, 8, 2, 1, 23, workers=2, max_attempts=1500)
+    chain = L.dn_fkg_bound(campaign, TRIANGULAR, 0.5, 1500, 23, workers=2)
     assert 0 < chain.h_estimate.point < 1
     assert chain.chained_bound == pytest.approx(
         (chain.h_estimate.point * chain.v_estimate.point) ** 25
     )
     assert chain.holds_within_3sigma
+
+
+@pytest.mark.parametrize("max_attempts", [1000, 400])
+def test_dn_fkg_bound_reads_the_campaign(max_attempts):
+    # the campaign covers attempts [0, 600) at 1000 and stops short of them at 400
+    kw = dict(stage_size=200, max_attempts=max_attempts, stop_after_violations=None)
+    campaign = L.gluing_campaign(TRIANGULAR, 0.6, 8, 2, 10_000, 31, **kw)
+    chain = L.dn_fkg_bound(campaign, TRIANGULAR, 0.6, 600, 31)
+    d, _, _ = run_counters(L._dn_kernel(TRIANGULAR, 0.6, 8, 2, 31), 600)
+    assert chain.d_estimate.successes == int(d.sum()) > 0
 
 
 def test_lower_tail_estimate():
