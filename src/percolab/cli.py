@@ -392,7 +392,7 @@ def _cmd_lower(args) -> int:
     table = build_pi_table(lattice, p, scales, spec.samples, spec.master_seed, spec.workers)
     report = lowerbound.lower_construction(
         p, u, table, sample(npr, "vn"), sample(n, "c1"), spec.master_seed, spec.workers,
-        tuple(_opt(cfg, "c12_grid", [0.1, 0.2, 0.5])),
+        _opt(cfg, "c12_grid", [0.1, 0.2, 0.5]),
         conditioned=_opt(cfg, "conditioned", 200),
         stop_after_violations=_opt(cfg, "stop_after_violations", 25),
         max_attempts=_opt(cfg, "max_attempts", 2_000_000),
