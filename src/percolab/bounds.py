@@ -193,11 +193,10 @@ def _gen_fn_series(u: float, params: BoundParams) -> float:
     return total
 
 
-def fit_c9(params: BoundParams, n: int, grid: list[float] | None = None) -> float:
-    """Max ratio of the series to exp(u^d / C2) over a u-grid in [1, n]."""
+def fit_c9(params: BoundParams, n: int) -> float:
+    """Max ratio of the series to exp(u^d / C2) over 25 even steps of u in [1, min(n, 6)]."""
     (c2v,) = params.require("C2")
-    if grid is None:
-        grid = [1.0 + i * (min(n, 6.0) - 1.0) / 24.0 for i in range(25)]
+    grid = [1.0 + i * (min(n, 6.0) - 1.0) / 24.0 for i in range(25)]
     best = 0.0
     for u in grid:
         ratio = _gen_fn_series(u, params) / math.exp(u**params.d / c2v)
@@ -205,12 +204,11 @@ def fit_c9(params: BoundParams, n: int, grid: list[float] | None = None) -> floa
     return best
 
 
-def generating_fn_bound(u: float, n: int, params: BoundParams, pi=None) -> tuple[float, float]:
+def generating_fn_bound(u: float, n: int, params: BoundParams) -> tuple[float, float]:
     """(series value, closed-form comparator C9 * exp(u^d / C2)).
 
-    C9 is fitted as the max series/exponential ratio on a documented u-grid;
-    the ``pi`` argument is accepted for interface symmetry (the series itself
-    is pi-free after the substitution).
+    C9 is fitted as the max series/exponential ratio on the u-grid of ``fit_c9``;
+    the series is pi-free after the substitution.
     """
     if not 1 <= u <= n:
         raise ValueError("u must lie in [1, n]")

@@ -53,8 +53,8 @@ def _one_of(*choices):
 
 def _list_of(check, length: int | None = None):
     def check_list(name: str, values) -> None:
-        if not isinstance(values, list) or (length is not None and len(values) != length):
-            size = "a list" if length is None else f"a list of {length}"
+        if not isinstance(values, list) or not values or length not in (None, len(values)):
+            size = "a nonempty list" if length is None else f"a list of {length}"
             raise ValueError(f"{name} must be {size}, got {values!r}")
         for i, v in enumerate(values):
             check(f"{name}[{i}]", v)

@@ -7,7 +7,9 @@ participates, so singletons count as clusters of size 1.
 
 Arm and crossing events confine paths to the stated region closure; any path
 reaching the outer boundary must cross it, so the confinement loses no
-generality.
+generality.  They read the configuration through the kernel's readers
+(``estimators.read_config``): a crossing labels its rectangle, an arm event the
+whole raster, as a path from box(m) meets the boundary of box(n) before leaving.
 
 Each query labels its configuration as a batch of one with the batched
 kernel of the ``grid`` module, so both lattice kinds share every code path.
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid
+from .estimators import read_config
 from .lattice import LatticeSpec, Region, Site, box_with_boundary
 from .sampler import Config
 
@@ -96,13 +99,8 @@ def arm_event(config: Config, m: int, n: int) -> bool:
     if m == n:
         return True
     needed = box_with_boundary(config.lattice, n)
-    mask = _carrier_part(config, needed, "carrier too small: need box(n) plus boundary")
-    raster = config.raster
-    center = (0,) * config.lattice.d
-    lab = _labels_on_mask(config, mask)
-    a = raster.boundary_mask(center, m)
-    b = raster.boundary_mask(center, n)
-    return bool(grid.connect_through(lab, a, b)[0])
+    _carrier_part(config, needed, "carrier too small: need box(n) plus boundary")
+    return bool(read_config(config, ("arm", ((m, n),)))[0])
 
 
 def _crossing(config: Config, rect: Region, axis: int) -> bool:
@@ -112,9 +110,7 @@ def _crossing(config: Config, rect: Region, axis: int) -> bool:
         raise ValueError("crossing events are two-dimensional")
     _carrier_part(config, rect)
     widths = tuple(n - 1 for n in rect.shape)
-    sl = grid.cell_slices(config.lattice, config.raster.rect_slices(rect.origin, widths))
-    lab = grid.label_sites_batch(config.cells[sl][None], config.lattice)
-    return bool(grid.crossing(lab, axis)[0])
+    return bool(read_config(config, ("crossing", rect.origin, widths, axis)))
 
 
 def horizontal_crossing(config: Config, rect: Region) -> bool:

@@ -21,7 +21,7 @@ every call, so a sample of the first k replicas is a prefix of any larger one.
 
 One kernel: carriers and observables
 ------------------------------------
-Every estimate but D(n, u) (which shares its batch loop) runs one kernel,
+Every estimate, and the gluing campaign's D(n, u), runs one kernel,
 ``_observe``, on the task ``(lattice, p, carrier, observables, fam)``: it samples
 replicas of ``fam`` on the carrier and returns a per-replica array per observable:
 
@@ -29,9 +29,13 @@ replicas of ``fam`` on the carrier and returns a per-replica array per observabl
   the boundaries of box(m) and box(n)", the confined ``clusters.arm_event``;
 * ``("vn", n)``: int64 V_n, the sites of box(n) joined to the boundary of box(2n);
 * ``("c1", n)``: int64 C_1, the largest cluster of box(n), paths inside box(n);
-* ``("crossing", corner, widths, axis)``: bool, the rectangle is crossed inside.
+* ``("crossing", corner, widths, axis)``: bool, the rectangle is crossed inside;
+* ``("dn", n, u)``: (B, 3) bool, D(n, u) holds and, where it does, each of the
+  gluing check's two violations (read by ``lowerbound``, see its module doc).
 
-C_1 and crossings label their crops; arm rows and V_n read one labeling of
+``read_config`` reads one configuration with the same readers, so the
+``clusters`` events and ``lowerbound.dn_event``/``gluing_check`` share them.
+C_1, crossings and D(n, u) label their crops; arm rows and V_n read one labeling of
 the whole carrier and need no confinement.  A path from inside box(r) meets
 the boundary of box(r) before it can leave box(r), so its first stretch lies
 in box(r) plus boundary, and every carrier containing that set gives the same
@@ -61,7 +65,7 @@ import numpy as np
 from . import grid
 from .lattice import LatticeKind, LatticeSpec, box_with_boundary, rect_region
 from .parallel import run_counters, shifted
-from .sampler import derive_stream, open_cells_batch
+from .sampler import Config, derive_stream, open_cells_batch
 
 TAG_PI = 0x501
 TAG_VN = 0x502
@@ -162,25 +166,22 @@ class PiTable:
             raise ValueError(f"duplicate pi row {key}")
         self.rows[key] = row
 
-    def pi(self, m: int, n: int | None = None) -> float:
+    def _lookup(self, m: int, n: int | None) -> tuple[float, float]:
+        """(estimate, stderr) of row (m, n), or of row (1, m) when n is None."""
         if n is None:
             m, n = 1, m
         if m == n:
-            return 1.0
-        key = (m, n)
-        if key not in self.rows:
-            raise ValueError(f"missing pi row {key}")
-        return self.rows[key].estimate
+            return 1.0, 0.0
+        if (m, n) not in self.rows:
+            raise ValueError(f"missing pi row {(m, n)}")
+        row = self.rows[(m, n)]
+        return row.estimate, row.stderr
+
+    def pi(self, m: int, n: int | None = None) -> float:
+        return self._lookup(m, n)[0]
 
     def stderr(self, m: int, n: int | None = None) -> float:
-        if n is None:
-            m, n = 1, m
-        if m == n:
-            return 0.0
-        key = (m, n)
-        if key not in self.rows:
-            raise ValueError(f"missing pi row {key}")
-        return self.rows[key].stderr
+        return self._lookup(m, n)[1]
 
     def sorted_rows(self) -> list[PiRow]:
         return [self.rows[k] for k in sorted(self.rows)]
@@ -195,8 +196,8 @@ BATCH_CELLS = 4_000_000
 
 def _replica_batches(
     lattice: LatticeSpec, carrier_mask: np.ndarray, p: float, fam: int, start: int, stop: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(offset in [0, stop - start), open cells) of each batch of replicas [start, stop).
+) -> Iterator[np.ndarray]:
+    """The open cells of each batch of replicas [start, stop), in replica order.
 
     A batch holds about ``BATCH_CELLS`` cells (at most 256 replicas), so its
     labels take about 4 bytes per cell; a batch the caller still holds stays
@@ -206,7 +207,7 @@ def _replica_batches(
     size = max(1, min(256, BATCH_CELLS // cells))
     for lo in range(start, stop, size):
         seeds = [derive_stream(fam, i) for i in range(lo, min(lo + size, stop))]
-        yield lo - start, open_cells_batch(lattice, carrier_mask, p, seeds)
+        yield open_cells_batch(lattice, carrier_mask, p, seeds)
 
 
 def _crop_labels(
@@ -238,9 +239,21 @@ def _reader(lattice: LatticeSpec, raster: grid.BoxRaster, observable: tuple):
     if kind == "c1":
         box = raster.box_slices(center, args[0])
         return False, lambda batch: grid.largest_count(_crop_labels(lattice, batch, box))
+    if kind == "dn":
+        from .lowerbound import _dn_reader  # lowerbound imports this module
+
+        return False, _dn_reader(lattice, raster, *args)
     corner, widths, axis = args  # "crossing"
     rect = raster.rect_slices(corner, widths)
     return False, lambda batch: grid.crossing(_crop_labels(lattice, batch, rect), axis)
+
+
+def _read_batch(lattice: LatticeSpec, readers: list, batch: np.ndarray) -> list[np.ndarray]:
+    """Each reader's per-replica values on one batch of open cells."""
+    labels = grid.label_sites_batch(batch, lattice) if any(whole for whole, _ in readers) else None
+    values = [read(labels) if whole else None for whole, read in readers]
+    del labels  # no crop is labeled while the carrier labels are alive
+    return [value if whole else read(batch) for value, (whole, read) in zip(values, readers)]
 
 
 def _observe(task, start: int, stop: int) -> tuple[np.ndarray, ...]:
@@ -248,19 +261,22 @@ def _observe(task, start: int, stop: int) -> tuple[np.ndarray, ...]:
     lattice, p, carrier, observables, fam = task
     raster = grid.BoxRaster(lattice, carrier)
     readers = [_reader(lattice, raster, obs) for obs in observables]
-    parts = [[] for _ in readers]
     on_labels = any(whole for whole, _ in readers)
-    for _, batch in _replica_batches(lattice, carrier.mask, p, fam, start, stop):
-        labels = grid.label_sites_batch(batch, lattice) if on_labels else None
-        for (whole, read), part in zip(readers, parts):
-            if whole:
-                part.append(read(labels))
-        del labels  # no crop is labeled while the carrier labels are alive
-        for (whole, read), part in zip(readers, parts):
-            if not whole:
-                part.append(read(batch))
-        del batch  # freed before the next batch is sampled
+    parts = [[] for _ in readers]
+    for batch in _replica_batches(lattice, carrier.mask, p, fam, start, stop):
+        for part, values in zip(parts, _read_batch(lattice, readers, batch)):
+            part.append(values)
+        # a labelled batch is freed before the next is sampled, to keep the peak low; a
+        # crop-only batch is kept, so the allocator does not refault its pages for the next
+        if on_labels:
+            del batch
     return tuple(np.concatenate(part) for part in parts)
+
+
+def read_config(config: Config, observable: tuple):
+    """``observable`` on one configuration, read over its raster as the kernel reads a replica."""
+    reader = _reader(config.lattice, config.raster, observable)
+    return _read_batch(config.lattice, [reader], config.cells[None])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +419,12 @@ def estimate_pi(
     master_seed: int,
     workers: int = 1,
 ) -> Estimate:
-    """Arm probability pi(m, n): boundary of box(m) joined to boundary of box(n)."""
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m} n={n}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if m == n:
-        return Estimate(samples, 1.0, 0.0, samples)
-    fam = family_seed(master_seed, TAG_PI, n)
-    task = (lattice, p, box_with_boundary(lattice, n), (("arm", ((m, n),)),), fam)
-    (hits,) = run_counters(partial(_observe, task), samples, workers)
-    return event_estimate(int(hits.sum()), samples)
+    """Arm probability pi(m, n): boundary of box(m) joined to boundary of box(n).
+
+    The row (m, n) of a one-row ``build_pi_table``, so the two never disagree.
+    """
+    row = build_pi_table(lattice, p, [(m, n)], samples, master_seed, workers).rows[(m, n)]
+    return Estimate(row.samples, row.estimate, row.stderr, row.successes)
 
 
 def build_pi_table(
@@ -425,6 +436,8 @@ def build_pi_table(
     workers: int = 1,
 ) -> PiTable:
     """One arm-probability row per (m, n) pair, all read off one replica family."""
+    if samples < 1:
+        raise ValueError(f"need at least one replica, got {samples}")
     table = PiTable(lattice, p)
     seen = set()
     for m, n in scales:

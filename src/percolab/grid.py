@@ -53,6 +53,12 @@ class BoxRaster:
         self.origin = region.origin
         self.shape = region.shape
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BoxRaster) and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, self.origin, self.shape))
+
     def index(self, site: Site) -> tuple[int, ...]:
         return tuple(c - o for c, o in zip(site, self.origin))
 

@@ -27,6 +27,10 @@ attempt sooner (at n = 32, u = 2, p = 1/2: 6.05 rectangle labellings per
 attempt against 7.21 for corner-by-corner order).  D is the AND of all its
 crossings, so the order moves no result, only the work spent on rejects.
 
+D(n, u) and the check are the kernel observable ``("dn", n, u)``: the gluing
+campaign samples it on box(2n) plus boundary with ``estimators._observe``, and
+``dn_event``/``gluing_check`` read one configuration with ``read_config``.
+
 ``lower_construction`` runs the campaign with the fitted C11, C12, C13 and the
 direct C_1 tail for both CLI ``lower`` and criterion 9.  The campaign keeps
 the attempts on which D held, and the FKG chain reads P(D) off them.
@@ -42,6 +46,7 @@ from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
+from scipy import ndimage
 
 from . import grid
 from .bounds import BoundParams
@@ -54,13 +59,13 @@ from .estimators import (
     VnSample,
     _crop_labels,
     _observe,
-    _replica_batches,
     binomial_sums,
     count_at_least,
     estimate_crossing,
     event_estimate,
     family_seed,
     mean_estimate,
+    read_config,
 )
 from .lattice import LatticeSpec, Site, box_with_boundary, rect_region
 from .parallel import run_counters, shifted
@@ -276,16 +281,8 @@ def _dn_rects(n: int, u: int, d: int) -> list[tuple[Site, tuple[int, int], int]]
 
 
 def dn_event(config: Config, n: int, u: int) -> bool:
-    """All 2 (2u+1)^2 crossings of the construction hold."""
-    from .clusters import horizontal_crossing, vertical_crossing
-
-    rects = [(rect_region(c, w), axis) for c, w, axis in _dn_rects(n, u, config.lattice.d)]
-    if not all(rect <= config.region for rect, _ in rects):
-        raise ValueError("carrier too small for the construction rectangles")
-    return all(
-        horizontal_crossing(config, rect) if axis == 0 else vertical_crossing(config, rect)
-        for rect, axis in rects
-    )
+    """All 2 (2u+1)^2 crossings of the construction hold: the gluing check applies."""
+    return gluing_check(config, n, u) is not GluingOutcome.NOT_APPLICABLE
 
 
 class GluingOutcome(Enum):
@@ -295,35 +292,31 @@ class GluingOutcome(Enum):
 
 
 def _cluster_extremes(labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-label coordinate minima and maxima, one pair per axis."""
-    nmax = int(labels.max(initial=0))
-    coords = np.nonzero(labels)
-    lab = labels[coords]
-    out = []
-    for axis_coords in coords:
-        lo = np.full(nmax + 1, np.iinfo(np.int64).max, dtype=np.int64)
-        hi = np.full(nmax + 1, np.iinfo(np.int64).min, dtype=np.int64)
-        np.minimum.at(lo, lab, axis_coords)
-        np.maximum.at(hi, lab, axis_coords)
-        out.append((lo, hi))
-    return out
+    """Per-label coordinate minima and maxima, one pair per axis; absent labels read 0."""
+    ends = np.zeros((int(labels.max(initial=0)) + 1, labels.ndim, 2), dtype=np.int64)
+    for i, box in enumerate(ndimage.find_objects(labels), 1):
+        if box is not None:
+            ends[i] = [(s.start, s.stop - 1) for s in box]
+    return [(ends[:, a, 0], ends[:, a, 1]) for a in range(labels.ndim)]
 
 
 @dataclass(frozen=True)
-class _GluingMasks:
-    """What the gluing check reads of its raster besides the labels; depends on (n, u) only."""
+class _DnGeometry:
+    """What D(n, u) and its check read of a raster besides the labels."""
 
+    rects: tuple[tuple[tuple[slice, ...], int], ...]  # (slices, crossing axis) in test order
     arm_box: tuple[slice, ...]  # box(n - n')
     arm_coords: np.ndarray  # raster index of each arm_box cell, one plane per axis
     arm_reach: int  # 2n' + 1
     local: tuple[tuple[np.ndarray, tuple[slice, ...]], ...]  # (ring of box(2n'), box(n')) at n'v
 
 
-def _gluing_masks(raster: grid.BoxRaster, n: int, u: int) -> _GluingMasks:
+@lru_cache(maxsize=8)
+def _dn_geometry(raster: grid.BoxRaster, n: int, u: int) -> _DnGeometry:
+    """The geometry of D(n, u) over ``raster``, built once and read-only."""
+    rects = tuple((raster.rect_slices(c, w), a) for c, w, a in _dn_rects(n, u, raster.lattice.d))
     np_ = n // u
-    m = n - np_
-    center = (0,) * raster.lattice.d
-    arm_box = raster.box_slices(center, m)
+    arm_box = raster.box_slices((0,) * raster.lattice.d, n - np_)
     axes = (np.arange(s.start, s.stop) for s in arm_box)
     arm_coords = np.stack(np.meshgrid(*axes, indexing="ij"))
     local = []
@@ -334,28 +327,28 @@ def _gluing_masks(raster: grid.BoxRaster, n: int, u: int) -> _GluingMasks:
             ring.flags.writeable = False
             local.append((ring, raster.box_slices(c, np_)))
     arm_coords.flags.writeable = False
-    return _GluingMasks(arm_box, arm_coords, 2 * np_ + 1, tuple(local))
+    return _DnGeometry(rects, arm_box, arm_coords, 2 * np_ + 1, tuple(local))
 
 
 def _gluing_violations(
-    lattice: LatticeSpec, masks: _GluingMasks, single_batch: np.ndarray
+    lattice: LatticeSpec, geometry: _DnGeometry, single_batch: np.ndarray
 ) -> tuple[bool, bool]:
     """(one-cluster check violated, sum inequality violated) for one config."""
     labels = grid.label_sites_batch(single_batch, lattice)[0]
 
     # (i) qualifying long-arm sites of box(n - n') share one carrier cluster
     extremes = _cluster_extremes(labels)
-    crop = labels[masks.arm_box]
+    crop = labels[geometry.arm_box]
     reach = np.zeros(crop.shape, dtype=np.int64)
-    for w, (lo, hi) in zip(masks.arm_coords, extremes):
+    for w, (lo, hi) in zip(geometry.arm_coords, extremes):
         np.maximum(reach, hi[crop] - w, out=reach)
         np.maximum(reach, w - lo[crop], out=reach)
-    qual = (crop > 0) & (reach >= masks.arm_reach)
+    qual = (crop > 0) & (reach >= geometry.arm_reach)
     viol_i = np.unique(crop[qual]).size > 1
 
     # (ii) sum of local long-arm counts vs largest carrier cluster
     total = 0
-    for ring, box in masks.local:
+    for ring, box in geometry.local:
         total += int(grid.seed_flags(labels[None], ring)[labels[box]].sum())
     viol_ii = total > int(grid.largest_count(labels[None])[0])
     return viol_i, viol_ii
@@ -363,46 +356,38 @@ def _gluing_violations(
 
 def gluing_check(config: Config, n: int, u: int) -> GluingOutcome:
     """Deterministic implication check on one configuration (see module doc)."""
-    if not dn_event(config, n, u):
+    if not all(rect_region(c, w) <= config.region for c, w, _ in _dn_rects(n, u, config.lattice.d)):
+        raise ValueError("carrier too small for the construction rectangles")
+    d, viol_i, viol_ii = read_config(config, ("dn", n, u))
+    if not d:
         return GluingOutcome.NOT_APPLICABLE
-    masks = _gluing_masks(config.raster, n, u)
-    viol_i, viol_ii = _gluing_violations(config.lattice, masks, config.cells[None])
     return GluingOutcome.VIOLATED if (viol_i or viol_ii) else GluingOutcome.HOLDS
 
 
-@lru_cache(maxsize=8)
-def _dn_geometry(lattice: LatticeSpec, n: int, u: int):
-    """The D(n, u) kernel's carrier, its rectangle slices in test order, and the check's masks."""
-    carrier = box_with_boundary(lattice, 2 * n)
-    raster = grid.BoxRaster(lattice, carrier)
-    rects = tuple((raster.rect_slices(c, w), axis) for c, w, axis in _dn_rects(n, u, lattice.d))
-    return carrier, rects, _gluing_masks(raster, n, u)
+def _dn_reader(lattice: LatticeSpec, raster: grid.BoxRaster, n: int, u: int):
+    """The batch reduction of ``("dn", n, u)``: D holds, then (where it does) each violation."""
+    geometry = _dn_geometry(raster, n, u)
 
-
-def _dn_counts(task, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per attempt: D(n, u) holds, and (only where it holds) each of the two violations."""
-    lattice, p, n, u, fam = task
-    carrier, rects, masks = _dn_geometry(lattice, n, u)
-    d = np.zeros(stop - start, dtype=bool)
-    viol_i = np.zeros(stop - start, dtype=bool)
-    viol_ii = np.zeros(stop - start, dtype=bool)
-    for offset, batch in _replica_batches(lattice, carrier.mask, p, fam, start, stop):
+    def read(batch: np.ndarray) -> np.ndarray:
+        flags = np.zeros((len(batch), 3), dtype=bool)
         alive = np.arange(len(batch))  # survivors so far; only their crops are copied
-        for rect, axis in rects:
+        for rect, axis in geometry.rects:
             if alive.size == 0:
                 break
             alive = alive[grid.crossing(_crop_labels(lattice, batch, rect, alive), axis)]
         for j in alive.tolist():
-            i = offset + j
-            d[i] = True
-            viol_i[i], viol_ii[i] = _gluing_violations(lattice, masks, batch[j : j + 1])
-    return d, viol_i, viol_ii
+            flags[j] = (True, *_gluing_violations(lattice, geometry, batch[j : j + 1]))
+        return flags
+
+    return read
 
 
 def _dn_kernel(lattice: LatticeSpec, p: float, n: int, u: int, master_seed: int):
-    """The D(n, u) kernel of a seed; its geometry is built here, so forked workers inherit it."""
-    _dn_geometry(lattice, n, u)
-    return partial(_dn_counts, (lattice, p, n, u, family_seed(master_seed, TAG_DN, n, u)))
+    """The ``("dn", n, u)`` kernel of a seed; its geometry is built here, so workers inherit it."""
+    carrier = box_with_boundary(lattice, 2 * n)
+    _dn_geometry(grid.BoxRaster(lattice, carrier), n, u)
+    task = (lattice, p, carrier, (("dn", n, u),), family_seed(master_seed, TAG_DN, n, u))
+    return partial(_observe, task)
 
 
 @dataclass(frozen=True)
@@ -451,7 +436,7 @@ def gluing_campaign(
         if stop_after_violations is not None and violated >= stop_after_violations:
             break
         stage = min(stage_size, max_attempts - attempts)
-        d, vi, vii = run_counters(shifted(kernel, attempts), stage, workers)
+        d, vi, vii = run_counters(shifted(kernel, attempts), stage, workers)[0].T
         d_attempts.extend((attempts + np.flatnonzero(d)).tolist())
         attempts += stage
         violated += int((vi | vii).sum())
@@ -497,7 +482,7 @@ def dn_fkg_bound(
     d = bisect_left(campaign.d_attempts, samples)
     if campaign.attempts < samples:
         kernel = shifted(_dn_kernel(lattice, p, n, u, master_seed), campaign.attempts)
-        d += int(run_counters(kernel, samples - campaign.attempts, workers)[0].sum())
+        d += int(run_counters(kernel, samples - campaign.attempts, workers)[0][:, 0].sum())
     chained = (h_est.point * v_est.point) ** ((2 * u + 1) ** 2)
     return DnChainBound(event_estimate(d, samples), h_est, v_est, chained)
 

@@ -314,6 +314,26 @@ def largest_count(labels):
     return out
 
 
+def cluster_extremes(labels):
+    """Per-label coordinate minima and maxima, one pair per axis, by scattering every site.
+
+    Labels absent from ``labels`` (0 among them) keep the int64 extremes.
+    """
+    import numpy as np
+
+    nmax = int(labels.max(initial=0))
+    coords = np.nonzero(labels)
+    lab = labels[coords]
+    out = []
+    for axis_coords in coords:
+        lo = np.full(nmax + 1, np.iinfo(np.int64).max, dtype=np.int64)
+        hi = np.full(nmax + 1, np.iinfo(np.int64).min, dtype=np.int64)
+        np.minimum.at(lo, lab, axis_coords)
+        np.maximum.at(hi, lab, axis_coords)
+        out.append((lo, hi))
+    return out
+
+
 def multinomial_sweep(kmax, d):
     """Sup of the fitted constant over 2 <= k <= kmax (exact incremental).
 

@@ -128,6 +128,12 @@ def test_spec_type_errors_exit_2(tmp_path, capsys, override):
         ("verify", {"verify": {"profile": "quick", "criteria": []}}),
         ("verify", {"verify": {"profile": "quick", "criteria": [14, 99]}}),
         ("verify", {"verify": {"profile": "quick", "criteria": [0]}}),
+        # an empty list would write empty result files, or fail later on max()
+        ("bounds", {"sizes": []}),
+        ("tail", {"u_grid": []}),
+        ("pi", {"pi": {"scales": []}}),
+        ("tail", {"tail": {"sizes": []}}),
+        ("crossing", {"crossing": {"rects": []}}),
     ],
 )
 def test_spec_range_errors_exit_2_before_any_work(tmp_path, capsys, command, override):

@@ -201,6 +201,38 @@ def test_arm_event_monotone_in_scales():
         assert all(b or not a for a, b in zip(vals_m, vals_m[1:]))  # nondecreasing in m
 
 
+def _boundary(lattice, r):
+    """The outer vertex boundary of box(r)."""
+    return Region.from_sites(box_with_boundary(lattice, r).sites - box_sites((0, 0), r).sites)
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
+def test_events_on_wide_carriers_match_confined_connected_in(lattice):
+    # arm_event reads the labels of the whole raster and the crossings their
+    # rectangle; connected_in confines its paths to box(n) plus boundary or to the rectangle
+    carrier = box_with_boundary(lattice, 10)
+    rect = rect_region((-4, -3), (8, 6))
+    slabs = {
+        0: (rect_region((-4, -3), (0, 6)), rect_region((4, -3), (0, 6))),
+        1: (rect_region((-4, -3), (8, 0)), rect_region((-4, 3), (8, 0))),
+    }
+    crossings = {0: clusters.horizontal_crossing, 1: clusters.vertical_crossing}
+    seen = set()
+    for i in range(30):
+        cfg = sample_config(lattice, carrier, 0.4, derive_stream(37, i))
+        for m, n in ((1, 4), (2, 6), (3, 8)):
+            want = clusters.connected_in(
+                cfg, box_with_boundary(lattice, n), _boundary(lattice, m), _boundary(lattice, n)
+            )
+            assert clusters.arm_event(cfg, m, n) == want, (i, m, n)
+            seen.add(("arm", want))
+        for axis, crossed in crossings.items():
+            want = clusters.connected_in(cfg, rect, *slabs[axis])
+            assert crossed(cfg, rect) == want, (i, axis)
+            seen.add(("crossing", want))
+    assert len(seen) == 4  # both outcomes of both events occur
+
+
 def test_crossing_trivial_and_line():
     rect = rect_region((0, 0), (4, 2))
     carrier = box_with_boundary(TRIANGULAR, 6)

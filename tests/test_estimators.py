@@ -203,12 +203,13 @@ def test_pi_table_nesting_is_exact(lattice):
 
 
 # one carrier, every observable kind: arm rows and V_n read the carrier labels,
-# C_1 and the crossing label their crops
+# C_1, the crossing and D(8, 2) label their crops
 BATCH_TASK_OBSERVABLES = (
     ("arm", ((1, 4), (2, 8))),
     ("vn", 4),
     ("c1", 4),
     ("crossing", (-4, -3), (8, 6), 0),
+    ("dn", 8, 2),
 )
 
 
@@ -216,14 +217,15 @@ BATCH_TASK_OBSERVABLES = (
 def test_observe_is_batch_invariant(lattice, monkeypatch):
     # replica i is the same configuration in any batch, and no reduction reads
     # across replicas: 1-replica batches give the same arrays as the default
-    task = (lattice, 0.5, box_with_boundary(lattice, 8), BATCH_TASK_OBSERVABLES, 4242)
+    task = (lattice, 0.6, box_with_boundary(lattice, 16), BATCH_TASK_OBSERVABLES, 4242)
     default = E._observe(task, 3, 43)
     monkeypatch.setattr(E, "BATCH_CELLS", 1)
-    assert [len(b) for _, b in E._replica_batches(lattice, task[2].mask, 0.5, 4242, 3, 6)] == [1, 1, 1]
+    assert [len(b) for b in E._replica_batches(lattice, task[2].mask, 0.6, 4242, 3, 6)] == [1, 1, 1]
     single = E._observe(task, 3, 43)
     for want, got in zip(default, single):
         assert want.dtype == got.dtype and np.array_equal(want, got)
     assert 0 < default[3].sum() < 40 and len(set(default[2].tolist())) > 5
+    assert 0 < default[4][:, 0].sum() < 40
 
 
 def test_replica_batches_hold_the_cell_budget():
@@ -231,7 +233,7 @@ def test_replica_batches_hold_the_cell_budget():
     # site batches hold BATCH_CELLS // sites replicas as before
     def size(lattice, n):
         mask = box_with_boundary(lattice, n).mask
-        return len(next(E._replica_batches(lattice, mask, 0.5, 1, 0, 10_000))[1])
+        return len(next(E._replica_batches(lattice, mask, 0.5, 1, 0, 10_000)))
 
     assert size(Z2_BOND, 64) == E.BATCH_CELLS // 261**2 == 58
     assert size(TRIANGULAR, 64) == E.BATCH_CELLS // 131**2 == 233
@@ -428,6 +430,9 @@ def test_default_p():
 
 ZERO_SAMPLE_CALLS = {
     "build_pi_table": lambda: build_pi_table(TRIANGULAR, 0.5, [(1, 4)], 0, 1),
+    "build_pi_table_diagonal": lambda: build_pi_table(TRIANGULAR, 0.5, [(4, 4)], 0, 1),
+    "estimate_pi": lambda: estimate_pi(TRIANGULAR, 0.5, 1, 4, 0, 1),
+    "estimate_pi_diagonal": lambda: estimate_pi(TRIANGULAR, 0.5, 4, 4, 0, 1),
     "vn_statistics": lambda: vn_statistics(TRIANGULAR, 0.5, 3, 0, 1),
     "vn_sample_c1": lambda: vn_sample(TRIANGULAR, 0.5, 4, 0, 1, reads=("c1",)),
     "vn_sample_vn": lambda: vn_sample(TRIANGULAR, 0.5, 4, 0, 1, reads=("vn",)),

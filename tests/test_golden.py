@@ -230,13 +230,14 @@ def test_lower_labels_each_dn_attempt_once(tmp_path, monkeypatch, max_attempts):
     # one worker: each D(n, u) run_counters call runs the kernel once, on the
     # attempt range it is given; the FKG chain reads P(D) off the campaign
     ranges = []
-    kernel = L._dn_counts
+    kernel = L._observe
 
     def spy(task, start, stop):
-        ranges.append((start, stop))
+        if any(obs[0] == "dn" for obs in task[3]):
+            ranges.append((start, stop))
         return kernel(task, start, stop)
 
-    monkeypatch.setattr(L, "_dn_counts", spy)
+    monkeypatch.setattr(L, "_observe", spy)
     assert lower_run(tmp_path, max_attempts) == LOWER_FILES[max_attempts]
     labelled = [i for start, stop in ranges for i in range(start, stop)]
     assert len(labelled) == len(set(labelled))
@@ -354,6 +355,8 @@ def _counters(name: str) -> dict:
     lattice, s = LATTICES[name], SETUP[name]
     p = s["p"]
     dn_p, dn_n, attempts = s["dn"]
+    dn_task = (lattice, dn_p, box_with_boundary(lattice, 2 * dn_n), (("dn", dn_n, 2),), 104)
+    (dn,) = E._observe(dn_task, 0, attempts)
     pairs = ((1, 8), (2, 8), (4, 8))
 
     def kernel(carrier, observables, fam, samples):
@@ -370,7 +373,7 @@ def _counters(name: str) -> dict:
             {"hits": int(kernel(rect, (("crossing", corner, (5, 4), axis),), 103, 60)[0].sum())}
             for axis in (0, 1)
         ],
-        "dn": _dn_dict(*L._dn_counts((lattice, dn_p, dn_n, 2, 104), 0, attempts)),
+        "dn": _dn_dict(*dn.T),
         "fkg": [_fkg(lattice, p, EVENTS[a], EVENTS[b], 105, 50) for a, b in FKG_PAIRS],
     }
 

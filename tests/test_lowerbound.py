@@ -5,19 +5,26 @@ import math
 
 import numpy as np
 import pytest
-from oracles import connected_sets
+from oracles import cluster_extremes, connected_sets
 
-from percolab import grid
+from percolab import clusters, grid
 from percolab import lowerbound as L
 from percolab.bounds import BoundParams
-from percolab.estimators import TAG_DN, PiRow, PiTable, family_seed, vn_sample
-from percolab.lattice import TRIANGULAR, box_with_boundary
+from percolab.estimators import TAG_DN, PiRow, PiTable, _observe, family_seed, vn_sample
+from percolab.lattice import TRIANGULAR, Z2_BOND, box_with_boundary, rect_region
 from percolab.parallel import run_counters
 from percolab.sampler import Config, config_from_sites, derive_stream, sample_config
 
 
 def tri_config(radius, p, seed):
     return sample_config(TRIANGULAR, box_with_boundary(TRIANGULAR, radius), p, seed)
+
+
+def dn_flags(p, n, u, fam, attempts):
+    """Attempts [0, attempts) of the ("dn", n, u) kernel: D holds, each violation."""
+    task = (TRIANGULAR, p, box_with_boundary(TRIANGULAR, 2 * n), (("dn", n, u),), fam)
+    (flags,) = _observe(task, 0, attempts)
+    return flags.T
 
 
 def pi_for(n_values, value=0.9):
@@ -146,7 +153,7 @@ def test_dn_kernel_flags_match_all_fifty_crossings():
     # the kernel stops at the first failing rectangle; the oracle tests all 50, row-major
     n, u, attempts, p = 8, 2, 200, 0.65
     fam = family_seed(7, TAG_DN, n, u)
-    d, _, _ = L._dn_counts((TRIANGULAR, p, n, u, fam), 0, attempts)
+    d, _, _ = dn_flags(p, n, u, fam, attempts)
     carrier = box_with_boundary(TRIANGULAR, 2 * n)
     offsets = TRIANGULAR.neighbor_offsets()
     for i in range(attempts):
@@ -179,7 +186,7 @@ def _spy_crop_labels(monkeypatch) -> list:
 
 def test_dn_kernel_labels_every_rectangle_in_order(monkeypatch):
     calls = _spy_crop_labels(monkeypatch)
-    d, _, _ = L._dn_counts((TRIANGULAR, 1.0, 8, 2, family_seed(5, TAG_DN, 8, 2)), 0, 10)
+    d, _, _ = dn_flags(1.0, 8, 2, family_seed(5, TAG_DN, 8, 2), 10)
     raster = grid.BoxRaster(TRIANGULAR, box_with_boundary(TRIANGULAR, 16))
     assert calls == [(raster.rect_slices(c, w), 10) for c, w, _ in L._dn_rects(8, 2, 2)]
     assert d.all()
@@ -188,7 +195,7 @@ def test_dn_kernel_labels_every_rectangle_in_order(monkeypatch):
 def test_dn_kernel_rectangle_labelling_count(monkeypatch):
     # the test order decides how many rectangles a failing attempt labels (14,420 row-major)
     calls = _spy_crop_labels(monkeypatch)
-    d, _, _ = L._dn_counts((TRIANGULAR, 0.5, 32, 2, family_seed(5, TAG_DN, 32, 2)), 0, 2000)
+    d, _, _ = dn_flags(0.5, 32, 2, family_seed(5, TAG_DN, 32, 2), 2000)
     assert sum(rows for _, rows in calls) == 12_091
     assert not d.any()
 
@@ -207,14 +214,24 @@ def test_dn_event_monotone_under_opening():
             assert after
 
 
+def crossing_in(cfg, corner, widths, axis):
+    """The rectangle's first and last slabs along ``axis`` joined inside it, by ``connected_in``."""
+    far = tuple(c + w if a == axis else c for a, (c, w) in enumerate(zip(corner, widths)))
+    slab = tuple(0 if a == axis else w for a, w in enumerate(widths))
+    ends = rect_region(corner, slab), rect_region(far, slab)
+    return clusters.connected_in(cfg, rect_region(corner, widths), *ends)
+
+
 def test_dn_kernel_matches_single_config_api():
-    # the batch kernel and dn_event/gluing_check read the same replicas
+    # the batch kernel and dn_event/gluing_check read the same replicas; D is
+    # checked against connected_in crossings, which share no code with its reader
     fam = family_seed(5, TAG_DN, 8, 2)
-    d, viol_i, viol_ii = L._dn_counts((TRIANGULAR, 0.6, 8, 2, fam), 0, 40)
-    assert d.sum() > 0
+    d, viol_i, viol_ii = dn_flags(0.6, 8, 2, fam, 40)
+    assert 0 < d.sum() < 40
     carrier = box_with_boundary(TRIANGULAR, 16)
     for i in range(40):
         cfg = sample_config(TRIANGULAR, carrier, 0.6, derive_stream(fam, i))
+        assert d[i] == all(crossing_in(cfg, *rect) for rect in L._dn_rects(8, 2, 2)), i
         assert L.dn_event(cfg, 8, 2) == d[i]
         if not d[i]:
             expected = L.GluingOutcome.NOT_APPLICABLE
@@ -223,6 +240,25 @@ def test_dn_kernel_matches_single_config_api():
         else:
             expected = L.GluingOutcome.HOLDS
         assert L.gluing_check(cfg, 8, 2) is expected
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
+def test_cluster_extremes_match_scatter_oracle(lattice):
+    # bond labels are the stride-2 vertex view of the decorated cell labels
+    carrier = box_with_boundary(lattice, 12)
+    for i in range(10):
+        cfg = sample_config(lattice, carrier, 0.5, derive_stream(43, i))
+        labels = grid.label_sites_batch(cfg.cells[None], lattice)[0]
+        present = np.unique(labels[labels > 0])
+        assert present.size > 1
+        got, want = L._cluster_extremes(labels), cluster_extremes(labels)
+        for (lo, hi), (want_lo, want_hi) in zip(got, want, strict=True):
+            assert len(lo) == len(want_lo) == labels.max() + 1
+            assert np.array_equal(lo[present], want_lo[present])
+            assert np.array_equal(hi[present], want_hi[present])
+    empty = np.zeros((5, 5), dtype=np.int32)
+    assert [(len(lo), len(hi)) for lo, hi in L._cluster_extremes(empty)] == [(1, 1)] * 2
+    assert [(len(lo), len(hi)) for lo, hi in cluster_extremes(empty)] == [(1, 1)] * 2
 
 
 def test_gluing_check_trivial():
@@ -256,8 +292,8 @@ def test_gluing_campaign_rejects_empty_budgets(kw):
 def test_gluing_campaign_records_d_attempts():
     kw = dict(stage_size=300, max_attempts=900, stop_after_violations=None)
     rep = L.gluing_campaign(TRIANGULAR, 0.6, 8, 2, 50, 11, **kw)
-    d, _, _ = run_counters(L._dn_kernel(TRIANGULAR, 0.6, 8, 2, 11), rep.attempts)
-    assert rep.d_attempts == tuple(np.flatnonzero(d).tolist())
+    (flags,) = run_counters(L._dn_kernel(TRIANGULAR, 0.6, 8, 2, 11), rep.attempts)
+    assert rep.d_attempts == tuple(np.flatnonzero(flags[:, 0]).tolist())
     assert len(rep.d_attempts) == rep.conditioned
 
 
@@ -283,8 +319,8 @@ def test_dn_fkg_bound_reads_the_campaign(max_attempts):
     kw = dict(stage_size=200, max_attempts=max_attempts, stop_after_violations=None)
     campaign = L.gluing_campaign(TRIANGULAR, 0.6, 8, 2, 10_000, 31, **kw)
     chain = L.dn_fkg_bound(campaign, TRIANGULAR, 0.6, 600, 31)
-    d, _, _ = run_counters(L._dn_kernel(TRIANGULAR, 0.6, 8, 2, 31), 600)
-    assert chain.d_estimate.successes == int(d.sum()) > 0
+    (flags,) = run_counters(L._dn_kernel(TRIANGULAR, 0.6, 8, 2, 31), 600)
+    assert chain.d_estimate.successes == int(flags[:, 0].sum()) > 0
 
 
 def test_lower_tail_estimate():
