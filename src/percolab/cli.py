@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import yaml
@@ -189,10 +189,8 @@ class ExperimentSpec:
 
 def _load_spec(args) -> tuple[ExperimentSpec, str]:
     spec = ExperimentSpec.from_file(args.spec) if args.spec else ExperimentSpec()
-    if args.seed is not None:
-        spec.master_seed = args.seed
-    if args.workers is not None:
-        spec.workers = args.workers
+    overrides = {"master_seed": args.seed, "workers": args.workers}
+    spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     # workers is an execution parameter, not experiment identity: results are
     # worker-invariant, so the digest must be too
     payload = {k: v for k, v in spec.to_dict().items() if k != "workers"}

@@ -383,9 +383,8 @@ def _dn_reader(lattice: LatticeSpec, raster: grid.BoxRaster, n: int, u: int):
 
 
 def _dn_kernel(lattice: LatticeSpec, p: float, n: int, u: int, master_seed: int):
-    """The ``("dn", n, u)`` kernel of a seed; its geometry is built here, so workers inherit it."""
+    """The ``("dn", n, u)`` kernel of a seed."""
     carrier = box_with_boundary(lattice, 2 * n)
-    _dn_geometry(grid.BoxRaster(lattice, carrier), n, u)
     task = (lattice, p, carrier, (("dn", n, u),), family_seed(master_seed, TAG_DN, n, u))
     return partial(_observe, task)
 

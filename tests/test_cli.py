@@ -146,6 +146,18 @@ def test_spec_range_errors_exit_2_before_any_work(tmp_path, capsys, command, ove
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_flag_below_one_exits_2(tmp_path, capsys, workers):
+    # the flag is checked like the spec value, not replaced by one worker
+    spec = write_spec(tmp_path)
+    out = tmp_path / "x"
+    assert main(["pi", "--spec", str(spec), "--out", str(out), "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err.strip())["error"] == "workers must be >= 1"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "lower",
     [
