@@ -36,7 +36,10 @@ replicas of ``fam`` on the carrier and returns a per-replica array per observabl
 ``read_config`` reads one configuration with the same readers, so the
 ``clusters`` events and ``lowerbound.dn_event``/``gluing_check`` share them.
 C_1, crossings and D(n, u) label their crops; arm rows and V_n read one labeling of
-the whole carrier and need no confinement.  A path from inside box(r) meets
+the whole carrier and need no confinement.  Crossing crops (the ``crossing``
+observable and the rectangles of D(n, u)) are labeled side by side in one strip
+(see ``grid``), and C_1 crops as a stack, whose label ranges run replica by
+replica as ``largest_count`` needs.  A path from inside box(r) meets
 the boundary of box(r) before it can leave box(r), so its first stretch lies
 in box(r) plus boundary, and every carrier containing that set gives the same
 values.  An arm table thus labels box(N) plus boundary once for all its rows;
@@ -51,11 +54,25 @@ are sampled in batches of about ``BATCH_CELLS`` labelled cells (decorated
 cells on bond lattices, about four per site), so a batch's memory does not
 depend on the lattice; no reduction reads across replicas, so batching never
 enters a result.
+
+Kept buffers
+------------
+A kernel reaches a worker pickled with each chunk, so arrays that outlive a
+call belong to the process: each thread keeps those of its replica-batch loop in
+one ``grid.Buffers``: raw words, open cells, the crop strip and labels (a bond
+batch's element layout borrows the label buffer, dead until the batch is labeled).
+Each batch is sampled into them and read, and the next batch overwrites it.
+Every per-replica value is reduced into a new array, so no result aliases the
+buffers; calls that are not given them (``read_config``, the public sample and
+label functions) allocate fresh arrays.  The buffers grow to the largest batch
+within ``BATCH_CELLS``.  A raster beyond it runs one replica per batch on fresh
+arrays, freed as it finishes, so a large call leaves nothing behind.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Sequence
@@ -193,28 +210,51 @@ class PiTable:
 #: Cells one replica batch labels (decorated cells on bond lattices).
 BATCH_CELLS = 4_000_000
 
+_local = threading.local()  # this thread's kept replica-batch buffers
+
+
+def _kept_buffers() -> grid.Buffers:
+    """The buffers the replica-batch loop of this thread keeps across calls."""
+    if not hasattr(_local, "buffers"):
+        _local.buffers = grid.Buffers(kept=True)
+    return _local.buffers
+
 
 def _replica_batches(
-    lattice: LatticeSpec, carrier_mask: np.ndarray, p: float, fam: int, start: int, stop: int
+    lattice: LatticeSpec, carrier_mask: np.ndarray, p: float, fam: int, start: int, stop: int,
+    buffers: grid.Buffers = grid.FRESH,
 ) -> Iterator[np.ndarray]:
     """The open cells of each batch of replicas [start, stop), in replica order.
 
     A batch holds about ``BATCH_CELLS`` cells (at most 256 replicas), so its
-    labels take about 4 bytes per cell; a batch the caller still holds stays
-    alive while the next one is sampled.
+    labels take about 4 bytes per cell.  Each batch is sampled into ``buffers``,
+    so kept buffers hold one batch at a time.
     """
-    cells = math.prod(grid.cell_shape(lattice, carrier_mask.shape))
-    size = max(1, min(256, BATCH_CELLS // cells))
+    size = max(1, min(256, BATCH_CELLS // _cells(lattice, carrier_mask.shape)))
     for lo in range(start, stop, size):
         seeds = [derive_stream(fam, i) for i in range(lo, min(lo + size, stop))]
-        yield open_cells_batch(lattice, carrier_mask, p, seeds)
+        yield open_cells_batch(lattice, carrier_mask, p, seeds, buffers)
+
+
+def _cells(lattice: LatticeSpec, shape: tuple[int, ...]) -> int:
+    return math.prod(grid.cell_shape(lattice, shape))
 
 
 def _crop_labels(
-    lattice: LatticeSpec, batch: np.ndarray, sl: tuple[slice, ...], rows=slice(None)
+    lattice: LatticeSpec, batch: np.ndarray, sl: tuple[slice, ...], rows=slice(None), *,
+    strip: bool = False, buffers: grid.Buffers = grid.FRESH,
 ) -> np.ndarray:
-    """Labels confined to a site-space crop (paths inside the crop only) of ``batch[rows]``."""
-    return grid.label_sites_batch(batch[(rows,) + grid.cell_slices(lattice, sl)], lattice)
+    """Labels confined to a site-space crop (paths inside the crop only) of ``batch[rows]``.
+
+    ``strip`` labels the crops side by side (``grid.strip_cells``) and returns
+    per-replica views of the strip; crossings read them, ``largest_count`` cannot.
+    """
+    crops = batch[(rows,) + grid.cell_slices(lattice, sl)]
+    if strip:
+        crops = grid.strip_cells(crops, buffers)
+    out = buffers.empty("labels", crops.shape, np.int32)
+    labels = grid.label_sites_batch(crops, lattice, out, strip)
+    return labels[..., : sl[-1].stop - sl[-1].start]  # drops a site strip's separators
 
 
 def _reader(lattice: LatticeSpec, raster: grid.BoxRaster, observable: tuple):
@@ -238,45 +278,59 @@ def _reader(lattice: LatticeSpec, raster: grid.BoxRaster, observable: tuple):
         return True, lambda labels: grid.count_connected_to(labels, outer, inner)
     if kind == "c1":
         box = raster.box_slices(center, args[0])
-        return False, lambda batch: grid.largest_count(_crop_labels(lattice, batch, box))
+        return False, lambda batch, buffers: grid.largest_count(
+            _crop_labels(lattice, batch, box, buffers=buffers)
+        )
     if kind == "dn":
         from .lowerbound import _dn_reader  # lowerbound imports this module
 
         return False, _dn_reader(lattice, raster, *args)
     corner, widths, axis = args  # "crossing"
     rect = raster.rect_slices(corner, widths)
-    return False, lambda batch: grid.crossing(_crop_labels(lattice, batch, rect), axis)
+    return False, lambda batch, buffers: grid.crossing(
+        _crop_labels(lattice, batch, rect, strip=True, buffers=buffers), axis
+    )
 
 
-def _read_batch(lattice: LatticeSpec, readers: list, batch: np.ndarray) -> list[np.ndarray]:
-    """Each reader's per-replica values on one batch of open cells."""
-    labels = grid.label_sites_batch(batch, lattice) if any(whole for whole, _ in readers) else None
-    values = [read(labels) if whole else None for whole, read in readers]
-    del labels  # no crop is labeled while the carrier labels are alive
-    return [value if whole else read(batch) for value, (whole, read) in zip(values, readers)]
+def _read_batch(
+    lattice: LatticeSpec, readers: list, batch: np.ndarray, buffers: grid.Buffers
+) -> list[np.ndarray]:
+    """Each reader's per-replica values on one batch of open cells.
+
+    The carrier labels and every crop's labels share the ``labels`` buffer:
+    the whole-carrier readers are done before the first crop is labeled.
+    """
+    values = [None] * len(readers)
+    if any(whole for whole, _ in readers):
+        labels = grid.label_sites_batch(batch, lattice, buffers.empty("labels", batch.shape, np.int32))
+        values = [read(labels) if whole else None for whole, read in readers]
+        del labels  # fresh carrier labels are freed before any crop is labeled
+    return [value if whole else read(batch, buffers) for value, (whole, read) in zip(values, readers)]
 
 
 def _observe(task, start: int, stop: int) -> tuple[np.ndarray, ...]:
-    """One per-replica array per observable, all read off the same replicas of the carrier."""
+    """One per-replica array per observable, all read off the same replicas of the carrier.
+
+    Batches within ``BATCH_CELLS`` run on this thread's kept buffers; a single
+    replica of a larger raster runs on fresh arrays, which are freed after it.
+    """
     lattice, p, carrier, observables, fam = task
     raster = grid.BoxRaster(lattice, carrier)
     readers = [_reader(lattice, raster, obs) for obs in observables]
-    on_labels = any(whole for whole, _ in readers)
+    fits = _cells(lattice, carrier.shape) <= BATCH_CELLS
+    buffers = _kept_buffers() if fits else grid.FRESH
     parts = [[] for _ in readers]
-    for batch in _replica_batches(lattice, carrier.mask, p, fam, start, stop):
-        for part, values in zip(parts, _read_batch(lattice, readers, batch)):
+    for batch in _replica_batches(lattice, carrier.mask, p, fam, start, stop, buffers):
+        for part, values in zip(parts, _read_batch(lattice, readers, batch, buffers)):
             part.append(values)
-        # a labelled batch is freed before the next is sampled, to keep the peak low; a
-        # crop-only batch is kept, so the allocator does not refault its pages for the next
-        if on_labels:
-            del batch
+        del batch  # on fresh arrays, a batch is freed before the next is sampled
     return tuple(np.concatenate(part) for part in parts)
 
 
 def read_config(config: Config, observable: tuple):
     """``observable`` on one configuration, read over its raster as the kernel reads a replica."""
     reader = _reader(config.lattice, config.raster, observable)
-    return _read_batch(config.lattice, [reader], config.cells[None])[0][0]
+    return _read_batch(config.lattice, [reader], config.cells[None], grid.FRESH)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +453,12 @@ def estimate_crossing(
     """Crossing probability of the rectangle [0,w0]x[0,w1] along ``axis``."""
     if lattice.d != 2:
         raise ValueError("crossing estimation is two-dimensional")
-    fam = family_seed(master_seed, seed_tag, widths[0], widths[1], axis)
+    if axis not in (0, 1):
+        raise ValueError(f"crossing axis must be 0 or 1, got {axis!r}")
     corner = (0, 0)
-    task = (lattice, p, rect_region(corner, widths), (("crossing", corner, widths, axis),), fam)
+    rect = rect_region(corner, widths)  # checks the extents before they key a seed
+    fam = family_seed(master_seed, seed_tag, widths[0], widths[1], axis)
+    task = (lattice, p, rect, (("crossing", corner, widths, axis),), fam)
     (hits,) = run_counters(partial(_observe, task), samples, workers)
     return event_estimate(int(hits.sum()), samples)
 

@@ -24,10 +24,27 @@ axis and labeled with ONE call, using a structuring element that has no
 connectivity across the batch axis.  Label values are then unique per sample,
 so flag lookups over label ids can pool labels across the batch without
 cross-talk.
+
+Crossing crops are labeled as a *strip* instead: the crops lie side by side
+along the last axis, each followed by one closed separator column, and the
+strip is labeled as one grid under the lattice structure.  ``ndimage.label``
+pays per line as well as per cell, and a strip of B crops of h rows has h long
+lines where the stack has B h short ones.  No path crosses a separator, so
+label values stay unique per crop.  A crop of odd cell width (every decorated
+crop) plus its separator spans an even number of columns, so each crop starts
+on a vertex column and the stride-2 vertex view skips the separators.  Label
+values of a strip are not numbered crop by crop, so ``largest_count`` reads
+stacked labels only.
+
+The replica-batch loop keeps its largest arrays across calls in a ``Buffers``
+and hands them to the sample and label layers; every caller that does not
+pass one gets fresh arrays (``FRESH``), so nothing a public call returns is
+shared.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -164,13 +181,63 @@ def element_grid(lattice: LatticeSpec, cells: np.ndarray) -> np.ndarray:
 # Batched labeling
 
 
-def label_sites_batch(cells: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+class Buffers:
+    """Named arrays for the sample and label layers.
+
+    ``Buffers()`` allocates every array anew.  ``Buffers(kept=True)`` keeps one
+    byte array per name, grown to the largest request and never shrunk, and
+    hands out views of it: a request overwrites whatever the last request of
+    the same name returned.
+    """
+
+    def __init__(self, kept: bool = False):
+        self._kept: dict[str, np.ndarray] | None = {} if kept else None
+
+    def empty(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        if self._kept is None:
+            return np.empty(shape, dtype)
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        buf = self._kept.get(name)
+        if buf is None or buf.size < size:
+            buf = self._kept[name] = np.empty(size, dtype=np.uint8)
+        return buf[:size].view(dtype).reshape(shape)
+
+
+FRESH = Buffers()
+
+
+def strip_cells(crops: np.ndarray, buffers: Buffers = FRESH) -> np.ndarray:
+    """A (B, ..., W) stack of cell grids laid side by side: (..., B, W + 1), separators closed."""
+    *lead, width = crops.shape[1:]
+    strip = buffers.empty("strip", (*lead, len(crops), width + 1), bool)
+    strip[..., width] = False
+    strip[..., :width] = crops.transpose(*range(1, crops.ndim - 1), 0, crops.ndim - 1)
+    return strip
+
+
+def label_sites_batch(
+    cells: np.ndarray, lattice: LatticeSpec, out: np.ndarray | None = None, strip: bool = False
+) -> np.ndarray:
     """Vertex labels of a (B, ...) stack of open-cell grids; 0 = not open.
 
     The result is a view in site coordinates (stride 2 on a decorated grid).
+    ``out``, an int32 array of the cells' shape, receives the cell labels.
+    With ``strip``, ``cells`` is a ``strip_cells`` strip, labeled as one grid,
+    and the result is its per-crop view (B, ..., P): on site lattices each crop
+    ends in its separator column, which a decorated grid's vertex view skips.
     """
-    labels, _ = ndimage.label(cells, structure=batch_structure(lattice))
-    return labels[(slice(None),) + vertex_cells(lattice)]
+    if strip:
+        *lead, n_crops, width = cells.shape
+        cells = cells.reshape(*lead, n_crops * width)
+    structure = site_structure(lattice) if strip else batch_structure(lattice)
+    labels = np.empty(cells.shape, np.int32) if out is None else out.reshape(cells.shape)
+    ndimage.label(cells, structure=structure, output=labels)
+    if not strip:
+        return labels[(slice(None),) + vertex_cells(lattice)]
+    vertex = labels[vertex_cells(lattice)]
+    blocks = vertex.reshape(*vertex.shape[:-1], n_crops, -(-width // stride(lattice)))
+    return blocks.transpose(len(lead), *range(len(lead)), len(lead) + 1)
 
 
 # ---------------------------------------------------------------------------

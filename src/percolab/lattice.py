@@ -196,7 +196,7 @@ def rect_region(corner: Site, widths: tuple[int, ...]) -> Region:
     if len(widths) != len(corner):
         raise ValueError("corner and widths must have equal length")
     if any(w < 0 for w in widths):
-        raise ValueError("rectangle extents must be >= 0")
+        raise ValueError(f"rectangle extents must be >= 0, got {tuple(widths)}")
     return Region(tuple(corner), np.ones(tuple(w + 1 for w in widths), dtype=bool))
 
 

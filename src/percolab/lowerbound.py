@@ -368,13 +368,14 @@ def _dn_reader(lattice: LatticeSpec, raster: grid.BoxRaster, n: int, u: int):
     """The batch reduction of ``("dn", n, u)``: D holds, then (where it does) each violation."""
     geometry = _dn_geometry(raster, n, u)
 
-    def read(batch: np.ndarray) -> np.ndarray:
+    def read(batch: np.ndarray, buffers: grid.Buffers) -> np.ndarray:
         flags = np.zeros((len(batch), 3), dtype=bool)
         alive = np.arange(len(batch))  # survivors so far; only their crops are copied
         for rect, axis in geometry.rects:
             if alive.size == 0:
                 break
-            alive = alive[grid.crossing(_crop_labels(lattice, batch, rect, alive), axis)]
+            labels = _crop_labels(lattice, batch, rect, alive, strip=True, buffers=buffers)
+            alive = alive[grid.crossing(labels, axis)]
         for j in alive.tolist():
             flags[j] = (True, *_gluing_violations(lattice, geometry, batch[j : j + 1]))
         return flags

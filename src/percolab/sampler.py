@@ -189,7 +189,9 @@ def config_from_edges(
 # Fast batch generation (estimator kernels; bypasses Config objects)
 
 
-def _bits_batch(p: float, count: int, seeds: Sequence[int]) -> np.ndarray:
+def _bits_batch(
+    p: float, count: int, seeds: Sequence[int], buffers: grid.Buffers = grid.FRESH
+) -> np.ndarray:
     """(B, count) bool: row i is the bit stream of ``seeds[i]`` (see the module doc)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
@@ -204,7 +206,7 @@ def _bits_batch(p: float, count: int, seeds: Sequence[int]) -> np.ndarray:
             yield bitgen.random_raw(n)
 
     if p == 0.5:
-        raw = np.empty((len(seeds), (count + 63) // 64), dtype="<u8")
+        raw = buffers.empty("raw", (len(seeds), (count + 63) // 64), "<u8")
         for i, words in enumerate(raw_words(raw.shape[1])):
             raw[i] = words
         return np.unpackbits(raw.view(np.uint8), axis=1, count=count).view(bool)
@@ -216,29 +218,36 @@ def _bits_batch(p: float, count: int, seeds: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _element_layout(elements: np.ndarray, p: float, seeds: Sequence[int]) -> np.ndarray:
-    """(B,) + elements.shape bool: each seed's bits on the True entries, in C order."""
+def _element_layout(
+    elements: np.ndarray, p: float, seeds: Sequence[int], out: np.ndarray, buffers: grid.Buffers
+) -> np.ndarray:
+    """``out``, (B,) + elements.shape bool: each seed's bits on the True entries, in C order."""
     edges = np.flatnonzero(np.diff(elements.ravel(), prepend=False, append=False))
     starts, stops = edges[0::2].tolist(), edges[1::2].tolist()
-    bits = _bits_batch(p, sum(stops) - sum(starts), seeds)
-    layout = np.zeros((len(seeds),) + elements.shape, dtype=bool)
-    flat = layout.reshape(len(seeds), -1)
-    k = 0
-    for a, b in zip(starts, stops):  # one slice copy per run of elements
+    bits = _bits_batch(p, sum(stops) - sum(starts), seeds, buffers)
+    flat = out.reshape(len(seeds), -1)
+    k = end = 0
+    for a, b in zip(starts, stops):  # one slice copy per run of elements, the gaps closed
+        flat[:, end:a] = False
         flat[:, a:b] = bits[:, k : k + b - a]
-        k += b - a
-    return layout
+        k, end = k + b - a, b
+    flat[:, end:] = False
+    return out
 
 
 def _cells_batch(
-    lattice: LatticeSpec, carrier_mask: np.ndarray, p: float, seeds: Sequence[int]
+    lattice: LatticeSpec, carrier_mask: np.ndarray, p: float, seeds: Sequence[int],
+    buffers: grid.Buffers,
 ) -> np.ndarray:
     elements = grid.element_grid(lattice, grid.cell_mask(lattice, carrier_mask))
-    layout = _element_layout(elements, p, seeds)
+    shape = (len(seeds),) + elements.shape
     if lattice.site_mode:
-        return layout
+        return _element_layout(elements, p, seeds, buffers.empty("cells", shape, bool), buffers)
+    # the element layout is dead before the batch is labeled, so it borrows the label buffer
+    layout = _element_layout(elements, p, seeds, buffers.empty("labels", shape, bool), buffers)
     d = lattice.d
-    out = np.zeros((len(seeds),) + grid.cell_shape(lattice, carrier_mask.shape), dtype=bool)
+    out = buffers.empty("cells", (len(seeds),) + grid.cell_shape(lattice, carrier_mask.shape), bool)
+    out.fill(False)
     out[(slice(None),) + grid.vertex_cells(lattice)] = carrier_mask
     for a in range(d):
         out[(slice(None),) + grid.edge_cells(d, a)] = layout[
@@ -248,26 +257,30 @@ def _cells_batch(
 
 
 def site_open_batch(
-    carrier_mask: np.ndarray, p: float, seeds: Sequence[int]
+    carrier_mask: np.ndarray, p: float, seeds: Sequence[int], buffers: grid.Buffers = grid.FRESH
 ) -> np.ndarray:
     """Stack of site-mode open grids, one per seed; identical to sample_config."""
-    return _cells_batch(TRIANGULAR, carrier_mask, p, seeds)  # the one site lattice
+    return _cells_batch(TRIANGULAR, carrier_mask, p, seeds, buffers)  # the one site lattice
 
 
 def edge_open_batch(
-    carrier_mask: np.ndarray, d: int, p: float, seeds: Sequence[int]
+    carrier_mask: np.ndarray, d: int, p: float, seeds: Sequence[int],
+    buffers: grid.Buffers = grid.FRESH,
 ) -> np.ndarray:
     """Stack of bond-mode decorated grids, one per seed; identical to sample_config."""
-    return _cells_batch(LatticeSpec(LatticeKind.Z_BOND, d), carrier_mask, p, seeds)
+    return _cells_batch(LatticeSpec(LatticeKind.Z_BOND, d), carrier_mask, p, seeds, buffers)
 
 
 def open_cells_batch(
-    lattice: LatticeSpec, carrier_mask: np.ndarray, p: float, seeds: Sequence[int]
+    lattice: LatticeSpec, carrier_mask: np.ndarray, p: float, seeds: Sequence[int],
+    buffers: grid.Buffers = grid.FRESH,
 ) -> np.ndarray:
     """Stack of open-cell grids of either lattice kind, one per seed.
 
     Goes through the per-kind entry points, the sample layer's public names.
+    Kept ``buffers`` hold the stack, its raw words and a bond stack's element
+    layout; the next batch sampled through them overwrites all of them.
     """
     if lattice.site_mode:
-        return site_open_batch(carrier_mask, p, seeds)
-    return edge_open_batch(carrier_mask, lattice.d, p, seeds)
+        return site_open_batch(carrier_mask, p, seeds, buffers)
+    return edge_open_batch(carrier_mask, lattice.d, p, seeds, buffers)

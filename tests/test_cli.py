@@ -234,6 +234,15 @@ def test_crossing_rect_entries_exit_2(tmp_path, capsys, rect):
     assert not out.exists()
 
 
+def test_crossing_negative_extent_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, crossing={"rects": [{"widths": [-2, 3]}]})
+    out = tmp_path / "cross"
+    assert main(["crossing", "--spec", str(spec), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error == "rectangle extents must be >= 0, got (-2, 3)"
+    assert not out.exists()
+
+
 def test_blob_subcommand_points_flag(tmp_path):
     out = tmp_path / "blob"
     code = main(

@@ -420,6 +420,21 @@ def test_bond_mode_estimates():
     assert crossing.point == 1.0
 
 
+@pytest.mark.parametrize(
+    "widths, axis, match",
+    [((3, -1), 0, r"extents must be >= 0, got \(3, -1\)"), ((3, 2), 2, "axis must be 0 or 1, got 2"),
+     ((3, 2), -1, "axis must be 0 or 1, got -1")],
+)
+def test_crossing_geometry_checked_before_seeding(monkeypatch, widths, axis, match):
+    # a negative extent used to surface as "replica_index must be >= 0" from the seed
+    def no_seed(*args):
+        raise AssertionError("family seed derived before the geometry was checked")
+
+    monkeypatch.setattr(E, "family_seed", no_seed)
+    with pytest.raises(ValueError, match=match):
+        E.estimate_crossing(TRIANGULAR, 0.5, widths, axis, 10, 1)
+
+
 def test_default_p():
     assert E.default_p(TRIANGULAR) == 0.5
     assert E.default_p(Z2_BOND) == 0.5

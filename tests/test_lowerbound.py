@@ -175,8 +175,8 @@ def _spy_crop_labels(monkeypatch) -> list:
     calls = []
     crop = L._crop_labels
 
-    def spy(lattice, batch, sl, alive=slice(None)):
-        labels = crop(lattice, batch, sl, alive)
+    def spy(lattice, batch, sl, alive=slice(None), **kwargs):
+        labels = crop(lattice, batch, sl, alive, **kwargs)
         calls.append((sl, labels.shape[0]))
         return labels
 
