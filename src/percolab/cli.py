@@ -22,9 +22,9 @@ import yaml
 
 from . import __version__, bounds, estimators, growth, lowerbound, reports
 from .bounds import BoundParams
-from .estimators import build_pi_table, count_at_least, event_estimate, vn_sample
+from .estimators import build_pi_table, vn_sample
 from .lattice import LatticeKind, LatticeSpec
-from .verify import FULL, QUICK, check_criteria, run_verify
+from .verify import FULL, QUICK, check_criteria, run_verify, write_results
 
 
 def _require_int(name: str, value) -> None:
@@ -93,7 +93,7 @@ SECTION_KEYS = {
         "C4": _require_number,
     },
     "bounds": {
-        **dict.fromkeys(("alpha", "C2", "c1", "c2", "c3", "c4"), _require_number),
+        **dict.fromkeys(("alpha", "C2"), _require_number),
         "sweep_kmax": _require_int,
     },
     "lower": {
@@ -198,18 +198,10 @@ def _load_spec(args) -> tuple[ExperimentSpec, str]:
     return spec, digest
 
 
-def _emit(args, spec_digest: str, stem: str, header, rows, payload: dict) -> list[Path]:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = reports.file_meta(spec_digest)
-    written = []
-    if args.format in ("csv", "both"):
-        written.append(reports.write_csv(out / f"{stem}_{spec_digest[:12]}.csv", header, rows, meta))
-    if args.format in ("json", "both"):
-        written.append(reports.write_json(out / f"{stem}_{spec_digest[:12]}.json", payload, meta))
-    for p in written:
-        print(f"wrote {p}")
-    return written
+def _emit(args, spec_digest: str, stem: str, header, rows, payload: dict) -> None:
+    written = reports.write_results(args.out, stem, spec_digest, header, rows, payload, args.format)
+    for path in written:
+        print(f"wrote {path}")
 
 
 def _cmd_pi(args) -> int:
@@ -228,10 +220,7 @@ def _cmd_crossing(args) -> int:
     lattice, p = spec.lattice_spec(), spec.effective_p()
     rects = _opt(spec.crossing, "rects")
     if rects is None:
-        if lattice.kind == LatticeKind.Z_BOND:
-            rects = [{"widths": [n, n - 1], "axis": 0} for n in spec.sizes]
-        else:
-            rects = [{"widths": [n - 1, n - 1], "axis": 0} for n in spec.sizes]
+        rects = [{"widths": estimators.self_dual_widths(lattice, n)} for n in spec.sizes]
     header = ("lattice", "p", "w0", "w1", "axis", "samples", "successes", "estimate", "stderr")
     rows = []
     for r in rects:
@@ -251,8 +240,8 @@ def _cmd_tail(args) -> int:
     lattice, p = spec.lattice_spec(), spec.effective_p()
     statistic = _opt(spec.tail, "statistic", "largest_cluster")
     sizes = _opt(spec.tail, "sizes", spec.sizes)
-    pi_scales = sorted({(1, max(1, int(n / u))) for n in sizes for u in spec.u_grid})
-    table = build_pi_table(lattice, p, pi_scales, spec.samples, spec.master_seed, spec.workers)
+    scales = estimators.tail_scales(sizes, spec.u_grid)
+    table = build_pi_table(lattice, p, scales, spec.samples, spec.master_seed, spec.workers)
     header = ("statistic", "n", "u", "threshold", "samples", "successes", "estimate", "stderr")
     rows = []
     c1 = {}
@@ -260,12 +249,10 @@ def _cmd_tail(args) -> int:
     distribution = _opt(spec.tail, "distribution")
     reads = ("vn", "c1") if distribution and kind == "vn" else (kind,)
     for n in sizes:
-        thresholds = [n**lattice.d * table.pi(max(1, int(n / u))) for u in spec.u_grid]
         sample = vn_sample(lattice, p, n, spec.samples, spec.master_seed, spec.workers, reads=reads)
         c1[n] = sample.c1
-        values = getattr(sample, kind)
-        for u, t in zip(spec.u_grid, thresholds):
-            est = event_estimate(count_at_least(values, t), spec.samples)
+        tail = estimators.upper_tail(getattr(sample, kind), n, spec.u_grid, table)
+        for u, (t, est) in zip(spec.u_grid, tail):
             rows.append((statistic, n, u, t, est.samples, est.successes, est.point, est.stderr))
     payload = {"tail": [dict(zip(header, r)) for r in rows]}
     if distribution:
@@ -349,7 +336,6 @@ def _cmd_bounds(args) -> int:
         d=spec.d,
         alpha=_opt(cfg, "alpha", float(bounds.ONE_ARM_EXPONENT) if spec.d == 2 else None),
         C2=_opt(cfg, "C2", 1.0),
-        **{k: cfg.get(k) for k in ("c1", "c2", "c3", "c4")},
     )
     kmax = _opt(cfg, "sweep_kmax", 10_000)
     sup_mult, arg_mult = bounds.multinomial_sweep(kmax, spec.d)
@@ -444,15 +430,8 @@ def _cmd_lower(args) -> int:
 def _cmd_verify(args) -> int:
     spec, digest = _load_spec(args)
     profile = QUICK if (args.quick or spec.verify.get("profile") == "quick") else FULL
-    indices = spec.verify.get("criteria")
-    _, code = run_verify(
-        spec.master_seed,
-        spec.workers,
-        profile,
-        Path(args.out),
-        indices=indices,
-        spec_digest=digest,
-    )
+    results, code = run_verify(spec.master_seed, spec.workers, profile, spec.verify.get("criteria"))
+    write_results(args.out, results, digest, args.format)
     return code
 
 

@@ -80,6 +80,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import grid
+from .bounds import scale_floor
 from .lattice import LatticeKind, LatticeSpec, box_with_boundary, rect_region
 from .parallel import run_counters, shifted
 from .sampler import Config, derive_stream, open_cells_batch
@@ -90,7 +91,6 @@ TAG_CROSS = 0x503
 TAG_FKG = 0x504
 TAG_DN = 0x505
 TAG_RSW = 0x506
-TAG_LOWER = 0x507
 
 #: Critical points used as defaults; the d = 3 bond value is a literature
 #: constant supplied through configuration, never asserted by tests.
@@ -463,6 +463,16 @@ def estimate_crossing(
     return event_estimate(int(hits.sum()), samples)
 
 
+def self_dual_widths(lattice: LatticeSpec, n: int) -> tuple[int, int]:
+    """Extents of the self-dual rectangle at size n, crossed along axis 0 with probability 1/2.
+
+    (n, n - 1) on ``z_bond`` and (n - 1, n - 1) on the triangular lattice.
+    """
+    if lattice.kind == LatticeKind.Z_BOND:
+        return (n, n - 1)
+    return (n - 1, n - 1)
+
+
 # ---------------------------------------------------------------------------
 # Public estimator operations
 
@@ -517,6 +527,23 @@ def build_pi_table(
         est = event_estimate(successes, samples)
         table.add(PiRow(m, n, samples, successes, est.point, est.stderr))
     return table
+
+
+def tail_scales(sizes: Sequence[int], u_grid: Sequence[float]) -> list[tuple[int, int]]:
+    """The pi rows (1, floor(n/u) or 1) that ``upper_tail`` reads at every n and u."""
+    return sorted({(1, scale_floor(n, u)) for n in sizes for u in u_grid})
+
+
+def upper_tail(
+    values: np.ndarray, n: int, u_grid: Sequence[float], pi: PiTable
+) -> list[tuple[float, Estimate]]:
+    """Per u: the threshold n^d pi(floor(n/u) or 1) and the estimate of P(value >= threshold).
+
+    ``values`` holds one statistic per replica at size n (C_1 or V_n), and d
+    is the dimension of ``pi``'s lattice.
+    """
+    thresholds = [n**pi.lattice.d * pi.pi(scale_floor(n, u)) for u in u_grid]
+    return [(t, event_estimate(count_at_least(values, t), len(values))) for t in thresholds]
 
 
 @dataclass(frozen=True)

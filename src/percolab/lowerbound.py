@@ -49,7 +49,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import grid
-from .bounds import BoundParams
+from .bounds import BoundParams, scale_floor
 from .estimators import (
     TAG_DN,
     TAG_FKG,
@@ -508,7 +508,7 @@ def lower_tail_estimate(
     if not 2 <= u <= n:
         raise ValueError("u must be an integer in [2, n]")
     c11, c12, c13 = params.require("C11", "C12", "C13")
-    threshold = 0.5 * c12 * n * n * pi.pi(max(1, n // u))
+    threshold = 0.5 * c12 * n * n * pi.pi(scale_floor(n, u))
     direct = event_estimate(count_at_least(sample.c1, threshold), sample.samples)
     implied = math.exp(-(2 * c11 + c13) * u * u)
     return LowerTailResult(direct, implied, threshold)

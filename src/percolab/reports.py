@@ -58,6 +58,26 @@ def file_meta(spec_digest: str) -> dict:
     return {"spec_hash": spec_digest, "version": __version__}
 
 
+def write_results(
+    out_dir: Path, stem: str, spec_digest: str, header: Sequence[str], rows: Sequence[Sequence],
+    payload: dict, fmt: str,
+) -> list[Path]:
+    """Write ``<stem>_<hash>.csv`` (the rows) and/or ``.json`` (the payload).
+
+    ``fmt`` is ``csv``, ``json`` or ``both``.  The CLI subcommands and the verify
+    suite write their result tables here.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    meta = file_meta(spec_digest)
+    name = f"{stem}_{spec_digest[:12]}"
+    written = []
+    if fmt in ("csv", "both"):
+        written.append(write_csv(out_dir / f"{name}.csv", header, rows, meta))
+    if fmt in ("json", "both"):
+        written.append(write_json(out_dir / f"{name}.json", payload, meta))
+    return written
+
+
 # ---------------------------------------------------------------------------
 # Arm-probability table persistence
 

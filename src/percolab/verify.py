@@ -1,24 +1,29 @@
-"""Acceptance suite: one checkable criterion per entry, deterministic outputs.
+"""Acceptance suite: a table of checkable criteria, deterministic outputs.
 
-Each criterion returns a ``CriterionResult`` whose ``data`` is JSON-stable
-(pure function of the master seed), so a verify run writes byte-identical
-result files for any worker count.  Criterion 9's conditioned gluing check is
-implemented literally; see the package README for the measured behaviour of
-that construction.
+``_CRITERIA`` names each criterion once, with its index and its function.  A
+criterion returns ``(passed, detail, data)`` and only ``run_criterion`` builds
+the ``CriterionResult``.  ``data`` is JSON-stable (a pure function of the
+master seed), so a verify run writes byte-identical result files for any
+worker count.  What the CLI computes as well comes from the same library
+functions: the self-dual rectangles (``estimators.self_dual_widths``), the
+upper-tail thresholds and their pi rows (``estimators.upper_tail`` and
+``tail_scales``), and the result files (``reports.write_results``).
+Criterion 9's conditioned gluing check is implemented literally; see the
+package README for the measured behaviour of that construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds, clusters, estimators, growth, lowerbound, reports
-from .bounds import BoundParams, int_root_ceil
-from .estimators import PiTable, build_pi_table, check_quasi_mult, event_estimate, fit_arm_exponent
+from .bounds import BoundParams, int_root_ceil, scale_floor
+from .estimators import PiTable, build_pi_table, check_quasi_mult, fit_arm_exponent
 from .lattice import TRIANGULAR, Z2_BOND, LatticeSpec, Region, rect_region
 from .lowerbound import EventSpec
 from .sampler import Config, derive_stream, rng_for, sample_config
@@ -88,6 +93,10 @@ QUICK = VerifyProfile(
 )
 
 
+#: What a criterion returns: (passed, one-line detail, JSON-stable data).
+Outcome = tuple[bool, str, dict]
+
+
 @dataclass(frozen=True)
 class CriterionResult:
     index: int
@@ -120,11 +129,10 @@ class VerifyContext:
         for n in prof.vn_check_ns:
             scales.add((1, n))
             scales.add((1, 3 * n))
-        for u in prof.tail_us:
-            scales.add((1, max(1, int(prof.tail_n / u))))
+        scales.update(estimators.tail_scales([prof.tail_n], prof.tail_us))
         for n in prof.moment_ns:
             for k in prof.moment_ks:
-                scales.add((1, max(1, n // int_root_ceil(k, 2))))
+                scales.add((1, scale_floor(n, int_root_ceil(k, 2))))
         npr = prof.glue_n // prof.glue_u  # the construction reads pi at n' and 3n'
         scales.update({(1, npr), (1, 3 * npr)})
         ds = prof.dyadic_scales
@@ -179,41 +187,35 @@ class VerifyContext:
 # Criteria
 
 
-def _self_dual_crossing(
-    index: int, name: str, lattice: LatticeSpec, shrink: tuple[int, int], ctx: VerifyContext
-) -> CriterionResult:
-    """Criteria 1 and 2: a self-dual rectangle, widths n - shrink, is crossed with probability 1/2."""
+def _self_dual_crossing(lattice: LatticeSpec, ctx: VerifyContext) -> Outcome:
+    """Criteria 1 and 2: the self-dual rectangle at ``crossing_n`` has crossing probability 1/2."""
     n = ctx.profile.crossing_n
-    widths = (n - shrink[0], n - shrink[1])
     est = estimators.estimate_crossing(
-        lattice, 0.5, widths, 0, ctx.profile.crossing_samples, ctx.master_seed, ctx.workers
+        lattice, 0.5, estimators.self_dual_widths(lattice, n), 0,
+        ctx.profile.crossing_samples, ctx.master_seed, ctx.workers,
     )
     dev = abs(est.point - 0.5)
     ok = dev <= 3 * est.stderr
-    return CriterionResult(
-        index,
-        name,
+    return (
         ok,
         f"p_hat={est.point:.4f} stderr={est.stderr:.4f} |dev|={dev:.4f}",
         {"estimate": est.point, "stderr": est.stderr, "successes": est.successes, "n": n},
     )
 
 
-def _c3_arm_exponent(ctx: VerifyContext) -> CriterionResult:
+def _c3_arm_exponent(ctx: VerifyContext) -> Outcome:
     pi = ctx.pi_table()
     alpha, se = fit_arm_exponent(pi, list(ctx.profile.arm_scales))
     lo, hi = 0.05, 0.20
     ok = lo <= alpha <= hi
-    return CriterionResult(
-        3,
-        "arm-exponent-window",
+    return (
         ok,
         f"alpha_hat={alpha:.4f} stderr={se:.4f} window=[{lo},{hi}]",
         {"alpha_hat": alpha, "stderr": se, "scales": list(ctx.profile.arm_scales)},
     )
 
 
-def _c4_quasi_mult(ctx: VerifyContext) -> CriterionResult:
+def _c4_quasi_mult(ctx: VerifyContext) -> Outcome:
     """Largest ratio pi(k,l) pi(l,m) / pi(k,m) over dyadic triples, against a bound of 5.
 
     This criterion cannot fail at lab sizes, so it is no test of criticality:
@@ -231,9 +233,7 @@ def _c4_quasi_mult(ctx: VerifyContext) -> CriterionResult:
     report = check_quasi_mult(pi, triples)
     ok = math.isfinite(report.max_ratio) and report.max_ratio <= 5.0
     worst = report.worst()
-    return CriterionResult(
-        4,
-        "quasi-multiplicativity",
+    return (
         ok,
         f"max_ratio={report.max_ratio:.3f} at (k,l,m)=({worst.k},{worst.l},{worst.m}) [<= 5]",
         {
@@ -263,23 +263,21 @@ def _mst_radii_oracle(points: tuple[tuple, ...]) -> list[int]:
     return sorted(lengths)
 
 
-def _c5_growth_oracle(ctx: VerifyContext) -> CriterionResult:
+def _c5_growth_oracle(ctx: VerifyContext) -> Outcome:
     mismatches = 0
     for pts in ctx.growth_instances():
         mine = sorted(growth.merge_radii(pts).elements())
         if mine != _mst_radii_oracle(pts):
             mismatches += 1
     ok = mismatches == 0
-    return CriterionResult(
-        5,
-        "single-linkage-mst-oracle",
+    return (
         ok,
         f"mismatches={mismatches}/{ctx.profile.oracle_instances}",
         {"mismatches": mismatches, "instances": ctx.profile.oracle_instances},
     )
 
 
-def _c6_radius_bound(ctx: VerifyContext) -> CriterionResult:
+def _c6_radius_bound(ctx: VerifyContext) -> Outcome:
     n = ctx.profile.oracle_box
     violations = 0
     equalities = 0
@@ -288,16 +286,14 @@ def _c6_radius_bound(ctx: VerifyContext) -> CriterionResult:
         violations += len(rep.violations)
         equalities += len(rep.equalities)
     ok = violations == 0
-    return CriterionResult(
-        6,
-        "ordered-radius-bound",
+    return (
         ok,
         f"violations={violations} equalities={equalities}",
         {"violations": violations, "equalities": equalities},
     )
 
 
-def _c7_shell_disjoint(ctx: VerifyContext) -> CriterionResult:
+def _c7_shell_disjoint(ctx: VerifyContext) -> Outcome:
     n = ctx.profile.oracle_box
     overlaps = 0
     side = 2 * (2 * n + 1) + 1
@@ -313,23 +309,20 @@ def _c7_shell_disjoint(ctx: VerifyContext) -> CriterionResult:
             canvas[sl] += mask
         overlaps += int((canvas > 1).sum())
     ok = overlaps == 0
-    return CriterionResult(
-        7,
-        "shell-disjointness",
+    return (
         ok,
         f"overlapping_sites={overlaps}",
         {"overlapping_sites": overlaps, "instances": ctx.profile.oracle_instances},
     )
 
 
-def _c8_upper_tail_shape(ctx: VerifyContext) -> CriterionResult:
+def _c8_upper_tail_shape(ctx: VerifyContext) -> Outcome:
     prof = ctx.profile
     pi = ctx.pi_table()
     n = prof.tail_n
     us = prof.tail_us
-    thresholds = [n * n * pi.pi(max(1, int(n / u))) for u in us]
     c1 = ctx.vn_sample(n, prof.tail_samples, ("c1",)).c1
-    ests = [event_estimate(estimators.count_at_least(c1, t), prof.tail_samples) for t in thresholds]
+    thresholds, ests = map(list, zip(*estimators.upper_tail(c1, n, us, pi)))
     points = [e.point for e in ests]
     strictly_down = all(a > b for a, b in zip(points, points[1:]))
     noise_ok = all(
@@ -339,9 +332,7 @@ def _c8_upper_tail_shape(ctx: VerifyContext) -> CriterionResult:
     ys = np.array([-math.log(p) if p > 0 else math.inf for p in points])
     slope = float(np.polyfit(xs, ys, 1)[0]) if all(map(math.isfinite, ys)) else math.nan
     ok = strictly_down and noise_ok and slope > 0
-    return CriterionResult(
-        8,
-        "upper-tail-shape",
+    return (
         ok,
         f"P={['%.4f' % p for p in points]} slope={slope:.4g}",
         {
@@ -354,7 +345,7 @@ def _c8_upper_tail_shape(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def _c9_lower_tail_construction(ctx: VerifyContext) -> CriterionResult:
+def _c9_lower_tail_construction(ctx: VerifyContext) -> Outcome:
     prof = ctx.profile
     npr = prof.glue_n // prof.glue_u
     construction = lowerbound.lower_construction(
@@ -370,9 +361,7 @@ def _c9_lower_tail_construction(ctx: VerifyContext) -> CriterionResult:
     bound_ok = direct.direct.point >= direct.implied_bound - 3 * direct.direct.stderr
     glue_ok = report.violated == 0 and report.conditioned >= prof.glue_target
     ok = glue_ok and bound_ok
-    return CriterionResult(
-        9,
-        "lower-tail-construction",
+    return (
         ok,
         (
             f"conditioned={report.conditioned} violated={report.violated} "
@@ -400,7 +389,7 @@ def _c9_lower_tail_construction(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def _c10_mean_vn_floor(ctx: VerifyContext) -> CriterionResult:
+def _c10_mean_vn_floor(ctx: VerifyContext) -> Outcome:
     prof = ctx.profile
     pi = ctx.pi_table()
     rows = []
@@ -417,7 +406,7 @@ def _c10_mean_vn_floor(ctx: VerifyContext) -> CriterionResult:
             }
         )
     detail = " ".join(f"n={r['n']}:{r['mean_vn']:.0f}>={r['floor']:.0f}" for r in rows)
-    return CriterionResult(10, "mean-long-arm-floor", ok, detail, {"rows": rows})
+    return ok, detail, {"rows": rows}
 
 
 def _fkg_catalog(n: int) -> list[tuple[EventSpec, EventSpec]]:
@@ -445,7 +434,7 @@ def _fkg_catalog(n: int) -> list[tuple[EventSpec, EventSpec]]:
     ]
 
 
-def _c11_fkg(ctx: VerifyContext) -> CriterionResult:
+def _c11_fkg(ctx: VerifyContext) -> Outcome:
     prof = ctx.profile
     n = min(16, prof.tail_n)
     rows = []
@@ -465,12 +454,10 @@ def _c11_fkg(ctx: VerifyContext) -> CriterionResult:
             }
         )
     zmin = min(r["z"] for r in rows)
-    return CriterionResult(
-        11, "fkg-positive-association", ok, f"min_z={zmin:.2f} over {len(rows)} pairs", {"rows": rows}
-    )
+    return ok, f"min_z={zmin:.2f} over {len(rows)} pairs", {"rows": rows}
 
 
-def _c12_moment_stability(ctx: VerifyContext) -> CriterionResult:
+def _c12_moment_stability(ctx: VerifyContext) -> Outcome:
     prof = ctx.profile
     pi = ctx.pi_table()
     fits = {}
@@ -479,16 +466,13 @@ def _c12_moment_stability(ctx: VerifyContext) -> CriterionResult:
         best = 0.0
         for k in prof.moment_ks:
             mom = estimators.binomial_sums(vn, k)[0] / prof.moment_samples
-            scale = max(1, n // int_root_ceil(k, 2))
-            fit = mom ** (1 / k) * k / (n * n * pi.pi(scale))
+            fit = mom ** (1 / k) * k / (n * n * pi.pi(scale_floor(n, int_root_ceil(k, 2))))
             best = max(best, fit)
         fits[n] = best
     values = list(fits.values())
     spread = max(values) / min(values)
     ok = all(map(math.isfinite, values)) and spread < 2.0
-    return CriterionResult(
-        12,
-        "moment-constant-stability",
+    return (
         ok,
         f"fits={[f'{n}:{v:.3f}' for n, v in fits.items()]} spread={spread:.3f} [< 2]",
         {"fits": {str(k): v for k, v in fits.items()}, "spread": spread},
@@ -496,16 +480,14 @@ def _c12_moment_stability(ctx: VerifyContext) -> CriterionResult:
 
 
 def _canonical_partition(labels: np.ndarray) -> np.ndarray:
-    """Relabel by first occurrence so partitions compare exactly."""
+    """Relabel clusters 1, 2, ... by first occurrence, zeros kept, so partitions compare exactly."""
     flat = labels.ravel()
     out = np.zeros_like(flat)
-    mapping: dict[int, int] = {}
-    for i, v in enumerate(flat.tolist()):
-        if v == 0:
-            continue
-        if v not in mapping:
-            mapping[v] = len(mapping) + 1
-        out[i] = mapping[v]
+    nonzero = flat != 0
+    _, first, inverse = np.unique(flat[nonzero], return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=flat.dtype)
+    rank[np.argsort(first)] = np.arange(1, len(first) + 1)
+    out[nonzero] = rank[inverse]
     return out.reshape(labels.shape)
 
 
@@ -546,7 +528,7 @@ def _bfs_labels(config: Config, region: Region) -> np.ndarray:
     return lab
 
 
-def _c13_bfs_oracle(ctx: VerifyContext) -> CriterionResult:
+def _c13_bfs_oracle(ctx: VerifyContext) -> Outcome:
     prof = ctx.profile
     rng = rng_for(estimators.family_seed(ctx.master_seed, TAG_BFS))
     mismatches = 0
@@ -563,9 +545,7 @@ def _c13_bfs_oracle(ctx: VerifyContext) -> CriterionResult:
         if not np.array_equal(ours, oracle):
             mismatches += 1
     ok = mismatches == 0
-    return CriterionResult(
-        13,
-        "cluster-labels-vs-bfs",
+    return (
         ok,
         f"mismatches={mismatches}/{prof.bfs_configs}",
         {"mismatches": mismatches, "configs": prof.bfs_configs},
@@ -590,7 +570,7 @@ def _independent_series(u: float, params: BoundParams, terms: int = 4000) -> flo
     return math.fsum(sorted(vals))
 
 
-def _c14_bound_numerics(ctx: VerifyContext) -> CriterionResult:
+def _c14_bound_numerics(ctx: VerifyContext) -> Outcome:
     params = BoundParams(d=2, alpha=float(bounds.ONE_ARM_EXPONENT), C2=1.0)
     checks = {}
     ok = True
@@ -617,16 +597,10 @@ def _c14_bound_numerics(ctx: VerifyContext) -> CriterionResult:
     checks["power_product_sup"] = sup_pow
     checks["power_product_argmax"] = arg_pow
     ok &= math.isfinite(sup_mult) and math.isfinite(sup_pow)
-    return CriterionResult(
-        14,
-        "bound-kit-numerics",
-        ok,
-        f"series_ok mult_sup={sup_mult:.3f} pow_sup={sup_pow:.3f}",
-        checks,
-    )
+    return ok, f"series_ok mult_sup={sup_mult:.3f} pow_sup={sup_pow:.3f}", checks
 
 
-def _c15_determinism(ctx: VerifyContext) -> CriterionResult:
+def _c15_determinism(ctx: VerifyContext) -> Outcome:
     import tempfile
 
     prof = ctx.profile
@@ -636,12 +610,10 @@ def _c15_determinism(ctx: VerifyContext) -> CriterionResult:
         with tempfile.TemporaryDirectory() as tmp:
             sub = VerifyContext(ctx.master_seed, workers, QUICK, ctx.lattice, ctx.p)
             results = [run_criterion(i, sub) for i in indices]
-            files = write_results(Path(tmp), results, spec_digest="determinism-check")
+            files = write_results(Path(tmp), results, "determinism-check", "both")
             blobs_bytes.append({f.name: f.read_bytes() for f in files})
     ok = blobs_bytes[0] == blobs_bytes[1]
-    return CriterionResult(
-        15,
-        "worker-count-determinism",
+    return (
         ok,
         f"criteria={list(indices)} workers={list(prof.determinism_workers)} identical={ok}",
         {"criteria": list(indices), "workers": list(prof.determinism_workers), "identical": ok},
@@ -649,21 +621,21 @@ def _c15_determinism(ctx: VerifyContext) -> CriterionResult:
 
 
 _CRITERIA = {
-    1: partial(_self_dual_crossing, 1, "bond-self-dual-crossing", Z2_BOND, (0, 1)),
-    2: partial(_self_dual_crossing, 2, "triangular-self-dual-crossing", TRIANGULAR, (1, 1)),
-    3: _c3_arm_exponent,
-    4: _c4_quasi_mult,
-    5: _c5_growth_oracle,
-    6: _c6_radius_bound,
-    7: _c7_shell_disjoint,
-    8: _c8_upper_tail_shape,
-    9: _c9_lower_tail_construction,
-    10: _c10_mean_vn_floor,
-    11: _c11_fkg,
-    12: _c12_moment_stability,
-    13: _c13_bfs_oracle,
-    14: _c14_bound_numerics,
-    15: _c15_determinism,
+    1: ("bond-self-dual-crossing", partial(_self_dual_crossing, Z2_BOND)),
+    2: ("triangular-self-dual-crossing", partial(_self_dual_crossing, TRIANGULAR)),
+    3: ("arm-exponent-window", _c3_arm_exponent),
+    4: ("quasi-multiplicativity", _c4_quasi_mult),
+    5: ("single-linkage-mst-oracle", _c5_growth_oracle),
+    6: ("ordered-radius-bound", _c6_radius_bound),
+    7: ("shell-disjointness", _c7_shell_disjoint),
+    8: ("upper-tail-shape", _c8_upper_tail_shape),
+    9: ("lower-tail-construction", _c9_lower_tail_construction),
+    10: ("mean-long-arm-floor", _c10_mean_vn_floor),
+    11: ("fkg-positive-association", _c11_fkg),
+    12: ("moment-constant-stability", _c12_moment_stability),
+    13: ("cluster-labels-vs-bfs", _c13_bfs_oracle),
+    14: ("bound-kit-numerics", _c14_bound_numerics),
+    15: ("worker-count-determinism", _c15_determinism),
 }
 
 
@@ -678,41 +650,25 @@ def check_criteria(name: str, indices) -> None:
 def run_criterion(index: int, ctx: VerifyContext) -> CriterionResult:
     if index not in _CRITERIA:
         raise ValueError(f"no criterion {index}")
-    return _CRITERIA[index](ctx)
+    name, criterion = _CRITERIA[index]
+    return CriterionResult(index, name, *criterion(ctx))
 
 
-def write_results(out_dir: Path, results: list[CriterionResult], spec_digest: str) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    meta = reports.file_meta(spec_digest)
+def write_results(
+    out_dir: Path, results: list[CriterionResult], spec_digest: str, fmt: str
+) -> list[Path]:
+    """The ``verify_<hash>`` files of ``results`` in format ``fmt`` (csv, json or both)."""
     rows = [(r.index, r.name, "pass" if r.passed else "fail", r.detail) for r in results]
-    csv_path = reports.write_csv(
-        out_dir / f"verify_{spec_digest[:12]}.csv", ("index", "name", "status", "detail"), rows, meta
+    payload = {"results": [asdict(r) for r in results]}
+    return reports.write_results(
+        out_dir, "verify", spec_digest, ("index", "name", "status", "detail"), rows, payload, fmt
     )
-    payload = {
-        "results": [
-            {
-                "index": r.index,
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "data": r.data,
-            }
-            for r in results
-        ]
-    }
-    json_path = reports.write_json(out_dir / f"verify_{spec_digest[:12]}.json", payload, meta)
-    return [csv_path, json_path]
 
 
 def run_verify(
-    master_seed: int,
-    workers: int = 1,
-    profile: VerifyProfile = FULL,
-    out_dir: Path | None = None,
-    indices: list[int] | None = None,
-    spec_digest: str = "",
-    echo=print,
+    master_seed: int, workers: int, profile: VerifyProfile, indices: list[int] | None
 ) -> tuple[list[CriterionResult], int]:
+    """Run ``indices`` (every criterion when None), printing each line; exit code 1 on a failure."""
     if indices is None:
         indices = sorted(_CRITERIA)
     check_criteria("criteria", indices)
@@ -720,9 +676,7 @@ def run_verify(
     results = []
     for i in indices:
         res = run_criterion(i, ctx)
-        echo(res.line())
+        print(res.line())
         results.append(res)
-    if out_dir is not None:
-        write_results(Path(out_dir), results, spec_digest or f"seed{master_seed}")
     failed = sum(not r.passed for r in results)
     return results, (1 if failed else 0)

@@ -9,6 +9,7 @@ import yaml
 from percolab.cli import SECTION_KEYS, ExperimentSpec, main
 from percolab.lattice import TRIANGULAR
 from percolab.reports import read_pi_csv, spec_hash
+from percolab.verify import QUICK, VerifyContext, run_criterion
 
 
 def write_spec(tmp_path, **overrides):
@@ -188,6 +189,7 @@ def test_lower_construction_errors_exit_2(tmp_path, capsys, lower):
         ("tail", {"statistics": "long_arm"}),
         ("blob", {"c3": 1.0}),
         ("bounds", {"kmax": 64}),
+        ("bounds", {"c1": 1.0}),
         ("crossing", {"rect": []}),
         ("verify", {"criterion": [1]}),
         ("pi", [[1, 4]]),
@@ -213,6 +215,22 @@ def test_crossing_subcommand(tmp_path):
     assert main(["crossing", "--spec", str(spec), "--out", str(out)]) == 0
     csv = [f for f in out.iterdir() if f.suffix == ".csv"][0]
     assert "estimate" in csv.read_text().splitlines()[1]
+
+
+@pytest.mark.parametrize(
+    "lattice, index, successes", [("z_bond", 1, 736), ("triangular_site", 2, 729)]
+)
+def test_crossing_default_rectangle_is_the_self_dual_criterion(tmp_path, lattice, index, successes):
+    # the default rectangle at n is the one criteria 1 and 2 cross at crossing_n
+    spec = write_spec(
+        tmp_path, master_seed=7, lattice=lattice, sizes=[QUICK.crossing_n],
+        samples=QUICK.crossing_samples,
+    )
+    out = tmp_path / "cross"
+    assert main(["crossing", "--spec", str(spec), "--out", str(out), "--format", "json"]) == 0
+    (row,) = json.loads(next(out.glob("*.json")).read_text())["crossings"]
+    data = run_criterion(index, VerifyContext(7, 1, QUICK)).data
+    assert row["successes"] == data["successes"] == successes
 
 
 @pytest.mark.parametrize(
@@ -309,6 +327,19 @@ def test_verify_subcommand_quick_subset(tmp_path):
     code = main(["verify", "--spec", str(spec), "--out", str(out)])
     assert code == 0
     assert any(f.name.startswith("verify_") for f in out.iterdir())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_writes_only_the_format_asked(tmp_path, capsys, fmt):
+    spec = write_spec(tmp_path, verify={"profile": "quick", "criteria": [5]})
+    both, one = tmp_path / "both", tmp_path / fmt
+    assert main(["verify", "--spec", str(spec), "--out", str(both)]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["verify", "--spec", str(spec), "--out", str(one), "--format", fmt]) == 0
+    assert capsys.readouterr().out == stdout
+    (path,) = one.iterdir()
+    assert path.suffix == f".{fmt}"
+    assert path.read_bytes() == (both / path.name).read_bytes()
 
 
 # sha256 and size of the blob command's output files for one point set

@@ -359,6 +359,22 @@ def test_moment_identities():
     assert E.binomial_sums(vn_sample(TRIANGULAR, 0.0, n, 100, seed, reads=("vn",)).vn, 2) == (0, 0)
 
 
+@pytest.mark.parametrize("lattice", [TRIANGULAR, LatticeSpec(LatticeKind.Z_BOND, 3)])
+def test_upper_tail_against_hand_count(lattice):
+    # at n = 6, u = 1, 2.5 and 7 read pi(6), pi(2) and pi(1) = 1
+    table = PiTable(lattice, 0.5)
+    table.add(PiRow(1, 2, 10, 5, 0.5, 0.1))
+    table.add(PiRow(1, 6, 10, 2, 0.25, 0.1))
+    us = [1.0, 2.5, 7.0]
+    assert E.tail_scales([6], us) == [(1, 1), (1, 2), (1, 6)]
+    values = np.array([0, 3, 9, 18, 36, 54, 120, 216])
+    # n^d = 36 at d = 2 and 216 at d = 3
+    want = {2: [(9.0, 6), (18.0, 5), (36.0, 4)], 3: [(54.0, 3), (108.0, 2), (216.0, 1)]}[lattice.d]
+    tail = E.upper_tail(values, 6, us, table)
+    assert [(t, est.successes) for t, est in tail] == want
+    assert [est for _, est in tail] == [event_estimate(k, 8) for _, k in want]
+
+
 def test_check_quasi_mult_exact_power_law():
     scales = [(m, n) for m in (2, 4, 8) for n in (2, 4, 8) if m < n]
     table = synthetic_table(0.4, scales)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 
+import numpy as np
 import pytest
 
 from percolab import verify
@@ -79,3 +80,23 @@ def test_bfs_oracle_is_independent():
     # criterion 13 compares the labeling kernel with this flood fill
     source = inspect.getsource(verify._bfs_labels)
     assert "ndimage" not in source and "grid." not in source
+
+
+def _partition_reference(labels):
+    """Reference loop: number clusters 1, 2, ... by first occurrence, zeros kept."""
+    out, mapping = np.zeros_like(labels), {}
+    for idx, v in np.ndenumerate(labels):
+        if v:
+            out[idx] = mapping.setdefault(v, len(mapping) + 1)
+    return out
+
+
+def test_canonical_partition_numbers_clusters_by_first_occurrence():
+    labels = np.array([[0, 7, 7, 0], [3, 0, 9, 3], [0, 9, 0, 12]], dtype=np.int32)
+    want = [[0, 1, 1, 0], [2, 0, 3, 2], [0, 3, 0, 4]]
+    assert verify._canonical_partition(labels).tolist() == want
+    assert not verify._canonical_partition(np.zeros((3, 2), dtype=np.int32)).any()
+    rng = np.random.default_rng(SEED)
+    for _ in range(50):
+        grid = rng.integers(0, 12, size=tuple(rng.integers(1, 9, size=2)), dtype=np.int32)
+        assert np.array_equal(verify._canonical_partition(grid), _partition_reference(grid))
