@@ -256,15 +256,12 @@ def _cmd_tail(args) -> int:
             rows.append((statistic, n, u, t, est.samples, est.successes, est.point, est.stderr))
     payload = {"tail": [dict(zip(header, r)) for r in rows]}
     if distribution:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         payload["distributions"] = {}
         for n in sizes:
             dist = estimators.SizeDistribution.of(c1[n])
-            path = reports.write_distribution_csv(
-                out / f"dist_n{n}_{digest[:12]}.csv", dist.counts, digest
-            )
-            print(f"wrote {path}")
+            hist = [(v, dist.counts[v]) for v in sorted(dist.counts)]
+            hist_payload = {"distribution": [dict(zip(reports.DIST_HEADER, r)) for r in hist]}
+            _emit(args, digest, f"dist_n{n}", reports.DIST_HEADER, hist, hist_payload)
             payload["distributions"][str(n)] = {
                 "mean": dist.mean,
                 "stderr": dist.stderr,

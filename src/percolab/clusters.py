@@ -23,7 +23,7 @@ import numpy as np
 
 from . import grid
 from .estimators import read_config
-from .lattice import LatticeSpec, Region, Site, box_with_boundary
+from .lattice import LatticeSpec, Region, box_with_boundary
 from .sampler import Config
 
 
@@ -35,13 +35,6 @@ class ClusterLabels:
     origin: tuple[int, ...]
     label_grid: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(repr=False)
-
-    def label_of(self, site: Site) -> int:
-        idx = tuple(c - o for c, o in zip(site, self.origin))
-        return int(self.label_grid[idx])
-
-    def n_clusters(self) -> int:
-        return len(self.sizes)
 
 
 def _carrier_part(config: Config, region: Region, error="region escapes the carrier") -> np.ndarray:

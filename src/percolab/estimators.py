@@ -74,7 +74,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -119,11 +119,11 @@ def default_p(lattice: LatticeSpec) -> float:
 # Estimates and confidence machinery
 
 
-def wilson_halfwidth(successes: int, samples: int, z: float = 1.0) -> float:
-    """Half-width of the Wilson score interval (z = 1 gives a 1-sigma analogue)."""
+def wilson_halfwidth(successes: int, samples: int) -> float:
+    """Half-width of the Wilson score interval at z = 1, a 1-sigma analogue."""
     p = successes / samples
-    denom = 1 + z * z / samples
-    return (z / denom) * math.sqrt(p * (1 - p) / samples + z * z / (4 * samples * samples))
+    denom = 1 + 1 / samples
+    return (1 / denom) * math.sqrt(p * (1 - p) / samples + 1 / (4 * samples * samples))
 
 
 @dataclass(frozen=True)
@@ -257,8 +257,15 @@ def _crop_labels(
     return labels[..., : sl[-1].stop - sl[-1].start]  # drops a site strip's separators
 
 
+@lru_cache(maxsize=64)
 def _reader(lattice: LatticeSpec, raster: grid.BoxRaster, observable: tuple):
-    """(reads the carrier labels, per-batch reduction) of one observable; masks are built here."""
+    """(reads the carrier labels, per-batch reduction) of one observable.
+
+    ``observable`` is a tuple of ints (and tuples of them), so readers are
+    cached per process: the kernel asks for them on every chunk and
+    ``read_config`` on every configuration, and each is built once.  The
+    masks a cached reader holds are read-only.
+    """
     kind, *args = observable
     center = (0,) * lattice.d
     if kind == "arm":
@@ -266,6 +273,8 @@ def _reader(lattice: LatticeSpec, raster: grid.BoxRaster, observable: tuple):
         rings = {r: raster.boundary_mask(center, r) for r in {r for pair in pairs for r in pair}}
         on_rings = np.logical_or.reduce(list(rings.values()))
         ring = {r: mask[on_rings] for r, mask in rings.items()}  # over the gathered ring sites
+        for mask in (on_rings, *ring.values()):
+            mask.flags.writeable = False
 
         def arm(labels):
             gathered = labels[:, on_rings]
@@ -275,6 +284,7 @@ def _reader(lattice: LatticeSpec, raster: grid.BoxRaster, observable: tuple):
         return True, arm
     if kind == "vn":
         outer, inner = raster.boundary_mask(center, 2 * args[0]), raster.box_mask(center, args[0])
+        outer.flags.writeable = inner.flags.writeable = False
         return True, lambda labels: grid.count_connected_to(labels, outer, inner)
     if kind == "c1":
         box = raster.box_slices(center, args[0])
@@ -458,7 +468,7 @@ def estimate_crossing(
     corner = (0, 0)
     rect = rect_region(corner, widths)  # checks the extents before they key a seed
     fam = family_seed(master_seed, seed_tag, widths[0], widths[1], axis)
-    task = (lattice, p, rect, (("crossing", corner, widths, axis),), fam)
+    task = (lattice, p, rect, (("crossing", corner, tuple(widths), axis),), fam)
     (hits,) = run_counters(partial(_observe, task), samples, workers)
     return event_estimate(int(hits.sum()), samples)
 

@@ -10,10 +10,9 @@ Sites are plain tuples of ints.  A region, a finite set of sites, is a value
 ``Region(origin, mask)``: a read-only boolean mask over the region's bounding
 box, whose cell ``i`` is the site ``origin + i``.  Boxes and rectangles are
 full masks, boundaries are one dilation of a mask by the lattice adjacency,
-and subset tests are mask operations; ``Region.sites`` is a view derived from
-the mask, and ``Region.from_sites`` the one constructor from sites.  All
-distances used by the growth process are L-infinity (Chebyshev), independent
-of the lattice kind.
+and subset tests are mask operations; a region iterates its sites in
+lexicographic order.  All distances used by the growth process are
+L-infinity (Chebyshev), independent of the lattice kind.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from typing import Iterable
 
 import numpy as np
 from scipy import ndimage
@@ -98,21 +96,6 @@ class Region:
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "mask", mask)
 
-    @classmethod
-    def from_sites(cls, sites: Iterable[Site], dim: int | None = None) -> Region:
-        """The region of the given sites; ``dim`` is required when there are none."""
-        pts = {tuple(int(c) for c in s) for s in sites}
-        dims = {len(s) for s in pts} | ({dim} if dim is not None else set())
-        if len(dims) != 1:
-            raise ValueError("sites must share one dimension (an empty region needs dim)")
-        if not pts:
-            return cls((0,) * dim, np.zeros((0,) * dim, dtype=bool))
-        coords = np.array(list(pts), dtype=np.int64)
-        lo = coords.min(axis=0)
-        mask = np.zeros(tuple(coords.max(axis=0) - lo + 1), dtype=bool)
-        mask[tuple((coords - lo).T)] = True
-        return cls(tuple(lo.tolist()), mask)
-
     @property
     def d(self) -> int:
         return len(self.origin)
@@ -120,10 +103,6 @@ class Region:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.mask.shape
-
-    @property
-    def sites(self) -> frozenset[Site]:
-        return frozenset(self)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.mask))

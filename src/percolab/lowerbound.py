@@ -42,7 +42,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -81,10 +81,6 @@ class RswFit:
     estimate: Estimate
     c11: float
 
-    @property
-    def infinite(self) -> bool:
-        return math.isinf(self.c11)
-
 
 def estimate_rsw_constant(
     lattice: LatticeSpec, p: float, n: int, samples: int, master_seed: int, workers: int = 1
@@ -92,8 +88,7 @@ def estimate_rsw_constant(
     """Horizontal crossing of the 2:1 rectangle (extents 2n by n); c11 = -log p̂.
 
     This is the hard-direction crossing, the nontrivial uniform lower bound.
-    A zero estimate at the sampled resolution yields an infinite fit, flagged
-    via ``infinite``.
+    A zero estimate at the sampled resolution yields an infinite ``c11``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -150,7 +145,8 @@ class EventSpec:
     def observable(self) -> tuple:
         """The kernel observable whose per-replica values decide the event."""
         if self.kind in ("h_crossing", "v_crossing"):
-            return ("crossing", self.corner, self.widths, 0 if self.kind == "h_crossing" else 1)
+            axis = 0 if self.kind == "h_crossing" else 1
+            return ("crossing", tuple(self.corner), tuple(self.widths), axis)
         if self.kind == "arm":
             return ("arm", ((self.m, self.n),))
         return ("vn" if self.kind == "vn_ge" else "c1", self.n)
@@ -308,12 +304,11 @@ class _DnGeometry:
     arm_box: tuple[slice, ...]  # box(n - n')
     arm_coords: np.ndarray  # raster index of each arm_box cell, one plane per axis
     arm_reach: int  # 2n' + 1
-    local: tuple[tuple[np.ndarray, tuple[slice, ...]], ...]  # (ring of box(2n'), box(n')) at n'v
+    local: tuple[tuple[np.ndarray, np.ndarray], ...]  # (ring of box(2n'), box(n')) masks at n'v
 
 
-@lru_cache(maxsize=8)
 def _dn_geometry(raster: grid.BoxRaster, n: int, u: int) -> _DnGeometry:
-    """The geometry of D(n, u) over ``raster``, built once and read-only."""
+    """The geometry of D(n, u) over ``raster``, read-only (its reader is cached)."""
     rects = tuple((raster.rect_slices(c, w), a) for c, w, a in _dn_rects(n, u, raster.lattice.d))
     np_ = n // u
     arm_box = raster.box_slices((0,) * raster.lattice.d, n - np_)
@@ -323,9 +318,9 @@ def _dn_geometry(raster: grid.BoxRaster, n: int, u: int) -> _DnGeometry:
     for vx in range(-(u - 1), u):
         for vy in range(-(u - 1), u):
             c = (np_ * vx, np_ * vy)
-            ring = raster.boundary_mask(c, 2 * np_)
-            ring.flags.writeable = False
-            local.append((ring, raster.box_slices(c, np_)))
+            ring, box = raster.boundary_mask(c, 2 * np_), raster.box_mask(c, np_)
+            ring.flags.writeable = box.flags.writeable = False
+            local.append((ring, box))
     arm_coords.flags.writeable = False
     return _DnGeometry(rects, arm_box, arm_coords, 2 * np_ + 1, tuple(local))
 
@@ -347,9 +342,9 @@ def _gluing_violations(
     viol_i = np.unique(crop[qual]).size > 1
 
     # (ii) sum of local long-arm counts vs largest carrier cluster
-    total = 0
-    for ring, box in geometry.local:
-        total += int(grid.seed_flags(labels[None], ring)[labels[box]].sum())
+    total = sum(
+        int(grid.count_connected_to(labels[None], ring, box)[0]) for ring, box in geometry.local
+    )
     viol_ii = total > int(grid.largest_count(labels[None])[0])
     return viol_i, viol_ii
 

@@ -20,8 +20,9 @@ Larger calls share one fork pool that lives as long as the process:
 - *Exit.* An ``atexit`` hook terminates and joins the pool, so no worker
   outlives the process.
 - *Worker state.* Workers see module state as of their fork. Kernels are
-  pickled with every chunk, and per-process caches (``lru_cache`` geometry)
-  fill once per worker, not once per call.
+  pickled with every chunk, and the per-process reader cache
+  (``estimators._reader``, with the masks of each observable) fills once per
+  worker, not once per call.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .estimators import PiTable, PiRow
-from .lattice import LatticeSpec
+from .estimators import PiTable
 
 
 def canonical_json(payload) -> str:
@@ -92,24 +91,3 @@ def pi_table_rows(table: PiTable) -> list[tuple]:
 
 
 DIST_HEADER = ("value", "count")
-
-
-def write_distribution_csv(path: Path, counts: dict, spec_digest: str) -> Path:
-    rows = [(v, counts[v]) for v in sorted(counts)]
-    return write_csv(path, DIST_HEADER, rows, file_meta(spec_digest))
-
-
-def read_pi_csv(path: Path, lattice: LatticeSpec) -> PiTable:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln and not ln.startswith("#")]
-    header = lines[0].split(",")
-    if tuple(header) != PI_HEADER:
-        raise ValueError(f"unexpected header {header}")
-    table: PiTable | None = None
-    for ln in lines[1:]:
-        kind, p, m, n, samples, succ, est, err = ln.split(",")
-        if table is None:
-            table = PiTable(lattice, float(p))
-        table.add(PiRow(int(m), int(n), int(samples), int(succ), float(est), float(err)))
-    if table is None:
-        raise ValueError("empty table")
-    return table

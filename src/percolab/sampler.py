@@ -56,7 +56,7 @@ import numpy as np
 
 from . import grid
 from .grid import BoxRaster
-from .lattice import TRIANGULAR, LatticeKind, LatticeSpec, Region, Site
+from .lattice import TRIANGULAR, LatticeKind, LatticeSpec, Region
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -77,11 +77,6 @@ def derive_stream(master_seed: int, replica_index: int) -> int:
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
-
-
-def element_bits(p: float, count: int, seed: int) -> np.ndarray:
-    """The open/closed bit stream for ``count`` elements."""
-    return _bits_batch(p, count, [seed])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,15 +122,10 @@ class Config:
         """Per-axis open edges (bond mode only): ``[a][u]`` is the edge u -- u + e_a."""
         return None if self.site_mode else grid.edge_arrays(self.cells, self.lattice.d)
 
-    def _element_mask(self) -> np.ndarray:
-        return grid.element_grid(self.lattice, grid.cell_mask(self.lattice, self.region.mask))
-
-    def n_elements(self) -> int:
-        return int(self._element_mask().sum())
-
     def element_states(self) -> np.ndarray:
         """Flat open/closed states in documented element order."""
-        return grid.element_grid(self.lattice, self.cells)[self._element_mask()]
+        elements = grid.element_grid(self.lattice, grid.cell_mask(self.lattice, self.region.mask))
+        return grid.element_grid(self.lattice, self.cells)[elements]
 
     def packed_states(self) -> np.ndarray:
         return np.packbits(self.element_states())
@@ -155,34 +145,6 @@ def sample_config(lattice: LatticeSpec, region: Region, p: float, seed: int) -> 
     """Product-measure sample: each element open independently with probability p."""
     cells = open_cells_batch(lattice, region.mask, p, [seed])[0]
     return Config(lattice, region, p, seed, cells)
-
-
-def config_from_sites(lattice: LatticeSpec, region: Region, open_sites: Sequence[Site]) -> Config:
-    """Hand-built site-mode configuration (for tests and fixtures)."""
-    if not lattice.site_mode:
-        raise ValueError("config_from_sites requires a site-percolation lattice")
-    opened = Region.from_sites(open_sites, lattice.d)
-    if not opened <= region:
-        raise ValueError("open sites outside region")
-    return Config(lattice, region, float("nan"), None, opened.mask_in(region.origin, region.shape))
-
-
-def config_from_edges(
-    lattice: LatticeSpec, region: Region, open_edges: Sequence[tuple[Site, Site]]
-) -> Config:
-    """Hand-built bond-mode configuration (for tests and fixtures)."""
-    if lattice.site_mode:
-        raise ValueError("config_from_edges requires a bond-percolation lattice")
-    raster = BoxRaster(lattice, region)
-    cells = np.zeros(grid.cell_shape(lattice, region.shape), dtype=bool)
-    cells[grid.vertex_cells(lattice)] = region.mask
-    for u, v in open_edges:
-        if sum(abs(b - a) for a, b in zip(u, v)) != 1:
-            raise ValueError(f"not a lattice edge: {u}-{v}")
-        if u not in region or v not in region:
-            raise ValueError(f"edge {u}-{v} outside region")
-        cells[tuple(a + b for a, b in zip(raster.index(u), raster.index(v)))] = True
-    return Config(lattice, region, float("nan"), None, cells)
 
 
 # ---------------------------------------------------------------------------

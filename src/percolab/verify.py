@@ -10,6 +10,11 @@ upper-tail thresholds and their pi rows (``estimators.upper_tail`` and
 ``tail_scales``), and the result files (``reports.write_results``).
 Criterion 9's conditioned gluing check is implemented literally; see the
 package README for the measured behaviour of that construction.
+
+Both profiles share the settings that do not scale with sample size: the
+growth oracles draw k from 1..16 points per instance, criteria 8 and 9 use
+u = 2 for the construction and the tail u-grid {1, 1.5, 2, 3}, criterion 12
+fits the moments k = 1..5, and criterion 15 compares runs at 1 and 8 workers.
 """
 
 from __future__ import annotations
@@ -31,6 +36,12 @@ from .sampler import Config, derive_stream, rng_for, sample_config
 TAG_ORACLE = 0x601
 TAG_BFS = 0x602
 
+ORACLE_KMAX = 16
+GLUE_U = 2
+TAIL_US = (1.0, 1.5, 2.0, 3.0)
+MOMENT_KS = (1, 2, 3, 4, 5)
+DETERMINISM_WORKERS = (1, 8)
+
 
 @dataclass(frozen=True)
 class VerifyProfile:
@@ -43,13 +54,10 @@ class VerifyProfile:
     arm_scales: tuple[int, ...] = (8, 16, 32, 64, 128)
     dyadic_scales: tuple[int, ...] = (2, 4, 8, 16, 32, 64)
     oracle_instances: int = 1000
-    oracle_kmax: int = 16
     oracle_box: int = 100
     tail_n: int = 64
-    tail_us: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0)
     tail_samples: int = 10_000
     glue_n: int = 32
-    glue_u: int = 2
     glue_target: int = 10_000
     glue_stop_violations: int | None = 25
     glue_max_attempts: int = 40_000_000
@@ -57,11 +65,9 @@ class VerifyProfile:
     vn_check_ns: tuple[int, ...] = (8, 16, 32)
     fkg_samples: int = 4000
     moment_ns: tuple[int, ...] = (16, 32, 64)
-    moment_ks: tuple[int, ...] = (1, 2, 3, 4, 5)
     moment_samples: int = 3000
     bfs_configs: int = 1000
     sweep_kmax: int = 10_000
-    determinism_workers: tuple[int, int] = (1, 8)
     determinism_criteria: tuple[int, ...] = (1, 2, 5, 6, 7, 14)
 
 
@@ -78,7 +84,6 @@ QUICK = VerifyProfile(
     tail_n=12,
     tail_samples=600,
     glue_n=8,
-    glue_u=2,
     glue_target=40,
     glue_stop_violations=10,
     glue_max_attempts=400_000,
@@ -129,11 +134,11 @@ class VerifyContext:
         for n in prof.vn_check_ns:
             scales.add((1, n))
             scales.add((1, 3 * n))
-        scales.update(estimators.tail_scales([prof.tail_n], prof.tail_us))
+        scales.update(estimators.tail_scales([prof.tail_n], TAIL_US))
         for n in prof.moment_ns:
-            for k in prof.moment_ks:
+            for k in MOMENT_KS:
                 scales.add((1, scale_floor(n, int_root_ceil(k, 2))))
-        npr = prof.glue_n // prof.glue_u  # the construction reads pi at n' and 3n'
+        npr = prof.glue_n // GLUE_U  # the construction reads pi at n' and 3n'
         scales.update({(1, npr), (1, 3 * npr)})
         ds = prof.dyadic_scales
         for i, m in enumerate(ds):
@@ -175,7 +180,7 @@ class VerifyContext:
         rng = rng_for(estimators.family_seed(self.master_seed, TAG_ORACLE))
         out = []
         for _ in range(prof.oracle_instances):
-            k = int(rng.integers(1, prof.oracle_kmax + 1))
+            k = int(rng.integers(1, ORACLE_KMAX + 1))
             pts: set[tuple] = set()
             while len(pts) < k:
                 pts.add(tuple(int(c) for c in rng.integers(-prof.oracle_box, prof.oracle_box + 1, 2)))
@@ -320,15 +325,14 @@ def _c8_upper_tail_shape(ctx: VerifyContext) -> Outcome:
     prof = ctx.profile
     pi = ctx.pi_table()
     n = prof.tail_n
-    us = prof.tail_us
     c1 = ctx.vn_sample(n, prof.tail_samples, ("c1",)).c1
-    thresholds, ests = map(list, zip(*estimators.upper_tail(c1, n, us, pi)))
+    thresholds, ests = map(list, zip(*estimators.upper_tail(c1, n, TAIL_US, pi)))
     points = [e.point for e in ests]
     strictly_down = all(a > b for a, b in zip(points, points[1:]))
     noise_ok = all(
         a.point - b.point > -3 * math.hypot(a.stderr, b.stderr) for a, b in zip(ests, ests[1:])
     )
-    xs = np.array([u * u for u in us])
+    xs = np.array([u * u for u in TAIL_US])
     ys = np.array([-math.log(p) if p > 0 else math.inf for p in points])
     slope = float(np.polyfit(xs, ys, 1)[0]) if all(map(math.isfinite, ys)) else math.nan
     ok = strictly_down and noise_ok and slope > 0
@@ -336,7 +340,7 @@ def _c8_upper_tail_shape(ctx: VerifyContext) -> Outcome:
         ok,
         f"P={['%.4f' % p for p in points]} slope={slope:.4g}",
         {
-            "u_grid": list(us),
+            "u_grid": list(TAIL_US),
             "thresholds": thresholds,
             "estimates": points,
             "stderrs": [e.stderr for e in ests],
@@ -347,9 +351,9 @@ def _c8_upper_tail_shape(ctx: VerifyContext) -> Outcome:
 
 def _c9_lower_tail_construction(ctx: VerifyContext) -> Outcome:
     prof = ctx.profile
-    npr = prof.glue_n // prof.glue_u
+    npr = prof.glue_n // GLUE_U
     construction = lowerbound.lower_construction(
-        ctx.p, prof.glue_u, ctx.pi_table(),
+        ctx.p, GLUE_U, ctx.pi_table(),
         ctx.vn_sample(npr, prof.constant_samples, ("vn",)),
         ctx.vn_sample(prof.glue_n, prof.tail_samples, ("c1",)),
         ctx.master_seed, ctx.workers, (0.1, 0.2, 0.5),
@@ -464,7 +468,7 @@ def _c12_moment_stability(ctx: VerifyContext) -> Outcome:
     for n in prof.moment_ns:
         vn = ctx.vn_sample(n, prof.moment_samples, ("vn",)).vn
         best = 0.0
-        for k in prof.moment_ks:
+        for k in MOMENT_KS:
             mom = estimators.binomial_sums(vn, k)[0] / prof.moment_samples
             fit = mom ** (1 / k) * k / (n * n * pi.pi(scale_floor(n, int_root_ceil(k, 2))))
             best = max(best, fit)
@@ -606,7 +610,7 @@ def _c15_determinism(ctx: VerifyContext) -> Outcome:
     prof = ctx.profile
     indices = prof.determinism_criteria or (1, 5, 14)
     blobs_bytes = []
-    for workers in prof.determinism_workers:
+    for workers in DETERMINISM_WORKERS:
         with tempfile.TemporaryDirectory() as tmp:
             sub = VerifyContext(ctx.master_seed, workers, QUICK, ctx.lattice, ctx.p)
             results = [run_criterion(i, sub) for i in indices]
@@ -615,8 +619,8 @@ def _c15_determinism(ctx: VerifyContext) -> Outcome:
     ok = blobs_bytes[0] == blobs_bytes[1]
     return (
         ok,
-        f"criteria={list(indices)} workers={list(prof.determinism_workers)} identical={ok}",
-        {"criteria": list(indices), "workers": list(prof.determinism_workers), "identical": ok},
+        f"criteria={list(indices)} workers={list(DETERMINISM_WORKERS)} identical={ok}",
+        {"criteria": list(indices), "workers": list(DETERMINISM_WORKERS), "identical": ok},
     )
 
 

@@ -1,0 +1,50 @@
+"""Hand-built regions and configurations for tests: chosen sites, open sites or open edges."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from percolab import grid
+from percolab.lattice import LatticeSpec, Region
+from percolab.sampler import Config
+
+
+def region_from_sites(sites, dim: int | None = None) -> Region:
+    """The region of the given sites; ``dim`` is required when there are none."""
+    pts = {tuple(int(c) for c in s) for s in sites}
+    dims = {len(s) for s in pts} | ({dim} if dim is not None else set())
+    if len(dims) != 1:
+        raise ValueError("sites must share one dimension (an empty region needs dim)")
+    if not pts:
+        return Region((0,) * dim, np.zeros((0,) * dim, dtype=bool))
+    coords = np.array(list(pts), dtype=np.int64)
+    lo = coords.min(axis=0)
+    mask = np.zeros(tuple(coords.max(axis=0) - lo + 1), dtype=bool)
+    mask[tuple((coords - lo).T)] = True
+    return Region(tuple(lo.tolist()), mask)
+
+
+def config_from_sites(lattice: LatticeSpec, region: Region, open_sites) -> Config:
+    """Site-mode configuration whose open sites are ``open_sites``."""
+    if not lattice.site_mode:
+        raise ValueError("config_from_sites requires a site-percolation lattice")
+    opened = region_from_sites(open_sites, lattice.d)
+    if not opened <= region:
+        raise ValueError("open sites outside region")
+    return Config(lattice, region, float("nan"), None, opened.mask_in(region.origin, region.shape))
+
+
+def config_from_edges(lattice: LatticeSpec, region: Region, open_edges) -> Config:
+    """Bond-mode configuration whose open edges are the ``(u, v)`` pairs of ``open_edges``."""
+    if lattice.site_mode:
+        raise ValueError("config_from_edges requires a bond-percolation lattice")
+    raster = grid.BoxRaster(lattice, region)
+    cells = np.zeros(grid.cell_shape(lattice, region.shape), dtype=bool)
+    cells[grid.vertex_cells(lattice)] = region.mask
+    for u, v in open_edges:
+        if sum(abs(b - a) for a, b in zip(u, v)) != 1:
+            raise ValueError(f"not a lattice edge: {u}-{v}")
+        if u not in region or v not in region:
+            raise ValueError(f"edge {u}-{v} outside region")
+        cells[tuple(a + b for a, b in zip(raster.index(u), raster.index(v)))] = True
+    return Config(lattice, region, float("nan"), None, cells)

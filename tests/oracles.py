@@ -251,12 +251,25 @@ def shell_boundaries(members, b2, d2, n):
     return inner, box_boundary(face)
 
 
+def element_bits(p, count, seed):
+    """The bit stream of ``seed`` for ``count`` elements, drawn through numpy's ``Generator``.
+
+    ``Generator(Philox(key=seed))`` draws uint8 bytes unpacked MSB-first at
+    p = 1/2, and uniform doubles compared against p otherwise.
+    """
+    import numpy as np
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if p == 0.5:
+        raw = rng.integers(0, 256, size=(count + 7) // 8, dtype=np.uint8)
+        return np.unpackbits(raw)[:count].astype(bool)
+    return rng.random(count) < p
+
+
 def reference_cells(lattice, mask, p, seeds):
     """Open-cell grids of the sampler, one per seed, the slow way.
 
-    Each seed keys a fresh ``Generator(Philox(key=seed))``: at p = 1/2 it
-    draws uint8 bytes and unpacks them MSB-first, otherwise it compares
-    uniform doubles against p.  Bit k lands on element k's cell, one element
+    Each seed's bits come from ``element_bits``.  Bit k lands on element k's cell, one element
     at a time; elements are listed by walking the raster in lexicographic
     order (sites; or bonds (u, axis), axis ascending, as edge cell 2u + e_a).
     """
@@ -279,12 +292,7 @@ def reference_cells(lattice, mask, p, seeds):
     shape = tuple(step * (n - 1) + 1 for n in mask.shape)
     out = np.zeros((len(seeds),) + shape, dtype=bool)
     for b, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        if p == 0.5:
-            raw = rng.integers(0, 256, size=(len(cells) + 7) // 8, dtype=np.uint8)
-            bits = np.unpackbits(raw)[: len(cells)].astype(bool)
-        else:
-            bits = rng.random(len(cells)) < p
+        bits = element_bits(p, len(cells), seed)
         if not lattice.site_mode:
             for u in zip(*np.nonzero(mask)):
                 out[(b,) + tuple(2 * int(x) for x in u)] = True

@@ -7,8 +7,9 @@ import pytest
 import yaml
 
 from percolab.cli import SECTION_KEYS, ExperimentSpec, main
+from percolab.estimators import histogram, vn_sample
 from percolab.lattice import TRIANGULAR
-from percolab.reports import read_pi_csv, spec_hash
+from percolab.reports import spec_hash
 from percolab.verify import QUICK, VerifyContext, run_criterion
 
 
@@ -57,9 +58,10 @@ def test_pi_subcommand_deterministic(tmp_path, capsys):
     assert [f.name for f in files1] == [f.name for f in files2]
     for a, b in zip(files1, files2):
         assert a.read_bytes() == b.read_bytes()
-    csv = [f for f in files1 if f.suffix == ".csv"][0]
-    table = read_pi_csv(csv, TRIANGULAR)
-    assert (1, 2) in table.rows and (1, 3) in table.rows
+    csv, twin = (next(f for f in files1 if f.suffix == ext) for ext in (".csv", ".json"))
+    doc = json.loads(twin.read_text())
+    assert {(r["m"], r["n"]) for r in doc["pi_table"]} == {(1, 2), (1, 3)}
+    assert {r["lattice"] for r in doc["pi_table"]} == {TRIANGULAR.kind.value}
     first = csv.read_text().splitlines()[0]
     assert "spec_hash=" in first and "version=" in first
 
@@ -298,6 +300,27 @@ def test_tail_distribution_export(tmp_path):
     assert lines[1] == "value,count"
     total = sum(int(ln.split(",")[1]) for ln in lines[2:])
     assert total == 120
+
+
+def test_tail_distribution_follows_the_format(tmp_path):
+    spec = write_spec(
+        tmp_path, sizes=[4, 6], samples=200, tail={"statistic": "long_arm", "distribution": True}
+    )
+    out = tmp_path / "dist"
+    assert main(["tail", "--spec", str(spec), "--out", str(out), "--format", "json"]) == 0
+    assert not list(out.glob("*.csv"))
+    (tail,) = out.glob("tail_*.json")
+    digest = tail.stem.removeprefix("tail_")
+    assert sorted(f.name for f in out.iterdir()) == sorted(
+        [tail.name, f"dist_n4_{digest}.json", f"dist_n6_{digest}.json"]
+    )
+    summary = json.loads(tail.read_text())["distributions"]
+    for n in (4, 6):
+        doc = json.loads((out / f"dist_n{n}_{digest}.json").read_text())
+        c1 = vn_sample(TRIANGULAR, 0.5, n, 200, 17, reads=("c1",)).c1
+        assert {r["value"]: r["count"] for r in doc["distribution"]} == histogram(c1)
+        assert [r["value"] for r in doc["distribution"]] == sorted(histogram(c1))
+        assert summary[str(n)]["mean"] == c1.mean()
 
 
 def test_bounds_subcommand(tmp_path):

@@ -3,25 +3,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from handbuilt import config_from_edges, config_from_sites, region_from_sites
 from oracles import bond_components, connected_sets, site_components
 from percolab import clusters, estimators
 from percolab.lattice import (
     LatticeSpec,
     LatticeKind,
-    Region,
     TRIANGULAR,
     Z2_BOND,
     box_sites,
     box_with_boundary,
     rect_region,
 )
-from percolab.sampler import (
-    Config,
-    config_from_edges,
-    config_from_sites,
-    derive_stream,
-    sample_config,
-)
+from percolab.sampler import Config, derive_stream, sample_config
 
 TRI_OFF = TRIANGULAR.neighbor_offsets()
 Z3_BOND = LatticeSpec(LatticeKind.Z_BOND, 3)
@@ -57,7 +51,7 @@ def test_all_open_single_cluster():
 def test_all_closed_no_clusters():
     cfg = tri_config(2, 0.0, 1, radius=2)
     labels = clusters.label_clusters(cfg, box_sites((0, 0), 2))
-    assert labels.n_clusters() == 0
+    assert len(labels.sizes) == 0
 
 
 def test_region_escapes_carrier():
@@ -66,10 +60,15 @@ def test_region_escapes_carrier():
         clusters.label_clusters(cfg, box_sites((0, 0), 10))
 
 
+def label_at(labels, site):
+    """The label of ``site`` in ``labels.label_grid``, indexed from ``labels.origin``."""
+    return labels.label_grid[tuple(c - o for c, o in zip(site, labels.origin))]
+
+
 def _partition_from_labels(labels, sites):
     groups = {}
     for s in sites:
-        lab = labels.label_of(s)
+        lab = label_at(labels, s)
         if lab > 0:
             groups.setdefault(lab, set()).add(s)
     return {frozenset(g) for g in groups.values()}
@@ -80,7 +79,7 @@ def test_site_labels_match_bfs_oracle():
     for i in range(40):
         cfg = sample_config(TRIANGULAR, region, 0.5, derive_stream(11, i))
         labels = clusters.label_clusters(cfg, region)
-        mine = _partition_from_labels(labels, region.sites)
+        mine = _partition_from_labels(labels, region)
         oracle = set(site_components(open_sites_of(cfg), TRI_OFF))
         assert mine == oracle
 
@@ -90,8 +89,8 @@ def test_bond_labels_match_bfs_oracle():
     for i in range(30):
         cfg = sample_config(Z2_BOND, region, 0.5, derive_stream(13, i))
         labels = clusters.label_clusters(cfg, region)
-        mine = _partition_from_labels(labels, region.sites)
-        oracle = set(bond_components(region.sites, open_edges_of(cfg, region)))
+        mine = _partition_from_labels(labels, region)
+        oracle = set(bond_components(region, open_edges_of(cfg, region)))
         assert mine == oracle
         assert int(labels.sizes.sum()) == len(region)
 
@@ -117,8 +116,8 @@ def test_bond_labels_on_subregion_match_bfs_oracle(lattice, radius, count):
     for i in range(count):
         cfg = sample_config(lattice, carrier, 0.5, derive_stream(41, i))
         labels = clusters.label_clusters(cfg, region)
-        mine = _partition_from_labels(labels, region.sites)
-        oracle = set(bond_components(region.sites, open_edges_nd(cfg, region)))
+        mine = _partition_from_labels(labels, region)
+        oracle = set(bond_components(region, open_edges_nd(cfg, region)))
         assert mine == oracle
         assert int(labels.sizes.sum()) == len(region)
 
@@ -152,7 +151,7 @@ def test_ith_largest_all_open_3d():
 def test_long_arm_set_trivial():
     cfg = tri_config(2, 1.0, 5)
     v = clusters.long_arm_set(cfg, 2)
-    assert v.sites == box_sites((0, 0), 2).sites
+    assert frozenset(v) == frozenset(box_sites((0, 0), 2))
     cfg0 = tri_config(2, 0.0, 5)
     assert len(clusters.long_arm_set(cfg0, 2)) == 0
 
@@ -161,15 +160,15 @@ def test_long_arm_set_matches_oracle():
     n = 3
     for i in range(25):
         cfg = tri_config(n, 0.5, derive_stream(17, i))
-        mine = clusters.long_arm_set(cfg, n).sites
+        mine = frozenset(clusters.long_arm_set(cfg, n))
         opens = open_sites_of(cfg)
         ring = {
             s
-            for s in cfg.region.sites
+            for s in cfg.region
             if s not in box_sites((0, 0), 2 * n)
         }
         oracle = set()
-        inner = box_sites((0, 0), n).sites
+        inner = frozenset(box_sites((0, 0), n))
         for comp in site_components(opens, TRI_OFF):
             if comp & ring:
                 oracle |= comp & inner
@@ -203,7 +202,8 @@ def test_arm_event_monotone_in_scales():
 
 def _boundary(lattice, r):
     """The outer vertex boundary of box(r)."""
-    return Region.from_sites(box_with_boundary(lattice, r).sites - box_sites((0, 0), r).sites)
+    ring = frozenset(box_with_boundary(lattice, r)) - frozenset(box_sites((0, 0), r))
+    return region_from_sites(ring)
 
 
 @pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
@@ -248,7 +248,7 @@ def test_crossing_trivial_and_line():
 def test_crossing_requires_rectangle():
     cfg = tri_config(3, 1.0, 1, radius=3)
     with pytest.raises(ValueError):
-        clusters.horizontal_crossing(cfg, Region.from_sites({(0, 0), (1, 1)}))
+        clusters.horizontal_crossing(cfg, region_from_sites({(0, 0), (1, 1)}))
     # a box is the full-mask rectangle with the same origin and shape
     box, rect = box_sites((0, 0), 1), rect_region((-1, -1), (2, 2))
     assert box == rect
@@ -286,9 +286,9 @@ def test_bond_crop_ignores_edges_leaving_it():
     detour = [((0, 0), (0, -1)), ((3, -1), (3, 0))] + [((x, -1), (x + 1, -1)) for x in range(3)]
     cfg = config_from_edges(Z2_BOND, carrier, detour)
     whole = clusters.label_clusters(cfg, carrier)
-    assert whole.label_of((0, 0)) == whole.label_of((3, 0))
+    assert label_at(whole, (0, 0)) == label_at(whole, (3, 0))
     inside = clusters.label_clusters(cfg, rect)
-    assert inside.label_of((0, 0)) != inside.label_of((3, 0))
+    assert label_at(inside, (0, 0)) != label_at(inside, (3, 0))
     assert not clusters.horizontal_crossing(cfg, rect)
     crop = estimators._crop_labels(Z2_BOND, cfg.cells[None], cfg.raster.rect_slices((0, 0), (3, 2)))
     assert crop.shape == (1, 4, 3)
@@ -304,10 +304,10 @@ def test_bond_crop_3d_ignores_edges_leaving_it():
     detour = [((0, 0, 0), (0, 0, -1)), ((0, 0, -1), (1, 0, -1)), ((1, 0, -1), (1, 0, 0))]
     cfg = config_from_edges(Z3_BOND, carrier, detour)
     whole = clusters.label_clusters(cfg, carrier)
-    assert whole.label_of((0, 0, 0)) == whole.label_of((1, 0, 0))
+    assert label_at(whole, (0, 0, 0)) == label_at(whole, (1, 0, 0))
     above = box_sites((0, 0, 1), 1)
     inside = clusters.label_clusters(cfg, above)
-    assert inside.label_of((0, 0, 0)) != inside.label_of((1, 0, 0))
+    assert label_at(inside, (0, 0, 0)) != label_at(inside, (1, 0, 0))
     crop = estimators._crop_labels(Z3_BOND, cfg.cells[None], cfg.raster.box_slices((0, 0, 1), 1))
     assert crop.shape == (1, 3, 3, 3) and np.unique(crop).size == len(above)
 
@@ -315,16 +315,16 @@ def test_bond_crop_3d_ignores_edges_leaving_it():
 def test_connected_in():
     region = box_sites((0, 0), 4)
     cfg = config_from_sites(TRIANGULAR, region, [(0, 0), (1, 0), (2, 0)])
-    a = Region.from_sites({(0, 0)})
-    b = Region.from_sites({(2, 0)})
+    a = region_from_sites({(0, 0)})
+    b = region_from_sites({(2, 0)})
     s_full = box_sites((0, 0), 3)
     assert clusters.connected_in(cfg, s_full, a, b)
     # restrict S to exclude the connector
-    s_cut = Region.from_sites(s_full.sites - {(1, 0)})
+    s_cut = region_from_sites(frozenset(s_full) - {(1, 0)})
     assert not clusters.connected_in(cfg, s_cut, a, b)
     # shared open site counts as a zero-length path
-    shared = Region.from_sites({(0, 0)})
-    assert clusters.connected_in(cfg, s_full, shared, Region.from_sites({(0, 0), (2, 2)}))
+    shared = region_from_sites({(0, 0)})
+    assert clusters.connected_in(cfg, s_full, shared, region_from_sites({(0, 0), (2, 2)}))
 
 
 def test_connected_in_matches_restricted_bfs():
@@ -334,8 +334,8 @@ def test_connected_in_matches_restricted_bfs():
     b = box_sites((3, 3), 1)
     for i in range(20):
         cfg = sample_config(TRIANGULAR, region, 0.5, derive_stream(31, i))
-        opens = open_sites_of(cfg) & s.sites
-        oracle = connected_sets(opens, TRI_OFF, a.sites & opens, b.sites)
+        opens = open_sites_of(cfg) & frozenset(s)
+        oracle = connected_sets(opens, TRI_OFF, frozenset(a) & opens, frozenset(b))
         assert clusters.connected_in(cfg, s, a, b) == oracle
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -32,7 +33,7 @@ from percolab.lattice import (
     box_with_boundary,
     outer_boundary,
 )
-from percolab.sampler import derive_stream, open_cells_batch
+from percolab.sampler import derive_stream, open_cells_batch, sample_config
 
 TRI_OFF = TRIANGULAR.neighbor_offsets()
 
@@ -69,9 +70,9 @@ def test_estimate_pi_trivial_cases():
 
 def test_estimate_pi_matches_exact_enumeration():
     carrier = box_with_boundary(TRIANGULAR, 2)
-    src = outer_boundary(box_sites((0, 0), 1), TRIANGULAR).sites
-    tgt = outer_boundary(box_sites((0, 0), 2), TRIANGULAR).sites
-    exact = exact_connect_probability(sorted(carrier.sites), TRI_OFF, 0.5, src, tgt)
+    src = frozenset(outer_boundary(box_sites((0, 0), 1), TRIANGULAR))
+    tgt = frozenset(outer_boundary(box_sites((0, 0), 2), TRIANGULAR))
+    exact = exact_connect_probability(sorted(carrier), TRI_OFF, 0.5, src, tgt)
     assert exact == pytest.approx(PI_1_2_EXACT, abs=1e-9)
     est = estimate_pi(TRIANGULAR, 0.5, 1, 2, 30_000, 2024)
     assert abs(est.point - exact) <= 3 * est.stderr
@@ -228,6 +229,59 @@ def test_observe_is_batch_invariant(lattice, monkeypatch):
     assert 0 < default[4][:, 0].sum() < 40
 
 
+def _held_arrays(obj):
+    """The numpy arrays a reader holds: through closures, dicts, tuples and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _held_arrays(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _held_arrays(value)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _held_arrays(getattr(obj, f.name))
+    elif callable(obj):
+        for cell in getattr(obj, "__closure__", None) or ():
+            yield from _held_arrays(cell.cell_contents)
+
+
+def test_reader_is_built_once_per_raster_and_observable():
+    E._reader.cache_clear()
+    carrier = box_with_boundary(TRIANGULAR, ARM_N)
+    arm = ("arm", ARM_PAIRS)
+    task = (TRIANGULAR, 0.5, carrier, (arm,), 99)
+    E._observe(task, 0, 5)
+    (second,) = E._observe(task, 5, 10)
+    config = sample_config(TRIANGULAR, carrier, 0.5, derive_stream(99, 7))
+    assert E.read_config(config, arm).tolist() == second[2].tolist()
+    info = E._reader.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+def test_cached_reader_masks_are_read_only():
+    E._reader.cache_clear()
+    carrier = box_with_boundary(TRIANGULAR, 16)
+    task = (TRIANGULAR, 0.6, carrier, BATCH_TASK_OBSERVABLES + (("arm", ((2, 5), (3, 16))),), 7)
+    E._observe(task, 0, 3)
+    raster = grid.BoxRaster(TRIANGULAR, carrier)
+    held = {
+        obs[0]: list(_held_arrays(E._reader(TRIANGULAR, raster, obs)[1])) for obs in task[3]
+    }
+    assert E._reader.cache_info().misses == len(task[3])
+    assert all(held[kind] for kind in ("arm", "vn", "dn"))  # masks, rings and coordinates
+    assert all(not a.flags.writeable for arrays in held.values() for a in arrays)
+
+
+def test_observables_of_events_and_crossings_are_hashable():
+    # the reader cache keys on the observable, so list extents become tuples
+    event = L.EventSpec("h_crossing", corner=[-4, -4], widths=[8, 8])
+    assert event.observable() == ("crossing", (-4, -4), (8, 8), 0)
+    want = E.estimate_crossing(TRIANGULAR, 0.5, (6, 5), 0, 50, 3)
+    assert E.estimate_crossing(TRIANGULAR, 0.5, [6, 5], 0, 50, 3) == want
+
+
 def test_replica_batches_hold_the_cell_budget():
     # a bond batch labels the decorated grid, about 4x the carrier's sites;
     # site batches hold BATCH_CELLS // sites replicas as before
@@ -317,7 +371,7 @@ def test_largest_cluster_distribution_point_masses():
 def test_largest_cluster_mean_vs_exhaustive():
     # exact mean of the largest-cluster size in box(1), paths confined there:
     # enumerate all 2^9 site states of the 9-site box
-    sites = sorted(box_sites((0, 0), 1).sites)
+    sites = sorted(box_sites((0, 0), 1))
     total = 0.0
     for bits in range(1 << 9):
         opens = {s for j, s in enumerate(sites) if bits >> j & 1}

@@ -127,13 +127,17 @@ def test_blob_regions_pinned():
 TAIL_FILES = {
     "triangular_site": {
         "dist_n3_41d74459e617.csv": ("c025982f4bba73512d54129fdf6fd5249cff8780435f662c3585c23582139464", 228),
+        "dist_n3_41d74459e617.json": ("bb37b3826416a0a24dd6afb7f18b215e369872ee2e519932b10d4e5a99a2031d", 1421),
         "dist_n4_41d74459e617.csv": ("76619516df9e0cf89f6a795e777057d3c560881cd56b741864483b26d452713a", 281),
+        "dist_n4_41d74459e617.json": ("39f1d04d24df97d95d9c78cb3d68d739a23b2e59a37d33a4652fc63bdb65dab5", 1914),
         "tail_41d74459e617.csv": ("1aa1ef5fac5c75e6e2ca978aa364778df6563de616cbcdad1b71d603f9398a5f", 457),
         "tail_41d74459e617.json": ("595d11679fe8c73a3b3fda8d7112539449accea8680c0df9a8931a20c9e3e101", 1321),
     },
     "z_bond": {
         "dist_n3_55f33c527254.csv": ("33f8dd0ec401ad01d2b3f5b3da8fe2a5df0917928cc293fb79c60f23bdf2331a", 269),
+        "dist_n3_55f33c527254.json": ("f3a997fdc395c7adead2cb191f1af149a853b4abfb98a53742f1c961e8b9b475", 1770),
         "dist_n4_55f33c527254.csv": ("1deb64065af24c8916edc01796313f3218561591e22abcb0dc4a746bcf568d46", 343),
+        "dist_n4_55f33c527254.json": ("1f445fd9c7845dad9f5052b31ba3ca7376a46c55e594f05c36e22a8354aa6432", 2504),
         "tail_55f33c527254.csv": ("fdbe0b64bc4b866aec83cf512f6189f0a474e2ae4ef3a1f864d9c9fbd0ae3836", 387),
         "tail_55f33c527254.json": ("1b89361b1b060da6b0dc14b8e4a36110bfdd71a00864416a4109d4e97edb2b1c", 1250),
     },

@@ -107,8 +107,8 @@ def test_blob_region_even_distance_interface():
     rec = growth.grow_tree([(0, 0), (4, 0)])
     bl = growth.blobs(rec, 5)
     singles = [b for b in bl if not b.is_root]
-    regions = [growth.blob_region(b, 5).sites for b in singles]
-    root_region = growth.blob_region([b for b in bl if b.is_root][0], 5).sites
+    regions = [frozenset(growth.blob_region(b, 5)) for b in singles]
+    root_region = frozenset(growth.blob_region([b for b in bl if b.is_root][0], 5))
     # independent set computation of the shells
     for b, reg in zip(singles, regions):
         (x0, y0), = b.members
@@ -130,7 +130,7 @@ def test_blob_region_odd_distance_full_annulus():
     rec = growth.grow_tree([(0, 0), (5, 0)])
     for b in growth.blobs(rec, 6):
         if not b.is_root:
-            reg = growth.blob_region(b, 6).sites
+            reg = frozenset(growth.blob_region(b, 6))
             (c,) = b.members
             assert reg == {
                 (x, y)
@@ -145,7 +145,7 @@ def test_blob_region_odd_distance_full_annulus():
 def test_shells_pairwise_disjoint(pts):
     rec = growth.grow_tree(pts)
     bl = growth.blobs(rec, 25)
-    regions = [growth.blob_region(b, 25).sites for b in bl]
+    regions = [frozenset(growth.blob_region(b, 25)) for b in bl]
     for i in range(len(regions)):
         for j in range(i + 1, len(regions)):
             assert not regions[i] & regions[j]
@@ -156,21 +156,21 @@ def test_blob_boundaries_singleton():
     single = [b for b in growth.blobs(rec, 5) if not b.is_root][0]
     ib, ob = growth.blob_boundaries(single, 5)
     (c,) = single.members
-    assert ib.sites == {
+    assert frozenset(ib) == {
         (c[0] + dx, c[1] + dy)
         for dx in (-1, 0, 1)
         for dy in (-1, 0, 1)
         if (dx, dy) != (0, 0)
     }
     # outer face: box-adjacency ring around the radius-2 ball
-    assert all(max(abs(x - c[0]), abs(y - c[1])) == 3 for x, y in ob.sites)
+    assert all(max(abs(x - c[0]), abs(y - c[1])) == 3 for x, y in ob)
 
 
 def test_blob_boundaries_root():
     rec = growth.grow_tree([(0, 0), (4, 0)])
     root = [b for b in growth.blobs(rec, 5) if b.is_root][0]
     ib, ob = growth.blob_boundaries(root, 5)
-    assert all(max(abs(x), abs(y)) == 11 for x, y in ob.sites)
+    assert all(max(abs(x), abs(y)) == 11 for x, y in ob)
     assert len(ob) == 23 * 23 - 21 * 21
 
 
@@ -184,10 +184,10 @@ def test_boundaries_disjoint_from_bounded_interiors():
             for y in range(-25, 26)
             if 2 * min(chebyshev((x, y), m) for m in b.members) <= b.b2
         }
-        assert not ib.sites & birth
+        assert not frozenset(ib) & birth
         if b.is_root:
             box = {(x, y) for x in range(-20, 21) for y in range(-20, 21)}
-            assert not ob.sites & box
+            assert not frozenset(ob) & box
         else:
             death = {
                 (x, y)
@@ -195,7 +195,7 @@ def test_boundaries_disjoint_from_bounded_interiors():
                 for y in range(-25, 26)
                 if 2 * min(chebyshev((x, y), m) for m in b.members) <= b.d2
             }
-            assert not ob.sites & death
+            assert not frozenset(ob) & death
 
 
 def test_radius_bound_two_point():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handbuilt import region_from_sites
 from percolab import grid
 from percolab.lattice import (
     LatticeKind,
@@ -37,7 +38,7 @@ def test_structures_built_once_and_read_only(lattice):
 
 
 def test_box_degenerate():
-    assert box_sites((0, 0), 0).sites == {(0, 0)}
+    assert frozenset(box_sites((0, 0), 0)) == {(0, 0)}
 
 
 def test_box_radius_one():
@@ -65,13 +66,13 @@ def test_boundary_z2_box1():
     ob = outer_boundary(box_sites((0, 0), 1), Z2_BOND)
     expected = {(2, y) for y in (-1, 0, 1)} | {(-2, y) for y in (-1, 0, 1)}
     expected |= {(x, 2) for x in (-1, 0, 1)} | {(x, -2) for x in (-1, 0, 1)}
-    assert ob.sites == expected
+    assert frozenset(ob) == expected
     assert len(ob) == 12
 
 
 def test_boundary_triangular_point():
-    ob = outer_boundary(Region.from_sites({(0, 0)}), TRIANGULAR)
-    assert ob.sites == {(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)}
+    ob = outer_boundary(region_from_sites({(0, 0)}), TRIANGULAR)
+    assert frozenset(ob) == {(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)}
 
 
 def test_boundary_z2_box2_brute_force():
@@ -85,16 +86,16 @@ def test_boundary_z2_box2_brute_force():
             if any((x + dx, y + dy) in box for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))):
                 brute.add((x, y))
     ob = outer_boundary(box, Z2_BOND)
-    assert ob.sites == brute
+    assert frozenset(ob) == brute
     assert len(ob) == 20
 
 
 def test_neighbors_z2():
-    assert neighbors((0, 0), Z2_BOND).sites == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert frozenset(neighbors((0, 0), Z2_BOND)) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
 def test_neighbors_triangular():
-    ns = neighbors((0, 0), TRIANGULAR).sites
+    ns = frozenset(neighbors((0, 0), TRIANGULAR))
     assert len(ns) == 6
     assert (1, 1) in ns and (-1, -1) in ns
     assert (1, -1) not in ns
@@ -137,7 +138,7 @@ def test_neighbors_symmetric(v, lattice):
 @settings(max_examples=20)
 def test_boundary_disjoint_from_region(n, lattice):
     box = box_sites((0, 0), n)
-    assert not outer_boundary(box, lattice).sites & box.sites
+    assert not frozenset(outer_boundary(box, lattice)) & frozenset(box)
 
 
 def test_triangular_boundary_excludes_antidiagonal_corners():
@@ -155,14 +156,14 @@ def test_lattice_spec_validation():
 
 def test_region_empty_needs_dim():
     with pytest.raises(ValueError):
-        Region.from_sites(frozenset())
-    r = Region.from_sites(frozenset(), dim=2)
+        region_from_sites(frozenset())
+    r = region_from_sites(frozenset(), dim=2)
     assert len(r) == 0 and r.d == 2
 
 
 def test_region_mixed_dimension_rejected():
     with pytest.raises(ValueError):
-        Region.from_sites({(0, 0), (1, 2, 3)})
+        region_from_sites({(0, 0), (1, 2, 3)})
 
 
 def test_rect_region():
@@ -174,13 +175,13 @@ def test_rect_region():
 
 
 def test_region_json_sorted():
-    r = Region.from_sites({(1, 0), (0, 1)})
+    r = region_from_sites({(1, 0), (0, 1)})
     assert r.to_json() == [[0, 1], [1, 0]]
 
 
 def test_box_with_boundary_complete():
     r1 = box_with_boundary(TRIANGULAR, 3)
-    assert box_sites((0, 0), 3).sites <= r1.sites
+    assert frozenset(box_sites((0, 0), 3)) <= frozenset(r1)
 
 
 def test_region_is_a_trimmed_read_only_value():
@@ -188,7 +189,7 @@ def test_region_is_a_trimmed_read_only_value():
     mask[1, 2] = mask[2, 3] = True
     r = Region((10, 20), mask)
     assert r.origin == (11, 22) and r.shape == (2, 2)
-    same = Region.from_sites({(12, 23), (11, 22)})
+    same = region_from_sites({(12, 23), (11, 22)})
     assert r == same and hash(r) == hash(same) and r != box_sites((11, 22), 0)
     assert not r.mask.flags.writeable
     mask[0, 0] = True  # the region holds its own copy
@@ -199,7 +200,7 @@ def test_region_is_a_trimmed_read_only_value():
     with pytest.raises(ValueError):
         r.mask_in((12, 22), (3, 3))
     empty = Region((5, 5), np.zeros((2, 2), dtype=bool))
-    assert empty == Region.from_sites((), dim=2) and empty <= r and len(empty) == 0
+    assert empty == region_from_sites((), dim=2) and empty <= r and len(empty) == 0
 
 
 @given(st.frozensets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=30),
@@ -207,12 +208,12 @@ def test_region_is_a_trimmed_read_only_value():
 @settings(max_examples=60)
 def test_region_matches_site_sets(sites, lattice):
     # plain Python sets as the reference: sites, JSON order, subsets, boundary
-    r = Region.from_sites(sites, dim=2)
-    assert r.sites == sites and len(r) == len(sites)
+    r = region_from_sites(sites, dim=2)
+    assert frozenset(r) == sites and len(r) == len(sites)
     assert r.to_json() == sorted(list(s) for s in sites)
     box = box_sites((0, 0), 3)
-    assert (r <= box) == (sites <= box.sites)
+    assert (r <= box) == (sites <= frozenset(box))
     brute = {
         (x + dx, y + dy) for x, y in sites for dx, dy in lattice.neighbor_offsets()
     } - sites
-    assert outer_boundary(r, lattice).sites == brute
+    assert frozenset(outer_boundary(r, lattice)) == brute

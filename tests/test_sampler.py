@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import reference_cells
+from handbuilt import config_from_edges, config_from_sites
+from oracles import element_bits, reference_cells
 from percolab import grid
 from percolab.lattice import (
     LatticeKind,
@@ -17,11 +18,9 @@ from percolab.lattice import (
 )
 from percolab.sampler import (
     Config,
-    config_from_edges,
-    config_from_sites,
+    _bits_batch,
     derive_stream,
     edge_open_batch,
-    element_bits,
     open_cells_batch,
     sample_config,
     site_open_batch,
@@ -84,8 +83,7 @@ def test_distinct_masters_decorrelated():
     # per-index correlation over a long stretch of the two streams
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.02
-    bits_a = element_bits(0.5, n, derive_stream(1, 0))
-    bits_b = element_bits(0.5, n, derive_stream(2, 0))
+    bits_a, bits_b = _bits_batch(0.5, n, [derive_stream(1, 0), derive_stream(2, 0)])
     corr_bits = np.corrcoef(bits_a.astype(float), bits_b.astype(float))[0, 1]
     assert abs(corr_bits) < 0.01
 
@@ -94,9 +92,7 @@ def test_open_fraction_binomial():
     n_rep = 1000
     count = len(CARRIER)
     for p in (0.5, 0.3):  # exercises both the bit path and the uniform path
-        total = 0
-        for i in range(n_rep):
-            total += int(element_bits(p, count, derive_stream(77, i)).sum())
+        total = int(_bits_batch(p, count, [derive_stream(77, i) for i in range(n_rep)]).sum())
         n_tot = n_rep * count
         sigma = math.sqrt(n_tot * p * (1 - p))
         assert abs(total - n_tot * p) <= 3 * sigma
@@ -105,7 +101,7 @@ def test_open_fraction_binomial():
 def test_site_element_order_is_lexicographic():
     cfg = sample_config(TRIANGULAR, CARRIER, 0.5, 99)
     states = cfg.element_states()
-    ordered_sites = sorted(CARRIER.sites)
+    ordered_sites = sorted(CARRIER)
     for idx in (0, 5, len(ordered_sites) - 1):
         s = ordered_sites[idx]
         assert states[idx] == cfg.site_open[cfg.raster.index(s)]
@@ -115,7 +111,7 @@ def test_bond_element_order_site_major_axis_ascending():
     cfg = sample_config(Z2_BOND, BOND_CARRIER, 0.5, 99)
     states = cfg.element_states()
     elements = []
-    for u in sorted(BOND_CARRIER.sites):
+    for u in sorted(BOND_CARRIER):
         for axis, e in enumerate([(1, 0), (0, 1)]):
             v = (u[0] + e[0], u[1] + e[1])
             if v in BOND_CARRIER:
@@ -142,7 +138,8 @@ def test_batch_matches_single_config():
         single = sample_config(Z2_BOND, BOND_CARRIER, 0.5, s)
         assert np.array_equal(ebatch[i], single.cells)
         # the decorated grid holds the raw stream, element k on element k's cell
-        assert np.array_equal(single.element_states(), element_bits(0.5, single.n_elements(), s))
+        states = single.element_states()
+        assert np.array_equal(states, element_bits(0.5, len(states), s))
 
 
 def test_hand_built_configs():
@@ -256,18 +253,15 @@ def test_batch_matches_reference_at_word_edges(lattice, count):
             assert np.array_equal(got, reference_cells(lattice, mask, p, seeds))
 
 
-def test_element_bits_is_the_generator_stream():
-    for seed in [0, 1, derive_stream(3, 4)] + BIG_SEEDS:
-        for p in REFERENCE_PS + (1e-300,):
-            for count in (0, 1, 7, 8, 9, 63, 64, 65, 200):
-                rng = np.random.Generator(np.random.Philox(key=seed))
-                if p == 0.5:
-                    raw = rng.integers(0, 256, size=(count + 7) // 8, dtype=np.uint8)
-                    want = np.unpackbits(raw)[:count].astype(bool)
-                else:
-                    want = rng.random(count) < p
-                got = element_bits(p, count, seed)
-                assert got.dtype == bool and np.array_equal(got, want)
+def test_bits_are_the_generator_stream():
+    # the raw-word mapping of _bits_batch against numpy's own Generator draws
+    seeds = [0, 1, derive_stream(3, 4)] + BIG_SEEDS
+    for p in REFERENCE_PS + (1e-300,):
+        for count in (0, 1, 7, 8, 9, 63, 64, 65, 200):
+            got = _bits_batch(p, count, seeds)
+            assert got.dtype == bool and got.shape == (len(seeds), count)
+            for row, seed in zip(got, seeds):
+                assert np.array_equal(row, element_bits(p, count, seed)), (p, count, seed)
 
 
 def _joined_isin(la, lb):
