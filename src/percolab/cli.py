@@ -5,8 +5,9 @@ Usage: ``percolab <subcommand> [--spec FILE] [--seed N] [--workers N]
 
 The spec file is YAML (plain key-value with nesting; grammar documented in
 the README).  Outputs are named ``<subcommand>_<spec-hash>.<ext>`` where the
-hash digests the effective spec (after any --seed override), so identical
-specs yield identical file names and bytes, independent of worker count.
+hash digests the effective spec (after any --seed or --points override), so
+identical specs yield identical file names and bytes, independent of worker
+count.
 """
 
 from __future__ import annotations
@@ -190,6 +191,9 @@ class ExperimentSpec:
 def _load_spec(args) -> tuple[ExperimentSpec, str]:
     spec = ExperimentSpec.from_file(args.spec) if args.spec else ExperimentSpec()
     overrides = {"master_seed": args.seed, "workers": args.workers}
+    if getattr(args, "points", None):
+        # blob --points names the experiment as much as blob.points does
+        overrides["blob"] = {**spec.blob, "points": json.loads(args.points)}
     spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     # workers is an execution parameter, not experiment identity: results are
     # worker-invariant, so the digest must be too
@@ -274,10 +278,9 @@ def _cmd_tail(args) -> int:
 
 def _cmd_blob(args) -> int:
     spec, digest = _load_spec(args)
-    pts = json.loads(args.points) if args.points else _opt(spec.blob, "points")
+    pts = _opt(spec.blob, "points")
     if not pts:
         raise ValueError("blob needs points (--points JSON or blob.points in the spec)")
-    _list_of(_list_of(_require_int))("points", pts)
     points = [tuple(p) for p in pts]
     n = _opt(spec.blob, "n", max(abs(c) for p in points for c in p))
     record = growth.grow_tree(points)

@@ -18,9 +18,12 @@ minus birth-ball union).  Shells of distinct blobs are pairwise disjoint.
 Boundary extraction uses L-infinity (box) adjacency, matching the ball
 geometry; the root blob's outer face is the boundary of the doubled box.
 
-L-infinity balls are axis-aligned cubes, so shells and face boundaries are
-painted with one slice assignment per ball; the box-adjacency boundary of a
-radius-r union is the radius-(r + 1) union minus the radius-r one.
+L-infinity balls are axis-aligned cubes, so a shell is painted in place with
+one slice assignment per ball (``_fill``): the outer face (death balls, or the
+doubled box for the root) is set, then the birth balls and the even-d2
+interface are cleared.  Slice bounds are plain integer arithmetic on 2-D
+rasters and a per-axis loop in other dimensions.  The box-adjacency boundary
+of a radius-r union is the radius-(r + 1) union with the radius-r one cleared.
 """
 
 from __future__ import annotations
@@ -156,37 +159,40 @@ def blobs(record: GrowthRecord, n: int) -> list[Blob]:
     return out
 
 
-def _paint_balls(
-    members: Iterable[Site], r: int, origin: Site, shape: tuple[int, ...]
-) -> np.ndarray:
-    """OR the radius-r L-infinity balls around ``members`` into a raster.
+def _fill(out: np.ndarray, centers: Iterable[Site], r: int, origin: Site, value: bool) -> None:
+    """Set the radius-r L-infinity balls around ``centers`` to ``value`` in ``out``.
 
-    Starts and stops below the grid clamp to 0; numpy clips those past its end.
+    ``out[i]`` is the site ``origin + i``.  Starts and stops below the raster
+    clamp to 0, so a ball wholly before it paints nothing instead of wrapping;
+    numpy clips those past its end.  A negative r paints nothing.
     """
-    out = np.zeros(shape, dtype=bool)
     if r < 0:
-        return out
-    for x in members:
+        return
+    if out.ndim == 2:
+        # the common case, with the bounds in plain integer arithmetic: this
+        # loop runs once per ball and dominates the shell rasterizer
+        o0, o1 = origin
+        w = 2 * r + 1
+        for c0, c1 in centers:
+            s0, s1 = c0 - o0 - r, c1 - o1 - r
+            t0, t1 = s0 + w, s1 + w
+            out[
+                s0 if s0 > 0 else 0 : t0 if t0 > 0 else 0,
+                s1 if s1 > 0 else 0 : t1 if t1 > 0 else 0,
+            ] = value
+        return
+    for x in centers:
         ball = tuple(slice(max(c - o - r, 0), max(c - o + r + 1, 0)) for c, o in zip(x, origin))
-        out[ball] = True
-    return out
-
-
-def _ball_union_mask(
-    members: Iterable[Site], r2: int, origin: Site, shape: tuple[int, ...]
-) -> np.ndarray:
-    """Sites w with 2 * min_x ||w - x||_inf <= r2, rasterized on a grid."""
-    return _paint_balls(members, r2 // 2, origin, shape)
+        out[ball] = value
 
 
 def _blob_bbox(blob: Blob, n: int) -> tuple[Site, tuple[int, ...]]:
-    d = len(next(iter(blob.members)))
+    axes = tuple(zip(*blob.members))
     if blob.is_root:
-        return (-(2 * n + 1),) * d, (2 * (2 * n + 1) + 1,) * d
+        return (-(2 * n + 1),) * len(axes), (2 * (2 * n + 1) + 1,) * len(axes)
     pad = blob.d2 // 2 + 1
-    lo = tuple(min(x[a] for x in blob.members) - pad for a in range(d))
-    hi = tuple(max(x[a] for x in blob.members) + pad for a in range(d))
-    return lo, tuple(h - l + 1 for l, h in zip(lo, hi))
+    lo = tuple(min(a) - pad for a in axes)
+    return lo, tuple(max(a) + pad - l + 1 for a, l in zip(axes, lo))
 
 
 def _outer_face(blob: Blob, n: int) -> tuple[Iterable[Site], int]:
@@ -206,19 +212,25 @@ def blob_region(blob: Blob, n: int) -> Region:
 def blob_region_mask(blob: Blob, n: int) -> tuple[np.ndarray, Site]:
     """Raster form of ``blob_region``; (mask, grid origin)."""
     origin, shape = _blob_bbox(blob, n)
-    shell = _paint_balls(*_outer_face(blob, n), origin, shape)
-    shell &= ~_ball_union_mask(blob.members, blob.b2, origin, shape)
+    shell = np.zeros(shape, dtype=bool)
+    _fill(shell, *_outer_face(blob, n), origin, True)
+    _fill(shell, blob.members, blob.b2 // 2, origin, False)
     if blob.others and blob.d2 % 2 == 0:
-        # touching interfaces with other components belong to no shell: keep
-        # only sites strictly inside the death balls or out of the others' reach
-        inside = _ball_union_mask(blob.members, blob.d2 - 2, origin, shape)
-        shell &= inside | ~_ball_union_mask(blob.others, blob.d2, origin, shape)
+        # touching interfaces with other components belong to no shell: clear
+        # the others' reach, except sites strictly inside the death balls
+        interface = np.zeros(shape, dtype=bool)
+        _fill(interface, blob.others, blob.d2 // 2, origin, True)
+        _fill(interface, blob.members, blob.d2 // 2 - 1, origin, False)
+        shell[interface] = False
     return shell, origin
 
 
 def _ring(members: Iterable[Site], r: int, origin: Site, shape: tuple[int, ...]) -> np.ndarray:
     """Outer boundary of the radius-r ball union under box adjacency."""
-    return _paint_balls(members, r + 1, origin, shape) & ~_paint_balls(members, r, origin, shape)
+    out = np.zeros(shape, dtype=bool)
+    _fill(out, members, r + 1, origin, True)
+    _fill(out, members, r, origin, False)
+    return out
 
 
 def blob_boundaries(blob: Blob, n: int) -> tuple[Region, Region]:

@@ -105,10 +105,6 @@ class Config:
         return BoxRaster(self.lattice, self.region)
 
     @property
-    def carrier_mask(self) -> np.ndarray:
-        return self.region.mask
-
-    @property
     def site_mode(self) -> bool:
         return self.lattice.site_mode
 

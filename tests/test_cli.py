@@ -275,6 +275,21 @@ def test_blob_subcommand_points_flag(tmp_path):
     assert len(doc["blobs"]) == 5
 
 
+def test_blob_points_name_their_results(tmp_path):
+    # two point sets in one directory write two file sets, and points from
+    # the flag or from a spec file name the same experiment
+    out = tmp_path / "blob"
+    for pts in ("[[0,0],[4,0]]", "[[0,0],[9,3],[2,2]]"):
+        assert main(["blob", "--points", pts, "--out", str(out)]) == 0
+    assert len({f.stem for f in out.iterdir()}) == 2
+    spec = tmp_path / "spec.yaml"
+    spec.write_text("blob: {points: [[0, 0], [4, 0]]}\n")
+    from_spec = tmp_path / "from_spec"
+    assert main(["blob", "--spec", str(spec), "--out", str(from_spec)]) == 0
+    for f in from_spec.iterdir():
+        assert f.read_bytes() == (out / f.name).read_bytes()
+
+
 def test_blob_requires_points(tmp_path):
     assert main(["blob", "--out", str(tmp_path / "b")]) == 2
 
@@ -365,11 +380,12 @@ def test_verify_writes_only_the_format_asked(tmp_path, capsys, fmt):
     assert path.read_bytes() == (both / path.name).read_bytes()
 
 
-# sha256 and size of the blob command's output files for one point set
+# sha256 and size of the blob command's output files for one point set; the
+# points are part of the spec digest that names the files
 BLOB_POINTS = "[[0,0],[4,0],[4,3],[-5,2],[1,-6],[-2,-2]]"
 BLOB_FILES = {
-    "blob_9739f618ef8c.csv": ("52b48b4d7f8e61a262dd6a2da5995593e7cbb2ebefaca9b41ee01d22611a95f2", 186),
-    "blob_9739f618ef8c.json": ("9ae9b89db72fff47a70b3d21e9af7af292d931f2cc359266d4a6ab3404c79716", 3543),
+    "blob_4a265d1caf7d.csv": ("2e4a8cc0428a1e78f7f088b431ee3831c7ebd90c6cdaae320e9a4ef2a405044d", 186),
+    "blob_4a265d1caf7d.json": ("76b729bb5319d16e095c4e8415456cf304583a0fb95a1ae4e59bb921dbad6f5e", 3543),
 }
 
 

@@ -344,7 +344,7 @@ def test_monotonicity_under_opening():
     rng = np.random.default_rng(7)
     for i in range(10):
         cfg = tri_config(n, 0.4, derive_stream(37, i))
-        closed = np.argwhere(cfg.carrier_mask & ~cfg.site_open)
+        closed = np.argwhere(cfg.region.mask & ~cfg.site_open)
         pick = closed[rng.integers(0, len(closed), size=min(30, len(closed)))]
         more = cfg.site_open.copy()
         more[tuple(pick.T)] = True

@@ -208,7 +208,7 @@ def test_dn_event_monotone_under_opening():
         before = L.dn_event(cfg, 8, 2)
         more = cfg.site_open | (
             rng.random(cfg.site_open.shape) < 0.05
-        ) & cfg.carrier_mask
+        ) & cfg.region.mask
         cfg2 = Config(cfg.lattice, cfg.region, cfg.p, None, cells=more)
         after = L.dn_event(cfg2, 8, 2)
         if before:

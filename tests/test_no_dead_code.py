@@ -1,9 +1,12 @@
 """Every function and method in ``src/percolab`` has a caller outside the tests.
 
-A name counts as called when some module of ``src/percolab`` or ``perfbench/``
-mentions it: as a name, an attribute, or a string (``perfbench/spans.py``
-names its timed targets as strings).  Names the package's ``__init__``
-exports are public API, and dunder methods are called by the language.
+A method counts as called when some module of ``src/percolab`` or
+``perfbench/`` names it as an attribute (``obj.name``) or a string
+(``perfbench/spans.py`` names its timed targets as strings).  Any other
+function also counts when a bare name loads it, so a local variable or
+parameter that shares a method's name does not hide the method.  Names the
+package's ``__init__`` exports are public API, and dunder methods are called
+by the language.
 """
 
 from __future__ import annotations
@@ -19,14 +22,16 @@ def _trees(*dirs: Path) -> dict[Path, ast.Module]:
     return {p: ast.parse(p.read_text()) for d in dirs for p in sorted(d.glob("*.py"))}
 
 
-def _definitions(tree: ast.Module, module: str) -> list[tuple[str, str]]:
-    """(bare name, qualified name) of every function and method, nested ones included."""
+def _definitions(tree: ast.Module, module: str) -> list[tuple[str, str, bool]]:
+    """(bare name, qualified name, is a method) of every function and method,
+    nested ones included."""
     found = []
 
     def visit(node: ast.AST, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.append((child.name, f"{prefix}.{child.name}"))
+                method = isinstance(node, ast.ClassDef)
+                found.append((child.name, f"{prefix}.{child.name}", method))
                 visit(child, f"{prefix}.{child.name}")
             elif isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}.{child.name}")
@@ -37,16 +42,17 @@ def _definitions(tree: ast.Module, module: str) -> list[tuple[str, str]]:
     return found
 
 
-def _mentions(tree: ast.Module) -> set[str]:
-    names = set()
+def _mentions(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(attributes and strings, bare names loaded) that the module mentions."""
+    attrs, names = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    return names
+            attrs.add(node.value)
+    return attrs, names
 
 
 def _exports(tree: ast.Module) -> set[str]:
@@ -61,15 +67,19 @@ def _exports(tree: ast.Module) -> set[str]:
 def uncalled(package: Path = PACKAGE, callers: Path = ROOT / "perfbench") -> list[str]:
     """Qualified names of the functions and methods of ``package`` that nothing calls."""
     trees = _trees(package, callers)
-    mentioned = set().union(*map(_mentions, trees.values()))
-    mentioned |= _exports(trees[package / "__init__.py"])
+    attrs, names = set(), set()
+    for tree in trees.values():
+        tree_attrs, tree_names = _mentions(tree)
+        attrs |= tree_attrs
+        names |= tree_names
+    names |= attrs | _exports(trees[package / "__init__.py"])
     out = []
     for path, tree in trees.items():
         if path.parent != package:
             continue
-        for name, qualified in _definitions(tree, path.stem):
+        for name, qualified, method in _definitions(tree, path.stem):
             dunder = name.startswith("__") and name.endswith("__")
-            if not dunder and name not in mentioned:
+            if not dunder and name not in (attrs if method else names):
                 out.append(qualified)
     return sorted(out)
 
@@ -83,14 +93,17 @@ def test_an_uncalled_function_is_found(tmp_path):
     package.mkdir()
     (package / "__init__.py").write_text("from .mod import exported\n")
     (package / "mod.py").write_text(
-        "def exported():\n    return helper()\n\n\n"
+        "def exported():\n    return helper() + count(())\n\n\n"
         "def helper():\n    return 1\n\n\n"
         "def orphan():\n    return 2\n\n\n"
         "class Box:\n    def __len__(self):\n        return 0\n\n"
         "    def unused(self):\n        return self.named()\n\n"
-        "    def named(self):\n        return 3\n"
+        "    def named(self):\n        return 3\n\n\n"
+        "class Region:\n    @property\n    def sites(self):\n        return 4\n\n\n"
+        "def count(sites):\n    return len(sites)\n"
     )
     callers = tmp_path / "bench"
     callers.mkdir()
     (callers / "run.py").write_text('TARGETS = [("mod", "named")]\n')
-    assert uncalled(package, callers) == ["mod.Box.unused", "mod.orphan"]
+    # Region.sites: a parameter of the same name must not count as its caller
+    assert uncalled(package, callers) == ["mod.Box.unused", "mod.Region.sites", "mod.orphan"]

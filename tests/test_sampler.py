@@ -32,7 +32,7 @@ BOND_CARRIER = box_with_boundary(Z2_BOND, 3)
 
 def test_p_one_all_open():
     cfg = sample_config(TRIANGULAR, CARRIER, 1.0, 7)
-    assert cfg.site_open[cfg.carrier_mask].all()
+    assert cfg.site_open[cfg.region.mask].all()
     bond = sample_config(Z2_BOND, BOND_CARRIER, 1.0, 7)
     assert bond.element_states().all()
 
@@ -125,13 +125,13 @@ def test_bond_element_order_site_major_axis_ascending():
 def test_batch_matches_single_config():
     seeds = [derive_stream(5, i) for i in range(4)]
     batch = site_open_batch(
-        sample_config(TRIANGULAR, CARRIER, 0.5, seeds[0]).carrier_mask, 0.5, seeds
+        sample_config(TRIANGULAR, CARRIER, 0.5, seeds[0]).region.mask, 0.5, seeds
     )
     for i, s in enumerate(seeds):
         single = sample_config(TRIANGULAR, CARRIER, 0.5, s)
         assert np.array_equal(batch[i], single.site_open)
     ebatch = edge_open_batch(
-        sample_config(Z2_BOND, BOND_CARRIER, 0.5, seeds[0]).carrier_mask, 2, 0.5, seeds
+        sample_config(Z2_BOND, BOND_CARRIER, 0.5, seeds[0]).region.mask, 2, 0.5, seeds
     )
     assert ebatch.shape == (len(seeds), 17, 17)  # decorated grid of the 9 x 9 raster
     for i, s in enumerate(seeds):

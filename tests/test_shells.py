@@ -1,9 +1,10 @@
 """Growth shells and face boundaries against the brute-force oracle.
 
-Every blob of random 2-D and 3-D point sets in small boxes is rasterized by
-``growth`` and compared site by site with ``oracles.shell_sites`` and
-``oracles.shell_boundaries``, which scan per-site minimum Chebyshev
-distances in plain Python.
+Every blob of random 1-D, 2-D and 3-D point sets in small boxes is
+rasterized by ``growth`` and compared site by site with
+``oracles.shell_sites`` and ``oracles.shell_boundaries``, which scan per-site
+minimum Chebyshev distances in plain Python.  1-D and 3-D rasters take the
+painter's per-axis loop, 2-D ones its integer-bound loop.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _check_blob(blob, n, stats):
             stats["clipped_high"] += 1
 
 
-@pytest.mark.parametrize("d, count, max_n, max_k", [(2, 150, 4, 7), (3, 40, 3, 6)])
+@pytest.mark.parametrize("d, count, max_n, max_k", [(1, 150, 6, 7), (2, 150, 4, 7), (3, 40, 3, 6)])
 def test_shells_and_boundaries_match_oracle(d, count, max_n, max_k):
     rng = random.Random(20261018 + d)
     stats = {"interface": 0, "clipped_low": 0, "clipped_high": 0}
@@ -99,8 +100,27 @@ def test_handpicked_shells_match_oracle(pts, n):
         _check_blob(blob, n, stats)
 
 
-def test_negative_radius_paints_nothing():
-    mask = growth._ball_union_mask([(0, 0)], -1, (-2, -2), (5, 5))
-    assert mask.dtype == bool and mask.shape == (5, 5) and not mask.any()
-    one = growth._ball_union_mask([(0, 0)], 1, (-2, -2), (5, 5))
-    assert _mask_sites(one, (-2, -2)) == {(0, 0)}
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fill_clamps_to_the_raster_and_clears(d):
+    # axis 0 holds 3 sites from -1, every other axis 9 sites from -4
+    origin, shape = (-1,) + (-4,) * (d - 1), (3,) + (9,) * (d - 1)
+    center = (0,) * d
+    out = np.zeros(shape, dtype=bool)
+    growth._fill(out, [center], -1, origin, True)
+    assert not out.any()
+    # wholly before the raster (start -4, stop -1: unclamped, the stop would
+    # wrap to the end), wholly past it, and before it on axis 0 alone
+    before = tuple(o - 3 for o in origin)
+    past = tuple(o + s + 1 for o, s in zip(origin, shape))
+    growth._fill(out, [before, past, before[:1] + center[1:]], 1, origin, True)
+    assert not out.any()
+    # clipped at both ends of axis 0, inside on the others
+    growth._fill(out, [center], 2, origin, True)
+    want = np.zeros(shape, dtype=bool)
+    want[(slice(0, 3),) + (slice(2, 7),) * (d - 1)] = True
+    assert np.array_equal(out, want)
+    growth._fill(out, [center], 1, origin, False)
+    want[(slice(0, 3),) + (slice(3, 6),) * (d - 1)] = False
+    assert np.array_equal(out, want)
+    growth._fill(out, [center], 2, origin, False)
+    assert not out.any()
