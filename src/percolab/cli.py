@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -286,7 +287,7 @@ def _cmd_blob(args) -> int:
     record = growth.grow_tree(points)
     blob_list = growth.blobs(record, n)
     radius_bound = growth.check_radius_bound(record, n)
-    radii = growth.merge_radii(points)
+    radii = Counter(record.r2_sequence())
     d = len(points[0])
     c3 = _opt(spec.blob, "C3")
     alpha = _opt(spec.blob, "alpha")

@@ -59,8 +59,9 @@ Kept buffers
 ------------
 A kernel reaches a worker pickled with each chunk, so arrays that outlive a
 call belong to the process: each thread keeps those of its replica-batch loop in
-one ``grid.Buffers``: raw words, open cells, the crop strip and labels (a bond
-batch's element layout borrows the label buffer, dead until the batch is labeled).
+one ``grid.Buffers``: raw words, open cells, the crop strip, its gather index
+and labels (a bond batch's element layout borrows the label buffer, dead until
+the batch is labeled).
 Each batch is sampled into them and read, and the next batch overwrites it.
 Every per-replica value is reduced into a new array, so no result aliases the
 buffers; calls that are not given them (``read_config``, the public sample and
@@ -241,20 +242,27 @@ def _cells(lattice: LatticeSpec, shape: tuple[int, ...]) -> int:
 
 
 def _crop_labels(
-    lattice: LatticeSpec, batch: np.ndarray, sl: tuple[slice, ...], rows=slice(None), *,
+    lattice: LatticeSpec, batch: np.ndarray, crop, rows=slice(None), *,
     strip: bool = False, buffers: grid.Buffers = grid.FRESH,
 ) -> np.ndarray:
-    """Labels confined to a site-space crop (paths inside the crop only) of ``batch[rows]``.
+    """Labels confined to crops (paths inside a crop only) of ``batch[rows]``.
 
-    ``strip`` labels the crops side by side (``grid.strip_cells``) and returns
-    per-replica views of the strip; crossings read them, ``largest_count`` cannot.
+    ``crop`` is a site-space slice tuple, or a ``grid.StripCrops``: then
+    ``rows`` is (replicas, crop of each) and the crops are gathered into a
+    strip.  ``strip`` labels slice crops side by side too
+    (``grid.strip_cells``).  A strip's labels are per-replica views; crossings
+    read them, ``largest_count`` cannot.
     """
-    crops = batch[(rows,) + grid.cell_slices(lattice, sl)]
-    if strip:
-        crops = grid.strip_cells(crops, buffers)
-    out = buffers.empty("labels", crops.shape, np.int32)
-    labels = grid.label_sites_batch(crops, lattice, out, strip)
-    return labels[..., : sl[-1].stop - sl[-1].start]  # drops a site strip's separators
+    if isinstance(crop, grid.StripCrops):
+        cells, strip, width = crop.gather(batch, *rows, buffers), True, crop.w
+    else:
+        cells = batch[(rows,) + grid.cell_slices(lattice, crop)]
+        width = crop[-1].stop - crop[-1].start
+        if strip:
+            cells = grid.strip_cells(cells, buffers)
+    out = buffers.empty("labels", cells.shape, np.int32)
+    labels = grid.label_sites_batch(cells, lattice, out, strip)
+    return labels[..., :width]  # drops a site strip's separators
 
 
 @lru_cache(maxsize=64)

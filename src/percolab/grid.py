@@ -34,7 +34,10 @@ label values stay unique per crop.  A crop of odd cell width (every decorated
 crop) plus its separator spans an even number of columns, so each crop starts
 on a vertex column and the stride-2 vertex view skips the separators.  Label
 values of a strip are not numbered crop by crop, so ``largest_count`` reads
-stacked labels only.
+stacked labels only.  ``StripCrops`` gathers a strip in which each replica
+has its own crop, out of K crops of one cell shape at fixed places: one
+``take`` reads every cell by its flat index, and a transposed crop is read
+with its axes swapped.
 
 The replica-batch loop keeps its largest arrays across calls in a ``Buffers``
 and hands them to the sample and label layers; every caller that does not
@@ -214,6 +217,52 @@ def strip_cells(crops: np.ndarray, buffers: Buffers = FRESH) -> np.ndarray:
     strip[..., width] = False
     strip[..., :width] = crops.transpose(*range(1, crops.ndim - 1), 0, crops.ndim - 1)
     return strip
+
+
+class StripCrops:
+    """K crops of one cell shape (h, w) at fixed places of a 2-D cell grid, gathered into strips.
+
+    ``crops`` holds (site slices, transposed) pairs; a transposed crop is read
+    with its axes swapped, so its cell (i, j) is cell (j, i) of its slices.
+    Cell (i, j) of crop k is the flat cell ``start[k] + i row_step[k] + j
+    col_step[k]`` of a grid of site ``shape``.
+    """
+
+    def __init__(self, lattice: LatticeSpec, shape: tuple[int, int], crops):
+        width = cell_shape(lattice, shape)[1]
+        starts, steps, shapes = [], [], set()
+        for sl, transposed in crops:
+            x, y = cell_slices(lattice, sl)
+            starts.append(x.start * width + y.start)
+            steps.append((1, width) if transposed else (width, 1))
+            extents = (x.stop - x.start, y.stop - y.start)
+            shapes.add(extents[::-1] if transposed else extents)
+        if len(shapes) != 1:
+            raise ValueError(f"crops of one strip need one cell shape, got {sorted(shapes)}")
+        ((self.h, self.w),) = shapes
+        self.start = np.array(starts, dtype=np.intp)
+        self.row_step, self.col_step = (np.array(s, dtype=np.intp) for s in zip(*steps))
+        for array in (self.start, self.row_step, self.col_step):
+            array.flags.writeable = False
+
+    def gather(
+        self, cells: np.ndarray, replicas: np.ndarray, kinds: np.ndarray, buffers: Buffers = FRESH
+    ) -> np.ndarray:
+        """The ``strip_cells`` strip of crop ``kinds[b]`` of grid ``replicas[b]`` of a (B, ...) stack.
+
+        One ``take`` copies every cell straight into the strip by its flat
+        index (with ``mode="clip"``, numpy writes into ``out`` unbuffered); the
+        separator columns read column 0 and are closed after it.
+        """
+        first = replicas * cells[0].size + self.start[kinds]
+        rows = first + np.arange(self.h)[:, None] * self.row_step[kinds]
+        columns = (np.arange(self.w + 1) % self.w) * self.col_step[kinds][:, None]
+        index = buffers.empty("strip_index", (self.h, len(replicas), self.w + 1), np.intp)
+        np.add(rows[:, :, None], columns, out=index)
+        strip = buffers.empty("strip", index.shape, bool)
+        np.take(cells, index, out=strip, mode="clip")
+        strip[..., -1] = False
+        return strip
 
 
 def label_sites_batch(

@@ -79,6 +79,31 @@ def test_strip_view_skips_separators():
             assert not labels[..., -1].any()
 
 
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["triangular_site", "z_bond"])
+def test_gathered_strip_is_the_strip_of_its_crops(lattice):
+    # each replica gets its own crop, a transposed one read with its axes swapped;
+    # the reference lays the sliced crops side by side with strip_cells
+    carrier = box_with_boundary(lattice, 5)
+    raster = grid.BoxRaster(lattice, carrier)
+    batch = open_cells_batch(lattice, carrier.mask, 0.5, [derive_stream(92, i) for i in range(9)])
+    places = [((-4, -3), (2, 5), False), ((1, -5), (5, 2), True), ((-6, 0), (2, 5), False),
+              ((-1, 1), (5, 2), True)]  # on the raster's edges too
+    crops = grid.StripCrops(lattice, raster.shape, [(raster.rect_slices(c, w), t) for c, w, t in places])
+    replicas, kinds = np.array([0, 2, 3, 3, 8]), np.array([1, 0, 3, 2, 1])
+    want = []
+    for b, k in zip(replicas, kinds):
+        corner, widths, transposed = places[k]
+        crop = batch[b][grid.cell_slices(lattice, raster.rect_slices(corner, widths))]
+        want.append(crop.T if transposed else crop)
+    kept = grid.Buffers(kept=True)
+    kept.empty("strip", (4096,), bool).fill(True)  # stale separators a gather must close
+    strip = crops.gather(batch, replicas, kinds, kept)
+    assert np.array_equal(strip, grid.strip_cells(np.stack(want)))
+    tall = raster.rect_slices((0, 0), (2, 5))
+    with pytest.raises(ValueError, match="one cell shape"):
+        grid.StripCrops(lattice, raster.shape, [(tall, False), (tall, True)])
+
+
 def _results(seed: int) -> list[np.ndarray]:
     """Arrays returned by the public sample, label and read calls and by two kernel calls."""
     cfg = sample_config(Z2_BOND, box_with_boundary(Z2_BOND, 6), 0.5, seed)

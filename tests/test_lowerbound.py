@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from handbuilt import config_from_sites
-from oracles import cluster_extremes, connected_sets
+from oracles import bond_components, cluster_extremes, connected_sets
 
 from percolab import clusters, grid
 from percolab import lowerbound as L
@@ -21,9 +21,9 @@ def tri_config(radius, p, seed):
     return sample_config(TRIANGULAR, box_with_boundary(TRIANGULAR, radius), p, seed)
 
 
-def dn_flags(p, n, u, fam, attempts):
+def dn_flags(p, n, u, fam, attempts, lattice=TRIANGULAR):
     """Attempts [0, attempts) of the ("dn", n, u) kernel: D holds, each violation."""
-    task = (TRIANGULAR, p, box_with_boundary(TRIANGULAR, 2 * n), (("dn", n, u),), fam)
+    task = (lattice, p, box_with_boundary(lattice, 2 * n), (("dn", n, u),), fam)
     (flags,) = _observe(task, 0, attempts)
     return flags.T
 
@@ -172,13 +172,36 @@ def test_dn_kernel_flags_match_all_fifty_crossings():
     assert 0 < d.sum() < attempts
 
 
+def test_dn_kernel_flags_match_all_fifty_bond_crossings():
+    # bond crops live in decorated cell space, and wide ones are labelled transposed
+    n, u, attempts, p = 8, 2, 120, 0.62
+    fam = family_seed(7, TAG_DN, n, u)
+    d, _, _ = dn_flags(p, n, u, fam, attempts, Z2_BOND)
+    carrier = box_with_boundary(Z2_BOND, 2 * n)
+    for i in range(attempts):
+        cfg = sample_config(Z2_BOND, carrier, p, derive_stream(fam, i))
+        edges = [
+            (site, (site[0] + 1 - axis, site[1] + axis))
+            for axis in (0, 1)
+            for site in map(tuple, (np.argwhere(cfg.edge_open[axis]) + carrier.origin).tolist())
+        ]
+        crossings = []
+        for corner, widths, axis in _row_major_rects(n, u):
+            inside = set(rect_region(corner, widths))
+            ends = [{s for s in inside if s[axis] == corner[axis] + k * widths[axis]} for k in (0, 1)]
+            comps = bond_components(inside, [(a, b) for a, b in edges if a in inside and b in inside])
+            crossings.append(any(c & ends[0] and c & ends[1] for c in comps))
+        assert d[i] == all(crossings), i
+    assert 0 < d.sum() < attempts
+
+
 def _spy_crop_labels(monkeypatch) -> list:
     calls = []
     crop = L._crop_labels
 
-    def spy(lattice, batch, sl, alive=slice(None), **kwargs):
-        labels = crop(lattice, batch, sl, alive, **kwargs)
-        calls.append((sl, labels.shape[0]))
+    def spy(lattice, batch, crops, rows=slice(None), **kwargs):
+        labels = crop(lattice, batch, crops, rows, **kwargs)
+        calls.append((crops, rows, labels.shape[0]))
         return labels
 
     monkeypatch.setattr(L, "_crop_labels", spy)
@@ -186,18 +209,43 @@ def _spy_crop_labels(monkeypatch) -> list:
 
 
 def test_dn_kernel_labels_every_rectangle_in_order(monkeypatch):
+    # at p = 1 every score ties, so each step labels one rectangle of _dn_rects
+    # for every replica, in its order; crop k gathers that rectangle's cells
     calls = _spy_crop_labels(monkeypatch)
     d, _, _ = dn_flags(1.0, 8, 2, family_seed(5, TAG_DN, 8, 2), 10)
     raster = grid.BoxRaster(TRIANGULAR, box_with_boundary(TRIANGULAR, 16))
-    assert calls == [(raster.rect_slices(c, w), 10) for c, w, _ in L._dn_rects(8, 2, 2)]
+    cells = np.random.default_rng(5).random(raster.shape) < 0.5
+    rects = L._dn_rects(8, 2, 2)
+    assert len(calls) == len(rects)
+    for k, ((crops, (replicas, kinds), rows), (corner, widths, axis)) in enumerate(zip(calls, rects)):
+        assert rows == 10 and replicas.tolist() == list(range(10)) and kinds.tolist() == [k] * 10
+        want = cells[raster.rect_slices(corner, widths)]
+        got = crops.gather(cells[None], np.array([0]), np.array([k]))[:, 0, :-1]
+        assert np.array_equal(got, want.T if axis == 1 else want), k
     assert d.all()
 
 
+def test_dn_kernel_labels_the_sparsest_rectangle_first(monkeypatch):
+    # all open but the last rectangle of _dn_rects, closed save one corner: it
+    # scores lowest, fails, and is the only rectangle labelled
+    carrier = box_with_boundary(TRIANGULAR, 16)
+    corner, widths, _ = L._dn_rects(8, 2, 2)[-1]
+    closed = set(rect_region(corner, widths)) - {corner}
+    cfg = config_from_sites(TRIANGULAR, carrier, [s for s in carrier if s not in closed])
+    calls = _spy_crop_labels(monkeypatch)
+    assert L.dn_event(cfg, 8, 2) is False
+    [(_, (replicas, kinds), rows)] = calls
+    assert (replicas.tolist(), kinds.tolist(), rows) == ([0], [49], 1)
+
+
 def test_dn_kernel_rectangle_labelling_count(monkeypatch):
-    # the test order decides how many rectangles a failing attempt labels (14,420 row-major)
+    # the test order decides how many rectangles a failing attempt labels: 14,420
+    # row-major, 12,091 in parity-spread order, 5,064 sparsest-first
     calls = _spy_crop_labels(monkeypatch)
     d, _, _ = dn_flags(0.5, 32, 2, family_seed(5, TAG_DN, 32, 2), 2000)
-    assert sum(rows for _, rows in calls) == 12_091
+    labelled = sum(rows for *_, rows in calls)
+    assert labelled == 5_064
+    assert labelled <= 12_091 // 2
     assert not d.any()
 
 
