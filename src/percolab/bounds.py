@@ -66,6 +66,8 @@ class BoundParams:
             v = getattr(self, f.name)
             if v is not None and v < 0:
                 raise ValueError(f"constant {f.name} must be nonnegative")
+        if self.C2 is not None and self.C2 <= 0:  # C2 divides in every series and fit
+            raise ValueError("constant C2 must be positive")
 
     def require(self, *names: str) -> list[float]:
         out = []

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -26,87 +27,116 @@ from . import __version__, bounds, estimators, growth, lowerbound, reports
 from .bounds import BoundParams
 from .estimators import build_pi_table, vn_sample
 from .lattice import LatticeKind, LatticeSpec
-from .verify import FULL, QUICK, check_criteria, run_verify, write_results
+from .verify import FULL, QUICK, TAIL_US, check_criteria, run_verify, write_results
 
 
-def _require_int(name: str, value) -> None:
-    # bool is an int subclass; a spec's true/false is never a count
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+# The spec schema: a rule is called with a value's dotted name and the value, and
+# raises ValueError naming it.
+@dataclass(frozen=True)
+class Number:
+    """A finite number in [lo, hi], or in (lo, hi] when ``above``; an integer when ``integer``."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    above: bool = False
+    integer: bool = False
+    null: bool = False  # null means the default
+
+    def __call__(self, name: str, value) -> None:
+        if value is None and self.null:
+            return
+        # bool is an int subclass; a spec's true/false is never a number
+        kind = int if self.integer else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind) or not -math.inf < value < math.inf:
+            what = "an integer" if self.integer else "a finite number"
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        if not self.lo <= value <= self.hi or (self.above and value == self.lo):
+            upper = f" and <= {self.hi}" if self.hi < math.inf else ""
+            raise ValueError(f"{name} must be {'>' if self.above else '>='} {self.lo}{upper}")
 
 
-def _require_number(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+@dataclass(frozen=True)
+class OneOf:
+    """One of ``choices``, of the same type: true is not 1."""
+
+    choices: tuple
+
+    def __call__(self, name: str, value) -> None:
+        if not any(value == c and type(value) is type(c) for c in self.choices):
+            raise ValueError(f"{name} must be one of {list(self.choices)}, got {value!r}")
 
 
-def _require_bool(name: str, value) -> None:
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
+@dataclass(frozen=True)
+class ListOf:
+    """A nonempty list (of ``length`` items, if given), each item checked by ``item``."""
 
+    item: Callable
+    length: int | None = None
 
-def _one_of(*choices):
-    def check(name: str, value) -> None:
-        if value not in choices:
-            raise ValueError(f"{name} must be one of {list(choices)}, got {value!r}")
-
-    return check
-
-
-def _list_of(check, length: int | None = None):
-    def check_list(name: str, values) -> None:
-        if not isinstance(values, list) or not values or length not in (None, len(values)):
-            size = "a nonempty list" if length is None else f"a list of {length}"
+    def __call__(self, name: str, values) -> None:
+        if not isinstance(values, list) or not values or self.length not in (None, len(values)):
+            size = "a nonempty list" if self.length is None else f"a list of {self.length}"
             raise ValueError(f"{name} must be {size}, got {values!r}")
         for i, v in enumerate(values):
-            check(f"{name}[{i}]", v)
-
-    return check_list
+            self.item(f"{name}[{i}]", v)
 
 
-def _require_criteria(name: str, values) -> None:
-    _list_of(_require_int)(name, values)
-    check_criteria(name, values)
+@dataclass(frozen=True)
+class Mapping:
+    """Only the keys of ``rules``, each value checked by its rule; ``required`` keys not null."""
+
+    rules: dict
+    required: tuple[str, ...] = ()
+    nulls: bool = True  # a null value means the default and is not checked
+
+    def __call__(self, name: str, value) -> None:
+        label = name or "spec"  # top-level keys are named bare
+        if not isinstance(value, dict) or any(value.get(k) is None for k in self.required):
+            need = f" with {', '.join(self.required)}" if self.required else ""
+            raise ValueError(f"{label} must be a mapping{need}, got {value!r}")
+        unknown = set(value) - self.rules.keys()
+        if unknown:
+            raise ValueError(f"unknown {label} keys: {sorted(unknown, key=str)}")
+        for key, v in value.items():
+            if v is not None or not self.nulls:
+                self.rules[key](f"{name}.{key}" if name else key, v)
 
 
-def _require_rect(name: str, value) -> None:
-    if not isinstance(value, dict) or "widths" not in value or set(value) - {"widths", "axis"}:
-        raise ValueError(f"{name} must be a mapping of widths and optional axis, got {value!r}")
-    _list_of(_require_int, 2)(f"{name}.widths", value["widths"])
-    axis = value.get("axis", 0)
-    _require_int(f"{name}.axis", axis)
-    _one_of(0, 1)(f"{name}.axis", axis)
-
-
-# the keys each section's subcommand reads, with the check of each value;
-# any other key is a typo, and a null value means the default
-SECTION_KEYS = {
-    "pi": {"scales": _list_of(_list_of(_require_int, 2))},
-    "tail": {
-        "statistic": _one_of("largest_cluster", "long_arm"),
-        "sizes": _list_of(_require_int),
-        "distribution": _require_bool,
-    },
-    "blob": {
-        "points": _list_of(_list_of(_require_int)),
-        "n": _require_int,
-        "alpha": _require_number,
-        "C3": _require_number,
-        "C4": _require_number,
-    },
-    "bounds": {
-        **dict.fromkeys(("alpha", "C2"), _require_number),
-        "sweep_kmax": _require_int,
-    },
-    "lower": {
-        **dict.fromkeys(
-            ("n", "u", "conditioned", "stop_after_violations", "max_attempts"), _require_int
+INTEGER = Number(integer=True)
+COUNT = Number(1, integer=True)
+POSITIVE = Number(0, above=True)  # alpha (its upper end, d, is BoundParams' check), C2, C12
+RECT = Mapping({"widths": ListOf(INTEGER, 2), "axis": OneOf((0, 1))}, required=("widths",))
+# the domain of every spec value; each section holds only the keys its
+# subcommand reads, and any other key is a typo
+SPEC = Mapping(
+    {
+        "master_seed": INTEGER,
+        "lattice": OneOf(tuple(k.value for k in LatticeKind)),
+        "d": Number(2, integer=True),
+        "p": Number(0, 1, null=True),
+        "samples": COUNT,
+        "workers": COUNT,
+        "sizes": ListOf(COUNT),
+        "u_grid": ListOf(Number(1)),
+        "pi": Mapping({"scales": ListOf(ListOf(COUNT, 2))}),
+        "tail": Mapping(
+            {"statistic": OneOf(("largest_cluster", "long_arm")), "sizes": ListOf(COUNT),
+             "distribution": OneOf((False, True))}
         ),
-        "c12_grid": _list_of(_require_number),
+        "blob": Mapping(
+            {"points": ListOf(ListOf(INTEGER)), "n": INTEGER, "alpha": POSITIVE,
+             "C3": Number(0), "C4": Number(0)}
+        ),
+        "bounds": Mapping({"alpha": POSITIVE, "C2": POSITIVE, "sweep_kmax": Number(2, integer=True)}),
+        "lower": Mapping(
+            {"n": Number(2, integer=True), "u": Number(2, integer=True), "conditioned": COUNT,
+             "stop_after_violations": COUNT, "max_attempts": COUNT, "c12_grid": ListOf(POSITIVE)}
+        ),
+        "crossing": Mapping({"rects": ListOf(RECT)}),
+        "verify": Mapping({"profile": OneOf(("full", "quick")), "criteria": check_criteria}),
     },
-    "crossing": {"rects": _list_of(_require_rect)},
-    "verify": {"profile": _one_of("full", "quick"), "criteria": _require_criteria},
-}
+    nulls=False,
+)
 
 
 def _opt(section: dict, key: str, default=None):
@@ -126,8 +156,7 @@ class ExperimentSpec:
     samples: int = 1000
     workers: int = 1
     sizes: list = field(default_factory=lambda: [8, 16, 32])
-    u_grid: list = field(default_factory=lambda: [1.0, 1.5, 2.0, 3.0])
-    k_grid: list = field(default_factory=lambda: [1, 2, 3])
+    u_grid: list = field(default_factory=lambda: list(TAIL_US))
     pi: dict = field(default_factory=dict)
     tail: dict = field(default_factory=dict)
     blob: dict = field(default_factory=dict)
@@ -137,44 +166,13 @@ class ExperimentSpec:
     verify: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        LatticeKind(self.lattice)
-        for name in ("master_seed", "samples", "workers", "d"):
-            _require_int(name, getattr(self, name))
-        for name in ("sizes", "k_grid"):
-            _list_of(_require_int)(name, getattr(self, name))
-        _list_of(_require_number)("u_grid", self.u_grid)
-        if self.p is not None:
-            _require_number("p", self.p)
-        for name, checks in SECTION_KEYS.items():
-            section = getattr(self, name)
-            if not isinstance(section, dict):
-                raise ValueError(f"{name} must be a mapping, got {section!r}")
-            unknown = set(section) - checks.keys()
-            if unknown:
-                raise ValueError(f"unknown {name} keys: {sorted(unknown, key=str)}")
-            for key, value in section.items():
-                if value is not None:
-                    checks[key](f"{name}.{key}", value)
-        if self.p is not None and not 0 <= self.p <= 1:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if any(n < 1 for n in self.sizes):
-            raise ValueError("sizes must be >= 1")
-        if any(u < 1 for u in self.u_grid):
-            raise ValueError("u grid values must be >= 1")
-        if any(k < 1 for k in self.k_grid):
-            raise ValueError("k grid values must be >= 1")
+        SPEC("", vars(self))
 
     @classmethod
     def from_file(cls, path: Path) -> "ExperimentSpec":
-        raw = yaml.safe_load(Path(path).read_text()) or {}
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown spec keys: {sorted(unknown)}")
+        raw = yaml.safe_load(Path(path).read_text())
+        raw = {} if raw is None else raw
+        SPEC("", raw)
         return cls(**raw)
 
     def to_dict(self) -> dict:
@@ -230,7 +228,7 @@ def _cmd_crossing(args) -> int:
     rows = []
     for r in rects:
         w0, w1 = r["widths"]
-        axis = r.get("axis", 0)
+        axis = _opt(r, "axis", 0)
         est = estimators.estimate_crossing(
             lattice, p, (w0, w1), axis, spec.samples, spec.master_seed, spec.workers
         )
@@ -297,8 +295,9 @@ def _cmd_blob(args) -> int:
         "C4": c4,
     }
     if c3 is not None and alpha is not None:
+        # a power-law arm probability, with pi(0) = 1 at n = 0 (one point at the origin)
         bound_values["prob_upper_bound"] = growth.prob_upper_bound(
-            radii, n, lambda s: float(s) ** -alpha, float(c3)
+            radii, n, lambda s: float(s) ** -alpha if s else 1.0, float(c3)
         )
         bound_values["C3"] = float(c3)
         bound_values["alpha"] = float(alpha)
@@ -377,7 +376,7 @@ def _cmd_lower(args) -> int:
     table = build_pi_table(lattice, p, scales, spec.samples, spec.master_seed, spec.workers)
     report = lowerbound.lower_construction(
         p, u, table, sample(npr, "vn"), sample(n, "c1"), spec.master_seed, spec.workers,
-        _opt(cfg, "c12_grid", [0.1, 0.2, 0.5]),
+        _opt(cfg, "c12_grid", lowerbound.C12_GRID),
         conditioned=_opt(cfg, "conditioned", 200),
         stop_after_violations=_opt(cfg, "stop_after_violations", 25),
         max_attempts=_opt(cfg, "max_attempts", 2_000_000),
@@ -389,7 +388,7 @@ def _cmd_lower(args) -> int:
         "u": u,
         "rsw": {"estimate": rsw.estimate.point, "C11": rsw.c11},
         "c12_grid": list(low.c12_grid),
-        "c13_fits": [x if math.isfinite(x) else None for x in low.c13_fits],
+        "c13_fits": list(low.c13_fits),
         "mean_vn": low.mean_vn,
         "mean_floor": low.floor_value,
         "campaign": {
@@ -450,29 +449,25 @@ def main(argv=None) -> int:
     common.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     common.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
-    sub.add_parser("pi", parents=[common], help="arm-probability table")
-    sub.add_parser("crossing", parents=[common], help="rectangle crossing probabilities")
-    sub.add_parser("tail", parents=[common], help="largest-cluster / long-arm tail sweeps")
-    blob = sub.add_parser("blob", parents=[common], help="growth process on a point set")
-    blob.add_argument("--points", type=str, default=None, help="JSON list of coordinate pairs")
-    sub.add_parser("bounds", parents=[common], help="bound evaluators and sweeps")
-    sub.add_parser("lower", parents=[common], help="lower-bound construction suite")
-    ver = sub.add_parser("verify", parents=[common], help="run the acceptance suite")
-    ver.add_argument("--quick", action="store_true", help="reduced-size profile")
+    for name, run, text in (
+        ("pi", _cmd_pi, "arm-probability table"),
+        ("crossing", _cmd_crossing, "rectangle crossing probabilities"),
+        ("tail", _cmd_tail, "largest-cluster / long-arm tail sweeps"),
+        ("blob", _cmd_blob, "growth process on a point set"),
+        ("bounds", _cmd_bounds, "bound evaluators and sweeps"),
+        ("lower", _cmd_lower, "lower-bound construction suite"),
+        ("verify", _cmd_verify, "run the acceptance suite"),
+    ):
+        sub.add_parser(name, parents=[common], help=text).set_defaults(run=run)
+    sub.choices["blob"].add_argument(
+        "--points", type=str, default=None, help="JSON list of coordinate pairs"
+    )
+    sub.choices["verify"].add_argument("--quick", action="store_true", help="reduced-size profile")
 
     args = parser.parse_args(argv)
-    commands = {
-        "pi": _cmd_pi,
-        "crossing": _cmd_crossing,
-        "tail": _cmd_tail,
-        "blob": _cmd_blob,
-        "bounds": _cmd_bounds,
-        "lower": _cmd_lower,
-        "verify": _cmd_verify,
-    }
     try:
-        return commands[args.command](args)
-    except (ValueError, OSError) as exc:
+        return args.run(args)
+    except (ValueError, OSError, yaml.YAMLError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

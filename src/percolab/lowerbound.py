@@ -238,8 +238,12 @@ class VnLowerReport:
     c13_fits: tuple[float, ...]
 
 
+# the C12 values the tail fits are read at, unless a caller names others
+C12_GRID = (0.1, 0.2, 0.5)
+
+
 def vn_lower_constants(
-    sample: VnSample, pi: PiTable, c12_grid: Sequence[float] = (0.1, 0.2, 0.5)
+    sample: VnSample, pi: PiTable, c12_grid: Sequence[float] = C12_GRID
 ) -> VnLowerReport:
     """Mean long-arm count of ``sample`` against n^2 pi(3n), plus tail fits on a C12 grid."""
     if sample.lattice.d != 2:

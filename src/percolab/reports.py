@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -17,44 +18,32 @@ from . import __version__
 from .estimators import PiTable
 
 
-def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=True)
-
-
 def spec_hash(spec_payload: dict) -> str:
-    return hashlib.sha256(canonical_json(spec_payload).encode()).hexdigest()
+    text = json.dumps(spec_payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_csv(
-    path: Path,
-    header: Sequence[str],
-    rows: Sequence[Sequence],
-    meta: dict,
-) -> Path:
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path = Path(path)
+def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence], meta: dict) -> Path:
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())), ",".join(header)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
+def _finite_or_null(value):
+    """``value`` with every NaN and +-inf float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path: Path, payload: dict, meta: dict) -> Path:
-    doc = {"meta": dict(sorted(meta.items())), **payload}
-    path = Path(path)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Strict JSON: a non-finite result (an infinite fit, an undefined slope) is null."""
+    doc = {"meta": meta, **_finite_or_null(payload)}
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return path
-
-
-def file_meta(spec_digest: str) -> dict:
-    return {"spec_hash": spec_digest, "version": __version__}
 
 
 def write_results(
@@ -67,7 +56,7 @@ def write_results(
     suite write their result tables here.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = file_meta(spec_digest)
+    meta = {"spec_hash": spec_digest, "version": __version__}
     name = f"{stem}_{spec_digest[:12]}"
     written = []
     if fmt in ("csv", "both"):

@@ -356,7 +356,7 @@ def _c9_lower_tail_construction(ctx: VerifyContext) -> Outcome:
         ctx.p, GLUE_U, ctx.pi_table(),
         ctx.vn_sample(npr, prof.constant_samples, ("vn",)),
         ctx.vn_sample(prof.glue_n, prof.tail_samples, ("c1",)),
-        ctx.master_seed, ctx.workers, (0.1, 0.2, 0.5),
+        ctx.master_seed, ctx.workers, lowerbound.C12_GRID,
         conditioned=prof.glue_target,
         stop_after_violations=prof.glue_stop_violations,
         max_attempts=prof.glue_max_attempts,
@@ -644,8 +644,10 @@ _CRITERIA = {
 
 
 def check_criteria(name: str, indices) -> None:
-    """Reject an empty list of criteria or an index that names none."""
-    if not indices or any(i not in _CRITERIA for i in indices):
+    """Reject anything but a nonempty list of integers that each name a criterion."""
+    if not isinstance(indices, list) or not indices or any(
+        type(i) is not int or i not in _CRITERIA for i in indices
+    ):
         raise ValueError(
             f"{name} must be a nonempty list of criteria in 1..{len(_CRITERIA)}, got {indices!r}"
         )

@@ -43,6 +43,14 @@ def test_params_validation():
         BoundParams(d=2).require("C2")
 
 
+@pytest.mark.parametrize("c2", [0, 0.0, -1.0])
+def test_params_reject_c2_at_most_zero(c2):
+    # C2 divides in the generating-function series, the C9/C10 fits and the
+    # Markov threshold bound
+    with pytest.raises(ValueError, match="C2"):
+        BoundParams(d=2, alpha=0.5, C2=c2)
+
+
 def test_bcks_bound():
     p = params()
     assert bcks_bound(0.0, p) == p.c1

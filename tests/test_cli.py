@@ -6,10 +6,10 @@ import json
 import pytest
 import yaml
 
-from percolab.cli import SECTION_KEYS, ExperimentSpec, main
+from percolab.cli import SPEC, ExperimentSpec, Mapping, main
 from percolab.estimators import histogram, vn_sample
 from percolab.lattice import TRIANGULAR
-from percolab.reports import spec_hash
+from percolab.reports import spec_hash, write_json
 from percolab.verify import QUICK, VerifyContext, run_criterion
 
 
@@ -93,7 +93,7 @@ def test_invalid_p_exits_nonzero(tmp_path, capsys):
         {"d": False},
         {"sizes": [3, 4.0]},
         {"sizes": 4},
-        {"k_grid": [1, True]},
+        {"u_grid": [1.5, True]},
         {"u_grid": ["2"]},
         {"p": "0.5"},
         {"tail": {"sizes": 5}},
@@ -147,6 +147,65 @@ def test_spec_range_errors_exit_2_before_any_work(tmp_path, capsys, command, ove
     assert "must" in json.loads(captured.err.strip())["error"]
     assert captured.out == ""  # no criterion ran, no file was written
     assert not out.exists()
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "command, override, key",
+    [
+        ("tail", {"u_grid": [INF]}, "u_grid[0]"),
+        ("tail", {"u_grid": [1.0, NAN]}, "u_grid[1]"),
+        ("tail", {"u_grid": [0.5]}, "u_grid[0]"),
+        ("lower", {"lower": {"n": 4, "c12_grid": [INF]}}, "lower.c12_grid[0]"),
+        ("lower", {"lower": {"n": 4, "c12_grid": [0.1, NAN]}}, "lower.c12_grid[1]"),
+        ("blob", {"blob": {"points": [[0, 0], [4, 0]], "C3": NAN, "alpha": 1.0}}, "blob.C3"),
+        ("blob", {"blob": {"points": [[0, 0], [4, 0]], "C3": 1.0, "alpha": -2}}, "blob.alpha"),
+        ("blob", {"blob": {"points": [[0, 0], [4, 0]], "C3": 1.0, "alpha": 0}}, "blob.alpha"),
+        ("blob", {"blob": {"points": [[0, 0], [4, 0]], "C3": 1.0, "alpha": INF}}, "blob.alpha"),
+        ("blob", {"blob": {"points": [[0, 0], [4, 0]], "C4": -1}}, "blob.C4"),
+        ("bounds", {"bounds": {"C2": 0}}, "bounds.C2"),
+        ("bounds", {"bounds": {"C2": NAN}}, "bounds.C2"),
+        ("bounds", {"bounds": {"C2": INF}}, "bounds.C2"),
+        ("bounds", {"bounds": {"alpha": -INF}}, "bounds.alpha"),
+        ("pi", {"p": NAN}, "p"),
+    ],
+)
+def test_spec_domain_errors_name_the_key(tmp_path, capsys, command, override, key):
+    # each number is finite and in its range; these specs used to run, or end
+    # in a traceback
+    spec = write_spec(tmp_path, **override)
+    out = tmp_path / "x"
+    assert main([command, "--spec", str(spec), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"].startswith(f"{key} must be ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("5\n", "spec must be a mapping, got 5"),
+        ("[]\n", "spec must be a mapping, got []"),
+        ("false\n", "spec must be a mapping, got False"),
+        ("a: [1,\n", "expected the node content"),
+    ],
+)
+def test_spec_file_that_is_no_mapping_exits_2(tmp_path, capsys, text, error):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(text)
+    assert main(["pi", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert error in json.loads(line)["error"]
+
+
+def test_removed_k_grid_is_an_unknown_key(tmp_path, capsys):
+    spec = write_spec(tmp_path, k_grid=[1, 2, 3])
+    assert main(["pi", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "unknown spec keys: ['k_grid']"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -207,7 +266,11 @@ def test_spec_section_keys_exit_2(tmp_path, capsys, section, value):
 
 
 def test_spec_section_keys_accepted():
-    sections = {name: dict.fromkeys(keys) for name, keys in SECTION_KEYS.items()}
+    sections = {
+        name: dict.fromkeys(rule.rules)
+        for name, rule in SPEC.rules.items()
+        if isinstance(rule, Mapping)
+    }
     assert ExperimentSpec(**sections).to_dict()["lower"] == sections["lower"]
 
 
@@ -290,6 +353,15 @@ def test_blob_points_name_their_results(tmp_path):
         assert f.read_bytes() == (out / f.name).read_bytes()
 
 
+def test_blob_at_the_origin_reads_pi_0_as_one(tmp_path):
+    # n defaults to 0 here, where s ** -alpha has no value; it used to divide by zero
+    spec = write_spec(tmp_path, blob={"points": [[0, 0]], "C3": 0.5, "alpha": 1.0})
+    out = tmp_path / "blob"
+    assert main(["blob", "--spec", str(spec), "--out", str(out), "--format", "json"]) == 0
+    doc = json.loads(next(out.glob("*.json")).read_text())
+    assert (doc["n"], doc["bounds"]["prob_upper_bound"]) == (0, 0.5)
+
+
 def test_blob_requires_points(tmp_path):
     assert main(["blob", "--out", str(tmp_path / "b")]) == 2
 
@@ -359,6 +431,35 @@ def test_lower_subcommand(tmp_path):
     assert "campaign" in doc and "rsw" in doc
 
 
+def strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_lower_writes_non_finite_results_as_null(tmp_path):
+    # at p = 0.1 no 2:1 rectangle is crossed, so C11 = -log 0 and every C13
+    # fit is infinite; the CSV keeps repr's inf
+    spec = write_spec(
+        tmp_path, master_seed=42, p=0.1, samples=20, lower={"n": 8, "u": 2, "max_attempts": 200}
+    )
+    out = tmp_path / "low"
+    assert main(["lower", "--spec", str(spec), "--out", str(out)]) == 0
+    doc = strict_json(next(out.glob("*.json")).read_text())
+    assert doc["rsw"] == {"estimate": 0.0, "C11": None}
+    assert doc["c13_fits"] == [None, None, None]
+    assert "C11,inf" in next(out.glob("*.csv")).read_text().splitlines()
+
+
+def test_write_json_nulls_every_non_finite_float(tmp_path):
+    payload = {"a": [1.0, float("nan"), (float("inf"), 2)], "b": {"c": -float("inf"), "d": "nan"}}
+    path = write_json(tmp_path / "x.json", payload, {"spec_hash": "0"})
+    assert strict_json(path.read_text()) == {
+        "meta": {"spec_hash": "0"}, "a": [1.0, None, [None, 2]], "b": {"c": None, "d": "nan"},
+    }
+
+
 def test_verify_subcommand_quick_subset(tmp_path):
     spec = write_spec(tmp_path, verify={"profile": "quick", "criteria": [1, 5, 14]})
     out = tmp_path / "ver"
@@ -384,8 +485,8 @@ def test_verify_writes_only_the_format_asked(tmp_path, capsys, fmt):
 # points are part of the spec digest that names the files
 BLOB_POINTS = "[[0,0],[4,0],[4,3],[-5,2],[1,-6],[-2,-2]]"
 BLOB_FILES = {
-    "blob_4a265d1caf7d.csv": ("2e4a8cc0428a1e78f7f088b431ee3831c7ebd90c6cdaae320e9a4ef2a405044d", 186),
-    "blob_4a265d1caf7d.json": ("76b729bb5319d16e095c4e8415456cf304583a0fb95a1ae4e59bb921dbad6f5e", 3543),
+    "blob_37fc035c4464.csv": ("5e2ce06e938c6edc15169d7c86c9cebecbd12a7f4aadf99eb2ca400f189e42d9", 186),
+    "blob_37fc035c4464.json": ("e88878e2d61c3eae7628ebbdaa0e03646b78728b01a413f7071a38290260d9f0", 3543),
 }
 
 

@@ -126,20 +126,20 @@ def test_blob_regions_pinned():
 # (sha256, size) of every file `tail` writes with `distribution: true`
 TAIL_FILES = {
     "triangular_site": {
-        "dist_n3_41d74459e617.csv": ("c025982f4bba73512d54129fdf6fd5249cff8780435f662c3585c23582139464", 228),
-        "dist_n3_41d74459e617.json": ("bb37b3826416a0a24dd6afb7f18b215e369872ee2e519932b10d4e5a99a2031d", 1421),
-        "dist_n4_41d74459e617.csv": ("76619516df9e0cf89f6a795e777057d3c560881cd56b741864483b26d452713a", 281),
-        "dist_n4_41d74459e617.json": ("39f1d04d24df97d95d9c78cb3d68d739a23b2e59a37d33a4652fc63bdb65dab5", 1914),
-        "tail_41d74459e617.csv": ("1aa1ef5fac5c75e6e2ca978aa364778df6563de616cbcdad1b71d603f9398a5f", 457),
-        "tail_41d74459e617.json": ("595d11679fe8c73a3b3fda8d7112539449accea8680c0df9a8931a20c9e3e101", 1321),
+        "dist_n3_54bb6c2f8527.csv": ("9bce9aed1b20b6fb955c0bfe3ae50f7c1fad102a2966ee50b405289b5b36cad5", 228),
+        "dist_n3_54bb6c2f8527.json": ("64a4b3bec562b43f8c22bb7c7944e9dea49cc89be0a561be51d139be8c44d0fb", 1421),
+        "dist_n4_54bb6c2f8527.csv": ("d73e447b288395c712e20943b84a75ec22fe3b327b0448e1ca29bfc792bf0444", 281),
+        "dist_n4_54bb6c2f8527.json": ("164001d12e7d8df4654171e836677d434f31fc03ab9f92967ae3a12c17b4b9f1", 1914),
+        "tail_54bb6c2f8527.csv": ("85d95aa54c3b60daff574cac5b7044028956034e239351341f5ed6bc5c937527", 457),
+        "tail_54bb6c2f8527.json": ("511fcdcb06d91d8bb94c2fc2e7578c1510cb3621d5083ce71dadae57660a8887", 1321),
     },
     "z_bond": {
-        "dist_n3_55f33c527254.csv": ("33f8dd0ec401ad01d2b3f5b3da8fe2a5df0917928cc293fb79c60f23bdf2331a", 269),
-        "dist_n3_55f33c527254.json": ("f3a997fdc395c7adead2cb191f1af149a853b4abfb98a53742f1c961e8b9b475", 1770),
-        "dist_n4_55f33c527254.csv": ("1deb64065af24c8916edc01796313f3218561591e22abcb0dc4a746bcf568d46", 343),
-        "dist_n4_55f33c527254.json": ("1f445fd9c7845dad9f5052b31ba3ca7376a46c55e594f05c36e22a8354aa6432", 2504),
-        "tail_55f33c527254.csv": ("fdbe0b64bc4b866aec83cf512f6189f0a474e2ae4ef3a1f864d9c9fbd0ae3836", 387),
-        "tail_55f33c527254.json": ("1b89361b1b060da6b0dc14b8e4a36110bfdd71a00864416a4109d4e97edb2b1c", 1250),
+        "dist_n3_77b11891a263.csv": ("6646f252c0a72e6caea275d9c670c65fbdd6b10fc6d3f81b29a8649e2d7ff28b", 269),
+        "dist_n3_77b11891a263.json": ("aaf1c09d7aea5e8c0c34aea87d6a9cca18885b85c37cc34ca97b0d304299ede7", 1770),
+        "dist_n4_77b11891a263.csv": ("d200a9d08368d5603ec08e352b1867da03bf790a7eb4e3c22812e7c49299ba2c", 343),
+        "dist_n4_77b11891a263.json": ("3620eb8b18456d328d27c193b524f04baa3b1c7c5b6f277accc277bc98874de0", 2504),
+        "tail_77b11891a263.csv": ("d3ca2c0da10cb5faeca45a118037ffc1aa330990a9e620c57da3ec894c9d6132", 387),
+        "tail_77b11891a263.json": ("1e15e04096a78ddae4f32f7c883649ce7643163c53fc6fa7e1062fd7b0eae2f6", 1250),
     },
 }
 
@@ -194,12 +194,12 @@ def test_tail_distribution_samples_each_family_once(tmp_path, monkeypatch):
 # chain's attempts [0, 150), at 100 it stops short of them
 LOWER_FILES = {
     6000: {
-        "lower_ed122e316fd6.csv": ("b5abc6dbe5798fa2a4ebe88ade86b62ba2650136beb4c6dcd3473ef5182ea7aa", 248),
-        "lower_ed122e316fd6.json": ("6e256020a5cefcd6c3f511882ed0496374e604450505f83dd48b585e1e428006", 891),
+        "lower_a269cf358864.csv": ("b930694080654d3afa4fed2eec42732837e2e048b187536fd7c05d3f52f885dc", 248),
+        "lower_a269cf358864.json": ("ac8b476e612d86397a4b9986192648d805c4524032d8bfb1e212f243ed6aee87", 891),
     },
     100: {
-        "lower_59c07d62efa4.csv": ("93b897756f09d4bbd1f80c7d72199c95131af71a8ea1e607aeaa400f87343304", 231),
-        "lower_59c07d62efa4.json": ("3f390e60b8bce8b91fb450ce6aceb5e65591cc5b297e1c2ecbc527701c6c1467", 871),
+        "lower_1cd77c35754a.csv": ("206e09164421434a7e5d99681b0ad019f6bb96e99636b74b5a46cf5aa2ef7bb7", 231),
+        "lower_1cd77c35754a.json": ("5c427ce2ec8f9101ee113d9e09fc19d1741683bb69fe97cff3867b6df02a4629", 871),
     },
 }
 
@@ -449,7 +449,7 @@ def test_sweeps_pinned(name, d):
 
 # sha256 of the verify JSON for `verify --quick --seed 7` on criteria 5, 6, 7
 # and 14: growth oracle, radius bound, shell disjointness and the sweeps
-VERIFY_QUICK_SHA256 = "5025eae4e329e0ff53ca77f0021621885e49322abfc42bedf5e336df635c05d5"
+VERIFY_QUICK_SHA256 = "c5564818aae4c8aa22695028ca6e88904fe1e2903284ed6f1b00b72f5f0c9dcc"
 
 
 def test_verify_quick_growth_criteria_pinned(tmp_path, capsys):
@@ -467,7 +467,7 @@ def test_verify_quick_growth_criteria_pinned(tmp_path, capsys):
 # crossing, D(n, u) and FKG.  Several of them read the same V_n families:
 # c12's n = 8 and n = 12 runs are prefixes of c10's and c8's, and c10's n = 4
 # run is the glue-constant run of c9.  Criteria 3 and 9 fail at quick sizes.
-VERIFY_QUICK_MC_SHA256 = "5e728a548bd2e1e3d3cc86f2914a11874324ff8fd6c8fa910d9f1d9e8583adc6"
+VERIFY_QUICK_MC_SHA256 = "979654de13d7e611b4fa16b7d184c80422c326c3b5e84970688d7714a19913e2"
 
 
 def test_verify_quick_monte_carlo_criteria_pinned(tmp_path, capsys):
