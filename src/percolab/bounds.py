@@ -19,6 +19,7 @@ that evaluating every k exactly would pick, so the sweep returns the same
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
@@ -167,6 +168,26 @@ def triangular_tail(x: float, params: BoundParams) -> tuple[float, float]:
 # Generating-function step
 
 
+# exp(x) is a float for x up to this, about 709.78
+_EXP_MAX = math.log(sys.float_info.max)
+
+
+def _out_of_range(what: str, u: float, params: BoundParams) -> ValueError:
+    return ValueError(f"{what} leaves the float range at u = {u} (d = {params.d}, C2 = {params.C2})")
+
+
+def _ud_over_c2(u: float, params: BoundParams) -> float:
+    """u^d / C2, checked so that exp of it is a float."""
+    (c2v,) = params.require("C2")
+    try:
+        x = u**params.d / c2v
+    except OverflowError:
+        x = math.inf
+    if x > _EXP_MAX:
+        raise _out_of_range("exp(u^d / C2)", u, params)
+    return x
+
+
 def _gen_fn_series(u: float, params: BoundParams) -> float:
     """Two-piece series bound on E t^{|V_n|} after the substitution for t."""
     (c2v,) = params.require("C2")
@@ -175,33 +196,37 @@ def _gen_fn_series(u: float, params: BoundParams) -> float:
     a_over_d = params.alpha / params.d
     if not a_over_d < 1:
         raise AssertionError("series requires alpha < d")
+    cut = int(_ud_over_c2(u, params))
     ud = u**params.d
-    cut = int(ud / c2v)
     total = 1.0  # k = 0 term
-    for k in range(1, cut + 1):
-        total += (ud / (c2v * k)) ** k
-    k = cut + 1
-    while True:
-        term = (ud / k) ** ((1 - a_over_d) * k)
-        total += term
-        # terms may grow until k ~ u^d; only trust the cutoff past that point
-        if k > ud and term < 1e-16 * total:
-            break
-        if term == 0.0:
-            break
-        k += 1
-        if k > 10_000_000:
-            raise RuntimeError("series truncation failed to converge")
+    try:
+        for k in range(1, cut + 1):
+            total += (ud / (c2v * k)) ** k
+        k = cut + 1
+        while True:
+            term = (ud / k) ** ((1 - a_over_d) * k)
+            total += term
+            # terms may grow until k ~ u^d; only trust the cutoff past that point
+            if k > ud and term < 1e-16 * total:
+                break
+            if term == 0.0:
+                break
+            k += 1
+            if k > 10_000_000:
+                raise RuntimeError("series truncation failed to converge")
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise _out_of_range("the generating-function series", u, params)
     return total
 
 
 def fit_c9(params: BoundParams, n: int) -> float:
     """Max ratio of the series to exp(u^d / C2) over 25 even steps of u in [1, min(n, 6)]."""
-    (c2v,) = params.require("C2")
     grid = [1.0 + i * (min(n, 6.0) - 1.0) / 24.0 for i in range(25)]
     best = 0.0
     for u in grid:
-        ratio = _gen_fn_series(u, params) / math.exp(u**params.d / c2v)
+        ratio = _gen_fn_series(u, params) / math.exp(_ud_over_c2(u, params))
         best = max(best, ratio)
     return best
 
@@ -210,13 +235,13 @@ def generating_fn_bound(u: float, n: int, params: BoundParams) -> tuple[float, f
     """(series value, closed-form comparator C9 * exp(u^d / C2)).
 
     C9 is fitted as the max series/exponential ratio on the u-grid of ``fit_c9``;
-    the series is pi-free after the substitution.
+    the series is pi-free after the substitution.  Where exp(u^d / C2) or the
+    series leaves the float range, a ValueError names C2 and d.
     """
     if not 1 <= u <= n:
         raise ValueError("u must lie in [1, n]")
-    (c2v,) = params.require("C2")
     c9 = params.C9 if params.C9 is not None else fit_c9(params, n)
-    return _gen_fn_series(u, params), c9 * math.exp(u**params.d / c2v)
+    return _gen_fn_series(u, params), c9 * math.exp(_ud_over_c2(u, params))
 
 
 def fit_c10(params: BoundParams) -> float:

@@ -59,9 +59,9 @@ Kept buffers
 ------------
 A kernel reaches a worker pickled with each chunk, so arrays that outlive a
 call belong to the process: each thread keeps those of its replica-batch loop in
-one ``grid.Buffers``: raw words, open cells, the crop strip, its gather index
-and labels (a bond batch's element layout borrows the label buffer, dead until
-the batch is labeled).
+one ``grid.Buffers``: raw words, open cells, the crop strip and labels (a
+bond batch's element layout borrows the label buffer, dead until the batch is
+labeled).
 Each batch is sampled into them and read, and the next batch overwrites it.
 Every per-replica value is reduced into a new array, so no result aliases the
 buffers; calls that are not given them (``read_config``, the public sample and

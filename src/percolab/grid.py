@@ -35,9 +35,9 @@ crop) plus its separator spans an even number of columns, so each crop starts
 on a vertex column and the stride-2 vertex view skips the separators.  Label
 values of a strip are not numbered crop by crop, so ``largest_count`` reads
 stacked labels only.  ``StripCrops`` gathers a strip in which each replica
-has its own crop, out of K crops of one cell shape at fixed places: one
-``take`` reads every cell by its flat index, and a transposed crop is read
-with its axes swapped.
+has its own crop, out of K crops of one cell shape at fixed places: each
+strip row is a run of the replica's cells, a row segment of an upright crop
+or a column segment of a transposed one, read through a strided view.
 
 The replica-batch loop keeps its largest arrays across calls in a ``Buffers``
 and hands them to the sample and label layers; every caller that does not
@@ -224,25 +224,27 @@ class StripCrops:
 
     ``crops`` holds (site slices, transposed) pairs; a transposed crop is read
     with its axes swapped, so its cell (i, j) is cell (j, i) of its slices.
-    Cell (i, j) of crop k is the flat cell ``start[k] + i row_step[k] + j
-    col_step[k]`` of a grid of site ``shape``.
+    Row i of crop k is the run of w cells from flat cell ``row_start[i, k]``
+    of a grid of site ``shape``: consecutive cells, or cells one grid row
+    apart when the crop is transposed.
     """
 
     def __init__(self, lattice: LatticeSpec, shape: tuple[int, int], crops):
-        width = cell_shape(lattice, shape)[1]
-        starts, steps, shapes = [], [], set()
-        for sl, transposed in crops:
+        self.grid_width = cell_shape(lattice, shape)[1]
+        starts, transposed, shapes = [], [], set()
+        for sl, flip in crops:
             x, y = cell_slices(lattice, sl)
-            starts.append(x.start * width + y.start)
-            steps.append((1, width) if transposed else (width, 1))
+            starts.append(x.start * self.grid_width + y.start)
+            transposed.append(flip)
             extents = (x.stop - x.start, y.stop - y.start)
-            shapes.add(extents[::-1] if transposed else extents)
+            shapes.add(extents[::-1] if flip else extents)
         if len(shapes) != 1:
             raise ValueError(f"crops of one strip need one cell shape, got {sorted(shapes)}")
         ((self.h, self.w),) = shapes
-        self.start = np.array(starts, dtype=np.intp)
-        self.row_step, self.col_step = (np.array(s, dtype=np.intp) for s in zip(*steps))
-        for array in (self.start, self.row_step, self.col_step):
+        self.transposed = np.array(transposed, dtype=bool)
+        row_step = np.where(self.transposed, 1, self.grid_width)
+        self.row_start = np.array(starts, dtype=np.intp) + np.arange(self.h)[:, None] * row_step
+        for array in (self.transposed, self.row_start):
             array.flags.writeable = False
 
     def gather(
@@ -250,17 +252,21 @@ class StripCrops:
     ) -> np.ndarray:
         """The ``strip_cells`` strip of crop ``kinds[b]`` of grid ``replicas[b]`` of a (B, ...) stack.
 
-        One ``take`` copies every cell straight into the strip by its flat
-        index (with ``mode="clip"``, numpy writes into ``out`` unbuffered); the
-        separator columns read column 0 and are closed after it.
+        Each strip row is one run of the flat cells, read through a view
+        whose rows are the runs of one orientation: tall crops copy whole
+        row segments, transposed ones column segments.
         """
-        first = replicas * cells[0].size + self.start[kinds]
-        rows = first + np.arange(self.h)[:, None] * self.row_step[kinds]
-        columns = (np.arange(self.w + 1) % self.w) * self.col_step[kinds][:, None]
-        index = buffers.empty("strip_index", (self.h, len(replicas), self.w + 1), np.intp)
-        np.add(rows[:, :, None], columns, out=index)
-        strip = buffers.empty("strip", index.shape, bool)
-        np.take(cells, index, out=strip, mode="clip")
+        flat = cells.reshape(-1)
+        starts = self.row_start.take(kinds, axis=1)
+        starts += replicas * cells[0].size
+        strip = buffers.empty("strip", (self.h, len(replicas), self.w + 1), bool)
+        transposed = self.transposed[kinds]
+        for pick, step in ((~transposed, 1), (transposed, self.grid_width)):
+            pick = np.flatnonzero(pick)
+            if pick.size:
+                count = flat.size - (self.w - 1) * step  # the runs that fit in the stack
+                runs = np.ndarray((count, self.w), bool, flat, 0, (1, step))
+                strip[:, pick, : self.w] = runs[starts[:, pick]]
         strip[..., -1] = False
         return strip
 
@@ -295,11 +301,10 @@ def label_sites_batch(
 
 def _joined(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     """Per-sample: does a positive label of ``la`` recur in ``lb``? (B,) bool."""
-    top = int(la.max(initial=0))
-    flags = np.zeros(top + 2, dtype=bool)  # the last flag stands for every id above top
+    flags = np.zeros(int(la.max(initial=0)) + 2, dtype=bool)  # the last flag stands for every id above
     flags[la] = True
     flags[0] = False
-    hit = flags[np.minimum(lb, top + 1)]
+    hit = flags.take(lb, mode="clip")
     return hit.any(axis=tuple(range(1, hit.ndim)))
 
 

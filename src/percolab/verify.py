@@ -225,7 +225,11 @@ def _c4_quasi_mult(ctx: VerifyContext) -> Outcome:
 
     This criterion cannot fail at lab sizes, so it is no test of criticality:
     the full-profile max ratio is 1.11 at p = 1/2 and stays within 1.01-2.17
-    for p from 0.47 to 0.53.
+    for p from 0.47 to 0.53.  The reason is that an annulus of aspect 2 or 4
+    is almost always crossed at these scales: with 20,000 replicas,
+    pi(m, 2m) reads 0.9986-1.0000 for m = 1, ..., 64 and pi(m, 4m) reads
+    0.991-0.996 for m = 1, ..., 32, so every ratio over dyadic triples sits
+    near 1, far below the bound of 5.
     """
     pi = ctx.pi_table()
     ds = ctx.profile.dyadic_scales

@@ -377,3 +377,59 @@ def power_product_sweep(kmax, d):
         if fit > best:
             best, best_k = fit, k
     return best, best_k
+
+
+def dn_test_order(batch, blocks, per_axis, covers):
+    """D(n, u)'s rectangle test order by one uint16 row sum, then a column sum.
+
+    The kernel's reduction before its in-place block sums: keys are score * R
+    + index over the open cells of the two blocks each rectangle covers.
+    """
+    import numpy as np
+
+    b, k, n_rects = len(batch), per_axis, covers.shape[1]
+    region = batch[(slice(None),) + blocks]
+    side = region.shape[1] // k
+    rows = region.reshape(b, k, side, k * side).sum(axis=2, dtype=np.uint16)
+    open_cells = rows.reshape(b, k * k, side).sum(axis=2, dtype=np.int64)
+    keys = open_cells[:, covers[0]] + open_cells[:, covers[1]]
+    keys *= n_rects
+    keys += np.arange(n_rects)
+    keys.sort(axis=1)
+    keys %= n_rects
+    return keys
+
+
+def gluing_violations(raster, n, u, cells):
+    """(one-cluster, sum) violations of the gluing check on one configuration.
+
+    The check as the kernel ran it before its flat index arrays: every
+    cluster's extremes from ``find_objects`` in a loop over labels, and one
+    ``count_connected_to`` pass per n'v over whole-raster masks.
+    """
+    import numpy as np
+    from scipy import ndimage
+
+    from percolab import grid
+
+    lattice, np_ = raster.lattice, n // u
+    labels = grid.label_sites_batch(cells[None], lattice)[0]
+    ends = np.zeros((int(labels.max(initial=0)) + 1, labels.ndim, 2), dtype=np.int64)
+    for i, box in enumerate(ndimage.find_objects(labels), 1):
+        if box is not None:
+            ends[i] = [(s.start, s.stop - 1) for s in box]
+    arm_box = raster.box_slices((0,) * lattice.d, n - np_)
+    crop = labels[arm_box]
+    coords = np.meshgrid(*(np.arange(s.start, s.stop) for s in arm_box), indexing="ij")
+    reach = np.zeros(crop.shape, dtype=np.int64)
+    for a, w in enumerate(coords):
+        np.maximum(reach, ends[:, a, 1][crop] - w, out=reach)
+        np.maximum(reach, w - ends[:, a, 0][crop], out=reach)
+    viol_i = np.unique(crop[(crop > 0) & (reach >= 2 * np_ + 1)]).size > 1
+    total = 0
+    for vx in range(-(u - 1), u):
+        for vy in range(-(u - 1), u):
+            c = (np_ * vx, np_ * vy)
+            ring, box = raster.boundary_mask(c, 2 * np_), raster.box_mask(c, np_)
+            total += int(grid.count_connected_to(labels[None], ring, box)[0])
+    return viol_i, total > int(grid.largest_count(labels[None])[0])

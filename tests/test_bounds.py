@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -148,6 +149,22 @@ def test_generating_fn_increasing_and_comparator():
         last = val
     with pytest.raises(ValueError):
         generating_fn_bound(9.0, 8, p)
+
+
+@pytest.mark.parametrize(
+    ("params_", "u", "n", "what"),
+    [
+        (BoundParams(d=3, alpha=0.1, C2=0.1), 2.0, 5, "exp(u^d / C2)"),  # fit_c9 reaches u = 4.17
+        (BoundParams(d=50, alpha=0.1, C2=1.0), 1.5, 2, "exp(u^d / C2)"),  # u^d itself overflows
+        (BoundParams(d=6, alpha=0.5, C2=1000.0), 6.0, 6, "the generating-function series"),
+    ],
+)
+def test_generating_fn_out_of_float_range_names_c2_and_d(params_, u, n, what):
+    # each used to raise OverflowError; u^d / C2 past log(float max), or a series
+    # term past the float range, is a ValueError naming d and C2
+    pattern = rf"^{re.escape(what)} leaves the float range at u = .* \(d = {params_.d}, C2 = "
+    with pytest.raises(ValueError, match=pattern):
+        generating_fn_bound(u, n, params_)
 
 
 def test_markov_threshold_bound():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -417,6 +418,41 @@ def test_bounds_subcommand(tmp_path):
     doc = json.loads(next(out.glob("*.json")).read_text())
     assert doc["sweeps"]["kmax"] == 64
     assert doc["sweeps"]["multinomial_sup"] > 0
+
+
+def test_bounds_out_of_float_range_exits_2(tmp_path, capsys):
+    # exp(u^d / C2) at u = 4.17, d = 3, C2 = 0.1 is past the float range: it used
+    # to end in an OverflowError traceback from fit_c9
+    spec = write_spec(tmp_path, d=3, sizes=[5], bounds={"alpha": 0.1, "C2": 0.1})
+    out = tmp_path / "x"
+    assert main(["bounds", "--spec", str(spec), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)["error"]
+    assert "leaves the float range" in error and "d = 3" in error and "C2 = 0.1" in error
+    assert not out.exists()
+
+
+def test_bounds_grid_ends_in_a_file_or_one_error_line(tmp_path, capsys):
+    # no traceback anywhere on a grid over d, alpha, C2 and sizes; the u grid
+    # stops at n = max(sizes), so sizes below 4 run
+    grid = list(itertools.product((2, 3, 4), (0.1, 1.0, 1.9), (0.05, 0.1, 1.0, 10.0), (1, 2, 5, 8)))
+    overflowed = 0
+    for i, (d, alpha, c2, n) in enumerate(grid):
+        spec = write_spec(tmp_path, d=d, sizes=[n], bounds={"alpha": alpha, "C2": c2, "sweep_kmax": 8})
+        out = tmp_path / f"out{i}"
+        code = main(["bounds", "--spec", str(spec), "--out", str(out), "--format", "json"])
+        err = capsys.readouterr().err
+        if code == 0:
+            doc = json.loads(next(out.glob("*.json")).read_text())
+            assert [float(u) for u in doc["generating_fn_series"]] == [
+                1.0 + 0.25 * k for k in range(13) if 1.0 + 0.25 * k <= n
+            ]
+        else:
+            assert code == 2 and not out.exists(), (d, alpha, c2, n)
+            (line,) = err.splitlines()
+            assert "leaves the float range" in json.loads(line)["error"], (d, alpha, c2, n)
+            overflowed += 1
+    assert 0 < overflowed < len(grid)
 
 
 def test_lower_subcommand(tmp_path):

@@ -20,7 +20,9 @@ from percolab.estimators import (
     check_quasi_mult,
     estimate_pi,
     event_estimate,
+    _reader,
     fit_arm_exponent,
+    self_dual_widths,
     vn_sample,
     vn_statistics,
 )
@@ -32,6 +34,7 @@ from percolab.lattice import (
     box_sites,
     box_with_boundary,
     outer_boundary,
+    rect_region,
 )
 from percolab.sampler import derive_stream, open_cells_batch, sample_config
 
@@ -535,3 +538,35 @@ ZERO_SAMPLE_CALLS = {
 def test_zero_samples_raise_value_error(name):
     with pytest.raises(ValueError, match="at least one replica"):
         ZERO_SAMPLE_CALLS[name]()
+
+
+def _crossed_configurations(lattice, widths) -> tuple[int, int]:
+    """(crossed along axis 0, all): every configuration of the rectangle, read in one batch."""
+    region = rect_region((0, 0), widths)
+    mask = grid.cell_mask(lattice, region.mask)
+    free = mask.copy()
+    if not lattice.site_mode:
+        free[grid.vertex_cells(lattice)] = False  # vertex cells hold the carrier mask
+    index = np.flatnonzero(free)
+    configs = np.arange(2 ** index.size)
+    batch = np.repeat((mask & ~free).reshape(1, -1), configs.size, axis=0)
+    batch[:, index] = (configs[:, None] >> np.arange(index.size)) & 1
+    batch = batch.reshape((configs.size,) + mask.shape)
+    _, read = _reader(lattice, grid.BoxRaster(lattice, region), ("crossing", (0, 0), widths, 0))
+    return int(read(batch, grid.FRESH).sum()), configs.size
+
+
+@pytest.mark.parametrize(
+    ("lattice", "widths", "crossed", "total"),
+    [
+        (TRIANGULAR, self_dual_widths(TRIANGULAR, 4), 32_768, 2**16),
+        (Z2_BOND, self_dual_widths(Z2_BOND, 3), 65_536, 2**17),
+        (TRIANGULAR, (3, 2), 1_509, 2**12),
+        (Z2_BOND, (2, 2), 2_752, 2**12),
+    ],
+    ids=["tri-self-dual", "z2bond-self-dual", "tri-off-by-one", "z2bond-off-by-one"],
+)
+def test_self_dual_rectangles_are_crossed_by_exactly_half(lattice, widths, crossed, total):
+    # exact anchors of self_dual_widths and the crossing reader: every
+    # configuration enumerated, no statistics; a width off by one is not half
+    assert _crossed_configurations(lattice, widths) == (crossed, total)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from handbuilt import config_from_sites
-from oracles import bond_components, cluster_extremes, connected_sets
+from oracles import bond_components, cluster_extremes, connected_sets, dn_test_order, gluing_violations
 
 from percolab import clusters, grid
 from percolab import lowerbound as L
@@ -14,7 +14,7 @@ from percolab.bounds import BoundParams
 from percolab.estimators import TAG_DN, PiRow, PiTable, _observe, family_seed, vn_sample
 from percolab.lattice import TRIANGULAR, Z2_BOND, box_with_boundary, rect_region
 from percolab.parallel import run_counters
-from percolab.sampler import Config, derive_stream, sample_config
+from percolab.sampler import Config, derive_stream, open_cells_batch, sample_config
 
 
 def tri_config(radius, p, seed):
@@ -209,16 +209,24 @@ def _spy_crop_labels(monkeypatch) -> list:
 
 
 def test_dn_kernel_labels_every_rectangle_in_order(monkeypatch):
-    # at p = 1 every score ties, so each step labels one rectangle of _dn_rects
-    # for every replica, in its order; crop k gathers that rectangle's cells
+    # at p = 1 every score ties, so each replica's crops follow _dn_rects; 10
+    # survivors fill a strip of at least STRIP_CROPS crops with 2 rectangles
+    # each, and crop k gathers rectangle k's cells
     calls = _spy_crop_labels(monkeypatch)
     d, _, _ = dn_flags(1.0, 8, 2, family_seed(5, TAG_DN, 8, 2), 10)
     raster = grid.BoxRaster(TRIANGULAR, box_with_boundary(TRIANGULAR, 16))
     cells = np.random.default_rng(5).random(raster.shape) < 0.5
     rects = L._dn_rects(8, 2, 2)
-    assert len(calls) == len(rects)
-    for k, ((crops, (replicas, kinds), rows), (corner, widths, axis)) in enumerate(zip(calls, rects)):
-        assert rows == 10 and replicas.tolist() == list(range(10)) and kinds.tolist() == [k] * 10
+    width = -(-L.STRIP_CROPS // 10)
+    assert len(calls) == -(-len(rects) // width)
+    seen = {b: [] for b in range(10)}
+    for crops, (replicas, kinds), rows in calls:
+        assert rows == len(replicas) == len(kinds) == 10 * width
+        for b, k in zip(replicas.tolist(), kinds.tolist()):
+            seen[b].append(k)
+    assert all(order == list(range(len(rects))) for order in seen.values())
+    crops = calls[0][0]
+    for k, (corner, widths, axis) in enumerate(rects):
         want = cells[raster.rect_slices(corner, widths)]
         got = crops.gather(cells[None], np.array([0]), np.array([k]))[:, 0, :-1]
         assert np.array_equal(got, want.T if axis == 1 else want), k
@@ -227,7 +235,8 @@ def test_dn_kernel_labels_every_rectangle_in_order(monkeypatch):
 
 def test_dn_kernel_labels_the_sparsest_rectangle_first(monkeypatch):
     # all open but the last rectangle of _dn_rects, closed save one corner: it
-    # scores lowest, fails, and is the only rectangle labelled
+    # scores lowest and fails, so it is the first crop of the only strip, which
+    # holds the replica's STRIP_CROPS sparsest rectangles
     carrier = box_with_boundary(TRIANGULAR, 16)
     corner, widths, _ = L._dn_rects(8, 2, 2)[-1]
     closed = set(rect_region(corner, widths)) - {corner}
@@ -235,18 +244,59 @@ def test_dn_kernel_labels_the_sparsest_rectangle_first(monkeypatch):
     calls = _spy_crop_labels(monkeypatch)
     assert L.dn_event(cfg, 8, 2) is False
     [(_, (replicas, kinds), rows)] = calls
-    assert (replicas.tolist(), kinds.tolist(), rows) == ([0], [49], 1)
+    assert (replicas.tolist(), rows) == ([0] * L.STRIP_CROPS, L.STRIP_CROPS)
+    assert kinds[0] == 49
 
 
 def test_dn_kernel_rectangle_labelling_count(monkeypatch):
     # the test order decides how many rectangles a failing attempt labels: 14,420
-    # row-major, 12,091 in parity-spread order, 5,064 sparsest-first
+    # row-major, 12,091 in parity-spread order, 5,064 sparsest-first one per
+    # survivor and step, 5,263 in strips of at least STRIP_CROPS crops
     calls = _spy_crop_labels(monkeypatch)
     d, _, _ = dn_flags(0.5, 32, 2, family_seed(5, TAG_DN, 32, 2), 2000)
     labelled = sum(rows for *_, rows in calls)
-    assert labelled == 5_064
+    assert labelled == 5_263
     assert labelled <= 12_091 // 2
     assert not d.any()
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
+@pytest.mark.parametrize(("n", "u"), [(32, 2), (9, 3)])
+def test_dn_test_order_matches_the_row_sum_reference(lattice, n, u):
+    # in-place block sums in a narrow dtype give the keys of one uint16 row sum
+    carrier = box_with_boundary(lattice, 2 * n)
+    geometry = L._dn_geometry(grid.BoxRaster(lattice, carrier), n, u)
+    streams = [derive_stream(93, i) for i in range(12)]
+    batches = [open_cells_batch(lattice, carrier.mask, p, streams) for p in (0.2, 0.5, 0.8)]
+    batches += [np.ones_like(batches[0]), np.zeros_like(batches[0])]
+    for batch in batches:
+        want = dn_test_order(batch, geometry.blocks, geometry.per_axis, geometry.covers)
+        assert np.array_equal(L._test_order(batch, geometry), want)
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
+def test_gluing_violations_match_the_reference(lattice):
+    # on 50 configurations where D(8, 2) holds, and on 60 at lower p where both
+    # flags take both values (D need not hold for the check to read them)
+    n, u = 8, 2
+    carrier = box_with_boundary(lattice, 2 * n)
+    raster = grid.BoxRaster(lattice, carrier)
+    geometry = L._dn_geometry(raster, n, u)
+    fam = family_seed(11, TAG_DN, n, u)
+    d, viol_i, viol_ii = dn_flags(0.6, n, u, fam, 600, lattice)
+    held = np.flatnonzero(d)[:50].tolist()
+    assert len(held) == 50
+    configs = [(sample_config(lattice, carrier, 0.6, derive_stream(fam, i)), i) for i in held]
+    configs += [(sample_config(lattice, carrier, p, derive_stream(3, i)), None)
+                for p in (0.45, 0.5, 0.55) for i in range(20)]
+    got = []
+    for cfg, attempt in configs:
+        flags = L._gluing_violations(lattice, geometry, cfg.cells[None])
+        assert flags == gluing_violations(raster, n, u, cfg.cells)
+        if attempt is not None:
+            assert flags == (viol_i[attempt], viol_ii[attempt])
+        got.append(flags)
+    assert {f[0] for f in got} == {f[1] for f in got} == {False, True}
 
 
 def test_dn_event_monotone_under_opening():
@@ -293,20 +343,23 @@ def test_dn_kernel_matches_single_config_api():
 
 @pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
 def test_cluster_extremes_match_scatter_oracle(lattice):
-    # bond labels are the stride-2 vertex view of the decorated cell labels
+    # bond labels are the stride-2 vertex view of the decorated cell labels; the
+    # extremes are asked for a subset of the labels, as the check asks for the
+    # labels of box(n - n')
     carrier = box_with_boundary(lattice, 12)
     for i in range(10):
         cfg = sample_config(lattice, carrier, 0.5, derive_stream(43, i))
         labels = grid.label_sites_batch(cfg.cells[None], lattice)[0]
         present = np.unique(labels[labels > 0])
-        assert present.size > 1
-        got, want = L._cluster_extremes(labels), cluster_extremes(labels)
-        for (lo, hi), (want_lo, want_hi) in zip(got, want, strict=True):
-            assert len(lo) == len(want_lo) == labels.max() + 1
-            assert np.array_equal(lo[present], want_lo[present])
-            assert np.array_equal(hi[present], want_hi[present])
+        assert present.size > 2
+        for asked in (present, present[1::2]):
+            got, want = L._cluster_extremes(labels, asked), cluster_extremes(labels)
+            for (lo, hi), (want_lo, want_hi) in zip(got, want, strict=True):
+                assert np.array_equal(lo, want_lo[asked])
+                assert np.array_equal(hi, want_hi[asked])
     empty = np.zeros((5, 5), dtype=np.int32)
-    assert [(len(lo), len(hi)) for lo, hi in L._cluster_extremes(empty)] == [(1, 1)] * 2
+    none = np.zeros(0, dtype=np.int32)
+    assert [(len(lo), len(hi)) for lo, hi in L._cluster_extremes(empty, none)] == [(0, 0)] * 2
     assert [(len(lo), len(hi)) for lo, hi in cluster_extremes(empty)] == [(1, 1)] * 2
 
 
