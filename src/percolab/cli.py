@@ -179,12 +179,21 @@ class ExperimentSpec:
         return asdict(self)
 
     def lattice_spec(self) -> LatticeSpec:
+        if self.lattice == LatticeKind.TRIANGULAR_SITE.value and self.d != 2:
+            raise ValueError(f"d must be 2 on lattice {self.lattice}, got {self.d}")
         return LatticeSpec(LatticeKind(self.lattice), self.d)
 
     def effective_p(self) -> float:
         if self.p is not None:
             return self.p
         return estimators.default_p(self.lattice_spec())
+
+
+def _distinct(name: str, values: list) -> None:
+    """Raise naming the first item of the list ``name`` that repeats an earlier one."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"{name}[{i}] must be distinct from {name}[{values.index(v)}], got {v!r}")
 
 
 def _load_spec(args) -> tuple[ExperimentSpec, str]:
@@ -210,7 +219,14 @@ def _emit(args, spec_digest: str, stem: str, header, rows, payload: dict) -> Non
 def _cmd_pi(args) -> int:
     spec, digest = _load_spec(args)
     lattice, p = spec.lattice_spec(), spec.effective_p()
-    scales = [tuple(s) for s in _opt(spec.pi, "scales", [[1, n] for n in spec.sizes])]
+    if spec.pi.get("scales") is None:
+        _distinct("sizes", spec.sizes)  # one row (1, n) per size
+    scales = _opt(spec.pi, "scales", [[1, n] for n in spec.sizes])
+    for i, (m, n) in enumerate(scales):
+        if m > n:
+            raise ValueError(f"pi.scales[{i}] must be a pair [m, n] with m <= n, got {[m, n]}")
+    _distinct("pi.scales", scales)
+    scales = [tuple(s) for s in scales]
     table = build_pi_table(lattice, p, scales, spec.samples, spec.master_seed, spec.workers)
     rows = reports.pi_table_rows(table)
     payload = {"pi_table": [dict(zip(reports.PI_HEADER, r)) for r in rows]}
@@ -332,6 +348,8 @@ def _cmd_blob(args) -> int:
 def _cmd_bounds(args) -> int:
     spec, digest = _load_spec(args)
     cfg = spec.bounds
+    if spec.d != 2 and cfg.get("alpha") is None:
+        raise ValueError(f"bounds.alpha must be given at d = {spec.d}; the default is the d = 2 exponent")
     params = BoundParams(
         d=spec.d,
         alpha=_opt(cfg, "alpha", float(bounds.ONE_ARM_EXPONENT) if spec.d == 2 else None),

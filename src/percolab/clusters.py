@@ -121,4 +121,5 @@ def connected_in(config: Config, s: Region, a: Region, b: Region) -> bool:
     mask = _carrier_part(config, s)
     lab = _labels_on_mask(config, mask)
     frame = config.region.origin, config.region.shape
-    return bool(grid.connect_through(lab, a.mask_in(*frame) & mask, b.mask_in(*frame) & mask)[0])
+    ends = [np.nonzero(a.mask_in(*frame) & mask), np.nonzero(b.mask_in(*frame) & mask)]
+    return bool(grid.connect_through(lab, ends, [(0, 1)])[0, 0])

@@ -49,11 +49,19 @@ two events of an FKG check the box of the larger one plus boundary.
 The V_n family at n is one family with two observables, and ``vn_sample``
 labels only those its caller reads: V_n alone skips the crops, C_1 alone
 skips the whole-carrier labeling.  Both read replica i off the same
-configuration, so separate calls agree with one call for both.  Replicas
-are sampled in batches of about ``BATCH_CELLS`` labelled cells (decorated
-cells on bond lattices, about four per site), so a batch's memory does not
-depend on the lattice; no reduction reads across replicas, so batching never
-enters a result.
+configuration, so separate calls agree with one call for both.
+
+Replicas are sampled in batches within one byte budget, ``BATCH_BYTES`` (8 MB),
+over what a batch keeps.  Per replica that is its sampled cells at 1 byte each
+(decorated cells on bond lattices, about four per site) plus 4 bytes of int32
+label for each cell of its readers' largest labelling call: the whole carrier
+for arm rows and V_n, the box(n) crop for C_1, the rectangle for a crossing and
+one rectangle for D(n, u).  Each reader states that count beside its
+reduction.  A batch holds at most 256 replicas: V_n with C_1 on z_bond at
+n = 32 holds 23 (5 bytes for each of 68,121 cells), the arm table at N = 128
+on the triangular lattice 23, C_1 alone at n = 64 there 59, and crossings and
+D(32, 2) 256.  No reduction reads across replicas, so batching never enters a
+result.
 
 Kept buffers
 ------------
@@ -66,8 +74,8 @@ Each batch is sampled into them and read, and the next batch overwrites it.
 Every per-replica value is reduced into a new array, so no result aliases the
 buffers; calls that are not given them (``read_config``, the public sample and
 label functions) allocate fresh arrays.  The buffers grow to the largest batch
-within ``BATCH_CELLS``.  A raster beyond it runs one replica per batch on fresh
-arrays, freed as it finishes, so a large call leaves nothing behind.
+within ``BATCH_BYTES``.  A replica beyond it runs alone on fresh arrays, freed
+as it finishes, so a large call leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -84,7 +92,7 @@ from . import grid
 from .bounds import scale_floor
 from .lattice import LatticeKind, LatticeSpec, box_with_boundary, rect_region
 from .parallel import run_counters, shifted
-from .sampler import Config, derive_stream, open_cells_batch
+from .sampler import Config, derive_stream, derive_streams, open_cells_batch
 
 TAG_PI = 0x501
 TAG_VN = 0x502
@@ -208,8 +216,9 @@ class PiTable:
 # ---------------------------------------------------------------------------
 # The Monte Carlo kernel (top level: picklable for worker processes)
 
-#: Cells one replica batch labels (decorated cells on bond lattices).
-BATCH_CELLS = 4_000_000
+#: Bytes one replica batch keeps: per replica, its sampled cells (1 byte each)
+#: and the int32 labels of the most cells one of its readers labels in one call.
+BATCH_BYTES = 8_000_000
 
 _local = threading.local()  # this thread's kept replica-batch buffers
 
@@ -223,22 +232,23 @@ def _kept_buffers() -> grid.Buffers:
 
 def _replica_batches(
     lattice: LatticeSpec, carrier_mask: np.ndarray, p: float, fam: int, start: int, stop: int,
-    buffers: grid.Buffers = grid.FRESH,
+    size: int, buffers: grid.Buffers = grid.FRESH,
 ) -> Iterator[np.ndarray]:
-    """The open cells of each batch of replicas [start, stop), in replica order.
+    """The open cells of each batch of ``size`` replicas of [start, stop), in replica order.
 
-    A batch holds about ``BATCH_CELLS`` cells (at most 256 replicas), so its
-    labels take about 4 bytes per cell.  Each batch is sampled into ``buffers``,
-    so kept buffers hold one batch at a time.
+    Each batch is sampled into ``buffers``, so kept buffers hold one batch at a time.
     """
-    size = max(1, min(256, BATCH_CELLS // _cells(lattice, carrier_mask.shape)))
     for lo in range(start, stop, size):
-        seeds = [derive_stream(fam, i) for i in range(lo, min(lo + size, stop))]
+        seeds = derive_streams(fam, lo, min(lo + size, stop))
         yield open_cells_batch(lattice, carrier_mask, p, seeds, buffers)
 
 
 def _cells(lattice: LatticeSpec, shape: tuple[int, ...]) -> int:
     return math.prod(grid.cell_shape(lattice, shape))
+
+
+def _slice_cells(lattice: LatticeSpec, slices: tuple[slice, ...]) -> int:
+    return _cells(lattice, tuple(s.stop - s.start for s in slices))
 
 
 def _crop_labels(
@@ -267,47 +277,44 @@ def _crop_labels(
 
 @lru_cache(maxsize=64)
 def _reader(lattice: LatticeSpec, raster: grid.BoxRaster, observable: tuple):
-    """(reads the carrier labels, per-batch reduction) of one observable.
+    """(reads the carrier labels, per-batch reduction, cells labelled per replica) of an observable.
 
+    The cell count is that of the largest labelling call per replica, which
+    the batch budget pays for: the whole carrier, a C_1 box or one rectangle.
     ``observable`` is a tuple of ints (and tuples of them), so readers are
     cached per process: the kernel asks for them on every chunk and
     ``read_config`` on every configuration, and each is built once.  The
-    masks a cached reader holds are read-only.
+    masks and index arrays a cached reader holds are read-only.
     """
     kind, *args = observable
     center = (0,) * lattice.d
+    carrier = _cells(lattice, raster.shape)
     if kind == "arm":
         (pairs,) = args
-        rings = {r: raster.boundary_mask(center, r) for r in {r for pair in pairs for r in pair}}
-        on_rings = np.logical_or.reduce(list(rings.values()))
-        ring = {r: mask[on_rings] for r, mask in rings.items()}  # over the gathered ring sites
-        for mask in (on_rings, *ring.values()):
-            mask.flags.writeable = False
-
-        def arm(labels):
-            gathered = labels[:, on_rings]
-            rows = [grid.connect_through(gathered, ring[m], ring[n]) for m, n in pairs]
-            return np.stack(rows, axis=1)
-
-        return True, arm
+        radii = sorted({r for pair in pairs for r in pair})
+        rings = [np.nonzero(raster.boundary_mask(center, r)) for r in radii]  # site index of each ring
+        for array in (a for ring in rings for a in ring):
+            array.flags.writeable = False
+        ring_pairs = [(radii.index(m), radii.index(n)) for m, n in pairs]
+        return True, lambda labels: grid.connect_through(labels, rings, ring_pairs), carrier
     if kind == "vn":
         outer, inner = raster.boundary_mask(center, 2 * args[0]), raster.box_mask(center, args[0])
         outer.flags.writeable = inner.flags.writeable = False
-        return True, lambda labels: grid.count_connected_to(labels, outer, inner)
+        return True, lambda labels: grid.count_connected_to(labels, outer, inner), carrier
     if kind == "c1":
         box = raster.box_slices(center, args[0])
         return False, lambda batch, buffers: grid.largest_count(
             _crop_labels(lattice, batch, box, buffers=buffers)
-        )
+        ), _slice_cells(lattice, box)
     if kind == "dn":
         from .lowerbound import _dn_reader  # lowerbound imports this module
 
-        return False, _dn_reader(lattice, raster, *args)
+        return (False, *_dn_reader(lattice, raster, *args))
     corner, widths, axis = args  # "crossing"
     rect = raster.rect_slices(corner, widths)
     return False, lambda batch, buffers: grid.crossing(
         _crop_labels(lattice, batch, rect, strip=True, buffers=buffers), axis
-    )
+    ), _slice_cells(lattice, rect)
 
 
 def _read_batch(
@@ -319,26 +326,34 @@ def _read_batch(
     the whole-carrier readers are done before the first crop is labeled.
     """
     values = [None] * len(readers)
-    if any(whole for whole, _ in readers):
+    if any(whole for whole, *_ in readers):
         labels = grid.label_sites_batch(batch, lattice, buffers.empty("labels", batch.shape, np.int32))
-        values = [read(labels) if whole else None for whole, read in readers]
+        values = [read(labels) if whole else None for whole, read, _ in readers]
         del labels  # fresh carrier labels are freed before any crop is labeled
-    return [value if whole else read(batch, buffers) for value, (whole, read) in zip(values, readers)]
+    return [value if whole else read(batch, buffers) for value, (whole, read, _) in zip(values, readers)]
+
+
+def _replica_bytes(lattice: LatticeSpec, carrier, readers: list) -> int:
+    """Bytes a replica keeps in a batch: its cells, and int32 labels of its readers' largest call."""
+    return _cells(lattice, carrier.shape) + 4 * max(cells for *_, cells in readers)
 
 
 def _observe(task, start: int, stop: int) -> tuple[np.ndarray, ...]:
     """One per-replica array per observable, all read off the same replicas of the carrier.
 
-    Batches within ``BATCH_CELLS`` run on this thread's kept buffers; a single
-    replica of a larger raster runs on fresh arrays, which are freed after it.
+    A replica keeps its carrier's cells and the labels of its readers' largest
+    labelling call; batches hold as many replicas as fit in ``BATCH_BYTES``
+    (at most 256) and run on this thread's kept buffers.  A replica beyond the
+    budget runs alone on fresh arrays, which are freed after it.
     """
     lattice, p, carrier, observables, fam = task
     raster = grid.BoxRaster(lattice, carrier)
     readers = [_reader(lattice, raster, obs) for obs in observables]
-    fits = _cells(lattice, carrier.shape) <= BATCH_CELLS
-    buffers = _kept_buffers() if fits else grid.FRESH
+    kept = _replica_bytes(lattice, carrier, readers)
+    size = max(1, min(256, BATCH_BYTES // kept))
+    buffers = _kept_buffers() if kept <= BATCH_BYTES else grid.FRESH
     parts = [[] for _ in readers]
-    for batch in _replica_batches(lattice, carrier.mask, p, fam, start, stop, buffers):
+    for batch in _replica_batches(lattice, carrier.mask, p, fam, start, stop, size, buffers):
         for part, values in zip(parts, _read_batch(lattice, readers, batch, buffers)):
             part.append(values)
         del batch  # on fresh arrays, a batch is freed before the next is sampled

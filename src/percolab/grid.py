@@ -299,18 +299,39 @@ def label_sites_batch(
 # Per-sample reductions on batch labels
 
 
-def _joined(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """Per-sample: does a positive label of ``la`` recur in ``lb``? (B,) bool."""
+def _flags(la: np.ndarray) -> np.ndarray:
+    """Lookup over label values: True for the positive labels of ``la``."""
     flags = np.zeros(int(la.max(initial=0)) + 2, dtype=bool)  # the last flag stands for every id above
     flags[la] = True
     flags[0] = False
+    return flags
+
+
+def _hits(flags: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """Per-sample: does a flagged label occur in ``lb``? (B,) bool."""
     hit = flags.take(lb, mode="clip")
     return hit.any(axis=tuple(range(1, hit.ndim)))
 
 
-def connect_through(labels: np.ndarray, mask_a: np.ndarray, mask_b: np.ndarray) -> np.ndarray:
-    """Per-sample: does some cluster touch both masks? (B,) bool."""
-    return _joined(labels[:, mask_a], labels[:, mask_b])
+def _joined(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """Per-sample: does a positive label of ``la`` recur in ``lb``? (B,) bool."""
+    return _hits(_flags(la), lb)
+
+
+def connect_through(labels: np.ndarray, sites, pairs) -> np.ndarray:
+    """Per sample and pair (a, b): does some cluster touch ``sites[a]`` and ``sites[b]``?
+
+    (B, len(pairs)) bool.  ``sites[i]`` indexes a site set as ``np.nonzero``
+    of its mask does.  Each set's labels are gathered once, and the first set
+    of a pair flags its clusters once for all of its pairs: label values are
+    unique per sample, so one flag table serves the whole batch.
+    """
+    gathered = {i: labels[(slice(None), *sites[i])] for i in {i for pair in pairs for i in pair}}
+    flags = {a: _flags(gathered[a]) for a in {a for a, _ in pairs}}
+    out = np.empty((len(labels), len(pairs)), dtype=bool)
+    for j, (a, b) in enumerate(pairs):
+        out[:, j] = _hits(flags[a], gathered[b])
+    return out
 
 
 def crossing(labels: np.ndarray, axis: int) -> np.ndarray:

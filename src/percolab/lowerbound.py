@@ -441,7 +441,10 @@ STRIP_CROPS = 16
 
 
 def _dn_reader(lattice: LatticeSpec, raster: grid.BoxRaster, n: int, u: int):
-    """The batch reduction of ``("dn", n, u)``: D holds, then (where it does) each violation."""
+    """(batch reduction, cells of one rectangle) of ``("dn", n, u)``.
+
+    The reduction gives D holds, then (where it does) each violation.
+    """
     geometry = _dn_geometry(raster, n, u)
 
     def read(batch: np.ndarray, buffers: grid.Buffers) -> np.ndarray:
@@ -460,7 +463,7 @@ def _dn_reader(lattice: LatticeSpec, raster: grid.BoxRaster, n: int, u: int):
             flags[j] = (True, *_gluing_violations(lattice, geometry, batch[j : j + 1]))
         return flags
 
-    return read
+    return read, geometry.rects.h * geometry.rects.w
 
 
 def _dn_kernel(lattice: LatticeSpec, p: float, n: int, u: int, master_seed: int):

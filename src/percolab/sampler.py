@@ -27,8 +27,10 @@ copy per axis.
 Randomness
 ----------
 Replica seeds come from ``derive_stream`` (the SplitMix64 sequence of the
-master seed, a platform-independent bijective 64-bit mix).  Each configuration
-reads the stream of ``numpy.random.Generator(numpy.random.Philox(key=seed))``:
+master seed, a platform-independent bijective 64-bit mix); ``derive_streams``
+computes a range of them at once in numpy uint64, bit for bit the same.  Each
+configuration reads the stream of
+``numpy.random.Generator(numpy.random.Philox(key=seed))``:
 one block of uniform doubles compared against ``p``, or, when ``p == 0.5``
 exactly, one block of uint8 draws expanded to bits (bit ``k`` of the stream is
 element ``k``, MSB-first within each byte).  numpy's ``Philox`` is the
@@ -72,6 +74,24 @@ def derive_stream(master_seed: int, replica_index: int) -> int:
     x ^= x >> 27
     x = (x * 0x94D049BB133111EB) & _MASK64
     x ^= x >> 31
+    return x
+
+
+def derive_streams(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """``derive_stream(master_seed, i)`` for i in [start, stop), as uint64 in one pass.
+
+    The SplitMix64 mix in numpy uint64, whose arithmetic wraps mod 2**64.
+    """
+    if start < 0:
+        raise ValueError("replica_index must be >= 0")
+    x = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    x *= np.uint64(_GAMMA)
+    x += np.uint64(master_seed & _MASK64)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
     return x
 
 

@@ -433,3 +433,26 @@ def gluing_violations(raster, n, u, cells):
             ring, box = raster.boundary_mask(c, 2 * np_), raster.box_mask(c, np_)
             total += int(grid.count_connected_to(labels[None], ring, box)[0])
     return viol_i, total > int(grid.largest_count(labels[None])[0])
+
+
+def arm_rows_per_pair(labels, rings, pairs):
+    """(B, pairs) arm rows, one flag table and two ring gathers per pair (m, n).
+
+    The arm reduction as the kernel ran it before ``grid.connect_through``
+    took every pair in one call: gather the union of the rings ``rings[r]``
+    once, then per pair flag the labels on ring m and look up those on ring n.
+    """
+    import numpy as np
+
+    on_rings = np.logical_or.reduce(list(rings.values()))
+    ring = {r: mask[on_rings] for r, mask in rings.items()}
+    gathered = labels[:, on_rings]
+    rows = []
+    for m, n in pairs:
+        la, lb = gathered[:, ring[m]], gathered[:, ring[n]]
+        flags = np.zeros(int(la.max(initial=0)) + 2, dtype=bool)
+        flags[la] = True
+        flags[0] = False
+        hit = flags.take(lb, mode="clip")
+        rows.append(hit.any(axis=tuple(range(1, hit.ndim))))
+    return np.stack(rows, axis=1)

@@ -171,6 +171,13 @@ INF, NAN = float("inf"), float("nan")
         ("bounds", {"bounds": {"C2": INF}}, "bounds.C2"),
         ("bounds", {"bounds": {"alpha": -INF}}, "bounds.alpha"),
         ("pi", {"p": NAN}, "p"),
+        # schema-valid specs that the library used to reject without naming a key
+        ("bounds", {"lattice": "z_bond", "d": 3}, "bounds.alpha"),
+        ("pi", {"pi": {"scales": [[8, 1]]}}, "pi.scales[0]"),
+        ("pi", {"pi": {"scales": [[1, 4], [2, 4], [1, 4]]}}, "pi.scales[2]"),
+        ("pi", {"sizes": [7, 8, 7]}, "sizes[2]"),
+        ("pi", {"lattice": "triangular_site", "d": 3}, "d"),
+        ("tail", {"lattice": "triangular_site", "d": 3}, "d"),
     ],
 )
 def test_spec_domain_errors_name_the_key(tmp_path, capsys, command, override, key):

@@ -9,6 +9,7 @@ import oracles
 import pytest
 
 from oracles import exact_connect_probability, site_components
+from percolab import clusters
 from percolab import estimators as E
 from percolab import grid
 from percolab import lowerbound as L
@@ -31,6 +32,7 @@ from percolab.lattice import (
     Z2_BOND,
     LatticeKind,
     LatticeSpec,
+    Region,
     box_sites,
     box_with_boundary,
     outer_boundary,
@@ -113,9 +115,10 @@ def confined_arm_events(lattice, p, fam, samples) -> dict:
     for n in range(2, ARM_N + 1):
         confined = raster.box_mask(center, n) | raster.boundary_mask(center, n)
         labels = grid.label_sites_batch(batch & grid.cell_mask(lattice, confined), lattice)
-        outer = raster.boundary_mask(center, n)
+        rings = [np.nonzero(raster.boundary_mask(center, r)) for r in range(1, n + 1)]
+        rows = grid.connect_through(labels, rings, [(m - 1, n - 1) for m in range(1, n)])
         for m in range(1, n):
-            out[(m, n)] = grid.connect_through(labels, raster.boundary_mask(center, m), outer)
+            out[(m, n)] = rows[:, m - 1]
     return out
 
 
@@ -167,14 +170,53 @@ def test_arm_and_vn_need_no_confinement(name):
         )
         for m in range(1, r):
             inner = raster.boundary_mask(center, m)
-            want = grid.connect_through(confined, inner, outer)
-            assert grid.connect_through(whole, inner, outer).tolist() == want.tolist(), (m, r)
-            arms.update(want.tolist())
+            ends = [np.nonzero(inner), np.nonzero(outer)]
+            want = grid.connect_through(confined, ends, [(0, 1)])
+            assert grid.connect_through(whole, ends, [(0, 1)]).tolist() == want.tolist(), (m, r)
+            arms.update(want[:, 0].tolist())
         if r % 2 == 0:
             box = raster.box_mask(center, r // 2)
             want = grid.count_connected_to(confined, outer, box)
             assert grid.count_connected_to(whole, outer, box).tolist() == want.tolist(), r
     assert arms == {False, True} and merged > 0
+
+
+# pair sets whose pairs share inner radii, list a ring as both inner and outer
+# radius, come in any order, or repeat a pair
+ARM_PAIR_SETS = (
+    ARM_PAIRS,
+    ((4, 8), (2, 4), (1, 4), (4, 12), (8, 12), (1, 12)),
+    ((3, 5), (3, 5), (1, 2)),
+)
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
+@pytest.mark.parametrize("p", [0.4, 0.5])
+def test_arm_rows_match_the_per_pair_oracle(lattice, p):
+    # one connect_through call reads every row; the oracle flags and gathers
+    # per pair.  z_bond labels are the stride-2 vertex view of the cell labels
+    carrier = box_with_boundary(lattice, ARM_N)
+    raster = grid.BoxRaster(lattice, carrier)
+    seeds = [derive_stream(E.family_seed(271, E.TAG_PI, ARM_N), i) for i in range(40)]
+    labels = grid.label_sites_batch(open_cells_batch(lattice, carrier.mask, p, seeds), lattice)
+    assert labels.flags.c_contiguous == lattice.site_mode
+    center = (0,) * lattice.d
+    rings = {r: raster.boundary_mask(center, r) for r in range(1, ARM_N + 1)}
+    seen = set()
+    for pairs in ARM_PAIR_SETS:
+        want = oracles.arm_rows_per_pair(labels, rings, pairs)
+        (_, read, _) = _reader(lattice, raster, ("arm", pairs))
+        assert np.array_equal(read(labels), want), pairs
+        seen.update(want.ravel().tolist())
+    assert seen == {False, True}
+    # connected_in reads the pair (m, n) of one configuration through the same call
+    regions = {r: Region(raster.origin, mask) for r, mask in rings.items()}
+    pairs = ARM_PAIR_SETS[1]
+    want = oracles.arm_rows_per_pair(labels, rings, pairs)
+    for i in range(0, 40, 4):
+        config = sample_config(lattice, carrier, p, seeds[i])
+        got = [clusters.connected_in(config, carrier, regions[m], regions[n]) for m, n in pairs]
+        assert got == want[i].tolist(), i
 
 
 def test_pi_table_outer_rows_match_estimate_pi():
@@ -217,19 +259,57 @@ BATCH_TASK_OBSERVABLES = (
 )
 
 
-@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
-def test_observe_is_batch_invariant(lattice, monkeypatch):
+def _spy_batches(monkeypatch) -> list:
+    """(size asked, replicas sampled) of each batch ``_observe`` samples."""
+    seen = []
+    batches = E._replica_batches
+
+    def spy(*args):
+        for batch in batches(*args):
+            seen.append((args[6], len(batch)))
+            yield batch
+
+    monkeypatch.setattr(E, "_replica_batches", spy)
+    return seen
+
+
+# (lattice, p, carrier, observables): every observable kind on one carrier, and
+# the z_bond V_n/C_1 family and self-dual crossing on their own carriers
+BATCH_TASKS = {
+    "tri": (TRIANGULAR, 0.6, box_with_boundary(TRIANGULAR, 16), BATCH_TASK_OBSERVABLES),
+    "z2bond": (Z2_BOND, 0.6, box_with_boundary(Z2_BOND, 16), BATCH_TASK_OBSERVABLES),
+    "z2bond-vn-c1": (Z2_BOND, 0.5, box_with_boundary(Z2_BOND, 16), (("vn", 8), ("c1", 8))),
+    "z2bond-crossing": (Z2_BOND, 0.5, rect_region((0, 0), (8, 7)), (("crossing", (0, 0), (8, 7), 0),)),
+}
+
+
+@pytest.mark.parametrize("budget", ["beyond", "three", "default"])
+@pytest.mark.parametrize("name", sorted(BATCH_TASKS))
+def test_observe_is_batch_invariant(name, budget, monkeypatch):
     # replica i is the same configuration in any batch, and no reduction reads
-    # across replicas: 1-replica batches give the same arrays as the default
-    task = (lattice, 0.6, box_with_boundary(lattice, 16), BATCH_TASK_OBSERVABLES, 4242)
-    default = E._observe(task, 3, 43)
-    monkeypatch.setattr(E, "BATCH_CELLS", 1)
-    assert [len(b) for b in E._replica_batches(lattice, task[2].mask, 0.6, 4242, 3, 6)] == [1, 1, 1]
-    single = E._observe(task, 3, 43)
-    for want, got in zip(default, single):
-        assert want.dtype == got.dtype and np.array_equal(want, got)
-    assert 0 < default[3].sum() < 40 and len(set(default[2].tolist())) > 5
-    assert 0 < default[4][:, 0].sum() < 40
+    # across replicas: batches of one replica on fresh arrays (a budget below
+    # one replica), of three on kept buffers, or of the default size all give
+    # the arrays read off each replica alone
+    lattice, p, carrier, observables = BATCH_TASKS[name]
+    task = (lattice, p, carrier, observables, 4242)
+    raster = grid.BoxRaster(lattice, carrier)
+    kept = E._replica_bytes(lattice, carrier, [E._reader(lattice, raster, obs) for obs in observables])
+    bytes_, size = {
+        "beyond": (kept - 1, 1), "three": (4 * kept - 1, 3), "default": (E.BATCH_BYTES, 256)
+    }[budget]
+    monkeypatch.setattr(E, "BATCH_BYTES", bytes_)
+    seen = _spy_batches(monkeypatch)
+    got = E._observe(task, 3, 43)
+    assert seen[0][0] == size and [n for _, n in seen] == [min(size, 40 - i) for i in range(0, 40, size)]
+    configs = [sample_config(lattice, carrier, p, derive_stream(4242, i)) for i in range(3, 43)]
+    for obs, values in zip(observables, got):
+        want = np.array([E.read_config(config, obs) for config in configs])
+        assert values.dtype == want.dtype and np.array_equal(values, want), obs
+    if observables == BATCH_TASK_OBSERVABLES:
+        assert 0 < got[3].sum() < 40 and len(set(got[2].tolist())) > 5
+        assert 0 < got[4][:, 0].sum() < 40
+    else:
+        assert all(len(np.unique(values)) > 1 for values in got)  # no observable is constant
 
 
 def _held_arrays(obj):
@@ -285,28 +365,43 @@ def test_observables_of_events_and_crossings_are_hashable():
     assert E.estimate_crossing(TRIANGULAR, 0.5, [6, 5], 0, 50, 3) == want
 
 
-def test_replica_batches_hold_the_cell_budget():
-    # a bond batch labels the decorated grid, about 4x the carrier's sites;
-    # site batches hold BATCH_CELLS // sites replicas as before
-    def size(lattice, n):
-        mask = box_with_boundary(lattice, n).mask
-        return len(next(E._replica_batches(lattice, mask, 0.5, 1, 0, 10_000)))
+def test_replica_batches_hold_the_cell_budget(monkeypatch):
+    # a replica keeps its carrier's cells (1 byte each) and the int32 labels of
+    # its largest labelling call: the whole carrier for V_n and arm rows, box(n)
+    # for C_1, one rectangle for a crossing or D(n, u).  Sizing by carrier cells
+    # (BATCH_CELLS = 4,000,000) gave 58, 59, 233, 256 and 59 replicas
+    seen = _spy_batches(monkeypatch)
 
-    assert size(Z2_BOND, 64) == E.BATCH_CELLS // 261**2 == 58
-    assert size(TRIANGULAR, 64) == E.BATCH_CELLS // 131**2 == 233
-    assert size(TRIANGULAR, 4) == 256
+    def size(lattice, carrier, *observables):
+        seen.clear()
+        E._observe((lattice, 0.5, carrier, observables, 1), 0, 1)
+        return seen[0][0]
+
+    bond, tri = box_with_boundary(Z2_BOND, 64), box_with_boundary(TRIANGULAR, 128)
+    assert E.BATCH_BYTES == 8_000_000
+    assert size(Z2_BOND, bond, ("vn", 32), ("c1", 32)) == E.BATCH_BYTES // (5 * 261**2) == 23
+    assert size(Z2_BOND, bond, ("c1", 32)) == E.BATCH_BYTES // (261**2 + 4 * 129**2) == 59
+    assert size(TRIANGULAR, tri, ("arm", ((1, 8), (64, 128)))) == E.BATCH_BYTES // (5 * 259**2) == 23
+    assert size(TRIANGULAR, box_with_boundary(TRIANGULAR, 64), ("dn", 32, 2)) == 256
+    assert size(Z2_BOND, rect_region((0, 0), (32, 31)), ("crossing", (0, 0), (32, 31), 0)) == 256
+    assert size(TRIANGULAR, tri, ("c1", 64)) == E.BATCH_BYTES // (259**2 + 4 * 129**2) == 59
+
+
+# what a V_n batch allocates besides the budget: the sampler's unpacked bits
+# (1 byte per element, about 0.8 MB at 23 replicas) and the reductions' gathers
+BATCH_SLACK = 2_000_000
 
 
 def test_vn_sample_memory_follows_the_cell_budget():
-    # a batch holds about BATCH_CELLS cells (1 byte) and their labels (4 bytes);
-    # budgeting by sites held 233 replicas of 68,121 cells, about 84 MB
+    # a batch keeps about BATCH_BYTES; sizing by carrier cells held 58 replicas
+    # of 68,121 cells, a 23 MB peak under a bound of 28 MB
     tracemalloc.start()
     try:
         vn_sample(Z2_BOND, 0.5, 32, 300, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * E.BATCH_CELLS + 8_000_000
+    assert peak < E.BATCH_BYTES + BATCH_SLACK
 
 
 def test_vn_sample_labels_only_what_it_reads():
@@ -552,7 +647,7 @@ def _crossed_configurations(lattice, widths) -> tuple[int, int]:
     batch = np.repeat((mask & ~free).reshape(1, -1), configs.size, axis=0)
     batch[:, index] = (configs[:, None] >> np.arange(index.size)) & 1
     batch = batch.reshape((configs.size,) + mask.shape)
-    _, read = _reader(lattice, grid.BoxRaster(lattice, region), ("crossing", (0, 0), widths, 0))
+    _, read, _ = _reader(lattice, grid.BoxRaster(lattice, region), ("crossing", (0, 0), widths, 0))
     return int(read(batch, grid.FRESH).sum()), configs.size
 
 

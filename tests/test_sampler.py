@@ -20,6 +20,7 @@ from percolab.sampler import (
     Config,
     _bits_batch,
     derive_stream,
+    derive_streams,
     edge_open_batch,
     open_cells_batch,
     sample_config,
@@ -74,6 +75,31 @@ def test_derive_stream_stability_and_validation():
     assert derive_stream(5, 0) == derive_stream(5, 0)
     with pytest.raises(ValueError):
         derive_stream(5, -1)
+
+
+@pytest.mark.parametrize("master", [0, 2**64 - 1, 0x2545F4914F6CDD1D, -1])
+def test_derive_streams_equal_derive_stream(master):
+    # the replica-batch loop derives its seeds in numpy uint64, whose products
+    # and sums wrap mod 2**64 as the masked Python integers do
+    got = derive_streams(master, 0, 10**6)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [derive_stream(master, i) for i in range(10**6)]
+    near = 2**40
+    assert derive_streams(master, near - 500, near + 500).tolist() == [
+        derive_stream(master, i) for i in range(near - 500, near + 500)
+    ]
+
+
+def test_derive_streams_random_masters_and_ranges():
+    rng = np.random.default_rng(25)
+    for master in rng.integers(0, 2**64, size=20, dtype=np.uint64).tolist():
+        start = int(rng.integers(0, 2**62))
+        assert derive_streams(master, start, start + 300).tolist() == [
+            derive_stream(master, i) for i in range(start, start + 300)
+        ]
+    assert derive_streams(3, 7, 7).size == 0
+    with pytest.raises(ValueError):
+        derive_streams(5, -1, 3)
 
 
 def test_distinct_masters_decorrelated():
