@@ -77,8 +77,8 @@ def long_arm_set(config: Config, n: int) -> Region:
     raster = config.raster
     center = (0,) * config.lattice.d
     lab = _labels_on_mask(config, mask)
-    flags = grid.seed_flags(lab, raster.boundary_mask(center, 2 * n))
-    return Region(raster.origin, flags[lab[0]] & raster.box_mask(center, n))
+    flags = grid._flags(lab[:, raster.boundary_mask(center, 2 * n)])
+    return Region(raster.origin, flags.take(lab[0], mode="clip") & raster.box_mask(center, n))
 
 
 def arm_event(config: Config, m: int, n: int) -> bool:

@@ -298,8 +298,10 @@ def _reader(lattice: LatticeSpec, raster: grid.BoxRaster, observable: tuple):
         ring_pairs = [(radii.index(m), radii.index(n)) for m, n in pairs]
         return True, lambda labels: grid.connect_through(labels, rings, ring_pairs), carrier
     if kind == "vn":
-        outer, inner = raster.boundary_mask(center, 2 * args[0]), raster.box_mask(center, args[0])
-        outer.flags.writeable = inner.flags.writeable = False
+        outer = np.nonzero(raster.boundary_mask(center, 2 * args[0]))  # site index of the ring
+        inner = np.nonzero(raster.box_mask(center, args[0]))
+        for array in (*outer, *inner):
+            array.flags.writeable = False
         return True, lambda labels: grid.count_connected_to(labels, outer, inner), carrier
     if kind == "c1":
         box = raster.box_slices(center, args[0])

@@ -340,17 +340,13 @@ def crossing(labels: np.ndarray, axis: int) -> np.ndarray:
     return _joined(labels[first + (0,)], labels[first + (-1,)])
 
 
-def seed_flags(labels: np.ndarray, seed_mask: np.ndarray) -> np.ndarray:
-    """Lookup over label values: True where the cluster meets ``seed_mask``."""
-    flags = np.zeros(int(labels.max(initial=0)) + 1, dtype=bool)
-    flags[labels[:, seed_mask]] = True
-    flags[0] = False
-    return flags
+def count_connected_to(labels: np.ndarray, seeds, sites) -> np.ndarray:
+    """Per-sample count of ``sites`` sharing a cluster with ``seeds``.
 
-
-def count_connected_to(labels: np.ndarray, seed_mask: np.ndarray, count_mask: np.ndarray) -> np.ndarray:
-    """Per-sample count of sites in ``count_mask`` sharing a cluster with ``seed_mask``."""
-    return seed_flags(labels, seed_mask)[labels[:, count_mask]].sum(axis=1).astype(np.int64)
+    Both index a site set as ``np.nonzero`` of its mask does.
+    """
+    flags = _flags(labels[(slice(None), *seeds)])
+    return flags.take(labels[(slice(None), *sites)], mode="clip").sum(axis=1, dtype=np.int64)
 
 
 def largest_count(labels: np.ndarray) -> np.ndarray:

@@ -336,7 +336,8 @@ class _DnGeometry:
     arm_coords: np.ndarray  # raster index of each arm site, one row per axis
     arm_reach: int  # 2n' + 1
     local: np.ndarray  # per n'v, one row: flat index of the ring of box(2n'), then of box(n')
-    ring: np.ndarray  # mask of the ring part of a row of ``local``
+    ring: tuple[np.ndarray]  # the ring part of a row of ``local``, as ``np.nonzero`` indexes it
+    box: tuple[np.ndarray]  # its box part
 
 
 def _dn_geometry(raster: grid.BoxRaster, n: int, u: int) -> _DnGeometry:
@@ -360,11 +361,11 @@ def _dn_geometry(raster: grid.BoxRaster, n: int, u: int) -> _DnGeometry:
             c = (np_ * vx, np_ * vy)
             ring = np.flatnonzero(raster.boundary_mask(c, 2 * np_))
             local.append(np.concatenate([ring, np.flatnonzero(raster.box_mask(c, np_))]))
-    ring = np.arange(len(local[0])) < len(ring)
+    ring, box = (np.arange(len(ring)),), (np.arange(len(ring), len(local[0])),)
     local = np.array(local)
-    for array in (covers, arm_sites, arm_coords, local, ring):
+    for array in (covers, arm_sites, arm_coords, local, *ring, *box):
         array.flags.writeable = False
-    return _DnGeometry(crops, blocks, k, covers, arm_sites, arm_coords, 2 * np_ + 1, local, ring)
+    return _DnGeometry(crops, blocks, k, covers, arm_sites, arm_coords, 2 * np_ + 1, local, ring, box)
 
 
 def _test_order(batch: np.ndarray, geometry: _DnGeometry) -> np.ndarray:
@@ -417,7 +418,7 @@ def _gluing_violations(
     local = flat[geometry.local].astype(np.int64)
     ids = int(labels.max(initial=0)) + 1
     local += (local > 0) * np.arange(0, len(local) * ids, ids)[:, None]
-    total = int(grid.count_connected_to(local, geometry.ring, ~geometry.ring).sum())
+    total = int(grid.count_connected_to(local, geometry.ring, geometry.box).sum())
     viol_ii = total > int(grid.largest_count(labels[None])[0])
     return viol_i, viol_ii
 

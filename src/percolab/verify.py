@@ -1,15 +1,17 @@
 """Acceptance suite: a table of checkable criteria, deterministic outputs.
 
-``_CRITERIA`` names each criterion once, with its index and its function.  A
-criterion returns ``(passed, detail, data)`` and only ``run_criterion`` builds
-the ``CriterionResult``.  ``data`` is JSON-stable (a pure function of the
-master seed), so a verify run writes byte-identical result files for any
-worker count.  What the CLI computes as well comes from the same library
-functions: the self-dual rectangles (``estimators.self_dual_widths``), the
-upper-tail thresholds and their pi rows (``estimators.upper_tail`` and
-``tail_scales``), and the result files (``reports.write_results``).
-Criterion 9's conditioned gluing check is implemented literally; see the
-package README for the measured behaviour of that construction.
+``_CRITERIA`` names each criterion once, with its index, its function and the
+lattice it samples at p_c, or None (criterion 13 samples both).  A criterion
+returns ``(passed, detail, data)`` and only ``run_criterion`` builds the
+``CriterionResult``.  The context keys its pi tables and V_n families by
+(lattice, p).  ``data`` is JSON-stable (a pure function of the master seed), so
+a verify run writes byte-identical result files for any worker count.  What the
+CLI computes as well comes from the same library functions: the self-dual
+rectangles (``estimators.self_dual_widths``), the upper-tail thresholds and
+their pi rows (``estimators.upper_tail`` and ``tail_scales``), and the result
+files (``reports.write_results``).  Criterion 9's conditioned gluing check is
+implemented literally; see the package README for the measured behaviour of
+that construction.
 
 Both profiles share the settings that do not scale with sample size: the
 growth oracles draw k from 1..16 points per instance, criteria 8 and 9 use
@@ -20,8 +22,8 @@ fits the moments k = 1..5, and criterion 15 compares runs at 1 and 8 workers.
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ GLUE_U = 2
 TAIL_US = (1.0, 1.5, 2.0, 3.0)
 MOMENT_KS = (1, 2, 3, 4, 5)
 DETERMINISM_WORKERS = (1, 8)
+SELF_DUAL_CROSSING = 0.5  # a self-dual rectangle's crossing probability at p_c
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ QUICK = VerifyProfile(
     moment_samples=400,
     bfs_configs=60,
     sweep_kmax=400,
-    determinism_criteria=(),
+    determinism_criteria=(1, 5, 14),
 )
 
 
@@ -120,15 +123,13 @@ class VerifyContext:
     master_seed: int
     workers: int = 1
     profile: VerifyProfile = FULL
-    lattice: LatticeSpec = TRIANGULAR
-    p: float = 0.5
-    _pi: PiTable | None = field(default=None, repr=False)
-    _vn: dict[tuple[int, str], np.ndarray] = field(default_factory=dict, repr=False)
+    _pi: dict[tuple[LatticeSpec, float], PiTable] = field(default_factory=dict, repr=False)
+    _vn: dict[tuple[LatticeSpec, float, int, str], np.ndarray] = field(default_factory=dict, repr=False)
 
-    def pi_table(self) -> PiTable:
-        """Shared arm-probability table covering every scale the suite needs."""
-        if self._pi is not None:
-            return self._pi
+    def pi_table(self, lattice: LatticeSpec, p: float) -> PiTable:
+        """Shared arm-probability table at (lattice, p) covering every scale the suite needs."""
+        if (lattice, p) in self._pi:
+            return self._pi[(lattice, p)]
         prof = self.profile
         scales: set[tuple[int, int]] = {(1, s) for s in prof.arm_scales}
         for n in prof.vn_check_ns:
@@ -144,34 +145,37 @@ class VerifyContext:
         for i, m in enumerate(ds):
             for n in ds[i + 1:]:
                 scales.add((m, n))
-        self._pi = build_pi_table(
-            self.lattice, self.p, sorted(scales), prof.pi_samples, self.master_seed, self.workers
+        table = self._pi[(lattice, p)] = build_pi_table(
+            lattice, p, sorted(scales), prof.pi_samples, self.master_seed, self.workers
         )
-        return self._pi
+        return table
 
-    def vn_sample(self, n: int, samples: int, reads: tuple[str, ...]) -> estimators.VnSample:
-        """Replicas [0, samples) of the V_n family at scale n, for the observables in ``reads``.
+    def vn_sample(
+        self, lattice: LatticeSpec, p: float, n: int, samples: int, reads: tuple[str, ...]
+    ) -> estimators.VnSample:
+        """Replicas [0, samples) of the V_n family at (lattice, p) and scale n, for ``reads``.
 
-        Each (n, observable) is labelled once per run: a shorter request reads
-        a prefix of the cached array, and a longer one labels only the missing
-        replicas, the observables missing the same range in one kernel call.
-        Replica i is the same configuration in every call, so no result
-        depends on criterion order or on which observables were read first.
+        Each (lattice, p, n, observable) is labelled once per run: a shorter
+        request reads a prefix of the cached array, and a longer one labels
+        only the missing replicas, the observables missing the same range in
+        one kernel call.  Replica i is the same configuration in every call,
+        so no result depends on criterion order or on which observables were
+        read first.
         """
         missing: dict[int, list[str]] = {}
         for kind in reads:
-            have = len(self._vn.get((n, kind), ()))
+            have = len(self._vn.get((lattice, p, n, kind), ()))
             if have < samples:
                 missing.setdefault(have, []).append(kind)
         for start, kinds in missing.items():
             more = estimators.vn_sample(
-                self.lattice, self.p, n, samples - start, self.master_seed, self.workers, start, kinds
+                lattice, p, n, samples - start, self.master_seed, self.workers, start, kinds
             )
             for kind in kinds:
-                have = self._vn.get((n, kind), np.zeros(0, dtype=np.int64))
-                self._vn[(n, kind)] = np.concatenate((have, getattr(more, kind)))
+                have = self._vn.get((lattice, p, n, kind), np.zeros(0, dtype=np.int64))
+                self._vn[(lattice, p, n, kind)] = np.concatenate((have, getattr(more, kind)))
         return estimators.VnSample(
-            self.lattice, n, **{kind: self._vn[(n, kind)][:samples] for kind in reads}
+            lattice, n, **{kind: self._vn[(lattice, p, n, kind)][:samples] for kind in reads}
         )
 
     def growth_instances(self) -> list[tuple[tuple, ...]]:
@@ -192,14 +196,14 @@ class VerifyContext:
 # Criteria
 
 
-def _self_dual_crossing(lattice: LatticeSpec, ctx: VerifyContext) -> Outcome:
+def _self_dual_crossing(ctx: VerifyContext, lattice: LatticeSpec, p: float) -> Outcome:
     """Criteria 1 and 2: the self-dual rectangle at ``crossing_n`` has crossing probability 1/2."""
     n = ctx.profile.crossing_n
     est = estimators.estimate_crossing(
-        lattice, 0.5, estimators.self_dual_widths(lattice, n), 0,
+        lattice, p, estimators.self_dual_widths(lattice, n), 0,
         ctx.profile.crossing_samples, ctx.master_seed, ctx.workers,
     )
-    dev = abs(est.point - 0.5)
+    dev = abs(est.point - SELF_DUAL_CROSSING)
     ok = dev <= 3 * est.stderr
     return (
         ok,
@@ -208,9 +212,8 @@ def _self_dual_crossing(lattice: LatticeSpec, ctx: VerifyContext) -> Outcome:
     )
 
 
-def _c3_arm_exponent(ctx: VerifyContext) -> Outcome:
-    pi = ctx.pi_table()
-    alpha, se = fit_arm_exponent(pi, list(ctx.profile.arm_scales))
+def _c3_arm_exponent(ctx: VerifyContext, lattice: LatticeSpec, p: float) -> Outcome:
+    alpha, se = fit_arm_exponent(ctx.pi_table(lattice, p), list(ctx.profile.arm_scales))
     lo, hi = 0.05, 0.20
     ok = lo <= alpha <= hi
     return (
@@ -220,7 +223,7 @@ def _c3_arm_exponent(ctx: VerifyContext) -> Outcome:
     )
 
 
-def _c4_quasi_mult(ctx: VerifyContext) -> Outcome:
+def _c4_quasi_mult(ctx: VerifyContext, lattice: LatticeSpec, p: float) -> Outcome:
     """Largest ratio pi(k,l) pi(l,m) / pi(k,m) over dyadic triples, against a bound of 5.
 
     This criterion cannot fail at lab sizes, so it is no test of criticality:
@@ -231,7 +234,6 @@ def _c4_quasi_mult(ctx: VerifyContext) -> Outcome:
     0.991-0.996 for m = 1, ..., 32, so every ratio over dyadic triples sits
     near 1, far below the bound of 5.
     """
-    pi = ctx.pi_table()
     ds = ctx.profile.dyadic_scales
     triples = [
         (k, l, m)
@@ -239,7 +241,7 @@ def _c4_quasi_mult(ctx: VerifyContext) -> Outcome:
         for j, l in enumerate(ds[i:], start=i)
         for m in ds[j:]
     ]
-    report = check_quasi_mult(pi, triples)
+    report = check_quasi_mult(ctx.pi_table(lattice, p), triples)
     ok = math.isfinite(report.max_ratio) and report.max_ratio <= 5.0
     worst = report.worst()
     return (
@@ -272,7 +274,7 @@ def _mst_radii_oracle(points: tuple[tuple, ...]) -> list[int]:
     return sorted(lengths)
 
 
-def _c5_growth_oracle(ctx: VerifyContext) -> Outcome:
+def _c5_growth_oracle(ctx: VerifyContext, *_) -> Outcome:
     mismatches = 0
     for pts in ctx.growth_instances():
         mine = sorted(growth.merge_radii(pts).elements())
@@ -286,7 +288,7 @@ def _c5_growth_oracle(ctx: VerifyContext) -> Outcome:
     )
 
 
-def _c6_radius_bound(ctx: VerifyContext) -> Outcome:
+def _c6_radius_bound(ctx: VerifyContext, *_) -> Outcome:
     n = ctx.profile.oracle_box
     violations = 0
     equalities = 0
@@ -302,7 +304,7 @@ def _c6_radius_bound(ctx: VerifyContext) -> Outcome:
     )
 
 
-def _c7_shell_disjoint(ctx: VerifyContext) -> Outcome:
+def _c7_shell_disjoint(ctx: VerifyContext, *_) -> Outcome:
     n = ctx.profile.oracle_box
     overlaps = 0
     side = 2 * (2 * n + 1) + 1
@@ -325,11 +327,11 @@ def _c7_shell_disjoint(ctx: VerifyContext) -> Outcome:
     )
 
 
-def _c8_upper_tail_shape(ctx: VerifyContext) -> Outcome:
+def _c8_upper_tail_shape(ctx: VerifyContext, lattice: LatticeSpec, p: float) -> Outcome:
     prof = ctx.profile
-    pi = ctx.pi_table()
+    pi = ctx.pi_table(lattice, p)
     n = prof.tail_n
-    c1 = ctx.vn_sample(n, prof.tail_samples, ("c1",)).c1
+    c1 = ctx.vn_sample(lattice, p, n, prof.tail_samples, ("c1",)).c1
     thresholds, ests = map(list, zip(*estimators.upper_tail(c1, n, TAIL_US, pi)))
     points = [e.point for e in ests]
     strictly_down = all(a > b for a, b in zip(points, points[1:]))
@@ -353,13 +355,13 @@ def _c8_upper_tail_shape(ctx: VerifyContext) -> Outcome:
     )
 
 
-def _c9_lower_tail_construction(ctx: VerifyContext) -> Outcome:
+def _c9_lower_tail_construction(ctx: VerifyContext, lattice: LatticeSpec, p: float) -> Outcome:
     prof = ctx.profile
     npr = prof.glue_n // GLUE_U
     construction = lowerbound.lower_construction(
-        ctx.p, GLUE_U, ctx.pi_table(),
-        ctx.vn_sample(npr, prof.constant_samples, ("vn",)),
-        ctx.vn_sample(prof.glue_n, prof.tail_samples, ("c1",)),
+        p, GLUE_U, ctx.pi_table(lattice, p),
+        ctx.vn_sample(lattice, p, npr, prof.constant_samples, ("vn",)),
+        ctx.vn_sample(lattice, p, prof.glue_n, prof.tail_samples, ("c1",)),
         ctx.master_seed, ctx.workers, lowerbound.C12_GRID,
         conditioned=prof.glue_target,
         stop_after_violations=prof.glue_stop_violations,
@@ -397,13 +399,13 @@ def _c9_lower_tail_construction(ctx: VerifyContext) -> Outcome:
     )
 
 
-def _c10_mean_vn_floor(ctx: VerifyContext) -> Outcome:
+def _c10_mean_vn_floor(ctx: VerifyContext, lattice: LatticeSpec, p: float) -> Outcome:
     prof = ctx.profile
-    pi = ctx.pi_table()
     rows = []
     ok = True
     for n in prof.vn_check_ns:
-        rep = lowerbound.vn_lower_constants(ctx.vn_sample(n, prof.constant_samples, ("vn",)), pi)
+        vn = ctx.vn_sample(lattice, p, n, prof.constant_samples, ("vn",))
+        rep = lowerbound.vn_lower_constants(vn, ctx.pi_table(lattice, p))
         ok &= rep.mean_ok
         rows.append(
             {
@@ -442,14 +444,14 @@ def _fkg_catalog(n: int) -> list[tuple[EventSpec, EventSpec]]:
     ]
 
 
-def _c11_fkg(ctx: VerifyContext) -> Outcome:
+def _c11_fkg(ctx: VerifyContext, lattice: LatticeSpec, p: float) -> Outcome:
     prof = ctx.profile
     n = min(16, prof.tail_n)
     rows = []
     ok = True
     for ev_a, ev_b in _fkg_catalog(n):
         res = lowerbound.fkg_check(
-            ctx.lattice, ctx.p, ev_a, ev_b, prof.fkg_samples, ctx.master_seed, ctx.workers
+            lattice, p, ev_a, ev_b, prof.fkg_samples, ctx.master_seed, ctx.workers
         )
         ok &= res.z >= -3.0
         rows.append(
@@ -465,12 +467,12 @@ def _c11_fkg(ctx: VerifyContext) -> Outcome:
     return ok, f"min_z={zmin:.2f} over {len(rows)} pairs", {"rows": rows}
 
 
-def _c12_moment_stability(ctx: VerifyContext) -> Outcome:
+def _c12_moment_stability(ctx: VerifyContext, lattice: LatticeSpec, p: float) -> Outcome:
     prof = ctx.profile
-    pi = ctx.pi_table()
+    pi = ctx.pi_table(lattice, p)
     fits = {}
     for n in prof.moment_ns:
-        vn = ctx.vn_sample(n, prof.moment_samples, ("vn",)).vn
+        vn = ctx.vn_sample(lattice, p, n, prof.moment_samples, ("vn",)).vn
         best = 0.0
         for k in MOMENT_KS:
             mom = estimators.binomial_sums(vn, k)[0] / prof.moment_samples
@@ -536,7 +538,7 @@ def _bfs_labels(config: Config, region: Region) -> np.ndarray:
     return lab
 
 
-def _c13_bfs_oracle(ctx: VerifyContext) -> Outcome:
+def _c13_bfs_oracle(ctx: VerifyContext, *_) -> Outcome:
     prof = ctx.profile
     rng = rng_for(estimators.family_seed(ctx.master_seed, TAG_BFS))
     mismatches = 0
@@ -546,7 +548,7 @@ def _c13_bfs_oracle(ctx: VerifyContext) -> Outcome:
         h = int(rng.integers(7, 64))
         region = rect_region((0, 0), (w, h))
         seed = derive_stream(estimators.family_seed(ctx.master_seed, TAG_BFS), i)
-        config = sample_config(lattice, region, 0.5, seed)
+        config = sample_config(lattice, region, estimators.default_p(lattice), seed)
         mine = clusters.label_clusters(config, region)
         ours = _canonical_partition(mine.label_grid)
         oracle = _canonical_partition(_bfs_labels(config, region))
@@ -578,7 +580,7 @@ def _independent_series(u: float, params: BoundParams, terms: int = 4000) -> flo
     return math.fsum(sorted(vals))
 
 
-def _c14_bound_numerics(ctx: VerifyContext) -> Outcome:
+def _c14_bound_numerics(ctx: VerifyContext, *_) -> Outcome:
     params = BoundParams(d=2, alpha=float(bounds.ONE_ARM_EXPONENT), C2=1.0)
     checks = {}
     ok = True
@@ -608,15 +610,12 @@ def _c14_bound_numerics(ctx: VerifyContext) -> Outcome:
     return ok, f"series_ok mult_sup={sup_mult:.3f} pow_sup={sup_pow:.3f}", checks
 
 
-def _c15_determinism(ctx: VerifyContext) -> Outcome:
-    import tempfile
-
-    prof = ctx.profile
-    indices = prof.determinism_criteria or (1, 5, 14)
+def _c15_determinism(ctx: VerifyContext, *_) -> Outcome:
+    indices = ctx.profile.determinism_criteria
     blobs_bytes = []
     for workers in DETERMINISM_WORKERS:
         with tempfile.TemporaryDirectory() as tmp:
-            sub = VerifyContext(ctx.master_seed, workers, QUICK, ctx.lattice, ctx.p)
+            sub = VerifyContext(ctx.master_seed, workers, QUICK)
             results = [run_criterion(i, sub) for i in indices]
             files = write_results(Path(tmp), results, "determinism-check", "both")
             blobs_bytes.append({f.name: f.read_bytes() for f in files})
@@ -629,21 +628,21 @@ def _c15_determinism(ctx: VerifyContext) -> Outcome:
 
 
 _CRITERIA = {
-    1: ("bond-self-dual-crossing", partial(_self_dual_crossing, Z2_BOND)),
-    2: ("triangular-self-dual-crossing", partial(_self_dual_crossing, TRIANGULAR)),
-    3: ("arm-exponent-window", _c3_arm_exponent),
-    4: ("quasi-multiplicativity", _c4_quasi_mult),
-    5: ("single-linkage-mst-oracle", _c5_growth_oracle),
-    6: ("ordered-radius-bound", _c6_radius_bound),
-    7: ("shell-disjointness", _c7_shell_disjoint),
-    8: ("upper-tail-shape", _c8_upper_tail_shape),
-    9: ("lower-tail-construction", _c9_lower_tail_construction),
-    10: ("mean-long-arm-floor", _c10_mean_vn_floor),
-    11: ("fkg-positive-association", _c11_fkg),
-    12: ("moment-constant-stability", _c12_moment_stability),
-    13: ("cluster-labels-vs-bfs", _c13_bfs_oracle),
-    14: ("bound-kit-numerics", _c14_bound_numerics),
-    15: ("worker-count-determinism", _c15_determinism),
+    1: ("bond-self-dual-crossing", _self_dual_crossing, Z2_BOND),
+    2: ("triangular-self-dual-crossing", _self_dual_crossing, TRIANGULAR),
+    3: ("arm-exponent-window", _c3_arm_exponent, TRIANGULAR),
+    4: ("quasi-multiplicativity", _c4_quasi_mult, TRIANGULAR),
+    5: ("single-linkage-mst-oracle", _c5_growth_oracle, None),
+    6: ("ordered-radius-bound", _c6_radius_bound, None),
+    7: ("shell-disjointness", _c7_shell_disjoint, None),
+    8: ("upper-tail-shape", _c8_upper_tail_shape, TRIANGULAR),
+    9: ("lower-tail-construction", _c9_lower_tail_construction, TRIANGULAR),
+    10: ("mean-long-arm-floor", _c10_mean_vn_floor, TRIANGULAR),
+    11: ("fkg-positive-association", _c11_fkg, TRIANGULAR),
+    12: ("moment-constant-stability", _c12_moment_stability, TRIANGULAR),
+    13: ("cluster-labels-vs-bfs", _c13_bfs_oracle, None),
+    14: ("bound-kit-numerics", _c14_bound_numerics, None),
+    15: ("worker-count-determinism", _c15_determinism, None),
 }
 
 
@@ -660,8 +659,9 @@ def check_criteria(name: str, indices) -> None:
 def run_criterion(index: int, ctx: VerifyContext) -> CriterionResult:
     if index not in _CRITERIA:
         raise ValueError(f"no criterion {index}")
-    name, criterion = _CRITERIA[index]
-    return CriterionResult(index, name, *criterion(ctx))
+    name, criterion, lattice = _CRITERIA[index]
+    p = None if lattice is None else estimators.default_p(lattice)
+    return CriterionResult(index, name, *criterion(ctx, lattice, p))
 
 
 def write_results(

@@ -405,7 +405,7 @@ def gluing_violations(raster, n, u, cells):
 
     The check as the kernel ran it before its flat index arrays: every
     cluster's extremes from ``find_objects`` in a loop over labels, and one
-    ``count_connected_to`` pass per n'v over whole-raster masks.
+    ``count_connected_to`` pass per n'v over whole-raster site sets.
     """
     import numpy as np
     from scipy import ndimage
@@ -430,7 +430,7 @@ def gluing_violations(raster, n, u, cells):
     for vx in range(-(u - 1), u):
         for vy in range(-(u - 1), u):
             c = (np_ * vx, np_ * vy)
-            ring, box = raster.boundary_mask(c, 2 * np_), raster.box_mask(c, np_)
+            ring, box = np.nonzero(raster.boundary_mask(c, 2 * np_)), np.nonzero(raster.box_mask(c, np_))
             total += int(grid.count_connected_to(labels[None], ring, box)[0])
     return viol_i, total > int(grid.largest_count(labels[None])[0])
 

@@ -175,9 +175,9 @@ def test_arm_and_vn_need_no_confinement(name):
             assert grid.connect_through(whole, ends, [(0, 1)]).tolist() == want.tolist(), (m, r)
             arms.update(want[:, 0].tolist())
         if r % 2 == 0:
-            box = raster.box_mask(center, r // 2)
-            want = grid.count_connected_to(confined, outer, box)
-            assert grid.count_connected_to(whole, outer, box).tolist() == want.tolist(), r
+            ring, box = np.nonzero(outer), np.nonzero(raster.box_mask(center, r // 2))
+            want = grid.count_connected_to(confined, ring, box)
+            assert grid.count_connected_to(whole, ring, box).tolist() == want.tolist(), r
     assert arms == {False, True} and merged > 0
 
 

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import ast
 import inspect
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from percolab import verify
-from percolab.verify import QUICK, VerifyContext, run_criterion
+from percolab.estimators import default_p
+from percolab.lattice import TRIANGULAR, Z2_BOND
+from percolab.verify import _CRITERIA, QUICK, VerifyContext, run_criterion
 
 SEED = 7
 ORDER = (8, 10, 12)
@@ -14,11 +19,11 @@ ORDER = (8, 10, 12)
 
 @pytest.fixture(scope="module")
 def table():
-    return VerifyContext(SEED, 1, QUICK).pi_table()
+    return VerifyContext(SEED, 1, QUICK).pi_table(TRIANGULAR, 0.5)
 
 
 def _data(indices, table, workers=1):
-    ctx = VerifyContext(SEED, workers, QUICK, _pi=table)
+    ctx = VerifyContext(SEED, workers, QUICK, _pi={(TRIANGULAR, 0.5): table})
     return {i: run_criterion(i, ctx).data for i in indices}, ctx
 
 
@@ -31,10 +36,10 @@ def test_family_cache_is_order_free(table):
     alone = {i: _data((i,), table)[0][i] for i in ORDER}
     assert forward == backward == alone
     assert {key: len(a) for key, a in ctx._vn.items()} == {
-        (4, "vn"): QUICK.constant_samples,
-        (8, "vn"): QUICK.constant_samples,
-        (12, "vn"): QUICK.moment_samples,
-        (12, "c1"): QUICK.tail_samples,
+        (TRIANGULAR, 0.5, 4, "vn"): QUICK.constant_samples,
+        (TRIANGULAR, 0.5, 8, "vn"): QUICK.constant_samples,
+        (TRIANGULAR, 0.5, 12, "vn"): QUICK.moment_samples,
+        (TRIANGULAR, 0.5, 12, "c1"): QUICK.tail_samples,
     }
 
 
@@ -51,11 +56,11 @@ def test_family_cache_fills_each_observable_on_demand():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify.estimators, "vn_sample", spy)
-        ctx.vn_sample(3, 50, ("vn",))
-        got = ctx.vn_sample(3, 80, ("vn", "c1"))
-        ctx.vn_sample(3, 60, ("c1", "vn"))
+        ctx.vn_sample(TRIANGULAR, 0.5, 3, 50, ("vn",))
+        got = ctx.vn_sample(TRIANGULAR, 0.5, 3, 80, ("vn", "c1"))
+        ctx.vn_sample(TRIANGULAR, 0.5, 3, 60, ("c1", "vn"))
     assert calls == [(50, 0, ("vn",)), (30, 50, ("vn",)), (80, 0, ("c1",))]
-    want = sample(ctx.lattice, ctx.p, 3, 80, SEED)
+    want = sample(TRIANGULAR, 0.5, 3, 80, SEED)
     assert got.vn.tolist() == want.vn.tolist() and got.c1.tolist() == want.c1.tolist()
 
 
@@ -72,7 +77,7 @@ def test_criteria_label_only_the_observable_they_read(index, want, table, monkey
         return kernel(task, start, stop)
 
     monkeypatch.setattr(verify.estimators, "_observe", spy)
-    run_criterion(index, VerifyContext(SEED, 1, QUICK, _pi=table))
+    run_criterion(index, VerifyContext(SEED, 1, QUICK, _pi={(TRIANGULAR, 0.5): table}))
     assert set(asked) == want and len(asked) == len(want)
 
 
@@ -80,6 +85,34 @@ def test_bfs_oracle_is_independent():
     # criterion 13 compares the labeling kernel with this flood fill
     source = inspect.getsource(verify._bfs_labels)
     assert "ndimage" not in source and "grid." not in source
+
+
+def test_criteria_take_their_lattice_and_p_from_the_table():
+    # only criterion 13, which alternates both lattices, names one; the others
+    # sample at the (lattice, p) that run_criterion passes them
+    lattices = {"TRIANGULAR", "Z2_BOND"}
+    points = {default_p(lattice) for lattice in (TRIANGULAR, Z2_BOND)}
+    for index, (_, fn, _) in _CRITERIA.items():
+        if index == 13:
+            continue
+        nodes = list(ast.walk(ast.parse(inspect.getsource(fn))))
+        assert not lattices & {node.id for node in nodes if isinstance(node, ast.Name)}, index
+        constants = {node.value for node in nodes if isinstance(node, ast.Constant)}
+        assert not points & {v for v in constants if type(v) is float}, index
+
+
+def test_one_criterion_runs_at_a_shifted_p():
+    # c3 and c10 at p = 0.55 get their own pi table and V_n families, and
+    # leave every criterion at the table's point as a fresh context runs it
+    ctx = VerifyContext(SEED, 1, QUICK)
+    shifted = _CRITERIA[3][1](ctx, TRIANGULAR, 0.55)[2]
+    _CRITERIA[10][1](ctx, TRIANGULAR, 0.55)
+    assert shifted != run_criterion(3, ctx).data
+    assert set(ctx._pi) == {(TRIANGULAR, 0.5), (TRIANGULAR, 0.55)}
+    fresh = VerifyContext(SEED, 1, QUICK)
+    for i in (3, 8, 10, 12):
+        mine, theirs = run_criterion(i, ctx), run_criterion(i, fresh)
+        assert json.dumps(asdict(mine)) == json.dumps(asdict(theirs)), i
 
 
 def _partition_reference(labels):
