@@ -49,8 +49,6 @@ class BoundParams:
     c4: float | None = None
     C2: float | None = None
     C8: float | None = None
-    C9: float | None = None
-    C10: float | None = None
     C11: float | None = None
     C12: float | None = None
     C13: float | None = None
@@ -232,16 +230,14 @@ def fit_c9(params: BoundParams, n: int) -> float:
 
 
 def generating_fn_bound(u: float, n: int, params: BoundParams) -> tuple[float, float]:
-    """(series value, closed-form comparator C9 * exp(u^d / C2)).
+    """(series value, closed-form comparator C9 * exp(u^d / C2)), with C9 from ``fit_c9``.
 
-    C9 is fitted as the max series/exponential ratio on the u-grid of ``fit_c9``;
-    the series is pi-free after the substitution.  Where exp(u^d / C2) or the
+    The series is pi-free after the substitution.  Where exp(u^d / C2) or the
     series leaves the float range, a ValueError names C2 and d.
     """
     if not 1 <= u <= n:
         raise ValueError("u must lie in [1, n]")
-    c9 = params.C9 if params.C9 is not None else fit_c9(params, n)
-    return _gen_fn_series(u, params), c9 * math.exp(_ud_over_c2(u, params))
+    return _gen_fn_series(u, params), fit_c9(params, n) * math.exp(_ud_over_c2(u, params))
 
 
 def fit_c10(params: BoundParams) -> float:
@@ -256,7 +252,7 @@ def fit_c10(params: BoundParams) -> float:
 
 
 def markov_threshold_bound(u: float, n: int, K: float, params: BoundParams, pi) -> float:
-    """Ratio of t^{K n^d pi(n/u)} to exp(C10 K u^d); >= 1 for the fitted C10."""
+    """Ratio of t^{K n^d pi(n/u)} to exp(C10 K u^d), with C10 from ``fit_c10``; it is >= 1."""
     if not 1 <= u <= n:
         raise ValueError("u must lie in [1, n]")
     c2v, c8 = params.require("C2", "C8")
@@ -264,9 +260,8 @@ def markov_threshold_bound(u: float, n: int, K: float, params: BoundParams, pi) 
     pin_u = f(scale_floor(n, u))
     base = n**params.d * pin_u
     x = u**params.d / (c2v * c8 * base)
-    c10 = params.C10 if params.C10 is not None else fit_c10(params)
     log_lhs = K * base * math.log1p(x)
-    log_rhs = c10 * K * u**params.d
+    log_rhs = fit_c10(params) * K * u**params.d
     return math.exp(log_lhs - log_rhs)
 
 

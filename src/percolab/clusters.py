@@ -47,7 +47,7 @@ def _carrier_part(config: Config, region: Region, error="region escapes the carr
 def _labels_on_mask(config: Config, mask: np.ndarray) -> np.ndarray:
     """Vertex labels, as a batch of one, for paths confined to ``mask``."""
     cells = config.cells & grid.cell_mask(config.lattice, mask)
-    return grid.label_sites_batch(cells[None], config.lattice)
+    return grid.label_sites_batch(grid.strip_cells(cells[None]), config.lattice)
 
 
 def label_clusters(config: Config, region: Region) -> ClusterLabels:

@@ -36,10 +36,9 @@ replicas of ``fam`` on the carrier and returns a per-replica array per observabl
 ``read_config`` reads one configuration with the same readers, so the
 ``clusters`` events and ``lowerbound.dn_event``/``gluing_check`` share them.
 C_1, crossings and D(n, u) label their crops; arm rows and V_n read one labeling of
-the whole carrier and need no confinement.  Crossing crops (the ``crossing``
-observable and the rectangles of D(n, u)) are labeled side by side in one strip
-(see ``grid``), and C_1 crops as a stack, whose label ranges run replica by
-replica as ``largest_count`` needs.  A path from inside box(r) meets
+the whole carrier and need no confinement.  Every labelling call lays its grids
+side by side in one strip (see ``grid``), so label values are unique per
+replica, which is all that each reduction needs.  A path from inside box(r) meets
 the boundary of box(r) before it can leave box(r), so its first stretch lies
 in box(r) plus boundary, and every carrier containing that set gives the same
 values.  An arm table thus labels box(N) plus boundary once for all its rows;
@@ -53,21 +52,21 @@ configuration, so separate calls agree with one call for both.
 
 Replicas are sampled in batches within one byte budget, ``BATCH_BYTES`` (8 MB),
 over what a batch keeps.  Per replica that is its sampled cells at 1 byte each
-(decorated cells on bond lattices, about four per site) plus 4 bytes of int32
-label for each cell of its readers' largest labelling call: the whole carrier
-for arm rows and V_n, the box(n) crop for C_1, the rectangle for a crossing and
-one rectangle for D(n, u).  Each reader states that count beside its
-reduction.  A batch holds at most 256 replicas: V_n with C_1 on z_bond at
-n = 32 holds 23 (5 bytes for each of 68,121 cells), the arm table at N = 128
-on the triangular lattice 23, C_1 alone at n = 64 there 59, and crossings and
-D(32, 2) 256.  No reduction reads across replicas, so batching never enters a
-result.
+(decorated cells on bond lattices, about four per site) plus 5 bytes for each
+cell of its readers' largest labelling call, 1 of strip and 4 of int32 label:
+the whole carrier for arm rows and V_n, the box(n) crop for C_1, the rectangle
+for a crossing and one rectangle for D(n, u).  Each reader states that count
+beside its reduction.  A batch holds at most 256 replicas: on z_bond at
+n = 32, V_n with C_1 holds 19 (6 bytes for each of 68,121 cells) and C_1 alone
+52; on the triangular lattice the arm table at N = 128 holds 19, C_1 alone at
+n = 64 53, and crossings and D(32, 2) 256.  No reduction reads across
+replicas, so batching never enters a result.
 
 Kept buffers
 ------------
 A kernel reaches a worker pickled with each chunk, so arrays that outlive a
 call belong to the process: each thread keeps those of its replica-batch loop in
-one ``grid.Buffers``: raw words, open cells, the crop strip and labels (a
+one ``grid.Buffers``: raw words, open cells, the strip and labels (a
 bond batch's element layout borrows the label buffer, dead until the batch is
 labeled).
 Each batch is sampled into them and read, and the next batch overwrites it.
@@ -252,27 +251,18 @@ def _slice_cells(lattice: LatticeSpec, slices: tuple[slice, ...]) -> int:
 
 
 def _crop_labels(
-    lattice: LatticeSpec, batch: np.ndarray, crop, rows=slice(None), *,
-    strip: bool = False, buffers: grid.Buffers = grid.FRESH,
+    lattice: LatticeSpec, batch: np.ndarray, crop, rows=slice(None), *, buffers: grid.Buffers = grid.FRESH
 ) -> np.ndarray:
-    """Labels confined to crops (paths inside a crop only) of ``batch[rows]``.
+    """Labels confined to crops (paths inside a crop only) of ``batch[rows]``, in one strip.
 
     ``crop`` is a site-space slice tuple, or a ``grid.StripCrops``: then
-    ``rows`` is (replicas, crop of each) and the crops are gathered into a
-    strip.  ``strip`` labels slice crops side by side too
-    (``grid.strip_cells``).  A strip's labels are per-replica views; crossings
-    read them, ``largest_count`` cannot.
+    ``rows`` is (replicas, crop of each) and the crops are gathered into the strip.
     """
     if isinstance(crop, grid.StripCrops):
-        cells, strip, width = crop.gather(batch, *rows, buffers), True, crop.w
+        strip = crop.gather(batch, *rows, buffers)
     else:
-        cells = batch[(rows,) + grid.cell_slices(lattice, crop)]
-        width = crop[-1].stop - crop[-1].start
-        if strip:
-            cells = grid.strip_cells(cells, buffers)
-    out = buffers.empty("labels", cells.shape, np.int32)
-    labels = grid.label_sites_batch(cells, lattice, out, strip)
-    return labels[..., :width]  # drops a site strip's separators
+        strip = grid.strip_cells(batch[(rows,) + grid.cell_slices(lattice, crop)], buffers)
+    return grid.label_sites_batch(strip, lattice, buffers)
 
 
 @lru_cache(maxsize=64)
@@ -315,7 +305,7 @@ def _reader(lattice: LatticeSpec, raster: grid.BoxRaster, observable: tuple):
     corner, widths, axis = args  # "crossing"
     rect = raster.rect_slices(corner, widths)
     return False, lambda batch, buffers: grid.crossing(
-        _crop_labels(lattice, batch, rect, strip=True, buffers=buffers), axis
+        _crop_labels(lattice, batch, rect, buffers=buffers), axis
     ), _slice_cells(lattice, rect)
 
 
@@ -329,24 +319,24 @@ def _read_batch(
     """
     values = [None] * len(readers)
     if any(whole for whole, *_ in readers):
-        labels = grid.label_sites_batch(batch, lattice, buffers.empty("labels", batch.shape, np.int32))
+        labels = grid.label_sites_batch(grid.strip_cells(batch, buffers), lattice, buffers)
         values = [read(labels) if whole else None for whole, read, _ in readers]
         del labels  # fresh carrier labels are freed before any crop is labeled
     return [value if whole else read(batch, buffers) for value, (whole, read, _) in zip(values, readers)]
 
 
 def _replica_bytes(lattice: LatticeSpec, carrier, readers: list) -> int:
-    """Bytes a replica keeps in a batch: its cells, and int32 labels of its readers' largest call."""
-    return _cells(lattice, carrier.shape) + 4 * max(cells for *_, cells in readers)
+    """Bytes a replica keeps in a batch: its cells, and the strip and labels of its largest call."""
+    return _cells(lattice, carrier.shape) + 5 * max(cells for *_, cells in readers)
 
 
 def _observe(task, start: int, stop: int) -> tuple[np.ndarray, ...]:
     """One per-replica array per observable, all read off the same replicas of the carrier.
 
-    A replica keeps its carrier's cells and the labels of its readers' largest
-    labelling call; batches hold as many replicas as fit in ``BATCH_BYTES``
-    (at most 256) and run on this thread's kept buffers.  A replica beyond the
-    budget runs alone on fresh arrays, which are freed after it.
+    A replica keeps its carrier's cells and the strip and labels of its
+    readers' largest labelling call; batches hold as many replicas as fit in
+    ``BATCH_BYTES`` (at most 256) and run on this thread's kept buffers.  A
+    replica beyond the budget runs alone on fresh arrays, which are freed after it.
     """
     lattice, p, carrier, observables, fam = task
     raster = grid.BoxRaster(lattice, carrier)

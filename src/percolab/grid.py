@@ -19,25 +19,20 @@ stride: the site slice ``[start, stop)`` becomes the cell slice
 ``[s*start, s*(stop-1) + 1)``, which ends on vertex cells, so edges leaving a
 crop drop out of it.
 
-The batching trick: a whole batch of configurations is stacked along a leading
-axis and labeled with ONE call, using a structuring element that has no
-connectivity across the batch axis.  Label values are then unique per sample,
-so flag lookups over label ids can pool labels across the batch without
-cross-talk.
-
-Crossing crops are labeled as a *strip* instead: the crops lie side by side
+Every labelling call labels a *strip*: a batch of grids lies side by side
 along the last axis, each followed by one closed separator column, and the
-strip is labeled as one grid under the lattice structure.  ``ndimage.label``
-pays per line as well as per cell, and a strip of B crops of h rows has h long
-lines where the stack has B h short ones.  No path crosses a separator, so
-label values stay unique per crop.  A crop of odd cell width (every decorated
-crop) plus its separator spans an even number of columns, so each crop starts
-on a vertex column and the stride-2 vertex view skips the separators.  Label
-values of a strip are not numbered crop by crop, so ``largest_count`` reads
-stacked labels only.  ``StripCrops`` gathers a strip in which each replica
-has its own crop, out of K crops of one cell shape at fixed places: each
-strip row is a run of the replica's cells, a row segment of an upright crop
-or a column segment of a transposed one, read through a strided view.
+strip is labeled as one grid under the lattice structure, with ONE call.
+``ndimage.label`` pays per line as well as per cell, and a strip of B grids of
+h rows has h long lines where a stack of them would have B h short ones.  No
+path crosses a separator, so label values are unique per grid, and flag
+lookups over label ids pool labels across the batch without cross-talk.  A
+grid of odd cell width (every decorated grid) plus its separator spans an
+even number of columns, so each grid starts on a vertex column and the
+stride-2 vertex view skips the separators.  ``strip_cells`` lays out a stack of
+grids; ``StripCrops`` gathers a strip in which each replica has its own crop,
+out of K crops of one cell shape at fixed places: each strip row is a run of
+the replica's cells, a row segment of an upright crop or a column segment of
+a transposed one, read through a strided view.
 
 The replica-batch loop keeps its largest arrays across calls in a ``Buffers``
 and hands them to the sample and label layers; every caller that does not
@@ -48,21 +43,11 @@ shared.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 from scipy import ndimage
 
 from .lattice import LatticeSpec, Region, Site, ring, site_structure
-
-
-@cache
-def batch_structure(lattice: LatticeSpec) -> np.ndarray:
-    """Structure for labeling a (B, ...) stack without cross-sample links; built once, read-only."""
-    s = np.zeros((3,) * (lattice.d + 1), dtype=bool)
-    s[1] = site_structure(lattice)
-    s.flags.writeable = False
-    return s
 
 
 class BoxRaster:
@@ -271,27 +256,20 @@ class StripCrops:
         return strip
 
 
-def label_sites_batch(
-    cells: np.ndarray, lattice: LatticeSpec, out: np.ndarray | None = None, strip: bool = False
-) -> np.ndarray:
-    """Vertex labels of a (B, ...) stack of open-cell grids; 0 = not open.
+def label_sites_batch(strip: np.ndarray, lattice: LatticeSpec, buffers: Buffers = FRESH) -> np.ndarray:
+    """Vertex labels of each grid of a ``strip_cells`` strip; 0 = not open.
 
-    The result is a view in site coordinates (stride 2 on a decorated grid).
-    ``out``, an int32 array of the cells' shape, receives the cell labels.
-    With ``strip``, ``cells`` is a ``strip_cells`` strip, labeled as one grid,
-    and the result is its per-crop view (B, ..., P): on site lattices each crop
-    ends in its separator column, which a decorated grid's vertex view skips.
+    The strip is labeled as one grid into the int32 ``labels`` array of
+    ``buffers``.  The result is a (B, ...) view of each grid's vertices in
+    site coordinates (stride 2 on a decorated grid), separators dropped.
     """
-    if strip:
-        *lead, n_crops, width = cells.shape
-        cells = cells.reshape(*lead, n_crops * width)
-    structure = site_structure(lattice) if strip else batch_structure(lattice)
-    labels = np.empty(cells.shape, np.int32) if out is None else out.reshape(cells.shape)
-    ndimage.label(cells, structure=structure, output=labels)
-    if not strip:
-        return labels[(slice(None),) + vertex_cells(lattice)]
+    *lead, n_grids, width = strip.shape
+    cells = strip.reshape(*lead, n_grids * width)
+    labels = buffers.empty("labels", cells.shape, np.int32)
+    ndimage.label(cells, structure=site_structure(lattice), output=labels)
+    s = stride(lattice)
     vertex = labels[vertex_cells(lattice)]
-    blocks = vertex.reshape(*vertex.shape[:-1], n_crops, -(-width // stride(lattice)))
+    blocks = vertex.reshape(*vertex.shape[:-1], n_grids, -(-width // s))[..., : (width - 2) // s + 1]
     return blocks.transpose(len(lead), *range(len(lead)), len(lead) + 1)
 
 
@@ -350,20 +328,14 @@ def count_connected_to(labels: np.ndarray, seeds, sites) -> np.ndarray:
 
 
 def largest_count(labels: np.ndarray) -> np.ndarray:
-    """Per-sample size of the largest cluster of labels from one batch labeling.
+    """Per-sample size of the largest cluster of labels whose values are unique per sample.
 
-    ``ndimage.label`` numbers the clusters of each sample after every cluster
-    of the samples before it, so sample b owns the label range (top of the
-    samples < b, its own top]; the sizes reduce over those ranges.
+    Sizes are gathered one sample at a time: an int64 gather of a whole C_1
+    batch would take 8 bytes per vertex beyond the batch budget.
     """
-    B = labels.shape[0]
-    flat = labels.reshape(B, -1)
-    ends = np.maximum.accumulate(flat.max(axis=1, initial=0))
-    starts = np.concatenate(([1], ends[:-1] + 1))
-    counts = np.bincount(flat.ravel(), minlength=int(ends[-1]) + 2)  # ends with a 0 past every label
-    out = np.maximum.reduceat(counts, starts).astype(np.int64)
-    out[starts > ends] = 0  # no cluster: reduceat returned the element at the start
-    return out
+    counts = np.bincount(labels.ravel(), minlength=1)
+    counts[0] = 0
+    return np.array([counts.take(g).max(initial=0) for g in labels], dtype=np.int64)
 
 
 def cluster_sizes_single(labels: np.ndarray) -> np.ndarray:

@@ -198,12 +198,12 @@ def linf_distance(u: Site, v: Site) -> int:
     return max(abs(a - b) for a, b in zip(u, v))
 
 
-def box_with_boundary(lattice: LatticeSpec, n: int, center: Site | None = None) -> Region:
+def box_with_boundary(lattice: LatticeSpec, n: int) -> Region:
     """The box of radius ``n`` together with its outer boundary.
 
     This is the standard carrier for experiments that look at arms from inside
     the box to its boundary.
     """
-    box = box_sites(center if center is not None else (0,) * lattice.d, n)
+    box = box_sites((0,) * lattice.d, n)
     mask = np.pad(box.mask, 1)
     return Region(tuple(c - 1 for c in box.origin), mask | ring(mask, lattice))

@@ -400,7 +400,7 @@ def _gluing_violations(
     lattice: LatticeSpec, geometry: _DnGeometry, single_batch: np.ndarray
 ) -> tuple[bool, bool]:
     """(one-cluster check violated, sum inequality violated) for one config."""
-    labels = grid.label_sites_batch(single_batch, lattice)[0]
+    labels = grid.label_sites_batch(grid.strip_cells(single_batch), lattice)[0]
     flat = labels.reshape(-1)
 
     # (i) qualifying long-arm sites of box(n - n') share one carrier cluster

@@ -413,7 +413,7 @@ def gluing_violations(raster, n, u, cells):
     from percolab import grid
 
     lattice, np_ = raster.lattice, n // u
-    labels = grid.label_sites_batch(cells[None], lattice)[0]
+    labels = grid.label_sites_batch(grid.strip_cells(cells[None]), lattice)[0]
     ends = np.zeros((int(labels.max(initial=0)) + 1, labels.ndim, 2), dtype=np.int64)
     for i, box in enumerate(ndimage.find_objects(labels), 1):
         if box is not None:

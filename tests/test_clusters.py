@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from handbuilt import config_from_edges, config_from_sites, region_from_sites
 from oracles import bond_components, connected_sets, site_components
-from percolab import clusters, estimators
+from percolab import clusters, estimators, grid
 from percolab.lattice import (
     LatticeSpec,
     LatticeKind,
@@ -14,6 +15,7 @@ from percolab.lattice import (
     box_sites,
     box_with_boundary,
     rect_region,
+    site_structure,
 )
 from percolab.sampler import Config, derive_stream, sample_config
 
@@ -364,3 +366,16 @@ def test_sizes_partition_participating_sites():
     labels = clusters.label_clusters(cfg, region)
     assert int(labels.sizes.sum()) == int((cfg.site_open & region.mask_in(cfg.region.origin, cfg.region.shape)).sum())
     assert all(a >= b for a, b in zip(labels.sizes, labels.sizes[1:]))
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND, Z3_BOND], ids=["tri", "z2bond", "z3bond"])
+def test_label_grid_numbers_clusters_as_the_grid_alone(lattice):
+    # a configuration is labelled as a strip of one, whose label values are those
+    # of ndimage.label on its cells alone, read at the vertices
+    p, radius = (0.3, 3) if lattice.d == 3 else (0.5, 8)
+    carrier = box_with_boundary(lattice, radius)
+    for i in range(5):
+        cfg = sample_config(lattice, carrier, p, derive_stream(4711, i))
+        want = ndimage.label(cfg.cells, site_structure(lattice))[0][grid.vertex_cells(lattice)]
+        assert want.max() > 1
+        assert np.array_equal(clusters.label_clusters(cfg, carrier).label_grid, want), i

@@ -114,7 +114,8 @@ def confined_arm_events(lattice, p, fam, samples) -> dict:
     out = {}
     for n in range(2, ARM_N + 1):
         confined = raster.box_mask(center, n) | raster.boundary_mask(center, n)
-        labels = grid.label_sites_batch(batch & grid.cell_mask(lattice, confined), lattice)
+        confined_cells = batch & grid.cell_mask(lattice, confined)
+        labels = grid.label_sites_batch(grid.strip_cells(confined_cells), lattice)
         rings = [np.nonzero(raster.boundary_mask(center, r)) for r in range(1, n + 1)]
         rows = grid.connect_through(labels, rings, [(m - 1, n - 1) for m in range(1, n)])
         for m in range(1, n):
@@ -155,13 +156,13 @@ def test_arm_and_vn_need_no_confinement(name):
     raster = grid.BoxRaster(lattice, carrier)
     seeds = [derive_stream(E.family_seed(1618, E.TAG_FKG), i) for i in range(40)]
     batch = open_cells_batch(lattice, carrier.mask, p, seeds)
-    whole = grid.label_sites_batch(batch, lattice)
+    whole = grid.label_sites_batch(grid.strip_cells(batch), lattice)
     center = (0,) * lattice.d
     arms, merged = set(), 0
     for r in range(2, R):
         outer = raster.boundary_mask(center, r)
         confined = grid.label_sites_batch(
-            batch & grid.cell_mask(lattice, raster.box_mask(center, r) | outer), lattice
+            grid.strip_cells(batch & grid.cell_mask(lattice, raster.box_mask(center, r) | outer)), lattice
         )
         # ring clusters joined only by paths outside: the cases confinement could change
         merged += sum(
@@ -194,12 +195,13 @@ ARM_PAIR_SETS = (
 @pytest.mark.parametrize("p", [0.4, 0.5])
 def test_arm_rows_match_the_per_pair_oracle(lattice, p):
     # one connect_through call reads every row; the oracle flags and gathers
-    # per pair.  z_bond labels are the stride-2 vertex view of the cell labels
+    # per pair.  The labels are a strided per-grid view of the strip's labels
+    # (stride 2 on z_bond), and a contiguous copy of them reads the same rows
     carrier = box_with_boundary(lattice, ARM_N)
     raster = grid.BoxRaster(lattice, carrier)
     seeds = [derive_stream(E.family_seed(271, E.TAG_PI, ARM_N), i) for i in range(40)]
-    labels = grid.label_sites_batch(open_cells_batch(lattice, carrier.mask, p, seeds), lattice)
-    assert labels.flags.c_contiguous == lattice.site_mode
+    batch = open_cells_batch(lattice, carrier.mask, p, seeds)
+    labels = grid.label_sites_batch(grid.strip_cells(batch), lattice)
     center = (0,) * lattice.d
     rings = {r: raster.boundary_mask(center, r) for r in range(1, ARM_N + 1)}
     seen = set()
@@ -207,6 +209,7 @@ def test_arm_rows_match_the_per_pair_oracle(lattice, p):
         want = oracles.arm_rows_per_pair(labels, rings, pairs)
         (_, read, _) = _reader(lattice, raster, ("arm", pairs))
         assert np.array_equal(read(labels), want), pairs
+        assert np.array_equal(read(np.ascontiguousarray(labels)), want), pairs
         seen.update(want.ravel().tolist())
     assert seen == {False, True}
     # connected_in reads the pair (m, n) of one configuration through the same call
@@ -366,10 +369,11 @@ def test_observables_of_events_and_crossings_are_hashable():
 
 
 def test_replica_batches_hold_the_cell_budget(monkeypatch):
-    # a replica keeps its carrier's cells (1 byte each) and the int32 labels of
-    # its largest labelling call: the whole carrier for V_n and arm rows, box(n)
-    # for C_1, one rectangle for a crossing or D(n, u).  Sizing by carrier cells
-    # (BATCH_CELLS = 4,000,000) gave 58, 59, 233, 256 and 59 replicas
+    # a replica keeps its carrier's cells (1 byte each) and the strip (1 byte) and
+    # int32 labels of each cell of its largest labelling call: the whole carrier
+    # for V_n and arm rows, box(n) for C_1, one rectangle for a crossing or
+    # D(n, u).  Sizing by carrier cells (BATCH_CELLS = 4,000,000) gave 58, 59,
+    # 233, 256 and 59 replicas
     seen = _spy_batches(monkeypatch)
 
     def size(lattice, carrier, *observables):
@@ -379,12 +383,12 @@ def test_replica_batches_hold_the_cell_budget(monkeypatch):
 
     bond, tri = box_with_boundary(Z2_BOND, 64), box_with_boundary(TRIANGULAR, 128)
     assert E.BATCH_BYTES == 8_000_000
-    assert size(Z2_BOND, bond, ("vn", 32), ("c1", 32)) == E.BATCH_BYTES // (5 * 261**2) == 23
-    assert size(Z2_BOND, bond, ("c1", 32)) == E.BATCH_BYTES // (261**2 + 4 * 129**2) == 59
-    assert size(TRIANGULAR, tri, ("arm", ((1, 8), (64, 128)))) == E.BATCH_BYTES // (5 * 259**2) == 23
+    assert size(Z2_BOND, bond, ("vn", 32), ("c1", 32)) == E.BATCH_BYTES // (6 * 261**2) == 19
+    assert size(Z2_BOND, bond, ("c1", 32)) == E.BATCH_BYTES // (261**2 + 5 * 129**2) == 52
+    assert size(TRIANGULAR, tri, ("arm", ((1, 8), (64, 128)))) == E.BATCH_BYTES // (6 * 259**2) == 19
     assert size(TRIANGULAR, box_with_boundary(TRIANGULAR, 64), ("dn", 32, 2)) == 256
     assert size(Z2_BOND, rect_region((0, 0), (32, 31)), ("crossing", (0, 0), (32, 31), 0)) == 256
-    assert size(TRIANGULAR, tri, ("c1", 64)) == E.BATCH_BYTES // (259**2 + 4 * 129**2) == 59
+    assert size(TRIANGULAR, tri, ("c1", 64)) == E.BATCH_BYTES // (259**2 + 5 * 129**2) == 53
 
 
 # what a V_n batch allocates besides the budget: the sampler's unpacked bits
@@ -421,16 +425,16 @@ def _largest_count_cases():
         mask = box_with_boundary(lattice, 5).mask
         for p in (0.0, 0.05, 0.5, 1.0):
             batch = open_cells_batch(lattice, mask, p, [derive_stream(77, i) for i in range(30)])
-            yield grid.label_sites_batch(batch, lattice)  # vertex view on bond lattices
+            yield grid.label_sites_batch(grid.strip_cells(batch), lattice)  # vertex view on bond lattices
             yield E._crop_labels(lattice, batch, (slice(2, 9), slice(1, 12)))
             # empty replicas first, inside and last
             holes = batch.copy()
             holes[[0, 1, 7, 28, 29]] = False
-            yield grid.label_sites_batch(holes, lattice)
+            yield grid.label_sites_batch(grid.strip_cells(holes), lattice)
             # the gluing check labels one configuration at a time
             for j in (0, 5):
-                yield grid.label_sites_batch(batch[j : j + 1], lattice)[0][None]
-    yield grid.label_sites_batch(np.zeros((3, 4, 4), dtype=bool), TRIANGULAR)
+                yield grid.label_sites_batch(grid.strip_cells(batch[j : j + 1]), lattice)[0][None]
+    yield grid.label_sites_batch(grid.strip_cells(np.zeros((3, 4, 4), dtype=bool)), TRIANGULAR)
 
 
 def test_largest_count_matches_owner_scatter_reference():

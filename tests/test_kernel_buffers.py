@@ -1,22 +1,26 @@
-"""Strip labelling of crossing crops, and the replica-batch loop's kept buffers.
+"""Strip labelling, and the replica-batch loop's kept buffers.
 
-Crossing crops are labelled side by side in one strip; the stacked labelling
-of the same crops is the reference.  The kernel keeps its batch arrays across
-calls, so every array a public call returns is checked against later calls.
+Every labelling call lays its grids side by side in one strip; each crop
+labelled alone is the reference.  ``ndimage.label`` is called once in the
+package, on a strip.  The kernel keeps its batch arrays across calls, so every
+array a public call returns is checked against later calls.
 """
 
 from __future__ import annotations
 
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from percolab import estimators as E
 from percolab import grid
 from percolab.estimators import build_pi_table, estimate_crossing, read_config, vn_sample
-from percolab.lattice import TRIANGULAR, Z2_BOND, box_with_boundary, rect_region
+from percolab.lattice import TRIANGULAR, Z2_BOND, box_with_boundary, rect_region, site_structure
 from percolab.lowerbound import gluing_campaign
 from percolab.sampler import derive_stream, open_cells_batch, sample_config
 
@@ -54,29 +58,53 @@ def test_strip_crossings_match_stacked_labels(lattice, p):
     for corner, widths in RECTS:
         sl = raster.rect_slices(corner, widths)
         for rows in survivors:
-            stacked = E._crop_labels(lattice, batch, sl, rows)
+            # label values of separately labelled crops repeat across replicas, so
+            # each crop's crossings are read alone
+            crops = batch[(rows,) + grid.cell_slices(lattice, sl)]
+            alone = [ndimage.label(c, site_structure(lattice))[0][grid.vertex_cells(lattice)] for c in crops]
             for buffers in (grid.FRESH, kept):
-                strip = E._crop_labels(lattice, batch, sl, rows, strip=True, buffers=buffers)
-                assert strip.shape == stacked.shape
+                strip = E._crop_labels(lattice, batch, sl, rows, buffers=buffers)
+                assert len(strip) == len(alone)
                 for axis in (0, 1):
-                    want = grid.crossing(stacked, axis)
-                    assert grid.crossing(strip, axis).tolist() == want.tolist(), (corner, widths, axis)
-                    hits.update(want.tolist())
-                for a, b in zip(stacked, strip):
-                    assert _partition(a) == _partition(b)
+                    want = [bool(grid.crossing(a[None], axis)[0]) for a in alone]
+                    assert grid.crossing(strip, axis).tolist() == want, (corner, widths, axis)
+                    hits.update(want)
+                for a, b in zip(alone, strip):
+                    assert a.shape == b.shape and _partition(a) == _partition(b)
     if 0 < p < 1:
         assert hits == {False, True}
 
 
 def test_strip_view_skips_separators():
-    # a site crop keeps its separator column in the label view; a decorated one does not
+    # the per-grid view drops the separator columns of site and decorated strips alike
     crops = np.ones((3, 5, 7), dtype=bool)
-    for lattice, shape in ((TRIANGULAR, (3, 5, 8)), (Z2_BOND, (3, 3, 4))):
-        labels = grid.label_sites_batch(grid.strip_cells(crops), lattice, strip=True)
+    for lattice, shape in ((TRIANGULAR, (3, 5, 7)), (Z2_BOND, (3, 3, 4))):
+        labels = grid.label_sites_batch(grid.strip_cells(crops), lattice)
         assert labels.shape == shape
-        assert [np.unique(block[..., :4]).tolist() for block in labels] == [[1], [2], [3]]
-        if lattice.site_mode:
-            assert not labels[..., -1].any()
+        assert [np.unique(block).tolist() for block in labels] == [[1], [2], [3]]
+
+
+def _ndimage_label_uses(source: Path):
+    """(module, enclosing function, structure argument) of each ``ndimage.label`` in ``source``."""
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "ndimage" in (node.module or ""):
+                yield path.stem, "import", [alias.name for alias in node.names]
+            if isinstance(node, ast.Attribute) and node.attr == "label" and ast.unparse(node.value) == "ndimage":
+                call = fn = parents[node]
+                while fn in parents and not isinstance(fn, ast.FunctionDef):
+                    fn = parents[fn]
+                keywords = call.keywords if isinstance(call, ast.Call) else []
+                structure = [ast.unparse(k.value) for k in keywords if k.arg == "structure"]
+                yield path.stem, getattr(fn, "name", None), structure
+
+
+def test_one_labelling_call_under_the_lattice_structure():
+    # a second labelling layout would need a second call or a second structure
+    uses = list(_ndimage_label_uses(Path(grid.__file__).parent))
+    assert uses == [("grid", "label_sites_batch", ["site_structure(lattice)"])]
 
 
 @pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["triangular_site", "z_bond"])
@@ -109,7 +137,7 @@ def _results(seed: int) -> list[np.ndarray]:
     cfg = sample_config(Z2_BOND, box_with_boundary(Z2_BOND, 6), 0.5, seed)
     mask = box_with_boundary(TRIANGULAR, 7).mask
     cells = open_cells_batch(TRIANGULAR, mask, 0.5, [derive_stream(seed, i) for i in range(5)])
-    out = [cfg.cells, cells, grid.label_sites_batch(cells, TRIANGULAR)]
+    out = [cfg.cells, cells, grid.label_sites_batch(grid.strip_cells(cells), TRIANGULAR)]
     out += [read_config(cfg, ("arm", ((1, 3), (2, 5)))), read_config(cfg, ("dn", 3, 2))]
     obs = (("arm", ((1, 4), (3, 9))), ("vn", 4), ("c1", 4), ("crossing", (-3, -3), (6, 4), 0))
     out += E._observe((TRIANGULAR, 0.5, box_with_boundary(TRIANGULAR, 9), obs, seed), 0, 200)

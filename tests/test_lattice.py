@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handbuilt import region_from_sites
-from percolab import grid
 from percolab.lattice import (
     LatticeKind,
     LatticeSpec,
@@ -30,10 +29,8 @@ site2 = st.tuples(coord, coord)
 
 @pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND, Z3_BOND])
 def test_structures_built_once_and_read_only(lattice):
-    for build in (site_structure, grid.batch_structure):
-        s = build(lattice)
-        assert s is build(lattice) and not s.flags.writeable
-    assert np.array_equal(grid.batch_structure(lattice)[1], site_structure(lattice))
+    s = site_structure(lattice)
+    assert s is site_structure(lattice) and not s.flags.writeable
     assert int(site_structure(lattice).sum()) == len(lattice.neighbor_offsets()) + 1
 
 
