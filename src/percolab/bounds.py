@@ -4,7 +4,8 @@ Combinatorial quantities (multiset orderings, multinomials, dyadic power
 products) are computed exactly with big integers / rationals; floating point
 enters through exp/log of those exact values.  "Existence of a constant"
 claims are turned into fitted suprema over finite sweeps, reported rather
-than asserted against invented targets.
+than asserted against invented targets.  The arm probability is a callable
+``pi(scale)``; a caller holding an ``estimators.PiTable`` passes ``table.pi``.
 
 A sweep over 2 <= k <= kmax first screens every k with approximate log-fits
 (lgamma sums for the multinomial, the exact integer exponent for the power
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -37,8 +38,7 @@ class BoundParams:
     """Named constants feeding the bound evaluators.
 
     All constants are optional; evaluators raise ``ValueError`` naming any
-    missing ones.  ``provenance`` records, per constant, whether the value was
-    fitted from data or supplied externally.
+    missing ones.
     """
 
     d: int = 2
@@ -52,7 +52,6 @@ class BoundParams:
     C11: float | None = None
     C12: float | None = None
     C13: float | None = None
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.d < 2:
@@ -60,7 +59,7 @@ class BoundParams:
         if self.alpha is not None and not 0 < self.alpha < self.d:
             raise ValueError("alpha must satisfy 0 < alpha < d")
         for f in fields(self):
-            if f.name in ("d", "alpha", "provenance"):
+            if f.name in ("d", "alpha"):
                 continue
             v = getattr(self, f.name)
             if v is not None and v < 0:
@@ -76,14 +75,6 @@ class BoundParams:
                 raise ValueError(f"missing constant {name}")
             out.append(v)
         return out
-
-
-def _pi_callable(pi) -> Callable[[int], float]:
-    if pi is None:
-        raise ValueError("missing arm-probability table or function")
-    if callable(pi):
-        return pi
-    return lambda s: pi.pi(s)
 
 
 def int_root_ceil(k: int, d: int) -> int:
@@ -133,21 +124,19 @@ def main_bounds(u: float, params: BoundParams, lower: bool = True) -> tuple[floa
     return up, c3 * math.exp(-c4 * u**2)
 
 
-def moment_bound(n: int, k: int, pi, params: BoundParams) -> float:
+def moment_bound(n: int, k: int, pi: Callable[[int], float], params: BoundParams) -> float:
     """Binomial-moment bound (c1 * n^d * pi(n / ceil(k^(1/d))) / k)^k."""
     if k < 1:
         raise ValueError("k must be >= 1")
     (c1,) = params.require("c1")
-    f = _pi_callable(pi)
     scale = scale_floor(n, int_root_ceil(k, params.d))
-    return (c1 * n**params.d * f(scale) / k) ** k
+    return (c1 * n**params.d * pi(scale) / k) ** k
 
 
-def sum_pi_bound(pi, n: int, d: int) -> float:
+def sum_pi_bound(pi: Callable[[int], float], n: int, d: int) -> float:
     """Empirical constant sum_{k<=n} k^(d-1) pi(k) / (n^d pi(n))."""
-    f = _pi_callable(pi)
-    total = sum(k ** (d - 1) * f(k) for k in range(1, n + 1))
-    denom = n**d * f(n)
+    total = sum(k ** (d - 1) * pi(k) for k in range(1, n + 1))
+    denom = n**d * pi(n)
     if denom <= 0:
         raise ValueError("pi(n) must be positive")
     return total / denom
@@ -251,14 +240,14 @@ def fit_c10(params: BoundParams) -> float:
     return math.log1p(xmax) / xmax / (c2v * c8)
 
 
-def markov_threshold_bound(u: float, n: int, K: float, params: BoundParams, pi) -> float:
+def markov_threshold_bound(
+    u: float, n: int, K: float, params: BoundParams, pi: Callable[[int], float]
+) -> float:
     """Ratio of t^{K n^d pi(n/u)} to exp(C10 K u^d), with C10 from ``fit_c10``; it is >= 1."""
     if not 1 <= u <= n:
         raise ValueError("u must lie in [1, n]")
     c2v, c8 = params.require("C2", "C8")
-    f = _pi_callable(pi)
-    pin_u = f(scale_floor(n, u))
-    base = n**params.d * pin_u
+    base = n**params.d * pi(scale_floor(n, u))
     x = u**params.d / (c2v * c8 * base)
     log_lhs = K * base * math.log1p(x)
     log_rhs = fit_c10(params) * K * u**params.d

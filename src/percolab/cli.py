@@ -259,6 +259,8 @@ def _cmd_tail(args) -> int:
     lattice, p = spec.lattice_spec(), spec.effective_p()
     statistic = _opt(spec.tail, "statistic", "largest_cluster")
     sizes = _opt(spec.tail, "sizes", spec.sizes)
+    _distinct("sizes" if spec.tail.get("sizes") is None else "tail.sizes", sizes)
+    _distinct("u_grid", spec.u_grid)
     scales = estimators.tail_scales(sizes, spec.u_grid)
     table = build_pi_table(lattice, p, scales, spec.samples, spec.master_seed, spec.workers)
     header = ("statistic", "n", "u", "threshold", "samples", "successes", "estimate", "stderr")

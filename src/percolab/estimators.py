@@ -90,7 +90,7 @@ import numpy as np
 from . import grid
 from .bounds import scale_floor
 from .lattice import LatticeKind, LatticeSpec, box_with_boundary, rect_region
-from .parallel import run_counters, shifted
+from .parallel import run_counters
 from .sampler import Config, derive_stream, derive_streams, open_cells_batch
 
 TAG_PI = 0x501
@@ -444,7 +444,7 @@ def vn_sample(
         raise ValueError(f"reads must name 'vn' and/or 'c1', got {reads!r}")
     carrier = box_with_boundary(lattice, 2 * n)
     task = (lattice, p, carrier, tuple((kind, n) for kind in reads), family_seed(master_seed, TAG_VN, n))
-    arrays = run_counters(shifted(partial(_observe, task), start), samples, workers)
+    arrays = run_counters(partial(_observe, task), start, start + samples, workers)
     return VnSample(lattice, n, **dict(zip(reads, arrays)))
 
 
@@ -484,7 +484,7 @@ def estimate_crossing(
     rect = rect_region(corner, widths)  # checks the extents before they key a seed
     fam = family_seed(master_seed, seed_tag, widths[0], widths[1], axis)
     task = (lattice, p, rect, (("crossing", corner, tuple(widths), axis),), fam)
-    (hits,) = run_counters(partial(_observe, task), samples, workers)
+    (hits,) = run_counters(partial(_observe, task), 0, samples, workers)
     return event_estimate(int(hits.sum()), samples)
 
 
@@ -547,7 +547,7 @@ def build_pi_table(
     N = pairs[-1][1]
     fam = family_seed(master_seed, TAG_PI, N)
     task = (lattice, p, box_with_boundary(lattice, N), (("arm", pairs),), fam)
-    (hits,) = run_counters(partial(_observe, task), samples, workers)
+    (hits,) = run_counters(partial(_observe, task), 0, samples, workers)
     for (m, n), successes in zip(pairs, hits.sum(axis=0).tolist()):
         est = event_estimate(successes, samples)
         table.add(PiRow(m, n, samples, successes, est.point, est.stderr))

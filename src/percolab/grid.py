@@ -64,9 +64,6 @@ class BoxRaster:
     def __hash__(self) -> int:
         return hash((self.lattice, self.origin, self.shape))
 
-    def index(self, site: Site) -> tuple[int, ...]:
-        return tuple(c - o for c, o in zip(site, self.origin))
-
     def box_slices(self, center: Site, radius: int) -> tuple[slice, ...]:
         sl = tuple(
             slice(c - radius - o, c + radius + 1 - o)

@@ -31,11 +31,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .bounds import _pi_callable
 from .lattice import Region, Site, linf_distance
 
 
@@ -281,34 +280,29 @@ def check_radius_bound(record: GrowthRecord, n: int) -> RadiusBoundReport:
     return RadiusBoundReport(tuple(checks), tuple(eqs), tuple(bad))
 
 
-def ordering_count(radii: Counter | Iterable[int]) -> int:
-    """Number of distinct orderings of the multiset (exact big integer)."""
-    c = radii if isinstance(radii, Counter) else Counter(radii)
-    total = sum(c.values())
-    out = math.factorial(total)
-    for mult in c.values():
+def ordering_count(radii: Counter) -> int:
+    """Number of distinct orderings of the multiset ``radii`` (exact big integer)."""
+    out = math.factorial(sum(radii.values()))
+    for mult in radii.values():
         out //= math.factorial(mult)
     return out
 
 
-def prob_upper_bound(radii: Counter | Iterable[int], n: int, pi, c3: float) -> float:
+def prob_upper_bound(radii: Counter, n: int, pi: Callable[[int], float], c3: float) -> float:
     """Product bound on the probability that all of X has long arms.
 
-    ``radii`` holds doubled radii; the arm probability at half-integer radius
-    r is evaluated at ceil(r), conservative for nonincreasing pi.
+    ``radii`` counts doubled radii, and the callable ``pi(scale)`` is read at
+    ceil(r) for half-integer radius r, conservative for nonincreasing pi.
     """
-    c = radii if isinstance(radii, Counter) else Counter(radii)
-    f = _pi_callable(pi)
-    out = c3 * f(n)
-    for r2, mult in c.items():
-        out *= (c3 * f((r2 + 1) // 2)) ** mult
+    out = c3 * pi(n)
+    for r2, mult in radii.items():
+        out *= (c3 * pi((r2 + 1) // 2)) ** mult
     return out
 
 
-def count_upper_bound(radii: Counter | Iterable[int], n: int, c4: float, d: int) -> float:
-    """Bound on the number of k-point sets with the given merge radii."""
-    c = radii if isinstance(radii, Counter) else Counter(radii)
-    out = c4 * float(ordering_count(c)) * float(n) ** d
-    for r2, mult in c.items():
+def count_upper_bound(radii: Counter, n: int, c4: float, d: int) -> float:
+    """Bound on the number of k-point sets with the multiset ``radii`` of doubled merge radii."""
+    out = c4 * float(ordering_count(radii)) * float(n) ** d
+    for r2, mult in radii.items():
         out *= (d * c4 * (r2 / 2) ** (d - 1)) ** mult
     return out

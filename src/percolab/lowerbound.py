@@ -82,7 +82,7 @@ from .estimators import (
     read_config,
 )
 from .lattice import LatticeSpec, Site, box_with_boundary, rect_region
-from .parallel import run_counters, shifted
+from .parallel import run_counters
 from .sampler import Config
 
 
@@ -201,7 +201,7 @@ def fkg_check(
     carrier = box_with_boundary(lattice, max(event_a.required_radius(), event_b.required_radius()))
     observables = (event_a.observable(), event_b.observable())
     task = (lattice, p, carrier, observables, family_seed(master_seed, TAG_FKG))
-    va, vb = run_counters(partial(_observe, task), samples, workers)
+    va, vb = run_counters(partial(_observe, task), 0, samples, workers)
     ia, ib = event_a.holds(va), event_b.holds(vb)
     na, nb, nab = int(ia.sum()), int(ib.sum()), int((ia & ib).sum())
     pa, pb, pab = na / samples, nb / samples, nab / samples
@@ -520,7 +520,7 @@ def gluing_campaign(
         if stop_after_violations is not None and violated >= stop_after_violations:
             break
         stage = min(stage_size, max_attempts - attempts)
-        d, vi, vii = run_counters(shifted(kernel, attempts), stage, workers)[0].T
+        d, vi, vii = run_counters(kernel, attempts, attempts + stage, workers)[0].T
         d_attempts.extend((attempts + np.flatnonzero(d)).tolist())
         attempts += stage
         violated += int((vi | vii).sum())
@@ -565,8 +565,8 @@ def dn_fkg_bound(
     v_est = estimate_crossing(lattice, p, (2 * npr, npr), 1, samples, master_seed, workers)
     d = bisect_left(campaign.d_attempts, samples)
     if campaign.attempts < samples:
-        kernel = shifted(_dn_kernel(lattice, p, n, u, master_seed), campaign.attempts)
-        d += int(run_counters(kernel, samples - campaign.attempts, workers)[0][:, 0].sum())
+        kernel = _dn_kernel(lattice, p, n, u, master_seed)
+        d += int(run_counters(kernel, campaign.attempts, samples, workers)[0][:, 0].sum())
     chained = (h_est.point * v_est.point) ** ((2 * u + 1) ** 2)
     return DnChainBound(event_estimate(d, samples), h_est, v_est, chained)
 
@@ -630,8 +630,5 @@ def lower_construction(
     rsw = estimate_rsw_constant(lattice, p, n // u, constants.samples, master_seed, workers)
     low = vn_lower_constants(constants, pi, c12_grid)
     pick = min(1, len(c12_grid) - 1)
-    params = BoundParams(
-        d=2, C11=rsw.c11, C12=low.c12_grid[pick], C13=low.c13_fits[pick],
-        provenance={"C11": "fitted", "C12": "grid", "C13": "fitted"},
-    )
+    params = BoundParams(d=2, C11=rsw.c11, C12=low.c12_grid[pick], C13=low.c13_fits[pick])
     return LowerConstruction(rsw, low, params, campaign, lower_tail_estimate(tail, u, pi, params))

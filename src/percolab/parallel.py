@@ -2,7 +2,7 @@
 
 A kernel maps a replica index range [start, stop) to per-replica arrays: one
 array, or a tuple of arrays, with the replicas of the range along axis 0.
-Ranges partition [0, total), and the parent concatenates the chunk results
+Ranges partition [start, stop), and the parent concatenates the chunk results
 in replica order, so any worker count or chunking yields identical arrays.
 Every reduction over them runs once, in the parent.
 
@@ -30,21 +30,11 @@ from __future__ import annotations
 import atexit
 import multiprocessing as mp
 import os
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 _pool = None  # (owner pid, workers, multiprocessing.pool.Pool) or None
-
-
-def _shifted(fn, offset: int, start: int, stop: int):
-    return fn(offset + start, offset + stop)
-
-
-def shifted(fn: Callable, offset: int) -> Callable:
-    """``fn`` moved to the replica range [offset + start, offset + stop)."""
-    return partial(_shifted, fn, offset)
 
 
 def _invoke(args):
@@ -77,16 +67,17 @@ def _worker_pool(workers: int):
     return _pool[2]
 
 
-def run_counters(fn: Callable[[int, int], object], total: int, workers: int = 1):
-    """Run ``fn`` over [0, total) in chunks, concatenating the chunks in replica order."""
+def run_counters(fn: Callable[[int, int], object], start: int, stop: int, workers: int = 1):
+    """Run ``fn`` over [start, stop) in chunks, concatenating the chunks in replica order."""
+    total = stop - start
     if total < 1:
         raise ValueError(f"need at least one replica, got {total}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     chunk = max(256, -(-total // (workers * 4)))
     if workers == 1 or chunk >= total:
-        return fn(0, total)
-    ranges = [(fn, s, min(s + chunk, total)) for s in range(0, total, chunk)]
+        return fn(start, stop)
+    ranges = [(fn, s, min(s + chunk, stop)) for s in range(start, stop, chunk)]
     pool = _worker_pool(workers)
     try:
         parts = list(pool.imap(_invoke, ranges))

@@ -48,9 +48,8 @@ SELF_DUAL_CROSSING = 0.5  # a self-dual rectangle's crossing probability at p_c
 
 @dataclass(frozen=True)
 class VerifyProfile:
-    """Sample sizes per criterion; ``full`` holds the pinned gate values."""
+    """Sample sizes per criterion; ``FULL`` holds the pinned gate values."""
 
-    name: str
     crossing_samples: int = 20_000
     crossing_n: int = 32
     pi_samples: int = 10_000
@@ -74,9 +73,8 @@ class VerifyProfile:
     determinism_criteria: tuple[int, ...] = (1, 2, 5, 6, 7, 14)
 
 
-FULL = VerifyProfile(name="full")
+FULL = VerifyProfile()
 QUICK = VerifyProfile(
-    name="quick",
     crossing_samples=1500,
     crossing_n=12,
     pi_samples=600,
@@ -151,32 +149,24 @@ class VerifyContext:
         return table
 
     def vn_sample(
-        self, lattice: LatticeSpec, p: float, n: int, samples: int, reads: tuple[str, ...]
+        self, lattice: LatticeSpec, p: float, n: int, samples: int, kind: str
     ) -> estimators.VnSample:
-        """Replicas [0, samples) of the V_n family at (lattice, p) and scale n, for ``reads``.
+        """Replicas [0, samples) of the V_n family at (lattice, p) and scale n, for ``kind``.
 
         Each (lattice, p, n, observable) is labelled once per run: a shorter
         request reads a prefix of the cached array, and a longer one labels
-        only the missing replicas, the observables missing the same range in
-        one kernel call.  Replica i is the same configuration in every call,
-        so no result depends on criterion order or on which observables were
-        read first.
+        only the missing replicas.  Replica i is the same configuration in
+        every call, so no result depends on criterion order or on which
+        observable was read first.
         """
-        missing: dict[int, list[str]] = {}
-        for kind in reads:
-            have = len(self._vn.get((lattice, p, n, kind), ()))
-            if have < samples:
-                missing.setdefault(have, []).append(kind)
-        for start, kinds in missing.items():
+        key = (lattice, p, n, kind)
+        have = self._vn.get(key, np.zeros(0, dtype=np.int64))
+        if len(have) < samples:
             more = estimators.vn_sample(
-                lattice, p, n, samples - start, self.master_seed, self.workers, start, kinds
+                lattice, p, n, samples - len(have), self.master_seed, self.workers, len(have), (kind,)
             )
-            for kind in kinds:
-                have = self._vn.get((lattice, p, n, kind), np.zeros(0, dtype=np.int64))
-                self._vn[(lattice, p, n, kind)] = np.concatenate((have, getattr(more, kind)))
-        return estimators.VnSample(
-            lattice, n, **{kind: self._vn[(lattice, p, n, kind)][:samples] for kind in reads}
-        )
+            have = self._vn[key] = np.concatenate((have, getattr(more, kind)))
+        return estimators.VnSample(lattice, n, **{kind: have[:samples]})
 
     def growth_instances(self) -> list[tuple[tuple, ...]]:
         """Shared random point sets for the growth-process criteria."""
@@ -331,7 +321,7 @@ def _c8_upper_tail_shape(ctx: VerifyContext, lattice: LatticeSpec, p: float) -> 
     prof = ctx.profile
     pi = ctx.pi_table(lattice, p)
     n = prof.tail_n
-    c1 = ctx.vn_sample(lattice, p, n, prof.tail_samples, ("c1",)).c1
+    c1 = ctx.vn_sample(lattice, p, n, prof.tail_samples, "c1").c1
     thresholds, ests = map(list, zip(*estimators.upper_tail(c1, n, TAIL_US, pi)))
     points = [e.point for e in ests]
     strictly_down = all(a > b for a, b in zip(points, points[1:]))
@@ -360,8 +350,8 @@ def _c9_lower_tail_construction(ctx: VerifyContext, lattice: LatticeSpec, p: flo
     npr = prof.glue_n // GLUE_U
     construction = lowerbound.lower_construction(
         p, GLUE_U, ctx.pi_table(lattice, p),
-        ctx.vn_sample(lattice, p, npr, prof.constant_samples, ("vn",)),
-        ctx.vn_sample(lattice, p, prof.glue_n, prof.tail_samples, ("c1",)),
+        ctx.vn_sample(lattice, p, npr, prof.constant_samples, "vn"),
+        ctx.vn_sample(lattice, p, prof.glue_n, prof.tail_samples, "c1"),
         ctx.master_seed, ctx.workers, lowerbound.C12_GRID,
         conditioned=prof.glue_target,
         stop_after_violations=prof.glue_stop_violations,
@@ -404,7 +394,7 @@ def _c10_mean_vn_floor(ctx: VerifyContext, lattice: LatticeSpec, p: float) -> Ou
     rows = []
     ok = True
     for n in prof.vn_check_ns:
-        vn = ctx.vn_sample(lattice, p, n, prof.constant_samples, ("vn",))
+        vn = ctx.vn_sample(lattice, p, n, prof.constant_samples, "vn")
         rep = lowerbound.vn_lower_constants(vn, ctx.pi_table(lattice, p))
         ok &= rep.mean_ok
         rows.append(
@@ -472,7 +462,7 @@ def _c12_moment_stability(ctx: VerifyContext, lattice: LatticeSpec, p: float) ->
     pi = ctx.pi_table(lattice, p)
     fits = {}
     for n in prof.moment_ns:
-        vn = ctx.vn_sample(lattice, p, n, prof.moment_samples, ("vn",)).vn
+        vn = ctx.vn_sample(lattice, p, n, prof.moment_samples, "vn").vn
         best = 0.0
         for k in MOMENT_KS:
             mom = estimators.binomial_sums(vn, k)[0] / prof.moment_samples

@@ -38,7 +38,6 @@ def config_from_edges(lattice: LatticeSpec, region: Region, open_edges) -> Confi
     """Bond-mode configuration whose open edges are the ``(u, v)`` pairs of ``open_edges``."""
     if lattice.site_mode:
         raise ValueError("config_from_edges requires a bond-percolation lattice")
-    raster = grid.BoxRaster(lattice, region)
     cells = np.zeros(grid.cell_shape(lattice, region.shape), dtype=bool)
     cells[grid.vertex_cells(lattice)] = region.mask
     for u, v in open_edges:
@@ -46,5 +45,5 @@ def config_from_edges(lattice: LatticeSpec, region: Region, open_edges) -> Confi
             raise ValueError(f"not a lattice edge: {u}-{v}")
         if u not in region or v not in region:
             raise ValueError(f"edge {u}-{v} outside region")
-        cells[tuple(a + b for a, b in zip(raster.index(u), raster.index(v)))] = True
+        cells[tuple(a + b - 2 * o for a, b, o in zip(u, v, region.origin))] = True
     return Config(lattice, region, float("nan"), None, cells)

@@ -178,6 +178,10 @@ INF, NAN = float("inf"), float("nan")
         ("pi", {"sizes": [7, 8, 7]}, "sizes[2]"),
         ("pi", {"lattice": "triangular_site", "d": 3}, "d"),
         ("tail", {"lattice": "triangular_site", "d": 3}, "d"),
+        # a repeated size or u would sample its rows twice and write them twice
+        ("tail", {"u_grid": [1.0, 2.0, 1]}, "u_grid[2]"),
+        ("tail", {"sizes": [4, 4], "tail": {"distribution": True}}, "sizes[1]"),
+        ("tail", {"sizes": [4], "tail": {"sizes": [4, 6, 4]}}, "tail.sizes[2]"),
     ],
 )
 def test_spec_domain_errors_name_the_key(tmp_path, capsys, command, override, key):

@@ -395,7 +395,7 @@ def test_gluing_campaign_rejects_empty_budgets(kw):
 def test_gluing_campaign_records_d_attempts():
     kw = dict(stage_size=300, max_attempts=900, stop_after_violations=None)
     rep = L.gluing_campaign(TRIANGULAR, 0.6, 8, 2, 50, 11, **kw)
-    (flags,) = run_counters(L._dn_kernel(TRIANGULAR, 0.6, 8, 2, 11), rep.attempts)
+    (flags,) = run_counters(L._dn_kernel(TRIANGULAR, 0.6, 8, 2, 11), 0, rep.attempts)
     assert rep.d_attempts == tuple(np.flatnonzero(flags[:, 0]).tolist())
     assert len(rep.d_attempts) == rep.conditioned
 
@@ -422,7 +422,7 @@ def test_dn_fkg_bound_reads_the_campaign(max_attempts):
     kw = dict(stage_size=200, max_attempts=max_attempts, stop_after_violations=None)
     campaign = L.gluing_campaign(TRIANGULAR, 0.6, 8, 2, 10_000, 31, **kw)
     chain = L.dn_fkg_bound(campaign, TRIANGULAR, 0.6, 600, 31)
-    (flags,) = run_counters(L._dn_kernel(TRIANGULAR, 0.6, 8, 2, 31), 600)
+    (flags,) = run_counters(L._dn_kernel(TRIANGULAR, 0.6, 8, 2, 31), 0, 600)
     assert chain.d_estimate.successes == int(flags[:, 0].sum()) > 0
 
 

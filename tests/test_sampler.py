@@ -31,6 +31,11 @@ CARRIER = box_with_boundary(TRIANGULAR, 3)
 BOND_CARRIER = box_with_boundary(Z2_BOND, 3)
 
 
+def _index(cfg, site):
+    """Raster index of ``site`` in ``cfg``: its offset from the region's origin."""
+    return tuple(c - o for c, o in zip(site, cfg.region.origin))
+
+
 def test_p_one_all_open():
     cfg = sample_config(TRIANGULAR, CARRIER, 1.0, 7)
     assert cfg.site_open[cfg.region.mask].all()
@@ -130,7 +135,7 @@ def test_site_element_order_is_lexicographic():
     ordered_sites = sorted(CARRIER)
     for idx in (0, 5, len(ordered_sites) - 1):
         s = ordered_sites[idx]
-        assert states[idx] == cfg.site_open[cfg.raster.index(s)]
+        assert states[idx] == cfg.site_open[_index(cfg, s)]
 
 
 def test_bond_element_order_site_major_axis_ascending():
@@ -145,7 +150,7 @@ def test_bond_element_order_site_major_axis_ascending():
     assert len(elements) == len(states)
     for idx in (0, 17, len(elements) - 1):
         u, axis = elements[idx]
-        assert states[idx] == cfg.edge_open[axis][cfg.raster.index(u)]
+        assert states[idx] == cfg.edge_open[axis][_index(cfg, u)]
 
 
 def test_batch_matches_single_config():
@@ -171,13 +176,13 @@ def test_batch_matches_single_config():
 def test_hand_built_configs():
     region = box_sites((0, 0), 2)
     cfg = config_from_sites(TRIANGULAR, region, [(0, 0), (1, 1)])
-    assert cfg.site_open[cfg.raster.index((1, 1))]
-    assert not cfg.site_open[cfg.raster.index((1, 0))]
+    assert cfg.site_open[_index(cfg, (1, 1))]
+    assert not cfg.site_open[_index(cfg, (1, 0))]
     with pytest.raises(ValueError):
         config_from_sites(TRIANGULAR, region, [(9, 9)])
     bond = config_from_edges(Z2_BOND, region, [((0, 0), (1, 0)), ((0, 1), (0, 0))])
-    assert bond.edge_open[0][bond.raster.index((0, 0))]
-    assert bond.edge_open[1][bond.raster.index((0, 0))]
+    assert bond.edge_open[0][_index(bond, (0, 0))]
+    assert bond.edge_open[1][_index(bond, (0, 0))]
     with pytest.raises(ValueError):
         config_from_edges(Z2_BOND, region, [((0, 0), (1, 1))])
 

@@ -44,8 +44,8 @@ def test_family_cache_is_order_free(table):
 
 
 def test_family_cache_fills_each_observable_on_demand():
-    # V_n first, then both: the V_n prefix is kept, V_n is labelled only over
-    # [50, 80) and C_1 over [0, 80); the last request is a prefix of both
+    # V_n is labelled over [0, 50) and then only over [50, 80); C_1 fills on
+    # its own over [0, 80); shorter requests read prefixes and label nothing
     ctx = VerifyContext(SEED, 1, QUICK)
     calls = []
     sample = verify.estimators.vn_sample
@@ -56,12 +56,16 @@ def test_family_cache_fills_each_observable_on_demand():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify.estimators, "vn_sample", spy)
-        ctx.vn_sample(TRIANGULAR, 0.5, 3, 50, ("vn",))
-        got = ctx.vn_sample(TRIANGULAR, 0.5, 3, 80, ("vn", "c1"))
-        ctx.vn_sample(TRIANGULAR, 0.5, 3, 60, ("c1", "vn"))
+        ctx.vn_sample(TRIANGULAR, 0.5, 3, 50, "vn")
+        vn = ctx.vn_sample(TRIANGULAR, 0.5, 3, 80, "vn")
+        c1 = ctx.vn_sample(TRIANGULAR, 0.5, 3, 80, "c1")
+        short = ctx.vn_sample(TRIANGULAR, 0.5, 3, 60, "c1")
+        ctx.vn_sample(TRIANGULAR, 0.5, 3, 60, "vn")
     assert calls == [(50, 0, ("vn",)), (30, 50, ("vn",)), (80, 0, ("c1",))]
     want = sample(TRIANGULAR, 0.5, 3, 80, SEED)
-    assert got.vn.tolist() == want.vn.tolist() and got.c1.tolist() == want.c1.tolist()
+    assert vn.vn.tolist() == want.vn.tolist() and c1.c1.tolist() == want.c1.tolist()
+    assert short.c1.tolist() == want.c1[:60].tolist()
+    assert vn.c1 is None and c1.vn is None and short.vn is None
 
 
 @pytest.mark.parametrize(
