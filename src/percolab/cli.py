@@ -239,12 +239,14 @@ def _cmd_crossing(args) -> int:
     lattice, p = spec.lattice_spec(), spec.effective_p()
     rects = _opt(spec.crossing, "rects")
     if rects is None:
-        rects = [{"widths": estimators.self_dual_widths(lattice, n)} for n in spec.sizes]
+        _distinct("sizes", spec.sizes)  # one rectangle per size
+        rects = [(*estimators.self_dual_widths(lattice, n), 0) for n in spec.sizes]
+    else:
+        rects = [(*r["widths"], _opt(r, "axis", 0)) for r in rects]
+        _distinct("crossing.rects", rects)
     header = ("lattice", "p", "w0", "w1", "axis", "samples", "successes", "estimate", "stderr")
     rows = []
-    for r in rects:
-        w0, w1 = r["widths"]
-        axis = _opt(r, "axis", 0)
+    for w0, w1, axis in rects:
         est = estimators.estimate_crossing(
             lattice, p, (w0, w1), axis, spec.samples, spec.master_seed, spec.workers
         )

@@ -27,6 +27,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import bounds, clusters, estimators, growth, lowerbound, reports
 from .bounds import BoundParams, int_root_ceil, scale_floor
@@ -479,71 +481,53 @@ def _c12_moment_stability(ctx: VerifyContext, lattice: LatticeSpec, p: float) ->
     )
 
 
-def _canonical_partition(labels: np.ndarray) -> np.ndarray:
-    """Relabel clusters 1, 2, ... by first occurrence, zeros kept, so partitions compare exactly."""
-    flat = labels.ravel()
-    out = np.zeros_like(flat)
-    nonzero = flat != 0
-    _, first, inverse = np.unique(flat[nonzero], return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=flat.dtype)
-    rank[np.argsort(first)] = np.arange(1, len(first) + 1)
-    out[nonzero] = rank[inverse]
-    return out.reshape(labels.shape)
+def _labels_match_graph(config: Config, region: Region, labels: np.ndarray) -> bool:
+    """Whether ``labels`` are exactly the open clusters of ``config`` inside ``region``.
 
-
-def _bfs_labels(config: Config, region: Region) -> np.ndarray:
-    """Independent flood-fill labeling used as the criterion-13 oracle."""
-    offsets = config.lattice.neighbor_offsets()
-    site_mode = config.lattice.site_mode
-    edge_open = config.edge_open
+    Each open edge between participating sites is listed once, from its smaller
+    end, and scipy counts the components of that graph over the raster; closed
+    sites are isolated nodes, so they are taken off the count.  Labels that are
+    positive exactly on the participating sites and equal across every open
+    edge put each component inside one label, and as many distinct labels as
+    components make that map one-to-one: the labels are the components.
+    """
     shape = config.region.shape
-    lab = np.zeros(shape, dtype=np.int32)
     in_region = region.mask_in(config.region.origin, shape)
-    participe = config.site_open & in_region if site_mode else in_region
-    next_label = 0
-    idxs = np.argwhere(participe)
-    for x, y in idxs.tolist():
-        if lab[x, y]:
+    part = config.site_open & in_region if config.site_mode else in_region
+    edge_open = config.edge_open
+    node = np.arange(part.size).reshape(shape)
+    ends, equal = [], True
+    for off in config.lattice.neighbor_offsets():
+        if off < (0,) * len(off):
             continue
-        next_label += 1
-        stack = [(x, y)]
-        lab[x, y] = next_label
-        while stack:
-            cx, cy = stack.pop()
-            for ox, oy in offsets:
-                nx, ny = cx + ox, cy + oy
-                if not (0 <= nx < shape[0] and 0 <= ny < shape[1]):
-                    continue
-                if not participe[nx, ny] or lab[nx, ny]:
-                    continue
-                if not site_mode:
-                    if ox + oy < 0:
-                        ex, ey, axis = nx, ny, (0 if ox else 1)
-                    else:
-                        ex, ey, axis = cx, cy, (0 if ox else 1)
-                    if not edge_open[axis][ex, ey]:
-                        continue
-                lab[nx, ny] = next_label
-                stack.append((nx, ny))
-    return lab
+        lo = tuple(slice(max(-o, 0), n - max(o, 0)) for o, n in zip(off, shape))
+        hi = tuple(slice(max(o, 0), n - max(-o, 0)) for o, n in zip(off, shape))
+        edge = part[lo] & part[hi]
+        if edge_open is not None:
+            edge &= edge_open[off.index(1)][lo]
+        ends.append((node[lo][edge], node[hi][edge]))
+        equal = equal and np.array_equal(labels[lo][edge], labels[hi][edge])
+    a, b = map(np.concatenate, zip(*ends))
+    graph = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(part.size, part.size))
+    components = connected_components(graph, directed=False)[0] - np.count_nonzero(~part)
+    # positive exactly on the participating sites and zero elsewhere (np.sign of a negative label is -1)
+    signs_ok = np.array_equal(np.sign(labels), part)
+    return signs_ok and equal and len(np.unique(labels[part])) == components
 
 
 def _c13_bfs_oracle(ctx: VerifyContext, *_) -> Outcome:
     prof = ctx.profile
-    rng = rng_for(estimators.family_seed(ctx.master_seed, TAG_BFS))
+    family = estimators.family_seed(ctx.master_seed, TAG_BFS)
+    rng = rng_for(family)
     mismatches = 0
     for i in range(prof.bfs_configs):
         lattice = TRIANGULAR if i % 2 == 0 else Z2_BOND
         w = int(rng.integers(7, 64))
         h = int(rng.integers(7, 64))
         region = rect_region((0, 0), (w, h))
-        seed = derive_stream(estimators.family_seed(ctx.master_seed, TAG_BFS), i)
-        config = sample_config(lattice, region, estimators.default_p(lattice), seed)
-        mine = clusters.label_clusters(config, region)
-        ours = _canonical_partition(mine.label_grid)
-        oracle = _canonical_partition(_bfs_labels(config, region))
-        if not np.array_equal(ours, oracle):
-            mismatches += 1
+        config = sample_config(lattice, region, estimators.default_p(lattice), derive_stream(family, i))
+        labels = clusters.label_clusters(config, region).label_grid
+        mismatches += not _labels_match_graph(config, region, labels)
     ok = mismatches == 0
     return (
         ok,
@@ -552,7 +536,7 @@ def _c13_bfs_oracle(ctx: VerifyContext, *_) -> Outcome:
     )
 
 
-def _independent_series(u: float, params: BoundParams, terms: int = 4000) -> float:
+def _independent_series(u: float, params: BoundParams) -> float:
     """Naive high-to-low summation of the same two-piece series."""
     c2v = params.C2
     ud = u**params.d
@@ -561,7 +545,7 @@ def _independent_series(u: float, params: BoundParams, terms: int = 4000) -> flo
     for k in range(1, cut + 1):
         vals.append((ud / (c2v * k)) ** k)
     k = cut + 1
-    while k <= cut + terms:
+    while k <= cut + 4000:
         t = (ud / k) ** ((1 - params.alpha / params.d) * k)
         vals.append(t)
         if k > ud and t < 1e-18 * sum(vals):
@@ -637,12 +621,12 @@ _CRITERIA = {
 
 
 def check_criteria(name: str, indices) -> None:
-    """Reject anything but a nonempty list of integers that each name a criterion."""
+    """Reject anything but a nonempty list of distinct integers that each name a criterion."""
     if not isinstance(indices, list) or not indices or any(
         type(i) is not int or i not in _CRITERIA for i in indices
-    ):
+    ) or len(set(indices)) < len(indices):
         raise ValueError(
-            f"{name} must be a nonempty list of criteria in 1..{len(_CRITERIA)}, got {indices!r}"
+            f"{name} must be a nonempty list of distinct criteria in 1..{len(_CRITERIA)}, got {indices!r}"
         )
 
 

@@ -182,6 +182,11 @@ INF, NAN = float("inf"), float("nan")
         ("tail", {"u_grid": [1.0, 2.0, 1]}, "u_grid[2]"),
         ("tail", {"sizes": [4, 4], "tail": {"distribution": True}}, "sizes[1]"),
         ("tail", {"sizes": [4], "tail": {"sizes": [4, 6, 4]}}, "tail.sizes[2]"),
+        # a repeated rectangle (axis 0 by default) or criterion would run twice
+        ("crossing", {"crossing": {"rects": [{"widths": [4, 4]}, {"widths": [4, 4], "axis": 0}]}},
+         "crossing.rects[1]"),
+        ("crossing", {"sizes": [6, 6]}, "sizes[1]"),
+        ("verify", {"verify": {"profile": "quick", "criteria": [14, 14]}}, "verify.criteria"),
     ],
 )
 def test_spec_domain_errors_name_the_key(tmp_path, capsys, command, override, key):

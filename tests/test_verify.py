@@ -7,10 +7,13 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from percolab import verify
+from percolab.clusters import label_clusters
 from percolab.estimators import default_p
-from percolab.lattice import TRIANGULAR, Z2_BOND
+from percolab.lattice import TRIANGULAR, Z2_BOND, Region, rect_region
+from percolab.sampler import sample_config
 from percolab.verify import _CRITERIA, QUICK, VerifyContext, run_criterion
 
 SEED = 7
@@ -86,8 +89,8 @@ def test_criteria_label_only_the_observable_they_read(index, want, table, monkey
 
 
 def test_bfs_oracle_is_independent():
-    # criterion 13 compares the labeling kernel with this flood fill
-    source = inspect.getsource(verify._bfs_labels)
+    # criterion 13 checks the labeling kernel against this graph oracle
+    source = inspect.getsource(verify._labels_match_graph)
     assert "ndimage" not in source and "grid." not in source
 
 
@@ -119,21 +122,36 @@ def test_one_criterion_runs_at_a_shifted_p():
         assert json.dumps(asdict(mine)) == json.dumps(asdict(theirs)), i
 
 
-def _partition_reference(labels):
-    """Reference loop: number clusters 1, 2, ... by first occurrence, zeros kept."""
-    out, mapping = np.zeros_like(labels), {}
-    for idx, v in np.ndenumerate(labels):
-        if v:
-            out[idx] = mapping.setdefault(v, len(mapping) + 1)
-    return out
+# a 20 x 20 box without its middle 4 x 4 block
+HOLE = Region((0, 0), np.pad(np.zeros((4, 4), dtype=bool), 8, constant_values=True))
 
 
-def test_canonical_partition_numbers_clusters_by_first_occurrence():
-    labels = np.array([[0, 7, 7, 0], [3, 0, 9, 3], [0, 9, 0, 12]], dtype=np.int32)
-    want = [[0, 1, 1, 0], [2, 0, 3, 2], [0, 3, 0, 4]]
-    assert verify._canonical_partition(labels).tolist() == want
-    assert not verify._canonical_partition(np.zeros((3, 2), dtype=np.int32)).any()
-    rng = np.random.default_rng(SEED)
-    for _ in range(50):
-        grid = rng.integers(0, 12, size=tuple(rng.integers(1, 9, size=2)), dtype=np.int32)
-        assert np.array_equal(verify._canonical_partition(grid), _partition_reference(grid))
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND])
+def test_labels_match_graph_accepts_clusters_and_rejects_plants(lattice):
+    # the criterion-13 oracle accepts the kernel's labels on rectangles and on
+    # a region with a hole; on the triangular lattice it rejects the labels of
+    # the square adjacency (ndimage's default structure)
+    p = default_p(lattice)
+    for seed, widths in enumerate([(7, 7), (23, 40), (41, 9)]):
+        region = rect_region((0, 0), widths)
+        config = sample_config(lattice, region, p, seed)
+        assert verify._labels_match_graph(config, region, label_clusters(config, region).label_grid)
+        if lattice.site_mode:
+            square = ndimage.label(config.site_open)[0]
+            assert not verify._labels_match_graph(config, region, square)
+    config = sample_config(lattice, rect_region((0, 0), HOLE.shape), p, 3)
+    labels = label_clusters(config, HOLE).label_grid
+    assert verify._labels_match_graph(config, HOLE, labels)
+    # a merged pair; one site of the largest cluster split off or moved to
+    # another cluster; a label on the first unlabelled site (a closed one on
+    # the triangular lattice) or on the hole's middle
+    ids, sizes = np.unique(labels[labels > 0], return_counts=True)
+    big = ids[sizes.argmax()]
+    other, new, one = ids[ids != big][0], labels.max() + 1, tuple(np.argwhere(labels == big)[0])
+    plants = [np.where(labels == other, big, labels)]
+    for site, value in ((one, new), (one, other), (tuple(np.argwhere(labels == 0)[0]), new), ((10, 10), new)):
+        plant = labels.copy()
+        plant[site] = value
+        plants.append(plant)
+    for plant in plants:
+        assert not verify._labels_match_graph(config, HOLE, plant)
