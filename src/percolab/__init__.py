@@ -12,26 +12,13 @@ from .lattice import (  # noqa: F401
     box_sites,
     box_with_boundary,
     linf_distance,
-    neighbors,
-    outer_boundary,
     rect_region,
 )
 from .sampler import Config, derive_stream, sample_config  # noqa: F401
-from .clusters import (  # noqa: F401
-    ClusterLabels,
-    arm_event,
-    connected_in,
-    horizontal_crossing,
-    ith_largest_size,
-    label_clusters,
-    long_arm_set,
-    vertical_crossing,
-)
+from .clusters import ClusterLabels, label_clusters  # noqa: F401
 from .growth import (  # noqa: F401
     Blob,
     GrowthRecord,
-    blob_boundaries,
-    blob_region,
     blobs,
     check_radius_bound,
     count_upper_bound,
@@ -51,23 +38,13 @@ from .estimators import (  # noqa: F401
 )
 from .bounds import (  # noqa: F401
     BoundParams,
-    bcks_bound,
     generating_fn_bound,
-    main_bounds,
-    markov_threshold_bound,
-    moment_bound,
     multinomial_constant,
-    power_product_constant,
-    sum_pi_bound,
-    triangular_tail,
 )
 from .lowerbound import (  # noqa: F401
     EventSpec,
-    GluingOutcome,
-    dn_event,
     estimate_rsw_constant,
     fkg_check,
-    gluing_check,
     lower_construction,
     lower_tail_estimate,
     vn_lower_constants,

@@ -1,11 +1,12 @@
-"""Closed-form bound evaluators and constant-existence sweeps.
+"""The generating-function bound and the constant-existence sweeps.
 
-Combinatorial quantities (multiset orderings, multinomials, dyadic power
-products) are computed exactly with big integers / rationals; floating point
-enters through exp/log of those exact values.  "Existence of a constant"
-claims are turned into fitted suprema over finite sweeps, reported rather
-than asserted against invented targets.  The arm probability is a callable
-``pi(scale)``; a caller holding an ``estimators.PiTable`` passes ``table.pi``.
+The paper's closed forms are evaluated only where the lab reads them: CLI
+``bounds`` and criterion 14 evaluate the generating-function series and both
+sweeps.  Combinatorial quantities (dyadic multinomials and the exponents of
+dyadic power products) are computed exactly with big integers; floating
+point enters through exp/log of those exact values.  "Existence of a
+constant" claims are turned into fitted suprema over finite sweeps, reported
+rather than asserted against invented targets.
 
 A sweep over 2 <= k <= kmax first screens every k with approximate log-fits
 (lgamma sums for the multinomial, the exact integer exponent for the power
@@ -29,26 +30,19 @@ import numpy as np
 from scipy.special import gammaln
 
 ONE_ARM_EXPONENT = Fraction(5, 48)
-TAIL_SHAPE_EXPONENT = Fraction(96, 5)  # == 2 / ONE_ARM_EXPONENT
-assert TAIL_SHAPE_EXPONENT == 2 / ONE_ARM_EXPONENT
 
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Named constants feeding the bound evaluators.
+    """Named constants of the generating-function bound and the lower construction.
 
-    All constants are optional; evaluators raise ``ValueError`` naming any
+    All constants are optional; a reader raises ``ValueError`` naming any
     missing ones.
     """
 
     d: int = 2
     alpha: float | None = None
-    c1: float | None = None
-    c2: float | None = None
-    c3: float | None = None
-    c4: float | None = None
     C2: float | None = None
-    C8: float | None = None
     C11: float | None = None
     C12: float | None = None
     C13: float | None = None
@@ -92,63 +86,6 @@ def int_root_ceil(k: int, d: int) -> int:
 def scale_floor(n: int, u: float) -> int:
     """Discretized scale n/u: floor, clamped to >= 1."""
     return max(1, int(n / u))
-
-
-# ---------------------------------------------------------------------------
-# Tail-bound evaluators
-
-
-def bcks_bound(x: float, params: BoundParams) -> float:
-    """Exponential tail bound c1 * exp(-c2 * x)."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    c1, c2 = params.require("c1", "c2")
-    return c1 * math.exp(-c2 * x)
-
-
-def main_bounds(u: float, params: BoundParams, lower: bool = True) -> tuple[float, float | None]:
-    """Stretched-exponential pair (upper, lower) at argument u.
-
-    The lower bound is two-dimensional only; requesting it with d != 2 is an
-    error.  Pass ``lower=False`` to evaluate just the upper bound.
-    """
-    if u < 1:
-        raise ValueError("u must be >= 1")
-    c1, c2 = params.require("c1", "c2")
-    up = c1 * math.exp(-c2 * u**params.d)
-    if not lower:
-        return up, None
-    if params.d != 2:
-        raise ValueError("lower bound is defined for d = 2 only")
-    c3, c4 = params.require("c3", "c4")
-    return up, c3 * math.exp(-c4 * u**2)
-
-
-def moment_bound(n: int, k: int, pi: Callable[[int], float], params: BoundParams) -> float:
-    """Binomial-moment bound (c1 * n^d * pi(n / ceil(k^(1/d))) / k)^k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    (c1,) = params.require("c1")
-    scale = scale_floor(n, int_root_ceil(k, params.d))
-    return (c1 * n**params.d * pi(scale) / k) ** k
-
-
-def sum_pi_bound(pi: Callable[[int], float], n: int, d: int) -> float:
-    """Empirical constant sum_{k<=n} k^(d-1) pi(k) / (n^d pi(n))."""
-    total = sum(k ** (d - 1) * pi(k) for k in range(1, n + 1))
-    denom = n**d * pi(n)
-    if denom <= 0:
-        raise ValueError("pi(n) must be positive")
-    return total / denom
-
-
-def triangular_tail(x: float, params: BoundParams) -> tuple[float, float]:
-    """Tail-shape pair with the 96/5 exponent (2 over the one-arm 5/48)."""
-    if x <= 0:
-        raise ValueError("x must be > 0")
-    c1, c2, c3, c4 = params.require("c1", "c2", "c3", "c4")
-    e = float(TAIL_SHAPE_EXPONENT)
-    return c1 * math.exp(-c2 * x**e), c3 * math.exp(-c4 * x**e)
 
 
 # ---------------------------------------------------------------------------
@@ -227,31 +164,6 @@ def generating_fn_bound(u: float, n: int, params: BoundParams) -> tuple[float, f
     if not 1 <= u <= n:
         raise ValueError("u must lie in [1, n]")
     return _gen_fn_series(u, params), fit_c9(params, n) * math.exp(_ud_over_c2(u, params))
-
-
-def fit_c10(params: BoundParams) -> float:
-    """Exponent constant from the decreasing map x -> (1+x)^(1/x).
-
-    x = u^d / (C2 C8 n^d pi(n/u)) is at most xmax = 1/(C2^2 C8); the fitted
-    constant is log(1+xmax)/xmax / (C2 C8).
-    """
-    c2v, c8 = params.require("C2", "C8")
-    xmax = 1.0 / (c2v**2 * c8)
-    return math.log1p(xmax) / xmax / (c2v * c8)
-
-
-def markov_threshold_bound(
-    u: float, n: int, K: float, params: BoundParams, pi: Callable[[int], float]
-) -> float:
-    """Ratio of t^{K n^d pi(n/u)} to exp(C10 K u^d), with C10 from ``fit_c10``; it is >= 1."""
-    if not 1 <= u <= n:
-        raise ValueError("u must lie in [1, n]")
-    c2v, c8 = params.require("C2", "C8")
-    base = n**params.d * pi(scale_floor(n, u))
-    x = u**params.d / (c2v * c8 * base)
-    log_lhs = K * base * math.log1p(x)
-    log_rhs = fit_c10(params) * K * u**params.d
-    return math.exp(log_lhs - log_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -370,33 +282,13 @@ def multinomial_sweep(kmax: int, d: int) -> tuple[float, int]:
     return _screened_max(kmax, levels, screen, lambda k: multinomial_constant(k, d)[1])
 
 
-def _power_product_exponent(k: int, d: int) -> tuple[int, int, int]:
-    parts, m, j = _partition(k, d)
+def _power_product_fit(k: int, d: int) -> float:
+    """(value * k^k)^(1/k) as exp(log k - e log 2 / k), from the exact exponent e of
+    value = 2^(-m (j-1) d) * prod_{i<j} 2^(-d i (2^d - 1) 2^(i d))."""
+    _, m, j = _partition(k, d)
     e = m * (j - 1) * d
     for i in range(1, j):
         e += d * i * (2**d - 1) * 2 ** (i * d)
-    return e, m, j
-
-
-def power_product_constant(k: int, d: int) -> tuple[Fraction, float]:
-    """Exact dyadic power product and the implied per-point constant.
-
-    Value is 2^(-m (j-1) d) * prod_{i<j} 2^(-d i (2^d - 1) 2^(i d)); the
-    second component is (value * k^k)^(1/k).
-    """
-    _check_kd(k, d)
-    e, _, _ = _power_product_exponent(k, d)
-    value = Fraction(1, 2**e) if e >= 0 else Fraction(2**-e)
-    log_ratio = k * math.log(k) - e * math.log(2)
-    return value, math.exp(log_ratio / k)
-
-
-def _power_product_fit(k: int, d: int) -> float:
-    """The sweep's form of the fit, exp(log k - e log 2 / k).
-
-    ``power_product_constant`` rounds exp((k log k - e log 2) / k) instead.
-    """
-    e = _power_product_exponent(k, d)[0]
     return math.exp(math.log(k) - e * math.log(2) / k)
 
 

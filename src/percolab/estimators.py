@@ -26,15 +26,16 @@ Every estimate, and the gluing campaign's D(n, u), runs one kernel,
 replicas of ``fam`` on the carrier and returns a per-replica array per observable:
 
 * ``("arm", pairs)``: (B, rows) bool; row (m, n) is "some cluster touches
-  the boundaries of box(m) and box(n)", the confined ``clusters.arm_event``;
+  the boundaries of box(m) and box(n)";
 * ``("vn", n)``: int64 V_n, the sites of box(n) joined to the boundary of box(2n);
 * ``("c1", n)``: int64 C_1, the largest cluster of box(n), paths inside box(n);
 * ``("crossing", corner, widths, axis)``: bool, the rectangle is crossed inside;
 * ``("dn", n, u)``: (B, 3) bool, D(n, u) holds and, where it does, each of the
   gluing check's two violations (read by ``lowerbound``, see its module doc).
 
-``read_config`` reads one configuration with the same readers, so the
-``clusters`` events and ``lowerbound.dn_event``/``gluing_check`` share them.
+``read_config`` runs the same readers on one configuration, sampled or hand-built.
+It is the only single-configuration entry point, kept so that tests can check
+every reduction on configurations of their choosing; nothing in the lab calls it.
 C_1, crossings and D(n, u) label their crops; arm rows and V_n read one labeling of
 the whole carrier and need no confinement.  Every labelling call lays its grids
 side by side in one strip (see ``grid``), so label values are unique per
@@ -353,7 +354,11 @@ def _observe(task, start: int, stop: int) -> tuple[np.ndarray, ...]:
 
 
 def read_config(config: Config, observable: tuple):
-    """``observable`` on one configuration, read over its raster as the kernel reads a replica."""
+    """``observable`` on one configuration, read over its raster as the kernel reads a replica.
+
+    The raster must hold the observable's geometry (each ring with box(r + 1),
+    each rectangle and box), else ``grid.BoxRaster`` raises ``ValueError``.
+    """
     reader = _reader(config.lattice, config.raster, observable)
     return _read_batch(config.lattice, [reader], config.cells[None], grid.FRESH)[0][0]
 

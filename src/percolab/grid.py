@@ -64,15 +64,16 @@ class BoxRaster:
     def __hash__(self) -> int:
         return hash((self.lattice, self.origin, self.shape))
 
-    def box_slices(self, center: Site, radius: int) -> tuple[slice, ...]:
-        sl = tuple(
-            slice(c - radius - o, c + radius + 1 - o)
-            for c, o in zip(center, self.origin)
-        )
+    def rect_slices(self, corner: Site, widths: tuple[int, ...]) -> tuple[slice, ...]:
+        """Raster slices of the rectangle ``corner + [0, w_a]``; it must lie in the raster."""
+        sl = tuple(slice(c - o, c + w + 1 - o) for c, o, w in zip(corner, self.origin, widths))
         for s, size in zip(sl, self.shape):
             if s.start < 0 or s.stop > size:
                 raise ValueError("box escapes the raster bounding box")
         return sl
+
+    def box_slices(self, center: Site, radius: int) -> tuple[slice, ...]:
+        return self.rect_slices(tuple(c - radius for c in center), (2 * radius,) * len(center))
 
     def box_mask(self, center: Site, radius: int) -> np.ndarray:
         m = np.zeros(self.shape, dtype=bool)
@@ -80,13 +81,13 @@ class BoxRaster:
         return m
 
     def boundary_mask(self, center: Site, radius: int) -> np.ndarray:
-        """Outer vertex boundary of the box, under the lattice adjacency."""
-        return ring(self.box_mask(center, radius), self.lattice)
+        """Outer vertex boundary of the box, under the lattice adjacency.
 
-    def rect_slices(self, corner: Site, widths: tuple[int, ...]) -> tuple[slice, ...]:
-        return tuple(
-            slice(c - o, c + w + 1 - o) for c, o, w in zip(corner, self.origin, widths)
-        )
+        The ring lies in box(radius + 1), which must lie in the raster: a ring
+        clipped by the raster's edge would be read as the whole ring.
+        """
+        self.box_slices(center, radius + 1)
+        return ring(self.box_mask(center, radius), self.lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +334,3 @@ def largest_count(labels: np.ndarray) -> np.ndarray:
     counts = np.bincount(labels.ravel(), minlength=1)
     counts[0] = 0
     return np.array([counts.take(g).max(initial=0) for g in labels], dtype=np.int64)
-
-
-def cluster_sizes_single(labels: np.ndarray) -> np.ndarray:
-    """Cluster sizes of one labelled grid, nonincreasing."""
-    nmax = int(labels.max(initial=0))
-    if nmax == 0:
-        return np.zeros(0, dtype=np.int64)
-    counts = np.bincount(labels.ravel(), minlength=nmax + 1)[1:]
-    counts = counts[counts > 0]
-    return np.sort(counts)[::-1]

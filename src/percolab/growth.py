@@ -13,17 +13,15 @@ Ties are broken deterministically by the lexicographically smallest eligible
 (u, v) pair with u < v, so records are independent of input order.
 
 Blobs are the connected components arising along the way; each carries its
-doubled birth and death radii and a rasterized shell region (death-ball union
-minus birth-ball union).  Shells of distinct blobs are pairwise disjoint.
-Boundary extraction uses L-infinity (box) adjacency, matching the ball
-geometry; the root blob's outer face is the boundary of the doubled box.
+doubled birth and death radii and a rasterized shell (death-ball union minus
+birth-ball union; the root's outer face is the doubled box).  Shells of
+distinct blobs are pairwise disjoint.
 
 L-infinity balls are axis-aligned cubes, so a shell is painted in place with
 one slice assignment per ball (``_fill``): the outer face (death balls, or the
 doubled box for the root) is set, then the birth balls and the even-d2
 interface are cleared.  Slice bounds are plain integer arithmetic on 2-D
-rasters and a per-axis loop in other dimensions.  The box-adjacency boundary
-of a radius-r union is the radius-(r + 1) union with the radius-r one cleared.
+rasters and a per-axis loop in other dimensions.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .lattice import Region, Site, linf_distance
+from .lattice import Site, linf_distance
 
 
 @dataclass(frozen=True)
@@ -186,33 +184,26 @@ def _fill(out: np.ndarray, centers: Iterable[Site], r: int, origin: Site, value:
 
 
 def _blob_bbox(blob: Blob, n: int) -> tuple[Site, tuple[int, ...]]:
+    """(origin, shape) of the box around the shell's outer face (doubled box or death balls)."""
     axes = tuple(zip(*blob.members))
     if blob.is_root:
-        return (-(2 * n + 1),) * len(axes), (2 * (2 * n + 1) + 1,) * len(axes)
-    pad = blob.d2 // 2 + 1
-    lo = tuple(min(a) - pad for a in axes)
-    return lo, tuple(max(a) + pad - l + 1 for a, l in zip(axes, lo))
-
-
-def _outer_face(blob: Blob, n: int) -> tuple[Iterable[Site], int]:
-    """(centers, radius) of the balls inside the shell's outer face: the death
-    balls, or for the root the doubled box, one ball around the origin."""
-    if blob.is_root:
-        return [(0,) * len(next(iter(blob.members)))], 2 * n
-    return blob.members, blob.d2 // 2
-
-
-def blob_region(blob: Blob, n: int) -> Region:
-    """The shell between the blob's birth-ball union and death-ball union."""
-    mask, origin = blob_region_mask(blob, n)
-    return Region(origin, mask)
+        return (-2 * n,) * len(axes), (4 * n + 1,) * len(axes)
+    r = blob.d2 // 2
+    lo = tuple(min(a) - r for a in axes)
+    return lo, tuple(max(a) + r - l + 1 for a, l in zip(axes, lo))
 
 
 def blob_region_mask(blob: Blob, n: int) -> tuple[np.ndarray, Site]:
-    """Raster form of ``blob_region``; (mask, grid origin)."""
+    """The shell between the blob's birth-ball union and death-ball union: (mask, grid origin).
+
+    ``Region(origin, mask)`` is the shell as a set of sites.
+    """
     origin, shape = _blob_bbox(blob, n)
     shell = np.zeros(shape, dtype=bool)
-    _fill(shell, *_outer_face(blob, n), origin, True)
+    if blob.is_root:  # the outer face: the doubled box, one ball around the origin
+        _fill(shell, [(0,) * len(shape)], 2 * n, origin, True)
+    else:  # or the death balls
+        _fill(shell, blob.members, blob.d2 // 2, origin, True)
     _fill(shell, blob.members, blob.b2 // 2, origin, False)
     if blob.others and blob.d2 % 2 == 0:
         # touching interfaces with other components belong to no shell: clear
@@ -222,27 +213,6 @@ def blob_region_mask(blob: Blob, n: int) -> tuple[np.ndarray, Site]:
         _fill(interface, blob.members, blob.d2 // 2 - 1, origin, False)
         shell[interface] = False
     return shell, origin
-
-
-def _ring(members: Iterable[Site], r: int, origin: Site, shape: tuple[int, ...]) -> np.ndarray:
-    """Outer boundary of the radius-r ball union under box adjacency."""
-    out = np.zeros(shape, dtype=bool)
-    _fill(out, members, r + 1, origin, True)
-    _fill(out, members, r, origin, False)
-    return out
-
-
-def blob_boundaries(blob: Blob, n: int) -> tuple[Region, Region]:
-    """(inner, outer) face boundaries of the blob's shell.
-
-    Inner: boundary of the birth-ball union.  Outer: boundary of the
-    death-ball union, or the boundary of the doubled box for the root.  The
-    raster's one-site padding holds both rings.
-    """
-    origin, shape = _blob_bbox(blob, n)
-    inner = _ring(blob.members, blob.b2 // 2, origin, shape)
-    outer = _ring(*_outer_face(blob, n), origin, shape)
-    return Region(origin, inner), Region(origin, outer)
 
 
 @dataclass(frozen=True)

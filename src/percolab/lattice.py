@@ -9,8 +9,8 @@ Two lattice kinds are supported:
 Sites are plain tuples of ints.  A region, a finite set of sites, is a value
 ``Region(origin, mask)``: a read-only boolean mask over the region's bounding
 box, whose cell ``i`` is the site ``origin + i``.  Boxes and rectangles are
-full masks, boundaries are one dilation of a mask by the lattice adjacency,
-and subset tests are mask operations; a region iterates its sites in
+full masks, a boundary (``ring``) is one dilation of a mask by the lattice
+adjacency, and subset tests are mask operations; a region iterates its sites in
 lexicographic order.  All distances used by the growth process are
 L-infinity (Chebyshev), independent of the lattice kind.
 """
@@ -177,18 +177,6 @@ def rect_region(corner: Site, widths: tuple[int, ...]) -> Region:
     if any(w < 0 for w in widths):
         raise ValueError(f"rectangle extents must be >= 0, got {tuple(widths)}")
     return Region(tuple(corner), np.ones(tuple(w + 1 for w in widths), dtype=bool))
-
-
-def neighbors(v: Site, lattice: LatticeSpec) -> Region:
-    """Adjacent sites of ``v`` under the lattice adjacency."""
-    return outer_boundary(box_sites(v, 0), lattice)
-
-
-def outer_boundary(region: Region, lattice: LatticeSpec) -> Region:
-    """Sites outside the region adjacent to some site of it."""
-    if region.d != lattice.d:
-        raise ValueError(f"region dimension {region.d} != lattice dimension {lattice.d}")
-    return Region(tuple(o - 1 for o in region.origin), ring(np.pad(region.mask, 1), lattice))
 
 
 def linf_distance(u: Site, v: Site) -> int:

@@ -44,7 +44,7 @@ extremes of only the clusters that meet box(n - n').
 
 D(n, u) and the check are the kernel observable ``("dn", n, u)``: the gluing
 campaign samples it on box(2n) plus boundary with ``estimators._observe``, and
-``dn_event``/``gluing_check`` read one configuration with ``read_config``.
+``estimators.read_config(config, ("dn", n, u))`` reads it off one configuration.
 
 ``lower_construction`` runs the campaign with the fitted C11, C12, C13 and the
 direct C_1 tail for both CLI ``lower`` and criterion 9.  The campaign keeps
@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from typing import Sequence
 
@@ -79,11 +78,9 @@ from .estimators import (
     event_estimate,
     family_seed,
     mean_estimate,
-    read_config,
 )
-from .lattice import LatticeSpec, Site, box_with_boundary, rect_region
+from .lattice import LatticeSpec, Site, box_with_boundary
 from .parallel import run_counters
-from .sampler import Config
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +291,6 @@ def _dn_rects(n: int, u: int, d: int) -> list[tuple[Site, tuple[int, int], int]]
     return [((np_ * vx, np_ * vy), widths[axis], axis) for _, _, axis, vx, vy in order]
 
 
-def dn_event(config: Config, n: int, u: int) -> bool:
-    """All 2 (2u+1)^2 crossings of the construction hold: the gluing check applies."""
-    return gluing_check(config, n, u) is not GluingOutcome.NOT_APPLICABLE
-
-
-class GluingOutcome(Enum):
-    NOT_APPLICABLE = "not_applicable"
-    HOLDS = "holds"
-    VIOLATED = "violated"
-
-
 def _cluster_extremes(labels: np.ndarray, present: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per axis, the coordinate minima and maxima of the clusters ``present`` (sorted labels).
 
@@ -421,16 +407,6 @@ def _gluing_violations(
     total = int(grid.count_connected_to(local, geometry.ring, geometry.box).sum())
     viol_ii = total > int(grid.largest_count(labels[None])[0])
     return viol_i, viol_ii
-
-
-def gluing_check(config: Config, n: int, u: int) -> GluingOutcome:
-    """Deterministic implication check on one configuration (see module doc)."""
-    if not all(rect_region(c, w) <= config.region for c, w, _ in _dn_rects(n, u, config.lattice.d)):
-        raise ValueError("carrier too small for the construction rectangles")
-    d, viol_i, viol_ii = read_config(config, ("dn", n, u))
-    if not d:
-        return GluingOutcome.NOT_APPLICABLE
-    return GluingOutcome.VIOLATED if (viol_i or viol_ii) else GluingOutcome.HOLDS
 
 
 # While fewer than this many attempts survive, each survivor puts its next

@@ -92,6 +92,38 @@ def connected_sets(open_sites, offsets, source, target):
     return False
 
 
+def config_clusters(cfg, inside):
+    """Clusters of a configuration with paths inside the site set ``inside``.
+
+    Site mode: ``site_components`` of the open sites in ``inside``.  Bond mode:
+    ``bond_components`` of ``inside`` under the open edges with both ends in it.
+    The states are read from ``Config.site_open`` / ``Config.edge_open``.
+    """
+    import numpy as np
+
+    inside = set(inside)
+    origin = cfg.region.origin
+
+    def sites(mask):
+        return [tuple(int(c + o) for c, o in zip(row, origin)) for row in np.argwhere(mask)]
+
+    if cfg.lattice.site_mode:
+        return site_components(set(sites(cfg.site_open)) & inside, cfg.lattice.neighbor_offsets())
+    edges = []
+    for axis, open_edges in enumerate(cfg.edge_open):
+        for u in sites(open_edges):
+            v = tuple(c + (a == axis) for a, c in enumerate(u))
+            if u in inside and v in inside:
+                edges.append((u, v))
+    return bond_components(inside, edges)
+
+
+def connected_in(cfg, inside, source, target):
+    """Is some site of ``source`` joined to one of ``target`` by an open path inside ``inside``?"""
+    source, target = set(source), set(target)
+    return any(comp & source and comp & target for comp in config_clusters(cfg, inside))
+
+
 def exact_connect_probability(sites, offsets, p, source, target):
     """Exact P(source joined to target through open sites) by a frontier DP.
 
@@ -177,11 +209,6 @@ def brute_connect_probability(sites, offsets, p, source, target):
     return total
 
 
-def _neighbourhood(d):
-    """The 3^d - 1 box (Chebyshev) offsets."""
-    return [o for o in itertools.product((-1, 0, 1), repeat=d) if any(o)]
-
-
 def ball_union(points, r2):
     """Sites w with 2 * min_x chebyshev(w, x) <= r2, by enumeration."""
     r = r2 // 2
@@ -195,18 +222,6 @@ def ball_union(points, r2):
     return {
         w for w in itertools.product(*ranges)
         if 2 * min(chebyshev(w, x) for x in points) <= r2
-    }
-
-
-def box_boundary(inside):
-    """Sites outside ``inside`` with a box neighbour inside it."""
-    d = len(next(iter(inside)))
-    offs = _neighbourhood(d)
-    return {
-        w
-        for v in inside
-        for off in offs
-        if (w := tuple(a + b for a, b in zip(v, off))) not in inside
     }
 
 
@@ -237,18 +252,6 @@ def shell_sites(members, b2, d2, others, n):
                 continue
         out.add(w)
     return out
-
-
-def shell_boundaries(members, b2, d2, n):
-    """(inner, outer) box-adjacency boundaries of a blob's shell faces.
-
-    Inner: boundary of the birth-ball union.  Outer: boundary of the
-    death-ball union, or of the doubled box for the root.
-    """
-    members = sorted(members)
-    inner = box_boundary(ball_union(members, b2))
-    face = doubled_box(n, len(members[0])) if d2 is None else ball_union(members, d2)
-    return inner, box_boundary(face)
 
 
 def element_bits(p, count, seed):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import re
 import tracemalloc
-from fractions import Fraction
 
 import oracles
 import pytest
@@ -11,24 +10,16 @@ import pytest
 from percolab import bounds
 from percolab.bounds import (
     BoundParams,
-    bcks_bound,
-    fit_c10,
     generating_fn_bound,
     int_root_ceil,
-    main_bounds,
-    markov_threshold_bound,
-    moment_bound,
     multinomial_constant,
     multinomial_sweep,
-    power_product_constant,
     power_product_sweep,
-    sum_pi_bound,
-    triangular_tail,
 )
 
 
 def params(**kw):
-    defaults = dict(d=2, alpha=0.5, c1=2.0, c2=0.7, c3=1.5, c4=0.3, C2=1.0, C8=1.0)
+    defaults = dict(d=2, alpha=0.5, C2=1.0)
     defaults.update(kw)
     return BoundParams(**defaults)
 
@@ -39,46 +30,16 @@ def test_params_validation():
     with pytest.raises(ValueError):
         BoundParams(d=2, alpha=2.5)
     with pytest.raises(ValueError):
-        BoundParams(d=2, c1=-1.0)
+        BoundParams(d=2, C11=-1.0)
     with pytest.raises(ValueError):
         BoundParams(d=2).require("C2")
 
 
 @pytest.mark.parametrize("c2", [0, 0.0, -1.0])
 def test_params_reject_c2_at_most_zero(c2):
-    # C2 divides in the generating-function series, the C9/C10 fits and the
-    # Markov threshold bound
+    # C2 divides in the generating-function series and the C9 fit
     with pytest.raises(ValueError, match="C2"):
         BoundParams(d=2, alpha=0.5, C2=c2)
-
-
-def test_bcks_bound():
-    p = params()
-    assert bcks_bound(0.0, p) == p.c1
-    assert bcks_bound(1.0, BoundParams(d=2, c1=3.0, c2=0.0)) == 3.0
-    grid = [bcks_bound(x, p) for x in (0.0, 0.5, 1.0, 2.0)]
-    assert all(a > b for a, b in zip(grid, grid[1:]))
-    with pytest.raises(ValueError):
-        bcks_bound(-1.0, p)
-
-
-def test_main_bounds():
-    p = params()
-    up, lo = main_bounds(1.0, p)
-    assert up == pytest.approx(p.c1 * math.exp(-p.c2))
-    assert lo == pytest.approx(p.c3 * math.exp(-p.c4))
-    # log-linear in u^d
-    us = [1.0, 1.5, 2.0, 3.0]
-    logs = [math.log(main_bounds(u, p)[0]) for u in us]
-    xs = [u**2 for u in us]
-    slope = (logs[1] - logs[0]) / (xs[1] - xs[0])
-    for i in range(2, len(us)):
-        pred = logs[0] + slope * (xs[i] - xs[0])
-        assert logs[i] == pytest.approx(pred, abs=1e-12)
-    with pytest.raises(ValueError):
-        main_bounds(1.0, BoundParams(d=3, c1=1.0, c2=1.0, c3=1.0, c4=1.0))
-    up_only, none = main_bounds(1.0, BoundParams(d=3, c1=1.0, c2=1.0), lower=False)
-    assert none is None and up_only == pytest.approx(math.exp(-1.0))
 
 
 def test_int_root_ceil():
@@ -88,35 +49,6 @@ def test_int_root_ceil():
     assert int_root_ceil(5, 2) == 3
     assert int_root_ceil(8, 3) == 2
     assert int_root_ceil(9, 3) == 3
-
-
-def test_moment_bound():
-    p = params(c1=1.0)
-    n = 10
-    # k = 1: c1 n^d pi(n)
-    assert moment_bound(n, 1, lambda s: 0.5, p) == pytest.approx(0.5 * n**2)
-    # pi == 1, c1 = 1: (n^d / k)^k
-    assert moment_bound(n, 3, lambda s: 1.0, p) == pytest.approx((n**2 / 3) ** 3)
-    # random parameters match independent recomputation
-    pi = lambda s: s**-0.4
-    k = 4
-    scale = max(1, int(n / int_root_ceil(k, 2)))
-    expected = (2.0 * n**2 * pi(scale) / k) ** k
-    assert moment_bound(n, k, pi, params(c1=2.0)) == pytest.approx(expected, rel=1e-12)
-
-
-def test_sum_pi_bound():
-    # pi == 1, d = 2: sum k / n^2 = (n+1)/(2n) <= 1
-    for n in (1, 5, 20):
-        fit = sum_pi_bound(lambda s: 1.0, n, 2)
-        assert fit == pytest.approx((n + 1) / (2 * n))
-        assert fit <= 1.0
-    assert sum_pi_bound(lambda s: 1.0, 1, 2) == pytest.approx(1.0)
-    # power-law pi: fitted constant stays bounded across n
-    alpha = 0.5
-    fits = [sum_pi_bound(lambda s: s**-alpha, n, 2) for n in (8, 16, 32, 64, 128)]
-    assert max(fits) < 1.0
-    assert max(fits) / min(fits) < 1.2
 
 
 def test_generating_fn_exponential_identity():
@@ -165,24 +97,6 @@ def test_generating_fn_out_of_float_range_names_c2_and_d(params_, u, n, what):
     pattern = rf"^{re.escape(what)} leaves the float range at u = .* \(d = {params_.d}, C2 = "
     with pytest.raises(ValueError, match=pattern):
         generating_fn_bound(u, n, params_)
-
-
-def test_markov_threshold_bound():
-    p = params()
-    assert markov_threshold_bound(1.0, 10, 0.0, p, lambda s: 1.0) == pytest.approx(1.0)
-    # fitted C10 makes the ratio >= 1
-    ratio = markov_threshold_bound(1.0, 10, 2.0, p, lambda s: 1.0)
-    assert ratio >= 1.0
-    # closed-form check at u = 1, pi == 1
-    c10 = fit_c10(p)
-    n, K = 10, 2.0
-    lhs = (1 + 1 / (p.C2 * p.C8 * n**2)) ** (K * n**2)
-    assert markov_threshold_bound(1.0, n, K, p, lambda s: 1.0) == pytest.approx(
-        lhs / math.exp(c10 * K), rel=1e-9
-    )
-    # log of the ratio is affine in K
-    rs = [math.log(markov_threshold_bound(1.5, n, K, p, lambda s: 1.0)) for K in (1.0, 2.0, 3.0)]
-    assert rs[2] - rs[1] == pytest.approx(rs[1] - rs[0], abs=1e-12)
 
 
 def test_multinomial_constant():
@@ -259,8 +173,6 @@ def test_sweep_screen_memory_is_flat_in_kmax():
     [
         (multinomial_constant, 5, 0),
         (multinomial_constant, 5, 1),
-        (power_product_constant, 5, 0),
-        (power_product_constant, 5, -1),
         (multinomial_sweep, 64, 1),
         (power_product_sweep, 64, 0),
         (multinomial_sweep, 1, 2),
@@ -272,31 +184,3 @@ def test_sweep_screen_memory_is_flat_in_kmax():
 def test_constants_and_sweeps_reject_bad_k_or_d(fn, k, d):
     with pytest.raises(ValueError, match="must be >= 2"):
         fn(k, d)
-
-
-def test_power_product_constant():
-    value, fit = power_product_constant(2, 2)
-    assert value == Fraction(4)
-    assert fit == pytest.approx(4.0)
-    v9, f9 = power_product_constant(9, 3)
-    assert isinstance(v9, Fraction) and math.isfinite(f9)
-    sup, arg = power_product_sweep(2000, 2)
-    assert math.isfinite(sup)
-    assert sup == pytest.approx(power_product_constant(arg, 2)[1], rel=1e-12)
-
-
-def test_triangular_tail():
-    p = params()
-    up, lo = triangular_tail(1.0, p)
-    assert up == pytest.approx(p.c1 * math.exp(-p.c2))
-    assert lo == pytest.approx(p.c3 * math.exp(-p.c4))
-    assert bounds.TAIL_SHAPE_EXPONENT == 2 / bounds.ONE_ARM_EXPONENT
-    # log-log slope of -log(upper/c1) against x equals 96/5 (x near 1 keeps
-    # the doubly-exponential decay inside float range)
-    x1, x2 = 1.01, 1.05
-    y1 = math.log(-math.log(triangular_tail(x1, p)[0] / p.c1))
-    y2 = math.log(-math.log(triangular_tail(x2, p)[0] / p.c1))
-    slope = (y2 - y1) / (math.log(x2) - math.log(x1))
-    assert slope == pytest.approx(96 / 5, rel=1e-12)
-    with pytest.raises(ValueError):
-        triangular_tail(0.0, p)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from handbuilt import config_from_edges, config_from_sites, region_from_sites
-from oracles import bond_components, connected_sets, site_components
+from handbuilt import config_from_edges, config_from_sites
+from oracles import bond_components, connected_in, site_components
 from percolab import clusters, estimators, grid
+from percolab.estimators import read_config
 from percolab.lattice import (
     LatticeSpec,
     LatticeKind,
@@ -28,6 +29,20 @@ def tri_config(n, p, seed, radius=None):
     return sample_config(TRIANGULAR, carrier, p, seed)
 
 
+def sizes(labels):
+    """The size of each cluster of ``labels``, by label id: a bincount of the label grid."""
+    return np.bincount(labels.label_grid.ravel(), minlength=1)[1:]
+
+
+def arm(cfg, m, n):
+    return bool(read_config(cfg, ("arm", ((m, n),)))[0])
+
+
+def crossing(cfg, rect, axis):
+    """The rectangle ``rect`` (a full-mask region) is crossed along ``axis`` inside it."""
+    return bool(read_config(cfg, ("crossing", rect.origin, tuple(n - 1 for n in rect.shape), axis)))
+
+
 def open_sites_of(cfg):
     idx = np.argwhere(cfg.site_open)
     return {tuple(int(c + o) for c, o in zip(row, cfg.raster.origin)) for row in idx}
@@ -47,13 +62,13 @@ def open_edges_of(cfg, region):
 def test_all_open_single_cluster():
     cfg = tri_config(2, 1.0, 1, radius=2)
     labels = clusters.label_clusters(cfg, box_sites((0, 0), 2))
-    assert list(labels.sizes) == [25]
+    assert sizes(labels).tolist() == [25]
 
 
 def test_all_closed_no_clusters():
     cfg = tri_config(2, 0.0, 1, radius=2)
     labels = clusters.label_clusters(cfg, box_sites((0, 0), 2))
-    assert len(labels.sizes) == 0
+    assert sizes(labels).size == 0
 
 
 def test_region_escapes_carrier():
@@ -94,7 +109,7 @@ def test_bond_labels_match_bfs_oracle():
         mine = _partition_from_labels(labels, region)
         oracle = set(bond_components(region, open_edges_of(cfg, region)))
         assert mine == oracle
-        assert int(labels.sizes.sum()) == len(region)
+        assert int(sizes(labels).sum()) == len(region)
 
 
 def open_edges_nd(cfg, region):
@@ -121,7 +136,7 @@ def test_bond_labels_on_subregion_match_bfs_oracle(lattice, radius, count):
         mine = _partition_from_labels(labels, region)
         oracle = set(bond_components(region, open_edges_nd(cfg, region)))
         assert mine == oracle
-        assert int(labels.sizes.sum()) == len(region)
+        assert int(sizes(labels).sum()) == len(region)
 
 
 def test_ith_largest_hand_built():
@@ -135,11 +150,7 @@ def test_ith_largest_hand_built():
     )
     cfg = config_from_sites(TRIANGULAR, region, open_sites)
     labels = clusters.label_clusters(cfg, region)
-    assert list(labels.sizes) == [5, 3, 3, 1]
-    assert clusters.ith_largest_size(labels, 1) == 5
-    assert clusters.ith_largest_size(labels, 5) == 0
-    with pytest.raises(ValueError):
-        clusters.ith_largest_size(labels, 0)
+    assert sorted(sizes(labels).tolist(), reverse=True) == [5, 3, 3, 1]
 
 
 def test_ith_largest_all_open_3d():
@@ -147,22 +158,19 @@ def test_ith_largest_all_open_3d():
     region = box_sites((0, 0, 0), 2)
     cfg = sample_config(lattice, region, 1.0, 3)
     labels = clusters.label_clusters(cfg, region)
-    assert clusters.ith_largest_size(labels, 1) == 125
+    assert sizes(labels).tolist() == [125]
 
 
 def test_long_arm_set_trivial():
-    cfg = tri_config(2, 1.0, 5)
-    v = clusters.long_arm_set(cfg, 2)
-    assert frozenset(v) == frozenset(box_sites((0, 0), 2))
-    cfg0 = tri_config(2, 0.0, 5)
-    assert len(clusters.long_arm_set(cfg0, 2)) == 0
+    # V_n counts the sites of box(n) joined to the boundary of box(2n)
+    assert read_config(tri_config(2, 1.0, 5), ("vn", 2)) == len(box_sites((0, 0), 2))
+    assert read_config(tri_config(2, 0.0, 5), ("vn", 2)) == 0
 
 
 def test_long_arm_set_matches_oracle():
     n = 3
     for i in range(25):
         cfg = tri_config(n, 0.5, derive_stream(17, i))
-        mine = frozenset(clusters.long_arm_set(cfg, n))
         opens = open_sites_of(cfg)
         ring = {
             s
@@ -174,63 +182,61 @@ def test_long_arm_set_matches_oracle():
         for comp in site_components(opens, TRI_OFF):
             if comp & ring:
                 oracle |= comp & inner
-        assert mine == oracle
+        assert read_config(cfg, ("vn", n)) == len(oracle)
 
 
 def test_long_arm_carrier_too_small():
+    # the ring of box(2n) needs box(2n + 1) in the raster
     cfg = tri_config(2, 0.5, 1, radius=2)
-    with pytest.raises(ValueError):
-        clusters.long_arm_set(cfg, 2)
+    with pytest.raises(ValueError, match="escapes the raster"):
+        read_config(cfg, ("vn", 2))
 
 
 def test_arm_event_conventions():
+    # the ring of box(n) needs box(n + 1) in the raster: box(n) plus boundary holds it
     cfg = tri_config(5, 1.0, 1, radius=5)
-    assert clusters.arm_event(cfg, 3, 3) is True
-    assert clusters.arm_event(cfg, 1, 5) is True
-    with pytest.raises(ValueError):
-        clusters.arm_event(cfg, 4, 2)
-    cfg0 = tri_config(5, 0.0, 1, radius=5)
-    assert clusters.arm_event(cfg0, 1, 5) is False
+    assert arm(cfg, 1, 5) is True
+    with pytest.raises(ValueError, match="escapes the raster"):
+        arm(cfg, 1, 6)
+    assert arm(tri_config(5, 0.0, 1, radius=5), 1, 5) is False
 
 
 def test_arm_event_monotone_in_scales():
+    pairs = ((2, 3), (2, 5), (2, 8), (1, 8), (3, 8), (6, 8))
     for i in range(15):
         cfg = tri_config(8, 0.5, derive_stream(23, i), radius=8)
-        vals_n = [clusters.arm_event(cfg, 2, n) for n in (3, 5, 8)]
+        vals_n, vals_m = np.split(read_config(cfg, ("arm", pairs)), 2)
         assert all(a or not b for a, b in zip(vals_n, vals_n[1:]))  # nonincreasing in n
-        vals_m = [clusters.arm_event(cfg, m, 8) for m in (1, 3, 6)]
         assert all(b or not a for a, b in zip(vals_m, vals_m[1:]))  # nondecreasing in m
 
 
 def _boundary(lattice, r):
     """The outer vertex boundary of box(r)."""
-    ring = frozenset(box_with_boundary(lattice, r)) - frozenset(box_sites((0, 0), r))
-    return region_from_sites(ring)
+    return frozenset(box_with_boundary(lattice, r)) - frozenset(box_sites((0, 0), r))
 
 
 @pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
 def test_events_on_wide_carriers_match_confined_connected_in(lattice):
-    # arm_event reads the labels of the whole raster and the crossings their
-    # rectangle; connected_in confines its paths to box(n) plus boundary or to the rectangle
+    # the arm rows read the labels of the whole raster and the crossings their
+    # rectangle; the breadth-first oracles.connected_in confines its paths to
+    # box(n) plus boundary or to the rectangle
     carrier = box_with_boundary(lattice, 10)
     rect = rect_region((-4, -3), (8, 6))
     slabs = {
         0: (rect_region((-4, -3), (0, 6)), rect_region((4, -3), (0, 6))),
         1: (rect_region((-4, -3), (8, 0)), rect_region((-4, 3), (8, 0))),
     }
-    crossings = {0: clusters.horizontal_crossing, 1: clusters.vertical_crossing}
     seen = set()
     for i in range(30):
         cfg = sample_config(lattice, carrier, 0.4, derive_stream(37, i))
         for m, n in ((1, 4), (2, 6), (3, 8)):
-            want = clusters.connected_in(
-                cfg, box_with_boundary(lattice, n), _boundary(lattice, m), _boundary(lattice, n)
-            )
-            assert clusters.arm_event(cfg, m, n) == want, (i, m, n)
+            inside = box_with_boundary(lattice, n)
+            want = connected_in(cfg, inside, _boundary(lattice, m), _boundary(lattice, n))
+            assert arm(cfg, m, n) == want, (i, m, n)
             seen.add(("arm", want))
-        for axis, crossed in crossings.items():
-            want = clusters.connected_in(cfg, rect, *slabs[axis])
-            assert crossed(cfg, rect) == want, (i, axis)
+        for axis, ends in slabs.items():
+            want = connected_in(cfg, rect, *ends)
+            assert crossing(cfg, rect, axis) == want, (i, axis)
             seen.add(("crossing", want))
     assert len(seen) == 4  # both outcomes of both events occur
 
@@ -238,23 +244,24 @@ def test_events_on_wide_carriers_match_confined_connected_in(lattice):
 def test_crossing_trivial_and_line():
     rect = rect_region((0, 0), (4, 2))
     carrier = box_with_boundary(TRIANGULAR, 6)
-    assert clusters.horizontal_crossing(sample_config(TRIANGULAR, carrier, 1.0, 1), rect)
-    assert not clusters.horizontal_crossing(sample_config(TRIANGULAR, carrier, 0.0, 1), rect)
+    assert crossing(sample_config(TRIANGULAR, carrier, 1.0, 1), rect, 0)
+    assert not crossing(sample_config(TRIANGULAR, carrier, 0.0, 1), rect, 0)
     line = config_from_sites(TRIANGULAR, carrier, [(x, 1) for x in range(0, 5)])
-    assert clusters.horizontal_crossing(line, rect)
-    assert not clusters.vertical_crossing(line, rect)
+    assert crossing(line, rect, 0)
+    assert not crossing(line, rect, 1)
     col = config_from_sites(TRIANGULAR, carrier, [(2, y) for y in range(0, 3)])
-    assert clusters.vertical_crossing(col, rect)
+    assert crossing(col, rect, 1)
 
 
 def test_crossing_requires_rectangle():
+    # a crossing reads a rectangle, corner and widths, that lies in the raster (box(4) here)
     cfg = tri_config(3, 1.0, 1, radius=3)
-    with pytest.raises(ValueError):
-        clusters.horizontal_crossing(cfg, region_from_sites({(0, 0), (1, 1)}))
-    # a box is the full-mask rectangle with the same origin and shape
     box, rect = box_sites((0, 0), 1), rect_region((-1, -1), (2, 2))
-    assert box == rect
-    assert clusters.horizontal_crossing(cfg, box) == clusters.horizontal_crossing(cfg, rect)
+    assert box == rect  # a box is the full-mask rectangle with the same origin and shape
+    assert crossing(cfg, rect, 0) and crossing(cfg, rect_region((-4, -4), (8, 8)), 1)
+    for outside in (rect_region((0, 0), (5, 2)), rect_region((-5, 0), (2, 2))):
+        with pytest.raises(ValueError, match="escapes the raster"):
+            crossing(cfg, outside, 0)
 
 
 def test_crossing_transpose_equivariance():
@@ -266,19 +273,17 @@ def test_crossing_transpose_equivariance():
         flipped = config_from_sites(
             TRIANGULAR, carrier, [(y, x) for (x, y) in open_sites_of(cfg)]
         )
-        assert clusters.vertical_crossing(cfg, rect) == clusters.horizontal_crossing(
-            flipped, rect_t
-        )
+        assert crossing(cfg, rect, 1) == crossing(flipped, rect_t, 0)
 
 
 def test_bond_crossing_trivial():
     rect = rect_region((0, 0), (3, 2))
     carrier = box_sites((0, 0), 5)
-    assert clusters.horizontal_crossing(sample_config(Z2_BOND, carrier, 1.0, 1), rect)
-    assert not clusters.horizontal_crossing(sample_config(Z2_BOND, carrier, 0.0, 1), rect)
+    assert crossing(sample_config(Z2_BOND, carrier, 1.0, 1), rect, 0)
+    assert not crossing(sample_config(Z2_BOND, carrier, 0.0, 1), rect, 0)
     path = config_from_edges(Z2_BOND, carrier, [((x, 1), (x + 1, 1)) for x in range(0, 3)])
-    assert clusters.horizontal_crossing(path, rect)
-    assert not clusters.vertical_crossing(path, rect)
+    assert crossing(path, rect, 0)
+    assert not crossing(path, rect, 1)
 
 
 def test_bond_crop_ignores_edges_leaving_it():
@@ -291,13 +296,13 @@ def test_bond_crop_ignores_edges_leaving_it():
     assert label_at(whole, (0, 0)) == label_at(whole, (3, 0))
     inside = clusters.label_clusters(cfg, rect)
     assert label_at(inside, (0, 0)) != label_at(inside, (3, 0))
-    assert not clusters.horizontal_crossing(cfg, rect)
+    assert not crossing(cfg, rect, 0)
     crop = estimators._crop_labels(Z2_BOND, cfg.cells[None], cfg.raster.rect_slices((0, 0), (3, 2)))
     assert crop.shape == (1, 4, 3)
     assert crop[0, 0, 0] != crop[0, 3, 0] and np.unique(crop).size == 12
     # the same path inside the rectangle does cross it
     inner = [((x, 0), (x + 1, 0)) for x in range(3)]
-    assert clusters.horizontal_crossing(config_from_edges(Z2_BOND, carrier, inner), rect)
+    assert crossing(config_from_edges(Z2_BOND, carrier, inner), rect, 0)
 
 
 def test_bond_crop_3d_ignores_edges_leaving_it():
@@ -314,33 +319,6 @@ def test_bond_crop_3d_ignores_edges_leaving_it():
     assert crop.shape == (1, 3, 3, 3) and np.unique(crop).size == len(above)
 
 
-def test_connected_in():
-    region = box_sites((0, 0), 4)
-    cfg = config_from_sites(TRIANGULAR, region, [(0, 0), (1, 0), (2, 0)])
-    a = region_from_sites({(0, 0)})
-    b = region_from_sites({(2, 0)})
-    s_full = box_sites((0, 0), 3)
-    assert clusters.connected_in(cfg, s_full, a, b)
-    # restrict S to exclude the connector
-    s_cut = region_from_sites(frozenset(s_full) - {(1, 0)})
-    assert not clusters.connected_in(cfg, s_cut, a, b)
-    # shared open site counts as a zero-length path
-    shared = region_from_sites({(0, 0)})
-    assert clusters.connected_in(cfg, s_full, shared, region_from_sites({(0, 0), (2, 2)}))
-
-
-def test_connected_in_matches_restricted_bfs():
-    region = box_sites((0, 0), 5)
-    s = box_sites((0, 0), 4)
-    a = box_sites((-3, -3), 1)
-    b = box_sites((3, 3), 1)
-    for i in range(20):
-        cfg = sample_config(TRIANGULAR, region, 0.5, derive_stream(31, i))
-        opens = open_sites_of(cfg) & frozenset(s)
-        oracle = connected_sets(opens, TRI_OFF, frozenset(a) & opens, frozenset(b))
-        assert clusters.connected_in(cfg, s, a, b) == oracle
-
-
 def test_monotonicity_under_opening():
     n = 3
     rng = np.random.default_rng(7)
@@ -351,21 +329,22 @@ def test_monotonicity_under_opening():
         more = cfg.site_open.copy()
         more[tuple(pick.T)] = True
         cfg2 = Config(cfg.lattice, cfg.region, cfg.p, None, cells=more)
-        assert len(clusters.long_arm_set(cfg2, n)) >= len(clusters.long_arm_set(cfg, n))
+        assert read_config(cfg2, ("vn", n)) >= read_config(cfg, ("vn", n))
         l1 = clusters.label_clusters(cfg, box_sites((0, 0), n))
         l2 = clusters.label_clusters(cfg2, box_sites((0, 0), n))
-        assert clusters.ith_largest_size(l2, 1) >= clusters.ith_largest_size(l1, 1)
+        assert sizes(l2).max() >= sizes(l1).max()
         rect = rect_region((-n, -n), (2 * n, 2 * n))
-        if clusters.horizontal_crossing(cfg, rect):
-            assert clusters.horizontal_crossing(cfg2, rect)
+        if crossing(cfg, rect, 0):
+            assert crossing(cfg2, rect, 0)
 
 
 def test_sizes_partition_participating_sites():
     region = box_sites((0, 0), 6)
     cfg = sample_config(TRIANGULAR, region, 0.5, 123)
     labels = clusters.label_clusters(cfg, region)
-    assert int(labels.sizes.sum()) == int((cfg.site_open & region.mask_in(cfg.region.origin, cfg.region.shape)).sum())
-    assert all(a >= b for a, b in zip(labels.sizes, labels.sizes[1:]))
+    participating = cfg.site_open & region.mask_in(cfg.region.origin, cfg.region.shape)
+    assert int(sizes(labels).sum()) == int(participating.sum())
+    assert (sizes(labels) > 0).all()  # every label id up to the largest names a cluster
 
 
 @pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND, Z3_BOND], ids=["tri", "z2bond", "z3bond"])
@@ -379,3 +358,24 @@ def test_label_grid_numbers_clusters_as_the_grid_alone(lattice):
         want = ndimage.label(cfg.cells, site_structure(lattice))[0][grid.vertex_cells(lattice)]
         assert want.max() > 1
         assert np.array_equal(clusters.label_clusters(cfg, carrier).label_grid, want), i
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
+def test_read_config_rejects_geometry_outside_the_raster(lattice):
+    # a ring, box or rectangle that leaves the raster used to be read off its
+    # clipped part: an arm row False, V_n 0, a crossing of a truncated crop True
+    cfg = sample_config(lattice, box_sites((0, 0), 4), 1.0, 1)
+    outside = [
+        ("arm", ((1, 4),)),
+        ("vn", 2),
+        ("crossing", (2, 2), (5, 5), 0),
+        ("crossing", (-6, -1), (3, 2), 0),
+        ("dn", 8, 2),
+    ]
+    for observable in outside:
+        with pytest.raises(ValueError, match="escapes the raster"):
+            read_config(cfg, observable)
+    # geometry that reaches the raster's edge is read
+    assert read_config(cfg, ("arm", ((1, 3),))).tolist() == [True]
+    assert read_config(cfg, ("vn", 1)) == 9
+    assert read_config(cfg, ("crossing", (-4, -4), (8, 8), 1))

@@ -9,7 +9,6 @@ import oracles
 import pytest
 
 from oracles import exact_connect_probability, site_components
-from percolab import clusters
 from percolab import estimators as E
 from percolab import grid
 from percolab import lowerbound as L
@@ -35,7 +34,6 @@ from percolab.lattice import (
     Region,
     box_sites,
     box_with_boundary,
-    outer_boundary,
     rect_region,
 )
 from percolab.sampler import derive_stream, open_cells_batch, sample_config
@@ -75,8 +73,9 @@ def test_estimate_pi_trivial_cases():
 
 def test_estimate_pi_matches_exact_enumeration():
     carrier = box_with_boundary(TRIANGULAR, 2)
-    src = frozenset(outer_boundary(box_sites((0, 0), 1), TRIANGULAR))
-    tgt = frozenset(outer_boundary(box_sites((0, 0), 2), TRIANGULAR))
+    src, tgt = (
+        frozenset(box_with_boundary(TRIANGULAR, r)) - frozenset(box_sites((0, 0), r)) for r in (1, 2)
+    )
     exact = exact_connect_probability(sorted(carrier), TRI_OFF, 0.5, src, tgt)
     assert exact == pytest.approx(PI_1_2_EXACT, abs=1e-9)
     est = estimate_pi(TRIANGULAR, 0.5, 1, 2, 30_000, 2024)
@@ -212,13 +211,13 @@ def test_arm_rows_match_the_per_pair_oracle(lattice, p):
         assert np.array_equal(read(np.ascontiguousarray(labels)), want), pairs
         seen.update(want.ravel().tolist())
     assert seen == {False, True}
-    # connected_in reads the pair (m, n) of one configuration through the same call
-    regions = {r: Region(raster.origin, mask) for r, mask in rings.items()}
+    # a breadth-first search of one configuration's open graph reads the same rows
+    regions = {r: frozenset(Region(raster.origin, mask)) for r, mask in rings.items()}
     pairs = ARM_PAIR_SETS[1]
     want = oracles.arm_rows_per_pair(labels, rings, pairs)
     for i in range(0, 40, 4):
         config = sample_config(lattice, carrier, p, seeds[i])
-        got = [clusters.connected_in(config, carrier, regions[m], regions[n]) for m, n in pairs]
+        got = [oracles.connected_in(config, carrier, regions[m], regions[n]) for m, n in pairs]
         assert got == want[i].tolist(), i
 
 

