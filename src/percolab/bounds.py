@@ -58,7 +58,7 @@ class BoundParams:
             v = getattr(self, f.name)
             if v is not None and v < 0:
                 raise ValueError(f"constant {f.name} must be nonnegative")
-        if self.C2 is not None and self.C2 <= 0:  # C2 divides in every series and fit
+        if self.C2 is not None and self.C2 <= 0:  # C2 divides in the series
             raise ValueError("constant C2 must be positive")
 
     def require(self, *names: str) -> list[float]:
@@ -145,25 +145,14 @@ def _gen_fn_series(u: float, params: BoundParams) -> float:
     return total
 
 
-def fit_c9(params: BoundParams, n: int) -> float:
-    """Max ratio of the series to exp(u^d / C2) over 25 even steps of u in [1, min(n, 6)]."""
-    grid = [1.0 + i * (min(n, 6.0) - 1.0) / 24.0 for i in range(25)]
-    best = 0.0
-    for u in grid:
-        ratio = _gen_fn_series(u, params) / math.exp(_ud_over_c2(u, params))
-        best = max(best, ratio)
-    return best
+def generating_fn_bound(u: float, n: int, params: BoundParams) -> float:
+    """The series bound on E t^{|V_n|} at ``u`` in [1, n]; it is pi-free after the substitution.
 
-
-def generating_fn_bound(u: float, n: int, params: BoundParams) -> tuple[float, float]:
-    """(series value, closed-form comparator C9 * exp(u^d / C2)), with C9 from ``fit_c9``.
-
-    The series is pi-free after the substitution.  Where exp(u^d / C2) or the
-    series leaves the float range, a ValueError names C2 and d.
+    Where exp(u^d / C2) or the series leaves the float range, a ValueError names C2 and d.
     """
     if not 1 <= u <= n:
         raise ValueError("u must lie in [1, n]")
-    return _gen_fn_series(u, params), fit_c9(params, n) * math.exp(_ud_over_c2(u, params))
+    return _gen_fn_series(u, params)
 
 
 # ---------------------------------------------------------------------------

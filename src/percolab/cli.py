@@ -364,7 +364,7 @@ def _cmd_bounds(args) -> int:
     sup_pow, arg_pow = bounds.power_product_sweep(kmax, spec.d)
     n = max(spec.sizes)
     grid = [u for u in (1.0 + 0.25 * i for i in range(13)) if u <= n]  # 1.0..4.0, stopped at n
-    series = {repr(u): bounds.generating_fn_bound(u, n, params)[0] for u in grid}
+    series = {repr(u): bounds.generating_fn_bound(u, n, params) for u in grid}
     payload = {
         "params": {"d": spec.d, "alpha": params.alpha, "C2": params.C2},
         "sweeps": {

@@ -12,29 +12,20 @@ read with ``estimators.read_config``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import grid
-from .lattice import LatticeSpec, Region
+from .lattice import Region
 from .sampler import Config
 
 
-@dataclass(frozen=True)
-class ClusterLabels:
-    """Cluster labels over a region; 0 marks non-participating positions."""
+def label_clusters(config: Config, region: Region) -> np.ndarray:
+    """Labels of the connected clusters with paths confined to ``region``, over the carrier's raster.
 
-    lattice: LatticeSpec
-    origin: tuple[int, ...]
-    label_grid: np.ndarray = field(repr=False)
-
-
-def label_clusters(config: Config, region: Region) -> ClusterLabels:
-    """Connected clusters with paths confined to ``region``, which must lie in the carrier."""
+    ``region`` must lie in the carrier; 0 marks non-participating positions.
+    """
     if not region <= config.region:
         raise ValueError("region escapes the carrier")
     mask = region.mask_in(config.region.origin, config.region.shape)
     cells = config.cells & grid.cell_mask(config.lattice, mask)
-    lab = grid.label_sites_batch(grid.strip_cells(cells[None]), config.lattice)[0]
-    return ClusterLabels(config.lattice, config.region.origin, lab)
+    return grid.label_sites_batch(grid.strip_cells(cells[None]), config.lattice)[0]

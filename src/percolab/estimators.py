@@ -608,43 +608,28 @@ class SizeDistribution:
 
 
 @dataclass(frozen=True)
-class QuasiMultRow:
-    k: int
-    l: int
-    m: int
-    ratio: float | None
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class QuasiMultReport:
-    rows: tuple[QuasiMultRow, ...]
     max_ratio: float
-
-    def worst(self) -> QuasiMultRow:
-        valid = [r for r in self.rows if r.ratio is not None]
-        return max(valid, key=lambda r: r.ratio)
+    worst: tuple[int, int, int] | None  # the first triple of ratio max_ratio; None if every pi(k, m) is 0
 
 
 def check_quasi_mult(pi: PiTable, triples: Sequence[tuple[int, int, int]]) -> QuasiMultReport:
-    """Ratios pi(k,l) pi(l,m) / pi(k,m).
+    """The largest ratio pi(k,l) pi(l,m) / pi(k,m) over ``triples`` with pi(k,m) > 0.
 
     The rows of one table share replicas, so the three rows of a triple are
     strongly dependent and no error is propagated as if they were independent.
     """
-    rows = []
-    worst = 0.0
+    max_ratio, worst = 0.0, None
     for k, l, m in triples:
         if not k <= l <= m:
             raise ValueError(f"need k <= l <= m, got {(k, l, m)}")
         a, b, c = pi.pi(k, l), pi.pi(l, m), pi.pi(k, m)
         if c == 0:
-            rows.append(QuasiMultRow(k, l, m, None, "zero denominator"))
             continue
         ratio = a * b / c
-        rows.append(QuasiMultRow(k, l, m, ratio))
-        worst = max(worst, ratio)
-    return QuasiMultReport(tuple(rows), worst)
+        if worst is None or ratio > max_ratio:
+            max_ratio, worst = ratio, (k, l, m)
+    return QuasiMultReport(max_ratio, worst)
 
 
 def fit_arm_exponent(pi: PiTable, scales: Sequence[int]) -> tuple[float, float]:

@@ -328,9 +328,8 @@ def count_connected_to(labels: np.ndarray, seeds, sites) -> np.ndarray:
 def largest_count(labels: np.ndarray) -> np.ndarray:
     """Per-sample size of the largest cluster of labels whose values are unique per sample.
 
-    Sizes are gathered one sample at a time: an int64 gather of a whole C_1
-    batch would take 8 bytes per vertex beyond the batch budget.
+    A sample's clusters lie in it, so each sample is counted alone: its copy
+    and int64 cast stay one sample's size, where a count over a whole C_1
+    batch would take about 12 bytes per vertex beyond the batch budget.
     """
-    counts = np.bincount(labels.ravel(), minlength=1)
-    counts[0] = 0
-    return np.array([counts.take(g).max(initial=0) for g in labels], dtype=np.int64)
+    return np.array([np.bincount(g.ravel())[1:].max(initial=0) for g in labels], dtype=np.int64)

@@ -219,8 +219,7 @@ def blob_region_mask(blob: Blob, n: int) -> tuple[np.ndarray, Site]:
 class RadiusBoundReport:
     """Checks i * r2_{k - i^d} <= 2n for integer i in [1, (k-1)^(1/d)]."""
 
-    checks: tuple[tuple[int, int, int], ...]  # (i, r2, bound 2n)
-    equalities: tuple[tuple[int, int, int], ...]
+    equalities: tuple[tuple[int, int, int], ...]  # (i, r2, bound 2n)
     violations: tuple[tuple[int, int, int], ...]
 
     @property
@@ -236,18 +235,17 @@ def check_radius_bound(record: GrowthRecord, n: int) -> RadiusBoundReport:
     k = record.k
     d = len(record.points[0])
     r2s = record.r2_sequence()
-    checks, eqs, bad = [], [], []
+    eqs, bad = [], []
     i = 1
     while i**d <= k - 1:
         r2 = r2s[k - i**d - 1]  # r_{k - i^d}, 1-based
         entry = (i, r2, 2 * n)
-        checks.append(entry)
         if i * r2 > 2 * n:
             bad.append(entry)
         elif i * r2 == 2 * n:
             eqs.append(entry)
         i += 1
-    return RadiusBoundReport(tuple(checks), tuple(eqs), tuple(bad))
+    return RadiusBoundReport(tuple(eqs), tuple(bad))
 
 
 def ordering_count(radii: Counter) -> int:

@@ -136,12 +136,6 @@ class Region:
         out[tuple(slice(l, l + s) for l, s in zip(lo, self.shape))] = self.mask
         return out
 
-    def bounds(self) -> tuple[Site, Site]:
-        """(min corner, max corner) of the bounding box."""
-        if not self.mask.size:
-            raise ValueError("empty region has no bounds")
-        return self.origin, tuple(o + n - 1 for o, n in zip(self.origin, self.shape))
-
     def to_json(self) -> list[list[int]]:
         """Sorted site list (C order of the mask is lexicographic site order)."""
         return (np.argwhere(self.mask) + np.array(self.origin, dtype=np.int64)).tolist()

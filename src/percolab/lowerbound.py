@@ -229,15 +229,10 @@ def fkg_check(
 
 @dataclass(frozen=True)
 class VnLowerReport:
-    n: int
-    samples: int
     mean_vn: float
-    mean_stderr: float
     floor_value: float  # n^2 * pi(3n)
-    floor_stderr: float
     mean_ok: bool  # mean_vn >= floor within 3 sigma
     c12_grid: tuple[float, ...]
-    tail_probs: tuple[Estimate, ...]
     c13_fits: tuple[float, ...]
 
 
@@ -255,19 +250,13 @@ def vn_lower_constants(
     pin = pi.pi(n)
     pi3n = pi.pi(3 * n)
     est = mean_estimate(*binomial_sums(sample.vn, 1), samples)
-    mean, mean_se = est.point, est.stderr
     floor = n * n * pi3n
-    floor_se = n * n * pi.stderr(3 * n)
-    ok = mean - floor >= -3.0 * math.hypot(mean_se, floor_se)
-    tails = []
+    ok = est.point - floor >= -3.0 * math.hypot(est.stderr, n * n * pi.stderr(3 * n))
     fits = []
     for c in c12_grid:
-        est = event_estimate(count_at_least(sample.vn, c * n * n * pin), samples)
-        tails.append(est)
-        fits.append(abs(-math.log(est.point)) if est.point > 0 else math.inf)
-    return VnLowerReport(
-        n, samples, mean, mean_se, floor, floor_se, ok, tuple(c12_grid), tuple(tails), tuple(fits)
-    )
+        tail = event_estimate(count_at_least(sample.vn, c * n * n * pin), samples).point
+        fits.append(abs(-math.log(tail)) if tail > 0 else math.inf)
+    return VnLowerReport(est.point, floor, ok, tuple(c12_grid), tuple(fits))
 
 
 # ---------------------------------------------------------------------------

@@ -125,36 +125,14 @@ class Config:
         return BoxRaster(self.lattice, self.region)
 
     @property
-    def site_mode(self) -> bool:
-        return self.lattice.site_mode
-
-    @property
     def site_open(self) -> np.ndarray | None:
         """Open sites over the raster (site mode only)."""
-        return self.cells if self.site_mode else None
+        return self.cells if self.lattice.site_mode else None
 
     @property
     def edge_open(self) -> tuple[np.ndarray, ...] | None:
         """Per-axis open edges (bond mode only): ``[a][u]`` is the edge u -- u + e_a."""
-        return None if self.site_mode else grid.edge_arrays(self.cells, self.lattice.d)
-
-    def element_states(self) -> np.ndarray:
-        """Flat open/closed states in documented element order."""
-        elements = grid.element_grid(self.lattice, grid.cell_mask(self.lattice, self.region.mask))
-        return grid.element_grid(self.lattice, self.cells)[elements]
-
-    def packed_states(self) -> np.ndarray:
-        return np.packbits(self.element_states())
-
-    def to_json(self) -> dict:
-        lo, hi = self.region.bounds()
-        return {
-            "lattice": {"kind": self.lattice.kind.value, "d": self.lattice.d},
-            "region": {"n_sites": len(self.region), "lo": list(lo), "hi": list(hi)},
-            "p": self.p,
-            "seed": self.seed,
-            "states_hex": self.packed_states().tobytes().hex(),
-        }
+        return None if self.lattice.site_mode else grid.edge_arrays(self.cells, self.lattice.d)
 
 
 def sample_config(lattice: LatticeSpec, region: Region, p: float, seed: int) -> Config:

@@ -1,4 +1,7 @@
-"""Hand-built regions and configurations for tests: chosen sites, open sites or open edges."""
+"""Hand-built regions and configurations for tests: chosen sites, open sites or open edges.
+
+Also a configuration's flat states in element order and its JSON record, which the golden pins hash.
+"""
 
 from __future__ import annotations
 
@@ -47,3 +50,25 @@ def config_from_edges(lattice: LatticeSpec, region: Region, open_edges) -> Confi
             raise ValueError(f"edge {u}-{v} outside region")
         cells[tuple(a + b - 2 * o for a, b, o in zip(u, v, region.origin))] = True
     return Config(lattice, region, float("nan"), None, cells)
+
+
+def element_states(config: Config) -> np.ndarray:
+    """Flat open/closed states of ``config`` in the sampler's element order."""
+    elements = grid.element_grid(config.lattice, grid.cell_mask(config.lattice, config.region.mask))
+    return grid.element_grid(config.lattice, config.cells)[elements]
+
+
+def config_json(config: Config) -> dict:
+    """The JSON record of ``config``: lattice, raster corners, p, seed and packed states."""
+    lo = config.region.origin
+    return {
+        "lattice": {"kind": config.lattice.kind.value, "d": config.lattice.d},
+        "region": {
+            "n_sites": len(config.region),
+            "lo": list(lo),
+            "hi": [o + n - 1 for o, n in zip(lo, config.region.shape)],
+        },
+        "p": config.p,
+        "seed": config.seed,
+        "states_hex": np.packbits(element_states(config)).tobytes().hex(),
+    }

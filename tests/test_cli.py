@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 
 import pytest
 import yaml
@@ -437,15 +438,28 @@ def test_bounds_subcommand(tmp_path):
 
 
 def test_bounds_out_of_float_range_exits_2(tmp_path, capsys):
-    # exp(u^d / C2) at u = 4.17, d = 3, C2 = 0.1 is past the float range: it used
-    # to end in an OverflowError traceback from fit_c9
-    spec = write_spec(tmp_path, d=3, sizes=[5], bounds={"alpha": 0.1, "C2": 0.1})
+    # exp(u^d / C2) at u = 3.5, d = 3, C2 = 0.05 is past the float range: it used
+    # to end in an OverflowError traceback
+    spec = write_spec(tmp_path, d=3, sizes=[5], bounds={"alpha": 0.1, "C2": 0.05})
     out = tmp_path / "x"
     assert main(["bounds", "--spec", str(spec), "--out", str(out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     error = json.loads(line)["error"]
-    assert "leaves the float range" in error and "d = 3" in error and "C2 = 0.1" in error
+    assert "leaves the float range" in error and "d = 3" in error and "C2 = 0.05" in error
+    assert "at u = 3.5 " in error
     assert not out.exists()
+
+
+def test_bounds_writes_every_u_it_can_evaluate(tmp_path, capsys):
+    # the series stays in the float range up to u = 4 at d = 3, C2 = 0.1 (u^d / C2 = 640);
+    # this spec used to exit 2 on a u past 4 that only a fitted comparator read
+    spec = write_spec(tmp_path, d=3, sizes=[5], bounds={"alpha": 0.1, "C2": 0.1})
+    out = tmp_path / "x"
+    assert main(["bounds", "--spec", str(spec), "--out", str(out), "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
+    series = json.loads(next(out.glob("*.json")).read_text())["generating_fn_series"]
+    assert [float(u) for u in series] == [1.0 + 0.25 * k for k in range(13)]
+    assert all(math.isfinite(v) and v >= 1.0 for v in series.values())
 
 
 def test_bounds_grid_ends_in_a_file_or_one_error_line(tmp_path, capsys):

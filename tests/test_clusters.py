@@ -31,7 +31,7 @@ def tri_config(n, p, seed, radius=None):
 
 def sizes(labels):
     """The size of each cluster of ``labels``, by label id: a bincount of the label grid."""
-    return np.bincount(labels.label_grid.ravel(), minlength=1)[1:]
+    return np.bincount(labels.ravel(), minlength=1)[1:]
 
 
 def arm(cfg, m, n):
@@ -77,15 +77,15 @@ def test_region_escapes_carrier():
         clusters.label_clusters(cfg, box_sites((0, 0), 10))
 
 
-def label_at(labels, site):
-    """The label of ``site`` in ``labels.label_grid``, indexed from ``labels.origin``."""
-    return labels.label_grid[tuple(c - o for c, o in zip(site, labels.origin))]
+def label_at(cfg, labels, site):
+    """The label of ``site`` in the label grid ``labels`` over the raster of ``cfg``."""
+    return labels[tuple(c - o for c, o in zip(site, cfg.region.origin))]
 
 
-def _partition_from_labels(labels, sites):
+def _partition_from_labels(cfg, labels, sites):
     groups = {}
     for s in sites:
-        lab = label_at(labels, s)
+        lab = label_at(cfg, labels, s)
         if lab > 0:
             groups.setdefault(lab, set()).add(s)
     return {frozenset(g) for g in groups.values()}
@@ -96,7 +96,7 @@ def test_site_labels_match_bfs_oracle():
     for i in range(40):
         cfg = sample_config(TRIANGULAR, region, 0.5, derive_stream(11, i))
         labels = clusters.label_clusters(cfg, region)
-        mine = _partition_from_labels(labels, region)
+        mine = _partition_from_labels(cfg, labels, region)
         oracle = set(site_components(open_sites_of(cfg), TRI_OFF))
         assert mine == oracle
 
@@ -106,7 +106,7 @@ def test_bond_labels_match_bfs_oracle():
     for i in range(30):
         cfg = sample_config(Z2_BOND, region, 0.5, derive_stream(13, i))
         labels = clusters.label_clusters(cfg, region)
-        mine = _partition_from_labels(labels, region)
+        mine = _partition_from_labels(cfg, labels, region)
         oracle = set(bond_components(region, open_edges_of(cfg, region)))
         assert mine == oracle
         assert int(sizes(labels).sum()) == len(region)
@@ -133,7 +133,7 @@ def test_bond_labels_on_subregion_match_bfs_oracle(lattice, radius, count):
     for i in range(count):
         cfg = sample_config(lattice, carrier, 0.5, derive_stream(41, i))
         labels = clusters.label_clusters(cfg, region)
-        mine = _partition_from_labels(labels, region)
+        mine = _partition_from_labels(cfg, labels, region)
         oracle = set(bond_components(region, open_edges_nd(cfg, region)))
         assert mine == oracle
         assert int(sizes(labels).sum()) == len(region)
@@ -293,9 +293,9 @@ def test_bond_crop_ignores_edges_leaving_it():
     detour = [((0, 0), (0, -1)), ((3, -1), (3, 0))] + [((x, -1), (x + 1, -1)) for x in range(3)]
     cfg = config_from_edges(Z2_BOND, carrier, detour)
     whole = clusters.label_clusters(cfg, carrier)
-    assert label_at(whole, (0, 0)) == label_at(whole, (3, 0))
+    assert label_at(cfg, whole, (0, 0)) == label_at(cfg, whole, (3, 0))
     inside = clusters.label_clusters(cfg, rect)
-    assert label_at(inside, (0, 0)) != label_at(inside, (3, 0))
+    assert label_at(cfg, inside, (0, 0)) != label_at(cfg, inside, (3, 0))
     assert not crossing(cfg, rect, 0)
     crop = estimators._crop_labels(Z2_BOND, cfg.cells[None], cfg.raster.rect_slices((0, 0), (3, 2)))
     assert crop.shape == (1, 4, 3)
@@ -311,10 +311,10 @@ def test_bond_crop_3d_ignores_edges_leaving_it():
     detour = [((0, 0, 0), (0, 0, -1)), ((0, 0, -1), (1, 0, -1)), ((1, 0, -1), (1, 0, 0))]
     cfg = config_from_edges(Z3_BOND, carrier, detour)
     whole = clusters.label_clusters(cfg, carrier)
-    assert label_at(whole, (0, 0, 0)) == label_at(whole, (1, 0, 0))
+    assert label_at(cfg, whole, (0, 0, 0)) == label_at(cfg, whole, (1, 0, 0))
     above = box_sites((0, 0, 1), 1)
     inside = clusters.label_clusters(cfg, above)
-    assert label_at(inside, (0, 0, 0)) != label_at(inside, (1, 0, 0))
+    assert label_at(cfg, inside, (0, 0, 0)) != label_at(cfg, inside, (1, 0, 0))
     crop = estimators._crop_labels(Z3_BOND, cfg.cells[None], cfg.raster.box_slices((0, 0, 1), 1))
     assert crop.shape == (1, 3, 3, 3) and np.unique(crop).size == len(above)
 
@@ -357,7 +357,7 @@ def test_label_grid_numbers_clusters_as_the_grid_alone(lattice):
         cfg = sample_config(lattice, carrier, p, derive_stream(4711, i))
         want = ndimage.label(cfg.cells, site_structure(lattice))[0][grid.vertex_cells(lattice)]
         assert want.max() > 1
-        assert np.array_equal(clusters.label_clusters(cfg, carrier).label_grid, want), i
+        assert np.array_equal(clusters.label_clusters(cfg, carrier), want), i
 
 
 @pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])

@@ -446,6 +446,24 @@ def test_largest_count_matches_owner_scatter_reference():
     assert cases == 2 * 4 * 5 + 1
 
 
+def test_largest_count_memory_stays_per_replica():
+    # the 53 triangular box(64) crops of one C_1 batch; counting the whole strip
+    # at once copied and cast every label, a 10.7 MB peak over an 8 MB batch budget
+    carrier = box_with_boundary(TRIANGULAR, 128)
+    batch = open_cells_batch(TRIANGULAR, carrier.mask, 0.5, [derive_stream(64, i) for i in range(53)])
+    box = grid.BoxRaster(TRIANGULAR, carrier).box_slices((0, 0), 64)
+    labels = E._crop_labels(TRIANGULAR, batch, box)
+    del batch
+    tracemalloc.start()
+    try:
+        counts = grid.largest_count(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < E.BATCH_BYTES / 8
+    assert counts.tolist() == oracles.largest_count(labels).tolist()
+
+
 def test_pi_table_conventions():
     table = PiTable(TRIANGULAR, 0.5)
     assert table.pi(5, 5) == 1.0
@@ -533,10 +551,10 @@ def test_upper_tail_against_hand_count(lattice):
 def test_check_quasi_mult_exact_power_law():
     scales = [(m, n) for m in (2, 4, 8) for n in (2, 4, 8) if m < n]
     table = synthetic_table(0.4, scales)
-    report = check_quasi_mult(table, [(2, 4, 8), (4, 4, 4)])
-    for row in report.rows:
-        assert row.ratio == pytest.approx(1.0, rel=1e-12)
-    assert report.max_ratio == pytest.approx(1.0, rel=1e-12)
+    for triples in ([(2, 4, 8)], [(4, 4, 4)], [(2, 4, 8), (4, 4, 4)]):
+        report = check_quasi_mult(table, triples)
+        assert report.max_ratio == pytest.approx(1.0, rel=1e-12)
+        assert report.worst in triples
 
 
 def test_check_quasi_mult_flags():
@@ -544,9 +562,12 @@ def test_check_quasi_mult_flags():
     table.add(PiRow(1, 2, 10, 5, 0.5, 0.1))
     table.add(PiRow(2, 4, 10, 5, 0.5, 0.1))
     table.add(PiRow(1, 4, 10, 0, 0.0, 0.0))
+    # a zero denominator is skipped: no triple is worst
     report = check_quasi_mult(table, [(1, 2, 4)])
-    assert report.rows[0].ratio is None
-    assert report.rows[0].note == "zero denominator"
+    assert report.max_ratio == 0.0 and report.worst is None
+    # ties keep the first triple of the largest ratio
+    report = check_quasi_mult(table, [(1, 2, 4), (1, 1, 2), (2, 2, 4)])
+    assert report.max_ratio == 1.0 and report.worst == (1, 1, 2)
     with pytest.raises(ValueError):
         check_quasi_mult(table, [(4, 2, 1)])
 

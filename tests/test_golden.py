@@ -12,9 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 import yaml
 
+from handbuilt import config_json, element_states
 from percolab import bounds as B
 from percolab import estimators as E
 from percolab import growth as G
@@ -36,7 +38,7 @@ Z3_BOND = LatticeSpec(LatticeKind.Z_BOND, 3)
 LATTICES = {"TRIANGULAR": TRIANGULAR, "Z2_BOND": Z2_BOND, "Z3_BOND": Z3_BOND}
 CARRIER_RADIUS = {"TRIANGULAR": 4, "Z2_BOND": 4, "Z3_BOND": 2}
 
-# sha256 of packed_states() on box_with_boundary(lattice, radius)
+# sha256 of the packed element states on box_with_boundary(lattice, radius)
 STATE_SHA256 = {
     ("TRIANGULAR", 0.37, 11): "85522f0cd590345da1220a5299b0e347132a12addaa29a7dccff00be3086587d",
     ("TRIANGULAR", 0.37, 12345): "30f03f91ceb737702c68220ff2dc06392c2b3fd59822eafc4973d32028f36540",
@@ -58,7 +60,7 @@ def test_packed_states_pinned(key):
     name, p, seed = key
     lattice = LATTICES[name]
     cfg = sample_config(lattice, box_with_boundary(lattice, CARRIER_RADIUS[name]), p, seed)
-    assert hashlib.sha256(cfg.packed_states().tobytes()).hexdigest() == STATE_SHA256[key]
+    assert hashlib.sha256(np.packbits(element_states(cfg)).tobytes()).hexdigest() == STATE_SHA256[key]
 
 
 def _json_sha256(obj) -> str:
@@ -66,7 +68,7 @@ def _json_sha256(obj) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-# sha256 of Config.to_json() (region size and bounds, p, seed, packed states)
+# sha256 of handbuilt.config_json (region size and raster corners, p, seed, packed states)
 CONFIG_JSON_SHA256 = {
     "TRIANGULAR": "e7a92113ec9f2064d2e555289c9c5cbe0b0dce999529df0da585331e4fdcb929",
     "Z2_BOND": "fb146735db9e20acb305326691aa8088b401dc5a8171b700d33db9186b9a68e4",
@@ -82,13 +84,13 @@ RECT_CONFIG_JSON_SHA256 = {
 def test_config_json_pinned(name):
     lattice = LATTICES[name]
     cfg = sample_config(lattice, box_with_boundary(lattice, CARRIER_RADIUS[name]), 0.5, 11)
-    assert _json_sha256(cfg.to_json()) == CONFIG_JSON_SHA256[name]
+    assert _json_sha256(config_json(cfg)) == CONFIG_JSON_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(RECT_CONFIG_JSON_SHA256))
 def test_rect_config_json_pinned(name):
     cfg = sample_config(LATTICES[name], rect_region((-3, 2), (9, 5)), 0.45, 21)
-    assert _json_sha256(cfg.to_json()) == RECT_CONFIG_JSON_SHA256[name]
+    assert _json_sha256(config_json(cfg)) == RECT_CONFIG_JSON_SHA256[name]
 
 
 # V_n of one configuration on box_with_boundary(2n): the size of its long-arm set

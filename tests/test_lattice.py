@@ -168,8 +168,7 @@ def test_rect_region():
     r = rect_region((1, 2), (2, 1))
     assert len(r) == 6
     assert r.origin == (1, 2) and r.shape == (3, 2)
-    lo, hi = r.bounds()
-    assert lo == (1, 2) and hi == (3, 3)
+    assert min(r) == (1, 2) and max(r) == (3, 3)
 
 
 def test_region_json_sorted():

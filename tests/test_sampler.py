@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from handbuilt import config_from_edges, config_from_sites
+from handbuilt import config_from_edges, config_from_sites, element_states
 from oracles import element_bits, reference_cells
 from percolab import grid
 from percolab.lattice import (
@@ -40,14 +40,14 @@ def test_p_one_all_open():
     cfg = sample_config(TRIANGULAR, CARRIER, 1.0, 7)
     assert cfg.site_open[cfg.region.mask].all()
     bond = sample_config(Z2_BOND, BOND_CARRIER, 1.0, 7)
-    assert bond.element_states().all()
+    assert element_states(bond).all()
 
 
 def test_p_zero_all_closed():
     cfg = sample_config(TRIANGULAR, CARRIER, 0.0, 7)
     assert not cfg.site_open.any()
     bond = sample_config(Z2_BOND, BOND_CARRIER, 0.0, 7)
-    assert not bond.element_states().any()
+    assert not element_states(bond).any()
 
 
 def test_p_out_of_range():
@@ -58,10 +58,10 @@ def test_p_out_of_range():
 def test_bitwise_determinism():
     a = sample_config(TRIANGULAR, CARRIER, 0.5, 12345)
     b = sample_config(TRIANGULAR, CARRIER, 0.5, 12345)
-    assert np.array_equal(a.packed_states(), b.packed_states())
+    assert np.array_equal(a.cells, b.cells)
     c = sample_config(TRIANGULAR, CARRIER, 0.37, 12345)
     d = sample_config(TRIANGULAR, CARRIER, 0.37, 12345)
-    assert np.array_equal(c.packed_states(), d.packed_states())
+    assert np.array_equal(c.cells, d.cells)
 
 
 def test_derive_stream_pinned_values():
@@ -131,7 +131,7 @@ def test_open_fraction_binomial():
 
 def test_site_element_order_is_lexicographic():
     cfg = sample_config(TRIANGULAR, CARRIER, 0.5, 99)
-    states = cfg.element_states()
+    states = element_states(cfg)
     ordered_sites = sorted(CARRIER)
     for idx in (0, 5, len(ordered_sites) - 1):
         s = ordered_sites[idx]
@@ -140,7 +140,7 @@ def test_site_element_order_is_lexicographic():
 
 def test_bond_element_order_site_major_axis_ascending():
     cfg = sample_config(Z2_BOND, BOND_CARRIER, 0.5, 99)
-    states = cfg.element_states()
+    states = element_states(cfg)
     elements = []
     for u in sorted(BOND_CARRIER):
         for axis, e in enumerate([(1, 0), (0, 1)]):
@@ -169,7 +169,7 @@ def test_batch_matches_single_config():
         single = sample_config(Z2_BOND, BOND_CARRIER, 0.5, s)
         assert np.array_equal(ebatch[i], single.cells)
         # the decorated grid holds the raw stream, element k on element k's cell
-        states = single.element_states()
+        states = element_states(single)
         assert np.array_equal(states, element_bits(0.5, len(states), s))
 
 
@@ -202,13 +202,6 @@ def test_configs_compare_by_value(carrier):
     hand = config_from_sites(TRIANGULAR, region, [(0, 0), (1, 1)])
     assert hand == config_from_sites(TRIANGULAR, region, [(0, 0), (1, 1)])
     assert hand != config_from_sites(TRIANGULAR, region, [(0, 0)])
-
-
-def test_config_json_dump():
-    cfg = sample_config(TRIANGULAR, CARRIER, 0.5, 3)
-    doc = cfg.to_json()
-    assert doc["lattice"]["kind"] == LatticeKind.TRIANGULAR_SITE.value
-    assert bytes.fromhex(doc["states_hex"]) == cfg.packed_states().tobytes()
 
 
 Z3_BOND = LatticeSpec(LatticeKind.Z_BOND, 3)

@@ -135,12 +135,12 @@ def test_labels_match_graph_accepts_clusters_and_rejects_plants(lattice):
     for seed, widths in enumerate([(7, 7), (23, 40), (41, 9)]):
         region = rect_region((0, 0), widths)
         config = sample_config(lattice, region, p, seed)
-        assert verify._labels_match_graph(config, region, label_clusters(config, region).label_grid)
+        assert verify._labels_match_graph(config, region, label_clusters(config, region))
         if lattice.site_mode:
             square = ndimage.label(config.site_open)[0]
             assert not verify._labels_match_graph(config, region, square)
     config = sample_config(lattice, rect_region((0, 0), HOLE.shape), p, 3)
-    labels = label_clusters(config, HOLE).label_grid
+    labels = label_clusters(config, HOLE)
     assert verify._labels_match_graph(config, HOLE, labels)
     # a merged pair; one site of the largest cluster split off or moved to
     # another cluster; a label on the first unlabelled site (a closed one on
