@@ -18,10 +18,12 @@ birth-ball union; the root's outer face is the doubled box).  Shells of
 distinct blobs are pairwise disjoint.
 
 L-infinity balls are axis-aligned cubes, so a shell is painted in place with
-one slice assignment per ball (``_fill``): the outer face (death balls, or the
-doubled box for the root) is set, then the birth balls and the even-d2
-interface are cleared.  Slice bounds are plain integer arithmetic on 2-D
-rasters and a per-axis loop in other dimensions.
+one slice assignment per ball (``_fill``).  The root's shell starts as its
+whole raster, the doubled box.  Any other shell paints its death balls; for
+even d2 it then clears the others' reach and re-sets the balls strictly
+inside the death balls; last, the birth balls are cleared.  On 2-D rasters
+ball bounds, blob boxes and pair distances are plain integer arithmetic, and
+other dimensions take per-axis loops.
 """
 
 from __future__ import annotations
@@ -98,11 +100,19 @@ def grow_tree(points: Iterable[Site]) -> GrowthRecord:
     """
     pts = tuple(sorted(_validated_points(points)))
     k = len(pts)
-    pairs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            pairs.append((linf_distance(pts[i], pts[j]), pts[i], pts[j], i, j))
-    pairs.sort(key=lambda t: (t[0], t[1], t[2]))
+    # the points are sorted and distinct, so (distance, i, j) with i < j
+    # orders pairs as (distance, u, v) does
+    if len(pts[0]) == 2:
+        pairs = [
+            (max(abs(u0 - v0), abs(u1 - v1)), i, j)
+            for i, (u0, u1) in enumerate(pts)
+            for j, (v0, v1) in enumerate(pts[i + 1 :], i + 1)
+        ]
+    else:
+        pairs = [
+            (linf_distance(u, v), i, j) for i, u in enumerate(pts) for j, v in enumerate(pts[i + 1 :], i + 1)
+        ]
+    pairs.sort()
 
     parent = list(range(k))
 
@@ -113,12 +123,12 @@ def grow_tree(points: Iterable[Site]) -> GrowthRecord:
         return x
 
     edges = []
-    for dist, u, v, i, j in pairs:
+    for dist, i, j in pairs:
         ri, rj = find(i), find(j)
         if ri == rj:
             continue
         parent[ri] = rj
-        edges.append(MergeEdge(u, v, dist))
+        edges.append(MergeEdge(pts[i], pts[j], dist))
         if len(edges) == k - 1:
             break
     return GrowthRecord(pts, tuple(edges))
@@ -167,16 +177,16 @@ def _fill(out: np.ndarray, centers: Iterable[Site], r: int, origin: Site, value:
         return
     if out.ndim == 2:
         # the common case, with the bounds in plain integer arithmetic: this
-        # loop runs once per ball and dominates the shell rasterizer
+        # loop runs once per ball and dominates the shell rasterizer.  Most of
+        # the others' balls miss the raster and are skipped without numpy.
         o0, o1 = origin
+        n0, n1 = out.shape
         w = 2 * r + 1
         for c0, c1 in centers:
             s0, s1 = c0 - o0 - r, c1 - o1 - r
             t0, t1 = s0 + w, s1 + w
-            out[
-                s0 if s0 > 0 else 0 : t0 if t0 > 0 else 0,
-                s1 if s1 > 0 else 0 : t1 if t1 > 0 else 0,
-            ] = value
+            if t0 > 0 and t1 > 0 and s0 < n0 and s1 < n1:
+                out[s0 if s0 > 0 else 0 : t0, s1 if s1 > 0 else 0 : t1] = value
         return
     for x in centers:
         ball = tuple(slice(max(c - o - r, 0), max(c - o + r + 1, 0)) for c, o in zip(x, origin))
@@ -189,6 +199,10 @@ def _blob_bbox(blob: Blob, n: int) -> tuple[Site, tuple[int, ...]]:
     if blob.is_root:
         return (-2 * n,) * len(axes), (4 * n + 1,) * len(axes)
     r = blob.d2 // 2
+    if len(axes) == 2:  # the common case, without generators
+        xs, ys = axes
+        l0, l1 = min(xs) - r, min(ys) - r
+        return (l0, l1), (max(xs) + r - l0 + 1, max(ys) + r - l1 + 1)
     lo = tuple(min(a) - r for a in axes)
     return lo, tuple(max(a) + r - l + 1 for a, l in zip(axes, lo))
 
@@ -199,19 +213,19 @@ def blob_region_mask(blob: Blob, n: int) -> tuple[np.ndarray, Site]:
     ``Region(origin, mask)`` is the shell as a set of sites.
     """
     origin, shape = _blob_bbox(blob, n)
-    shell = np.zeros(shape, dtype=bool)
-    if blob.is_root:  # the outer face: the doubled box, one ball around the origin
-        _fill(shell, [(0,) * len(shape)], 2 * n, origin, True)
+    if blob.is_root:  # the outer face, the doubled box, is the whole raster
+        shell = np.ones(shape, dtype=bool)
     else:  # or the death balls
-        _fill(shell, blob.members, blob.d2 // 2, origin, True)
+        shell = np.zeros(shape, dtype=bool)
+        r = blob.d2 // 2
+        _fill(shell, blob.members, r, origin, True)
+        if blob.others and blob.d2 % 2 == 0:
+            # touching interfaces with other components belong to no shell:
+            # clear the others' reach, then re-set the balls strictly inside
+            # the death balls (a subset of them, so nothing else comes back)
+            _fill(shell, blob.others, r, origin, False)
+            _fill(shell, blob.members, r - 1, origin, True)
     _fill(shell, blob.members, blob.b2 // 2, origin, False)
-    if blob.others and blob.d2 % 2 == 0:
-        # touching interfaces with other components belong to no shell: clear
-        # the others' reach, except sites strictly inside the death balls
-        interface = np.zeros(shape, dtype=bool)
-        _fill(interface, blob.others, blob.d2 // 2, origin, True)
-        _fill(interface, blob.members, blob.d2 // 2 - 1, origin, False)
-        shell[interface] = False
     return shell, origin
 
 

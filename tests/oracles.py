@@ -82,6 +82,23 @@ def prim_mst_lengths(points):
     return sorted(lengths)
 
 
+def kruskal_edges(points):
+    """Merge edges (u, v, r2) in order: every pair u < v sorted by (Chebyshev
+    distance, u, v), kept when it joins two components (relabelled by hand)."""
+    pts = sorted(points)
+    comp = {p: i for i, p in enumerate(pts)}
+    pairs = sorted((chebyshev(u, v), u, v) for u, v in itertools.combinations(pts, 2))
+    edges = []
+    for dist, u, v in pairs:
+        cu, cv = comp[u], comp[v]
+        if cu != cv:
+            edges.append((u, v, dist))
+            for p in pts:
+                if comp[p] == cv:
+                    comp[p] = cu
+    return edges
+
+
 def connected_sets(open_sites, offsets, source, target):
     """Is some source site joined to some target site through open sites?"""
     src = set(source) & set(open_sites)

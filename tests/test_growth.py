@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chebyshev, prim_mst_lengths
+from oracles import chebyshev, kruskal_edges, prim_mst_lengths
 from percolab import growth
 from percolab.lattice import Region
 
@@ -43,6 +43,19 @@ def test_tie_break_deterministic():
     rec = growth.grow_tree(pts)
     for perm in ([(4, 0), (0, 4), (0, 0)], [(0, 4), (0, 0), (4, 0)]):
         assert growth.grow_tree(perm) == rec
+
+
+@given(
+    st.integers(2, 3).flatmap(
+        lambda d: st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=12, unique=True)
+    )
+)
+@settings(max_examples=200)
+def test_merge_order_matches_reference_kruskal(pts):
+    # tie-heavy sets: many pairs share a distance, so the order of equal
+    # distances decides which edges are kept
+    rec = growth.grow_tree(pts)
+    assert [(e.u, e.v, e.r2) for e in rec.edges] == kruskal_edges(pts)
 
 
 @given(point_sets)

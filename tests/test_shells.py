@@ -118,3 +118,32 @@ def test_fill_clamps_to_the_raster_and_clears(d):
     assert np.array_equal(out, want)
     growth._fill(out, [center], 2, origin, False)
     assert not out.any()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [0, 2])
+def test_fill_one_cell_overlap_at_every_edge(d, r):
+    # a ball meeting the raster only in its first or last slice along one axis
+    # paints (or clears) exactly that slice's part of the ball; one site
+    # further out it touches nothing
+    origin = tuple(-2 - a for a in range(d))
+    shape = tuple(4 + a for a in range(d))
+    inside = tuple(o + s // 2 for o, s in zip(origin, shape))
+    idx = np.indices(shape)
+
+    def ball(center):
+        return np.max([abs(idx[a] + origin[a] - center[a]) for a in range(d)], axis=0) <= r
+
+    for a in range(d):
+        for edge, step in ((origin[a], -1), (origin[a] + shape[a] - 1, 1)):
+            for value in (True, False):
+                center = inside[:a] + (edge + step * r,) + inside[a + 1 :]
+                want = ball(center)
+                assert want.any(axis=tuple(b for b in range(d) if b != a)).sum() == 1
+                out = np.full(shape, not value)
+                growth._fill(out, [center], r, origin, value)
+                assert np.array_equal(out == value, want)
+                beyond = inside[:a] + (edge + step * (r + 1),) + inside[a + 1 :]
+                out = np.full(shape, not value)
+                growth._fill(out, [beyond], r, origin, value)
+                assert not (out == value).any()
