@@ -15,7 +15,6 @@ from .lattice import (  # noqa: F401
     rect_region,
 )
 from .sampler import Config, derive_stream, sample_config  # noqa: F401
-from .clusters import label_clusters  # noqa: F401
 from .growth import (  # noqa: F401
     Blob,
     GrowthRecord,

@@ -23,7 +23,10 @@ One kernel: carriers and observables
 ------------------------------------
 Every estimate, and the gluing campaign's D(n, u), runs one kernel,
 ``_observe``, on the task ``(lattice, p, carrier, observables, fam)``: it samples
-replicas of ``fam`` on the carrier and returns a per-replica array per observable:
+replicas of ``fam`` on the carrier and returns a per-replica array per observable.
+The carrier ``Region`` is the raster: every ring, box and rectangle below is
+placed in its bounding box, which must hold it, and each observable's reader is
+built once per (lattice, carrier, observable) and process:
 
 * ``("arm", pairs)``: (B, rows) bool; row (m, n) is "some cluster touches
   the boundaries of box(m) and box(n)";
@@ -90,7 +93,9 @@ import numpy as np
 
 from . import grid
 from .bounds import scale_floor
-from .lattice import LatticeKind, LatticeSpec, box_with_boundary, rect_region
+from .lattice import (
+    LatticeKind, LatticeSpec, Region, box_sites, box_with_boundary, boundary, rect_region,
+)
 from .parallel import run_counters
 from .sampler import Config, derive_stream, derive_streams, open_cells_batch
 
@@ -267,44 +272,45 @@ def _crop_labels(
 
 
 @lru_cache(maxsize=64)
-def _reader(lattice: LatticeSpec, raster: grid.BoxRaster, observable: tuple):
+def _reader(lattice: LatticeSpec, carrier: Region, observable: tuple):
     """(reads the carrier labels, per-batch reduction, cells labelled per replica) of an observable.
 
     The cell count is that of the largest labelling call per replica, which
     the batch budget pays for: the whole carrier, a C_1 box or one rectangle.
-    ``observable`` is a tuple of ints (and tuples of them), so readers are
-    cached per process: the kernel asks for them on every chunk and
-    ``read_config`` on every configuration, and each is built once.  The
-    masks and index arrays a cached reader holds are read-only.
+    Rings, boxes and rectangles are placed in the carrier, which must hold
+    them.  ``observable`` is a tuple of ints (and tuples of them), so readers
+    are cached per process and per carrier: the kernel asks for them on every
+    chunk and ``read_config`` on every configuration, and each is built once.
+    The masks and index arrays a cached reader holds are read-only.
     """
     kind, *args = observable
     center = (0,) * lattice.d
-    carrier = _cells(lattice, raster.shape)
+    cells = _cells(lattice, carrier.shape)
     if kind == "arm":
         (pairs,) = args
         radii = sorted({r for pair in pairs for r in pair})
-        rings = [np.nonzero(raster.boundary_mask(center, r)) for r in radii]  # site index of each ring
+        rings = [np.nonzero(boundary(box_sites(center, r), lattice).mask_in(carrier)) for r in radii]
         for array in (a for ring in rings for a in ring):
             array.flags.writeable = False
         ring_pairs = [(radii.index(m), radii.index(n)) for m, n in pairs]
-        return True, lambda labels: grid.connect_through(labels, rings, ring_pairs), carrier
+        return True, lambda labels: grid.connect_through(labels, rings, ring_pairs), cells
     if kind == "vn":
-        outer = np.nonzero(raster.boundary_mask(center, 2 * args[0]))  # site index of the ring
-        inner = np.nonzero(raster.box_mask(center, args[0]))
+        outer = np.nonzero(boundary(box_sites(center, 2 * args[0]), lattice).mask_in(carrier))
+        inner = np.nonzero(box_sites(center, args[0]).mask_in(carrier))
         for array in (*outer, *inner):
             array.flags.writeable = False
-        return True, lambda labels: grid.count_connected_to(labels, outer, inner), carrier
+        return True, lambda labels: grid.count_connected_to(labels, outer, inner), cells
     if kind == "c1":
-        box = raster.box_slices(center, args[0])
+        box = box_sites(center, args[0]).slices_in(carrier)
         return False, lambda batch, buffers: grid.largest_count(
             _crop_labels(lattice, batch, box, buffers=buffers)
         ), _slice_cells(lattice, box)
     if kind == "dn":
         from .lowerbound import _dn_reader  # lowerbound imports this module
 
-        return (False, *_dn_reader(lattice, raster, *args))
+        return (False, *_dn_reader(lattice, carrier, *args))
     corner, widths, axis = args  # "crossing"
-    rect = raster.rect_slices(corner, widths)
+    rect = rect_region(corner, widths).slices_in(carrier)
     return False, lambda batch, buffers: grid.crossing(
         _crop_labels(lattice, batch, rect, buffers=buffers), axis
     ), _slice_cells(lattice, rect)
@@ -340,8 +346,7 @@ def _observe(task, start: int, stop: int) -> tuple[np.ndarray, ...]:
     replica beyond the budget runs alone on fresh arrays, which are freed after it.
     """
     lattice, p, carrier, observables, fam = task
-    raster = grid.BoxRaster(lattice, carrier)
-    readers = [_reader(lattice, raster, obs) for obs in observables]
+    readers = [_reader(lattice, carrier, obs) for obs in observables]
     kept = _replica_bytes(lattice, carrier, readers)
     size = max(1, min(256, BATCH_BYTES // kept))
     buffers = _kept_buffers() if kept <= BATCH_BYTES else grid.FRESH
@@ -354,12 +359,13 @@ def _observe(task, start: int, stop: int) -> tuple[np.ndarray, ...]:
 
 
 def read_config(config: Config, observable: tuple):
-    """``observable`` on one configuration, read over its raster as the kernel reads a replica.
+    """``observable`` on one configuration, read over its carrier as the kernel reads a replica.
 
-    The raster must hold the observable's geometry (each ring with box(r + 1),
-    each rectangle and box), else ``grid.BoxRaster`` raises ``ValueError``.
+    The carrier's bounding box must hold the observable's geometry (each ring
+    with box(r + 1), each rectangle and box, the blocks of D(n, u)), else
+    placing it raises ``ValueError``.
     """
-    reader = _reader(config.lattice, config.raster, observable)
+    reader = _reader(config.lattice, config.region, observable)
     return _read_batch(config.lattice, [reader], config.cells[None], grid.FRESH)[0][0]
 
 

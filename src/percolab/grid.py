@@ -1,8 +1,10 @@
 """Rasterized lattice geometry and the batched labeling kernel.
 
-Everything Monte-Carlo-hot runs through this module.  Configurations live on
-the bounding box (the "raster") of their carrier, a ``lattice.Region`` whose
-mask covers it.  A configuration is stored as a grid of open *cells*, and one kernel,
+Everything Monte-Carlo-hot runs through this module.  A configuration's raster
+is its carrier, a ``lattice.Region``: the carrier's bounding box, in which its
+mask marks the carrier's sites.  Rings, boxes and rectangles are placed in it
+with the region's ``mask_in`` and ``slices_in``, which raise when they do not
+fit.  A configuration is stored as a grid of open *cells*, and one kernel,
 ``scipy.ndimage.label``, labels the cells of both lattice kinds:
 
 * site mode: the cells are the sites, labeled under the lattice adjacency;
@@ -47,47 +49,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .lattice import LatticeSpec, Region, Site, ring, site_structure
-
-
-class BoxRaster:
-    """The bounding box ``[origin, origin + shape)`` of a region, indexed as coord - origin."""
-
-    def __init__(self, lattice: LatticeSpec, region: Region):
-        self.lattice = lattice
-        self.origin = region.origin
-        self.shape = region.shape
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BoxRaster) and vars(self) == vars(other)
-
-    def __hash__(self) -> int:
-        return hash((self.lattice, self.origin, self.shape))
-
-    def rect_slices(self, corner: Site, widths: tuple[int, ...]) -> tuple[slice, ...]:
-        """Raster slices of the rectangle ``corner + [0, w_a]``; it must lie in the raster."""
-        sl = tuple(slice(c - o, c + w + 1 - o) for c, o, w in zip(corner, self.origin, widths))
-        for s, size in zip(sl, self.shape):
-            if s.start < 0 or s.stop > size:
-                raise ValueError("box escapes the raster bounding box")
-        return sl
-
-    def box_slices(self, center: Site, radius: int) -> tuple[slice, ...]:
-        return self.rect_slices(tuple(c - radius for c in center), (2 * radius,) * len(center))
-
-    def box_mask(self, center: Site, radius: int) -> np.ndarray:
-        m = np.zeros(self.shape, dtype=bool)
-        m[self.box_slices(center, radius)] = True
-        return m
-
-    def boundary_mask(self, center: Site, radius: int) -> np.ndarray:
-        """Outer vertex boundary of the box, under the lattice adjacency.
-
-        The ring lies in box(radius + 1), which must lie in the raster: a ring
-        clipped by the raster's edge would be read as the whole ring.
-        """
-        self.box_slices(center, radius + 1)
-        return ring(self.box_mask(center, radius), self.lattice)
+from .lattice import LatticeSpec, site_structure
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ Two lattice kinds are supported:
 Sites are plain tuples of ints.  A region, a finite set of sites, is a value
 ``Region(origin, mask)``: a read-only boolean mask over the region's bounding
 box, whose cell ``i`` is the site ``origin + i``.  Boxes and rectangles are
-full masks, a boundary (``ring``) is one dilation of a mask by the lattice
-adjacency, and subset tests are mask operations; a region iterates its sites in
-lexicographic order.  All distances used by the growth process are
+full masks, a boundary (``boundary``, ``ring`` of a mask) is one dilation by
+the lattice adjacency, and subset tests are mask operations.  Any region can
+serve as a raster: ``mask_in`` and ``slices_in`` place another region in its
+bounding box and raise ``ValueError`` when it does not fit.  A region iterates
+its sites in lexicographic order.  All distances used by the growth process are
 L-infinity (Chebyshev), independent of the lattice kind.
 """
 
@@ -123,17 +125,21 @@ class Region:
     def __le__(self, other: Region) -> bool:
         """Subset test."""
         try:
-            return not (self.mask_in(other.origin, other.shape) & ~other.mask).any()
+            return not (self.mask_in(other) & ~other.mask).any()
         except ValueError:
             return False
 
-    def mask_in(self, origin: Site, shape: tuple[int, ...]) -> np.ndarray:
-        """The region as a mask over the raster ``[origin, origin + shape)``."""
-        lo = tuple(a - b for a, b in zip(self.origin, origin))
-        if self.mask.size and any(l < 0 or l + s > n for l, s, n in zip(lo, self.shape, shape)):
+    def slices_in(self, raster: Region) -> tuple[slice, ...]:
+        """The region's bounding box as slices of the bounding box of ``raster``, which must hold it."""
+        lo = tuple(a - b for a, b in zip(self.origin, raster.origin))
+        if self.mask.size and any(l < 0 or l + s > n for l, s, n in zip(lo, self.shape, raster.shape)):
             raise ValueError("region escapes the raster bounding box")
-        out = np.zeros(shape, dtype=bool)
-        out[tuple(slice(l, l + s) for l, s in zip(lo, self.shape))] = self.mask
+        return tuple(slice(l, l + s) for l, s in zip(lo, self.shape))
+
+    def mask_in(self, raster: Region) -> np.ndarray:
+        """The region as a mask over the bounding box of ``raster``, which must hold it."""
+        out = np.zeros(raster.shape, dtype=bool)
+        out[self.slices_in(raster)] = self.mask
         return out
 
     def to_json(self) -> list[list[int]]:
@@ -155,6 +161,12 @@ def site_structure(lattice: LatticeSpec) -> np.ndarray:
 def ring(mask: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     """Cells outside ``mask`` adjacent to one of its cells (within the grid)."""
     return ndimage.binary_dilation(mask, structure=site_structure(lattice)) & ~mask
+
+
+def boundary(region: Region, lattice: LatticeSpec) -> Region:
+    """The outer vertex boundary of ``region``: the sites outside it adjacent to one of its sites."""
+    mask = np.pad(region.mask, 1)
+    return Region(tuple(o - 1 for o in region.origin), ring(mask, lattice))
 
 
 def box_sites(center: Site, n: int) -> Region:
@@ -187,5 +199,5 @@ def box_with_boundary(lattice: LatticeSpec, n: int) -> Region:
     the box to its boundary.
     """
     box = box_sites((0,) * lattice.d, n)
-    mask = np.pad(box.mask, 1)
-    return Region(tuple(c - 1 for c in box.origin), mask | ring(mask, lattice))
+    outer = boundary(box, lattice)
+    return Region(outer.origin, outer.mask | box.mask_in(outer))

@@ -40,7 +40,10 @@ strip calls of a 234-replica batch from about 28 to 12 for 2.7 rectangles
 per attempt instead of 2.6.  Wide crops are transposed into the tall shape,
 which both lattices' structures allow, so every crop is crossed along axis 0.
 The check reads its box(n') boxes and box(2n') rings by flat index, and the
-extremes of only the clusters that meet box(n - n').
+extremes of only the clusters that meet box(n - n').  Rectangles, blocks,
+boxes and rings are placed in the carrier ``Region``, the raster of every
+replica, and a carrier that cannot hold one of them raises ``ValueError``
+before any replica is read.
 
 D(n, u) and the check are the kernel observable ``("dn", n, u)``: the gluing
 campaign samples it on box(2n) plus boundary with ``estimators._observe``, and
@@ -79,7 +82,7 @@ from .estimators import (
     family_seed,
     mean_estimate,
 )
-from .lattice import LatticeSpec, Site, box_with_boundary
+from .lattice import LatticeSpec, Region, Site, box_sites, box_with_boundary, boundary, rect_region
 from .parallel import run_counters
 
 
@@ -301,7 +304,7 @@ def _cluster_extremes(labels: np.ndarray, present: np.ndarray) -> list[tuple[np.
 
 @dataclass(frozen=True)
 class _DnGeometry:
-    """What D(n, u) and its check read of a raster besides the labels."""
+    """What D(n, u) and its check read of a carrier besides the labels."""
 
     rects: grid.StripCrops  # the rectangles in _dn_rects order, wide ones transposed
     blocks: tuple[slice, ...]  # cell slices of the k x k blocks of n' x n' sites under the rectangles
@@ -315,27 +318,26 @@ class _DnGeometry:
     box: tuple[np.ndarray]  # its box part
 
 
-def _dn_geometry(raster: grid.BoxRaster, n: int, u: int) -> _DnGeometry:
-    """The geometry of D(n, u) over ``raster``, read-only (its reader is cached)."""
-    lattice = raster.lattice
+def _dn_geometry(lattice: LatticeSpec, carrier: Region, n: int, u: int) -> _DnGeometry:
+    """The geometry of D(n, u) placed in ``carrier``, read-only (its reader is cached)."""
     rects = _dn_rects(n, u, lattice.d)
-    crops = grid.StripCrops(
-        lattice, raster.shape, [(raster.rect_slices(c, w), axis == 1) for c, w, axis in rects]
-    )
+    places = [(rect_region(c, w).slices_in(carrier), axis == 1) for c, w, axis in rects]
+    crops = grid.StripCrops(lattice, carrier.shape, places)
     np_, k, cell = n // u, 2 * u + 2, grid.stride(lattice)
-    blocks = tuple(slice(cell * (-u * np_ - o), cell * ((u + 2) * np_ - o)) for o in raster.origin)
+    spread = rect_region((-u * np_,) * lattice.d, (k * np_ - 1,) * lattice.d).slices_in(carrier)
+    blocks = tuple(slice(cell * s.start, cell * s.stop) for s in spread)
     # block v sits at flat index (vx + u) k + vy + u; a tall rectangle at n'v
     # covers blocks v and v + e1, a wide one v and v + e0
     first = [(c[0] // np_ + u) * k + c[1] // np_ + u for c, _, _ in rects]
     covers = np.array([first, [f + (k if axis == 1 else 1) for f, (_, _, axis) in zip(first, rects)]])
-    arm_sites = np.flatnonzero(raster.box_mask((0,) * lattice.d, n - np_))
-    arm_coords = np.array(np.unravel_index(arm_sites, raster.shape))
+    arm_sites = np.flatnonzero(box_sites((0,) * lattice.d, n - np_).mask_in(carrier))
+    arm_coords = np.array(np.unravel_index(arm_sites, carrier.shape))
     local = []
     for vx in range(-(u - 1), u):
         for vy in range(-(u - 1), u):
             c = (np_ * vx, np_ * vy)
-            ring = np.flatnonzero(raster.boundary_mask(c, 2 * np_))
-            local.append(np.concatenate([ring, np.flatnonzero(raster.box_mask(c, np_))]))
+            ring = np.flatnonzero(boundary(box_sites(c, 2 * np_), lattice).mask_in(carrier))
+            local.append(np.concatenate([ring, np.flatnonzero(box_sites(c, np_).mask_in(carrier))]))
     ring, box = (np.arange(len(ring)),), (np.arange(len(ring), len(local[0])),)
     local = np.array(local)
     for array in (covers, arm_sites, arm_coords, local, *ring, *box):
@@ -406,12 +408,12 @@ def _gluing_violations(
 STRIP_CROPS = 16
 
 
-def _dn_reader(lattice: LatticeSpec, raster: grid.BoxRaster, n: int, u: int):
-    """(batch reduction, cells of one rectangle) of ``("dn", n, u)``.
+def _dn_reader(lattice: LatticeSpec, carrier: Region, n: int, u: int):
+    """(batch reduction, cells of one rectangle) of ``("dn", n, u)`` on ``carrier``.
 
     The reduction gives D holds, then (where it does) each violation.
     """
-    geometry = _dn_geometry(raster, n, u)
+    geometry = _dn_geometry(lattice, carrier, n, u)
 
     def read(batch: np.ndarray, buffers: grid.Buffers) -> np.ndarray:
         flags = np.zeros((len(batch), 3), dtype=bool)

@@ -57,7 +57,6 @@ from typing import Sequence
 import numpy as np
 
 from . import grid
-from .grid import BoxRaster
 from .lattice import TRIANGULAR, LatticeKind, LatticeSpec, Region
 
 _MASK64 = (1 << 64) - 1
@@ -119,10 +118,6 @@ class Config:
         same_p = self.p == other.p or (math.isnan(self.p) and math.isnan(other.p))
         same = (self.lattice, self.region, self.seed) == (other.lattice, other.region, other.seed)
         return same and same_p and np.array_equal(self.cells, other.cells)
-
-    @property
-    def raster(self) -> BoxRaster:
-        return BoxRaster(self.lattice, self.region)
 
     @property
     def site_open(self) -> np.ndarray | None:

@@ -30,10 +30,10 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from . import bounds, clusters, estimators, growth, lowerbound, reports
+from . import bounds, estimators, grid, growth, lowerbound, reports
 from .bounds import BoundParams, int_root_ceil, scale_floor
 from .estimators import PiTable, build_pi_table, check_quasi_mult, fit_arm_exponent
-from .lattice import TRIANGULAR, Z2_BOND, LatticeSpec, Region, rect_region
+from .lattice import TRIANGULAR, Z2_BOND, LatticeSpec, rect_region
 from .lowerbound import EventSpec
 from .sampler import Config, derive_stream, rng_for, sample_config
 
@@ -481,8 +481,8 @@ def _c12_moment_stability(ctx: VerifyContext, lattice: LatticeSpec, p: float) ->
     )
 
 
-def _labels_match_graph(config: Config, region: Region, labels: np.ndarray) -> bool:
-    """Whether ``labels`` are exactly the open clusters of ``config`` inside ``region``.
+def _labels_match_graph(config: Config, labels: np.ndarray) -> bool:
+    """Whether ``labels`` are exactly the open clusters of ``config`` on its carrier.
 
     Each open edge between participating sites is listed once, from its smaller
     end, and scipy counts the components of that graph over the raster; closed
@@ -492,8 +492,7 @@ def _labels_match_graph(config: Config, region: Region, labels: np.ndarray) -> b
     components make that map one-to-one: the labels are the components.
     """
     shape = config.region.shape
-    in_region = region.mask_in(config.region.origin, shape)
-    part = config.site_open & in_region if config.lattice.site_mode else in_region
+    part = config.site_open & config.region.mask if config.lattice.site_mode else config.region.mask
     edge_open = config.edge_open
     node = np.arange(part.size).reshape(shape)
     ends, equal = [], True
@@ -526,8 +525,8 @@ def _c13_bfs_oracle(ctx: VerifyContext, *_) -> Outcome:
         h = int(rng.integers(7, 64))
         region = rect_region((0, 0), (w, h))
         config = sample_config(lattice, region, estimators.default_p(lattice), derive_stream(family, i))
-        labels = clusters.label_clusters(config, region)
-        mismatches += not _labels_match_graph(config, region, labels)
+        labels = grid.label_sites_batch(grid.strip_cells(config.cells[None]), lattice)[0]
+        mismatches += not _labels_match_graph(config, labels)
     ok = mismatches == 0
     return (
         ok,

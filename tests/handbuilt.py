@@ -1,6 +1,7 @@
 """Hand-built regions and configurations for tests: chosen sites, open sites or open edges.
 
-Also a configuration's flat states in element order and its JSON record, which the golden pins hash.
+Also a configuration's flat states in element order and its JSON record, which the golden pins
+hash, and its cluster labels with paths confined to a region.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def config_from_sites(lattice: LatticeSpec, region: Region, open_sites) -> Confi
     opened = region_from_sites(open_sites, lattice.d)
     if not opened <= region:
         raise ValueError("open sites outside region")
-    return Config(lattice, region, float("nan"), None, opened.mask_in(region.origin, region.shape))
+    return Config(lattice, region, float("nan"), None, opened.mask_in(region))
 
 
 def config_from_edges(lattice: LatticeSpec, region: Region, open_edges) -> Config:
@@ -50,6 +51,17 @@ def config_from_edges(lattice: LatticeSpec, region: Region, open_edges) -> Confi
             raise ValueError(f"edge {u}-{v} outside region")
         cells[tuple(a + b - 2 * o for a, b, o in zip(u, v, region.origin))] = True
     return Config(lattice, region, float("nan"), None, cells)
+
+
+def confined_labels(config: Config, region: Region) -> np.ndarray:
+    """Labels of the clusters of ``config`` with paths inside ``region``, over the carrier's raster.
+
+    The region's cells are masked, laid out as a strip of one and labelled in
+    one kernel call; 0 marks positions that do not participate.  ``region``
+    must lie in the carrier's bounding box.
+    """
+    cells = config.cells & grid.cell_mask(config.lattice, region.mask_in(config.region))
+    return grid.label_sites_batch(grid.strip_cells(cells[None]), config.lattice)[0]
 
 
 def element_states(config: Config) -> np.ndarray:

@@ -420,7 +420,7 @@ def dn_test_order(batch, blocks, per_axis, covers):
     return keys
 
 
-def gluing_violations(raster, n, u, cells):
+def gluing_violations(lattice, carrier, n, u, cells):
     """(one-cluster, sum) violations of the gluing check on one configuration.
 
     The check as the kernel ran it before its flat index arrays: every
@@ -431,14 +431,15 @@ def gluing_violations(raster, n, u, cells):
     from scipy import ndimage
 
     from percolab import grid
+    from percolab.lattice import boundary, box_sites
 
-    lattice, np_ = raster.lattice, n // u
+    np_ = n // u
     labels = grid.label_sites_batch(grid.strip_cells(cells[None]), lattice)[0]
     ends = np.zeros((int(labels.max(initial=0)) + 1, labels.ndim, 2), dtype=np.int64)
     for i, box in enumerate(ndimage.find_objects(labels), 1):
         if box is not None:
             ends[i] = [(s.start, s.stop - 1) for s in box]
-    arm_box = raster.box_slices((0,) * lattice.d, n - np_)
+    arm_box = box_sites((0,) * lattice.d, n - np_).slices_in(carrier)
     crop = labels[arm_box]
     coords = np.meshgrid(*(np.arange(s.start, s.stop) for s in arm_box), indexing="ij")
     reach = np.zeros(crop.shape, dtype=np.int64)
@@ -450,7 +451,8 @@ def gluing_violations(raster, n, u, cells):
     for vx in range(-(u - 1), u):
         for vy in range(-(u - 1), u):
             c = (np_ * vx, np_ * vy)
-            ring, box = np.nonzero(raster.boundary_mask(c, 2 * np_)), np.nonzero(raster.box_mask(c, np_))
+            ring = np.nonzero(boundary(box_sites(c, 2 * np_), lattice).mask_in(carrier))
+            box = np.nonzero(box_sites(c, np_).mask_in(carrier))
             total += int(grid.count_connected_to(labels[None], ring, box)[0])
     return viol_i, total > int(grid.largest_count(labels[None])[0])
 

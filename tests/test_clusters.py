@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from handbuilt import config_from_edges, config_from_sites
+from handbuilt import config_from_edges, config_from_sites, confined_labels
 from oracles import bond_components, connected_in, site_components
-from percolab import clusters, estimators, grid
+from percolab import estimators, grid
 from percolab.estimators import read_config
 from percolab.lattice import (
     LatticeSpec,
@@ -45,14 +45,14 @@ def crossing(cfg, rect, axis):
 
 def open_sites_of(cfg):
     idx = np.argwhere(cfg.site_open)
-    return {tuple(int(c + o) for c, o in zip(row, cfg.raster.origin)) for row in idx}
+    return {tuple(int(c + o) for c, o in zip(row, cfg.region.origin)) for row in idx}
 
 
 def open_edges_of(cfg, region):
     out = []
     for axis, e in enumerate([(1, 0), (0, 1)]):
         for row in np.argwhere(cfg.edge_open[axis]):
-            u = tuple(int(c + o) for c, o in zip(row, cfg.raster.origin))
+            u = tuple(int(c + o) for c, o in zip(row, cfg.region.origin))
             v = (u[0] + e[0], u[1] + e[1])
             if u in region and v in region:
                 out.append((u, v))
@@ -61,20 +61,20 @@ def open_edges_of(cfg, region):
 
 def test_all_open_single_cluster():
     cfg = tri_config(2, 1.0, 1, radius=2)
-    labels = clusters.label_clusters(cfg, box_sites((0, 0), 2))
+    labels = confined_labels(cfg, box_sites((0, 0), 2))
     assert sizes(labels).tolist() == [25]
 
 
 def test_all_closed_no_clusters():
     cfg = tri_config(2, 0.0, 1, radius=2)
-    labels = clusters.label_clusters(cfg, box_sites((0, 0), 2))
+    labels = confined_labels(cfg, box_sites((0, 0), 2))
     assert sizes(labels).size == 0
 
 
 def test_region_escapes_carrier():
     cfg = tri_config(2, 0.5, 1, radius=2)
     with pytest.raises(ValueError):
-        clusters.label_clusters(cfg, box_sites((0, 0), 10))
+        confined_labels(cfg, box_sites((0, 0), 10))
 
 
 def label_at(cfg, labels, site):
@@ -95,7 +95,7 @@ def test_site_labels_match_bfs_oracle():
     region = box_sites((0, 0), 8)
     for i in range(40):
         cfg = sample_config(TRIANGULAR, region, 0.5, derive_stream(11, i))
-        labels = clusters.label_clusters(cfg, region)
+        labels = confined_labels(cfg, region)
         mine = _partition_from_labels(cfg, labels, region)
         oracle = set(site_components(open_sites_of(cfg), TRI_OFF))
         assert mine == oracle
@@ -105,7 +105,7 @@ def test_bond_labels_match_bfs_oracle():
     region = box_sites((0, 0), 6)
     for i in range(30):
         cfg = sample_config(Z2_BOND, region, 0.5, derive_stream(13, i))
-        labels = clusters.label_clusters(cfg, region)
+        labels = confined_labels(cfg, region)
         mine = _partition_from_labels(cfg, labels, region)
         oracle = set(bond_components(region, open_edges_of(cfg, region)))
         assert mine == oracle
@@ -117,7 +117,7 @@ def open_edges_nd(cfg, region):
     out = []
     for axis, edges in enumerate(cfg.edge_open):
         for row in np.argwhere(edges):
-            u = tuple(int(c + o) for c, o in zip(row, cfg.raster.origin))
+            u = tuple(int(c + o) for c, o in zip(row, cfg.region.origin))
             v = tuple(c + (a == axis) for a, c in enumerate(u))
             if u in region and v in region:
                 out.append((u, v))
@@ -132,7 +132,7 @@ def test_bond_labels_on_subregion_match_bfs_oracle(lattice, radius, count):
     region = box_sites((0,) * lattice.d, radius)
     for i in range(count):
         cfg = sample_config(lattice, carrier, 0.5, derive_stream(41, i))
-        labels = clusters.label_clusters(cfg, region)
+        labels = confined_labels(cfg, region)
         mine = _partition_from_labels(cfg, labels, region)
         oracle = set(bond_components(region, open_edges_nd(cfg, region)))
         assert mine == oracle
@@ -149,7 +149,7 @@ def test_ith_largest_hand_built():
         + [(0, 4)]                                 # singleton
     )
     cfg = config_from_sites(TRIANGULAR, region, open_sites)
-    labels = clusters.label_clusters(cfg, region)
+    labels = confined_labels(cfg, region)
     assert sorted(sizes(labels).tolist(), reverse=True) == [5, 3, 3, 1]
 
 
@@ -157,7 +157,7 @@ def test_ith_largest_all_open_3d():
     lattice = LatticeSpec(LatticeKind.Z_BOND, 3)
     region = box_sites((0, 0, 0), 2)
     cfg = sample_config(lattice, region, 1.0, 3)
-    labels = clusters.label_clusters(cfg, region)
+    labels = confined_labels(cfg, region)
     assert sizes(labels).tolist() == [125]
 
 
@@ -292,12 +292,12 @@ def test_bond_crop_ignores_edges_leaving_it():
     rect = rect_region((0, 0), (3, 2))
     detour = [((0, 0), (0, -1)), ((3, -1), (3, 0))] + [((x, -1), (x + 1, -1)) for x in range(3)]
     cfg = config_from_edges(Z2_BOND, carrier, detour)
-    whole = clusters.label_clusters(cfg, carrier)
+    whole = confined_labels(cfg, carrier)
     assert label_at(cfg, whole, (0, 0)) == label_at(cfg, whole, (3, 0))
-    inside = clusters.label_clusters(cfg, rect)
+    inside = confined_labels(cfg, rect)
     assert label_at(cfg, inside, (0, 0)) != label_at(cfg, inside, (3, 0))
     assert not crossing(cfg, rect, 0)
-    crop = estimators._crop_labels(Z2_BOND, cfg.cells[None], cfg.raster.rect_slices((0, 0), (3, 2)))
+    crop = estimators._crop_labels(Z2_BOND, cfg.cells[None], rect.slices_in(cfg.region))
     assert crop.shape == (1, 4, 3)
     assert crop[0, 0, 0] != crop[0, 3, 0] and np.unique(crop).size == 12
     # the same path inside the rectangle does cross it
@@ -310,12 +310,12 @@ def test_bond_crop_3d_ignores_edges_leaving_it():
     carrier = box_sites((0, 0, 0), 3)
     detour = [((0, 0, 0), (0, 0, -1)), ((0, 0, -1), (1, 0, -1)), ((1, 0, -1), (1, 0, 0))]
     cfg = config_from_edges(Z3_BOND, carrier, detour)
-    whole = clusters.label_clusters(cfg, carrier)
+    whole = confined_labels(cfg, carrier)
     assert label_at(cfg, whole, (0, 0, 0)) == label_at(cfg, whole, (1, 0, 0))
     above = box_sites((0, 0, 1), 1)
-    inside = clusters.label_clusters(cfg, above)
+    inside = confined_labels(cfg, above)
     assert label_at(cfg, inside, (0, 0, 0)) != label_at(cfg, inside, (1, 0, 0))
-    crop = estimators._crop_labels(Z3_BOND, cfg.cells[None], cfg.raster.box_slices((0, 0, 1), 1))
+    crop = estimators._crop_labels(Z3_BOND, cfg.cells[None], above.slices_in(cfg.region))
     assert crop.shape == (1, 3, 3, 3) and np.unique(crop).size == len(above)
 
 
@@ -330,8 +330,8 @@ def test_monotonicity_under_opening():
         more[tuple(pick.T)] = True
         cfg2 = Config(cfg.lattice, cfg.region, cfg.p, None, cells=more)
         assert read_config(cfg2, ("vn", n)) >= read_config(cfg, ("vn", n))
-        l1 = clusters.label_clusters(cfg, box_sites((0, 0), n))
-        l2 = clusters.label_clusters(cfg2, box_sites((0, 0), n))
+        l1 = confined_labels(cfg, box_sites((0, 0), n))
+        l2 = confined_labels(cfg2, box_sites((0, 0), n))
         assert sizes(l2).max() >= sizes(l1).max()
         rect = rect_region((-n, -n), (2 * n, 2 * n))
         if crossing(cfg, rect, 0):
@@ -341,8 +341,8 @@ def test_monotonicity_under_opening():
 def test_sizes_partition_participating_sites():
     region = box_sites((0, 0), 6)
     cfg = sample_config(TRIANGULAR, region, 0.5, 123)
-    labels = clusters.label_clusters(cfg, region)
-    participating = cfg.site_open & region.mask_in(cfg.region.origin, cfg.region.shape)
+    labels = confined_labels(cfg, region)
+    participating = cfg.site_open & region.mask_in(cfg.region)
     assert int(sizes(labels).sum()) == int(participating.sum())
     assert (sizes(labels) > 0).all()  # every label id up to the largest names a cluster
 
@@ -357,7 +357,7 @@ def test_label_grid_numbers_clusters_as_the_grid_alone(lattice):
         cfg = sample_config(lattice, carrier, p, derive_stream(4711, i))
         want = ndimage.label(cfg.cells, site_structure(lattice))[0][grid.vertex_cells(lattice)]
         assert want.max() > 1
-        assert np.array_equal(clusters.label_clusters(cfg, carrier), want), i
+        assert np.array_equal(confined_labels(cfg, carrier), want), i
 
 
 @pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
@@ -379,3 +379,32 @@ def test_read_config_rejects_geometry_outside_the_raster(lattice):
     assert read_config(cfg, ("arm", ((1, 3),))).tolist() == [True]
     assert read_config(cfg, ("vn", 1)) == 9
     assert read_config(cfg, ("crossing", (-4, -4), (8, 8), 1))
+
+
+# each observable with the first and last site of the rectangle its geometry
+# spans: a ring of box(r) spans box(r + 1); D(8, 2) (n' = 4) reaches -13 with
+# the rings of box(8) around n'v, |v| <= 1, and 16 with its rectangles.  Its
+# blocks span [-8, 16), inside the rectangles, and are placed with the same check
+FOOTPRINTS = [
+    (("arm", ((1, 4),)), (-5, -5), (5, 5)),
+    (("vn", 2), (-5, -5), (5, 5)),
+    (("c1", 3), (-3, -3), (3, 3)),
+    (("crossing", (-2, 1), (5, 3), 0), (-2, 1), (3, 4)),
+    (("dn", 8, 2), (-13, -13), (16, 16)),
+]
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND], ids=["tri", "z2bond"])
+def test_read_config_needs_every_site_of_its_geometry(lattice):
+    # a carrier that is the observable's footprint is read; one a site short on
+    # any side raises
+    for observable, lo, hi in FOOTPRINTS:
+        widths = tuple(b - a for a, b in zip(lo, hi))
+        read_config(sample_config(lattice, rect_region(lo, widths), 1.0, 1), observable)
+        for axis in range(2):
+            for side in (0, 1):
+                corner = tuple(c + (a == axis and side == 0) for a, c in enumerate(lo))
+                short = tuple(w - (a == axis) for a, w in enumerate(widths))
+                cfg = sample_config(lattice, rect_region(corner, short), 1.0, 1)
+                with pytest.raises(ValueError, match="escapes the raster"):
+                    read_config(cfg, observable)

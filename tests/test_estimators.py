@@ -32,6 +32,7 @@ from percolab.lattice import (
     LatticeKind,
     LatticeSpec,
     Region,
+    boundary,
     box_sites,
     box_with_boundary,
     rect_region,
@@ -39,6 +40,11 @@ from percolab.lattice import (
 from percolab.sampler import derive_stream, open_cells_batch, sample_config
 
 TRI_OFF = TRIANGULAR.neighbor_offsets()
+
+
+def ring_in(carrier, lattice, r):
+    """The ring of box(r), the outer boundary of that box, as a mask over the carrier's raster."""
+    return boundary(box_sites((0,) * lattice.d, r), lattice).mask_in(carrier)
 
 # exact arm probability pi(1, 2) on the triangular lattice at p = 1/2,
 # frontier-DP value frozen here and recomputed below as a regression guard
@@ -106,16 +112,14 @@ ARM_PAIRS = tuple((m, n) for n in range(2, ARM_N + 1) for m in range(1, n))
 def confined_arm_events(lattice, p, fam, samples) -> dict:
     """Oracle: per replica, label box(n) plus its boundary alone for each row (m, n)."""
     carrier = box_with_boundary(lattice, ARM_N)
-    raster = grid.BoxRaster(lattice, carrier)
     seeds = [derive_stream(fam, i) for i in range(samples)]
     batch = open_cells_batch(lattice, carrier.mask, p, seeds)
-    center = (0,) * lattice.d
     out = {}
     for n in range(2, ARM_N + 1):
-        confined = raster.box_mask(center, n) | raster.boundary_mask(center, n)
+        confined = box_with_boundary(lattice, n).mask_in(carrier)
         confined_cells = batch & grid.cell_mask(lattice, confined)
         labels = grid.label_sites_batch(grid.strip_cells(confined_cells), lattice)
-        rings = [np.nonzero(raster.boundary_mask(center, r)) for r in range(1, n + 1)]
+        rings = [np.nonzero(ring_in(carrier, lattice, r)) for r in range(1, n + 1)]
         rows = grid.connect_through(labels, rings, [(m - 1, n - 1) for m in range(1, n)])
         for m in range(1, n):
             out[(m, n)] = rows[:, m - 1]
@@ -152,30 +156,28 @@ def test_arm_and_vn_need_no_confinement(name):
     # V_{r/2} read off the whole carrier equal the ones confined to box(r) plus boundary
     lattice, p, R = INVARIANCE[name]
     carrier = box_with_boundary(lattice, R)
-    raster = grid.BoxRaster(lattice, carrier)
     seeds = [derive_stream(E.family_seed(1618, E.TAG_FKG), i) for i in range(40)]
     batch = open_cells_batch(lattice, carrier.mask, p, seeds)
     whole = grid.label_sites_batch(grid.strip_cells(batch), lattice)
     center = (0,) * lattice.d
     arms, merged = set(), 0
     for r in range(2, R):
-        outer = raster.boundary_mask(center, r)
-        confined = grid.label_sites_batch(
-            grid.strip_cells(batch & grid.cell_mask(lattice, raster.box_mask(center, r) | outer)), lattice
-        )
+        outer = ring_in(carrier, lattice, r)
+        inside = grid.cell_mask(lattice, box_with_boundary(lattice, r).mask_in(carrier))
+        confined = grid.label_sites_batch(grid.strip_cells(batch & inside), lattice)
         # ring clusters joined only by paths outside: the cases confinement could change
         merged += sum(
             np.unique(w).size < np.unique(c).size
             for w, c in zip(whole[:, outer], confined[:, outer])
         )
         for m in range(1, r):
-            inner = raster.boundary_mask(center, m)
+            inner = ring_in(carrier, lattice, m)
             ends = [np.nonzero(inner), np.nonzero(outer)]
             want = grid.connect_through(confined, ends, [(0, 1)])
             assert grid.connect_through(whole, ends, [(0, 1)]).tolist() == want.tolist(), (m, r)
             arms.update(want[:, 0].tolist())
         if r % 2 == 0:
-            ring, box = np.nonzero(outer), np.nonzero(raster.box_mask(center, r // 2))
+            ring, box = np.nonzero(outer), np.nonzero(box_sites(center, r // 2).mask_in(carrier))
             want = grid.count_connected_to(confined, ring, box)
             assert grid.count_connected_to(whole, ring, box).tolist() == want.tolist(), r
     assert arms == {False, True} and merged > 0
@@ -197,22 +199,20 @@ def test_arm_rows_match_the_per_pair_oracle(lattice, p):
     # per pair.  The labels are a strided per-grid view of the strip's labels
     # (stride 2 on z_bond), and a contiguous copy of them reads the same rows
     carrier = box_with_boundary(lattice, ARM_N)
-    raster = grid.BoxRaster(lattice, carrier)
     seeds = [derive_stream(E.family_seed(271, E.TAG_PI, ARM_N), i) for i in range(40)]
     batch = open_cells_batch(lattice, carrier.mask, p, seeds)
     labels = grid.label_sites_batch(grid.strip_cells(batch), lattice)
-    center = (0,) * lattice.d
-    rings = {r: raster.boundary_mask(center, r) for r in range(1, ARM_N + 1)}
+    rings = {r: ring_in(carrier, lattice, r) for r in range(1, ARM_N + 1)}
     seen = set()
     for pairs in ARM_PAIR_SETS:
         want = oracles.arm_rows_per_pair(labels, rings, pairs)
-        (_, read, _) = _reader(lattice, raster, ("arm", pairs))
+        (_, read, _) = _reader(lattice, carrier, ("arm", pairs))
         assert np.array_equal(read(labels), want), pairs
         assert np.array_equal(read(np.ascontiguousarray(labels)), want), pairs
         seen.update(want.ravel().tolist())
     assert seen == {False, True}
     # a breadth-first search of one configuration's open graph reads the same rows
-    regions = {r: frozenset(Region(raster.origin, mask)) for r, mask in rings.items()}
+    regions = {r: frozenset(Region(carrier.origin, mask)) for r, mask in rings.items()}
     pairs = ARM_PAIR_SETS[1]
     want = oracles.arm_rows_per_pair(labels, rings, pairs)
     for i in range(0, 40, 4):
@@ -294,8 +294,7 @@ def test_observe_is_batch_invariant(name, budget, monkeypatch):
     # the arrays read off each replica alone
     lattice, p, carrier, observables = BATCH_TASKS[name]
     task = (lattice, p, carrier, observables, 4242)
-    raster = grid.BoxRaster(lattice, carrier)
-    kept = E._replica_bytes(lattice, carrier, [E._reader(lattice, raster, obs) for obs in observables])
+    kept = E._replica_bytes(lattice, carrier, [E._reader(lattice, carrier, obs) for obs in observables])
     bytes_, size = {
         "beyond": (kept - 1, 1), "three": (4 * kept - 1, 3), "default": (E.BATCH_BYTES, 256)
     }[budget]
@@ -345,15 +344,27 @@ def test_reader_is_built_once_per_raster_and_observable():
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
+def test_reader_cache_finds_an_equal_carrier_built_separately():
+    # readers are keyed by (lattice, carrier, observable): a carrier rebuilt as
+    # an equal Region hits the cached reader, a shifted one builds its own
+    E._reader.cache_clear()
+    carrier = box_with_boundary(TRIANGULAR, 8)
+    rebuilt = Region((-20, -20), np.pad(carrier.mask, 11))
+    assert rebuilt == carrier and rebuilt.mask is not carrier.mask
+    first = E._reader(TRIANGULAR, carrier, ("vn", 2))
+    assert E._reader(TRIANGULAR, rebuilt, ("vn", 2)) is first
+    info = E._reader.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    E._reader(TRIANGULAR, Region((-8, -9), carrier.mask), ("vn", 2))
+    assert E._reader.cache_info().misses == 2
+
+
 def test_cached_reader_masks_are_read_only():
     E._reader.cache_clear()
     carrier = box_with_boundary(TRIANGULAR, 16)
     task = (TRIANGULAR, 0.6, carrier, BATCH_TASK_OBSERVABLES + (("arm", ((2, 5), (3, 16))),), 7)
     E._observe(task, 0, 3)
-    raster = grid.BoxRaster(TRIANGULAR, carrier)
-    held = {
-        obs[0]: list(_held_arrays(E._reader(TRIANGULAR, raster, obs)[1])) for obs in task[3]
-    }
+    held = {obs[0]: list(_held_arrays(E._reader(TRIANGULAR, carrier, obs)[1])) for obs in task[3]}
     assert E._reader.cache_info().misses == len(task[3])
     assert all(held[kind] for kind in ("arm", "vn", "dn"))  # masks, rings and coordinates
     assert all(not a.flags.writeable for arrays in held.values() for a in arrays)
@@ -451,7 +462,7 @@ def test_largest_count_memory_stays_per_replica():
     # at once copied and cast every label, a 10.7 MB peak over an 8 MB batch budget
     carrier = box_with_boundary(TRIANGULAR, 128)
     batch = open_cells_batch(TRIANGULAR, carrier.mask, 0.5, [derive_stream(64, i) for i in range(53)])
-    box = grid.BoxRaster(TRIANGULAR, carrier).box_slices((0, 0), 64)
+    box = box_sites((0, 0), 64).slices_in(carrier)
     labels = E._crop_labels(TRIANGULAR, batch, box)
     del batch
     tracemalloc.start()
@@ -671,7 +682,7 @@ def _crossed_configurations(lattice, widths) -> tuple[int, int]:
     batch = np.repeat((mask & ~free).reshape(1, -1), configs.size, axis=0)
     batch[:, index] = (configs[:, None] >> np.arange(index.size)) & 1
     batch = batch.reshape((configs.size,) + mask.shape)
-    _, read, _ = _reader(lattice, grid.BoxRaster(lattice, region), ("crossing", (0, 0), widths, 0))
+    _, read, _ = _reader(lattice, region, ("crossing", (0, 0), widths, 0))
     return int(read(batch, grid.FRESH).sum()), configs.size
 
 

@@ -47,7 +47,6 @@ def _partition(labels: np.ndarray) -> set:
 @pytest.mark.parametrize("p", [0.0, 0.45, 0.6, 1.0])
 def test_strip_crossings_match_stacked_labels(lattice, p):
     carrier = box_with_boundary(lattice, 5)
-    raster = grid.BoxRaster(lattice, carrier)
     batch = open_cells_batch(lattice, carrier.mask, p, [derive_stream(91, i) for i in range(24)])
     kept = grid.Buffers(kept=True)
     kept.empty("labels", (4096,), np.int32).fill(-5)  # stale values a strip must overwrite
@@ -56,7 +55,7 @@ def test_strip_crossings_match_stacked_labels(lattice, p):
                  np.array([0, 3, 4, 11, 23])]
     hits = set()
     for corner, widths in RECTS:
-        sl = raster.rect_slices(corner, widths)
+        sl = rect_region(corner, widths).slices_in(carrier)
         for rows in survivors:
             # label values of separately labelled crops repeat across replicas, so
             # each crop's crossings are read alone
@@ -112,24 +111,25 @@ def test_gathered_strip_is_the_strip_of_its_crops(lattice):
     # each replica gets its own crop, a transposed one read with its axes swapped;
     # the reference lays the sliced crops side by side with strip_cells
     carrier = box_with_boundary(lattice, 5)
-    raster = grid.BoxRaster(lattice, carrier)
     batch = open_cells_batch(lattice, carrier.mask, 0.5, [derive_stream(92, i) for i in range(9)])
     places = [((-4, -3), (2, 5), False), ((1, -5), (5, 2), True), ((-6, 0), (2, 5), False),
               ((-1, 1), (5, 2), True)]  # on the raster's edges too
-    crops = grid.StripCrops(lattice, raster.shape, [(raster.rect_slices(c, w), t) for c, w, t in places])
+    crops = grid.StripCrops(
+        lattice, carrier.shape, [(rect_region(c, w).slices_in(carrier), t) for c, w, t in places]
+    )
     replicas, kinds = np.array([0, 2, 3, 3, 8]), np.array([1, 0, 3, 2, 1])
     want = []
     for b, k in zip(replicas, kinds):
         corner, widths, transposed = places[k]
-        crop = batch[b][grid.cell_slices(lattice, raster.rect_slices(corner, widths))]
+        crop = batch[b][grid.cell_slices(lattice, rect_region(corner, widths).slices_in(carrier))]
         want.append(crop.T if transposed else crop)
     kept = grid.Buffers(kept=True)
     kept.empty("strip", (4096,), bool).fill(True)  # stale separators a gather must close
     strip = crops.gather(batch, replicas, kinds, kept)
     assert np.array_equal(strip, grid.strip_cells(np.stack(want)))
-    tall = raster.rect_slices((0, 0), (2, 5))
+    tall = rect_region((0, 0), (2, 5)).slices_in(carrier)
     with pytest.raises(ValueError, match="one cell shape"):
-        grid.StripCrops(lattice, raster.shape, [(tall, False), (tall, True)])
+        grid.StripCrops(lattice, carrier.shape, [(tall, False), (tall, True)])
 
 
 def _results(seed: int) -> list[np.ndarray]:

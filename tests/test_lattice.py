@@ -193,9 +193,11 @@ def test_region_is_a_trimmed_read_only_value():
     assert len(r) == 2 and list(r) == [(11, 22), (12, 23)]
     assert (12, 23) in r and (11, 23) not in r and (0, 0) not in r and (11, 22, 0) not in r
     assert r <= box_sites((11, 22), 1) and not box_sites((11, 22), 1) <= r
-    assert r.mask_in((10, 20), (4, 5)).sum() == 2 and r.mask_in((10, 20), (4, 5))[2, 3]
+    raster = rect_region((10, 20), (3, 4))
+    assert r.mask_in(raster).sum() == 2 and r.mask_in(raster)[2, 3]
+    assert r.slices_in(raster) == (slice(1, 3), slice(2, 4))
     with pytest.raises(ValueError):
-        r.mask_in((12, 22), (3, 3))
+        r.mask_in(rect_region((12, 22), (2, 2)))
     empty = Region((5, 5), np.zeros((2, 2), dtype=bool))
     assert empty == region_from_sites((), dim=2) and empty <= r and len(empty) == 0
 

@@ -223,8 +223,8 @@ def test_dn_kernel_labels_every_rectangle_in_order(monkeypatch):
     # each, and crop k gathers rectangle k's cells
     calls = _spy_crop_labels(monkeypatch)
     d, _, _ = dn_flags(1.0, 8, 2, family_seed(5, TAG_DN, 8, 2), 10)
-    raster = grid.BoxRaster(TRIANGULAR, box_with_boundary(TRIANGULAR, 16))
-    cells = np.random.default_rng(5).random(raster.shape) < 0.5
+    carrier = box_with_boundary(TRIANGULAR, 16)
+    cells = np.random.default_rng(5).random(carrier.shape) < 0.5
     rects = L._dn_rects(8, 2, 2)
     width = -(-L.STRIP_CROPS // 10)
     assert len(calls) == -(-len(rects) // width)
@@ -236,7 +236,7 @@ def test_dn_kernel_labels_every_rectangle_in_order(monkeypatch):
     assert all(order == list(range(len(rects))) for order in seen.values())
     crops = calls[0][0]
     for k, (corner, widths, axis) in enumerate(rects):
-        want = cells[raster.rect_slices(corner, widths)]
+        want = cells[rect_region(corner, widths).slices_in(carrier)]
         got = crops.gather(cells[None], np.array([0]), np.array([k]))[:, 0, :-1]
         assert np.array_equal(got, want.T if axis == 1 else want), k
     assert d.all()
@@ -275,7 +275,7 @@ def test_dn_kernel_rectangle_labelling_count(monkeypatch):
 def test_dn_test_order_matches_the_row_sum_reference(lattice, n, u):
     # in-place block sums in a narrow dtype give the keys of one uint16 row sum
     carrier = box_with_boundary(lattice, 2 * n)
-    geometry = L._dn_geometry(grid.BoxRaster(lattice, carrier), n, u)
+    geometry = L._dn_geometry(lattice, carrier, n, u)
     streams = [derive_stream(93, i) for i in range(12)]
     batches = [open_cells_batch(lattice, carrier.mask, p, streams) for p in (0.2, 0.5, 0.8)]
     batches += [np.ones_like(batches[0]), np.zeros_like(batches[0])]
@@ -290,8 +290,7 @@ def test_gluing_violations_match_the_reference(lattice):
     # flags take both values (D need not hold for the check to read them)
     n, u = 8, 2
     carrier = box_with_boundary(lattice, 2 * n)
-    raster = grid.BoxRaster(lattice, carrier)
-    geometry = L._dn_geometry(raster, n, u)
+    geometry = L._dn_geometry(lattice, carrier, n, u)
     fam = family_seed(11, TAG_DN, n, u)
     d, viol_i, viol_ii = dn_flags(0.6, n, u, fam, 600, lattice)
     held = np.flatnonzero(d)[:50].tolist()
@@ -302,7 +301,7 @@ def test_gluing_violations_match_the_reference(lattice):
     got = []
     for cfg, attempt in configs:
         flags = L._gluing_violations(lattice, geometry, cfg.cells[None])
-        assert flags == gluing_violations(raster, n, u, cfg.cells)
+        assert flags == gluing_violations(lattice, carrier, n, u, cfg.cells)
         if attempt is not None:
             assert flags == (viol_i[attempt], viol_ii[attempt])
         got.append(flags)

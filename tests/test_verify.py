@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from handbuilt import confined_labels
 from percolab import verify
-from percolab.clusters import label_clusters
 from percolab.estimators import default_p
 from percolab.lattice import TRIANGULAR, Z2_BOND, Region, rect_region
 from percolab.sampler import sample_config
@@ -129,19 +129,19 @@ HOLE = Region((0, 0), np.pad(np.zeros((4, 4), dtype=bool), 8, constant_values=Tr
 @pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND])
 def test_labels_match_graph_accepts_clusters_and_rejects_plants(lattice):
     # the criterion-13 oracle accepts the kernel's labels on rectangles and on
-    # a region with a hole; on the triangular lattice it rejects the labels of
+    # a carrier with a hole; on the triangular lattice it rejects the labels of
     # the square adjacency (ndimage's default structure)
     p = default_p(lattice)
     for seed, widths in enumerate([(7, 7), (23, 40), (41, 9)]):
         region = rect_region((0, 0), widths)
         config = sample_config(lattice, region, p, seed)
-        assert verify._labels_match_graph(config, region, label_clusters(config, region))
+        assert verify._labels_match_graph(config, confined_labels(config, region))
         if lattice.site_mode:
             square = ndimage.label(config.site_open)[0]
-            assert not verify._labels_match_graph(config, region, square)
-    config = sample_config(lattice, rect_region((0, 0), HOLE.shape), p, 3)
-    labels = label_clusters(config, HOLE)
-    assert verify._labels_match_graph(config, HOLE, labels)
+            assert not verify._labels_match_graph(config, square)
+    config = sample_config(lattice, HOLE, p, 3)
+    labels = confined_labels(config, HOLE)
+    assert verify._labels_match_graph(config, labels)
     # a merged pair; one site of the largest cluster split off or moved to
     # another cluster; a label on the first unlabelled site (a closed one on
     # the triangular lattice) or on the hole's middle
@@ -154,4 +154,4 @@ def test_labels_match_graph_accepts_clusters_and_rejects_plants(lattice):
         plant[site] = value
         plants.append(plant)
     for plant in plants:
-        assert not verify._labels_match_graph(config, HOLE, plant)
+        assert not verify._labels_match_graph(config, plant)
