@@ -22,7 +22,6 @@ from .growth import (  # noqa: F401
     check_radius_bound,
     count_upper_bound,
     grow_tree,
-    merge_radii,
     ordering_count,
     prob_upper_bound,
 )

@@ -134,11 +134,6 @@ def grow_tree(points: Iterable[Site]) -> GrowthRecord:
     return GrowthRecord(pts, tuple(edges))
 
 
-def merge_radii(points: Iterable[Site]) -> Counter:
-    """Multiset of doubled merge radii R(X); values are ints (r2 = 2r)."""
-    return Counter(grow_tree(points).r2_sequence())
-
-
 def blobs(record: GrowthRecord, n: int) -> list[Blob]:
     """All components arising during the merge sequence, 2k-1 in total.
 

@@ -49,6 +49,9 @@ D(n, u) and the check are the kernel observable ``("dn", n, u)``: the gluing
 campaign samples it on box(2n) plus boundary with ``estimators._observe``, and
 ``estimators.read_config(config, ("dn", n, u))`` reads it off one configuration.
 
+``fkg_check`` reads a catalog of event pairs: the events that share a carrier,
+the box of a pair's larger radius plus boundary, share one kernel call.
+
 ``lower_construction`` runs the campaign with the fitted C11, C12, C13 and the
 direct C_1 tail for both CLI ``lower`` and criterion 9.  The campaign keeps
 the attempts on which D held, and the FKG chain reads P(D) off them.
@@ -124,7 +127,8 @@ class EventSpec:
     A crossing is the ``crossing`` observable of its rectangle; ``arm`` is the
     arm row (m, n); ``vn_ge`` and ``c1_ge`` compare the ``vn`` and ``c1``
     counts at n with ``threshold``.  Events of a pair share one carrier, the
-    box of the larger ``required_radius`` plus its boundary.
+    box of the larger ``required_radius`` plus its boundary, and the pairs of
+    a catalog whose larger radii are equal share that carrier and one kernel call.
     """
 
     kind: str
@@ -187,43 +191,44 @@ class FkgResult:
 def fkg_check(
     lattice: LatticeSpec,
     p: float,
-    event_a: EventSpec,
-    event_b: EventSpec,
+    pairs: Sequence[tuple[EventSpec, EventSpec]],
     samples: int,
     master_seed: int,
     workers: int = 1,
-) -> FkgResult:
-    """Joint vs product probability of two increasing events on shared replicas.
+) -> list[FkgResult]:
+    """Joint vs product probability of each pair of increasing events, on shared replicas.
 
+    A pair's carrier is the box of its larger ``required_radius`` plus its
+    boundary, and the pairs on one carrier read all their events in one
+    kernel call, so each pair's result is that of a catalog of one.
     ``z`` is the delta-method z-score of joint - product; positive association
     (the FKG inequality) predicts z bounded below by sampling noise.
     """
-    carrier = box_with_boundary(lattice, max(event_a.required_radius(), event_b.required_radius()))
-    observables = (event_a.observable(), event_b.observable())
-    task = (lattice, p, carrier, observables, family_seed(master_seed, TAG_FKG))
-    va, vb = run_counters(partial(_observe, task), 0, samples, workers)
-    ia, ib = event_a.holds(va), event_b.holds(vb)
+    radii = [max(a.required_radius(), b.required_radius()) for a, b in pairs]
+    values = {}  # (carrier radius, observable) -> per-replica values
+    for r in dict.fromkeys(radii):
+        events = [e for pair, s in zip(pairs, radii) if s == r for e in pair]
+        obs = tuple(dict.fromkeys(e.observable() for e in events))
+        task = (lattice, p, box_with_boundary(lattice, r), obs, family_seed(master_seed, TAG_FKG))
+        found = run_counters(partial(_observe, task), 0, samples, workers)
+        values.update(zip([(r, o) for o in obs], found))
+    return [
+        _fkg_result(a.holds(values[r, a.observable()]), b.holds(values[r, b.observable()]), samples)
+        for (a, b), r in zip(pairs, radii)
+    ]
+
+
+def _fkg_result(ia: np.ndarray, ib: np.ndarray, samples: int) -> FkgResult:
+    """Joint and marginal estimates, and z, of two per-replica event indicators."""
     na, nb, nab = int(ia.sum()), int(ib.sum()), int((ia & ib).sum())
     pa, pb, pab = na / samples, nb / samples, nab / samples
     diff = pab - pa * pb
     var = (
-        pab * (1 - pab)
-        + pb * pb * pa * (1 - pa)
-        + pa * pa * pb * (1 - pb)
-        - 2 * pb * pab * (1 - pa)
-        - 2 * pa * pab * (1 - pb)
-        + 2 * pa * pb * (pab - pa * pb)
+        pab * (1 - pab) + pb * pb * pa * (1 - pa) + pa * pa * pb * (1 - pb)
+        - 2 * pb * pab * (1 - pa) - 2 * pa * pab * (1 - pb) + 2 * pa * pb * (pab - pa * pb)
     ) / samples
-    if var > 0:
-        z = diff / math.sqrt(var)
-    else:
-        z = 0.0 if diff >= 0 else -math.inf
-    return FkgResult(
-        event_estimate(nab, samples),
-        event_estimate(na, samples),
-        event_estimate(nb, samples),
-        z,
-    )
+    z = diff / math.sqrt(var) if var > 0 else 0.0 if diff >= 0 else -math.inf
+    return FkgResult(*(event_estimate(k, samples) for k in (nab, na, nb)), z)
 
 
 # ---------------------------------------------------------------------------

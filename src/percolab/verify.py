@@ -125,6 +125,7 @@ class VerifyContext:
     profile: VerifyProfile = FULL
     _pi: dict[tuple[LatticeSpec, float], PiTable] = field(default_factory=dict, repr=False)
     _vn: dict[tuple[LatticeSpec, float, int, str], np.ndarray] = field(default_factory=dict, repr=False)
+    _growth: list[growth.GrowthRecord] = field(default_factory=list, repr=False)
 
     def pi_table(self, lattice: LatticeSpec, p: float) -> PiTable:
         """Shared arm-probability table at (lattice, p) covering every scale the suite needs."""
@@ -170,18 +171,19 @@ class VerifyContext:
             have = self._vn[key] = np.concatenate((have, getattr(more, kind)))
         return estimators.VnSample(lattice, n, **{kind: have[:samples]})
 
-    def growth_instances(self) -> list[tuple[tuple, ...]]:
-        """Shared random point sets for the growth-process criteria."""
+    def growth_records(self) -> list[growth.GrowthRecord]:
+        """The growth process on the shared random point sets of criteria 5-7, grown once per context."""
+        if self._growth:
+            return self._growth
         prof = self.profile
         rng = rng_for(estimators.family_seed(self.master_seed, TAG_ORACLE))
-        out = []
         for _ in range(prof.oracle_instances):
             k = int(rng.integers(1, ORACLE_KMAX + 1))
             pts: set[tuple] = set()
             while len(pts) < k:
                 pts.add(tuple(int(c) for c in rng.integers(-prof.oracle_box, prof.oracle_box + 1, 2)))
-            out.append(tuple(sorted(pts)))
-        return out
+            self._growth.append(growth.grow_tree(pts))
+        return self._growth
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +270,8 @@ def _mst_radii_oracle(points: tuple[tuple, ...]) -> list[int]:
 
 def _c5_growth_oracle(ctx: VerifyContext, *_) -> Outcome:
     mismatches = 0
-    for pts in ctx.growth_instances():
-        mine = sorted(growth.merge_radii(pts).elements())
-        if mine != _mst_radii_oracle(pts):
-            mismatches += 1
+    for rec in ctx.growth_records():
+        mismatches += list(rec.r2_sequence()) != _mst_radii_oracle(rec.points)
     ok = mismatches == 0
     return (
         ok,
@@ -284,8 +284,8 @@ def _c6_radius_bound(ctx: VerifyContext, *_) -> Outcome:
     n = ctx.profile.oracle_box
     violations = 0
     equalities = 0
-    for pts in ctx.growth_instances():
-        rep = growth.check_radius_bound(growth.grow_tree(pts), n)
+    for rec in ctx.growth_records():
+        rep = growth.check_radius_bound(rec, n)
         violations += len(rep.violations)
         equalities += len(rep.equalities)
     ok = violations == 0
@@ -301,8 +301,7 @@ def _c7_shell_disjoint(ctx: VerifyContext, *_) -> Outcome:
     overlaps = 0
     side = 2 * (2 * n + 1) + 1
     origin0 = -(2 * n + 1)
-    for pts in ctx.growth_instances():
-        rec = growth.grow_tree(pts)
+    for rec in ctx.growth_records():
         canvas = np.zeros((side, side), dtype=np.int16)
         for blob in growth.blobs(rec, n):
             mask, origin = growth.blob_region_mask(blob, n)
@@ -438,13 +437,13 @@ def _fkg_catalog(n: int) -> list[tuple[EventSpec, EventSpec]]:
 
 def _c11_fkg(ctx: VerifyContext, lattice: LatticeSpec, p: float) -> Outcome:
     prof = ctx.profile
-    n = min(16, prof.tail_n)
+    catalog = _fkg_catalog(min(16, prof.tail_n))
+    results = lowerbound.fkg_check(
+        lattice, p, catalog, prof.fkg_samples, ctx.master_seed, ctx.workers
+    )
     rows = []
     ok = True
-    for ev_a, ev_b in _fkg_catalog(n):
-        res = lowerbound.fkg_check(
-            lattice, p, ev_a, ev_b, prof.fkg_samples, ctx.master_seed, ctx.workers
-        )
+    for (ev_a, ev_b), res in zip(catalog, results):
         ok &= res.z >= -3.0
         rows.append(
             {

@@ -76,7 +76,7 @@ def test_kernel_paths_emit_their_layer_spans():
     assert _span_names(spans, lambda: vn_sample(Z2_BOND, 0.5, 2, 4, 1)) == {POOL, BONDS, LABEL, VN, CROP, C1}
     assert _span_names(spans, lambda: estimate_crossing(TRIANGULAR, 0.5, (3, 2), 0, 4, 1)) == base | {CROP}
     for kind, (ev, extra) in EVENT_SPANS.items():
-        assert _span_names(spans, lambda: fkg_check(TRIANGULAR, 0.5, ev, ev, 4, 1)) == base | extra, kind
+        assert _span_names(spans, lambda: fkg_check(TRIANGULAR, 0.5, [(ev, ev)], 4, 1)) == base | extra, kind
     reports = []
     glue = _span_names(
         spans, lambda: reports.append(gluing_campaign(TRIANGULAR, 0.7, 4, 2, 1, 3, stage_size=16))

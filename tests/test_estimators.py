@@ -655,7 +655,7 @@ ZERO_SAMPLE_CALLS = {
     "vn_sample_c1": lambda: vn_sample(TRIANGULAR, 0.5, 4, 0, 1, reads=("c1",)),
     "vn_sample_vn": lambda: vn_sample(TRIANGULAR, 0.5, 4, 0, 1, reads=("vn",)),
     "fkg_check": lambda: L.fkg_check(
-        TRIANGULAR, 0.5, L.EventSpec("arm", m=1, n=4), L.EventSpec("arm", m=2, n=4), 0, 1
+        TRIANGULAR, 0.5, [(L.EventSpec("arm", m=1, n=4), L.EventSpec("arm", m=2, n=4))], 0, 1
     ),
     "dn_fkg_bound": lambda: L.dn_fkg_bound(
         L.gluing_campaign(TRIANGULAR, 0.5, 8, 2, 1, 1, stage_size=16, max_attempts=16),

@@ -404,7 +404,7 @@ def test_fkg_counts_on_wide_carriers_pinned(name):
     p, want = WIDE_CARRIER_FKG[name]
     got = []
     for a, b in WIDE_CARRIER_PAIRS:
-        res = L.fkg_check(LATTICES[name], p, a, b, 200, 29)
+        (res,) = L.fkg_check(LATTICES[name], p, [(a, b)], 200, 29)
         got.append((res.joint.successes, res.marginal_a.successes, res.marginal_b.successes))
     assert got == want
 

@@ -61,7 +61,7 @@ def test_merge_order_matches_reference_kruskal(pts):
 @given(point_sets)
 @settings(max_examples=60)
 def test_merge_radii_equal_mst(pts):
-    mine = sorted(growth.merge_radii(pts).elements())
+    mine = sorted(Counter(growth.grow_tree(pts).r2_sequence()).elements())
     assert mine == prim_mst_lengths(pts)
 
 
@@ -87,8 +87,8 @@ def test_input_order_invariance(perm):
 
 
 def test_merge_radii_examples():
-    assert growth.merge_radii([(0, 0), (6, 0)]) == Counter({6: 1})
-    assert growth.merge_radii([(1, 1)]) == Counter()
+    assert Counter(growth.grow_tree([(0, 0), (6, 0)]).r2_sequence()) == Counter({6: 1})
+    assert Counter(growth.grow_tree([(1, 1)]).r2_sequence()) == Counter()
 
 
 def test_blobs_structure():

@@ -14,6 +14,7 @@ from oracles import (
     dn_test_order,
     gluing_violations,
 )
+from test_golden import WIDE_CARRIER_PAIRS
 
 from percolab import grid
 from percolab import lowerbound as L
@@ -22,6 +23,7 @@ from percolab.estimators import TAG_DN, PiRow, PiTable, _observe, family_seed, r
 from percolab.lattice import TRIANGULAR, Z2_BOND, box_with_boundary, rect_region
 from percolab.parallel import run_counters
 from percolab.sampler import Config, derive_stream, open_cells_batch, sample_config
+from percolab.verify import QUICK, VerifyContext, _fkg_catalog, run_criterion
 
 
 def tri_config(radius, p, seed):
@@ -78,7 +80,7 @@ def test_rsw_constant_stable_at_criticality():
 
 def test_fkg_identical_events():
     ev = L.EventSpec("h_crossing", corner=(-4, -4), widths=(8, 8))
-    res = L.fkg_check(TRIANGULAR, 0.5, ev, ev, 800, 11)
+    (res,) = L.fkg_check(TRIANGULAR, 0.5, [(ev, ev)], 800, 11)
     assert res.joint.point == res.marginal_a.point
     assert res.z >= 0.0
 
@@ -86,16 +88,45 @@ def test_fkg_identical_events():
 def test_fkg_disjoint_events_independent():
     a = L.EventSpec("h_crossing", corner=(-9, -9), widths=(8, 8))
     b = L.EventSpec("h_crossing", corner=(1, 1), widths=(8, 8))
-    res = L.fkg_check(TRIANGULAR, 0.5, a, b, 3000, 13)
+    (res,) = L.fkg_check(TRIANGULAR, 0.5, [(a, b)], 3000, 13)
     assert abs(res.z) <= 3.0  # independence: joint = product up to noise
 
 
 def test_fkg_overlapping_crossings():
     h = L.EventSpec("h_crossing", corner=(-6, -6), widths=(12, 12))
     v = L.EventSpec("v_crossing", corner=(-6, -6), widths=(12, 12))
-    res = L.fkg_check(TRIANGULAR, 0.5, h, v, 3000, 17)
+    (res,) = L.fkg_check(TRIANGULAR, 0.5, [(h, v)], 3000, 17)
     assert res.z >= -3.0
     assert res.joint.point >= res.product - 3 * res.joint.stderr
+
+
+def _catalog():
+    """c11's pairs at n = 4 (carrier box(4)) between the two wide-carrier pins (box(7), box(6))."""
+    return [WIDE_CARRIER_PAIRS[0], *_fkg_catalog(4), WIDE_CARRIER_PAIRS[1]]
+
+
+@pytest.mark.parametrize("lattice", [TRIANGULAR, Z2_BOND])
+def test_fkg_catalog_equals_its_one_pair_catalogs(lattice):
+    # 600 replicas run as three chunks at 2 workers
+    catalog = _catalog()
+    alone = [L.fkg_check(lattice, 0.5, [pair], 600, 23)[0] for pair in catalog]
+    assert L.fkg_check(lattice, 0.5, catalog, 600, 23) == alone
+    assert L.fkg_check(lattice, 0.5, catalog, 600, 23, workers=2) == alone
+
+
+def test_fkg_makes_one_kernel_call_per_carrier(monkeypatch):
+    shapes = []
+
+    def spy(fn, start, stop, workers):
+        shapes.append(fn.args[0][2].shape)
+        return run_counters(fn, start, stop, workers)
+
+    monkeypatch.setattr(L, "run_counters", spy)
+    L.fkg_check(TRIANGULAR, 0.5, _catalog(), 40, 23)
+    assert shapes == [(17, 17), (11, 11), (15, 15)]  # box(r) plus boundary, r = 7, 4, 6
+    shapes.clear()
+    run_criterion(11, VerifyContext(7, 1, QUICK))
+    assert shapes == [(27, 27)]  # all ten pairs on box(12) plus boundary
 
 
 def test_vn_lower_constants_degenerate():

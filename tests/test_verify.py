@@ -122,6 +122,22 @@ def test_one_criterion_runs_at_a_shifted_p():
         assert json.dumps(asdict(mine)) == json.dumps(asdict(theirs)), i
 
 
+def test_growth_criteria_grow_each_instance_once(monkeypatch):
+    # criteria 5, 6 and 7 read one context's records; fresh contexts regrow them
+    fresh = {i: run_criterion(i, VerifyContext(SEED, 1, QUICK)) for i in (5, 6, 7)}
+    grown = []
+    grow = verify.growth.grow_tree
+
+    def spy(points):
+        grown.append(points)
+        return grow(points)
+
+    monkeypatch.setattr(verify.growth, "grow_tree", spy)
+    ctx = VerifyContext(SEED, 1, QUICK)
+    assert {i: run_criterion(i, ctx) for i in (5, 6, 7)} == fresh
+    assert len(grown) == QUICK.oracle_instances
+
+
 # a 20 x 20 box without its middle 4 x 4 block
 HOLE = Region((0, 0), np.pad(np.zeros((4, 4), dtype=bool), 8, constant_values=True))
 
