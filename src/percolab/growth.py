@@ -18,12 +18,12 @@ birth-ball union; the root's outer face is the doubled box).  Shells of
 distinct blobs are pairwise disjoint.
 
 L-infinity balls are axis-aligned cubes, so a shell is painted in place with
-one slice assignment per ball (``_fill``).  The root's shell starts as its
-whole raster, the doubled box.  Any other shell paints its death balls; for
-even d2 it then clears the others' reach and re-sets the balls strictly
-inside the death balls; last, the birth balls are cleared.  On 2-D rasters
-ball bounds, blob boxes and pair distances are plain integer arithmetic, and
-other dimensions take per-axis loops.
+one slice assignment per ball (``_fill``), in two passes.  The first paints
+the outer face: the root's whole raster (the doubled box), or any other
+blob's death balls.  The second clears the inside: for even d2 the others'
+death balls (the interface), then the birth balls.  On 2-D rasters ball
+bounds, blob boxes and pair distances are plain integer arithmetic, and other
+dimensions take per-axis loops.
 """
 
 from __future__ import annotations
@@ -66,7 +66,9 @@ class Blob:
     touches the balls of other same-radius components at sites exactly
     equidistant to both (possible only for even d2); those interface sites
     belong to no shell, which is what keeps the shells pairwise disjoint on
-    the lattice.
+    the lattice.  Single linkage keeps every other point at Chebyshev
+    distance >= d2 from every member, so the others' death balls meet the
+    members' exactly on that interface.
     """
 
     members: frozenset[Site]
@@ -166,10 +168,8 @@ def _fill(out: np.ndarray, centers: Iterable[Site], r: int, origin: Site, value:
 
     ``out[i]`` is the site ``origin + i``.  Starts and stops below the raster
     clamp to 0, so a ball wholly before it paints nothing instead of wrapping;
-    numpy clips those past its end.  A negative r paints nothing.
+    numpy clips those past its end.  A negative r gives empty slices.
     """
-    if r < 0:
-        return
     if out.ndim == 2:
         # the common case, with the bounds in plain integer arithmetic: this
         # loop runs once per ball and dominates the shell rasterizer.  Most of
@@ -215,11 +215,9 @@ def blob_region_mask(blob: Blob, n: int) -> tuple[np.ndarray, Site]:
         r = blob.d2 // 2
         _fill(shell, blob.members, r, origin, True)
         if blob.others and blob.d2 % 2 == 0:
-            # touching interfaces with other components belong to no shell:
-            # clear the others' reach, then re-set the balls strictly inside
-            # the death balls (a subset of them, so nothing else comes back)
+            # touching interfaces with other components belong to no shell;
+            # the others lie >= d2 from the members, so this clears nothing else
             _fill(shell, blob.others, r, origin, False)
-            _fill(shell, blob.members, r - 1, origin, True)
     _fill(shell, blob.members, blob.b2 // 2, origin, False)
     return shell, origin
 

@@ -103,21 +103,11 @@ class Config:
     """One sampled (or hand-built) configuration over a finite carrier.
 
     ``cells`` is the open-cell grid over the raster of ``region`` (see the module doc).
-    Configurations compare by value; the NaN ``p`` of hand-built ones equals itself.
     """
 
     lattice: LatticeSpec
     region: Region
-    p: float
-    seed: int | None
     cells: np.ndarray = field(repr=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Config):
-            return False
-        same_p = self.p == other.p or (math.isnan(self.p) and math.isnan(other.p))
-        same = (self.lattice, self.region, self.seed) == (other.lattice, other.region, other.seed)
-        return same and same_p and np.array_equal(self.cells, other.cells)
 
     @property
     def site_open(self) -> np.ndarray | None:
@@ -133,7 +123,7 @@ class Config:
 def sample_config(lattice: LatticeSpec, region: Region, p: float, seed: int) -> Config:
     """Product-measure sample: each element open independently with probability p."""
     cells = open_cells_batch(lattice, region.mask, p, [seed])[0]
-    return Config(lattice, region, p, seed, cells)
+    return Config(lattice, region, cells)
 
 
 # ---------------------------------------------------------------------------

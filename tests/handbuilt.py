@@ -35,7 +35,7 @@ def config_from_sites(lattice: LatticeSpec, region: Region, open_sites) -> Confi
     opened = region_from_sites(open_sites, lattice.d)
     if not opened <= region:
         raise ValueError("open sites outside region")
-    return Config(lattice, region, float("nan"), None, opened.mask_in(region))
+    return Config(lattice, region, opened.mask_in(region))
 
 
 def config_from_edges(lattice: LatticeSpec, region: Region, open_edges) -> Config:
@@ -50,7 +50,7 @@ def config_from_edges(lattice: LatticeSpec, region: Region, open_edges) -> Confi
         if u not in region or v not in region:
             raise ValueError(f"edge {u}-{v} outside region")
         cells[tuple(a + b - 2 * o for a, b, o in zip(u, v, region.origin))] = True
-    return Config(lattice, region, float("nan"), None, cells)
+    return Config(lattice, region, cells)
 
 
 def confined_labels(config: Config, region: Region) -> np.ndarray:
@@ -70,8 +70,9 @@ def element_states(config: Config) -> np.ndarray:
     return grid.element_grid(config.lattice, config.cells)[elements]
 
 
-def config_json(config: Config) -> dict:
-    """The JSON record of ``config``: lattice, raster corners, p, seed and packed states."""
+def config_json(config: Config, p: float, seed: int) -> dict:
+    """The JSON record of ``config``, sampled at ``p`` and ``seed``: lattice, raster corners, p,
+    seed and packed states."""
     lo = config.region.origin
     return {
         "lattice": {"kind": config.lattice.kind.value, "d": config.lattice.d},
@@ -80,7 +81,7 @@ def config_json(config: Config) -> dict:
             "lo": list(lo),
             "hi": [o + n - 1 for o, n in zip(lo, config.region.shape)],
         },
-        "p": config.p,
-        "seed": config.seed,
+        "p": p,
+        "seed": seed,
         "states_hex": np.packbits(element_states(config)).tobytes().hex(),
     }

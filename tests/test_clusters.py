@@ -328,7 +328,7 @@ def test_monotonicity_under_opening():
         pick = closed[rng.integers(0, len(closed), size=min(30, len(closed)))]
         more = cfg.site_open.copy()
         more[tuple(pick.T)] = True
-        cfg2 = Config(cfg.lattice, cfg.region, cfg.p, None, cells=more)
+        cfg2 = Config(cfg.lattice, cfg.region, cells=more)
         assert read_config(cfg2, ("vn", n)) >= read_config(cfg, ("vn", n))
         l1 = confined_labels(cfg, box_sites((0, 0), n))
         l2 = confined_labels(cfg2, box_sites((0, 0), n))

@@ -84,13 +84,13 @@ RECT_CONFIG_JSON_SHA256 = {
 def test_config_json_pinned(name):
     lattice = LATTICES[name]
     cfg = sample_config(lattice, box_with_boundary(lattice, CARRIER_RADIUS[name]), 0.5, 11)
-    assert _json_sha256(config_json(cfg)) == CONFIG_JSON_SHA256[name]
+    assert _json_sha256(config_json(cfg, 0.5, 11)) == CONFIG_JSON_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(RECT_CONFIG_JSON_SHA256))
 def test_rect_config_json_pinned(name):
     cfg = sample_config(LATTICES[name], rect_region((-3, 2), (9, 5)), 0.45, 21)
-    assert _json_sha256(config_json(cfg)) == RECT_CONFIG_JSON_SHA256[name]
+    assert _json_sha256(config_json(cfg, 0.45, 21)) == RECT_CONFIG_JSON_SHA256[name]
 
 
 # V_n of one configuration on box_with_boundary(2n): the size of its long-arm set

@@ -347,7 +347,7 @@ def test_dn_event_monotone_under_opening():
         more = cfg.site_open | (
             rng.random(cfg.site_open.shape) < 0.05
         ) & cfg.region.mask
-        cfg2 = Config(cfg.lattice, cfg.region, cfg.p, None, cells=more)
+        cfg2 = Config(cfg.lattice, cfg.region, cells=more)
         after = dn(cfg2, 8, 2)[0]
         if before:
             assert after

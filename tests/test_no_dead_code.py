@@ -5,9 +5,11 @@ A method counts as called when some module of ``src/percolab`` or
 (``perfbench/spans.py`` names its timed targets as strings).  Any other
 function also counts when a bare name loads it, so a local variable or
 parameter that shares a method's name does not hide the method.  Dunder
-methods are called by the language.  A name that the package's ``__init__``
-exports is not called by the export: only the names in ``EXEMPT`` may lack a
-caller, each with its reason.
+methods are called by the language, so each one other than ``__init__`` and
+``__post_init__`` is listed in ``DUNDERS`` with what calls it, and an
+unlisted one fails.  A name that the package's ``__init__`` exports is not
+called by the export: only the names in ``EXEMPT`` may lack a caller, each
+with its reason.
 
 A method is *ambiguous* when its name is also an attribute of a builtin type
 (``add``, ``count``, ``shape``, ...), a method of another package class, a
@@ -17,14 +19,19 @@ that calls it, and that module must mention the name.  Any other ambiguous
 method fails.
 
 A dataclass field counts as read when some module loads it as an attribute or
-names it as a string.  A class read whole through ``asdict`` is listed in
-``READ_WHOLE`` with the module that calls ``asdict`` on it.
+names it as a string.  Loads inside its own class's dunder methods count
+only when ``DUNDERS`` names the dunder's caller, so a field that only
+``__post_init__`` or a test-only ``__eq__`` reads is unread.  A field whose
+name is also a field of another package dataclass is *shared*: it counts as
+read only when ``AMBIGUOUS_FIELDS`` lists it with a module that loads it,
+since every load of the other would count as its read.  A class read whole
+through ``asdict`` is listed in ``READ_WHOLE`` with the module that calls
+``asdict`` on it.
 
-The check goes by name, so a field read only under a name that other values
-share still passes it: ``ClusterLabels.lattice`` hid behind every
-``config.lattice``, and ``VnLowerReport.n`` behind every ``.n``.  So does a
-method or field whose only reader is itself unread.  Those were found by
-reading their callers.
+The check goes by name, so a field read only under a name that values other
+than dataclass fields share still passes it: ``Config.seed`` hid behind
+perfbench's ``args.seed``.  So does a method or field whose only reader is
+itself unread.  Those were found by reading their callers.
 """
 
 from __future__ import annotations
@@ -52,6 +59,55 @@ AMBIGUOUS = {
     "verify.VerifyContext.vn_sample": "verify",
 }
 
+# dunder method other than __init__ and __post_init__ -> what calls it
+DUNDERS = {
+    "cli.Number.__call__": "cli: SPEC's rules are called on each spec value",
+    "cli.OneOf.__call__": "cli: SPEC's rules are called on each spec value",
+    "cli.ListOf.__call__": "cli: SPEC's rules are called on each spec value",
+    "cli.Mapping.__call__": "cli: SPEC's rules are called on each spec value",
+    "lattice.Region.__eq__": "estimators._reader's cache key, and region comparisons",
+    "lattice.Region.__hash__": "estimators._reader's cache key",
+    "lattice.Region.__len__": "the set API of README § Regions (handbuilt, test_golden)",
+    "lattice.Region.__contains__": "the set API of README § Regions (handbuilt)",
+    "lattice.Region.__iter__": "the set API of README § Regions (test_clusters, test_lattice)",
+    "lattice.Region.__le__": "the set API of README § Regions; __contains__ (handbuilt)",
+}
+
+# field shared with another package dataclass -> the module that loads it
+AMBIGUOUS_FIELDS = {
+    "bounds.BoundParams.d": "bounds",
+    "estimators.Estimate.samples": "cli",
+    "estimators.Estimate.stderr": "cli",
+    "estimators.Estimate.successes": "cli",
+    "estimators.PiRow.estimate": "reports",
+    "estimators.PiRow.m": "reports",
+    "estimators.PiRow.n": "reports",
+    "estimators.PiRow.samples": "reports",
+    "estimators.PiRow.stderr": "reports",
+    "estimators.PiRow.successes": "reports",
+    "estimators.PiTable.lattice": "reports",
+    "estimators.PiTable.p": "reports",
+    "estimators.SizeDistribution.samples": "estimators",
+    "estimators.SizeDistribution.stderr": "cli",
+    "estimators.VnSample.lattice": "lowerbound",
+    "estimators.VnSample.n": "lowerbound",
+    "growth.MergeEdge.u": "growth",
+    "lattice.LatticeSpec.d": "grid",
+    "lattice.LatticeSpec.kind": "estimators",
+    "lowerbound.EventSpec.kind": "lowerbound",
+    "lowerbound.EventSpec.m": "lowerbound",
+    "lowerbound.EventSpec.n": "lowerbound",
+    "lowerbound.EventSpec.threshold": "lowerbound",
+    "lowerbound.GluingCampaignReport.n": "lowerbound",
+    "lowerbound.GluingCampaignReport.u": "lowerbound",
+    "lowerbound.LowerConstruction.tail": "cli",
+    "lowerbound.LowerTailResult.threshold": "cli",
+    "lowerbound.RswFit.estimate": "cli",
+    "sampler.Config.lattice": "estimators",
+    "verify.VerifyContext.master_seed": "verify",
+    "verify.VerifyContext.workers": "verify",
+}
+
 # dataclass read whole through asdict -> the module that reads it
 READ_WHOLE = {
     "cli.ExperimentSpec": "cli",
@@ -71,9 +127,14 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.Module, module: str) -> tuple[list[tuple[str, str, str | None]], dict]:
     """(bare name, qualified name, owning class or None) of every function and
-    method, nested ones included, and each dataclass's qualified name -> its fields."""
+    method, nested ones included, and each dataclass's qualified name -> (its
+    fields, its dunder methods' nodes)."""
     found, dataclasses = [], {}
 
     def visit(node: ast.AST, prefix: str) -> None:
@@ -84,12 +145,15 @@ def _definitions(tree: ast.Module, module: str) -> tuple[list[tuple[str, str, st
                 visit(child, f"{prefix}.{child.name}")
             elif isinstance(child, ast.ClassDef):
                 if _is_dataclass(child):
-                    dataclasses[f"{prefix}.{child.name}"] = [
-                        f.target.id
-                        for f in child.body
-                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
-                        and "ClassVar" not in ast.unparse(f.annotation)
-                    ]
+                    dataclasses[f"{prefix}.{child.name}"] = (
+                        [
+                            f.target.id
+                            for f in child.body
+                            if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                            and "ClassVar" not in ast.unparse(f.annotation)
+                        ],
+                        {f for f in child.body if isinstance(f, ast.FunctionDef) and _is_dunder(f.name)},
+                    )
                 visit(child, f"{prefix}.{child.name}")
             else:
                 visit(child, prefix)
@@ -98,10 +162,16 @@ def _definitions(tree: ast.Module, module: str) -> tuple[list[tuple[str, str, st
     return found, dataclasses
 
 
-def _mentions(tree: ast.Module) -> tuple[set[str], set[str], set[str]]:
-    """(attributes and strings, attributes loaded and strings, bare names loaded) of a module."""
+def _mentions(tree: ast.Module, skip=frozenset()) -> tuple[set[str], set[str], set[str]]:
+    """(attributes and strings, attributes loaded and strings, bare names loaded) of a module,
+    outside the subtrees of ``skip``."""
     attrs, loads, names = set(), set(), set()
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -120,33 +190,41 @@ def findings(
     exempt=EXEMPT,
     ambiguous=AMBIGUOUS,
     read_whole=READ_WHOLE,
+    dunders=DUNDERS,
+    ambiguous_fields=AMBIGUOUS_FIELDS,
 ) -> dict[str, list[str]]:
     """Each rule that fires -> the qualified names of ``package`` it reports.
 
     "uncalled": functions and methods that nothing calls, and listed ambiguous
     methods that their listed module does not name; "ambiguous and unlisted";
-    "unread field": dataclass fields that nothing loads.
+    "dunder unlisted"; "unread field": dataclass fields that nothing loads, and
+    shared fields that no listed module loads.
     """
     trees = _trees(package, callers)
     mentions = {path.stem: _mentions(tree) for path, tree in trees.items()}
     attrs = set().union(*(a for a, _, _ in mentions.values()))
-    loads = set().union(*(r for _, r, _ in mentions.values()))
     names = attrs.union(*(n for _, _, n in mentions.values()))
-    defs, dataclasses = [], {}
+    loads = {stem: r for stem, (_, r, _) in mentions.items()}
+    defs, dataclasses, home = [], {}, {}
     for path, tree in trees.items():
         if path.parent == package:
             found, classes = _definitions(tree, path.stem)
             defs += found
             dataclasses |= classes
+            home |= dict.fromkeys(classes, path)
     functions = {name for name, _, owner in defs if owner is None}
     modules = {path.stem for path in trees if path.parent == package}
     owners = {}
     for name, _, owner in defs:
         if owner is not None:
             owners.setdefault(name, set()).add(owner)
-    out = {"uncalled": [], "ambiguous and unlisted": [], "unread field": []}
+    out = {"uncalled": [], "ambiguous and unlisted": [], "dunder unlisted": [], "unread field": []}
     for name, qualified, owner in defs:
-        if name.startswith("__") and name.endswith("__") or qualified in exempt:
+        if _is_dunder(name):
+            if name not in ("__init__", "__post_init__") and qualified not in dunders:
+                out["dunder unlisted"].append(qualified)
+            continue
+        if qualified in exempt:
             continue
         if owner is not None and (
             name in BUILTIN_ATTRS or name in functions or name in modules or len(owners[name]) > 1
@@ -160,24 +238,39 @@ def findings(
             called = name in (attrs if owner is not None else names)
         if not called:
             out["uncalled"].append(qualified)
-    for cls, fields in dataclasses.items():
+    field_owners = {}
+    for cls, (fields, _) in dataclasses.items():
+        for f in fields:
+            field_owners.setdefault(f, set()).add(cls)
+    for cls, (fields, own_dunders) in dataclasses.items():
         reader = read_whole.get(cls)
         if reader in mentions and "asdict" in mentions[reader][2]:
             continue
-        out["unread field"] += [f"{cls}.{f}" for f in fields if f not in loads]
+        # the class's own module, read outside its dunders that have no named caller
+        unlisted = {f for f in own_dunders if f"{cls}.{f.name}" not in dunders}
+        read_in = loads | {home[cls].stem: _mentions(trees[home[cls]], unlisted)[1]}
+        for f in fields:
+            if len(field_owners[f]) > 1:
+                read = f in read_in.get(ambiguous_fields.get(f"{cls}.{f}"), ())
+            else:
+                read = any(f in r for r in read_in.values())
+            if not read:
+                out["unread field"].append(f"{cls}.{f}")
     return {rule: sorted(found) for rule, found in out.items() if found}
 
 
 def test_every_function_has_a_caller():
     assert findings() == {}
     # every listed name still exists, so no stale entry lingers
-    defined, dataclasses = set(), set()
+    defined, dataclasses = set(), {}
     for path, tree in _trees(PACKAGE).items():
         found, classes = _definitions(tree, path.stem)
         defined |= {q for _, q, _ in found}
-        dataclasses |= set(classes)
-    assert set(EXEMPT) | set(AMBIGUOUS) <= defined
-    assert set(READ_WHOLE) <= dataclasses
+        dataclasses |= classes
+    assert set(EXEMPT) | set(AMBIGUOUS) | set(DUNDERS) <= defined
+    assert set(READ_WHOLE) <= set(dataclasses)
+    fields = {f"{cls}.{f}" for cls, (names, _) in dataclasses.items() for f in names}
+    assert set(AMBIGUOUS_FIELDS) <= fields
 
 
 def test_an_uncalled_function_is_found(tmp_path):
@@ -200,27 +293,47 @@ def test_an_uncalled_function_is_found(tmp_path):
         "class Region:\n    @property\n    def sites(self):\n        return 4\n\n\n"
         "@dataclass\nclass Report:\n    ok: bool\n    note: str\n\n\n"
         "@dataclass(frozen=True)\nclass Row:\n    note: str\n\n\n"
+        "@dataclass(frozen=True, eq=False)\nclass Gate:\n    ok: bool\n    level: int\n\n"
+        "    def __eq__(self, other):\n        return self.level == other.level\n\n\n"
         "def count(sites):\n    return len(sites) + Report(True, '').ok + len(asdict(Row('')))\n"
     )
     callers = tmp_path / "bench"
     callers.mkdir()
     (callers / "run.py").write_text('import mod\n\nmod.exported()\nTARGETS = [("mod", "named")]\n')
+
+    def check(exempt=None, listed=None, whole=None, dunders=None, shared=None):
+        return findings(package, callers, exempt or {}, listed or {}, whole or {}, dunders or {}, shared or {})
+
     # Region.sites: a parameter of the same name must not count as its caller;
     # exported_orphan: an export is no call; str.count calls would hide Box.count
     # and Bag.take calls Box.take, so all three ambiguous methods are reported
-    # unlisted; Report.note and Row.note are read nowhere; Bag.add is listed with mod
+    # unlisted; Bag.add is listed with mod; no dunder but __init__ and
+    # __post_init__ goes unlisted; Report.note and Row.note are read nowhere,
+    # Report.ok and Gate.ok share a name, so the .ok load reads neither, and
+    # Gate.level is loaded only by Gate's own unlisted __eq__
     listed = {"mod.Bag.add": "mod"}
-    assert findings(package, callers, {}, listed, {}) == {
+    assert check(listed=listed) == {
         "uncalled": ["mod.Box.unused", "mod.Region.sites", "mod.exported_orphan", "mod.orphan"],
         "ambiguous and unlisted": ["mod.Bag.take", "mod.Box.count", "mod.Box.take"],
-        "unread field": ["mod.Report.note", "mod.Row.note"],
+        "dunder unlisted": ["mod.Box.__len__", "mod.Gate.__eq__"],
+        "unread field": ["mod.Gate.level", "mod.Gate.ok", "mod.Report.note", "mod.Report.ok", "mod.Row.note"],
     }
     # a listed caller that does not name the method does not call it
     listed = {"mod.Bag.add": "run", "mod.Bag.take": "mod", "mod.Box.take": "mod", "mod.Box.count": "mod"}
-    assert findings(package, callers, {}, listed, {})["uncalled"] == [
+    assert check(listed=listed)["uncalled"] == [
         "mod.Bag.add", "mod.Box.unused", "mod.Region.sites", "mod.exported_orphan", "mod.orphan",
     ]
     # Row is read whole by the asdict call of mod, Report by no asdict of run
     whole = {"mod.Row": "mod", "mod.Report": "run"}
-    assert findings(package, callers, {}, listed, whole)["unread field"] == ["mod.Report.note"]
-    assert "mod.orphan" not in findings(package, callers, {"mod.orphan": "kept"}, listed, {})["uncalled"]
+    assert check(listed=listed, whole=whole)["unread field"] == [
+        "mod.Gate.level", "mod.Gate.ok", "mod.Report.note", "mod.Report.ok",
+    ]
+    assert "mod.orphan" not in check({"mod.orphan": "kept"}, listed)["uncalled"]
+    # a shared field is read where its listed module loads it, and a listed
+    # dunder's loads count: Gate.ok alone stays unread
+    dunders = {"mod.Box.__len__": "len()", "mod.Gate.__eq__": "=="}
+    found = check(listed=listed, whole=whole, dunders=dunders, shared={"mod.Report.ok": "mod"})
+    assert "dunder unlisted" not in found
+    assert found["unread field"] == ["mod.Gate.ok", "mod.Report.note"]
+    found = check(listed=listed, whole=whole, dunders=dunders, shared={"mod.Report.ok": "run"})
+    assert found["unread field"] == ["mod.Gate.ok", "mod.Report.note", "mod.Report.ok"]

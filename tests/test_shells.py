@@ -4,7 +4,8 @@ Every blob of random 1-D, 2-D and 3-D point sets in small boxes is
 rasterized by ``growth`` and compared site by site with
 ``oracles.shell_sites``, which scans per-site minimum Chebyshev distances in
 plain Python.  1-D and 3-D rasters take the
-painter's per-axis loop, 2-D ones its integer-bound loop.
+painter's per-axis loop, 2-D ones its integer-bound loop.  Each non-root
+blob also checks the distance lemma behind the painter's interface pass.
 """
 
 from __future__ import annotations
@@ -55,9 +56,15 @@ def _check_blob(blob, n, stats):
 
     if blob.is_root or not blob.others:
         return
+    # the lemma the two-pass painter rests on: every other point lies >= d2
+    # from every member, so clearing the others' death balls can only remove
+    # sites exactly d2/2 from both, and an interface needs a pair at d2
+    gap = min(oracles.chebyshev(u, x) for u in blob.members for x in blob.others)
+    assert gap >= blob.d2
     if blob.d2 % 2 == 0:
         plain = oracles.shell_sites(blob.members, blob.b2, blob.d2, None, n)
         stats["interface"] += plain != want
+        assert plain == want or gap == blob.d2
     r = blob.d2 // 2
     lo, shape = _bbox(blob, n)
     for x in blob.others:
