@@ -34,11 +34,7 @@ from .estimators import (  # noqa: F401
     fit_arm_exponent,
     vn_sample,
 )
-from .bounds import (  # noqa: F401
-    BoundParams,
-    generating_fn_bound,
-    multinomial_constant,
-)
+from .bounds import generating_fn_bound, multinomial_constant  # noqa: F401
 from .lowerbound import (  # noqa: F401
     EventSpec,
     estimate_rsw_constant,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -30,45 +29,6 @@ import numpy as np
 from scipy.special import gammaln
 
 ONE_ARM_EXPONENT = Fraction(5, 48)
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Named constants of the generating-function bound and the lower construction.
-
-    All constants are optional; a reader raises ``ValueError`` naming any
-    missing ones.
-    """
-
-    d: int = 2
-    alpha: float | None = None
-    C2: float | None = None
-    C11: float | None = None
-    C12: float | None = None
-    C13: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        if self.alpha is not None and not 0 < self.alpha < self.d:
-            raise ValueError("alpha must satisfy 0 < alpha < d")
-        for f in fields(self):
-            if f.name in ("d", "alpha"):
-                continue
-            v = getattr(self, f.name)
-            if v is not None and v < 0:
-                raise ValueError(f"constant {f.name} must be nonnegative")
-        if self.C2 is not None and self.C2 <= 0:  # C2 divides in the series
-            raise ValueError("constant C2 must be positive")
-
-    def require(self, *names: str) -> list[float]:
-        out = []
-        for name in names:
-            v = getattr(self, name)
-            if v is None:
-                raise ValueError(f"missing constant {name}")
-            out.append(v)
-        return out
 
 
 def int_root_ceil(k: int, d: int) -> int:
@@ -96,36 +56,43 @@ def scale_floor(n: int, u: float) -> int:
 _EXP_MAX = math.log(sys.float_info.max)
 
 
-def _out_of_range(what: str, u: float, params: BoundParams) -> ValueError:
-    return ValueError(f"{what} leaves the float range at u = {u} (d = {params.d}, C2 = {params.C2})")
+def _out_of_range(what: str, u: float, d: int, c2: float) -> ValueError:
+    return ValueError(f"{what} leaves the float range at u = {u} (d = {d}, C2 = {c2})")
 
 
-def _ud_over_c2(u: float, params: BoundParams) -> float:
+def _ud_over_c2(u: float, d: int, c2: float) -> float:
     """u^d / C2, checked so that exp of it is a float."""
-    (c2v,) = params.require("C2")
     try:
-        x = u**params.d / c2v
+        x = u**d / c2
     except OverflowError:
         x = math.inf
     if x > _EXP_MAX:
-        raise _out_of_range("exp(u^d / C2)", u, params)
+        raise _out_of_range("exp(u^d / C2)", u, d, c2)
     return x
 
 
-def _gen_fn_series(u: float, params: BoundParams) -> float:
-    """Two-piece series bound on E t^{|V_n|} after the substitution for t."""
-    (c2v,) = params.require("C2")
-    if params.alpha is None:
-        raise ValueError("missing constant alpha")
-    a_over_d = params.alpha / params.d
-    if not a_over_d < 1:
-        raise AssertionError("series requires alpha < d")
-    cut = int(_ud_over_c2(u, params))
-    ud = u**params.d
+def generating_fn_bound(u: float, n: int, *, d: int, alpha: float, c2: float) -> float:
+    """The series bound on E t^{|V_n|} at ``u`` in [1, n]; it is pi-free after the substitution.
+
+    The series has two pieces, split at k = u^d / C2.  It checks d >= 2,
+    0 < alpha < d and C2 > 0 first.  Where exp(u^d / C2) or the series leaves
+    the float range, a ValueError names C2 and d.
+    """
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if not 0 < alpha < d:
+        raise ValueError("alpha must satisfy 0 < alpha < d")
+    if c2 <= 0:  # C2 divides in the series
+        raise ValueError("constant C2 must be positive")
+    if not 1 <= u <= n:
+        raise ValueError("u must lie in [1, n]")
+    a_over_d = alpha / d
+    cut = int(_ud_over_c2(u, d, c2))
+    ud = u**d
     total = 1.0  # k = 0 term
     try:
         for k in range(1, cut + 1):
-            total += (ud / (c2v * k)) ** k
+            total += (ud / (c2 * k)) ** k
         k = cut + 1
         while True:
             term = (ud / k) ** ((1 - a_over_d) * k)
@@ -141,18 +108,8 @@ def _gen_fn_series(u: float, params: BoundParams) -> float:
     except OverflowError:
         total = math.inf
     if total == math.inf:
-        raise _out_of_range("the generating-function series", u, params)
+        raise _out_of_range("the generating-function series", u, d, c2)
     return total
-
-
-def generating_fn_bound(u: float, n: int, params: BoundParams) -> float:
-    """The series bound on E t^{|V_n|} at ``u`` in [1, n]; it is pi-free after the substitution.
-
-    Where exp(u^d / C2) or the series leaves the float range, a ValueError names C2 and d.
-    """
-    if not 1 <= u <= n:
-        raise ValueError("u must lie in [1, n]")
-    return _gen_fn_series(u, params)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__, bounds, estimators, growth, lowerbound, reports
-from .bounds import BoundParams
 from .estimators import build_pi_table, vn_sample
 from .lattice import LatticeKind, LatticeSpec
 from .verify import FULL, QUICK, TAIL_US, check_criteria, run_verify, write_results
@@ -104,7 +104,7 @@ class Mapping:
 
 INTEGER = Number(integer=True)
 COUNT = Number(1, integer=True)
-POSITIVE = Number(0, above=True)  # alpha (its upper end, d, is BoundParams' check), C2, C12
+POSITIVE = Number(0, above=True)  # alpha (its upper end, d, is generating_fn_bound's check), C2, C12
 RECT = Mapping({"widths": ListOf(INTEGER, 2), "axis": OneOf((0, 1))}, required=("widths",))
 # the domain of every spec value; each section holds only the keys its
 # subcommand reads, and any other key is a typo
@@ -281,15 +281,16 @@ def _cmd_tail(args) -> int:
     if distribution:
         payload["distributions"] = {}
         for n in sizes:
-            dist = estimators.SizeDistribution.of(c1[n])
-            hist = [(v, dist.counts[v]) for v in sorted(dist.counts)]
+            hist = sorted(estimators.histogram(c1[n]).items())
             hist_payload = {"distribution": [dict(zip(reports.DIST_HEADER, r)) for r in hist]}
             _emit(args, digest, f"dist_n{n}", reports.DIST_HEADER, hist, hist_payload)
+            est = estimators.mean_estimate(*estimators.binomial_sums(c1[n], 1), spec.samples)
+            ranked = np.sort(c1[n])  # the q-quantile is the ceil(q N)-th smallest value
             payload["distributions"][str(n)] = {
-                "mean": dist.mean,
-                "stderr": dist.stderr,
-                "median": dist.quantile(0.5),
-                "q90": dist.quantile(0.9),
+                "mean": est.point,
+                "stderr": est.stderr,
+                "median": int(ranked[max(math.ceil(0.5 * spec.samples) - 1, 0)]),
+                "q90": int(ranked[max(math.ceil(0.9 * spec.samples) - 1, 0)]),
             }
     _emit(args, digest, "tail", header, rows, payload)
     return 0
@@ -300,6 +301,11 @@ def _cmd_blob(args) -> int:
     pts = _opt(spec.blob, "points")
     if not pts:
         raise ValueError("blob needs points (--points JSON or blob.points in the spec)")
+    c3 = _opt(spec.blob, "C3")
+    alpha = _opt(spec.blob, "alpha")
+    if (c3 is None) != (alpha is None):  # prob_upper_bound reads both
+        given, missing = ("C3", "alpha") if alpha is None else ("alpha", "C3")
+        raise ValueError(f"blob.{missing} must be given with blob.{given}")
     points = [tuple(p) for p in pts]
     n = _opt(spec.blob, "n", max(abs(c) for p in points for c in p))
     record = growth.grow_tree(points)
@@ -307,14 +313,12 @@ def _cmd_blob(args) -> int:
     radius_bound = growth.check_radius_bound(record, n)
     radii = Counter(record.r2_sequence())
     d = len(points[0])
-    c3 = _opt(spec.blob, "C3")
-    alpha = _opt(spec.blob, "alpha")
     c4 = float(_opt(spec.blob, "C4", 1.0))
     bound_values = {
         "count_upper_bound": growth.count_upper_bound(radii, n, c4, d),
         "C4": c4,
     }
-    if c3 is not None and alpha is not None:
+    if c3 is not None:
         # a power-law arm probability, with pi(0) = 1 at n = 0 (one point at the origin)
         bound_values["prob_upper_bound"] = growth.prob_upper_bound(
             radii, n, lambda s: float(s) ** -alpha if s else 1.0, float(c3)
@@ -354,19 +358,16 @@ def _cmd_bounds(args) -> int:
     cfg = spec.bounds
     if spec.d != 2 and cfg.get("alpha") is None:
         raise ValueError(f"bounds.alpha must be given at d = {spec.d}; the default is the d = 2 exponent")
-    params = BoundParams(
-        d=spec.d,
-        alpha=_opt(cfg, "alpha", float(bounds.ONE_ARM_EXPONENT) if spec.d == 2 else None),
-        C2=_opt(cfg, "C2", 1.0),
-    )
+    alpha = _opt(cfg, "alpha", float(bounds.ONE_ARM_EXPONENT))
+    c2 = _opt(cfg, "C2", 1.0)
+    n = max(spec.sizes)
+    grid = [u for u in (1.0 + 0.25 * i for i in range(13)) if u <= n]  # 1.0..4.0, stopped at n
+    series = {repr(u): bounds.generating_fn_bound(u, n, d=spec.d, alpha=alpha, c2=c2) for u in grid}
     kmax = _opt(cfg, "sweep_kmax", 10_000)
     sup_mult, arg_mult = bounds.multinomial_sweep(kmax, spec.d)
     sup_pow, arg_pow = bounds.power_product_sweep(kmax, spec.d)
-    n = max(spec.sizes)
-    grid = [u for u in (1.0 + 0.25 * i for i in range(13)) if u <= n]  # 1.0..4.0, stopped at n
-    series = {repr(u): bounds.generating_fn_bound(u, n, params) for u in grid}
     payload = {
-        "params": {"d": spec.d, "alpha": params.alpha, "C2": params.C2},
+        "params": {"d": spec.d, "alpha": alpha, "C2": c2},
         "sweeps": {
             "kmax": kmax,
             "multinomial_sup": sup_mult,
@@ -397,9 +398,9 @@ def _cmd_lower(args) -> int:
 
     scales = sorted({(1, npr), (1, 3 * npr), (1, n)})
     table = build_pi_table(lattice, p, scales, spec.samples, spec.master_seed, spec.workers)
+    c12_grid = _opt(cfg, "c12_grid", lowerbound.C12_GRID)
     report = lowerbound.lower_construction(
-        p, u, table, sample(npr, "vn"), sample(n, "c1"), spec.master_seed, spec.workers,
-        _opt(cfg, "c12_grid", lowerbound.C12_GRID),
+        p, u, table, sample(npr, "vn"), sample(n, "c1"), spec.master_seed, spec.workers, c12_grid,
         conditioned=_opt(cfg, "conditioned", 200),
         stop_after_violations=_opt(cfg, "stop_after_violations", 25),
         max_attempts=_opt(cfg, "max_attempts", 2_000_000),
@@ -410,7 +411,7 @@ def _cmd_lower(args) -> int:
         "n": n,
         "u": u,
         "rsw": {"estimate": rsw.estimate.point, "C11": rsw.c11},
-        "c12_grid": list(low.c12_grid),
+        "c12_grid": list(c12_grid),
         "c13_fits": list(low.c13_fits),
         "mean_vn": low.mean_vn,
         "mean_floor": low.floor_value,

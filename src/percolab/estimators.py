@@ -582,33 +582,6 @@ def upper_tail(
     return [(t, event_estimate(count_at_least(values, t), len(values))) for t in thresholds]
 
 
-@dataclass(frozen=True)
-class SizeDistribution:
-    """Empirical distribution of an integer statistic."""
-
-    counts: dict[int, int]
-    samples: int
-    mean: float
-    stderr: float
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> SizeDistribution:
-        """The distribution of per-replica values."""
-        est = mean_estimate(*binomial_sums(values, 1), len(values))
-        return cls(histogram(values), len(values), est.point, est.stderr)
-
-    def quantile(self, q: float) -> int:
-        if not 0 <= q <= 1:
-            raise ValueError("q must be in [0, 1]")
-        need = q * self.samples
-        acc = 0
-        for v in sorted(self.counts):
-            acc += self.counts[v]
-            if acc >= need:
-                return v
-        return max(self.counts)
-
-
 # ---------------------------------------------------------------------------
 # Table diagnostics
 

@@ -68,7 +68,7 @@ from typing import Sequence
 import numpy as np
 
 from . import grid
-from .bounds import BoundParams, scale_floor
+from .bounds import scale_floor
 from .estimators import (
     TAG_DN,
     TAG_FKG,
@@ -240,8 +240,7 @@ class VnLowerReport:
     mean_vn: float
     floor_value: float  # n^2 * pi(3n)
     mean_ok: bool  # mean_vn >= floor within 3 sigma
-    c12_grid: tuple[float, ...]
-    c13_fits: tuple[float, ...]
+    c13_fits: tuple[float, ...]  # one per C12 of the caller's grid
 
 
 # the C12 values the tail fits are read at, unless a caller names others
@@ -264,7 +263,7 @@ def vn_lower_constants(
     for c in c12_grid:
         tail = event_estimate(count_at_least(sample.vn, c * n * n * pin), samples).point
         fits.append(abs(-math.log(tail)) if tail > 0 else math.inf)
-    return VnLowerReport(est.point, floor, ok, tuple(c12_grid), tuple(fits))
+    return VnLowerReport(est.point, floor, ok, tuple(fits))
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +554,7 @@ class LowerTailResult:
 
 
 def lower_tail_estimate(
-    sample: VnSample, u: int, pi: PiTable, params: BoundParams
+    sample: VnSample, u: int, pi: PiTable, c11: float, c12: float, c13: float
 ) -> LowerTailResult:
     """P(largest cluster >= (C12/2) n^2 pi(n/u)) in ``sample`` vs exp(-(2 C11 + C13) u^2)."""
     n = sample.n
@@ -563,7 +562,6 @@ def lower_tail_estimate(
         raise ValueError("the lower tail construction is two-dimensional")
     if not 2 <= u <= n:
         raise ValueError("u must be an integer in [2, n]")
-    c11, c12, c13 = params.require("C11", "C12", "C13")
     threshold = 0.5 * c12 * n * n * pi.pi(scale_floor(n, u))
     direct = event_estimate(count_at_least(sample.c1, threshold), sample.samples)
     implied = math.exp(-(2 * c11 + c13) * u * u)
@@ -574,9 +572,10 @@ def lower_tail_estimate(
 class LowerConstruction:
     """The lower-tail construction at (n, u): fitted constants, gluing campaign, direct tail."""
 
-    rsw: RswFit
+    rsw: RswFit  # C11 is rsw.c11
     constants: VnLowerReport
-    params: BoundParams
+    c12: float
+    c13: float
     campaign: GluingCampaignReport
     tail: LowerTailResult
 
@@ -602,5 +601,6 @@ def lower_construction(
     rsw = estimate_rsw_constant(lattice, p, n // u, constants.samples, master_seed, workers)
     low = vn_lower_constants(constants, pi, c12_grid)
     pick = min(1, len(c12_grid) - 1)
-    params = BoundParams(d=2, C11=rsw.c11, C12=low.c12_grid[pick], C13=low.c13_fits[pick])
-    return LowerConstruction(rsw, low, params, campaign, lower_tail_estimate(tail, u, pi, params))
+    c12, c13 = c12_grid[pick], low.c13_fits[pick]
+    direct = lower_tail_estimate(tail, u, pi, rsw.c11, c12, c13)
+    return LowerConstruction(rsw, low, c12, c13, campaign, direct)

@@ -31,7 +31,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import bounds, estimators, grid, growth, lowerbound, reports
-from .bounds import BoundParams, int_root_ceil, scale_floor
+from .bounds import int_root_ceil, scale_floor
 from .estimators import PiTable, build_pi_table, check_quasi_mult, fit_arm_exponent
 from .lattice import TRIANGULAR, Z2_BOND, LatticeSpec, rect_region
 from .lowerbound import EventSpec
@@ -358,7 +358,7 @@ def _c9_lower_tail_construction(ctx: VerifyContext, lattice: LatticeSpec, p: flo
         stop_after_violations=prof.glue_stop_violations,
         max_attempts=prof.glue_max_attempts,
     )
-    report, direct, params = construction.campaign, construction.tail, construction.params
+    report, direct = construction.campaign, construction.tail
     bound_ok = direct.direct.point >= direct.implied_bound - 3 * direct.direct.stderr
     glue_ok = report.violated == 0 and report.conditioned >= prof.glue_target
     ok = glue_ok and bound_ok
@@ -381,10 +381,10 @@ def _c9_lower_tail_construction(ctx: VerifyContext, lattice: LatticeSpec, p: flo
             "implied_bound": direct.implied_bound,
             "threshold": direct.threshold,
             "rsw_estimate": construction.rsw.estimate.point,
-            "C11": params.C11,
-            "C12": params.C12,
-            "C13": params.C13,
-            "c12_grid": list(construction.constants.c12_grid),
+            "C11": construction.rsw.c11,
+            "C12": construction.c12,
+            "C13": construction.c13,
+            "c12_grid": list(lowerbound.C12_GRID),
             "c13_fits": list(construction.constants.c13_fits),
         },
     )
@@ -534,17 +534,16 @@ def _c13_bfs_oracle(ctx: VerifyContext, *_) -> Outcome:
     )
 
 
-def _independent_series(u: float, params: BoundParams) -> float:
+def _independent_series(u: float, d: int, alpha: float, c2: float) -> float:
     """Naive high-to-low summation of the same two-piece series."""
-    c2v = params.C2
-    ud = u**params.d
-    cut = int(ud / c2v)
+    ud = u**d
+    cut = int(ud / c2)
     vals = [1.0]
     for k in range(1, cut + 1):
-        vals.append((ud / (c2v * k)) ** k)
+        vals.append((ud / (c2 * k)) ** k)
     k = cut + 1
     while k <= cut + 4000:
-        t = (ud / k) ** ((1 - params.alpha / params.d) * k)
+        t = (ud / k) ** ((1 - alpha / d) * k)
         vals.append(t)
         if k > ud and t < 1e-18 * sum(vals):
             break
@@ -553,12 +552,12 @@ def _independent_series(u: float, params: BoundParams) -> float:
 
 
 def _c14_bound_numerics(ctx: VerifyContext, *_) -> Outcome:
-    params = BoundParams(d=2, alpha=float(bounds.ONE_ARM_EXPONENT), C2=1.0)
+    alpha = float(bounds.ONE_ARM_EXPONENT)
     checks = {}
     ok = True
     for u in (1.0, 1.5, 2.0):
-        mine = bounds.generating_fn_bound(u, 16, params)
-        ref = _independent_series(u, params)
+        mine = bounds.generating_fn_bound(u, 16, d=2, alpha=alpha, c2=1.0)
+        ref = _independent_series(u, 2, alpha, 1.0)
         rel = abs(mine - ref) / ref
         checks[f"series_rel_err_u{u}"] = rel
         ok &= rel < 1e-9

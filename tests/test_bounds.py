@@ -9,7 +9,6 @@ import pytest
 
 from percolab import bounds
 from percolab.bounds import (
-    BoundParams,
     generating_fn_bound,
     int_root_ceil,
     multinomial_constant,
@@ -18,28 +17,21 @@ from percolab.bounds import (
 )
 
 
-def params(**kw):
-    defaults = dict(d=2, alpha=0.5, C2=1.0)
-    defaults.update(kw)
-    return BoundParams(**defaults)
-
-
 def test_params_validation():
-    with pytest.raises(ValueError):
-        BoundParams(d=1)
-    with pytest.raises(ValueError):
-        BoundParams(d=2, alpha=2.5)
-    with pytest.raises(ValueError):
-        BoundParams(d=2, C11=-1.0)
-    with pytest.raises(ValueError):
-        BoundParams(d=2).require("C2")
+    # generating_fn_bound checks the constants it reads before any u
+    for d, alpha in ((1, 0.5), (1, 1.5)):
+        with pytest.raises(ValueError, match=r"^d must be >= 2$"):
+            generating_fn_bound(1.0, 8, d=d, alpha=alpha, c2=1.0)
+    for d, alpha in ((2, 2.5), (2, 2.0), (3, 3.5), (3, 0.0), (2, -0.5)):
+        with pytest.raises(ValueError, match=r"^alpha must satisfy 0 < alpha < d$"):
+            generating_fn_bound(1.0, 8, d=d, alpha=alpha, c2=1.0)
 
 
 @pytest.mark.parametrize("c2", [0, 0.0, -1.0])
 def test_params_reject_c2_at_most_zero(c2):
-    # C2 divides in the generating-function series and the C9 fit
-    with pytest.raises(ValueError, match="C2"):
-        BoundParams(d=2, alpha=0.5, C2=c2)
+    # C2 divides in the generating-function series
+    with pytest.raises(ValueError, match=r"^constant C2 must be positive$"):
+        generating_fn_bound(1.0, 8, d=2, alpha=0.5, c2=c2)
 
 
 def test_int_root_ceil():
@@ -64,38 +56,38 @@ def test_generating_fn_exponential_identity():
 
 def test_generating_fn_second_piece():
     # u = 1, C2 = 1, alpha/d = 1/2: second piece is sum over k >= 2 of k^(-k/2)
-    p = BoundParams(d=2, alpha=1.0, C2=1.0)
-    series = generating_fn_bound(1.0, 8, p)
+    series = generating_fn_bound(1.0, 8, d=2, alpha=1.0, c2=1.0)
     piece1 = 1.0 + 1.0  # k = 0 and k = 1 terms with u^d/(C2 k) = 1
     independent = sum(k ** (-k / 2) for k in range(2, 300))
     assert series - piece1 == pytest.approx(independent, rel=1e-12)
 
 
 def test_generating_fn_increasing():
-    p = params()
+    p = dict(d=2, alpha=0.5, c2=1.0)
     last = 0.0
     for u in (1.0, 1.5, 2.0, 2.5, 3.0):
-        val = generating_fn_bound(u, 8, p)
+        val = generating_fn_bound(u, 8, **p)
         assert math.isfinite(val) and val > last
         last = val
     with pytest.raises(ValueError):
-        generating_fn_bound(9.0, 8, p)
+        generating_fn_bound(9.0, 8, **p)
 
 
 @pytest.mark.parametrize(
     ("params_", "u", "n", "what"),
     [
-        (BoundParams(d=3, alpha=0.1, C2=0.1), 4.5, 5, "exp(u^d / C2)"),  # u^d / C2 = 911
-        (BoundParams(d=50, alpha=0.1, C2=1.0), 1.5, 2, "exp(u^d / C2)"),  # u^d itself overflows
-        (BoundParams(d=6, alpha=0.5, C2=1000.0), 6.0, 6, "the generating-function series"),
+        (dict(d=3, alpha=0.1, c2=0.1), 4.5, 5, "exp(u^d / C2)"),  # u^d / C2 = 911
+        (dict(d=50, alpha=0.1, c2=1.0), 1.5, 2, "exp(u^d / C2)"),  # u^d itself overflows
+        (dict(d=6, alpha=0.5, c2=1000.0), 6.0, 6, "the generating-function series"),
     ],
 )
 def test_generating_fn_out_of_float_range_names_c2_and_d(params_, u, n, what):
     # each used to raise OverflowError; u^d / C2 past log(float max), or a series
     # term past the float range, is a ValueError naming d and C2
-    pattern = rf"^{re.escape(what)} leaves the float range at u = .* \(d = {params_.d}, C2 = "
+    d, c2 = params_["d"], re.escape(repr(params_["c2"]))
+    pattern = rf"^{re.escape(what)} leaves the float range at u = .* \(d = {d}, C2 = {c2}\)$"
     with pytest.raises(ValueError, match=pattern):
-        generating_fn_bound(u, n, params_)
+        generating_fn_bound(u, n, **params_)
 
 
 def test_multinomial_constant():

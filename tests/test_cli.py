@@ -139,6 +139,8 @@ def test_spec_type_errors_exit_2(tmp_path, capsys, override):
         ("pi", {"pi": {"scales": []}}),
         ("tail", {"tail": {"sizes": []}}),
         ("crossing", {"crossing": {"rects": []}}),
+        # generating_fn_bound checks alpha < d at its first u, before the sweeps
+        ("bounds", {"lattice": "z_bond", "d": 3, "bounds": {"alpha": 3.5}}),
     ],
 )
 def test_spec_range_errors_exit_2_before_any_work(tmp_path, capsys, command, override):
@@ -382,6 +384,23 @@ def test_blob_at_the_origin_reads_pi_0_as_one(tmp_path):
 
 def test_blob_requires_points(tmp_path):
     assert main(["blob", "--out", str(tmp_path / "b")]) == 2
+
+
+@pytest.mark.parametrize(
+    ("given", "error"),
+    [
+        ({"C3": 0.5}, "blob.alpha must be given with blob.C3"),
+        ({"alpha": 1.0}, "blob.C3 must be given with blob.alpha"),
+    ],
+)
+def test_blob_c3_and_alpha_come_together(tmp_path, capsys, given, error):
+    # prob_upper_bound reads both; one alone used to drop it and exit 0
+    spec = write_spec(tmp_path, blob={"points": [[0, 0], [4, 0]], **given})
+    out = tmp_path / "blob"
+    assert main(["blob", "--spec", str(spec), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err.strip()) == {"error": error}
+    assert captured.out == "" and not out.exists()
 
 
 def test_tail_subcommand(tmp_path):

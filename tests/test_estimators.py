@@ -487,15 +487,22 @@ def test_pi_table_conventions():
         table.add(PiRow(1, 7, 10, 5, 0.5, 0.1))
 
 
-def test_largest_cluster_distribution_point_masses():
-    def dist(p):
-        return E.SizeDistribution.of(vn_sample(TRIANGULAR, p, 2, 300, 11, reads=("c1",)).c1)
+def _mean(values: np.ndarray) -> E.Estimate:
+    """The mean that CLI ``tail``'s distribution block reports."""
+    return E.mean_estimate(*E.binomial_sums(values, 1), len(values))
 
-    d0 = dist(0.0)
-    assert d0.counts == {0: 300} and d0.mean == 0.0
-    d1 = dist(1.0)
-    assert d1.counts == {25: 300} and d1.mean == 25.0 and d1.stderr == 0.0
-    assert d1.quantile(0.5) == 25
+
+def test_largest_cluster_distribution_point_masses():
+    # the reductions of CLI tail's distribution block: histogram, mean, q-quantile
+    def c1(p):
+        return vn_sample(TRIANGULAR, p, 2, 300, 11, reads=("c1",)).c1
+
+    c1_0 = c1(0.0)
+    assert E.histogram(c1_0) == {0: 300} and _mean(c1_0).point == 0.0
+    c1_1 = c1(1.0)
+    mean = _mean(c1_1)
+    assert E.histogram(c1_1) == {25: 300} and mean.point == 25.0 and mean.stderr == 0.0
+    assert int(np.sort(c1_1)[max(math.ceil(0.5 * 300) - 1, 0)]) == 25
 
 
 def test_largest_cluster_mean_vs_exhaustive():
@@ -509,8 +516,8 @@ def test_largest_cluster_mean_vs_exhaustive():
         largest = max((len(c) for c in comps), default=0)
         total += largest
     exact_mean = total / 512
-    dist = E.SizeDistribution.of(vn_sample(TRIANGULAR, 0.5, 1, 4000, 99, reads=("c1",)).c1)
-    assert abs(dist.mean - exact_mean) <= 3 * dist.stderr
+    mean = _mean(vn_sample(TRIANGULAR, 0.5, 1, 4000, 99, reads=("c1",)).c1)
+    assert abs(mean.point - exact_mean) <= 3 * mean.stderr
 
 
 # n^d pi(n / u) at n = 4, u = 2 with pi(2) = 1: the whole box(2) area, 16

@@ -446,6 +446,32 @@ def test_sweeps_pinned(name, d):
     assert tuple(sweep(kmax, d) for kmax in SWEEP_KMAX) == SWEEPS[name][d]
 
 
+# (sha256, size) of every file `bounds` writes, keyed by the spec: the default
+# (d = 2, the one-arm alpha) and d = 3 with alpha 0.5; the JSON holds params,
+# sweeps and the generating-function series
+BOUNDS_FILES = {
+    "default": {
+        "bounds_18f6c7fc0f1d.csv": ("ad25601d7a22b7a58f7f96c952782a4a29553a8aa7753012f8590fb933fcc042", 227),
+        "bounds_18f6c7fc0f1d.json": ("023b8c37627871d4c406ad5b14381710511cbf9b710ab3804ed5879909a79cf3", 830),
+    },
+    "d3": {
+        "bounds_06b9ae3161f9.csv": ("c77544d99b255b33e15bec45076948f01783111f8bb3506868759e91f2e8d1af", 227),
+        "bounds_06b9ae3161f9.json": ("ce21b8a12139ade0a0343eac1ce6a9733345abf977ac50faba9202be536f5682", 815),
+    },
+}
+BOUNDS_SPECS = {"default": {}, "d3": {"d": 3, "bounds": {"alpha": 0.5}}}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_FILES))
+def test_bounds_bytes_pinned(tmp_path, name):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump(BOUNDS_SPECS[name]))
+    out = tmp_path / "bounds"
+    assert main(["bounds", "--spec", str(spec), "--out", str(out)]) == 0
+    written = {f.name: (hashlib.sha256(f.read_bytes()).hexdigest(), f.stat().st_size) for f in out.iterdir()}
+    assert written == BOUNDS_FILES[name]
+
+
 # sha256 of the verify JSON for `verify --quick --seed 7` on criteria 5, 6, 7
 # and 14: growth oracle, radius bound, shell disjointness and the sweeps
 VERIFY_QUICK_SHA256 = "c5564818aae4c8aa22695028ca6e88904fe1e2903284ed6f1b00b72f5f0c9dcc"

@@ -18,7 +18,6 @@ from test_golden import WIDE_CARRIER_PAIRS
 
 from percolab import grid
 from percolab import lowerbound as L
-from percolab.bounds import BoundParams
 from percolab.estimators import TAG_DN, PiRow, PiTable, _observe, family_seed, read_config, vn_sample
 from percolab.lattice import TRIANGULAR, Z2_BOND, box_with_boundary, rect_region
 from percolab.parallel import run_counters
@@ -460,12 +459,10 @@ def test_dn_fkg_bound_reads_the_campaign(max_attempts):
 
 def test_lower_tail_estimate():
     table = pi_for([4, 8], value=0.9)
-    params = BoundParams(d=2, C11=1.0, C12=0.2, C13=0.5)
     sample = vn_sample(TRIANGULAR, 1.0, 8, 100, 99)
-    res = L.lower_tail_estimate(sample, 2, table, params)
+    res = L.lower_tail_estimate(sample, 2, table, 1.0, 0.2, 0.5)
     assert res.direct.point == 1.0
     assert res.implied_bound == pytest.approx(math.exp(-(2 * 1.0 + 0.5) * 4))
+    assert res.threshold == pytest.approx(0.5 * 0.2 * 64 * 0.9)  # (C12 / 2) n^2 pi(n / u)
     with pytest.raises(ValueError):
-        L.lower_tail_estimate(sample, 2, table, BoundParams(d=2, C11=1.0))
-    with pytest.raises(ValueError):
-        L.lower_tail_estimate(sample, 1, table, params)
+        L.lower_tail_estimate(sample, 1, table, 1.0, 0.2, 0.5)

@@ -19,19 +19,23 @@ that calls it, and that module must mention the name.  Any other ambiguous
 method fails.
 
 A dataclass field counts as read when some module loads it as an attribute or
-names it as a string.  Loads inside its own class's dunder methods count
-only when ``DUNDERS`` names the dunder's caller, so a field that only
-``__post_init__`` or a test-only ``__eq__`` reads is unread.  A field whose
-name is also a field of another package dataclass is *shared*: it counts as
-read only when ``AMBIGUOUS_FIELDS`` lists it with a module that loads it,
-since every load of the other would count as its read.  A class read whole
-through ``asdict`` is listed in ``READ_WHOLE`` with the module that calls
-``asdict`` on it.
+names it as a string.  A load on a receiver named ``args`` (an argparse
+namespace) counts for nothing, and a ``self.<name>`` load counts only inside
+the field's own class, so perfbench's ``args.seed`` and a workload's
+``self.box`` read no package field.  Loads inside its own class's dunder
+methods count only when ``DUNDERS`` names the dunder's caller, so a field
+that only ``__post_init__`` or a test-only ``__eq__`` reads is unread.  A
+field whose name is also a field of another package dataclass is *shared*:
+it counts as read only when ``AMBIGUOUS_FIELDS`` lists it with a module that
+loads it, since every load of the other would count as its read.  A class
+read whole through ``asdict`` is listed in ``READ_WHOLE`` with the module
+that calls ``asdict`` on it.
 
-The check goes by name, so a field read only under a name that values other
-than dataclass fields share still passes it: ``Config.seed`` hid behind
-perfbench's ``args.seed``.  So does a method or field whose only reader is
-itself unread.  Those were found by reading their callers.
+The check goes by name, so a field read only under a name that other values
+share still passes it: any string counts, so perfbench's record key
+``"seed"`` would read an unshared field ``seed``.  So does a method or field
+whose only reader is itself unread.  Those were found by reading their
+callers.
 """
 
 from __future__ import annotations
@@ -75,7 +79,6 @@ DUNDERS = {
 
 # field shared with another package dataclass -> the module that loads it
 AMBIGUOUS_FIELDS = {
-    "bounds.BoundParams.d": "bounds",
     "estimators.Estimate.samples": "cli",
     "estimators.Estimate.stderr": "cli",
     "estimators.Estimate.successes": "cli",
@@ -87,8 +90,6 @@ AMBIGUOUS_FIELDS = {
     "estimators.PiRow.successes": "reports",
     "estimators.PiTable.lattice": "reports",
     "estimators.PiTable.p": "reports",
-    "estimators.SizeDistribution.samples": "estimators",
-    "estimators.SizeDistribution.stderr": "cli",
     "estimators.VnSample.lattice": "lowerbound",
     "estimators.VnSample.n": "lowerbound",
     "growth.MergeEdge.u": "growth",
@@ -134,7 +135,7 @@ def _is_dunder(name: str) -> bool:
 def _definitions(tree: ast.Module, module: str) -> tuple[list[tuple[str, str, str | None]], dict]:
     """(bare name, qualified name, owning class or None) of every function and
     method, nested ones included, and each dataclass's qualified name -> (its
-    fields, its dunder methods' nodes)."""
+    fields, its class node)."""
     found, dataclasses = [], {}
 
     def visit(node: ast.AST, prefix: str) -> None:
@@ -152,7 +153,7 @@ def _definitions(tree: ast.Module, module: str) -> tuple[list[tuple[str, str, st
                             if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
                             and "ClassVar" not in ast.unparse(f.annotation)
                         ],
-                        {f for f in child.body if isinstance(f, ast.FunctionDef) and _is_dunder(f.name)},
+                        child,
                     )
                 visit(child, f"{prefix}.{child.name}")
             else:
@@ -162,21 +163,28 @@ def _definitions(tree: ast.Module, module: str) -> tuple[list[tuple[str, str, st
     return found, dataclasses
 
 
-def _mentions(tree: ast.Module, skip=frozenset()) -> tuple[set[str], set[str], set[str]]:
+def _mentions(tree: ast.Module, skip=frozenset(), own=None) -> tuple[set[str], set[str], set[str]]:
     """(attributes and strings, attributes loaded and strings, bare names loaded) of a module,
-    outside the subtrees of ``skip``."""
+    outside the subtrees of ``skip``.
+
+    The loads leave out those on ``args`` and the ``self.<name>`` loads outside
+    the class node ``own``.
+    """
     attrs, loads, names = set(), set(), set()
-    stack = [tree]
+    stack = [(tree, None)]  # (node, innermost class around it)
     while stack:
-        node = stack.pop()
+        node, cls = stack.pop()
         if node in skip:
             continue
-        stack.extend(ast.iter_child_nodes(node))
+        inner = node if isinstance(node, ast.ClassDef) else cls
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             attrs.add(node.attr)
-            if isinstance(node.ctx, ast.Load):
+            receiver = getattr(node.value, "id", None)
+            foreign = receiver == "args" or (receiver == "self" and (own is None or cls is not own))
+            if isinstance(node.ctx, ast.Load) and not foreign:
                 loads.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             attrs.add(node.value)
@@ -242,13 +250,16 @@ def findings(
     for cls, (fields, _) in dataclasses.items():
         for f in fields:
             field_owners.setdefault(f, set()).add(cls)
-    for cls, (fields, own_dunders) in dataclasses.items():
+    for cls, (fields, node) in dataclasses.items():
         reader = read_whole.get(cls)
         if reader in mentions and "asdict" in mentions[reader][2]:
             continue
-        # the class's own module, read outside its dunders that have no named caller
-        unlisted = {f for f in own_dunders if f"{cls}.{f.name}" not in dunders}
-        read_in = loads | {home[cls].stem: _mentions(trees[home[cls]], unlisted)[1]}
+        # the class's own module with its self loads, outside its dunders that have no named caller
+        unlisted = {
+            f for f in node.body
+            if isinstance(f, ast.FunctionDef) and _is_dunder(f.name) and f"{cls}.{f.name}" not in dunders
+        }
+        read_in = loads | {home[cls].stem: _mentions(trees[home[cls]], unlisted, node)[1]}
         for f in fields:
             if len(field_owners[f]) > 1:
                 read = f in read_in.get(ambiguous_fields.get(f"{cls}.{f}"), ())
@@ -295,11 +306,18 @@ def test_an_uncalled_function_is_found(tmp_path):
         "@dataclass(frozen=True)\nclass Row:\n    note: str\n\n\n"
         "@dataclass(frozen=True, eq=False)\nclass Gate:\n    ok: bool\n    level: int\n\n"
         "    def __eq__(self, other):\n        return self.level == other.level\n\n\n"
+        "@dataclass\nclass Knob:\n    depth: int\n    width: int\n\n"
+        "    def span(self):\n        return self.width\n\n\n"
+        "class Dial:\n    def turn(self):\n        return self.depth\n\n\n"
         "def count(sites):\n    return len(sites) + Report(True, '').ok + len(asdict(Row('')))\n"
     )
     callers = tmp_path / "bench"
     callers.mkdir()
-    (callers / "run.py").write_text('import mod\n\nmod.exported()\nTARGETS = [("mod", "named")]\n')
+    (callers / "run.py").write_text(
+        'import mod\n\nmod.exported()\nTARGETS = [("mod", "named")]\n\n\n'
+        "def main(args):\n    return args.depth + mod.Knob(1, 2).span() + mod.Dial().turn()\n\n\n"
+        "class Workload:\n    def setup(self):\n        return self.depth\n"
+    )
 
     def check(exempt=None, listed=None, whole=None, dunders=None, shared=None):
         return findings(package, callers, exempt or {}, listed or {}, whole or {}, dunders or {}, shared or {})
@@ -310,13 +328,18 @@ def test_an_uncalled_function_is_found(tmp_path):
     # unlisted; Bag.add is listed with mod; no dunder but __init__ and
     # __post_init__ goes unlisted; Report.note and Row.note are read nowhere,
     # Report.ok and Gate.ok share a name, so the .ok load reads neither, and
-    # Gate.level is loaded only by Gate's own unlisted __eq__
+    # Gate.level is loaded only by Gate's own unlisted __eq__; Knob.depth is
+    # loaded only on args and on the self of Dial and Workload, while Knob.width
+    # is read by Knob's own span
     listed = {"mod.Bag.add": "mod"}
     assert check(listed=listed) == {
         "uncalled": ["mod.Box.unused", "mod.Region.sites", "mod.exported_orphan", "mod.orphan"],
         "ambiguous and unlisted": ["mod.Bag.take", "mod.Box.count", "mod.Box.take"],
         "dunder unlisted": ["mod.Box.__len__", "mod.Gate.__eq__"],
-        "unread field": ["mod.Gate.level", "mod.Gate.ok", "mod.Report.note", "mod.Report.ok", "mod.Row.note"],
+        "unread field": [
+            "mod.Gate.level", "mod.Gate.ok", "mod.Knob.depth", "mod.Report.note", "mod.Report.ok",
+            "mod.Row.note",
+        ],
     }
     # a listed caller that does not name the method does not call it
     listed = {"mod.Bag.add": "run", "mod.Bag.take": "mod", "mod.Box.take": "mod", "mod.Box.count": "mod"}
@@ -326,7 +349,7 @@ def test_an_uncalled_function_is_found(tmp_path):
     # Row is read whole by the asdict call of mod, Report by no asdict of run
     whole = {"mod.Row": "mod", "mod.Report": "run"}
     assert check(listed=listed, whole=whole)["unread field"] == [
-        "mod.Gate.level", "mod.Gate.ok", "mod.Report.note", "mod.Report.ok",
+        "mod.Gate.level", "mod.Gate.ok", "mod.Knob.depth", "mod.Report.note", "mod.Report.ok",
     ]
     assert "mod.orphan" not in check({"mod.orphan": "kept"}, listed)["uncalled"]
     # a shared field is read where its listed module loads it, and a listed
@@ -334,6 +357,6 @@ def test_an_uncalled_function_is_found(tmp_path):
     dunders = {"mod.Box.__len__": "len()", "mod.Gate.__eq__": "=="}
     found = check(listed=listed, whole=whole, dunders=dunders, shared={"mod.Report.ok": "mod"})
     assert "dunder unlisted" not in found
-    assert found["unread field"] == ["mod.Gate.ok", "mod.Report.note"]
+    assert found["unread field"] == ["mod.Gate.ok", "mod.Knob.depth", "mod.Report.note"]
     found = check(listed=listed, whole=whole, dunders=dunders, shared={"mod.Report.ok": "run"})
-    assert found["unread field"] == ["mod.Gate.ok", "mod.Report.note", "mod.Report.ok"]
+    assert found["unread field"] == ["mod.Gate.ok", "mod.Knob.depth", "mod.Report.note", "mod.Report.ok"]
